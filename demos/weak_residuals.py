@@ -18,7 +18,7 @@ from flocklab.measures import from_particles
 from flocklab.weakform import (
     continuity_residual,
     kinetic_battery,
-    kinetic_weak_residual,
+    kinetic_weak_residuals,
     macro_battery,
     momentum_residual,
     vector_battery,
@@ -37,7 +37,7 @@ for count in (26, 51, 101):
         tol=1e-11,
         snapshot_times=np.linspace(0.0, 0.5, count),
     )
-    r = max(kinetic_weak_residual(traj, phi) for phi in battery)
+    r = max(kinetic_weak_residuals(traj, battery))
     print(f"{count:9d}  {r:.3e}")
 
 # ---- fluid identities on binned fields ----

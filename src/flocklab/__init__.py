@@ -30,8 +30,11 @@ from .errors import (
     DivergentNormalization,
     FlockLabError,
     GridMismatch,
+    NonFiniteState,
+    PivotBudgetExceeded,
     RejectionOverflow,
     SnapshotMissing,
+    StepBudgetExceeded,
     StepCollapse,
     SupportTooLarge,
     UnsupportedDimension,
@@ -68,6 +71,7 @@ from .weakform import (
     dissipation_margin,
     kinetic_battery,
     kinetic_weak_residual,
+    kinetic_weak_residuals,
     macro_battery,
     momentum_residual,
     vector_battery,

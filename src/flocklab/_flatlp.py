@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SupportTooLarge
+from .errors import PivotBudgetExceeded, SupportTooLarge
 
 _RC_TOL = 1e-11  # reduced-cost threshold for optimality
 _PIVOT_TOL = 1e-11  # smallest usable pivot magnitude
@@ -155,7 +155,12 @@ def solve_flat_lp(
     while True:
         iters += 1
         if iters > max_iters:
-            raise RuntimeError("flat-metric simplex exceeded its pivot budget")
+            raise PivotBudgetExceeded(
+                "flat-metric simplex exceeded its pivot budget",
+                support=K,
+                pivots=iters - 1,
+                budget=max_iters,
+            )
         if iters % _REFACTOR_EVERY == 0:
             refactor()
         y = c_b @ binv

@@ -153,7 +153,7 @@ def _cmd_residual(args) -> int:
     from .weakform import (
         continuity_residual,
         kinetic_battery,
-        kinetic_weak_residual,
+        kinetic_weak_residuals,
         macro_battery,
         momentum_residual,
         vector_battery,
@@ -167,10 +167,9 @@ def _cmd_residual(args) -> int:
     size = int(cfg["battery_size"])
     seed = int(cfg["battery_seed"])
 
-    kinetic = [
-        kinetic_weak_residual(traj, phi)
-        for phi in kinetic_battery(p.d, p.T, p.M, size=size, seed=seed)
-    ]
+    kinetic = kinetic_weak_residuals(
+        traj, kinetic_battery(p.d, p.T, p.M, size=size, seed=seed)
+    )
     payload = {
         "config": cfg,
         "quadrature": {

@@ -13,6 +13,10 @@ d = 2; when alpha equals d the quantity enters only through ratios and is
 set to 1 exactly.  The eta-weighted monokineticity functional uses the
 conditional mean velocity from exact disintegration, with the inner sum
 running over the spatial marginal's atoms.
+
+Pair functionals accept an optional ``grid`` (pairs.PairGrid) holding the
+distances and squared relative speeds of the measure's atoms, so a caller
+evaluating several of them on one measure builds that grid once.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
+from .pairs import PairGrid, distances, kernel, off_diagonal
 from .errors import DivergentNormalization, UnsupportedDimension
 from .measures import EmpiricalMeasure, from_particles, phi_weighted_marginal
 
@@ -44,27 +49,37 @@ def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
     return w @ v
 
 
-def _pair_grids(x: np.ndarray, v: np.ndarray):
-    dx = x[:, None, :] - x[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
-    dv = v[:, None, :] - v[None, :, :]
-    s2 = np.einsum("ijk,ijk->ij", dv, dv)
-    return r, s2
+def _grid(mu: EmpiricalMeasure, d: int, grid: PairGrid | None):
+    x, v, w = _split(mu, d)
+    return (PairGrid.of(x, v) if grid is None else grid), w
 
 
-def enstrophy(mu: EmpiricalMeasure, d: int, alpha: float) -> float:
+def _counted(r: np.ndarray, colocated: bool) -> np.ndarray:
+    """Mask of the pairs a functional sums over: off-diagonal, and apart
+    unless co-located pairs count."""
+    mask = np.ones(r.shape, dtype=bool) if colocated else r > 0.0
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def enstrophy(
+    mu: EmpiricalMeasure, d: int, alpha: float, grid: PairGrid | None = None
+) -> float:
     """Alignment dissipation rate:
     sum over off-diagonal pairs of w_a w_b |v_a - v_b|^2 / |x_a - x_b|^alpha."""
-    x, v, w = _split(mu, d)
-    r, s2 = _pair_grids(x, v)
-    mask = ~np.eye(len(w), dtype=bool) & (r > 0.0)
-    with np.errstate(divide="ignore"):
-        kern = np.where(mask, r, 1.0) ** (-alpha)
-    val = (w[:, None] * w[None, :]) * s2 * kern
+    g, w = _grid(mu, d, grid)
+    mask = _counted(g.r, colocated=False)
+    val = (w[:, None] * w[None, :]) * g.s2 * kernel(g.r, alpha)
     return float(val[mask].sum())
 
 
-def dalpha(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0) -> float:
+def dalpha(
+    mu: EmpiricalMeasure,
+    d: int,
+    alpha: float,
+    eta: float = 0.0,
+    grid: PairGrid | None = None,
+) -> float:
     """Higher-moment dissipation:
     sum over pairs of w_a w_b |v_a - v_b|^(alpha+2) / (|x_a - x_b| + eta)^alpha.
 
@@ -73,14 +88,10 @@ def dalpha(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0) -> floa
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    x, v, w = _split(mu, d)
-    r, s2 = _pair_grids(x, v)
-    mask = ~np.eye(len(w), dtype=bool)
-    if eta == 0.0:
-        mask &= r > 0.0
-    with np.errstate(divide="ignore"):
-        kern = np.where(mask, r + eta, 1.0) ** (-alpha)
-    val = (w[:, None] * w[None, :]) * s2 ** ((alpha + 2.0) / 2.0) * kern
+    g, w = _grid(mu, d, grid)
+    mask = _counted(g.r, colocated=eta > 0.0)
+    kern = kernel(g.r + eta, alpha)
+    val = (w[:, None] * w[None, :]) * g.s2 ** ((alpha + 2.0) / 2.0) * kern
     return float(val[mask].sum())
 
 
@@ -113,7 +124,11 @@ def beta_eta(eta: float, alpha: float, d: int) -> float:
 
 
 def eta_monokineticity(
-    mu: EmpiricalMeasure, d: int, alpha: float, eta: float
+    mu: EmpiricalMeasure,
+    d: int,
+    alpha: float,
+    eta: float,
+    grid: PairGrid | None = None,
 ) -> float:
     """Deviation from a single velocity per site, weighted by the
     regularized kernel against the spatial marginal:
@@ -141,19 +156,21 @@ def eta_monokineticity(
     np.add.at(means, labels, wn[:, None] * v)
     u = means[labels]
     dev = np.sqrt(np.einsum("ij,ij->i", v - u, v - u))
-    dx = x[:, None, :] - x[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
+    r = distances(x) if grid is None else grid.r
+    # every pair counts here, self-pairs included, at eta^(-alpha)
     kern = (r + eta) ** (-alpha)
     return float((w * dev ** (alpha + 2.0)) @ kern @ w)
 
 
-def min_distance(mu: EmpiricalMeasure, d: int) -> float:
+def min_distance(
+    mu: EmpiricalMeasure, d: int, grid: PairGrid | None = None
+) -> float:
+    """Smallest distance between two different atoms (inf below two)."""
     x, _, _ = _split(mu, d)
     if x.shape[0] < 2:
         return np.inf
-    dx = x[:, None, :] - x[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
-    return float(r[~np.eye(x.shape[0], dtype=bool)].min())
+    r = distances(x) if grid is None else grid.r
+    return float(off_diagonal(r).min())
 
 
 def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,7 +196,10 @@ def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def energy_balance_residual(traj: Trajectory) -> float:
     """Largest defect of the balance  integral of enstrophy = energy drop,
     checked at every snapshot with trapezoid quadrature in time."""
-    t, e, dd = energy_series(traj)
+    return _balance_defect(*energy_series(traj))
+
+
+def _balance_defect(t, e, dd) -> float:
     integral = cumulative_trapezoid(t, dd)
     return float(np.abs(integral - (e[0] - e)).max())
 
@@ -287,12 +307,16 @@ def build_report(
 
     d = traj.params.d
     alpha = traj.params.alpha
-    x0 = traj.snapshots[0].x
-    if x0.shape[0] >= 2:
-        dx = x0[:, None, :] - x0[None, :, :]
-        diam = float(np.sqrt(np.einsum("ijk,ijk->ij", dx, dx)).max())
-    else:
-        diam = 1.0
+
+    def measure_and_grid(st):
+        mu = from_particles(st)
+        x, v, _ = _split(mu, d)
+        return mu, PairGrid.of(x, v)
+
+    # one pair grid per snapshot, shared by every pair functional below;
+    # the first one also gives the diameter
+    mu0, g0 = measure_and_grid(traj.snapshots[0])
+    diam = float(g0.r.max()) if traj.params.N >= 2 else 1.0
     diam = max(diam, 1e-9)
     h_ladder = tuple(diam * f for f in bin_fractions)
 
@@ -306,16 +330,16 @@ def build_report(
         "eeta": [],
         "mk": [],
     }
-    for st in traj.snapshots:
-        mu = from_particles(st)
+    for k, st in enumerate(traj.snapshots):
+        mu, g = (mu0, g0) if k == 0 else measure_and_grid(st)
         rows["t"].append(st.t)
         rows["E"].append(kinetic_energy(mu, d))
-        rows["D"].append(enstrophy(mu, d, alpha))
-        rows["Da"].append(dalpha(mu, d, alpha, 0.0))
+        rows["D"].append(enstrophy(mu, d, alpha, grid=g))
+        rows["Da"].append(dalpha(mu, d, alpha, 0.0, grid=g))
         rows["mom"].append(momentum(mu, d))
-        rows["md"].append(min_distance(mu, d))
+        rows["md"].append(min_distance(mu, d, grid=g))
         rows["eeta"].append(
-            [eta_monokineticity(mu, d, alpha, e) for e in eta_ladder]
+            [eta_monokineticity(mu, d, alpha, e, grid=g) for e in eta_ladder]
         )
         rows["mk"].append([mk_index(mu, d, h) for h in h_ladder])
 
@@ -330,5 +354,7 @@ def build_report(
         eeta=np.array(rows["eeta"]),
         h_ladder=h_ladder,
         mkvar=np.array(rows["mk"]),
-        energy_residual=energy_balance_residual(traj),
+        energy_residual=_balance_defect(
+            np.array(rows["t"]), np.array(rows["E"]), np.array(rows["D"])
+        ),
     )

@@ -13,9 +13,21 @@ handled by the step-size policy, not by smoothing the force law.
 Integration uses the Dormand-Prince embedded 5(4) pair with PI step-size
 control, plus a geometric cap that keeps each step well below the time a
 pair would need to close its current separation at the current relative
-speed.  Force sums are accumulated with compensated (Kahan) summation over
-fixed-order blocks, so results do not depend on BLAS threading and momentum
-cancellation survives long runs.
+speed.  Pair geometry comes from flocklab.pairs and is built one coordinate
+at a time as (N, N) arrays.  Force sums run per velocity component along
+each row of the (N, N) pair array: blocks of 32 columns are summed along
+their contiguous rows (numpy's pairwise reduction) and the block sums are
+combined in order with Kahan compensation.  The order depends only on N,
+so results do not depend on BLAS threading or thread count, and momentum
+cancellation survives long runs.  In d = 1 this is the same order as the
+earlier (N, N, d) tensor formulation, bit for bit; in d >= 2 that
+formulation summed each block sequentially over j, and results differ from
+it by about one ulp.
+
+The last Dormand-Prince stage of an accepted step is evaluated at the
+step's end state, which is the state the geometric cap inspects next; the
+cap reuses the pair distances that stage computed instead of rebuilding
+them.
 """
 
 from __future__ import annotations
@@ -25,7 +37,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CollisionalState, SnapshotMissing, StepCollapse
+from . import pairs
+from .errors import (
+    CollisionalState,
+    NonFiniteState,
+    SnapshotMissing,
+    StepBudgetExceeded,
+    StepCollapse,
+)
 
 # Below this separation the kernel is considered non-evaluable: powers of
 # the inverse distance would overflow well before reaching it, and no
@@ -113,49 +132,21 @@ class ParticleState:
         return float(np.sqrt((self.v**2).sum(axis=1).max()))
 
 
-def compensated_axis_sum(a: np.ndarray, axis: int = 0, block: int = 32) -> np.ndarray:
-    """Deterministic compensated sum along one axis.
-
-    Partial sums over fixed-order blocks (numpy pairwise reduction inside a
-    block) are combined with Kahan compensation, giving near-exact results
-    at a fraction of the cost of element-wise compensation.
-    """
-    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
-    n = a.shape[0]
-    s = np.zeros(a.shape[1:], dtype=np.float64)
-    c = np.zeros_like(s)
-    for start in range(0, n, block):
-        y = a[start : start + block].sum(axis=0) - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-def pair_distances(x: np.ndarray) -> np.ndarray:
-    """Full matrix of pairwise Euclidean distances, zeros on the diagonal."""
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def compensated_axis_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Deterministic compensated sum along one axis (see pairs.row_sums)."""
+    return pairs.row_sums(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1))
 
 
 def min_pair_distance(x: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Smallest pairwise distance and the indices achieving it."""
+    """Smallest pairwise distance and the indices (i < j) achieving it."""
     n = x.shape[0]
     if n < 2:
         return np.inf, (-1, -1)
-    dist = pair_distances(x)
-    iu = np.triu_indices(n, k=1)
-    flat = dist[iu]
-    k = int(np.argmin(flat))
-    return float(flat[k]), (int(iu[0][k]), int(iu[1][k]))
-
-
-def max_relative_speed(v: np.ndarray) -> float:
-    n = v.shape[0]
-    if n < 2:
-        return 0.0
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    dist = pairs.distances(x)
+    np.fill_diagonal(dist, np.inf)
+    # row-major argmin of the symmetric matrix lands in the upper triangle
+    i, j = divmod(int(np.argmin(dist)), n)
+    return float(dist[i, j]), (i, j)
 
 
 def alignment_rhs(
@@ -163,6 +154,7 @@ def alignment_rhs(
     v: np.ndarray,
     alpha: float,
     kernel_floor: float = 0.0,
+    work: pairs.Workspace | None = None,
 ) -> np.ndarray:
     """Velocity derivatives of the alignment system.
 
@@ -171,15 +163,21 @@ def alignment_rhs(
     before the power law is applied; it is off by default and only meant
     for regularization experiments.
 
+    With a workspace ``work`` given, the pair grids are built in its
+    buffers, and the pair distances of x are left in ``work.dist``, with
+    inf on the diagonal, for reuse by the caller.
+
     The accumulated pair forces are antisymmetric, so the velocity
     derivatives sum to zero up to the accuracy of compensated summation.
     """
     n, d = x.shape
     if n == 1:
         return np.zeros((1, d))
-    dist = pair_distances(x)
-    offdiag = ~np.eye(n, dtype=bool)
-    dmin = float(dist[offdiag].min())
+    if work is None:
+        work = pairs.Workspace(n)
+    dist = pairs.distances(x, out=work.dist, scratch=work.a)
+    np.fill_diagonal(dist, np.inf)
+    dmin = float(dist.min())
     if kernel_floor <= 0.0 and dmin <= COLLISION_FLOOR:
         i, j = min_pair_distance(x)[1]
         raise CollisionalState(
@@ -187,12 +185,8 @@ def alignment_rhs(
             pair=[i, j],
             distance=dmin,
         )
-    deff = np.maximum(dist, kernel_floor) if kernel_floor > 0.0 else dist
-    with np.errstate(divide="ignore"):
-        w = np.where(offdiag, deff, 1.0) ** (-alpha)
-    w[~offdiag] = 0.0
-    contrib = w[:, :, None] * (v[None, :, :] - v[:, None, :])
-    return compensated_axis_sum(contrib, axis=1) / n
+    w = pairs.kernel(dist, alpha, kernel_floor, out=work.a)
+    return pairs.relative_sums(w, v, scratch=work.b) / n
 
 
 # Dormand-Prince 5(4) tableau.
@@ -250,7 +244,12 @@ class Trajectory:
 
 
 def _step_cap(
-    x: np.ndarray, v: np.ndarray, safety: float, kernel_floor: float = 0.0
+    x: np.ndarray,
+    v: np.ndarray,
+    safety: float,
+    kernel_floor: float = 0.0,
+    dist: np.ndarray | None = None,
+    work: pairs.Workspace | None = None,
 ) -> tuple[float, float]:
     """Geometric step bound and current minimum pair distance.
 
@@ -259,20 +258,24 @@ def _step_cap(
     constraint no matter how close it sits.  Pairing the global minimum
     distance with the global maximum relative speed instead would throttle
     large well-separated clouds to absurdly small steps.
+
+    ``dist`` may carry the pair distances of x already computed (its
+    diagonal is ignored); the integrator passes the ones its last force
+    evaluation left behind.  Scratch grids go to the workspace ``work``
+    when one is given.
     """
     n = x.shape[0]
     if n < 2:
         return np.inf, np.inf
-    dist = pair_distances(x)
-    iu = np.triu_indices(n, k=1)
-    r = dist[iu]
-    dmin = float(r.min())
-    dv = v[:, None, :] - v[None, :, :]
-    w = np.sqrt(np.einsum("ijk,ijk->ij", dv, dv))[iu]
-    closing = w > 0.0
-    if not closing.any():
+    if work is None:
+        work = pairs.Workspace(n)
+    if dist is None:
+        dist = pairs.distances(x, out=work.dist, scratch=work.a)
+    dmin = float(pairs.off_diagonal(dist).min())
+    closing = pairs.closing_times(dist, v, kernel_floor, out=work.a, scratch=work.b)
+    tau = float(closing.min())
+    if tau == np.inf:
         return np.inf, dmin
-    tau = float((np.maximum(r[closing], kernel_floor) / w[closing]).min())
     return safety * tau, dmin
 
 
@@ -298,7 +301,9 @@ def integrate(
     With ``fixed_step`` set, adaptivity and the geometric cap are bypassed;
     this mode exists for convergence studies on smooth problems.
 
-    Raises StepCollapse when the required step falls below 1e-12 * T, and
+    Raises StepCollapse when the required step falls below 1e-12 * T,
+    NonFiniteState when the state or the local error estimate stops being
+    finite, and StepBudgetExceeded after ``max_steps`` step attempts; it
     propagates CollisionalState from the force evaluation.
     """
     n, d = state0.x.shape
@@ -320,14 +325,20 @@ def integrate(
 
     def f(y):
         x, v = unpack(y)
-        acc = alignment_rhs(x, v, params.alpha, kernel_floor=kernel_floor)
+        acc = alignment_rhs(x, v, params.alpha, kernel_floor=kernel_floor, work=work)
         return np.concatenate([v.ravel(), acc.ravel()])
 
     t = 0.0
     y = np.concatenate([state0.x.ravel(), state0.v.ravel()])
+    if not np.isfinite(y).all():
+        raise NonFiniteState("initial state is not finite", time=0.0)
     snapshots = [ParticleState(0.0, *unpack(y))]
     log_t, log_h, log_err, log_dmin = [], [], [], []
 
+    # work.dist holds the pair distances of the last force evaluation.
+    # After the first-same-as-last stage that is exactly the state an
+    # accepted step ends in, which the geometric cap inspects next.
+    work = pairs.Workspace(n)
     k = [np.empty_like(y) for _ in range(7)]
     k[0] = f(y)
 
@@ -347,11 +358,15 @@ def integrate(
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
     x_now, v_now = unpack(y)
-    cap, _ = _step_cap(x_now, v_now, geometry_safety, kernel_floor)
+    cap, _ = _step_cap(
+        x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
+    )
 
     while t < T:
         if steps >= max_steps:
-            raise RuntimeError("step budget exceeded")
+            raise StepBudgetExceeded(
+                "step budget exceeded", time=t, steps=steps, budget=max_steps
+            )
         hmax_here = snaps[next_snap] - t
         if fixed_step is not None:
             h_free = h_ctrl
@@ -376,22 +391,29 @@ def integrate(
         # _B5[6] = 0; the last stage is evaluated at (t+h, y5) and is
         # reused as the first stage of the next step.
         k[6] = f(y5)
-        err_vec = h * sum(_E[m] * k[m] for m in range(7))
 
         if fixed_step is not None:
             err = 0.0
-            accept = True
+            if not np.isfinite(y5).all():
+                raise NonFiniteState("state is not finite", time=t, step=h)
         else:
+            err_vec = h * sum(_E[m] * k[m] for m in range(7))
             sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-            accept = err <= 1.0
+            if not np.isfinite(err):
+                raise NonFiniteState(
+                    "local error estimate is not finite", time=t, step=h
+                )
+        accept = err <= 1.0
 
         if accept:
             t_new = snaps[next_snap] if clamped else t + h
             y = y5
             k[0] = k[6]
             x_now, v_now = unpack(y)
-            cap, dmin_new = _step_cap(x_now, v_now, geometry_safety, kernel_floor)
+            cap, dmin_new = _step_cap(
+                x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
+            )
             log_t.append(t_new)
             log_h.append(h)
             log_err.append(err)

@@ -35,6 +35,17 @@ class StepCollapse(FlockLabError):
     the closest pair so the caller can see which encounter caused it."""
 
 
+class StepBudgetExceeded(FlockLabError):
+    """The integrator used up its budget of step attempts before reaching
+    the horizon; carries the time reached, the attempts made and the
+    budget."""
+
+
+class NonFiniteState(FlockLabError):
+    """The particle state or the integrator's local error estimate is not
+    finite (NaN or infinite), so no step size can repair the step."""
+
+
 class AmbiguousGrouping(FlockLabError):
     """Position grouping at a positive tolerance is order dependent: chaining
     nearby atoms produced a cluster wider than the tolerance."""
@@ -43,6 +54,12 @@ class AmbiguousGrouping(FlockLabError):
 class SupportTooLarge(FlockLabError):
     """The union support of the two measures exceeds the configured size cap
     for the exact flat-metric program.  Subsample or coarsen first."""
+
+
+class PivotBudgetExceeded(FlockLabError):
+    """The flat-metric simplex used up its pivot budget without reaching an
+    optimal basis; carries the support size, the pivots made and the
+    budget."""
 
 
 class DivergentNormalization(FlockLabError):

@@ -25,6 +25,8 @@ _INITIAL = {
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
+# the collision-avoidance regime the particle model is defined for
+_ALPHA = {"type": "number", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
 
 SCHEMAS = {
@@ -33,7 +35,7 @@ SCHEMAS = {
         "required": ["d", "alpha", "N", "T", "M", "initial", "seed"],
         "properties": {
             "d": {"type": "integer", "minimum": 1},
-            "alpha": _POSITIVE,
+            "alpha": _ALPHA,
             "N": {"type": "integer", "minimum": 1},
             "T": _POSITIVE,
             "M": _POSITIVE,
@@ -77,7 +79,7 @@ SCHEMAS = {
         ],
         "properties": {
             "d": {"type": "integer", "minimum": 1},
-            "alpha": _POSITIVE,
+            "alpha": _ALPHA,
             "horizon": _POSITIVE,
             "bound": _POSITIVE,
             "initial": _INITIAL,
@@ -103,7 +105,7 @@ SCHEMAS = {
         "type": "object",
         "required": ["alpha", "eps_list", "v1", "v2"],
         "properties": {
-            "alpha": _POSITIVE,
+            "alpha": _ALPHA,
             "eps_list": {"type": "array", "items": _POSITIVE, "minItems": 1},
             "v1": {"type": "array", "items": {"type": "number"}, "minItems": 1},
             "v2": {"type": "array", "items": {"type": "number"}, "minItems": 1},

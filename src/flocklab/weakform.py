@@ -33,6 +33,14 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import GridMismatch
+from .pairs import (
+    Workspace,
+    distances,
+    kernel,
+    pair_dot,
+    relative_sums,
+    sq_distances,
+)
 from .rng import CounterRNG
 
 _BUMP_LIP = 96.0 / (25.0 * math.sqrt(5.0))  # max of 6 s (1-s^2)^2
@@ -292,15 +300,6 @@ def vector_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
 # ---- residuals on trajectories ----
 
 
-def _pair_kernel(x: np.ndarray, alpha: float):
-    dx = x[:, None, :] - x[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", dx, dx))
-    mask = ~np.eye(x.shape[0], dtype=bool) & (r > 0.0)
-    with np.errstate(divide="ignore"):
-        psi = np.where(mask, np.where(mask, r, 1.0) ** (-alpha), 0.0)
-    return psi
-
-
 def kinetic_weak_residual(traj: Trajectory, phi: TestFunction) -> float:
     """Defect of the phase-space weak identity along one trajectory:
 
@@ -310,25 +309,49 @@ def kinetic_weak_residual(traj: Trajectory, phi: TestFunction) -> float:
     evaluated on the snapshot grid with trapezoid quadrature.  Zero for an
     exact solution up to time-quadrature error.
     """
+    return kinetic_weak_residuals(traj, [phi])[0]
+
+
+def kinetic_weak_residuals(traj: Trajectory, phis) -> list:
+    """kinetic_weak_residual for every test function of a battery.
+
+    Snapshot-major: the pair kernel psi and the pair sums
+    R_i = sum_j psi_ij (v_i - v_j) are built once per snapshot and shared
+    by all test functions.  Since psi is symmetric, the pair term of each
+    test function reduces to an atom sum,
+
+        sum_{i,j} (g_i - g_j) . (v_i - v_j) psi_ij = 2 sum_i g_i . R_i,
+
+    with g = grad_v phi.  Only one snapshot's pair arrays are alive at a
+    time.
+    """
+    phis = list(phis)
     alpha = traj.params.alpha
     n = traj.params.N
     w = 1.0 / n
     times = traj.times()
-    a_vals = np.empty(len(times))
-    b_vals = np.empty(len(times))
+    a_vals = np.empty((len(phis), len(times)))
+    b_vals = np.empty((len(phis), len(times)))
+    work = Workspace(n)
     for k, st in enumerate(traj.snapshots):
-        a_vals[k] = (phi.dt(st.t, st.x, st.v)
-                     + np.einsum("ij,ij->i", st.v, phi.grad_x(st.t, st.x, st.v))
-                     ).sum() * w
-        psi = _pair_kernel(st.x, alpha)
-        gv = phi.grad_v(st.t, st.x, st.v)
-        dgv = gv[:, None, :] - gv[None, :, :]
-        dv = st.v[:, None, :] - st.v[None, :, :]
-        b_vals[k] = w * w * (np.einsum("ijk,ijk->ij", dgv, dv) * psi).sum()
-    phi0 = phi.value(times[0], traj.snapshots[0].x, traj.snapshots[0].v).sum() * w
-    a_int = np.trapezoid(a_vals, times)
-    b_int = np.trapezoid(b_vals, times)
-    return float(abs(-phi0 - a_int + 0.5 * b_int))
+        r = distances(st.x, out=work.dist, scratch=work.a)
+        psi = kernel(r, alpha, out=work.a)
+        pull = relative_sums(psi, st.v, scratch=work.b)  # = -R
+        for f, phi in enumerate(phis):
+            a_vals[f, k] = (
+                phi.dt(st.t, st.x, st.v)
+                + np.einsum("ij,ij->i", st.v, phi.grad_x(st.t, st.x, st.v))
+            ).sum() * w
+            gv = phi.grad_v(st.t, st.x, st.v)
+            b_vals[f, k] = -2.0 * w * w * np.einsum("ij,ij->", gv, pull)
+    x0, v0 = traj.snapshots[0].x, traj.snapshots[0].v
+    out = []
+    for f, phi in enumerate(phis):
+        phi0 = phi.value(times[0], x0, v0).sum() * w
+        a_int = np.trapezoid(a_vals[f], times)
+        b_int = np.trapezoid(b_vals[f], times)
+        out.append(float(abs(-phi0 - a_int + 0.5 * b_int)))
+    return out
 
 
 # ---- residuals on binned fields ----
@@ -409,11 +432,8 @@ def momentum_residual(
             continue
         drive = phi.dt(t, b) + phi.conv(t, b, u)
         tvals[k] = float((m * np.einsum("ij,ij->i", u, drive)).sum())
-        psi = _pair_kernel(b, alpha)
-        pv = phi.value(t, b)
-        dphi = pv[:, None, :] - pv[None, :, :]
-        du = u[:, None, :] - u[None, :, :]
-        inner = np.einsum("ijk,ijk->ij", dphi, du)
+        psi = kernel(distances(b), alpha)
+        inner = pair_dot(phi.value(t, b), u)
         svals[k] = float(((m[:, None] * m[None, :]) * psi * inner).sum())
     if initial_atoms is not None:
         x0, v0, w0 = initial_atoms
@@ -453,9 +473,8 @@ def dissipation_margin(times, grids, alpha: float) -> np.ndarray:
             e[k] = dd[k] = 0.0
             continue
         e[k] = float((m * np.einsum("ij,ij->i", u, u)).sum())
-        psi = _pair_kernel(b, alpha)
-        du = u[:, None, :] - u[None, :, :]
-        s2 = np.einsum("ijk,ijk->ij", du, du)
+        psi = kernel(distances(b), alpha)
+        s2 = sq_distances(u)
         dd[k] = float(((m[:, None] * m[None, :]) * psi * s2).sum())
     inc = 0.5 * (dd[1:] + dd[:-1]) * np.diff(times)
     integral = np.concatenate([[0.0], np.cumsum(inc)])

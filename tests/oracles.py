@@ -4,6 +4,12 @@ Everything here is deliberately brute force and shares no code with the
 package implementation: vertex enumeration for the flat-metric program,
 cumulative-distribution formulas on the line, triple-loop diagnostic sums,
 and adaptive quadrature for the kernel normalization.
+
+The tensor_* functions are the dense (N, N, d) formulations the package
+used before its pair geometry moved to per-component (N, N) arrays.  They
+sum over j sequentially inside each block of 32 (pairwise in d = 1), which
+the differential tests compare against bit for bit in d = 1 and to a few
+ulp of the summed magnitudes in d >= 2.
 """
 
 from __future__ import annotations
@@ -152,3 +158,105 @@ def beta_quadrature(eta: float, alpha: float, d: int) -> float:
         val, _ = _si.quad(lambda r: r * (r + eta) ** (-alpha), 0.0, np.inf)
         return 2.0 * np.pi * val
     raise ValueError("oracle covers d in {1, 2}")
+
+
+# ---- dense tensor formulations of the pair layer ----
+
+
+def _tensor_distances(x: np.ndarray) -> np.ndarray:
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _tensor_block_sum(a: np.ndarray, axis: int, block: int = 32) -> np.ndarray:
+    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
+    s = np.zeros(a.shape[1:])
+    c = np.zeros_like(s)
+    for start in range(0, a.shape[0], block):
+        y = a[start : start + block].sum(axis=0) - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+def tensor_alignment_rhs(
+    x: np.ndarray, v: np.ndarray, alpha: float, kernel_floor: float = 0.0
+) -> np.ndarray:
+    """(1/N) sum_j max(r_ij, floor)^(-alpha) (v_j - v_i) from (N, N, d)
+    tensors; no collision check."""
+    n, d = x.shape
+    if n == 1:
+        return np.zeros((1, d))
+    dist = _tensor_distances(x)
+    offdiag = ~np.eye(n, dtype=bool)
+    deff = np.maximum(dist, kernel_floor) if kernel_floor > 0.0 else dist
+    with np.errstate(divide="ignore"):
+        w = np.where(offdiag, deff, 1.0) ** (-alpha)
+    w[~offdiag] = 0.0
+    contrib = w[:, :, None] * (v[None, :, :] - v[:, None, :])
+    return _tensor_block_sum(contrib, axis=1) / n
+
+
+def tensor_step_cap(
+    x: np.ndarray, v: np.ndarray, safety: float, kernel_floor: float = 0.0
+) -> tuple[float, float]:
+    """safety * min closing time and min distance over the upper triangle."""
+    n = x.shape[0]
+    if n < 2:
+        return np.inf, np.inf
+    iu = np.triu_indices(n, k=1)
+    r = _tensor_distances(x)[iu]
+    dmin = float(r.min())
+    w = _tensor_distances(v)[iu]
+    closing = w > 0.0
+    if not closing.any():
+        return np.inf, dmin
+    tau = float((np.maximum(r[closing], kernel_floor) / w[closing]).min())
+    return safety * tau, dmin
+
+
+def tensor_enstrophy(
+    points: np.ndarray, weights: np.ndarray, d: int, alpha: float
+) -> float:
+    x, v, w = points[:, :d], points[:, d:], weights
+    r = _tensor_distances(x)
+    dv = v[:, None, :] - v[None, :, :]
+    s2 = np.einsum("ijk,ijk->ij", dv, dv)
+    mask = ~np.eye(len(w), dtype=bool) & (r > 0.0)
+    with np.errstate(divide="ignore"):
+        kern = np.where(mask, r, 1.0) ** (-alpha)
+    val = (w[:, None] * w[None, :]) * s2 * kern
+    return float(val[mask].sum())
+
+
+def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
+    """The three terms phi0, int A dt, int B dt of the kinetic weak
+    residual |-phi0 - int A dt + 1/2 int B dt|, per test function."""
+    alpha = traj.params.alpha
+    w = 1.0 / traj.params.N
+    times = traj.times()
+    a_vals = np.empty(len(times))
+    b_vals = np.empty(len(times))
+    for k, st in enumerate(traj.snapshots):
+        a_vals[k] = (
+            phi.dt(st.t, st.x, st.v)
+            + np.einsum("ij,ij->i", st.v, phi.grad_x(st.t, st.x, st.v))
+        ).sum() * w
+        r = _tensor_distances(st.x)
+        mask = ~np.eye(st.x.shape[0], dtype=bool) & (r > 0.0)
+        with np.errstate(divide="ignore"):
+            psi = np.where(mask, np.where(mask, r, 1.0) ** (-alpha), 0.0)
+        gv = phi.grad_v(st.t, st.x, st.v)
+        dgv = gv[:, None, :] - gv[None, :, :]
+        dv = st.v[:, None, :] - st.v[None, :, :]
+        b_vals[k] = w * w * (np.einsum("ijk,ijk->ij", dgv, dv) * psi).sum()
+    phi0 = phi.value(times[0], traj.snapshots[0].x, traj.snapshots[0].v).sum() * w
+    return float(phi0), float(np.trapezoid(a_vals, times)), float(
+        np.trapezoid(b_vals, times)
+    )
+
+
+def tensor_kinetic_residual(traj, phi) -> float:
+    phi0, a_int, b_int = tensor_kinetic_terms(traj, phi)
+    return float(abs(-phi0 - a_int + 0.5 * b_int))

@@ -296,6 +296,28 @@ def test_schema_violation_rejected(tmp_path, capsys):
     assert doc["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["simulate", "mfstudy", "pairstudy"])
+def test_alpha_below_one_is_a_schema_error(tmp_path, capsys, command):
+    # the particle model needs alpha >= 1; the schema says so up front
+    configs = {
+        "simulate": json.loads(sim_config(tmp_path).read_text()),
+        "mfstudy": {
+            "d": 1, "horizon": 0.1, "bound": 2.0, "seed": 1,
+            "n_list": [4, 8], "probe_times": [0.1],
+            "initial": json.loads(sim_config(tmp_path).read_text())["initial"],
+        },
+        "pairstudy": {"eps_list": [0.5], "v1": [0.5], "v2": [-0.5]},
+    }
+    cfg = dict(configs[command], alpha=0.5)
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValidationError"
+    assert doc["error"]["message"].startswith("0.5 is less than the minimum of 1")
+
+
 def test_domain_error_is_machine_readable(tmp_path, capsys):
     # recipe escapes the speed bound: flagged before any integration
     cfg = sim_config(

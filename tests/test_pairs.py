@@ -1,0 +1,239 @@
+"""The pair-geometry layer against the dense tensor formulations, and the
+integrator's use of it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from flocklab import dynamics, pairs
+from flocklab.diagnostics import enstrophy
+from flocklab.dynamics import ModelParams, ParticleState, integrate
+from flocklab.errors import FlockLabError, NonFiniteState, StepBudgetExceeded
+from flocklab.measures import EmpiricalMeasure
+from flocklab.weakform import (
+    kinetic_battery,
+    kinetic_weak_residual,
+    kinetic_weak_residuals,
+)
+
+from oracles import (
+    tensor_alignment_rhs,
+    tensor_enstrophy,
+    tensor_kinetic_residual,
+    tensor_kinetic_terms,
+    tensor_step_cap,
+)
+
+EPS = np.finfo(float).eps
+
+
+def cloud(n, d, seed, spread=1.0, vmax=0.5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-spread, spread, (n, d)), rng.uniform(-vmax, vmax, (n, d))
+
+
+def force_scale(x, v, alpha, floor):
+    """(1/N) sum_j |w_ij (v_j - v_i)| per component: the magnitude the
+    force sums cancel down from."""
+    diff = x[:, None, :] - x[None, :, :]
+    r = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(r, np.inf)
+    w = np.maximum(r, floor) ** (-alpha)
+    dv = np.abs(v[None, :, :] - v[:, None, :])
+    return (w[:, :, None] * dv).sum(axis=1) / x.shape[0]
+
+
+# ---- building blocks ----
+
+
+def test_row_sums_match_exact_sums():
+    rng = np.random.default_rng(3)
+    for n in (1, 31, 32, 33, 200):
+        a = rng.uniform(-1, 1, (5, n)) * 10.0 ** rng.integers(-8, 8, (5, n))
+        got = pairs.row_sums(a)
+        want = np.array([math.fsum(row) for row in a])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(a).sum()
+
+
+def test_off_diagonal_view_holds_every_off_diagonal_entry():
+    a = np.arange(25.0).reshape(5, 5)
+    view = pairs.off_diagonal(a)
+    assert view.shape == (4, 5)
+    assert sorted(view.ravel()) == sorted(a[~np.eye(5, dtype=bool)])
+    assert np.shares_memory(view, a)
+
+
+def test_kernel_masks_self_and_colocated_pairs():
+    x = np.array([[0.0], [0.0], [2.0]])
+    r = pairs.distances(x)
+    w = pairs.kernel(r, 1.5)
+    assert np.array_equal(np.diag(w), np.zeros(3))
+    assert w[0, 1] == w[1, 0] == 0.0
+    assert w[0, 2] == 2.0**-1.5
+    floored = pairs.kernel(r, 1.5, floor=0.5)
+    assert floored[0, 1] == 0.5**-1.5
+    assert np.array_equal(np.diag(floored), np.zeros(3))
+
+
+def test_min_pair_distance_picks_upper_triangle_on_ties():
+    x = np.array([[0.0], [1.0], [5.0], [6.0]])
+    assert dynamics.min_pair_distance(x) == (1.0, (0, 1))
+    assert dynamics.min_pair_distance(x[:1]) == (np.inf, (-1, -1))
+
+
+# ---- differential tests against the tensor formulations ----
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+@pytest.mark.parametrize("n", [2, 31, 64, 200])
+def test_alignment_rhs_bitwise_in_one_dimension(n, floor):
+    x, v = cloud(n, 1, seed=n)
+    got = dynamics.alignment_rhs(x, v, 1.5, kernel_floor=floor)
+    assert np.array_equal(got, tensor_alignment_rhs(x, v, 1.5, floor))
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+@pytest.mark.parametrize("n,d", [(33, 2), (200, 2), (57, 3)])
+def test_alignment_rhs_within_ulps_in_higher_dimensions(n, d, floor):
+    # the per-block sums run pairwise instead of sequentially over j
+    x, v = cloud(n, d, seed=10 * n + d)
+    got = dynamics.alignment_rhs(x, v, 1.5, kernel_floor=floor)
+    want = tensor_alignment_rhs(x, v, 1.5, floor)
+    assert np.all(np.abs(got - want) <= 4 * EPS * force_scale(x, v, 1.5, floor))
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+@pytest.mark.parametrize("n,d", [(2, 1), (50, 1), (200, 2), (40, 3)])
+def test_step_cap_matches_upper_triangle_formulation(n, d, floor):
+    x, v = cloud(n, d, seed=n + d)
+    cap, dmin = dynamics._step_cap(x, v, 0.2, floor)
+    want_cap, want_dmin = tensor_step_cap(x, v, 0.2, floor)
+    if d == 1:
+        assert (cap, dmin) == (want_cap, want_dmin)
+    else:
+        assert cap == pytest.approx(want_cap, rel=4 * EPS)
+        assert dmin == pytest.approx(want_dmin, rel=4 * EPS)
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+@pytest.mark.parametrize("n,d", [(2, 1), (64, 1), (200, 2), (40, 3)])
+def test_step_cap_from_force_distances_equals_fresh_cap(n, d, floor):
+    x, v = cloud(n, d, seed=7 * n + d)
+    work = pairs.Workspace(n)
+    dynamics.alignment_rhs(x, v, 1.5, kernel_floor=floor, work=work)
+    reused = dynamics._step_cap(x, v, 0.2, floor, dist=work.dist, work=work)
+    assert reused == dynamics._step_cap(x, v, 0.2, floor)
+
+
+def test_step_cap_ignores_pairs_in_lockstep():
+    x = np.array([[0.0], [1e-3], [5.0]])
+    v = np.array([[1.0], [1.0], [1.0]])
+    assert dynamics._step_cap(x, v, 0.2) == (np.inf, 1e-3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_enstrophy_matches_tensor_formulation(d):
+    x, v = cloud(12, d, seed=d)
+    x[-1] = x[0]  # a co-located pair, excluded from the sum
+    w = np.full(12, 1.0 / 12)
+    points = np.hstack([x, v])
+    got = enstrophy(EmpiricalMeasure(points, w), d, 1.5)
+    want = tensor_enstrophy(points, w, d, 1.5)
+    if d == 1:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=4 * EPS)
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def short_run(request):
+    d = request.param
+    x, v = cloud(24, d, seed=40 + d)
+    params = ModelParams(d=d, alpha=1.5, N=24, T=0.3, M=2.0)
+    traj = integrate(
+        ParticleState(0.0, x, v),
+        params,
+        tol=1e-8,
+        snapshot_times=np.linspace(0.0, 0.3, 7),
+    )
+    return traj, kinetic_battery(d, 0.3, 2.0, size=10, seed=3)
+
+
+def test_kinetic_residual_matches_tensor_formulation(short_run):
+    # the pair term is summed over atoms (2 sum_i g_i . R_i) instead of
+    # over pairs, so agreement is to rounding of the terms that cancel
+    traj, battery = short_run
+    for phi in battery:
+        scale = sum(abs(t) for t in tensor_kinetic_terms(traj, phi))
+        got = kinetic_weak_residual(traj, phi)
+        assert abs(got - tensor_kinetic_residual(traj, phi)) <= 64 * EPS * scale
+
+
+def test_kinetic_battery_form_equals_per_function_form(short_run):
+    traj, battery = short_run
+    assert kinetic_weak_residuals(traj, battery) == [
+        kinetic_weak_residual(traj, phi) for phi in battery
+    ]
+
+
+# ---- the integrator's accounting ----
+
+
+def counting(monkeypatch, name):
+    calls = []
+    fn = getattr(dynamics, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, wrapper)
+    return calls
+
+
+def test_integrate_call_counts_per_step(monkeypatch):
+    # one force evaluation to start, six per attempted step (the last
+    # stage is reused as the next first stage); one cap per accepted step
+    # plus one at the start
+    rhs = counting(monkeypatch, "alignment_rhs")
+    cap = counting(monkeypatch, "_step_cap")
+    x, v = cloud(5, 2, seed=1)
+    params = ModelParams(d=2, alpha=1.5, N=5, T=0.5, M=2.0)
+    traj = integrate(ParticleState(0.0, x, v), params, fixed_step=0.05)
+    accepted = len(traj.step_t)
+    assert accepted == 10
+    assert len(rhs) == 1 + 6 * accepted
+    assert len(cap) == 1 + accepted
+
+
+def test_step_budget_is_a_typed_error_and_counts_attempts(monkeypatch):
+    rhs = counting(monkeypatch, "alignment_rhs")
+    x, v = cloud(6, 1, seed=2)
+    params = ModelParams(d=1, alpha=1.5, N=6, T=1.0, M=2.0)
+    with pytest.raises(StepBudgetExceeded) as info:
+        integrate(ParticleState(0.0, x, v), params, tol=1e-10, max_steps=7)
+    assert isinstance(info.value, FlockLabError)
+    detail = info.value.detail
+    assert detail["steps"] == 7 and detail["budget"] == 7
+    assert 0.0 < detail["time"] < 1.0
+    assert len(rhs) == 1 + 6 * 7
+
+
+@pytest.mark.parametrize("fixed_step", [None, 0.1])
+def test_non_finite_velocity_is_reported_as_such(fixed_step):
+    x = np.array([[0.0], [1.0], [2.0]])
+    v = np.array([[0.1], [np.nan], [0.0]])
+    params = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=2.0)
+    with pytest.raises(NonFiniteState):
+        integrate(ParticleState(0.0, x, v), params, fixed_step=fixed_step)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_state_is_reported_as_non_finite():
+    # finite at the start, but the velocity differences overflow
+    x = np.array([[0.0], [1.0]])
+    v = np.array([[1e308], [-1e308]])
+    params = ModelParams(d=1, alpha=1.0, N=2, T=1.0, M=2.0)
+    with pytest.raises(NonFiniteState):
+        integrate(ParticleState(0.0, x, v), params, fixed_step=0.5)
