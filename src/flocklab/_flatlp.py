@@ -5,108 +5,82 @@ and signed weights b_k = mu_k - nu_k is
 
     sup { sum_k b_k phi_k : |phi_k| <= 1,  |phi_k - phi_l| <= |p_k - p_l| }.
 
-Instead of attacking that program directly (its constraint count is
-quadratic in the support size), we solve its linear-programming dual, a
-transshipment problem on the support:
+Its linear-programming dual is an uncapacitated transshipment problem (the
+generalized Wasserstein distance W^{1,1}_{1,1} of Piccoli and Rossi) on the
+support nodes plus a ground node g of potential 0:
 
-    min  sum_k (p_k + q_k) + sum_{k != l} d_kl g_kl
-    s.t. p_k - q_k + sum_l (g_kl - g_lk) = b_k,   all variables >= 0,
+    arc k -> g   destroys mass at cost 1,
+    arc g -> k   creates mass at cost 1,
+    arc k -> l   moves mass at cost |p_k - p_l|,
 
-where p_k / q_k absorb or create mass at unit cost and g_kl moves mass at
-cost d_kl = |p_k - p_l|.  Strong duality gives equality of optima, and the
-simplex multipliers at the optimum are exactly an optimal potential phi.
+with supply b_k at node k and the balancing supply -sum_k b_k at g.  Strong
+duality gives equality of optima, and the node potentials of an optimal
+basis (phi_i - phi_j = cost on every basic arc i -> j) are an optimal phi.
 
-The solver is a dense revised simplex.  The starting basis absorbs every
-excess locally (p_k or q_k per node), which is feasible outright with
-objective equal to the total variation; transport arcs then only improve
-it.  Entering columns follow Dantzig's rule until the objective stalls,
-after which Bland's rule takes over to guarantee termination; leaving rows
-always break ties by smallest basic column id.
+Arcs of length >= 2 are left out: destroying the mass at one end and
+creating it at the other costs 2, so no optimal flow needs them, and their
+dual constraints hold for any |phi| <= 1.  On the line only arcs between
+sorted neighbours are kept as well, because every arc decomposes into
+adjacent hops of the same total cost.  In d >= 2 the arcs come from the
+dense distance grid of ``pairs.distances``.
 
-On one-dimensional supports only arcs between neighbouring points (in
-sorted order) are generated: on the line every arc decomposes into
-adjacent hops of identical total cost, so the reduced program has the same
-optimum while staying linear in the support size.
+The solver is a primal network simplex whose bases are spanning trees
+rooted at g, stored as parent pointers with the orientation, cost and flow
+of each node's arc to its parent.  The starting tree hangs every node off
+the ground by its destroy arc (b_k > 0) or its create arc (b_k <= 0).  That
+tree is strongly feasible: every tree arc of zero flow points away from the
+root.  The leaving arc follows Cunningham's rule: of the arcs whose flow the
+pivot drives to zero first, the last one met when the pivot cycle is walked
+from its apex against the direction of the entering arc.  The rule keeps
+the tree strongly feasible, so a run of degenerate pivots cannot return to
+an earlier tree and the simplex cannot cycle.  A pivot re-hangs one
+subtree, and only that subtree's depths and potentials are recomputed.  Entering arcs are priced from a candidate list: the
+_CANDIDATES most negative reduced costs, refreshed as potentials change and
+rebuilt from the whole arc set only when none of them is negative any more.
+On the line the arc set is O(K), so every pivot prices all of it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import PivotBudgetExceeded, SupportTooLarge
+from .pairs import distances
 
 _RC_TOL = 1e-11  # reduced-cost threshold for optimality
-_PIVOT_TOL = 1e-11  # smallest usable pivot magnitude
-_REFACTOR_EVERY = 150
+_CANDIDATES = 100  # arcs kept in the pricing list in d >= 2
 
 
-class _Columns:
-    """Column pool: destroy/create columns plus transport arcs.
+def _pivot_budget(n_support: int) -> int:
+    """Pivots allowed on a support of n_support atoms."""
+    return 400 * n_support + 100_000
 
-    Global id order: p_0..p_{K-1}, q_0..q_{K-1}, then arcs.  In full mode
-    arc (k -> l) has id 2K + k*K + l (diagonal slots are never offered);
-    in line mode arcs come in sorted-neighbour pairs.
-    """
 
-    def __init__(self, points: np.ndarray):
-        self.K = points.shape[0]
-        self.line = points.shape[1] == 1
-        if self.line:
-            self.order = np.argsort(points[:, 0], kind="stable")
-            self.gaps = np.diff(points[self.order, 0])
-            self.n_arcs = 2 * (self.K - 1)
-        else:
-            diff = points[:, None, :] - points[None, :, :]
-            self.dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            self.n_arcs = self.K * self.K
-        self.n_cols = 2 * self.K + self.n_arcs
-
-    def cost(self, col: int) -> float:
-        K = self.K
-        if col < 2 * K:
-            return 1.0
-        a = col - 2 * K
-        if self.line:
-            return float(self.gaps[a // 2])
-        return float(self.dist[a // K, a % K])
-
-    def column(self, col: int) -> tuple[list[int], list[float]]:
-        K = self.K
-        if col < K:
-            return [col], [1.0]
-        if col < 2 * K:
-            return [col - K], [-1.0]
-        a = col - 2 * K
-        if self.line:
-            g, back = divmod(a, 2)
-            k, l = self.order[g], self.order[g + 1]
-            if back:
-                k, l = l, k
-        else:
-            k, l = a // K, a % K
-        return [int(k), int(l)], [1.0, -1.0]
-
-    def entering(self, y: np.ndarray, bland: bool) -> int | None:
-        """Id of an entering column with negative reduced cost, or None."""
-        K = self.K
-        rc_p = 1.0 - y
-        rc_q = 1.0 + y
-        if self.line:
-            yo = y[self.order]
-            rc_f = self.gaps - yo[:-1] + yo[1:]
-            rc_b = self.gaps - yo[1:] + yo[:-1]
-            rc_arcs = np.empty(self.n_arcs)
-            rc_arcs[0::2] = rc_f
-            rc_arcs[1::2] = rc_b
-        else:
-            rc_arcs = (self.dist - y[:, None] + y[None, :]).ravel()
-            rc_arcs[:: K + 1] = np.inf  # never offer diagonal slots
-        rc = np.concatenate([rc_p, rc_q, rc_arcs])
-        if bland:
-            hits = np.flatnonzero(rc < -_RC_TOL)
-            return int(hits[0]) if hits.size else None
-        j = int(np.argmin(rc))
-        return j if rc[j] < -_RC_TOL else None
+def _arcs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tail, head, cost) of every arc; node K is the ground."""
+    K, dim = points.shape
+    if dim == 1:
+        order = np.argsort(points[:, 0], kind="stable")
+        gaps = np.diff(points[order, 0])
+        keep = np.flatnonzero(gaps < 2.0)
+        lo, hi, length = order[keep], order[keep + 1], gaps[keep]
+        t = np.concatenate([lo, hi])
+        h = np.concatenate([hi, lo])
+        c = np.concatenate([length, length])
+    else:
+        dist = distances(points)
+        near = dist < 2.0
+        np.fill_diagonal(near, False)
+        t, h = np.nonzero(near)
+        c = dist[near]
+    nodes = np.arange(K)
+    ground = np.full(K, K)
+    tail = np.concatenate([nodes, ground, t])
+    head = np.concatenate([ground, nodes, h])
+    cost = np.concatenate([np.ones(2 * K), c])
+    return tail, head, cost
 
 
 def solve_flat_lp(
@@ -115,7 +89,9 @@ def solve_flat_lp(
     """Optimal flat-metric value and potential for signed weights b.
 
     Returns (value, phi) with phi the optimal potential per support point.
-    Raises SupportTooLarge when the support exceeds ``cap`` atoms.
+    Raises SupportTooLarge when the support exceeds ``cap`` atoms and
+    PivotBudgetExceeded when the simplex does not finish within
+    ``_pivot_budget`` pivots.
     """
     points = np.asarray(points, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -129,86 +105,122 @@ def solve_flat_lp(
     if K == 0:
         return 0.0, np.zeros(0)
 
-    cols = _Columns(points)
-    basis = np.where(b >= 0, np.arange(K), K + np.arange(K)).astype(np.int64)
-    binv = np.diag(np.where(b >= 0, 1.0, -1.0))
-    x_b = np.abs(b).astype(np.float64)
-    c_b = np.ones(K)
+    tail, head, cost = _arcs(points)
+    line = points.shape[1] == 1
+    budget = _pivot_budget(K)
 
-    def refactor():
-        nonlocal binv, x_b
-        bmat = np.zeros((K, K))
-        for i, col in enumerate(basis):
-            rows, vals = cols.column(int(col))
-            bmat[rows, i] = vals
-        binv = np.linalg.inv(bmat)
-        x_b = binv @ b
-        np.clip(x_b, 0.0, None, out=x_b)
+    # The tree: node v < K reaches its parent through one arc, which points
+    # up (v -> parent) or down (parent -> v) and carries flow[v] >= 0.
+    root = K
+    parent = [root] * K + [-1]
+    up = [bool(bk > 0.0) for bk in b] + [False]
+    flow = [abs(float(bk)) for bk in b] + [0.0]
+    arc_cost = [1.0] * K + [0.0]
+    depth = [1] * K + [0]
+    children = [[] for _ in range(K)] + [list(range(K))]
+    pot = [1.0 if u else -1.0 for u in up[:K]] + [0.0]
+    phi = np.array(pot)
 
-    bland = False
-    stall = 0
-    best = float(c_b @ x_b)
-    final_rounds = 0
-    iters = 0
-    max_iters = 400 * K + 100_000
-
+    # Candidate pool of entering arcs.  On the line it is the whole arc set;
+    # in d >= 2 it holds the most negative arcs of the last full pricing.
+    pool_t, pool_h, pool_c = (tail, head, cost) if line else (tail[:0],) * 3
+    rc_all = np.empty(cost.size)
+    pivots = 0
     while True:
-        iters += 1
-        if iters > max_iters:
+        rc = pool_c - phi[pool_t] + phi[pool_h]
+        i = int(np.argmin(rc)) if rc.size else 0
+        if not rc.size or rc[i] >= -_RC_TOL:
+            if line:
+                break
+            np.subtract(cost, phi[tail], out=rc_all)
+            rc_all += phi[head]
+            sel = np.flatnonzero(rc_all < -_RC_TOL)
+            if not sel.size:
+                break
+            if sel.size > _CANDIDATES:
+                best = np.argpartition(rc_all[sel], _CANDIDATES)
+                sel = sel[best[:_CANDIDATES]]
+            pool_t, pool_h, pool_c = tail[sel], head[sel], cost[sel]
+            i = int(np.argmin(rc_all[sel]))
+
+        if pivots >= budget:
             raise PivotBudgetExceeded(
                 "flat-metric simplex exceeded its pivot budget",
                 support=K,
-                pivots=iters - 1,
-                budget=max_iters,
+                pivots=pivots,
+                budget=budget,
             )
-        if iters % _REFACTOR_EVERY == 0:
-            refactor()
-        y = c_b @ binv
-        j = cols.entering(y, bland)
-        if j is None:
-            refactor()
-            y = c_b @ binv
-            j = cols.entering(y, bland=True)
-            if j is None or final_rounds >= 3:
-                value = float(c_b @ x_b)
-                return value, np.asarray(y, dtype=np.float64)
-            final_rounds += 1
+        pivots += 1
 
-        rows, vals = cols.column(int(j))
-        a_col = np.zeros(K)
-        a_col[rows] = vals
-        direction = binv @ a_col
-        pos = np.flatnonzero(direction > _PIVOT_TOL)
-        if pos.size == 0:
-            # Cannot happen for this cost structure (all costs >= 0 bound
-            # the minimum); treat as a numerical artefact and refactor.
-            refactor()
-            y = c_b @ binv
-            direction = binv @ a_col
-            pos = np.flatnonzero(direction > _PIVOT_TOL)
-            if pos.size == 0:
-                bland = True
-                continue
-        ratios = x_b[pos] / direction[pos]
-        rmin = ratios.min()
-        tied = pos[ratios <= rmin + 1e-15 * (1.0 + abs(rmin))]
-        r = int(tied[np.argmin(basis[tied])])
-        theta = x_b[r] / direction[r]
+        # Entering arc k -> l closes the cycle k -> l -> ... -> apex -> ... -> k.
+        k, l, c = int(pool_t[i]), int(pool_h[i]), float(pool_c[i])
+        a, z = k, l
+        while a != z:
+            if depth[a] >= depth[z]:
+                a = parent[a]
+            else:
+                z = parent[z]
+        apex = a
+        kpath = []
+        v = k
+        while v != apex:
+            kpath.append(v)
+            v = parent[v]
+        lpath = []
+        v = l
+        while v != apex:
+            lpath.append(v)
+            v = parent[v]
 
-        x_b -= theta * direction
-        x_b[r] = theta
-        np.clip(x_b, 0.0, None, out=x_b)
-        brow = binv[r, :] / direction[r]
-        binv -= np.outer(direction, brow)
-        binv[r, :] = brow
-        basis[r] = j
-        c_b[r] = cols.cost(int(j))
+        # Pushing flow along k -> l raises it on the down arcs of the k side
+        # and the up arcs of the l side; the other arcs block.  Cunningham's
+        # rule: of the blocking arcs with least flow, take the last one met
+        # on the walk apex -> l, l -> k, k -> apex.
+        theta = math.inf
+        leave = -1
+        for v in reversed(lpath):
+            if not up[v] and flow[v] <= theta:
+                theta, leave = flow[v], v
+        for v in kpath:
+            if up[v] and flow[v] <= theta:
+                theta, leave = flow[v], v
+        if theta > 0.0:
+            for v in kpath:
+                flow[v] += -theta if up[v] else theta
+            for v in lpath:
+                flow[v] += theta if up[v] else -theta
 
-        obj = float(c_b @ x_b)
-        if obj < best - 1e-15 * (1.0 + abs(best)):
-            best = obj
-            stall = 0
+        # Cut the leaving arc and hang its subtree from the entering arc,
+        # reversing the path between the entering endpoint and the cut.
+        if leave in kpath:
+            v, new_parent, new_up = k, l, True
         else:
-            stall += 1
-            if stall > 3 * K + 50:
-                bland = True
+            v, new_parent, new_up = l, k, False
+        top = v
+        new_flow, new_cost = theta, c
+        while True:
+            old_parent = parent[v]
+            old_up, old_flow, old_cost = up[v], flow[v], arc_cost[v]
+            children[old_parent].remove(v)
+            children[new_parent].append(v)
+            parent[v] = new_parent
+            up[v], flow[v], arc_cost[v] = new_up, new_flow, new_cost
+            if v == leave:
+                break
+            new_parent, new_up = v, not old_up
+            new_flow, new_cost = old_flow, old_cost
+            v = old_parent
+
+        moved = []
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            pot[v] = pot[p] + arc_cost[v] if up[v] else pot[p] - arc_cost[v]
+            moved.append(v)
+            stack.extend(children[v])
+        phi[moved] = [pot[v] for v in moved]
+
+    value = math.fsum(arc_cost[v] * flow[v] for v in range(K))
+    return value, phi[:K]

@@ -306,7 +306,9 @@ class StudyReport:
 
     dbl_cauchy[k][p] is the flat distance between the spatial marginals of
     runs n_list[k] and n_list[k + 1] at probe p; energy_cauchy likewise
-    for kinetic energies.  None entries mark pairs where a run failed.
+    for kinetic energies.  None entries mark pairs where a run failed, or
+    where the flat distance itself failed: dbl_errors[k] then holds that
+    error record (None for every other pair).
     """
 
     n_list: tuple
@@ -319,6 +321,7 @@ class StudyReport:
     seed: int
     rows: tuple
     dbl_cauchy: tuple
+    dbl_errors: tuple
     energy_cauchy: tuple
 
     def to_dict(self) -> dict:
@@ -335,6 +338,7 @@ class StudyReport:
             "dbl_cauchy": [
                 list(c) if c is not None else None for c in self.dbl_cauchy
             ],
+            "dbl_errors": list(self.dbl_errors),
             "energy_cauchy": [
                 list(c) if c is not None else None for c in self.energy_cauchy
             ],
@@ -449,7 +453,8 @@ def refinement_study(
     residuals on width-h fields, and dissipation margins at the probe
     times.  Consecutive runs are compared in the flat metric on spatial
     marginals.  A failed run (collision, step collapse) is kept as its
-    error record; the study continues.
+    error record, and so is a failed flat distance between two runs (support
+    cap, pivot budget); the study continues.
 
     threads > 1 integrates different N concurrently; results merge keyed
     by N, so the report is identical for any thread count.
@@ -486,18 +491,24 @@ def refinement_study(
     marg = {n: merged[n][1] for n in n_list}
 
     dbl_cauchy = []
+    dbl_errors = []
     energy_cauchy = []
     for a, b in zip(n_list[:-1], n_list[1:]):
         if marg[a] is None or marg[b] is None:
             dbl_cauchy.append(None)
+            dbl_errors.append(None)
             energy_cauchy.append(None)
             continue
-        dbl_cauchy.append(
-            tuple(
+        try:
+            dists = tuple(
                 float(dbl(ma, mb, cap=dbl_cap))
                 for ma, mb in zip(marg[a], marg[b])
             )
-        )
+            error = None
+        except FlockLabError as exc:
+            dists, error = None, exc.to_dict()
+        dbl_cauchy.append(dists)
+        dbl_errors.append(error)
         ea = merged[a][0].energy
         eb = merged[b][0].energy
         energy_cauchy.append(tuple(abs(x - y) for x, y in zip(ea, eb)))
@@ -513,6 +524,7 @@ def refinement_study(
         seed=spec.seed,
         rows=rows,
         dbl_cauchy=tuple(dbl_cauchy),
+        dbl_errors=tuple(dbl_errors),
         energy_cauchy=tuple(energy_cauchy),
     )
 

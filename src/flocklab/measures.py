@@ -14,10 +14,11 @@ measure weighted by (v_j + shift) / (2 shift), which keeps the mass within
 [0, 1] whenever speeds stay below ``shift``.
 
 The flat metric ``dbl`` is computed exactly (to solver round-off) by the
-embedded simplex in ``_flatlp``; distances and their optimal potentials are
-deterministic functions of the inputs.  Measures of unequal total mass are
-accepted: the metric then also prices the mass difference, at cost 1 per
-unit, consistent with the test-function normalization |phi| <= 1.
+spanning-tree network simplex in ``_flatlp``; distances and their optimal
+potentials are deterministic functions of the inputs.  Measures of unequal
+total mass are accepted: the metric then also prices the mass difference,
+at cost 1 per unit, consistent with the test-function normalization
+|phi| <= 1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from ._flatlp import solve_flat_lp
 from .dynamics import ParticleState
 from .errors import AmbiguousGrouping
+from .pairs import distances
 
 _MASS_SLACK = 1e-12
 
@@ -123,9 +125,6 @@ class Disintegration:
             np.vstack(pts), np.concatenate(ws), self.support_radius
         )
 
-    def mean_velocity_at(self, g: int) -> np.ndarray:
-        return self.means[g]
-
 
 def from_particles(state: ParticleState) -> EmpiricalMeasure:
     """Uniform-weight phase-space measure of a particle state."""
@@ -208,8 +207,7 @@ def disintegrate(
 def _link_positions(x: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage components at threshold tol, with a width check."""
     n = x.shape[0]
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = distances(x)
     parent = np.arange(n)
 
     def find(a):

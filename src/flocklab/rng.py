@@ -99,10 +99,3 @@ class CounterRNG:
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
         return float(out[0]) if scalar else out
 
-    def integers(self, upper: int, n: int | None = None):
-        """Integers in [0, upper) by 128-bit multiply-shift (unbiased enough
-        for upper << 2**64; used for index choices only)."""
-        if n is None:
-            return int((int(self.raw()) * int(upper)) >> 64)
-        vals = self.raw(n)
-        return np.array([(int(v) * int(upper)) >> 64 for v in vals], dtype=np.int64)

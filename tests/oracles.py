@@ -5,6 +5,10 @@ package implementation: vertex enumeration for the flat-metric program,
 cumulative-distribution formulas on the line, triple-loop diagnostic sums,
 and adaptive quadrature for the kernel normalization.
 
+dense_simplex_flat_lp is the revised simplex with a dense K x K basis
+inverse that the package used for the flat metric before its network
+simplex; the differential tests compare the two to 1e-12.
+
 The tensor_* functions are the dense (N, N, d) formulations the package
 used before its pair geometry moved to per-component (N, N) arrays.  They
 sum over j sequentially inside each block of 32 (pairwise in d = 1), which
@@ -18,6 +22,8 @@ from itertools import combinations
 
 import numpy as np
 from scipy import integrate as _si
+
+from flocklab.errors import PivotBudgetExceeded, SupportTooLarge
 
 
 def vertex_enum_dbl(points: np.ndarray, b: np.ndarray) -> float:
@@ -260,3 +266,189 @@ def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
 def tensor_kinetic_residual(traj, phi) -> float:
     phi0, a_int, b_int = tensor_kinetic_terms(traj, phi)
     return float(abs(-phi0 - a_int + 0.5 * b_int))
+
+
+# ---- dense revised simplex for the flat-metric program ----
+#
+# The package's flat-metric solver before it became a spanning-tree network
+# simplex: a revised simplex on the destroy/create/transport columns that
+# keeps a dense K x K basis inverse, with Dantzig pricing that falls back to
+# Bland's rule on a stall.  Kept verbatim as the differential oracle.
+
+_RC_TOL = 1e-11  # reduced-cost threshold for optimality
+_PIVOT_TOL = 1e-11  # smallest usable pivot magnitude
+_REFACTOR_EVERY = 150
+
+
+class _Columns:
+    """Column pool: destroy/create columns plus transport arcs.
+
+    Global id order: p_0..p_{K-1}, q_0..q_{K-1}, then arcs.  In full mode
+    arc (k -> l) has id 2K + k*K + l (diagonal slots are never offered);
+    in line mode arcs come in sorted-neighbour pairs.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.K = points.shape[0]
+        self.line = points.shape[1] == 1
+        if self.line:
+            self.order = np.argsort(points[:, 0], kind="stable")
+            self.gaps = np.diff(points[self.order, 0])
+            self.n_arcs = 2 * (self.K - 1)
+        else:
+            diff = points[:, None, :] - points[None, :, :]
+            self.dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            self.n_arcs = self.K * self.K
+        self.n_cols = 2 * self.K + self.n_arcs
+
+    def cost(self, col: int) -> float:
+        K = self.K
+        if col < 2 * K:
+            return 1.0
+        a = col - 2 * K
+        if self.line:
+            return float(self.gaps[a // 2])
+        return float(self.dist[a // K, a % K])
+
+    def column(self, col: int) -> tuple[list[int], list[float]]:
+        K = self.K
+        if col < K:
+            return [col], [1.0]
+        if col < 2 * K:
+            return [col - K], [-1.0]
+        a = col - 2 * K
+        if self.line:
+            g, back = divmod(a, 2)
+            k, l = self.order[g], self.order[g + 1]
+            if back:
+                k, l = l, k
+        else:
+            k, l = a // K, a % K
+        return [int(k), int(l)], [1.0, -1.0]
+
+    def entering(self, y: np.ndarray, bland: bool) -> int | None:
+        """Id of an entering column with negative reduced cost, or None."""
+        K = self.K
+        rc_p = 1.0 - y
+        rc_q = 1.0 + y
+        if self.line:
+            yo = y[self.order]
+            rc_f = self.gaps - yo[:-1] + yo[1:]
+            rc_b = self.gaps - yo[1:] + yo[:-1]
+            rc_arcs = np.empty(self.n_arcs)
+            rc_arcs[0::2] = rc_f
+            rc_arcs[1::2] = rc_b
+        else:
+            rc_arcs = (self.dist - y[:, None] + y[None, :]).ravel()
+            rc_arcs[:: K + 1] = np.inf  # never offer diagonal slots
+        rc = np.concatenate([rc_p, rc_q, rc_arcs])
+        if bland:
+            hits = np.flatnonzero(rc < -_RC_TOL)
+            return int(hits[0]) if hits.size else None
+        j = int(np.argmin(rc))
+        return j if rc[j] < -_RC_TOL else None
+
+
+def dense_simplex_flat_lp(
+    points: np.ndarray, b: np.ndarray, cap: int = 2000
+) -> tuple[float, np.ndarray]:
+    """Optimal flat-metric value and potential for signed weights b.
+
+    Returns (value, phi) with phi the optimal potential per support point.
+    Raises SupportTooLarge when the support exceeds ``cap`` atoms.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    K = points.shape[0]
+    if K > cap:
+        raise SupportTooLarge(
+            "union support exceeds the exact-program cap",
+            support=K,
+            cap=cap,
+        )
+    if K == 0:
+        return 0.0, np.zeros(0)
+
+    cols = _Columns(points)
+    basis = np.where(b >= 0, np.arange(K), K + np.arange(K)).astype(np.int64)
+    binv = np.diag(np.where(b >= 0, 1.0, -1.0))
+    x_b = np.abs(b).astype(np.float64)
+    c_b = np.ones(K)
+
+    def refactor():
+        nonlocal binv, x_b
+        bmat = np.zeros((K, K))
+        for i, col in enumerate(basis):
+            rows, vals = cols.column(int(col))
+            bmat[rows, i] = vals
+        binv = np.linalg.inv(bmat)
+        x_b = binv @ b
+        np.clip(x_b, 0.0, None, out=x_b)
+
+    bland = False
+    stall = 0
+    best = float(c_b @ x_b)
+    final_rounds = 0
+    iters = 0
+    max_iters = 400 * K + 100_000
+
+    while True:
+        iters += 1
+        if iters > max_iters:
+            raise PivotBudgetExceeded(
+                "flat-metric simplex exceeded its pivot budget",
+                support=K,
+                pivots=iters - 1,
+                budget=max_iters,
+            )
+        if iters % _REFACTOR_EVERY == 0:
+            refactor()
+        y = c_b @ binv
+        j = cols.entering(y, bland)
+        if j is None:
+            refactor()
+            y = c_b @ binv
+            j = cols.entering(y, bland=True)
+            if j is None or final_rounds >= 3:
+                value = float(c_b @ x_b)
+                return value, np.asarray(y, dtype=np.float64)
+            final_rounds += 1
+
+        rows, vals = cols.column(int(j))
+        a_col = np.zeros(K)
+        a_col[rows] = vals
+        direction = binv @ a_col
+        pos = np.flatnonzero(direction > _PIVOT_TOL)
+        if pos.size == 0:
+            # Cannot happen for this cost structure (all costs >= 0 bound
+            # the minimum); treat as a numerical artefact and refactor.
+            refactor()
+            y = c_b @ binv
+            direction = binv @ a_col
+            pos = np.flatnonzero(direction > _PIVOT_TOL)
+            if pos.size == 0:
+                bland = True
+                continue
+        ratios = x_b[pos] / direction[pos]
+        rmin = ratios.min()
+        tied = pos[ratios <= rmin + 1e-15 * (1.0 + abs(rmin))]
+        r = int(tied[np.argmin(basis[tied])])
+        theta = x_b[r] / direction[r]
+
+        x_b -= theta * direction
+        x_b[r] = theta
+        np.clip(x_b, 0.0, None, out=x_b)
+        brow = binv[r, :] / direction[r]
+        binv -= np.outer(direction, brow)
+        binv[r, :] = brow
+        basis[r] = j
+        c_b[r] = cols.cost(int(j))
+
+        obj = float(c_b @ x_b)
+        if obj < best - 1e-15 * (1.0 + abs(best)):
+            best = obj
+            stall = 0
+        else:
+            stall += 1
+            if stall > 3 * K + 50:
+                bland = True

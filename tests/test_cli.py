@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from flocklab import cli, storage
+from flocklab import _flatlp, cli, storage
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.measures import EmpiricalMeasure
 
@@ -164,6 +164,19 @@ def test_dbl_prints_distance_and_potential(tmp_path, capsys):
     phi = np.array(doc["potential"])
     b = np.array([1.0, -1.0])
     assert float(b @ phi) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_dbl_pivot_budget_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_flatlp, "_pivot_budget", lambda n_support: 1)
+    mu = EmpiricalMeasure(np.array([[0.0], [0.5]]), [0.5, 0.5])
+    nu = EmpiricalMeasure(np.array([[0.25], [0.75]]), [0.5, 0.5])
+    storage.save_measure(mu, tmp_path / "a.csv")
+    storage.save_measure(nu, tmp_path / "b.csv")
+    rc = cli.main(["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["error"]["error"] == "PivotBudgetExceeded"
+    assert payload["error"]["detail"] == {"support": 4, "pivots": 1, "budget": 1}
 
 
 # ---- diagnose / residual on saved trajectories ----

@@ -1,0 +1,133 @@
+"""The network-simplex flat-metric solver against the dense revised simplex
+and against HiGHS, its optimal potentials, and its pivot budget."""
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
+
+from flocklab import _flatlp
+from flocklab.errors import PivotBudgetExceeded
+from flocklab.measures import EmpiricalMeasure, dbl, union_support
+
+from oracles import dense_simplex_flat_lp
+
+TOL = 1e-12
+
+
+def highs_value(points, b):
+    """max b.phi over |phi| <= 1 and |phi_k - phi_l| <= |p_k - p_l| for every
+    pair of support points, solved by HiGHS."""
+    K = len(b)
+    k, l = np.nonzero(~np.eye(K, dtype=bool))
+    dist = np.sqrt(((points[k] - points[l]) ** 2).sum(axis=1))
+    rows = np.repeat(np.arange(k.size), 2)
+    cols = np.stack([k, l], axis=1).ravel()
+    vals = np.tile([1.0, -1.0], k.size)
+    a_ub = coo_matrix((vals, (rows, cols)), shape=(k.size, K)).tocsr()
+    res = linprog(-b, A_ub=a_ub, b_ub=dist, bounds=[(-1.0, 1.0)] * K, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def random_pair(rng, K, d, spread=1.0):
+    """Two measures of unequal mass on about K union atoms in d dimensions,
+    with zero-weight atoms and atoms that the union support merges."""
+    k1 = K // 2
+    k2 = K - k1 - K // 10
+    p1 = rng.uniform(-spread, spread, (k1, d))
+    shared = p1[rng.choice(k1, K // 10, replace=False)]
+    p2 = np.vstack([rng.uniform(-spread, spread, (k2, d)), shared])
+    w1 = rng.uniform(0.0, 1.0, k1) * (rng.uniform(size=k1) > 0.1)
+    w2 = rng.uniform(0.0, 1.0, p2.shape[0])
+    mu = EmpiricalMeasure(p1, w1 / w1.sum())
+    nu = EmpiricalMeasure(p2, 0.7 * w2 / w2.sum())
+    return union_support(mu, nu)
+
+
+def assert_optimal_potential(points, b, value, phi):
+    assert np.abs(phi).max() <= 1.0 + TOL
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+    assert (np.abs(phi[:, None] - phi[None, :]) - dist).max() <= TOL
+    assert float(b @ phi) == pytest.approx(value, abs=TOL)
+
+
+@pytest.mark.parametrize(
+    "d,K,spread",
+    [
+        (1, 400, 1.0),
+        (1, 53, 1.0),
+        (2, 400, 1.0),
+        (2, 71, 0.3),
+        (3, 300, 1.0),
+        (3, 48, 1.0),
+    ],
+)
+def test_network_simplex_matches_dense_simplex(d, K, spread):
+    rng = np.random.default_rng(1000 * d + K)
+    points, b = random_pair(rng, K, d, spread)
+    assert np.any(b == 0.0)  # a zero-weight atom survived the union
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    want, _ = dense_simplex_flat_lp(points, b)
+    assert value == pytest.approx(want, abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+@pytest.mark.parametrize("d,K", [(1, 120), (2, 400), (3, 90)])
+def test_network_simplex_matches_highs(d, K):
+    rng = np.random.default_rng(7 * d + K)
+    points, b = random_pair(rng, K, d)
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(highs_value(points, b), abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_arcs_longer_than_two_are_pruned_exactly(d):
+    # clusters 3 apart: every arc between clusters is pruned
+    rng = np.random.default_rng(d)
+    centers = 3.0 * np.arange(3)[:, None] * np.ones(d)
+    points = np.vstack([c + rng.uniform(-0.4, 0.4, (20, d)) for c in centers])
+    b = rng.normal(size=points.shape[0]) / points.shape[0]
+    assert _flatlp._arcs(points)[2].max() < 2.0
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(dense_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert value == pytest.approx(highs_value(points, b), abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_identical_measures_degenerate(d):
+    rng = np.random.default_rng(20 + d)
+    pts = rng.uniform(-1.0, 1.0, (40, d))
+    mu = EmpiricalMeasure(pts, np.full(40, 1 / 40))
+    assert dbl(mu, mu) == 0.0
+    # unmerged: every atom twice, once per measure, joined by zero-length arcs
+    points = np.vstack([pts, pts])
+    b = np.concatenate([np.full(40, 1 / 40), np.full(40, -1 / 40)])
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(0.0, abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+def test_lattice_ties_terminate():
+    # equal distances everywhere: many ties in pricing and in the ratio test
+    g = np.stack(np.meshgrid(*[np.arange(6) * 0.25] * 2, indexing="ij"), -1)
+    points = g.reshape(-1, 2)
+    b = np.random.default_rng(4).choice([-1.0, 0.0, 1.0], points.shape[0])
+    b /= np.abs(b).sum()
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(dense_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+def test_pivot_budget_is_typed(monkeypatch):
+    monkeypatch.setattr(_flatlp, "_pivot_budget", lambda n_support: 3)
+    points, b = random_pair(np.random.default_rng(9), 40, 2)
+    with pytest.raises(PivotBudgetExceeded) as info:
+        _flatlp.solve_flat_lp(points, b)
+    assert info.value.detail == {
+        "support": points.shape[0],
+        "pivots": 3,
+        "budget": 3,
+    }

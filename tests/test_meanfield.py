@@ -216,7 +216,7 @@ def test_check_same_grid():
 # ---- refinement study ----
 
 
-def small_study(threads=1):
+def small_study(threads=1, **kw):
     spec = box_spec(seed=21)
     return refinement_study(
         spec,
@@ -230,6 +230,7 @@ def small_study(threads=1):
         quad_points=9,
         battery_size=4,
         threads=threads,
+        **kw,
     )
 
 
@@ -254,6 +255,7 @@ def test_refinement_study_smoke():
     assert len(rep.dbl_cauchy) == 1
     assert len(rep.dbl_cauchy[0]) == 2
     assert all(v >= 0 for v in rep.dbl_cauchy[0])
+    assert rep.dbl_errors == (None,)
     assert all(v >= 0 for v in rep.energy_cauchy[0])
     d = rep.to_dict()
     assert d["rows"][0]["n"] == 8
@@ -279,7 +281,20 @@ def test_refinement_study_survives_single_failure(monkeypatch):
     assert good.error is None
     assert bad.error is not None and bad.energy is None
     assert rep.dbl_cauchy == (None,)
+    assert rep.dbl_errors == (None,)
     assert rep.energy_cauchy == (None,)
+
+
+def test_refinement_study_records_failed_flat_distance():
+    # the 8 + 16 atoms of a pair exceed the cap once every run has finished
+    rep = small_study(dbl_cap=10)
+    assert all(row.error is None for row in rep.rows)
+    assert rep.dbl_cauchy == (None,)
+    assert rep.energy_cauchy[0] is not None
+    (err,) = rep.dbl_errors
+    assert err["error"] == "SupportTooLarge"
+    assert err["detail"]["cap"] == 10
+    assert rep.to_dict()["dbl_errors"] == [err]
 
 
 def test_refinement_study_validates_probes():
