@@ -16,11 +16,11 @@ from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.meanfield import InitialSpec, local_fields, sample_initial
 from flocklab.measures import from_particles
 from flocklab.weakform import (
-    continuity_residual,
+    continuity_residuals,
     kinetic_battery,
     kinetic_weak_residuals,
     macro_battery,
-    momentum_residual,
+    momentum_residuals,
     vector_battery,
 )
 
@@ -63,12 +63,11 @@ for n in (50, 100, 200, 400):
         snapshot_times=times,
     )
     grids = [local_fields(from_particles(s), 1, H) for s in traj.snapshots]
-    cont = max(continuity_residual(traj.times(), grids, phi) for phi in mb)
+    cont = max(continuity_residuals(traj.times(), grids, mb))
     mom = max(
-        momentum_residual(
-            traj.times(), grids, phi, 1.0,
+        momentum_residuals(
+            traj.times(), grids, vb, 1.0,
             initial_atoms=(x0, v0, np.full(n, 1.0 / n)),
         )
-        for phi in vb
     )
     print(f"{n:5d}  {cont:.3e}    {mom:.3e}")

@@ -151,11 +151,11 @@ def _cmd_residual(args) -> int:
     from .meanfield import local_fields
     from .measures import from_particles
     from .weakform import (
-        continuity_residual,
+        continuity_residuals,
         kinetic_battery,
         kinetic_weak_residuals,
         macro_battery,
-        momentum_residual,
+        momentum_residuals,
         vector_battery,
     )
 
@@ -183,18 +183,18 @@ def _cmd_residual(args) -> int:
         grids = [
             local_fields(from_particles(s), p.d, h) for s in traj.snapshots
         ]
-        cont = [
-            continuity_residual(times, grids, phi)
-            for phi in macro_battery(p.d, p.T, p.M, size=size, seed=seed)
-        ]
+        cont = continuity_residuals(
+            times, grids, macro_battery(p.d, p.T, p.M, size=size, seed=seed)
+        )
         x0, v0 = traj.snapshots[0].x, traj.snapshots[0].v
         w0 = np.full(p.N, 1.0 / p.N)
-        mom = [
-            momentum_residual(
-                times, grids, phi, p.alpha, initial_atoms=(x0, v0, w0)
-            )
-            for phi in vector_battery(p.d, p.T, p.M, size=size, seed=seed)
-        ]
+        mom = momentum_residuals(
+            times,
+            grids,
+            vector_battery(p.d, p.T, p.M, size=size, seed=seed),
+            p.alpha,
+            initial_atoms=(x0, v0, w0),
+        )
         payload["fields"] = {
             "h": h,
             "continuity": {"residuals": cont, "max": max(cont)},

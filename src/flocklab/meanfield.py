@@ -199,6 +199,11 @@ class FieldGrid:
     def total_mass(self) -> float:
         return float(sum(c.mass for c in self.cells))
 
+    def mk(self) -> float:
+        """Mass-weighted in-cell velocity variance, sum of mass * cov_trace
+        over the cells; see mk_index."""
+        return float(sum(c.mass * c.cov_trace for c in self.cells))
+
 
 def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     """Bin a phase measure into cells of width h anchored at the origin."""
@@ -247,8 +252,7 @@ def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
     sum over cells of mass * cov_trace.  Zero iff each cell is
     single-speed; bounded by Lip(u)^2 d h^2 for velocities sampled from an
     L-Lipschitz field (each in-cell deviation is at most L h sqrt(d))."""
-    grid = local_fields(mu, d, h)
-    return float(sum(c.mass * c.cov_trace for c in grid.cells))
+    return local_fields(mu, d, h).mk()
 
 
 def check_same_grid(a: FieldGrid, b: FieldGrid) -> None:
@@ -364,10 +368,10 @@ def _study_single_n(
     from .diagnostics import kinetic_energy
     from .dynamics import ModelParams, ParticleState, integrate
     from .weakform import (
-        continuity_residual,
+        continuity_residuals,
         dissipation_margin,
         macro_battery,
-        momentum_residual,
+        momentum_residuals,
         vector_battery,
     )
 
@@ -391,25 +395,27 @@ def _study_single_n(
         mu = from_particles(traj.state_at(p))
         marginals.append(marginal_x(mu, d))
         energy.append(kinetic_energy(mu, d))
-        mk.append(tuple(mk_index(mu, d, hh) for hh in h_ladder))
-        maxcell.append(
-            tuple(
-                max(c.mass for c in local_fields(mu, d, hh).cells)
-                for hh in h_ladder
-            )
-        )
+        ladder = [local_fields(mu, d, hh) for hh in h_ladder]
+        mk.append(tuple(grid.mk() for grid in ladder))
+        maxcell.append(tuple(max(c.mass for c in grid.cells) for grid in ladder))
 
     times = traj.times()
     grids = [from_particles(s) for s in traj.snapshots]
     grids = [local_fields(g, d, h) for g in grids]
     cont = max(
-        continuity_residual(times, grids, phi)
-        for phi in macro_battery(d, horizon, bound, battery_size, battery_seed)
+        continuity_residuals(
+            times, grids, macro_battery(d, horizon, bound, battery_size, battery_seed)
+        )
     )
     w0 = np.full(n, 1.0 / n)
     mom = max(
-        momentum_residual(times, grids, phi, alpha, initial_atoms=(x0, v0, w0))
-        for phi in vector_battery(d, horizon, bound, battery_size, battery_seed)
+        momentum_residuals(
+            times,
+            grids,
+            vector_battery(d, horizon, bound, battery_size, battery_seed),
+            alpha,
+            initial_atoms=(x0, v0, w0),
+        )
     )
     all_margins = dissipation_margin(times, grids, alpha)
     probe_idx = [int(np.argmin(np.abs(times - p))) for p in probes]

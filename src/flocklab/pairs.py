@@ -49,14 +49,6 @@ def outer_diff(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(col[:, None], col[None, :], out=out)
 
 
-def pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, N) array of (a_i - a_j) . (b_i - b_j) for (N, k) arrays a, b."""
-    s = outer_diff(a[:, 0]) * outer_diff(b[:, 0])
-    for k in range(1, a.shape[1]):
-        s += outer_diff(a[:, k]) * outer_diff(b[:, k])
-    return s
-
-
 def sq_distances(
     x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:

@@ -23,6 +23,17 @@ ordered pairs.
 
 Field-based residuals are duck typed: they accept any grid object exposing
 h, d, and cells with mass, velocity, barycenter attributes.
+
+Both the kinetic and the field residuals are computed snapshot-major, for
+a whole battery at once (kinetic_weak_residuals, continuity_residuals,
+momentum_residuals); the single-function forms are wrappers.  On fields,
+each snapshot's cells are stacked once, the bumps of all F functions are
+evaluated there as (F, C) values and (F, C, d) gradients, and the momentum
+identity builds the cell kernel psi and the weight (m m^T) psi once.  Each
+function's pair term is then one (C, C) product against that weight, so
+no (F, C, C) array is held.  The per-snapshot windows w(t), w'(t) are
+scalars per function.  The battery forms give the per-function results
+bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .pairs import (
     Workspace,
     distances,
     kernel,
-    pair_dot,
+    outer_diff,
     relative_sums,
     sq_distances,
 )
@@ -48,12 +59,17 @@ _PLATEAU_LIP = 15.0 / 8.0
 _PLATEAU_HESS = 10.0 / math.sqrt(3.0)
 
 
-def _bump(z: np.ndarray, r: float):
-    """Cube bump and gradient at offsets z, shape (n, d) -> (n,), (n, d)."""
-    s = np.einsum("ij,ij->i", z, z) / r**2
+def _bump(z: np.ndarray, r2):
+    """Cube bump and gradient at offsets z of shape (..., n, d), returned
+    with shapes (..., n) and (..., n, d).
+
+    r2 is the squared radius: a float, or an array of shape (..., 1) with
+    one squared radius per stacked set of offsets.
+    """
+    s = np.einsum("...j,...j->...", z, z) / r2
     core = np.maximum(1.0 - s, 0.0)
     val = core**3
-    grad = (-6.0 / r**2) * (core**2)[:, None] * z
+    grad = ((-6.0 / r2) * core**2)[..., None] * z
     return val, grad
 
 
@@ -103,6 +119,8 @@ class TestFunction:
     ):
         if v_kind not in ("const", "linear", "energy", "bump"):
             raise ValueError(f"unknown v_kind {v_kind!r}")
+        if v_kind == "linear" and not 0 <= v_component < d:
+            raise ValueError("v_component out of range")
         self.d = d
         self.t_end = float(t_end)
         self.x_center = np.asarray(x_center, float)
@@ -140,7 +158,7 @@ class TestFunction:
     def _h(self, v: np.ndarray):
         r_in, r_out = self.v_plateau
         if self.v_kind == "bump":
-            return _bump(v - self.v_center[None, :], self.v_radius)
+            return _bump(v - self.v_center[None, :], self.v_radius**2)
         p, gp = _plateau(v, r_in, r_out)
         if self.v_kind == "const":
             return p, gp
@@ -155,7 +173,7 @@ class TestFunction:
 
     def _parts(self, t: float, x: np.ndarray, v: np.ndarray):
         w, wp = _window(t, self.t_end)
-        g, gg = _bump(x - self.x_center[None, :], self.x_radius)
+        g, gg = _bump(x - self.x_center[None, :], self.x_radius**2)
         h, gh = self._h(v)
         return w, wp, g, gg, h, gh
 
@@ -192,17 +210,17 @@ class MacroTestFunction:
 
     def value(self, t: float, x: np.ndarray) -> np.ndarray:
         w, _ = _window(t, self.t_end)
-        g, _ = _bump(x - self.x_center[None, :], self.x_radius)
+        g, _ = _bump(x - self.x_center[None, :], self.x_radius**2)
         return self.scale * w * g
 
     def dt(self, t: float, x: np.ndarray) -> np.ndarray:
         _, wp = _window(t, self.t_end)
-        g, _ = _bump(x - self.x_center[None, :], self.x_radius)
+        g, _ = _bump(x - self.x_center[None, :], self.x_radius**2)
         return self.scale * wp * g
 
     def grad_x(self, t: float, x: np.ndarray) -> np.ndarray:
         w, _ = _window(t, self.t_end)
-        _, gg = _bump(x - self.x_center[None, :], self.x_radius)
+        _, gg = _bump(x - self.x_center[None, :], self.x_radius**2)
         return self.scale * w * gg
 
 
@@ -240,6 +258,15 @@ class VectorTestFunction:
 # ---- batteries ----
 
 
+def _draw_radius(sub: CounterRNG, center: np.ndarray, T: float, M: float) -> float:
+    """Bump radius in [min(0.4 M, r_cap), r_cap), where r_cap keeps the
+    ball around center inside (T + 1) B(0, 2M)."""
+    r_cap = min((1.0 + T) * M, 2.0 * (1.0 + T) * M - np.linalg.norm(center))
+    if r_cap <= 0.0:
+        raise ValueError("bump center leaves no room inside (T + 1) B(0, 2M)")
+    return float(sub.uniform(1, min(0.4 * M, r_cap), r_cap)[0])
+
+
 def kinetic_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
     """Phase-space test functions with supports inside
     (T + 1) B(0, 2M) x B(0, 2M), kinds cycled, geometry drawn from the
@@ -251,8 +278,7 @@ def kinetic_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
         kind = kinds[i % len(kinds)]
         sub = rng.spawn(i)
         center = sub.uniform(d, -M, M)
-        r_cap = min((1.0 + T) * M, 2.0 * (1.0 + T) * M - np.linalg.norm(center))
-        radius = float(sub.uniform(1, 0.4 * M, r_cap)[0])
+        radius = _draw_radius(sub, center, T, M)
         t_end = float(sub.uniform(1, 0.6 * T, T)[0])
         common = dict(
             d=d,
@@ -282,8 +308,7 @@ def macro_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
     for i in range(size):
         sub = rng.spawn(i)
         center = sub.uniform(d, -M, M)
-        r_cap = min((1.0 + T) * M, 2.0 * (1.0 + T) * M - np.linalg.norm(center))
-        radius = float(sub.uniform(1, 0.4 * M, r_cap)[0])
+        radius = _draw_radius(sub, center, T, M)
         t_end = float(sub.uniform(1, 0.6 * T, T)[0])
         out.append(MacroTestFunction(d, t_end, center, radius))
     return out
@@ -379,6 +404,59 @@ def _cells_arrays(grid):
     return b, u, m
 
 
+class _MacroStack:
+    """A battery of F macro test functions w(t) G(x), evaluated together.
+
+    The scaled windows scale * w(t) and scale * w'(t) are tabulated once
+    per snapshot time as (F, K) arrays; the bumps of all functions are
+    evaluated in one call on stacked offsets.
+    """
+
+    def __init__(self, phis, times):
+        self.center = np.array([phi.x_center for phi in phis])
+        self.r2 = np.array([phi.x_radius**2 for phi in phis])[:, None]
+        self.w = np.empty((len(phis), len(times)))
+        self.wp = np.empty_like(self.w)
+        for f, phi in enumerate(phis):
+            for k, t in enumerate(times):
+                w, wp = _window(t, phi.t_end)
+                self.w[f, k] = phi.scale * w
+                self.wp[f, k] = phi.scale * wp
+
+    def value(self, k: int, x: np.ndarray) -> np.ndarray:
+        """phi at snapshot k and points x, shape (F, n)."""
+        return self.w[:, k, None] * _bump(x - self.center[:, None, :], self.r2)[0]
+
+    def fields(self, grids):
+        """Per snapshot k with occupied cells: k, the cell arrays b, u, m,
+        and phi and the flux d_t phi + u . grad phi at the barycenters,
+        both of shape (F, C)."""
+        for k, grid in enumerate(grids[: self.w.shape[1]]):
+            b, u, m = _cells_arrays(grid)
+            if m.size:
+                g, grad = _bump(b - self.center[:, None, :], self.r2)
+                w, wp = self.w[:, k, None], self.wp[:, k, None]
+                conv = np.einsum("...j,...j->...", u, w[..., None] * grad)
+                yield k, b, u, m, w * g, wp * g + conv
+
+
+def continuity_residuals(times, grids, phis) -> list:
+    """continuity_residual for every MacroTestFunction of a battery.
+
+    Snapshot-major: each snapshot's cell arrays are stacked once, and the
+    bumps of the whole battery are evaluated there in one call.
+    """
+    _check_grids(grids)
+    times = np.asarray(times, float)
+    stack = _MacroStack(phis, times)
+    vals = np.zeros(stack.w.shape)
+    for k, _, _, m, _, flux in stack.fields(grids):
+        vals[:, k] = (m * flux).sum(axis=1)
+    b0, _, m0 = _cells_arrays(grids[0])
+    phi0 = (m0 * stack.value(0, b0)).sum(axis=1)
+    return [float(abs(p + np.trapezoid(v, times))) for p, v in zip(phi0, vals)]
+
+
 def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
     """Defect of the weak continuity identity on binned fields:
 
@@ -387,20 +465,47 @@ def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
     with phi evaluated at cell barycenters.  Converges to zero as the
     trajectory, grid, and time step refine together.
     """
+    return continuity_residuals(times, grids, [phi])[0]
+
+
+def momentum_residuals(times, grids, phis, alpha: float, initial_atoms=None) -> list:
+    """momentum_residual for every VectorTestFunction of a battery.
+
+    Snapshot-major: per snapshot the cell arrays, the bumps of the whole
+    battery, the cell kernel psi and the weight (m m^T) psi are built
+    once.  Since each phi = e_k w G has one nonzero component k, its pair
+    term is one (C, C) product against that weight,
+
+        sum_{c,c'} [(m m^T) psi]_cc' (phi_k(b_c) - phi_k(b_c'))
+                                     (u_ck - u_c'k),
+
+    so no (F, C, C) array is built.
+    """
     _check_grids(grids)
     times = np.asarray(times, float)
-    vals = np.empty(len(times))
-    for k, (t, g) in enumerate(zip(times, grids)):
-        b, u, m = _cells_arrays(g)
-        if m.size == 0:
-            vals[k] = 0.0
-            continue
-        vals[k] = float(
-            (m * (phi.dt(t, b) + np.einsum("ij,ij->i", u, phi.grad_x(t, b)))).sum()
-        )
-    b0, _, m0 = _cells_arrays(grids[0])
-    phi0 = float((m0 * phi.value(times[0], b0)).sum()) if m0.size else 0.0
-    return float(abs(phi0 + np.trapezoid(vals, times)))
+    stack = _MacroStack([phi.base for phi in phis], times)
+    comp = [phi.component for phi in phis]
+    tvals = np.zeros(stack.w.shape)
+    svals = np.zeros(stack.w.shape)
+    for k, b, u, m, val, drive in stack.fields(grids):
+        tvals[:, k] = (m * (u.T[comp] * drive)).sum(axis=1)
+        weight = (m[:, None] * m[None, :]) * kernel(distances(b), alpha)
+        du = [outer_diff(col) for col in u.T]
+        inner = np.empty_like(weight)
+        for f, j in enumerate(comp):
+            outer_diff(val[f], out=inner)
+            inner *= du[j]
+            inner *= weight
+            svals[f, k] = inner.sum()
+    if initial_atoms is None:
+        x0, v0, w0 = _cells_arrays(grids[0])
+    else:
+        x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
+    phi0 = (w0 * (v0.T[comp] * stack.value(0, x0))).sum(axis=1)
+    return [
+        float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
+        for p, a, b in zip(phi0, tvals, svals)
+    ]
 
 
 def momentum_residual(
@@ -421,34 +526,7 @@ def momentum_residual(
     If initial_atoms = (x0, v0, w0) is given the t = 0 moment uses the
     unbinned atoms; otherwise the first grid supplies it.
     """
-    _check_grids(grids)
-    times = np.asarray(times, float)
-    tvals = np.empty(len(times))
-    svals = np.empty(len(times))
-    for k, (t, g) in enumerate(zip(times, grids)):
-        b, u, m = _cells_arrays(g)
-        if m.size == 0:
-            tvals[k] = svals[k] = 0.0
-            continue
-        drive = phi.dt(t, b) + phi.conv(t, b, u)
-        tvals[k] = float((m * np.einsum("ij,ij->i", u, drive)).sum())
-        psi = kernel(distances(b), alpha)
-        inner = pair_dot(phi.value(t, b), u)
-        svals[k] = float(((m[:, None] * m[None, :]) * psi * inner).sum())
-    if initial_atoms is not None:
-        x0, v0, w0 = initial_atoms
-        x0 = np.asarray(x0, float)
-        v0 = np.asarray(v0, float)
-        w0 = np.asarray(w0, float)
-        phi0 = float((w0 * np.einsum("ij,ij->i", v0, phi.value(times[0], x0))).sum())
-    else:
-        b0, u0, m0 = _cells_arrays(grids[0])
-        phi0 = (
-            float((m0 * np.einsum("ij,ij->i", u0, phi.value(times[0], b0))).sum())
-            if m0.size
-            else 0.0
-        )
-    return float(abs(phi0 + np.trapezoid(tvals, times) - 0.5 * np.trapezoid(svals, times)))
+    return momentum_residuals(times, grids, [phi], alpha, initial_atoms)[0]
 
 
 def dissipation_margin(times, grids, alpha: float) -> np.ndarray:

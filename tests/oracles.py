@@ -14,6 +14,12 @@ used before its pair geometry moved to per-component (N, N) arrays.  They
 sum over j sequentially inside each block of 32 (pairwise in d = 1), which
 the differential tests compare against bit for bit in d = 1 and to a few
 ulp of the summed magnitudes in d >= 2.
+
+loop_continuity_residual and loop_momentum_residual are the per-function
+field residuals the package used before its snapshot-major battery forms.
+They share the package's cell stacking, grid check and pair kernel, and
+evaluate each test function through its own methods; the differential
+tests compare the battery forms against them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import numpy as np
 from scipy import integrate as _si
 
 from flocklab.errors import PivotBudgetExceeded, SupportTooLarge
+from flocklab.pairs import distances, kernel, outer_diff
+from flocklab.weakform import _cells_arrays, _check_grids
 
 
 def vertex_enum_dbl(points: np.ndarray, b: np.ndarray) -> float:
@@ -266,6 +274,77 @@ def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
 def tensor_kinetic_residual(traj, phi) -> float:
     phi0, a_int, b_int = tensor_kinetic_terms(traj, phi)
     return float(abs(-phi0 - a_int + 0.5 * b_int))
+
+
+# ---- per-function field residuals ----
+#
+# continuity_residual and momentum_residual as the package computed them
+# before the snapshot-major battery forms: one test function at a time,
+# with the cell arrays, the bump and the cell kernel rebuilt for every
+# function at every snapshot.  Kept verbatim as the differential oracle;
+# the battery forms match them bit for bit.
+
+
+def pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, N) array of (a_i - a_j) . (b_i - b_j) for (N, k) arrays a, b."""
+    s = outer_diff(a[:, 0]) * outer_diff(b[:, 0])
+    for k in range(1, a.shape[1]):
+        s += outer_diff(a[:, k]) * outer_diff(b[:, k])
+    return s
+
+
+def loop_continuity_residual(times, grids, phi) -> float:
+    _check_grids(grids)
+    times = np.asarray(times, float)
+    vals = np.empty(len(times))
+    for k, (t, g) in enumerate(zip(times, grids)):
+        b, u, m = _cells_arrays(g)
+        if m.size == 0:
+            vals[k] = 0.0
+            continue
+        vals[k] = float(
+            (m * (phi.dt(t, b) + np.einsum("ij,ij->i", u, phi.grad_x(t, b)))).sum()
+        )
+    b0, _, m0 = _cells_arrays(grids[0])
+    phi0 = float((m0 * phi.value(times[0], b0)).sum()) if m0.size else 0.0
+    return float(abs(phi0 + np.trapezoid(vals, times)))
+
+
+def loop_momentum_residual(
+    times,
+    grids,
+    phi,
+    alpha: float,
+    initial_atoms=None,
+) -> float:
+    _check_grids(grids)
+    times = np.asarray(times, float)
+    tvals = np.empty(len(times))
+    svals = np.empty(len(times))
+    for k, (t, g) in enumerate(zip(times, grids)):
+        b, u, m = _cells_arrays(g)
+        if m.size == 0:
+            tvals[k] = svals[k] = 0.0
+            continue
+        drive = phi.dt(t, b) + phi.conv(t, b, u)
+        tvals[k] = float((m * np.einsum("ij,ij->i", u, drive)).sum())
+        psi = kernel(distances(b), alpha)
+        inner = pair_dot(phi.value(t, b), u)
+        svals[k] = float(((m[:, None] * m[None, :]) * psi * inner).sum())
+    if initial_atoms is not None:
+        x0, v0, w0 = initial_atoms
+        x0 = np.asarray(x0, float)
+        v0 = np.asarray(v0, float)
+        w0 = np.asarray(w0, float)
+        phi0 = float((w0 * np.einsum("ij,ij->i", v0, phi.value(times[0], x0))).sum())
+    else:
+        b0, u0, m0 = _cells_arrays(grids[0])
+        phi0 = (
+            float((m0 * np.einsum("ij,ij->i", u0, phi.value(times[0], b0))).sum())
+            if m0.size
+            else 0.0
+        )
+    return float(abs(phi0 + np.trapezoid(tvals, times) - 0.5 * np.trapezoid(svals, times)))
 
 
 # ---- dense revised simplex for the flat-metric program ----

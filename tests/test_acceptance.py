@@ -38,12 +38,12 @@ from flocklab.measures import (
     marginal_x,
 )
 from flocklab.weakform import (
-    continuity_residual,
+    continuity_residuals,
     dissipation_margin,
     kinetic_battery,
     kinetic_weak_residual,
     macro_battery,
-    momentum_residual,
+    momentum_residuals,
     vector_battery,
 )
 from oracles import beta_quadrature
@@ -356,15 +356,12 @@ def field_study():
         times = traj.times()
         measures = [from_particles(s) for s in traj.snapshots]
         grids = [local_fields(mu, 1, h) for mu in measures]
-        out["cont"].append(
-            max(continuity_residual(times, grids, phi) for phi in mb)
-        )
+        out["cont"].append(max(continuity_residuals(times, grids, mb)))
         w0 = np.full(n, 1.0 / n)
         out["mom"].append(
             max(
-                momentum_residual(times, grids, phi, alpha,
-                                  initial_atoms=(x0, v0, w0))
-                for phi in vb
+                momentum_residuals(times, grids, vb, alpha,
+                                   initial_atoms=(x0, v0, w0))
             )
         )
         margins = dissipation_margin(times, grids, alpha)

@@ -8,19 +8,25 @@ import pytest
 
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import GridMismatch
+from flocklab.meanfield import local_fields
+from flocklab.measures import from_particles
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
     MacroTestFunction,
     TestFunction,
     VectorTestFunction,
     continuity_residual,
+    continuity_residuals,
     dissipation_margin,
     kinetic_battery,
     kinetic_weak_residual,
     macro_battery,
     momentum_residual,
+    momentum_residuals,
     vector_battery,
 )
+
+from oracles import loop_continuity_residual, loop_momentum_residual
 
 Cell = namedtuple("Cell", "mass velocity barycenter")
 Grid = namedtuple("Grid", "h d cells")
@@ -116,6 +122,41 @@ def test_battery_reproducible_and_kinds_cycle():
     )
     vb = vector_battery(3, 1.0, 2.0, size=6, seed=1)
     assert [f.component for f in vb] == [0, 1, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("k", [-1, 2, 5])
+def test_linear_v_component_out_of_range_rejected(k):
+    with pytest.raises(ValueError):
+        TestFunction(2, 1.0, np.zeros(2), 1.0, v_kind="linear", v_component=k)
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+@pytest.mark.parametrize("battery", [kinetic_battery, macro_battery])
+def test_battery_supports_inside_ball_at_small_horizon(battery, seed):
+    # in d = 3 a corner center leaves r_cap below 0.4 M when T is small;
+    # seeds 3 and 9 each draw such a center within 480 functions
+    d, T, M = 3, 0.01, 2.0
+    for phi in battery(d, T, M, size=480, seed=seed):
+        assert 0.0 < phi.x_radius
+        assert np.linalg.norm(phi.x_center) + phi.x_radius <= 2 * M * (1 + T)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_battery_radii_unchanged_in_low_dimension(d):
+    # for d <= 2 every r_cap is above 0.4 M, so the draw is U(0.4 M, r_cap)
+    T, M = 0.01, 2.0
+    for i, phi in enumerate(macro_battery(d, T, M, size=48, seed=5)):
+        sub = CounterRNG(5).spawn(i)
+        center = sub.uniform(d, -M, M)
+        r_cap = min((1 + T) * M, 2 * (1 + T) * M - np.linalg.norm(center))
+        assert r_cap > 0.4 * M
+        assert phi.x_radius == float(sub.uniform(1, 0.4 * M, r_cap)[0])
+
+
+def test_battery_without_room_for_a_bump_rejected():
+    # in d = 16 most centers of [-M, M]^d lie outside B(0, 2 M (1 + T))
+    with pytest.raises(ValueError):
+        macro_battery(16, 0.01, 1.0, size=8, seed=0)
 
 
 # ---- kinetic residual ----
@@ -267,3 +308,81 @@ def test_dissipation_margin_two_cells():
     assert margins[0] == 0.0
     dd = 2 * 0.25 * 0.36  # ordered pairs, |du|^2 = 0.36, psi = 1
     assert margins[-1] == pytest.approx(-dd * 0.5, rel=1e-12)
+
+
+# ---- battery forms against the per-function oracles ----
+
+
+def binned_sequence(d, n=120, m=17, h=0.3, seed=0):
+    """Cell grids of a drifting particle cloud, with its initial atoms."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, (n, d))
+    v = rng.normal(0.0, 0.5, (n, d))
+    times = np.linspace(0.0, 0.5, m)
+    grids = [
+        local_fields(from_particles(ParticleState(t, x + t * v, v)), d, h)
+        for t in times
+    ]
+    return times, grids, (x, v, np.full(n, 1.0 / n))
+
+
+def padded(grids, d):
+    """Each grid with a zero-mass ghost cell, and snapshots 0 and 3 empty."""
+    ghost = Cell(mass=0.0, velocity=np.full(d, 5.0), barycenter=np.full(d, 0.4))
+    out = [Grid(h=g.h, d=d, cells=tuple(g.cells) + (ghost,)) for g in grids]
+    for k in (0, 3):
+        out[k] = Grid(h=grids[k].h, d=d, cells=())
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pad", [False, True])
+def test_continuity_battery_matches_oracle(d, pad):
+    times, grids, _ = binned_sequence(d, seed=d)
+    if pad:
+        grids = padded(grids, d)
+    mb = macro_battery(d, 0.5, 2.0, size=24, seed=d)
+    got = continuity_residuals(times, grids, mb)
+    assert got == [loop_continuity_residual(times, grids, phi) for phi in mb]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("atoms", [False, True])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.5])
+def test_momentum_battery_matches_oracle(d, pad, atoms, alpha):
+    times, grids, initial = binned_sequence(d, seed=10 + d)
+    if pad:
+        grids = padded(grids, d)
+    ia = initial if atoms else None
+    vb = vector_battery(d, 0.5, 2.0, size=24, seed=d)
+    got = momentum_residuals(times, grids, vb, alpha, initial_atoms=ia)
+    want = [
+        loop_momentum_residual(times, grids, phi, alpha, initial_atoms=ia)
+        for phi in vb
+    ]
+    assert got == want
+
+
+def test_single_function_battery_equals_wrapper():
+    times, grids, initial = binned_sequence(2, seed=4)
+    phi = macro_battery(2, 0.5, 2.0, size=3, seed=1)[2]
+    vphi = VectorTestFunction(phi, 1)
+    assert continuity_residuals(times, grids, [phi]) == [
+        continuity_residual(times, grids, phi)
+    ]
+    for ia in (None, initial):
+        assert momentum_residuals(
+            times, grids, [vphi], 1.5, initial_atoms=ia
+        ) == [momentum_residual(times, grids, vphi, 1.5, initial_atoms=ia)]
+
+
+def test_battery_forms_reject_grid_mismatch():
+    times, grids = drifting_cell_sequence(m=5)
+    bad = list(grids)
+    bad[2] = Grid(h=0.25, d=1, cells=grids[2].cells)
+    phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
+    with pytest.raises(GridMismatch):
+        continuity_residuals(times, bad, [phi])
+    with pytest.raises(GridMismatch):
+        momentum_residuals(times, bad, [VectorTestFunction(phi, 0)], 1.5)
