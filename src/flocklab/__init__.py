@@ -1,84 +1,111 @@
 """Simulation and verification laboratory for singular-kernel alignment
 dynamics: particle integration, atomic measures with a flat metric, scalar
 diagnostics, weak-formulation residuals, and mean-field refinement studies.
+
+The package namespace is lazy (PEP 562): ``import flocklab`` loads no
+submodule, and ``flocklab.X`` or ``from flocklab import X`` imports the one
+module that defines ``X`` on first use.  A command-line process therefore
+loads only the modules its subcommand runs.
 """
 
-from .diagnostics import (
-    DiagnosticsReport,
-    beta_eta,
-    build_report,
-    dalpha,
-    energy_balance_residual,
-    energy_series,
-    enstrophy,
-    eta_monokineticity,
-    kinetic_energy,
-    momentum,
-    mp_margin,
-    sf_modulus,
-)
-from .dynamics import (
-    ModelParams,
-    ParticleState,
-    Trajectory,
-    alignment_rhs,
-    integrate,
-)
-from .errors import (
-    AmbiguousGrouping,
-    CollisionalState,
-    DivergentNormalization,
-    FlockLabError,
-    GridMismatch,
-    NonFiniteState,
-    PivotBudgetExceeded,
-    RejectionOverflow,
-    SnapshotMissing,
-    StepBudgetExceeded,
-    StepCollapse,
-    SupportTooLarge,
-    UnsupportedDimension,
-)
-from .meanfield import (
-    FieldGrid,
-    InitialSpec,
-    LocalField,
-    PairStudy,
-    StudyReport,
-    local_fields,
-    mk_index,
-    pair_alignment_study,
-    refinement_study,
-    sample_initial,
-)
-from .measures import (
-    EmpiricalMeasure,
-    dbl,
-    dbl_with_potential,
-    disintegrate,
-    from_particles,
-    marginal_x,
-    momentum_marginal,
-    phi_weighted_marginal,
-    pushforward_free,
-)
-from .rng import CounterRNG
-from .weakform import (
-    MacroTestFunction,
-    TestFunction,
-    VectorTestFunction,
-    continuity_residual,
-    continuity_residuals,
-    dissipation_margin,
-    kinetic_battery,
-    kinetic_weak_residual,
-    kinetic_weak_residuals,
-    macro_battery,
-    momentum_residual,
-    momentum_residuals,
-    vector_battery,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# defining submodule -> the public names it provides
+_EXPORTS = {
+    "diagnostics": (
+        "DiagnosticsReport",
+        "beta_eta",
+        "build_report",
+        "dalpha",
+        "energy_balance_residual",
+        "energy_series",
+        "enstrophy",
+        "eta_monokineticity",
+        "kinetic_energy",
+        "momentum",
+        "mp_margin",
+        "sf_modulus",
+    ),
+    "dynamics": (
+        "ModelParams",
+        "ParticleState",
+        "Trajectory",
+        "alignment_rhs",
+        "integrate",
+    ),
+    "errors": (
+        "AmbiguousGrouping",
+        "CollisionalState",
+        "DivergentNormalization",
+        "FlockLabError",
+        "GridMismatch",
+        "NonFiniteState",
+        "PivotBudgetExceeded",
+        "RejectionOverflow",
+        "SnapshotMissing",
+        "StepBudgetExceeded",
+        "StepCollapse",
+        "SupportTooLarge",
+        "UnsupportedDimension",
+    ),
+    "meanfield": (
+        "FieldGrid",
+        "InitialSpec",
+        "LocalField",
+        "PairStudy",
+        "StudyReport",
+        "local_fields",
+        "mk_index",
+        "pair_alignment_study",
+        "refinement_study",
+        "sample_initial",
+    ),
+    "measures": (
+        "EmpiricalMeasure",
+        "dbl",
+        "dbl_with_potential",
+        "disintegrate",
+        "from_particles",
+        "marginal_x",
+        "momentum_marginal",
+        "phi_weighted_marginal",
+        "pushforward_free",
+    ),
+    "rng": ("CounterRNG",),
+    "weakform": (
+        "MacroTestFunction",
+        "TestFunction",
+        "VectorTestFunction",
+        "continuity_residual",
+        "continuity_residuals",
+        "dissipation_margin",
+        "kinetic_battery",
+        "kinetic_weak_residual",
+        "kinetic_weak_residuals",
+        "macro_battery",
+        "momentum_residual",
+        "momentum_residuals",
+        "vector_battery",
+    ),
+}
+# submodules that are part of the public namespace themselves
+_SUBMODULES = (*_EXPORTS, "pairs")
+_ORIGIN = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_ORIGIN, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

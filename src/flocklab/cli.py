@@ -3,7 +3,9 @@
 One experiment per invocation.  Every subcommand that takes --config
 expects a JSON document (see schemas.SCHEMAS); a previously written report
 is also accepted, in which case its embedded config is reused, so any
-report can be reproduced from itself.  Outputs land in --out (default
+report can be reproduced from itself.  The --seed, --tol and --threads
+overrides are merged into that document before it is validated, so they
+pass the same schema check.  Outputs land in --out (default
 current directory).  Identical config and seed give byte-identical reports
 apart from the generated_at line.
 
@@ -29,20 +31,14 @@ def _load_config(args, kind: str) -> dict:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if isinstance(doc, dict) and "kind" in doc and "config" in doc:
         doc = doc["config"]
-    cfg = schemas.resolve(kind, doc)
-    if getattr(args, "seed", None) is not None and "seed" in schemas.SCHEMAS[
-        kind
-    ]["properties"]:
-        cfg["seed"] = args.seed
-    if getattr(args, "tol", None) is not None and "tol" in schemas.SCHEMAS[
-        kind
-    ]["properties"]:
-        cfg["tol"] = args.tol
-    if getattr(args, "threads", None) is not None and "threads" in schemas.SCHEMAS[
-        kind
-    ]["properties"]:
-        cfg["threads"] = args.threads
-    return cfg
+    if isinstance(doc, dict):
+        # command-line overrides are part of the document the schema checks
+        props = schemas.SCHEMAS[kind]["properties"]
+        for key in ("seed", "tol", "threads"):
+            value = getattr(args, key, None)
+            if value is not None and key in props:
+                doc[key] = value
+    return schemas.resolve(kind, doc)
 
 
 def _outdir(args) -> Path:

@@ -3,6 +3,11 @@
 Configs are JSON objects validated before execution; defaults below are
 merged in afterwards so that every report can embed the fully resolved
 config it ran with.
+
+A config is accepted by ``_conforms``, a stdlib check of exactly the JSON
+Schema keywords used here, with Draft 2020-12 semantics (a bool is not a
+number, ``1.0`` is an integer).  jsonschema is imported only to explain a
+rejected config, so it alone words every validation error.
 """
 
 from __future__ import annotations
@@ -145,11 +150,84 @@ DEFAULTS = {
 }
 
 
-def resolve(kind: str, doc: dict) -> dict:
-    """Validate a config document and merge in the defaults."""
-    import jsonschema
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    jsonschema.validate(doc, SCHEMAS[kind])
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (
+        isinstance(x, int) or x.is_integer()
+    ),
+}
+
+
+def _same(a, b) -> bool:
+    # JSON equality: true and 1 are different values
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+# the keywords _conforms implements; SCHEMAS may use no other
+_KEYWORDS = frozenset({
+    "type", "enum", "required", "properties", "additionalProperties",
+    "minimum", "maximum", "exclusiveMinimum", "items", "minItems",
+})
+
+
+def _conforms(doc, schema) -> bool:
+    """Whether ``doc`` satisfies ``schema``, for the keywords SCHEMAS uses.
+
+    Each keyword constrains only instances of its own JSON type, as in the
+    specification.  The bound checks are jsonschema's own failure tests, so
+    NaN passes them there and here alike.
+    """
+    if isinstance(schema, bool):
+        return schema
+    types = schema.get("type")
+    if types is not None:
+        names = [types] if isinstance(types, str) else types
+        if not any(_TYPES[name](doc) for name in names):
+            return False
+    if "enum" in schema and not any(_same(doc, v) for v in schema["enum"]):
+        return False
+    if isinstance(doc, dict):
+        if any(key not in doc for key in schema.get("required", ())):
+            return False
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, value in doc.items():
+            if not _conforms(value, props[key] if key in props else extra):
+                return False
+    if _is_number(doc):
+        if "minimum" in schema and doc < schema["minimum"]:
+            return False
+        if "maximum" in schema and doc > schema["maximum"]:
+            return False
+        if "exclusiveMinimum" in schema and doc <= schema["exclusiveMinimum"]:
+            return False
+    if isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            return False
+        items = schema.get("items", True)
+        if not all(_conforms(item, items) for item in doc):
+            return False
+    return True
+
+
+def resolve(kind: str, doc: dict) -> dict:
+    """Validate a config document and merge in the defaults.
+
+    A rejected document raises ``jsonschema.ValidationError``.
+    """
+    schema = SCHEMAS[kind]
+    if not _conforms(doc, schema):
+        import jsonschema
+
+        jsonschema.validate(doc, schema)
     out = dict(DEFAULTS.get(kind, {}))
     out.update(doc)
     return out

@@ -348,3 +348,24 @@ def test_domain_error_is_machine_readable(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "ValueError"
     assert "bound" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--seed", "-1", "-1 is less than the minimum of 0"),
+    ("simulate", "--tol", "-1", "-1.0 is less than or equal to the minimum of 0"),
+    ("mfstudy", "--threads", "0", "0 is less than the minimum of 1"),
+])
+def test_overrides_are_schema_checked(tmp_path, capsys, command, flag,
+                                      value, message):
+    # an override is part of the document the schema sees, not patched in
+    # after validation
+    cfg = (sim_config if command == "simulate" else mf_config)(tmp_path)
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out),
+                   flag, value])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValidationError"
+    assert doc["error"]["message"].startswith(message + "\n")
+    assert json.loads((out / "error.json").read_text()) == doc
+    assert not (out / "report.json").exists()
