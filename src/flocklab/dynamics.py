@@ -13,16 +13,23 @@ handled by the step-size policy, not by smoothing the force law.
 Integration uses the Dormand-Prince embedded 5(4) pair with PI step-size
 control, plus a geometric cap that keeps each step well below the time a
 pair would need to close its current separation at the current relative
-speed.  Pair geometry comes from flocklab.pairs and is built one coordinate
-at a time as (N, N) arrays.  Force sums run per velocity component along
-each row of the (N, N) pair array: blocks of 32 columns are summed along
-their contiguous rows (numpy's pairwise reduction) and the block sums are
+speed.  Adaptive steps are free: the snapshot grid does not shorten them,
+and only the horizon T is landed on.  A snapshot inside an accepted step
+is read off the step's 4th-order continuous extension (Hairer, Norsett and
+Wanner, Solving ODEs I, II.6), so it lies inside a step the cap has
+already made collision safe.  Fixed-step runs land on every snapshot.
+
+Pair geometry comes from flocklab.pairs and is built one coordinate at a
+time as (N, N) arrays.  Force sums run per velocity component along each
+row of the (N, N) pair array: blocks of 32 columns are summed along their
+contiguous rows (numpy's pairwise reduction) and the block sums are
 combined in order with Kahan compensation.  The order depends only on N,
 so results do not depend on BLAS threading or thread count, and momentum
 cancellation survives long runs.  In d = 1 this is the same order as the
 earlier (N, N, d) tensor formulation, bit for bit; in d >= 2 that
 formulation summed each block sequentially over j, and results differ from
-it by about one ulp.
+it by about one ulp.  The stage sums and the interpolant are explicit
+ordered sums for the same reason.
 
 The last Dormand-Prince stage of an accepted step is evaluated at the
 step's end state, which is the state the geometric cap inspects next; the
@@ -132,11 +139,6 @@ class ParticleState:
         return float(np.sqrt((self.v**2).sum(axis=1).max()))
 
 
-def compensated_axis_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Deterministic compensated sum along one axis (see pairs.row_sums)."""
-    return pairs.row_sums(np.moveaxis(np.asarray(a, dtype=np.float64), axis, -1))
-
-
 def min_pair_distance(x: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Smallest pairwise distance and the indices (i < j) achieving it."""
     n = x.shape[0]
@@ -185,7 +187,12 @@ def alignment_rhs(
             pair=[i, j],
             distance=dmin,
         )
-    w = pairs.kernel(dist, alpha, kernel_floor, out=work.a)
+    # pairs.kernel without its masking passes: the diagonal is inf, which
+    # the power maps to 0, and without a floor no pair is co-located
+    w = dist
+    if kernel_floor > 0.0:
+        w = np.maximum(dist, kernel_floor, out=work.a)
+    w = np.power(w, -alpha, out=work.a)
     return pairs.relative_sums(w, v, scratch=work.b) / n
 
 
@@ -205,15 +212,55 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# Continuous extension: y(t + theta h) = y + h sum_m b_m(theta) k_m with
+# b_m(theta) = sum_j _P[m, j] theta^(j + 1); the same array as RK45.P in
+# scipy.integrate._ivp.rk.
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def _dense(y: np.ndarray, h: float, k: list, theta: np.ndarray) -> np.ndarray:
+    """(len(theta), len(y)) states y + h sum_m b_m(theta) k_m of one step.
+
+    Every sum runs in a fixed order with elementwise operations only, so
+    the bytes do not depend on the BLAS, and each row equals the same
+    evaluation at its theta alone.
+    """
+    th = theta[:, None]
+    powers = [th]
+    for _ in range(3):
+        powers.append(powers[-1] * th)
+    acc = 0.0
+    for m in range(7):
+        b = _P[m, 0] * powers[0]
+        for j in range(1, 4):
+            b = b + _P[m, j] * powers[j]
+        acc = acc + b * k[m]
+    return y + h * acc
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshots of one integration plus its per-step log.
 
-    Snapshots start at t=0 and end at t=T.  The log holds, per accepted
-    step: end time, step size, local error estimate (normalized), and the
-    minimum pair distance at the step's end state.
+    Snapshots start at t=0 and end at t=T.  In adaptive runs a snapshot
+    strictly inside a step is the step's interpolant, accurate to about
+    the tolerance; fixed-step runs land on every snapshot.  The log holds,
+    per accepted step: end time, step size, local error estimate
+    (normalized), and the minimum pair distance at the step's end state.
+    Adaptive steps are free steps, sized by the error controller and the
+    geometric cap alone, so the log does not follow the snapshot grid.
     """
 
     params: ModelParams
@@ -291,15 +338,21 @@ def integrate(
 ) -> Trajectory:
     """Integrate the alignment system over [0, T].
 
-    Snapshot times are clamped onto exactly (the integrator lands on them),
-    and t=0, t=T are always included.  The adaptive controller keeps the
+    t=0 and t=T are always snapshots.  The adaptive controller keeps the
     normalized local error estimate at or below 1 (absolute and relative
     tolerance both equal to ``tol``); independently, every step is capped
     by  geometry_safety * min over pairs of (separation / closing speed),
     so no pair can close more than a fixed fraction of its gap per step.
+    The snapshot grid does not shorten adaptive steps: only T is landed
+    on, and a snapshot time s inside an accepted step [t, t + h] gets the
+    Dormand-Prince interpolant at theta = (s - t) / h, built from the
+    step's seven stages; a snapshot at the step's end gets the step's
+    5th-order state.  Interpolated snapshots carry an error of order
+    ``tol`` and lie inside steps the geometric cap has bounded.
 
-    With ``fixed_step`` set, adaptivity and the geometric cap are bypassed;
-    this mode exists for convergence studies on smooth problems.
+    With ``fixed_step`` set, adaptivity and the geometric cap are bypassed,
+    and the integrator lands on every snapshot time; this mode exists for
+    convergence studies on smooth problems.
 
     Raises StepCollapse when the required step falls below 1e-12 * T,
     NonFiniteState when the state or the local error estimate stops being
@@ -367,11 +420,12 @@ def integrate(
             raise StepBudgetExceeded(
                 "step budget exceeded", time=t, steps=steps, budget=max_steps
             )
-        hmax_here = snaps[next_snap] - t
         if fixed_step is not None:
             h_free = h_ctrl
+            t_land = snaps[next_snap]
         else:
             h_free = min(h_ctrl, cap)
+            t_land = T
             if h_free < h_floor:
                 dmin, pair = min_pair_distance(x_now)
                 raise StepCollapse(
@@ -381,8 +435,8 @@ def integrate(
                     pair=list(pair),
                     distance=dmin,
                 )
-        clamped = h_free >= hmax_here * (1 - 1e-14)
-        h = hmax_here if clamped else h_free
+        clamped = h_free >= (t_land - t) * (1 - 1e-14)
+        h = t_land - t if clamped else h_free
 
         for s in range(1, 6):
             ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
@@ -407,10 +461,20 @@ def integrate(
         accept = err <= 1.0
 
         if accept:
-            t_new = snaps[next_snap] if clamped else t + h
+            t_new = t_land if clamped else t + h
+            # snapshots in (t, t_new]: interpolated inside, y5 at the end
+            stop = int(np.searchsorted(snaps, t_new, side="right"))
+            inner = stop - 1 if snaps[stop - 1] == t_new else stop
+            if inner > next_snap:
+                theta = (snaps[next_snap:inner] - t) / h
+                for s_t, ys in zip(snaps[next_snap:inner], _dense(y, h, k, theta)):
+                    snapshots.append(ParticleState(float(s_t), *unpack(ys)))
             y = y5
             k[0] = k[6]
             x_now, v_now = unpack(y)
+            if stop > inner:
+                snapshots.append(ParticleState(float(t_new), x_now, v_now))
+            next_snap = stop
             cap, dmin_new = _step_cap(
                 x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
             )
@@ -419,11 +483,8 @@ def integrate(
             log_err.append(err)
             log_dmin.append(dmin_new)
             t = t_new
-            if clamped:
-                snapshots.append(ParticleState(float(t), x_now, v_now))
-                next_snap += 1
-                if next_snap >= len(snaps):
-                    break
+            if next_snap >= len(snaps):
+                break
             if fixed_step is None:
                 fac11 = err**0.17
                 fac = fac11 / facold**0.04

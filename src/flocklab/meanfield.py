@@ -572,6 +572,32 @@ class PairStudy:
         }
 
 
+def _pair_series(xs: np.ndarray, vs: np.ndarray, alpha: float):
+    """Gap, relative speed and dissipation rate of every snapshot of a pair,
+    from the stacked (S, 2, d) positions xs and velocities vs.
+
+    Coordinates are summed in index order, with elementwise operations
+    only.  The gap is the distance pairs.distances gives (|x_0 - x_1| in
+    d = 1), and the dissipation rate repeats the elementwise operations of
+    enstrophy(from_particles(s), d, alpha) on that gap, with the weight
+    product 1/4.  Its two ordered pairs give the same bits and are added;
+    a co-located pair counts zero.
+    """
+    dx = xs[:, 0, :] - xs[:, 1, :]
+    dv = vs[:, 0, :] - vs[:, 1, :]
+    r2 = dx[:, 0] * dx[:, 0]
+    s2 = dv[:, 0] * dv[:, 0]
+    for k in range(1, dx.shape[1]):
+        r2 += dx[:, k] * dx[:, k]
+        s2 += dv[:, k] * dv[:, k]
+    r = np.abs(dx[:, 0]) if dx.shape[1] == 1 else np.sqrt(r2)
+    kern = np.zeros_like(r)
+    np.power(r, -alpha, out=kern, where=r > 0.0)
+    w = 1.0 / 2
+    val = (w * w) * s2 * kern
+    return r, np.sqrt(s2), val + val
+
+
 def pair_alignment_study(
     eps_list,
     v1,
@@ -591,7 +617,6 @@ def pair_alignment_study(
     trapezoid integral of the dissipation rate over the whole run, and the
     smallest pair distance observed at snapshots.
     """
-    from .diagnostics import enstrophy
     from .dynamics import ModelParams, ParticleState, integrate
 
     v1 = np.asarray(v1, float)
@@ -622,16 +647,12 @@ def pair_alignment_study(
             rows.append(PairRow(eps, None, None, None, None, exc.to_dict()))
             continue
 
-        rel = np.array(
-            [float(np.linalg.norm(s.v[0] - s.v[1])) for s in traj.snapshots]
-        )
-        dist = np.array(
-            [float(np.linalg.norm(s.x[0] - s.x[1])) for s in traj.snapshots]
+        dist, rel, dee = _pair_series(
+            np.stack([s.x for s in traj.snapshots]),
+            np.stack([s.v for s in traj.snapshots]),
+            alpha,
         )
         psi = dist ** (-alpha)
-        dee = np.array(
-            [enstrophy(from_particles(s), d, alpha) for s in traj.snapshots]
-        )
         d_int = float(np.trapezoid(dee, times))
 
         half = w0 / 2.0

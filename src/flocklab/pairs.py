@@ -5,6 +5,8 @@ goes through this module, so each grid is built one way:
 
   squared distances  summed one coordinate at a time as (N, N) arrays,
                      never as (N, N, d) difference tensors;
+  distances          |x_i - x_j| in d = 1, the square root of the squared
+                     distances in d >= 2;
   kernel             max(r, floor)^(-alpha) with self-pairs set to zero,
                      and co-located pairs (r == 0) set to zero when there
                      is no floor;
@@ -16,6 +18,10 @@ goes through this module, so each grid is built one way:
 
 The block layout depends only on N, so every result is reproducible bit
 for bit whatever the thread count or the BLAS.
+
+The force evaluation (dynamics.alignment_rhs) raises its distances to the
+power itself: its grid holds inf on the diagonal and has been checked for
+co-located pairs, so the kernel's masks would change nothing there.
 """
 
 from __future__ import annotations
@@ -70,7 +76,15 @@ def sq_distances(
 def distances(
     x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """(N, N) Euclidean distances of the rows of x, zero diagonal."""
+    """(N, N) Euclidean distances of the rows of x, zero diagonal.
+
+    In d = 1 this is |x_i - x_j|, one subtraction and one absolute value;
+    it equals the square root of the square bit for bit unless the square
+    underflows or overflows (gaps below 1e-154 or above 1e154).
+    """
+    if x.shape[1] == 1:
+        r = outer_diff(x[:, 0], out=out)
+        return np.abs(r, out=r)
     r = sq_distances(x, out=out, scratch=scratch)
     return np.sqrt(r, out=r)
 
@@ -135,7 +149,8 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     parts = []
     if full:
         head = a[..., :full].reshape(a.shape[:-1] + (full // BLOCK, BLOCK))
-        parts.extend(np.moveaxis(head.sum(axis=-1), -1, 0))
+        sums = head.sum(axis=-1)
+        parts.extend(sums[..., b] for b in range(full // BLOCK))
     if full < n:
         parts.append(a[..., full:].sum(axis=-1))
     s = np.zeros(a.shape[:-1])

@@ -7,10 +7,18 @@ config it ran with.
 A config is accepted by ``_conforms``, a stdlib check of exactly the JSON
 Schema keywords used here, with Draft 2020-12 semantics (a bool is not a
 number, ``1.0`` is an integer).  jsonschema is imported only to explain a
-rejected config, so it alone words every validation error.
+rejected config, so it alone words every schema violation.
+
+JSON Schema bounds cannot reject NaN (every comparison with it is false),
+and Python's JSON reader and argparse both accept NaN and Infinity.  So a
+finiteness rule runs beside the schema: a conforming config holding a
+non-finite number anywhere is rejected with a ValidationError that names
+where it sits.
 """
 
 from __future__ import annotations
+
+import math
 
 _INITIAL = {
     "type": "object",
@@ -218,16 +226,44 @@ def _conforms(doc, schema) -> bool:
     return True
 
 
+def _non_finite(doc, path=()):
+    """(path, value) of the first NaN or infinity in ``doc``, or None."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return path, doc
+    items = (
+        doc.items() if isinstance(doc, dict)
+        else enumerate(doc) if isinstance(doc, list)
+        else ()
+    )
+    for key, value in items:
+        found = _non_finite(value, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def resolve(kind: str, doc: dict) -> dict:
     """Validate a config document and merge in the defaults.
 
-    A rejected document raises ``jsonschema.ValidationError``.
+    A document that violates the schema, or that holds a NaN or an
+    infinity, raises ``jsonschema.ValidationError``.
     """
     schema = SCHEMAS[kind]
     if not _conforms(doc, schema):
         import jsonschema
 
         jsonschema.validate(doc, schema)
+    found = _non_finite(doc)
+    if found is not None:
+        import jsonschema
+
+        path, value = found
+        where = "".join(f"[{key!r}]" for key in path)
+        raise jsonschema.ValidationError(
+            f"{value!r} is not a finite number\n\nOn instance{where}:\n"
+            f"    {value!r}",
+            path=path,
+        )
     out = dict(DEFAULTS.get(kind, {}))
     out.update(doc)
     return out

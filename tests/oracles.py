@@ -15,6 +15,14 @@ sum over j sequentially inside each block of 32 (pairwise in d = 1), which
 the differential tests compare against bit for bit in d = 1 and to a few
 ulp of the summed magnitudes in d >= 2.
 
+sqrt_alignment_rhs and sqrt_step_cap are the force evaluation and step
+cap as the package computed them before its lean pair pass: distances and
+relative speeds as square roots of coordinate squares in every dimension,
+the kernel with its masking passes, and block sums gathered through
+np.moveaxis.  sqrt_fixed_step_snapshots is the fixed-step integration that
+lands on every snapshot, driven by sqrt_alignment_rhs.  The differential
+tests compare the lean path against them bit for bit.
+
 loop_continuity_residual and loop_momentum_residual are the per-function
 field residuals the package used before its snapshot-major battery forms.
 They share the package's cell stacking, grid check and pair kernel, and
@@ -29,8 +37,9 @@ from itertools import combinations
 import numpy as np
 from scipy import integrate as _si
 
-from flocklab.errors import PivotBudgetExceeded, SupportTooLarge
-from flocklab.pairs import distances, kernel, outer_diff
+from flocklab.dynamics import _A, _B5, COLLISION_FLOOR
+from flocklab.errors import CollisionalState, PivotBudgetExceeded, SupportTooLarge
+from flocklab.pairs import BLOCK, distances, kernel, off_diagonal, outer_diff
 from flocklab.weakform import _cells_arrays, _check_grids
 
 
@@ -274,6 +283,110 @@ def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
 def tensor_kinetic_residual(traj, phi) -> float:
     phi0, a_int, b_int = tensor_kinetic_terms(traj, phi)
     return float(abs(-phi0 - a_int + 0.5 * b_int))
+
+
+# ---- the pair pass before its lean form ----
+
+
+def sqrt_distances(x: np.ndarray) -> np.ndarray:
+    s = outer_diff(x[:, 0])
+    s *= s
+    for k in range(1, x.shape[1]):
+        t = outer_diff(x[:, k])
+        t *= t
+        s += t
+    return np.sqrt(s, out=s)
+
+
+def moveaxis_row_sums(a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    full = n - n % BLOCK
+    parts = []
+    if full:
+        head = a[..., :full].reshape(a.shape[:-1] + (full // BLOCK, BLOCK))
+        parts.extend(np.moveaxis(head.sum(axis=-1), -1, 0))
+    if full < n:
+        parts.append(a[..., full:].sum(axis=-1))
+    s = np.zeros(a.shape[:-1])
+    c = np.zeros_like(s)
+    for part in parts:
+        y = part - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+def sqrt_alignment_rhs(
+    x: np.ndarray, v: np.ndarray, alpha: float, kernel_floor: float = 0.0
+) -> np.ndarray:
+    n, d = x.shape
+    if n == 1:
+        return np.zeros((1, d))
+    dist = sqrt_distances(x)
+    np.fill_diagonal(dist, np.inf)
+    dmin = float(dist.min())
+    if kernel_floor <= 0.0 and dmin <= COLLISION_FLOOR:
+        raise CollisionalState("pair separation at or below the evaluable floor")
+    w = kernel(dist, alpha, kernel_floor)
+    out = np.empty(v.shape)
+    for k in range(d):
+        col = v[:, k]
+        t = np.subtract(col[None, :], col[:, None])
+        t *= w
+        out[:, k] = moveaxis_row_sums(t)
+    return out / n
+
+
+def sqrt_step_cap(
+    x: np.ndarray, v: np.ndarray, safety: float, kernel_floor: float = 0.0
+) -> tuple[float, float]:
+    n = x.shape[0]
+    if n < 2:
+        return np.inf, np.inf
+    dist = sqrt_distances(x)
+    dmin = float(off_diagonal(dist).min())
+    speed = sqrt_distances(v)
+    rr = np.maximum(dist, kernel_floor) if kernel_floor > 0.0 else dist
+    moving = speed > 0.0
+    np.divide(rr, speed, out=speed, where=moving)
+    np.copyto(speed, np.inf, where=~moving)
+    tau = float(speed.min())
+    if tau == np.inf:
+        return np.inf, dmin
+    return safety * tau, dmin
+
+
+def sqrt_fixed_step_snapshots(x0, v0, alpha, T, h, snapshot_times):
+    """(times, xs, vs) of a fixed-step Dormand-Prince run that shortens a
+    step to land on each snapshot time, as the package's fixed-step mode
+    does."""
+    n, d = x0.shape
+    nd = n * d
+    snaps = np.unique(np.concatenate([[0.0, T], np.asarray(snapshot_times, float)]))
+
+    def f(y):
+        x, v = y[:nd].reshape(n, d), y[nd:].reshape(n, d)
+        return np.concatenate([v.ravel(), sqrt_alignment_rhs(x, v, alpha).ravel()])
+
+    y = np.concatenate([x0.ravel(), v0.ravel()])
+    out = [y]
+    k = [f(y)] + [None] * 6
+    t = 0.0
+    for target in snaps[1:]:
+        while True:
+            clamped = h >= (target - t) * (1 - 1e-14)
+            step = target - t if clamped else h
+            for s in range(1, 6):
+                k[s] = f(y + step * sum(_A[s][m] * k[m] for m in range(s)))
+            y = y + step * sum(_B5[m] * k[m] for m in range(6))
+            k[0] = f(y)
+            t = target if clamped else t + step
+            if clamped:
+                break
+        out.append(y)
+    ys = np.array(out)
+    return snaps, ys[:, :nd].reshape(-1, n, d), ys[:, nd:].reshape(-1, n, d)
 
 
 # ---- per-function field residuals ----

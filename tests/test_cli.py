@@ -309,6 +309,31 @@ def test_schema_violation_rejected(tmp_path, capsys):
     assert doc["error"]["type"] == "ValidationError"
 
 
+def test_nan_tolerance_override_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(sim_config(tmp_path)),
+                   "--out", str(out), "--tol", "nan"])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValidationError"
+    assert doc["error"]["message"].startswith("nan is not a finite number")
+    assert "['tol']" in doc["error"]["message"]
+    assert json.loads((out / "error.json").read_text()) == doc
+    assert not (out / "report.json").exists()
+
+
+def test_nan_in_config_is_a_validation_error(tmp_path, capsys):
+    # Python's JSON reader accepts the NaN token, and NaN passes every bound
+    cfg = sim_config(tmp_path, T=float("nan"))
+    assert "NaN" in cfg.read_text()
+    rc = cli.main(["simulate", "--config", str(cfg), "--out",
+                   str(tmp_path / "o")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValidationError"
+    assert "['T']" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "mfstudy", "pairstudy"])
 def test_alpha_below_one_is_a_schema_error(tmp_path, capsys, command):
     # the particle model needs alpha >= 1; the schema says so up front

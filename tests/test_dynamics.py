@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from flocklab import pairs
 from flocklab.dynamics import (
+    _P,
     ModelParams,
     ParticleState,
     alignment_rhs,
-    compensated_axis_sum,
     integrate,
     min_pair_distance,
 )
 from flocklab.errors import CollisionalState, SnapshotMissing, StepCollapse
+from flocklab.meanfield import InitialSpec, sample_initial
 from flocklab.rng import CounterRNG
+
+from oracles import sqrt_fixed_step_snapshots
 
 
 def random_state(n, d, seed, spread=1.0, vmax=0.5):
@@ -61,7 +65,7 @@ def test_rhs_collision_raises():
 def test_compensated_sum_matches_exact():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, (257, 4)) * 10.0 ** rng.integers(-8, 8, (257, 4))
-    got = compensated_axis_sum(a, axis=0)
+    got = pairs.row_sums(a.T)
     import math
 
     want = np.array(
@@ -159,3 +163,64 @@ def test_kernel_floor_changes_dynamics_and_is_recorded():
     assert floored.kernel_floor == 0.5
     assert plain.kernel_floor == 0.0
     assert not np.allclose(plain.snapshots[-1].v, floored.snapshots[-1].v)
+
+
+# ---- snapshots from the continuous extension ----
+
+
+def test_interpolant_coefficients_are_scipys():
+    from scipy.integrate._ivp.rk import RK45
+
+    assert np.array_equal(_P, RK45.P)
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.5)])
+def test_dense_snapshots_match_landed_runs(d, alpha):
+    # a run with horizon t_k lands on t_k; the dense run interpolates it
+    tol = 1e-8
+    s = random_state(6, d, seed=20 + d)
+    times = np.linspace(0.0, 1.0, 17)
+    p = ModelParams(d=d, alpha=alpha, N=6, T=1.0, M=1.0)
+    dense = integrate(s, p, tol=tol, snapshot_times=times)
+    for t_k in times[[3, 8, 13]]:
+        landed = integrate(
+            s, ModelParams(d=d, alpha=alpha, N=6, T=float(t_k), M=1.0), tol=tol
+        )
+        got, want = dense.state_at(t_k), landed.snapshots[-1]
+        assert np.abs(got.x - want.x).max() <= 10 * tol
+        assert np.abs(got.v - want.v).max() <= 10 * tol
+
+
+def test_fixed_step_snapshots_land_on_the_grid_bit_for_bit():
+    s = random_state(7, 2, seed=31)
+    times = np.linspace(0.0, 0.5, 7)
+    p = ModelParams(d=2, alpha=1.5, N=7, T=0.5, M=1.0)
+    tr = integrate(s, p, fixed_step=0.03, snapshot_times=times)
+    t_want, x_want, v_want = sqrt_fixed_step_snapshots(
+        s.x, s.v, 1.5, 0.5, 0.03, times
+    )
+    assert np.array_equal(tr.times(), t_want)
+    assert np.array_equal(np.stack([st.x for st in tr.snapshots]), x_want)
+    assert np.array_equal(np.stack([st.v for st in tr.snapshots]), v_want)
+
+
+def test_snapshot_grid_does_not_change_the_steps():
+    # the N = 25 rung of the d = 1 refinement ladder with its 65-point grid
+    spec = InitialSpec(
+        d=1,
+        density="uniform-box",
+        density_params={"center": [0.0], "halfwidth": 1.0},
+        velocity="sinusoid",
+        velocity_params={"amplitude": [0.05], "wavenumber": [120.0]},
+        seed=2,
+    )
+    x0, v0 = sample_initial(spec, 25, bound=2.0)
+    s = ParticleState(0.0, x0, v0)
+    p = ModelParams(d=1, alpha=1.0, N=25, T=0.25, M=2.0)
+    gridded = integrate(s, p, tol=1e-6, snapshot_times=np.linspace(0, 0.25, 65))
+    free = integrate(s, p, tol=1e-6)
+    assert len(gridded) == 65
+    assert len(gridded.step_t) == len(free.step_t) < 64
+    assert np.array_equal(gridded.step_t, free.step_t)
+    assert np.array_equal(gridded.snapshots[-1].x, free.snapshots[-1].x)
+    assert np.array_equal(gridded.snapshots[-1].v, free.snapshots[-1].v)

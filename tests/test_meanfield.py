@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import flocklab.dynamics
+from flocklab import meanfield
+from flocklab.diagnostics import enstrophy
+from flocklab.dynamics import ParticleState
 from flocklab.errors import GridMismatch, RejectionOverflow, StepCollapse
 from flocklab.meanfield import (
     FieldGrid,
@@ -18,7 +21,7 @@ from flocklab.meanfield import (
     refinement_study,
     sample_initial,
 )
-from flocklab.measures import EmpiricalMeasure
+from flocklab.measures import EmpiricalMeasure, from_particles
 
 
 def box_spec(seed=0, d=1, velocity=None, vparams=None):
@@ -345,6 +348,31 @@ def test_pair_study_dissipation_matches_energy_drop():
     # drop (|w0|^2 - |w(T)|^2)/4, and by t = 6 the pair is fully aligned,
     # so the drop is |w0|^2/4 = 0.16/4
     assert row.d_integral == pytest.approx(0.04, abs=1e-4)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_series_equal_per_snapshot_loops(d):
+    rng = np.random.default_rng(d)
+    xs = rng.uniform(-1.0, 1.0, (40, 2, d))
+    vs = rng.uniform(-0.5, 0.5, (40, 2, d))
+    xs[5, 1] = xs[5, 0]  # co-located: dissipates nothing
+    vs[7, 1] = vs[7, 0]  # in lockstep
+    xs[9, 1] = xs[9, 0] + 1e-3
+    gap = np.array([np.linalg.norm(x[0] - x[1]) for x in xs])
+    speed = np.array([np.linalg.norm(v[0] - v[1]) for v in vs])
+    for alpha in (1.0, 1.5, 2.0):
+        dist, rel, dee = meanfield._pair_series(xs, vs, alpha)
+        want = np.array([
+            enstrophy(from_particles(ParticleState(0.0, x, v)), d, alpha)
+            for x, v in zip(xs, vs)
+        ])
+        assert np.array_equal(dee, want)
+        if d == 1:
+            assert np.array_equal(dist, gap) and np.array_equal(rel, speed)
+        else:
+            # np.linalg.norm sums through the BLAS, in its own order
+            assert np.allclose(dist, gap, rtol=4e-16, atol=0.0)
+            assert np.allclose(rel, speed, rtol=4e-16, atol=0.0)
 
 
 def test_pair_study_equal_velocities():

@@ -9,7 +9,12 @@ import pytest
 from flocklab import dynamics, pairs
 from flocklab.diagnostics import enstrophy
 from flocklab.dynamics import ModelParams, ParticleState, integrate
-from flocklab.errors import FlockLabError, NonFiniteState, StepBudgetExceeded
+from flocklab.errors import (
+    CollisionalState,
+    FlockLabError,
+    NonFiniteState,
+    StepBudgetExceeded,
+)
 from flocklab.measures import EmpiricalMeasure
 from flocklab.weakform import (
     kinetic_battery,
@@ -18,6 +23,10 @@ from flocklab.weakform import (
 )
 
 from oracles import (
+    moveaxis_row_sums,
+    sqrt_alignment_rhs,
+    sqrt_distances,
+    sqrt_step_cap,
     tensor_alignment_rhs,
     tensor_enstrophy,
     tensor_kinetic_residual,
@@ -76,10 +85,58 @@ def test_kernel_masks_self_and_colocated_pairs():
     assert np.array_equal(np.diag(floored), np.zeros(3))
 
 
+def test_row_sums_equal_the_moveaxis_gather():
+    rng = np.random.default_rng(4)
+    for shape in ((7, 1), (7, 31), (7, 32), (7, 33), (3, 5, 200)):
+        a = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-8, 8, shape)
+        assert np.array_equal(pairs.row_sums(a), moveaxis_row_sums(a))
+
+
+def test_one_dimensional_distances_are_absolute_differences():
+    x, _ = cloud(50, 1, seed=9)
+    x[7] = x[3]
+    r = pairs.distances(x)
+    assert np.array_equal(r, np.abs(x - x.T))
+    assert np.array_equal(r, sqrt_distances(x))
+
+
 def test_min_pair_distance_picks_upper_triangle_on_ties():
     x = np.array([[0.0], [1.0], [5.0], [6.0]])
     assert dynamics.min_pair_distance(x) == (1.0, (0, 1))
     assert dynamics.min_pair_distance(x[:1]) == (np.inf, (-1, -1))
+
+
+# ---- the lean pair pass against the square-root pass it replaced ----
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.3])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n", [2, 31, 33, 200])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lean_pair_pass_equals_sqrt_pass(d, n, alpha, floor):
+    x, v = cloud(n, d, seed=1000 * d + n)
+    v[n // 2] = v[0]  # a pair in lockstep never closes
+    want = sqrt_alignment_rhs(x, v, alpha, floor)
+    assert np.array_equal(dynamics.alignment_rhs(x, v, alpha, floor), want)
+    work = pairs.Workspace(n)
+    got = dynamics.alignment_rhs(x, v, alpha, kernel_floor=floor, work=work)
+    assert np.array_equal(got, want)
+    cap = sqrt_step_cap(x, v, 0.2, floor)
+    assert dynamics._step_cap(x, v, 0.2, floor) == cap
+    assert dynamics._step_cap(x, v, 0.2, floor, dist=work.dist, work=work) == cap
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_colocated_pair_raises_without_floor(d):
+    x, v = cloud(9, d, seed=d)
+    x[6] = x[2]
+    with pytest.raises(CollisionalState):
+        dynamics.alignment_rhs(x, v, 1.5)
+    with pytest.raises(CollisionalState):
+        sqrt_alignment_rhs(x, v, 1.5)
+    # with a floor the pair counts at the floor value
+    got = dynamics.alignment_rhs(x, v, 1.5, kernel_floor=0.1)
+    assert np.array_equal(got, sqrt_alignment_rhs(x, v, 1.5, 0.1))
 
 
 # ---- differential tests against the tensor formulations ----

@@ -218,6 +218,21 @@ def test_rejection_is_worded_by_jsonschema():
     assert cfg["tol"] == schemas.DEFAULTS["simulate"]["tol"]
 
 
+@pytest.mark.parametrize("doc, path", [
+    (dict(SIM, T=float("nan")), ["T"]),
+    (dict(SIM, tol=float("inf")), ["tol"]),
+    (dict(SIM, eta_ladder=[1.0, float("inf")]), ["eta_ladder", 1]),
+])
+def test_non_finite_numbers_are_rejected_by_name(doc, path):
+    # NaN passes every bound, so the schema accepts these documents
+    assert _conforms(doc, SCHEMAS["simulate"])
+    with pytest.raises(jsonschema.ValidationError) as info:
+        schemas.resolve("simulate", doc)
+    assert list(info.value.path) == path
+    assert "is not a finite number" in info.value.message
+    assert "".join(f"[{key!r}]" for key in path) in info.value.message
+
+
 # ---- import hygiene ----
 
 # the package namespace before it became lazy: 63 re-exports plus the 8
