@@ -13,16 +13,8 @@ measure how hydrodynamic the cloud is at scale h; they shrink as N grows.
 import numpy as np
 
 from flocklab.dynamics import ModelParams, ParticleState, integrate
-from flocklab.meanfield import InitialSpec, local_fields, sample_initial
-from flocklab.measures import from_particles
-from flocklab.weakform import (
-    continuity_residuals,
-    kinetic_battery,
-    kinetic_weak_residuals,
-    macro_battery,
-    momentum_residuals,
-    vector_battery,
-)
+from flocklab.meanfield import InitialSpec, field_residuals, sample_initial
+from flocklab.weakform import kinetic_battery, kinetic_weak_residuals
 
 # ---- kinetic identity on an atomic trajectory ----
 x = np.linspace(-0.5, 0.5, 10)[:, None]
@@ -51,8 +43,6 @@ spec = InitialSpec(
 )
 H, T = 0.125, 0.5
 times = np.linspace(0.0, T, 1025)
-mb = macro_battery(1, T, 2.0, size=24, seed=0)
-vb = vector_battery(1, T, 2.0, size=24, seed=0)
 print("\n    N  continuity   momentum")
 for n in (50, 100, 200, 400):
     x0, v0 = sample_initial(spec, n, bound=2.0)
@@ -62,12 +52,6 @@ for n in (50, 100, 200, 400):
         tol=1e-6,
         snapshot_times=times,
     )
-    grids = [local_fields(from_particles(s), 1, H) for s in traj.snapshots]
-    cont = max(continuity_residuals(traj.times(), grids, mb))
-    mom = max(
-        momentum_residuals(
-            traj.times(), grids, vb, 1.0,
-            initial_atoms=(x0, v0, np.full(n, 1.0 / n)),
-        )
-    )
-    print(f"{n:5d}  {cont:.3e}    {mom:.3e}")
+    # batteries of 24 functions, seed 0, drawn from the run's d, T and M
+    _, cont, mom = field_residuals(traj, H, 24, 0)
+    print(f"{n:5d}  {max(cont):.3e}    {max(mom):.3e}")

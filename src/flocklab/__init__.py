@@ -23,8 +23,6 @@ _EXPORTS = {
         "energy_series",
         "enstrophy",
         "eta_monokineticity",
-        "kinetic_energy",
-        "momentum",
         "mp_margin",
         "sf_modulus",
     ),
@@ -36,7 +34,6 @@ _EXPORTS = {
         "integrate",
     ),
     "errors": (
-        "AmbiguousGrouping",
         "CollisionalState",
         "DivergentNormalization",
         "FlockLabError",
@@ -53,7 +50,6 @@ _EXPORTS = {
     "meanfield": (
         "FieldGrid",
         "InitialSpec",
-        "LocalField",
         "PairStudy",
         "StudyReport",
         "local_fields",
@@ -66,12 +62,12 @@ _EXPORTS = {
         "EmpiricalMeasure",
         "dbl",
         "dbl_with_potential",
-        "disintegrate",
         "from_particles",
+        "kinetic_energy",
         "marginal_x",
+        "momentum",
         "momentum_marginal",
         "phi_weighted_marginal",
-        "pushforward_free",
     ),
     "rng": ("CounterRNG",),
     "weakform": (

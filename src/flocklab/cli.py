@@ -144,16 +144,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    from .meanfield import local_fields
-    from .measures import from_particles
-    from .weakform import (
-        continuity_residuals,
-        kinetic_battery,
-        kinetic_weak_residuals,
-        macro_battery,
-        momentum_residuals,
-        vector_battery,
-    )
+    from .meanfield import field_residuals
+    from .weakform import kinetic_battery, kinetic_weak_residuals
 
     cfg = _load_config(args, "residual")
     out = _outdir(args)
@@ -176,21 +168,7 @@ def _cmd_residual(args) -> int:
     }
     if cfg["h"] is not None:
         h = float(cfg["h"])
-        grids = [
-            local_fields(from_particles(s), p.d, h) for s in traj.snapshots
-        ]
-        cont = continuity_residuals(
-            times, grids, macro_battery(p.d, p.T, p.M, size=size, seed=seed)
-        )
-        x0, v0 = traj.snapshots[0].x, traj.snapshots[0].v
-        w0 = np.full(p.N, 1.0 / p.N)
-        mom = momentum_residuals(
-            times,
-            grids,
-            vector_battery(p.d, p.T, p.M, size=size, seed=seed),
-            p.alpha,
-            initial_atoms=(x0, v0, w0),
-        )
+        _, cont, mom = field_residuals(traj, h, size, seed)
         payload["fields"] = {
             "h": h,
             "continuity": {"residuals": cont, "max": max(cont)},

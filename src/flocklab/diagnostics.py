@@ -11,7 +11,7 @@ The kernel normalization beta(eta, alpha, d) is the integral of
 (|x| + eta)^(-alpha) over R^d.  Closed forms are implemented for d = 1 and
 d = 2; when alpha equals d the quantity enters only through ratios and is
 set to 1 exactly.  The eta-weighted monokineticity functional uses the
-conditional mean velocity from exact disintegration, with the inner sum
+conditional mean velocity at exact position groups, with the inner sum
 running over the spatial marginal's atoms.
 
 Pair functionals accept an optional ``grid`` (pairs.PairGrid) holding the
@@ -26,27 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .pairs import PairGrid, distances, kernel, off_diagonal
 from .errors import DivergentNormalization, UnsupportedDimension
-from .measures import EmpiricalMeasure, from_particles, phi_weighted_marginal
+from .meanfield import mk_index
+from .measures import (
+    EmpiricalMeasure,
+    dbl,
+    from_particles,
+    kinetic_energy,
+    momentum,
+    phi_weighted_marginal,
+)
+from .pairs import PairGrid, distances, kernel, off_diagonal
 
 
 def _split(mu: EmpiricalMeasure, d: int):
     if mu.point_dim != 2 * d:
         raise ValueError("phase measure must have point dimension 2d")
     return mu.points[:, :d], mu.points[:, d:], mu.weights
-
-
-def kinetic_energy(mu: EmpiricalMeasure, d: int) -> float:
-    """Second velocity moment: sum of w |v|^2."""
-    _, v, w = _split(mu, d)
-    return float(w @ np.einsum("ij,ij->i", v, v))
-
-
-def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
-    """First velocity moment: sum of w v."""
-    _, v, w = _split(mu, d)
-    return w @ v
 
 
 def _grid(mu: EmpiricalMeasure, d: int, grid: PairGrid | None):
@@ -249,8 +245,6 @@ def sf_modulus(
     d = traj.params.d
     ref_state = traj.state_at(t0)
     ref = phi_weighted_marginal(from_particles(ref_state), d, t0, t0, phi_v)
-    from .measures import dbl
-
     out = []
     for t in probe_times:
         mu = from_particles(traj.state_at(t))
@@ -303,8 +297,6 @@ def build_report(
     bin_fractions: tuple = (1 / 8, 1 / 16, 1 / 32),
 ) -> DiagnosticsReport:
     """Full diagnostic sweep over the snapshots of a trajectory."""
-    from .meanfield import mk_index  # local import to avoid a module cycle
-
     d = traj.params.d
     alpha = traj.params.alpha
 

@@ -46,11 +46,6 @@ class NonFiniteState(FlockLabError):
     finite (NaN or infinite), so no step size can repair the step."""
 
 
-class AmbiguousGrouping(FlockLabError):
-    """Position grouping at a positive tolerance is order dependent: chaining
-    nearby atoms produced a cluster wider than the tolerance."""
-
-
 class SupportTooLarge(FlockLabError):
     """The union support of the two measures exceeds the configured size cap
     for the exact flat-metric program.  Subsample or coarsen first."""
@@ -77,7 +72,7 @@ class SnapshotMissing(FlockLabError):
 
 
 class GridMismatch(FlockLabError):
-    """Two local-field objects do not share bin width and origin."""
+    """Two binned field grids do not share bin width and dimension."""
 
 
 class RejectionOverflow(FlockLabError):

@@ -6,7 +6,18 @@ with the n-atom sample for every n <= N.  Growing a study never reshuffles
 the smaller ensembles.
 
 Binned fields live on an axis-aligned grid anchored at the origin with cell
-index floor(x / h) per coordinate.  Only nonempty cells are stored.
+index floor(x / h) per coordinate.  A FieldGrid holds one array row per
+cell of positive mass (barycenter, velocity, mass, in-cell velocity
+variance), built in one pass over the atoms; the weak residuals in
+weakform read those arrays directly.  field_residuals is the one path from
+a trajectory to its continuity and momentum battery, shared by the
+refinement study and ``flocklab residual``.
+
+The package's import graph is acyclic: this module imports dynamics,
+weakform and measures, and diagnostics imports this one for mk_index.
+Functions of other modules that a test or a profiler may swap at run time
+(dynamics.integrate, weakform.dissipation_margin) are looked up through
+their module, so the swap takes effect here.
 """
 
 from __future__ import annotations
@@ -17,8 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlockLabError, GridMismatch, RejectionOverflow
-from .measures import EmpiricalMeasure, dbl, from_particles, marginal_x
+from . import dynamics, weakform
+from .errors import FlockLabError, RejectionOverflow
+from .measures import (
+    EmpiricalMeasure,
+    dbl,
+    from_particles,
+    kinetic_energy,
+    marginal_x,
+)
 from .rng import CounterRNG
 
 _DENSITIES = ("uniform-box", "truncated-gaussian", "two-bump")
@@ -171,42 +189,37 @@ def sample_initial(spec: InitialSpec, n: int, bound: float):
 
 
 @dataclass(frozen=True)
-class LocalField:
-    """Macroscopic state of one occupied grid cell.
-
-    center is the geometric cell center; barycenter the mass-weighted mean
-    position of the atoms inside (a better quadrature node than the
-    center).  cov_trace is the velocity variance around the cell mean,
-    trace form: (sum w |v - u|^2) / mass.
-    """
-
-    index: tuple
-    center: np.ndarray
-    barycenter: np.ndarray
-    mass: float
-    velocity: np.ndarray
-    cov_trace: float
-
-
-@dataclass(frozen=True)
 class FieldGrid:
-    """All occupied cells of one binning, plus the grid geometry."""
+    """All occupied cells of one binning, one row per cell.
+
+    Rows follow the lexicographic order of the cell indices floor(x / h).
+    barycenter (C, d) is the mass-weighted mean position of the atoms in a
+    cell (a better quadrature node than its center), velocity (C, d) their
+    mean velocity, mass (C,) their total weight, and cov_trace (C,) the
+    velocity variance around the cell mean, trace form:
+    (sum w |v - u|^2) / mass.
+    """
 
     h: float
     d: int
-    cells: tuple
-
-    def total_mass(self) -> float:
-        return float(sum(c.mass for c in self.cells))
+    barycenter: np.ndarray
+    velocity: np.ndarray
+    mass: np.ndarray
+    cov_trace: np.ndarray
 
     def mk(self) -> float:
         """Mass-weighted in-cell velocity variance, sum of mass * cov_trace
-        over the cells; see mk_index."""
-        return float(sum(c.mass * c.cov_trace for c in self.cells))
+        over the cells in row order; see mk_index."""
+        return float(sum((self.mass * self.cov_trace).tolist()))
 
 
 def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
-    """Bin a phase measure into cells of width h anchored at the origin."""
+    """Bin a phase measure into cells of width h anchored at the origin.
+
+    Cells whose atoms all carry zero weight are dropped.  Each cell's
+    variance sums its atoms in their input order: a stable sort of the cell
+    labels makes every cell's atoms one contiguous slice.
+    """
     if h <= 0:
         raise ValueError("cell width must be positive")
     if mu.point_dim != 2 * d:
@@ -224,27 +237,23 @@ def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     np.add.at(xsum, inverse, w[:, None] * x)
     vsum = np.zeros((k, d))
     np.add.at(vsum, inverse, w[:, None] * v)
-    cells = []
-    for c in range(k):
-        m = float(mass[c])
-        if m <= 0.0:
-            continue
-        u = vsum[c] / m
-        bary = xsum[c] / m
-        sel = inverse == c
-        dv = v[sel] - u
-        ct = float((w[sel] * np.einsum("ij,ij->i", dv, dv)).sum() / m)
-        cells.append(
-            LocalField(
-                index=tuple(int(j) for j in uniq[c]),
-                center=(uniq[c] + 0.5) * h,
-                barycenter=bary,
-                mass=m,
-                velocity=u,
-                cov_trace=ct,
-            )
-        )
-    return FieldGrid(h=float(h), d=d, cells=tuple(cells))
+    # cells of zero mass divide by 1 here and are dropped on return
+    keep = mass > 0.0
+    safe = np.where(keep, mass, 1.0)
+    u = vsum / safe[:, None]
+    dv = v - u[inverse]
+    terms = w * np.einsum("ij,ij->i", dv, dv)
+    terms = terms[np.argsort(inverse, kind="stable")]
+    ends = np.cumsum(np.bincount(inverse, minlength=k)).tolist()
+    spread = np.array([terms[a:b].sum() for a, b in zip([0] + ends, ends)])
+    return FieldGrid(
+        h=float(h),
+        d=d,
+        barycenter=(xsum / safe[:, None])[keep],
+        velocity=u[keep],
+        mass=mass[keep],
+        cov_trace=(spread / safe)[keep],
+    )
 
 
 def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
@@ -255,15 +264,29 @@ def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
     return local_fields(mu, d, h).mk()
 
 
-def check_same_grid(a: FieldGrid, b: FieldGrid) -> None:
-    if a.h != b.h or a.d != b.d:
-        raise GridMismatch(
-            "field grids differ",
-            h_left=a.h,
-            h_right=b.h,
-            d_left=a.d,
-            d_right=b.d,
-        )
+def field_residuals(traj: dynamics.Trajectory, h: float, size: int, seed: int):
+    """The field battery of a trajectory: every snapshot binned at width h,
+    then the continuity and momentum residuals of the macro and vector
+    batteries drawn from traj.params (d, T, M) with the given size and
+    seed.  The momentum identity takes its t = 0 moment from the unbinned
+    first snapshot at weights 1/N.  Returns (grids, continuity, momentum),
+    the residuals one per test function.
+    """
+    p = traj.params
+    times = traj.times()
+    grids = [local_fields(from_particles(s), p.d, h) for s in traj.snapshots]
+    cont = weakform.continuity_residuals(
+        times, grids, weakform.macro_battery(p.d, p.T, p.M, size, seed)
+    )
+    first = traj.snapshots[0]
+    mom = weakform.momentum_residuals(
+        times,
+        grids,
+        weakform.vector_battery(p.d, p.T, p.M, size, seed),
+        p.alpha,
+        initial_atoms=(first.x, first.v, np.full(p.N, 1.0 / p.N)),
+    )
+    return grids, cont, mom
 
 
 # ---- refinement study over particle number ----
@@ -363,23 +386,11 @@ def _study_single_n(
     battery_seed,
     kernel_floor,
 ):
-    # deferred imports: weakform/diagnostics pull measures/dynamics, and a
-    # module-level import here would close the cycle
-    from .diagnostics import kinetic_energy
-    from .dynamics import ModelParams, ParticleState, integrate
-    from .weakform import (
-        continuity_residuals,
-        dissipation_margin,
-        macro_battery,
-        momentum_residuals,
-        vector_battery,
-    )
-
     d = spec.d
     x0, v0 = sample_initial(spec, n, bound)
-    params = ModelParams(d=d, alpha=alpha, N=n, T=horizon, M=bound)
-    traj = integrate(
-        ParticleState(0.0, x0, v0),
+    params = dynamics.ModelParams(d=d, alpha=alpha, N=n, T=horizon, M=bound)
+    traj = dynamics.integrate(
+        dynamics.ParticleState(0.0, x0, v0),
         params,
         tol=tol,
         snapshot_times=snap_times,
@@ -397,27 +408,11 @@ def _study_single_n(
         energy.append(kinetic_energy(mu, d))
         ladder = [local_fields(mu, d, hh) for hh in h_ladder]
         mk.append(tuple(grid.mk() for grid in ladder))
-        maxcell.append(tuple(max(c.mass for c in grid.cells) for grid in ladder))
+        maxcell.append(tuple(float(grid.mass.max()) for grid in ladder))
 
+    grids, cont, mom = field_residuals(traj, h, battery_size, battery_seed)
     times = traj.times()
-    grids = [from_particles(s) for s in traj.snapshots]
-    grids = [local_fields(g, d, h) for g in grids]
-    cont = max(
-        continuity_residuals(
-            times, grids, macro_battery(d, horizon, bound, battery_size, battery_seed)
-        )
-    )
-    w0 = np.full(n, 1.0 / n)
-    mom = max(
-        momentum_residuals(
-            times,
-            grids,
-            vector_battery(d, horizon, bound, battery_size, battery_seed),
-            alpha,
-            initial_atoms=(x0, v0, w0),
-        )
-    )
-    all_margins = dissipation_margin(times, grids, alpha)
+    all_margins = weakform.dissipation_margin(times, grids, alpha)
     probe_idx = [int(np.argmin(np.abs(times - p))) for p in probes]
     margins = tuple(float(all_margins[i]) for i in probe_idx)
 
@@ -426,8 +421,8 @@ def _study_single_n(
         energy=tuple(energy),
         mk=tuple(mk),
         max_cell_mass=tuple(maxcell),
-        continuity=float(cont),
-        momentum=float(mom),
+        continuity=float(max(cont)),
+        momentum=float(max(mom)),
         margins=margins,
         error=None,
     )
@@ -617,8 +612,6 @@ def pair_alignment_study(
     trapezoid integral of the dissipation rate over the whole run, and the
     smallest pair distance observed at snapshots.
     """
-    from .dynamics import ModelParams, ParticleState, integrate
-
     v1 = np.asarray(v1, float)
     v2 = np.asarray(v2, float)
     d = v1.shape[0]
@@ -635,10 +628,10 @@ def pair_alignment_study(
         x = np.zeros((2, d))
         x[0, 0] = -eps / 2
         x[1, 0] = eps / 2
-        params = ModelParams(d=d, alpha=alpha, N=2, T=horizon, M=bound)
+        params = dynamics.ModelParams(d=d, alpha=alpha, N=2, T=horizon, M=bound)
         try:
-            traj = integrate(
-                ParticleState(0.0, x, np.stack([v1, v2])),
+            traj = dynamics.integrate(
+                dynamics.ParticleState(0.0, x, np.stack([v1, v2])),
                 params,
                 tol=tol,
                 snapshot_times=times,

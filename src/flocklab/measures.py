@@ -3,7 +3,8 @@
 An EmpiricalMeasure is a finite list of weighted atoms in R^k.  Phase-space
 measures use k = 2d with rows (x, v); purely spatial measures use k = d.
 Operations that need the phase split take the spatial dimension d
-explicitly.
+explicitly: the spatial marginal and the velocity moments (kinetic energy,
+momentum) among them.
 
 Weights are nonnegative and the total mass never exceeds 1 (plus round-off):
 probability measures and their sub-probability images under weighting by a
@@ -24,14 +25,12 @@ at cost 1 per unit, consistent with the test-function normalization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._flatlp import solve_flat_lp
 from .dynamics import ParticleState
-from .errors import AmbiguousGrouping
-from .pairs import distances
 
 _MASS_SLACK = 1e-12
 
@@ -86,46 +85,6 @@ class EmpiricalMeasure:
     def is_probability(self, tol: float = 1e-12) -> bool:
         return abs(self.total_mass() - 1.0) <= tol
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Sum of f over the atoms, weighted; f maps (K, k) -> (K,)."""
-        if self.n_atoms == 0:
-            return 0.0
-        return float(np.dot(self.weights, np.asarray(f(self.points), float)))
-
-
-@dataclass(frozen=True)
-class Disintegration:
-    """A phase-space measure split over its spatial atoms.
-
-    positions (G, d) with masses (G,), and per group the conditional
-    velocity atoms (normalized weights) plus their mean.  ``expand``
-    rebuilds the joint measure.
-    """
-
-    positions: np.ndarray
-    masses: np.ndarray
-    velocities: tuple
-    vweights: tuple
-    means: np.ndarray
-    support_radius: float
-
-    @property
-    def n_groups(self) -> int:
-        return self.positions.shape[0]
-
-    def expand(self) -> EmpiricalMeasure:
-        pts = []
-        ws = []
-        for g in range(self.n_groups):
-            vel = self.velocities[g]
-            rep = np.repeat(self.positions[g][None, :], vel.shape[0], axis=0)
-            pts.append(np.hstack([rep, vel]))
-            ws.append(self.masses[g] * self.vweights[g])
-        return EmpiricalMeasure(
-            np.vstack(pts), np.concatenate(ws), self.support_radius
-        )
-
-
 def from_particles(state: ParticleState) -> EmpiricalMeasure:
     """Uniform-weight phase-space measure of a particle state."""
     pts = np.hstack([state.x, state.v])
@@ -144,93 +103,17 @@ def _check_phase(mu: EmpiricalMeasure, d: int):
         raise ValueError("phase measure must have point dimension 2d")
 
 
-def disintegrate(
-    mu: EmpiricalMeasure, d: int, position_tolerance: float = 0.0
-) -> Disintegration:
-    """Group phase atoms by position and split off conditional velocities.
-
-    With zero tolerance, grouping is by bit-exact position equality.  With
-    a positive tolerance, atoms are linked whenever their positions are
-    within the tolerance and groups are the connected components; if a
-    component ends up wider than the tolerance the grouping would depend
-    on presentation order, and AmbiguousGrouping is raised instead.
-    """
+def kinetic_energy(mu: EmpiricalMeasure, d: int) -> float:
+    """Second velocity moment: sum of w |v|^2."""
     _check_phase(mu, d)
-    x = mu.points[:, :d]
     v = mu.points[:, d:]
-    w = mu.weights
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot disintegrate an empty measure")
-
-    if position_tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    exact_pos = None
-    if position_tolerance == 0.0:
-        exact_pos, inverse = np.unique(x, axis=0, return_inverse=True)
-        labels = inverse.ravel()
-    else:
-        labels = _link_positions(x, position_tolerance)
-
-    groups = []
-    for g in np.unique(labels):
-        idx = np.flatnonzero(labels == g)
-        mass = float(w[idx].sum())
-        if mass <= 0.0:
-            continue
-        if exact_pos is not None:
-            pos = exact_pos[g]
-        else:
-            pos = (w[idx] @ x[idx]) / mass
-        groups.append((tuple(pos), idx, mass, pos))
-    groups.sort(key=lambda item: item[0])
-
-    positions = np.array([g[3] for g in groups])
-    masses = np.array([g[2] for g in groups])
-    velocities = tuple(np.ascontiguousarray(v[g[1]]) for g in groups)
-    vweights = tuple(
-        np.ascontiguousarray(w[g[1]] / g[2]) for g in groups
-    )
-    means = np.array(
-        [vweights[i] @ velocities[i] for i in range(len(groups))]
-    )
-    return Disintegration(
-        positions=positions,
-        masses=masses,
-        velocities=velocities,
-        vweights=vweights,
-        means=means,
-        support_radius=mu.support_radius,
-    )
+    return float(mu.weights @ np.einsum("ij,ij->i", v, v))
 
 
-def _link_positions(x: np.ndarray, tol: float) -> np.ndarray:
-    """Single-linkage components at threshold tol, with a width check."""
-    n = x.shape[0]
-    dist = distances(x)
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ii, jj = np.nonzero(np.triu(dist <= tol, k=1))
-    for a, b in zip(ii, jj):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    labels = np.array([find(i) for i in range(n)])
-    for g in np.unique(labels):
-        idx = np.flatnonzero(labels == g)
-        if idx.size > 1 and dist[np.ix_(idx, idx)].max() > tol * (1 + 1e-12):
-            raise AmbiguousGrouping(
-                "position groups chain beyond the tolerance",
-                tolerance=tol,
-                group_width=float(dist[np.ix_(idx, idx)].max()),
-            )
-    return labels
+def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
+    """First velocity moment: sum of w v."""
+    _check_phase(mu, d)
+    return mu.weights @ mu.points[:, d:]
 
 
 def union_support(
@@ -265,14 +148,6 @@ def dbl_with_potential(
     pts, b = union_support(mu, nu)
     value, phi = solve_flat_lp(pts, b, cap=cap)
     return float(value), pts, phi
-
-
-def pushforward_free(mu: EmpiricalMeasure, d: int, t0: float, t: float) -> EmpiricalMeasure:
-    """Image under the free-transport unwind (x, v) -> (x - (t - t0) v, v)."""
-    _check_phase(mu, d)
-    x = mu.points[:, :d] - (t - t0) * mu.points[:, d:]
-    pts = np.hstack([x, mu.points[:, d:]])
-    return EmpiricalMeasure(pts, mu.weights)
 
 
 def phi_weighted_marginal(

@@ -21,15 +21,17 @@ vanishes up to quadrature and binning error; the pair interaction term
 always enters with coefficient -1/2 after symmetrizing the force over
 ordered pairs.
 
-Field-based residuals are duck typed: they accept any grid object exposing
-h, d, and cells with mass, velocity, barycenter attributes.
+Field-based residuals read cell arrays: a grid is any object exposing h,
+d, and the per-cell arrays barycenter (C, d), velocity (C, d) and mass
+(C,), such as meanfield.FieldGrid.  Cells of zero mass may be present and
+contribute nothing.
 
 Both the kinetic and the field residuals are computed snapshot-major, for
 a whole battery at once (kinetic_weak_residuals, continuity_residuals,
 momentum_residuals); the single-function forms are wrappers.  On fields,
-each snapshot's cells are stacked once, the bumps of all F functions are
-evaluated there as (F, C) values and (F, C, d) gradients, and the momentum
-identity builds the cell kernel psi and the weight (m m^T) psi once.  Each
+the bumps of all F functions are evaluated at each snapshot's barycenters
+as (F, C) values and (F, C, d) gradients, and the momentum identity
+builds the cell kernel psi and the weight (m m^T) psi once.  Each
 function's pair term is then one (C, C) product against that weight, so
 no (F, C, C) array is held.  The per-snapshot windows w(t), w'(t) are
 scalars per function.  The battery forms give the per-function results
@@ -394,16 +396,6 @@ def _check_grids(grids):
     return h0, d0
 
 
-def _cells_arrays(grid):
-    if not grid.cells:
-        d = grid.d
-        return np.zeros((0, d)), np.zeros((0, d)), np.zeros(0)
-    b = np.stack([c.barycenter for c in grid.cells])
-    u = np.stack([c.velocity for c in grid.cells])
-    m = np.array([c.mass for c in grid.cells])
-    return b, u, m
-
-
 class _MacroStack:
     """A battery of F macro test functions w(t) G(x), evaluated together.
 
@@ -432,7 +424,7 @@ class _MacroStack:
         and phi and the flux d_t phi + u . grad phi at the barycenters,
         both of shape (F, C)."""
         for k, grid in enumerate(grids[: self.w.shape[1]]):
-            b, u, m = _cells_arrays(grid)
+            b, u, m = grid.barycenter, grid.velocity, grid.mass
             if m.size:
                 g, grad = _bump(b - self.center[:, None, :], self.r2)
                 w, wp = self.w[:, k, None], self.wp[:, k, None]
@@ -443,8 +435,8 @@ class _MacroStack:
 def continuity_residuals(times, grids, phis) -> list:
     """continuity_residual for every MacroTestFunction of a battery.
 
-    Snapshot-major: each snapshot's cell arrays are stacked once, and the
-    bumps of the whole battery are evaluated there in one call.
+    Snapshot-major: the bumps of the whole battery are evaluated at each
+    snapshot's barycenters in one call.
     """
     _check_grids(grids)
     times = np.asarray(times, float)
@@ -452,8 +444,7 @@ def continuity_residuals(times, grids, phis) -> list:
     vals = np.zeros(stack.w.shape)
     for k, _, _, m, _, flux in stack.fields(grids):
         vals[:, k] = (m * flux).sum(axis=1)
-    b0, _, m0 = _cells_arrays(grids[0])
-    phi0 = (m0 * stack.value(0, b0)).sum(axis=1)
+    phi0 = (grids[0].mass * stack.value(0, grids[0].barycenter)).sum(axis=1)
     return [float(abs(p + np.trapezoid(v, times))) for p, v in zip(phi0, vals)]
 
 
@@ -471,10 +462,10 @@ def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
 def momentum_residuals(times, grids, phis, alpha: float, initial_atoms=None) -> list:
     """momentum_residual for every VectorTestFunction of a battery.
 
-    Snapshot-major: per snapshot the cell arrays, the bumps of the whole
-    battery, the cell kernel psi and the weight (m m^T) psi are built
-    once.  Since each phi = e_k w G has one nonzero component k, its pair
-    term is one (C, C) product against that weight,
+    Snapshot-major: per snapshot the bumps of the whole battery, the cell
+    kernel psi and the weight (m m^T) psi are built once.  Since each
+    phi = e_k w G has one nonzero component k, its pair term is one (C, C)
+    product against that weight,
 
         sum_{c,c'} [(m m^T) psi]_cc' (phi_k(b_c) - phi_k(b_c'))
                                      (u_ck - u_c'k),
@@ -498,7 +489,7 @@ def momentum_residuals(times, grids, phis, alpha: float, initial_atoms=None) -> 
             inner *= weight
             svals[f, k] = inner.sum()
     if initial_atoms is None:
-        x0, v0, w0 = _cells_arrays(grids[0])
+        x0, v0, w0 = grids[0].barycenter, grids[0].velocity, grids[0].mass
     else:
         x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
     phi0 = (w0 * (v0.T[comp] * stack.value(0, x0))).sum(axis=1)
@@ -546,7 +537,7 @@ def dissipation_margin(times, grids, alpha: float) -> np.ndarray:
     e = np.empty(len(times))
     dd = np.empty(len(times))
     for k, g in enumerate(grids):
-        b, u, m = _cells_arrays(g)
+        b, u, m = g.barycenter, g.velocity, g.mass
         if m.size == 0:
             e[k] = dd[k] = 0.0
             continue

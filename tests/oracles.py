@@ -25,13 +25,18 @@ tests compare the lean path against them bit for bit.
 
 loop_continuity_residual and loop_momentum_residual are the per-function
 field residuals the package used before its snapshot-major battery forms.
-They share the package's cell stacking, grid check and pair kernel, and
-evaluate each test function through its own methods; the differential
-tests compare the battery forms against them bit for bit.
+They share the package's grid check and pair kernel, read the grid's cell
+arrays, and evaluate each test function through its own methods; the
+differential tests compare the battery forms against them bit for bit.
+
+loop_local_fields is the binning the package used before its field grids
+became arrays: one pass over all atoms per occupied cell.  The
+differential tests compare the array form against it bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -40,7 +45,7 @@ from scipy import integrate as _si
 from flocklab.dynamics import _A, _B5, COLLISION_FLOOR
 from flocklab.errors import CollisionalState, PivotBudgetExceeded, SupportTooLarge
 from flocklab.pairs import BLOCK, distances, kernel, off_diagonal, outer_diff
-from flocklab.weakform import _cells_arrays, _check_grids
+from flocklab.weakform import _check_grids
 
 
 def vertex_enum_dbl(points: np.ndarray, b: np.ndarray) -> float:
@@ -411,14 +416,14 @@ def loop_continuity_residual(times, grids, phi) -> float:
     times = np.asarray(times, float)
     vals = np.empty(len(times))
     for k, (t, g) in enumerate(zip(times, grids)):
-        b, u, m = _cells_arrays(g)
+        b, u, m = g.barycenter, g.velocity, g.mass
         if m.size == 0:
             vals[k] = 0.0
             continue
         vals[k] = float(
             (m * (phi.dt(t, b) + np.einsum("ij,ij->i", u, phi.grad_x(t, b)))).sum()
         )
-    b0, _, m0 = _cells_arrays(grids[0])
+    b0, m0 = grids[0].barycenter, grids[0].mass
     phi0 = float((m0 * phi.value(times[0], b0)).sum()) if m0.size else 0.0
     return float(abs(phi0 + np.trapezoid(vals, times)))
 
@@ -435,7 +440,7 @@ def loop_momentum_residual(
     tvals = np.empty(len(times))
     svals = np.empty(len(times))
     for k, (t, g) in enumerate(zip(times, grids)):
-        b, u, m = _cells_arrays(g)
+        b, u, m = g.barycenter, g.velocity, g.mass
         if m.size == 0:
             tvals[k] = svals[k] = 0.0
             continue
@@ -451,13 +456,71 @@ def loop_momentum_residual(
         w0 = np.asarray(w0, float)
         phi0 = float((w0 * np.einsum("ij,ij->i", v0, phi.value(times[0], x0))).sum())
     else:
-        b0, u0, m0 = _cells_arrays(grids[0])
+        b0, u0, m0 = grids[0].barycenter, grids[0].velocity, grids[0].mass
         phi0 = (
             float((m0 * np.einsum("ij,ij->i", u0, phi.value(times[0], b0))).sum())
             if m0.size
             else 0.0
         )
     return float(abs(phi0 + np.trapezoid(tvals, times) - 0.5 * np.trapezoid(svals, times)))
+
+
+# ---- per-cell binning ----
+#
+# The package's local_fields before its field grids became arrays: a mask
+# over all atoms per occupied cell, and one record per cell.  Kept verbatim
+# as the differential oracle; the array form matches it bit for bit.
+
+LoopCell = namedtuple(
+    "LoopCell", "index center barycenter mass velocity cov_trace"
+)
+
+
+def loop_local_fields(mu, d: int, h: float) -> tuple:
+    """Occupied cells of width h, one LoopCell each, in index order."""
+    if h <= 0:
+        raise ValueError("cell width must be positive")
+    if mu.point_dim != 2 * d:
+        raise ValueError("phase measure must have point dimension 2d")
+    x = mu.points[:, :d]
+    v = mu.points[:, d:]
+    w = mu.weights
+    idx = np.floor(x / h).astype(np.int64)
+    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    k = uniq.shape[0]
+    mass = np.zeros(k)
+    np.add.at(mass, inverse, w)
+    xsum = np.zeros((k, d))
+    np.add.at(xsum, inverse, w[:, None] * x)
+    vsum = np.zeros((k, d))
+    np.add.at(vsum, inverse, w[:, None] * v)
+    cells = []
+    for c in range(k):
+        m = float(mass[c])
+        if m <= 0.0:
+            continue
+        u = vsum[c] / m
+        bary = xsum[c] / m
+        sel = inverse == c
+        dv = v[sel] - u
+        ct = float((w[sel] * np.einsum("ij,ij->i", dv, dv)).sum() / m)
+        cells.append(
+            LoopCell(
+                index=tuple(int(j) for j in uniq[c]),
+                center=(uniq[c] + 0.5) * h,
+                barycenter=bary,
+                mass=m,
+                velocity=u,
+                cov_trace=ct,
+            )
+        )
+    return tuple(cells)
+
+
+def loop_mk(cells) -> float:
+    """The binned monokineticity index of loop_local_fields cells."""
+    return float(sum(c.mass * c.cov_trace for c in cells))
 
 
 # ---- dense revised simplex for the flat-metric program ----

@@ -368,15 +368,8 @@ def field_study():
         # quadrature estimate: binned-away kinetic energy at the two ends
         # plus a trapezoid curvature term for the dissipation integral
         cells = [
-            EmpiricalMeasure(np.hstack([g_b, g_u]), g_m)
-            for g_b, g_u, g_m in (
-                (
-                    np.array([c.barycenter for c in g.cells]),
-                    np.array([c.velocity for c in g.cells]),
-                    np.array([c.mass for c in g.cells]),
-                )
-                for g in grids
-            )
+            EmpiricalMeasure(np.hstack([g.barycenter, g.velocity]), g.mass)
+            for g in grids
         ]
         dee = np.array([enstrophy(mu, 1, alpha) for mu in cells])
         dt = times[1] - times[0]

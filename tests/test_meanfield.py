@@ -8,13 +8,12 @@ import pytest
 import flocklab.dynamics
 from flocklab import meanfield
 from flocklab.diagnostics import enstrophy
-from flocklab.dynamics import ParticleState
-from flocklab.errors import GridMismatch, RejectionOverflow, StepCollapse
+from flocklab.dynamics import ModelParams, ParticleState, integrate
+from flocklab.errors import RejectionOverflow, StepCollapse
 from flocklab.meanfield import (
     FieldGrid,
     InitialSpec,
-    LocalField,
-    check_same_grid,
+    field_residuals,
     local_fields,
     mk_index,
     pair_alignment_study,
@@ -22,6 +21,14 @@ from flocklab.meanfield import (
     sample_initial,
 )
 from flocklab.measures import EmpiricalMeasure, from_particles
+from flocklab.weakform import (
+    continuity_residuals,
+    macro_battery,
+    momentum_residuals,
+    vector_battery,
+)
+
+from oracles import loop_local_fields, loop_mk
 
 
 def box_spec(seed=0, d=1, velocity=None, vparams=None):
@@ -159,27 +166,27 @@ def test_local_fields_hand_example():
         [0.2, 0.4, 0.4],
     )
     grid = local_fields(mu, 1, 0.5)
+    assert isinstance(grid, FieldGrid)
     assert grid.h == 0.5 and grid.d == 1
-    assert [c.index for c in grid.cells] == [(0,), (1,)]
-    c0, c1 = grid.cells
-    assert c0.mass == pytest.approx(0.2)
-    assert c0.velocity[0] == pytest.approx(1.0)
-    assert c0.cov_trace == pytest.approx(0.0)
-    assert c0.barycenter[0] == pytest.approx(0.1)
-    assert c0.center[0] == pytest.approx(0.25)
-    assert c1.mass == pytest.approx(0.8)
-    assert c1.velocity[0] == pytest.approx(0.3)
+    assert grid.barycenter.shape == grid.velocity.shape == (2, 1)
+    assert grid.mass.shape == grid.cov_trace.shape == (2,)
+    # cell [0, 0.5) holds the first atom, cell [0.5, 1) the other two
+    assert grid.mass == pytest.approx([0.2, 0.8])
+    assert grid.velocity[:, 0] == pytest.approx([1.0, 0.3])
     # variance around 0.3 with equal masses: 0.09
-    assert c1.cov_trace == pytest.approx(0.09)
-    assert c1.barycenter[0] == pytest.approx(0.65)
-    assert grid.total_mass() == pytest.approx(1.0)
+    assert grid.cov_trace == pytest.approx([0.0, 0.09])
+    assert grid.barycenter[:, 0] == pytest.approx([0.1, 0.65])
+    assert grid.mass.sum() == pytest.approx(1.0)
 
 
 def test_grid_anchored_at_origin():
-    mu = phase_measure([[-0.1], [0.1]], [[0.0], [0.0]])
+    # -0.1 and 0.1 straddle the cell boundary at 0, in index order -1, 0
+    mu = phase_measure([[0.1], [-0.1]], [[0.0], [0.0]])
     grid = local_fields(mu, 1, 0.5)
-    assert [c.index for c in grid.cells] == [(-1,), (0,)]
-    assert grid.cells[0].center[0] == pytest.approx(-0.25)
+    assert grid.barycenter[:, 0].tolist() == [-0.1, 0.1]
+    # 0.1 and 0.4 share the cell [0, 0.5)
+    mu = phase_measure([[0.1], [0.4]], [[0.0], [0.0]])
+    assert local_fields(mu, 1, 0.5).mass.tolist() == [1.0]
 
 
 def test_mk_index_zero_when_cells_single_speed():
@@ -207,13 +214,76 @@ def test_mk_index_lipschitz_bound():
         assert mk_index(mu, 1, h) <= lip**2 * 1 * h**2 + 1e-15
 
 
-def test_check_same_grid():
-    mu = phase_measure([[0.1]], [[0.0]])
-    a = local_fields(mu, 1, 0.5)
-    b = local_fields(mu, 1, 0.25)
-    with pytest.raises(GridMismatch):
-        check_same_grid(a, b)
-    check_same_grid(a, local_fields(mu, 1, 0.5))
+def random_phase_measure(n, d, zero_weights, seed):
+    """n atoms in [-2, 2]^d with random weights.  With zero_weights, about a
+    third of them weigh nothing, and one more zero-weight atom sits alone in
+    a far cell."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (n, d))
+    v = rng.normal(0.0, 1.0, (n, d))
+    w = rng.uniform(0.1, 1.0, n)
+    w /= w.sum()
+    if zero_weights:
+        w[rng.random(n) < 0.3] = 0.0
+        x = np.vstack([x, np.full((1, d), -7.3)])
+        v = np.vstack([v, np.full((1, d), 4.0)])
+        w = np.append(w, 0.0)
+    return phase_measure(x, v, w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 33, 200])
+@pytest.mark.parametrize("zero_weights", [False, True])
+def test_local_fields_matches_loop_oracle(d, n, zero_weights):
+    mu = random_phase_measure(n, d, zero_weights, seed=100 * d + n)
+    for h in (0.07, 0.3, 1.1, 5.0):
+        cells = loop_local_fields(mu, d, h)
+        grid = local_fields(mu, d, h)
+        want = {
+            "barycenter": np.array([c.barycenter for c in cells]).reshape(-1, d),
+            "velocity": np.array([c.velocity for c in cells]).reshape(-1, d),
+            "mass": np.array([c.mass for c in cells]),
+            "cov_trace": np.array([c.cov_trace for c in cells]),
+        }
+        for name, value in want.items():
+            assert np.array_equal(getattr(grid, name), value), (name, h)
+        assert grid.mk() == loop_mk(cells)
+
+
+def test_local_fields_of_weightless_atoms_is_empty():
+    mu = phase_measure([[0.1, 0.2], [-1.0, 3.0]], [[1.0, 0.0]] * 2, [0.0, 0.0])
+    grid = local_fields(mu, 2, 0.5)
+    assert grid.barycenter.shape == grid.velocity.shape == (0, 2)
+    assert grid.mass.shape == grid.cov_trace.shape == (0,)
+    assert grid.mk() == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_field_residuals_equal_direct_battery_calls(d):
+    n, alpha, horizon, bound, h = 24, 1.5, 0.3, 2.0, 0.35
+    x0, v0 = sample_initial(box_spec(seed=8, d=d), n, bound)
+    traj = integrate(
+        ParticleState(0.0, x0, v0),
+        ModelParams(d=d, alpha=alpha, N=n, T=horizon, M=bound),
+        tol=1e-7,
+        snapshot_times=np.linspace(0.0, horizon, 7),
+    )
+    grids, cont, mom = field_residuals(traj, h, 6, 3)
+    times = traj.times()
+    want = [local_fields(from_particles(s), d, h) for s in traj.snapshots]
+    for got, ref in zip(grids, want, strict=True):
+        for name in ("barycenter", "velocity", "mass", "cov_trace"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert cont == continuity_residuals(
+        times, want, macro_battery(d, horizon, bound, size=6, seed=3)
+    )
+    assert mom == momentum_residuals(
+        times,
+        want,
+        vector_battery(d, horizon, bound, size=6, seed=3),
+        alpha,
+        initial_atoms=(x0, v0, np.full(n, 1.0 / n)),
+    )
 
 
 # ---- refinement study ----

@@ -1,4 +1,4 @@
-"""Atomic measures, disintegration, transforms, and the flat metric."""
+"""Atomic measures, transforms, and the flat metric."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklab.dynamics import ParticleState
-from flocklab.errors import AmbiguousGrouping, SupportTooLarge
+from flocklab.errors import SupportTooLarge
 from flocklab.measures import (
     EmpiricalMeasure,
     dbl,
     dbl_with_potential,
-    disintegrate,
     from_particles,
     marginal_x,
     momentum_marginal,
     phi_weighted_marginal,
-    pushforward_free,
     union_support,
 )
 
@@ -51,57 +49,7 @@ def test_from_particles_and_marginal():
     assert rho2.n_atoms == 3
 
 
-# ---- disintegration ----
-
-
-def test_disintegrate_exact_groups_and_roundtrip():
-    pts = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, -1.0, 0.0],
-            [1.0, 0.0, 0.5, 0.5],
-        ]
-    )
-    mu = EmpiricalMeasure(pts, [0.25, 0.25, 0.5])
-    dis = disintegrate(mu, 2)
-    assert dis.n_groups == 2
-    assert dis.masses == pytest.approx([0.5, 0.5])
-    # conditional mean at the doubled site is the velocity average
-    g0 = 0 if dis.positions[0, 0] == 0.0 else 1
-    assert np.allclose(dis.means[g0], [0.0, 0.0])
-    back = dis.expand()
-    a = sorted(map(tuple, np.column_stack([back.points, back.weights])))
-    b = sorted(map(tuple, np.column_stack([mu.points, mu.weights])))
-    assert np.allclose(a, b, atol=1e-15)
-
-
-def test_disintegrate_tolerance_and_ambiguity():
-    # chain 0, 0.9, 1.8 with tol 1: links chain into one wide group
-    pts = np.array([[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]])
-    mu = EmpiricalMeasure(np.hstack([pts[:, :1], pts[:, 1:]]), [1 / 3] * 3,
-                          support_radius=2.0)
-    with pytest.raises(AmbiguousGrouping):
-        disintegrate(mu, 1, position_tolerance=1.0)
-    # separated clusters group fine at the same tolerance
-    pts2 = np.array([[0.0, 0.1], [0.5, -0.1], [5.0, 0.3]])
-    mu2 = EmpiricalMeasure(pts2[:, [0, 1]], [1 / 3] * 3, support_radius=6.0)
-    dis = disintegrate(mu2, 1, position_tolerance=1.0)
-    assert dis.n_groups == 2
-
-
 # ---- transforms ----
-
-
-def test_pushforward_free_translates_positions():
-    pts = np.array([[1.0, 0.5], [2.0, -0.5]])
-    mu = EmpiricalMeasure(pts, [0.5, 0.5])
-    nu = pushforward_free(mu, 1, t0=1.0, t=3.0)
-    assert np.allclose(nu.points[:, 0], pts[:, 0] - 2.0 * pts[:, 1])
-    assert np.array_equal(nu.points[:, 1], pts[:, 1])
-    assert nu.total_mass() == pytest.approx(mu.total_mass(), abs=1e-15)
-    # unwinding back to t0 recovers the original atoms
-    back = pushforward_free(nu, 1, t0=3.0, t=1.0)
-    assert np.allclose(back.points, pts, atol=1e-15)
 
 
 def test_phi_weighted_marginal_mass_and_bounds():
@@ -253,16 +201,3 @@ def test_dbl_oracle_property(k1, k2, seed):
         return
     want = vertex_enum_dbl(pts, b)
     assert dbl(m1, m2) == pytest.approx(want, abs=1e-8)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), s=st.floats(0.1, 2.0))
-def test_pushforward_preserves_mass_property(seed, s):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 12))
-    pts = rng.uniform(-1, 1, (k, 2))
-    w = rng.dirichlet(np.ones(k))
-    mu = EmpiricalMeasure(pts, w)
-    nu = pushforward_free(mu, 1, 0.0, s)
-    assert nu.total_mass() == pytest.approx(mu.total_mass(), abs=1e-14)
-    assert np.array_equal(np.sort(nu.points[:, 1]), np.sort(pts[:, 1]))

@@ -235,19 +235,20 @@ def test_non_finite_numbers_are_rejected_by_name(doc, path):
 
 # ---- import hygiene ----
 
-# the package namespace before it became lazy: 63 re-exports plus the 8
-# submodules the eager imports bound
+# the package namespace before it became lazy (63 re-exports plus the 8
+# submodules the eager imports bound), less AmbiguousGrouping, LocalField,
+# disintegrate and pushforward_free, which were deleted with their code
 PUBLIC = [
-    "AmbiguousGrouping", "CollisionalState", "CounterRNG",
+    "CollisionalState", "CounterRNG",
     "DiagnosticsReport", "DivergentNormalization", "EmpiricalMeasure",
     "FieldGrid", "FlockLabError", "GridMismatch", "InitialSpec",
-    "LocalField", "MacroTestFunction", "ModelParams", "NonFiniteState",
+    "MacroTestFunction", "ModelParams", "NonFiniteState",
     "PairStudy", "ParticleState", "PivotBudgetExceeded", "RejectionOverflow",
     "SnapshotMissing", "StepBudgetExceeded", "StepCollapse", "StudyReport",
     "SupportTooLarge", "TestFunction", "Trajectory", "UnsupportedDimension",
     "VectorTestFunction", "alignment_rhs", "beta_eta", "build_report",
     "continuity_residual", "continuity_residuals", "dalpha", "dbl",
-    "dbl_with_potential", "diagnostics", "disintegrate",
+    "dbl_with_potential", "diagnostics",
     "dissipation_margin", "dynamics", "energy_balance_residual",
     "energy_series", "enstrophy", "errors", "eta_monokineticity",
     "from_particles", "integrate", "kinetic_battery", "kinetic_energy",
@@ -255,13 +256,13 @@ PUBLIC = [
     "macro_battery", "marginal_x", "meanfield", "measures", "mk_index",
     "momentum", "momentum_marginal", "momentum_residual",
     "momentum_residuals", "mp_margin", "pair_alignment_study", "pairs",
-    "phi_weighted_marginal", "pushforward_free", "refinement_study", "rng",
+    "phi_weighted_marginal", "refinement_study", "rng",
     "sample_initial", "sf_modulus", "vector_battery", "weakform",
 ]
 
 
 def test_public_namespace_unchanged():
-    assert len(PUBLIC) == 71
+    assert len(PUBLIC) == 67
     assert flocklab.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(flocklab))
     for name in PUBLIC:

@@ -1,14 +1,13 @@
 """Test functions, certified bounds, and weak-identity residuals."""
 
 import math
-from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import GridMismatch
-from flocklab.meanfield import local_fields
+from flocklab.meanfield import FieldGrid, local_fields
 from flocklab.measures import from_particles
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
@@ -28,8 +27,30 @@ from flocklab.weakform import (
 
 from oracles import loop_continuity_residual, loop_momentum_residual
 
-Cell = namedtuple("Cell", "mass velocity barycenter")
-Grid = namedtuple("Grid", "h d cells")
+
+
+def grid(h, d, mass, velocity, barycenter):
+    """A field grid with the given cell rows and no in-cell variance."""
+    mass = np.asarray(mass, float)
+    return FieldGrid(
+        h=h,
+        d=d,
+        barycenter=np.asarray(barycenter, float).reshape(-1, d),
+        velocity=np.asarray(velocity, float).reshape(-1, d),
+        mass=mass,
+        cov_trace=np.zeros_like(mass),
+    )
+
+
+def with_ghost(g, velocity, barycenter):
+    """g plus one zero-mass cell at the given row."""
+    return grid(
+        g.h,
+        g.d,
+        np.append(g.mass, 0.0),
+        np.vstack([g.velocity, velocity]),
+        np.vstack([g.barycenter, barycenter]),
+    )
 
 
 def sample_functions(d=2, T=1.0, M=2.0):
@@ -212,12 +233,7 @@ def drifting_cell_sequence(m=41, u=0.3, t_end=1.0):
     times = np.linspace(0.0, t_end, m)
     grids = []
     for t in times:
-        cell = Cell(
-            mass=1.0,
-            velocity=np.array([u]),
-            barycenter=np.array([-0.2 + u * t]),
-        )
-        grids.append(Grid(h=0.5, d=1, cells=(cell,)))
+        grids.append(grid(0.5, 1, [1.0], [u], [-0.2 + u * t]))
     return times, grids
 
 
@@ -236,15 +252,8 @@ def test_momentum_residual_alpha_independent_for_constant_velocity():
     times = np.linspace(0.0, 1.0, 31)
     grids = []
     for t in times:
-        cells = tuple(
-            Cell(
-                mass=0.25,
-                velocity=np.array([0.2]),
-                barycenter=np.array([b + 0.2 * t]),
-            )
-            for b in (-0.6, -0.2, 0.2, 0.6)
-        )
-        grids.append(Grid(h=0.4, d=1, cells=cells))
+        bary = [b + 0.2 * t for b in (-0.6, -0.2, 0.2, 0.6)]
+        grids.append(grid(0.4, 1, [0.25] * 4, [0.2] * 4, bary))
     phi = VectorTestFunction(MacroTestFunction(1, 0.9, np.array([0.0]), 1.2), 0)
     r1 = momentum_residual(times, grids, phi, alpha=1.0)
     r2 = momentum_residual(times, grids, phi, alpha=2.0)
@@ -253,8 +262,7 @@ def test_momentum_residual_alpha_independent_for_constant_velocity():
 
 def test_zero_mass_cell_is_inert():
     times, grids = drifting_cell_sequence(m=31)
-    ghost = Cell(mass=0.0, velocity=np.array([5.0]), barycenter=np.array([0.4]))
-    padded = [Grid(h=0.5, d=1, cells=g.cells + (ghost,)) for g in grids]
+    padded = [with_ghost(g, [5.0], [0.4]) for g in grids]
     phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
     assert continuity_residual(times, grids, phi) == pytest.approx(
         continuity_residual(times, padded, phi), abs=1e-15
@@ -273,7 +281,8 @@ def test_zero_mass_cell_is_inert():
 def test_grid_mismatch_rejected():
     times, grids = drifting_cell_sequence(m=5)
     bad = list(grids)
-    bad[2] = Grid(h=0.25, d=1, cells=grids[2].cells)
+    g = grids[2]
+    bad[2] = grid(0.25, 1, g.mass, g.velocity, g.barycenter)
     phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
     with pytest.raises(GridMismatch):
         continuity_residual(times, bad, phi)
@@ -299,11 +308,7 @@ def test_dissipation_margin_two_cells():
     times = np.linspace(0.0, 0.5, 21)
     grids = []
     for t in times:
-        cells = (
-            Cell(mass=0.5, velocity=np.array([0.3]), barycenter=np.array([-0.5])),
-            Cell(mass=0.5, velocity=np.array([-0.3]), barycenter=np.array([0.5])),
-        )
-        grids.append(Grid(h=1.0, d=1, cells=cells))
+        grids.append(grid(1.0, 1, [0.5, 0.5], [0.3, -0.3], [-0.5, 0.5]))
     margins = dissipation_margin(times, grids, alpha=1.0)
     assert margins[0] == 0.0
     dd = 2 * 0.25 * 0.36  # ordered pairs, |du|^2 = 0.36, psi = 1
@@ -314,7 +319,7 @@ def test_dissipation_margin_two_cells():
 
 
 def binned_sequence(d, n=120, m=17, h=0.3, seed=0):
-    """Cell grids of a drifting particle cloud, with its initial atoms."""
+    """Field grids of a drifting particle cloud, with its initial atoms."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.5, 1.5, (n, d))
     v = rng.normal(0.0, 0.5, (n, d))
@@ -328,10 +333,9 @@ def binned_sequence(d, n=120, m=17, h=0.3, seed=0):
 
 def padded(grids, d):
     """Each grid with a zero-mass ghost cell, and snapshots 0 and 3 empty."""
-    ghost = Cell(mass=0.0, velocity=np.full(d, 5.0), barycenter=np.full(d, 0.4))
-    out = [Grid(h=g.h, d=d, cells=tuple(g.cells) + (ghost,)) for g in grids]
+    out = [with_ghost(g, np.full(d, 5.0), np.full(d, 0.4)) for g in grids]
     for k in (0, 3):
-        out[k] = Grid(h=grids[k].h, d=d, cells=())
+        out[k] = grid(grids[k].h, d, [], [], [])
     return out
 
 
@@ -380,7 +384,8 @@ def test_single_function_battery_equals_wrapper():
 def test_battery_forms_reject_grid_mismatch():
     times, grids = drifting_cell_sequence(m=5)
     bad = list(grids)
-    bad[2] = Grid(h=0.25, d=1, cells=grids[2].cells)
+    g = grids[2]
+    bad[2] = grid(0.25, 1, g.mass, g.velocity, g.barycenter)
     phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
     with pytest.raises(GridMismatch):
         continuity_residuals(times, bad, [phi])
