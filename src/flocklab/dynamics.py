@@ -19,6 +19,21 @@ is read off the step's 4th-order continuous extension (Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), so it lies inside a step the cap has
 already made collision safe.  Fixed-step runs land on every snapshot.
 
+Close pairs are stiff: a pair's relative velocity relaxes at the rate
+2 psi(r) / N, which would pin the explicit step to its stability bound
+h lambda ~ 3.3 on the real axis long after the pair has aligned.  An
+adaptive step of size h marks the pairs with h 2 psi(r) / N >= 3 (the
+kernel floor applied), groups them into connected components, and moves
+those particles' rows in Lawson form (Hochbruck and Ostermann, Exponential
+integrators, Acta Numerica 2010): each component's Laplacian
+L = Q diag(mu) Q^T with weights psi_ij / N is integrated exactly in its
+eigenbasis, and the rest of the force goes through the same Dormand-Prince
+weights, error norm and controller.  Snapshots in such a step, its end
+included, come from the matching exponential interpolant.  The test is a
+comparison of the cap's minimum distance with one radius, so a step
+without a stiff pair does no extra pair pass and is the plain step bit
+for bit.
+
 Pair geometry comes from flocklab.pairs and is built one coordinate at a
 time as (N, N) arrays.  Force sums run per velocity component along each
 row of the (N, N) pair array: blocks of 32 columns are summed along their
@@ -34,11 +49,13 @@ ordered sums for the same reason.
 The last Dormand-Prince stage of an accepted step is evaluated at the
 step's end state, which is the state the geometric cap inspects next; the
 cap reuses the pair distances that stage computed instead of rebuilding
-them.
+them.  The eigenbases come from Householder and Jacobi rotations, not from
+LAPACK, and all their products are elementwise sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -250,15 +267,235 @@ def _dense(y: np.ndarray, h: float, k: list, theta: np.ndarray) -> np.ndarray:
     return y + h * acc
 
 
+# A pair is stiff at step size h when h 2 psi(r) / N reaches this.  2 psi / N
+# is the decay rate of the pair's relative velocity, and the explicit
+# Dormand-Prince step is stable on the negative real axis only up to
+# h lambda of about 3.3; below 3 the explicit stages are stable with a margin.
+STIFF_THRESHOLD = 3.0
+
+# Larger stiff components stay explicit, and the controller shrinks the
+# step until they split: Jacobi rotations cost O(m^2) Python steps per
+# sweep and the eigenbasis products hold (m, m, m) temporaries.
+STIFF_MAX_MEMBERS = 16
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a @ b over the last two axes, broadcast over the
+    leading ones, as an elementwise product and a sum, so the bytes do not
+    depend on the BLAS."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def _phi(z: np.ndarray, kmax: int) -> np.ndarray:
+    """phi_0 .. phi_kmax at z, stacked on a new first axis.
+
+    For |z| >= 1, phi_0 = exp and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z.
+    That recursion cancels for |z| < 1, where phi_kmax comes from its
+    Taylor series sum_i z^i / (i + kmax)! and the others from
+    phi_k = z phi_{k+1} + 1/k!, which does not.
+    """
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    zr = np.where(small, 1.0, z)
+    top = np.full(z.shape, 1.0 / math.factorial(kmax + 18))
+    for i in range(17, -1, -1):
+        top = top * zs + 1.0 / math.factorial(kmax + i)
+    low = [top]
+    for k in range(kmax - 1, -1, -1):
+        low.append(zs * low[-1] + 1.0 / math.factorial(k))
+    low.reverse()
+    out = [np.where(small, low[0], np.exp(z))]
+    for k in range(1, kmax + 1):
+        up = (out[-1] - 1.0 / math.factorial(k - 1)) / zr
+        out.append(np.where(small, low[k], up))
+    return np.stack(out)
+
+
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (C, m) and eigenvector columns (C, m, m) of a stack of
+    small symmetric matrices by cyclic Jacobi rotations, each rotation
+    applied to the whole stack.  An entry below eps sqrt(|a_pp a_rr|) is
+    left as it is (it moves no eigenvalue by more than rounding); a sweep
+    that rotates nothing ends the iteration."""
+    a = a.copy()
+    m = a.shape[-1]
+    q = np.broadcast_to(np.eye(m), a.shape).copy()
+    for _ in range(50):
+        done = True
+        for p in range(m - 1):
+            for r in range(p + 1, m):
+                apr, app, arr = a[:, p, r], a[:, p, p], a[:, r, r]
+                tiny = 2.2e-16 * np.sqrt(np.abs(app)) * np.sqrt(np.abs(arr))
+                rot = np.abs(apr) > tiny
+                if not rot.any():
+                    continue
+                done = False
+                th = (arr - app) / (2.0 * np.where(rot, apr, 1.0))
+                t = np.copysign(1.0, th) / (np.abs(th) + np.hypot(th, 1.0))
+                t = np.where(rot, t, 0.0)[:, None]
+                c = 1.0 / np.hypot(t, 1.0)
+                s = t * c
+                for mat in (a, q):
+                    mp, mr = mat[:, :, p], mat[:, :, r]
+                    mat[:, :, p], mat[:, :, r] = c * mp - s * mr, s * mp + c * mr
+                ap, ar = a[:, p], a[:, r]
+                a[:, p], a[:, r] = c * ap - s * ar, s * ap + c * ar
+        if done:
+            break
+    return np.diagonal(a, axis1=1, axis2=2).copy(), q
+
+
+def _laplacian_modes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, mu) with L = Q diag(mu) Q^T for the graph Laplacians of a stack
+    of weight matrices w, (C, m, m).
+
+    A Householder reflection H maps e_1 to the unit constant vector, the
+    null vector of every Laplacian, so that mode is exact (mu = 0) and the
+    component's momentum is kept.  The rest of H L H is diagonalised by
+    Jacobi rotations; for two particles it is 1 x 1, a closed form.
+    """
+    m = w.shape[-1]
+    u = np.full(m, m**-0.5)
+    u[0] -= 1.0
+    house = np.eye(m) - (2.0 / (u * u).sum()) * u[:, None] * u[None, :]
+    lap = -w
+    lap[:, range(m), range(m)] = w.sum(axis=-1)
+    b = _mm(_mm(house, lap), house)[:, 1:, 1:]
+    mu, vecs = _jacobi(0.5 * (b + np.swapaxes(b, 1, 2)))
+    q = np.broadcast_to(house, w.shape).copy()
+    q[:, :, 1:] = _mm(house[:, 1:], vecs)
+    return q, np.concatenate([np.zeros((len(w), 1)), mu], axis=1)
+
+
+def _components(close: np.ndarray) -> list:
+    """Connected components with two or more members of the graph whose
+    edges are the True entries of close above its diagonal, as one (C, m)
+    array of member indices per component size m."""
+    ii, jj = np.nonzero(close)
+    ii, jj = ii[ii < jj], jj[ii < jj]
+    label = np.arange(len(close))
+    while True:
+        low = np.minimum(label[ii], label[jj])
+        new = label.copy()
+        np.minimum.at(new, ii, low)
+        np.minimum.at(new, jj, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    by_size = {}
+    for root in np.unique(label[ii]):
+        members = np.flatnonzero(label == root)
+        by_size.setdefault(len(members), []).append(members)
+    return [np.array(by_size[m]) for m in sorted(by_size)]
+
+
+class _StiffGroup:
+    """The stiff components of one size m at the start of a step: members
+    idx (C, m), eigenbases q and rates mu of their Laplacians, the step's
+    factors e^(-tau mu) and tau phi_1(-tau mu) for tau = (c_s - c_m) h, the
+    start positions, and per stage the velocities and forcings in the
+    eigenbases."""
+
+    def __init__(self, idx, x, v, w, tau):
+        self.idx = idx
+        self.q, self.mu = _laplacian_modes(w)
+        self.qt = np.swapaxes(self.q, 1, 2)
+        ph = _phi(-tau[..., None, None] * self.mu, 1)[..., None]
+        self.ex, self.p1 = ph[0], tau[..., None, None, None] * ph[1]
+        self.x0 = x[idx]
+        self.vt = [_mm(self.qt, v[idx])] + [None] * 6
+        self.g = [None] * 7
+
+
+class _Lawson:
+    """The rows of particles in stiff components during one step.
+
+    Per component, L_C = Q diag(mu) Q^T is the Laplacian with weights
+    psi_ij / N at the step's start.  Its rows move in the eigenbasis in
+    Lawson form: the linear part [[0, I], [0, -L_C]] is integrated exactly,
+    and g = F + L_C v, what the force adds to it, goes through the
+    Dormand-Prince weights.  Everything else about the step is unchanged.
+    Components with more than STIFF_MAX_MEMBERS particles stay explicit.
+    """
+
+    def __init__(self, y, h, alpha, floor, r_stiff, work):
+        n = len(work.dist)
+        self.h, self.n, self.nd = h, n, len(y) // 2
+        x, v = y[: self.nd].reshape(n, -1), y[self.nd :].reshape(n, -1)
+        dist = pairs.distances(x, out=work.a, scratch=work.b)
+        # (c_s - c_m) h for m <= s; the clip spares the unused m > s
+        tau = h * np.maximum(_C[:, None] - _C[None, :], 0.0)
+        self.groups = []
+        self.pairs = 0
+        for idx in _components(dist <= r_stiff):
+            m = idx.shape[1]
+            if m > STIFF_MAX_MEMBERS:
+                continue
+            r = np.maximum(dist[idx[:, :, None], idx[:, None, :]], floor)
+            r[:, range(m), range(m)] = np.inf
+            w = np.power(r, -alpha) / n
+            self.groups.append(_StiffGroup(idx, x, v, w, tau))
+            self.pairs += idx.size * (m - 1) // 2
+
+    def _g(self, c, m, k):
+        if c.g[m] is None:
+            force = k[m][self.nd :].reshape(self.n, -1)[c.idx]
+            c.g[m] = _mm(c.qt, force) + c.mu[..., None] * c.vt[m]
+        return c.g[m]
+
+    def rows(self, out, k, s, a, base=True):
+        """Set the stiff rows of out to the Lawson combination with weights
+        a at node c_s: a stage state, or with base=False the error vector,
+        which has no x_n or v_n term."""
+        ox, ov = out[: self.nd].reshape(self.n, -1), out[self.nd :].reshape(self.n, -1)
+        for c in self.groups:
+            v_new = c.ex[s, 0] * c.vt[0] if base else 0.0
+            x_new = c.p1[s, 0] * c.vt[0] if base else 0.0
+            for m, am in enumerate(a):
+                if am != 0.0:
+                    g = self._g(c, m, k)
+                    v_new = v_new + self.h * am * c.ex[s, m] * g
+                    x_new = x_new + self.h * am * c.p1[s, m] * g
+            if base:
+                c.vt[s] = v_new
+            ox[c.idx] = c.x0 + _mm(c.q, x_new) if base else _mm(c.q, x_new)
+            ov[c.idx] = _mm(c.q, v_new)
+
+    def dense(self, out, k, theta):
+        """Set the stiff rows of the dense states out, one row per theta, to
+        the exponential continuous extension: the Dormand-Prince dense
+        forcing sum_j G_j theta^j, integrated exactly with phi_1 .. phi_5."""
+        h, th = self.h, theta[:, None, None, None]
+        ox = out[:, : self.nd].reshape(len(theta), self.n, -1)
+        ov = out[:, self.nd :].reshape(len(theta), self.n, -1)
+        for c in self.groups:
+            ph = _phi(-h * theta[:, None, None] * c.mu, 5)[..., None]
+            v_new = ph[0] * c.vt[0]
+            x_new = h * th * ph[1] * c.vt[0]
+            for j in range(4):
+                # j! G_j, with G_j = (j + 1) sum_m P[m, j] g_m
+                gj = math.factorial(j + 1) * sum(
+                    _P[m, j] * self._g(c, m, k) for m in range(7)
+                )
+                v_new = v_new + h * th ** (j + 1) * ph[j + 1] * gj
+                x_new = x_new + h * h * th ** (j + 2) * ph[j + 2] * gj
+            ox[:, c.idx] = c.x0 + _mm(c.q, x_new)
+            ov[:, c.idx] = _mm(c.q, v_new)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshots of one integration plus its per-step log.
 
     Snapshots start at t=0 and end at t=T.  In adaptive runs a snapshot
-    strictly inside a step is the step's interpolant, accurate to about
-    the tolerance; fixed-step runs land on every snapshot.  The log holds,
+    strictly inside a step, or at the end of a step with stiff pairs, is
+    the step's interpolant, accurate to about the tolerance; fixed-step
+    runs land on every snapshot.  The log holds,
     per accepted step: end time, step size, local error estimate
-    (normalized), and the minimum pair distance at the step's end state.
+    (normalized), the minimum pair distance at the step's end state, and
+    the number of pairs the step integrated through the exponential factor
+    (0 on plain Dormand-Prince steps; kept in memory only).
     Adaptive steps are free steps, sized by the error controller and the
     geometric cap alone, so the log does not follow the snapshot grid.
     """
@@ -272,6 +509,7 @@ class Trajectory:
     tol: float | None = None
     fixed_step: float | None = None
     kernel_floor: float = 0.0
+    step_stiff: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
@@ -350,9 +588,18 @@ def integrate(
     5th-order state.  Interpolated snapshots carry an error of order
     ``tol`` and lie inside steps the geometric cap has bounded.
 
-    With ``fixed_step`` set, adaptivity and the geometric cap are bypassed,
-    and the integrator lands on every snapshot time; this mode exists for
-    convergence studies on smooth problems.
+    A pair with h 2 psi(r) / N >= STIFF_THRESHOLD at the step size h is
+    stiff; 3 stays below the explicit step's stability bound of about 3.3.
+    The particles of each connected component of stiff pairs take the
+    Lawson form of the step, exact in the component's linear relaxation,
+    and their snapshots in the step, its end included, come from the
+    exponential interpolant; a component of more than STIFF_MAX_MEMBERS
+    particles stays explicit.  Without a stiff pair the step is the plain
+    Dormand-Prince step.  ``step_stiff`` logs the pairs per step.
+
+    With ``fixed_step`` set, adaptivity, the geometric cap and the stiff
+    treatment are bypassed, and the integrator lands on every snapshot
+    time; this mode exists for convergence studies on smooth problems.
 
     Raises StepCollapse when the required step falls below 1e-12 * T,
     NonFiniteState when the state or the local error estimate stops being
@@ -363,13 +610,12 @@ def integrate(
     if (n, d) != (params.N, params.d):
         raise ValueError("state shape does not match params")
     T = float(params.T)
-    if snapshot_times is None:
-        snaps = np.array([0.0, T])
-    else:
-        snaps = np.unique(np.concatenate([[0.0, T], np.asarray(snapshot_times, float)]))
-        if snaps[0] < -1e-15 or snaps[-1] > T * (1 + 1e-12):
-            raise ValueError("snapshot times must lie in [0, T]")
-        snaps[0], snaps[-1] = 0.0, T
+    extra = [] if snapshot_times is None else snapshot_times
+    snaps = np.concatenate([[0.0, T], np.asarray(extra, float)])
+    if snaps.min() < -1e-15 or snaps.max() > T * (1 + 1e-12):
+        raise ValueError("snapshot times must lie in [0, T]")
+    # clip before de-duplicating, so times within rounding of 0 or T merge
+    snaps = np.unique(np.clip(snaps, 0.0, T))
 
     nd = n * d
 
@@ -386,7 +632,7 @@ def integrate(
     if not np.isfinite(y).all():
         raise NonFiniteState("initial state is not finite", time=0.0)
     snapshots = [ParticleState(0.0, *unpack(y))]
-    log_t, log_h, log_err, log_dmin = [], [], [], []
+    log_t, log_h, log_err, log_dmin, log_stiff = [], [], [], [], []
 
     # work.dist holds the pair distances of the last force evaluation.
     # After the first-same-as-last stage that is exactly the state an
@@ -411,7 +657,7 @@ def integrate(
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
     x_now, v_now = unpack(y)
-    cap, _ = _step_cap(
+    cap, dmin_now = _step_cap(
         x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
     )
 
@@ -437,11 +683,22 @@ def integrate(
                 )
         clamped = h_free >= (t_land - t) * (1 - 1e-14)
         h = t_land - t if clamped else h_free
+        # h 2 psi(r) / N >= STIFF_THRESHOLD  <=>  max(r, floor) <= r_stiff
+        r_stiff = (2.0 * h / (STIFF_THRESHOLD * n)) ** (1.0 / params.alpha)
+        lawson = None
+        if fixed_step is None and max(dmin_now, kernel_floor) <= r_stiff:
+            lawson = _Lawson(y, h, params.alpha, kernel_floor, r_stiff, work)
+            if not lawson.groups:
+                lawson = None
 
         for s in range(1, 6):
             ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
+            if lawson is not None:
+                lawson.rows(ys, k, s, _A[s])
             k[s] = f(ys)
         y5 = y + h * sum(_B5[m] * k[m] for m in range(6))
+        if lawson is not None:
+            lawson.rows(y5, k, 6, _B5[:6])
         # _B5[6] = 0; the last stage is evaluated at (t+h, y5) and is
         # reused as the first stage of the next step.
         k[6] = f(y5)
@@ -452,6 +709,8 @@ def integrate(
                 raise NonFiniteState("state is not finite", time=t, step=h)
         else:
             err_vec = h * sum(_E[m] * k[m] for m in range(7))
+            if lawson is not None:
+                lawson.rows(err_vec, k, 6, _E, base=False)
             sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
             if not np.isfinite(err):
@@ -462,12 +721,19 @@ def integrate(
 
         if accept:
             t_new = t_land if clamped else t + h
-            # snapshots in (t, t_new]: interpolated inside, y5 at the end
+            # snapshots in (t, t_new]: interpolated inside, y5 at the end.
+            # A Lawson y5 holds h b_5 g_5 in each stiff velocity mode, far
+            # from the slaved value the next step damps it to, so the end
+            # snapshot of a stiff step is interpolated too.
             stop = int(np.searchsorted(snaps, t_new, side="right"))
-            inner = stop - 1 if snaps[stop - 1] == t_new else stop
+            landed = snaps[stop - 1] == t_new and lawson is None
+            inner = stop - 1 if landed else stop
             if inner > next_snap:
                 theta = (snaps[next_snap:inner] - t) / h
-                for s_t, ys in zip(snaps[next_snap:inner], _dense(y, h, k, theta)):
+                rows = _dense(y, h, k, theta)
+                if lawson is not None:
+                    lawson.dense(rows, k, theta)
+                for s_t, ys in zip(snaps[next_snap:inner], rows):
                     snapshots.append(ParticleState(float(s_t), *unpack(ys)))
             y = y5
             k[0] = k[6]
@@ -475,13 +741,14 @@ def integrate(
             if stop > inner:
                 snapshots.append(ParticleState(float(t_new), x_now, v_now))
             next_snap = stop
-            cap, dmin_new = _step_cap(
+            cap, dmin_now = _step_cap(
                 x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
             )
             log_t.append(t_new)
             log_h.append(h)
             log_err.append(err)
-            log_dmin.append(dmin_new)
+            log_dmin.append(dmin_now)
+            log_stiff.append(0 if lawson is None else lawson.pairs)
             t = t_new
             if next_snap >= len(snaps):
                 break
@@ -521,4 +788,5 @@ def integrate(
         tol=None if fixed_step is not None else tol,
         fixed_step=fixed_step,
         kernel_floor=kernel_floor,
+        step_stiff=np.array(log_stiff, dtype=int),
     )

@@ -458,7 +458,9 @@ def refinement_study(
     cap, pivot budget); the study continues.
 
     threads > 1 integrates different N concurrently; results merge keyed
-    by N, so the report is identical for any thread count.
+    by N, so the report is identical for any thread count.  Jobs start
+    largest N first, so the costliest run is not left waiting for a pool
+    thread behind the small ones.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) != len(n_list):
@@ -482,11 +484,12 @@ def refinement_study(
             )
             return n, (row, None)
 
+    largest_first = sorted(n_list, reverse=True)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = dict(pool.map(job, n_list))
+            merged = dict(pool.map(job, largest_first))
     else:
-        merged = dict(job(n) for n in n_list)
+        merged = dict(job(n) for n in largest_first)
 
     rows = tuple(merged[n][0] for n in n_list)
     marg = {n: merged[n][1] for n in n_list}

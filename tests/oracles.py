@@ -32,18 +32,46 @@ differential tests compare the battery forms against them bit for bit.
 loop_local_fields is the binning the package used before its field grids
 became arrays: one pass over all atoms per occupied cell.  The
 differential tests compare the array form against it bit for bit.
+
+dp5_integrate is the integrator the package used before close pairs got
+exponential steps: explicit Dormand-Prince steps throughout, which a stiff
+pair holds at the method's stability limit.  The differential tests
+compare the package against it bit for bit on states without a stiff
+pair, and to 10 tol against a tight-tolerance run on states with one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate as _si
 
-from flocklab.dynamics import _A, _B5, COLLISION_FLOOR
-from flocklab.errors import CollisionalState, PivotBudgetExceeded, SupportTooLarge
+from flocklab import pairs
+from flocklab.dynamics import (
+    _A,
+    _B5,
+    _E,
+    COLLISION_FLOOR,
+    STEP_FLOOR_FRACTION,
+    ModelParams,
+    ParticleState,
+    Trajectory,
+    _dense,
+    _step_cap,
+    alignment_rhs,
+    min_pair_distance,
+)
+from flocklab.errors import (
+    CollisionalState,
+    NonFiniteState,
+    PivotBudgetExceeded,
+    StepBudgetExceeded,
+    StepCollapse,
+    SupportTooLarge,
+)
 from flocklab.pairs import BLOCK, distances, kernel, off_diagonal, outer_diff
 from flocklab.weakform import _check_grids
 
@@ -707,3 +735,211 @@ def dense_simplex_flat_lp(
             stall += 1
             if stall > 3 * K + 50:
                 bland = True
+
+
+# ---- explicit Dormand-Prince integration ----
+#
+# dynamics.integrate as it was before close pairs got exponential steps:
+# every step is the explicit Dormand-Prince 5(4) step, so a stiff pair
+# holds it at the method's stability limit.  Kept verbatim as the
+# differential oracle; on states without a stiff pair the package matches
+# it bit for bit, and at tight tolerances it is the accuracy reference for
+# states with one.
+
+
+def dp5_integrate(
+    state0: ParticleState,
+    params: ModelParams,
+    tol: float = 1e-8,
+    snapshot_times: Sequence[float] | None = None,
+    fixed_step: float | None = None,
+    geometry_safety: float = 0.2,
+    kernel_floor: float = 0.0,
+    max_steps: int = 50_000_000,
+) -> Trajectory:
+    """Integrate the alignment system over [0, T].
+
+    t=0 and t=T are always snapshots.  The adaptive controller keeps the
+    normalized local error estimate at or below 1 (absolute and relative
+    tolerance both equal to ``tol``); independently, every step is capped
+    by  geometry_safety * min over pairs of (separation / closing speed),
+    so no pair can close more than a fixed fraction of its gap per step.
+    The snapshot grid does not shorten adaptive steps: only T is landed
+    on, and a snapshot time s inside an accepted step [t, t + h] gets the
+    Dormand-Prince interpolant at theta = (s - t) / h, built from the
+    step's seven stages; a snapshot at the step's end gets the step's
+    5th-order state.  Interpolated snapshots carry an error of order
+    ``tol`` and lie inside steps the geometric cap has bounded.
+
+    With ``fixed_step`` set, adaptivity and the geometric cap are bypassed,
+    and the integrator lands on every snapshot time; this mode exists for
+    convergence studies on smooth problems.
+
+    Raises StepCollapse when the required step falls below 1e-12 * T,
+    NonFiniteState when the state or the local error estimate stops being
+    finite, and StepBudgetExceeded after ``max_steps`` step attempts; it
+    propagates CollisionalState from the force evaluation.
+    """
+    n, d = state0.x.shape
+    if (n, d) != (params.N, params.d):
+        raise ValueError("state shape does not match params")
+    T = float(params.T)
+    if snapshot_times is None:
+        snaps = np.array([0.0, T])
+    else:
+        snaps = np.unique(np.concatenate([[0.0, T], np.asarray(snapshot_times, float)]))
+        if snaps[0] < -1e-15 or snaps[-1] > T * (1 + 1e-12):
+            raise ValueError("snapshot times must lie in [0, T]")
+        snaps[0], snaps[-1] = 0.0, T
+
+    nd = n * d
+
+    def unpack(y):
+        return y[:nd].reshape(n, d), y[nd:].reshape(n, d)
+
+    def f(y):
+        x, v = unpack(y)
+        acc = alignment_rhs(x, v, params.alpha, kernel_floor=kernel_floor, work=work)
+        return np.concatenate([v.ravel(), acc.ravel()])
+
+    t = 0.0
+    y = np.concatenate([state0.x.ravel(), state0.v.ravel()])
+    if not np.isfinite(y).all():
+        raise NonFiniteState("initial state is not finite", time=0.0)
+    snapshots = [ParticleState(0.0, *unpack(y))]
+    log_t, log_h, log_err, log_dmin = [], [], [], []
+
+    # work.dist holds the pair distances of the last force evaluation.
+    # After the first-same-as-last stage that is exactly the state an
+    # accepted step ends in, which the geometric cap inspects next.
+    work = pairs.Workspace(n)
+    k = [np.empty_like(y) for _ in range(7)]
+    k[0] = f(y)
+
+    h_floor = STEP_FLOOR_FRACTION * T
+    if fixed_step is not None:
+        h_ctrl = float(fixed_step)
+    else:
+        # Conservative opening step; the controller recovers quickly.
+        scale = tol + tol * np.abs(y)
+        d0 = np.sqrt(np.mean((y / scale) ** 2))
+        d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
+        h_ctrl = 0.01 * d0 / d1 if d1 > 0 else 1e-3 * T
+        h_ctrl = min(max(h_ctrl, 1e-8 * T), 1e-2 * T)
+
+    facold = 1e-4
+    last_rejected = False
+    next_snap = 1  # index into snaps; snaps[0] already recorded
+    steps = 0
+    x_now, v_now = unpack(y)
+    cap, _ = _step_cap(
+        x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
+    )
+
+    while t < T:
+        if steps >= max_steps:
+            raise StepBudgetExceeded(
+                "step budget exceeded", time=t, steps=steps, budget=max_steps
+            )
+        if fixed_step is not None:
+            h_free = h_ctrl
+            t_land = snaps[next_snap]
+        else:
+            h_free = min(h_ctrl, cap)
+            t_land = T
+            if h_free < h_floor:
+                dmin, pair = min_pair_distance(x_now)
+                raise StepCollapse(
+                    "step size fell below the floor",
+                    time=t,
+                    step=h_free,
+                    pair=list(pair),
+                    distance=dmin,
+                )
+        clamped = h_free >= (t_land - t) * (1 - 1e-14)
+        h = t_land - t if clamped else h_free
+
+        for s in range(1, 6):
+            ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
+            k[s] = f(ys)
+        y5 = y + h * sum(_B5[m] * k[m] for m in range(6))
+        # _B5[6] = 0; the last stage is evaluated at (t+h, y5) and is
+        # reused as the first stage of the next step.
+        k[6] = f(y5)
+
+        if fixed_step is not None:
+            err = 0.0
+            if not np.isfinite(y5).all():
+                raise NonFiniteState("state is not finite", time=t, step=h)
+        else:
+            err_vec = h * sum(_E[m] * k[m] for m in range(7))
+            sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+            if not np.isfinite(err):
+                raise NonFiniteState(
+                    "local error estimate is not finite", time=t, step=h
+                )
+        accept = err <= 1.0
+
+        if accept:
+            t_new = t_land if clamped else t + h
+            # snapshots in (t, t_new]: interpolated inside, y5 at the end
+            stop = int(np.searchsorted(snaps, t_new, side="right"))
+            inner = stop - 1 if snaps[stop - 1] == t_new else stop
+            if inner > next_snap:
+                theta = (snaps[next_snap:inner] - t) / h
+                for s_t, ys in zip(snaps[next_snap:inner], _dense(y, h, k, theta)):
+                    snapshots.append(ParticleState(float(s_t), *unpack(ys)))
+            y = y5
+            k[0] = k[6]
+            x_now, v_now = unpack(y)
+            if stop > inner:
+                snapshots.append(ParticleState(float(t_new), x_now, v_now))
+            next_snap = stop
+            cap, dmin_new = _step_cap(
+                x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
+            )
+            log_t.append(t_new)
+            log_h.append(h)
+            log_err.append(err)
+            log_dmin.append(dmin_new)
+            t = t_new
+            if next_snap >= len(snaps):
+                break
+            if fixed_step is None:
+                fac11 = err**0.17
+                fac = fac11 / facold**0.04
+                fac = max(0.1, min(5.0, fac / 0.9))
+                h_new = h / fac
+                if last_rejected:
+                    h_new = min(h_new, h)
+                h_ctrl = h_new
+                facold = max(err, 1e-4)
+                last_rejected = False
+        else:
+            fac11 = err**0.17
+            h_ctrl = h / min(5.0, fac11 / 0.9)
+            last_rejected = True
+            if h_ctrl < h_floor:
+                x_now, v_now = unpack(y)
+                dmin, pair = min_pair_distance(x_now)
+                raise StepCollapse(
+                    "step size fell below the floor",
+                    time=t,
+                    step=h_ctrl,
+                    pair=list(pair),
+                    distance=dmin,
+                )
+        steps += 1
+
+    return Trajectory(
+        params=params,
+        snapshots=tuple(snapshots),
+        step_t=np.array(log_t),
+        step_h=np.array(log_h),
+        step_err=np.array(log_err),
+        step_min_dist=np.array(log_dmin),
+        tol=None if fixed_step is not None else tol,
+        fixed_step=fixed_step,
+        kernel_floor=kernel_floor,
+    )

@@ -63,6 +63,18 @@ def test_trajectory_roundtrip(tmp_path):
         assert np.array_equal(a.v, b.v)
 
 
+def test_stiff_step_counts_stay_in_memory(tmp_path):
+    params = ModelParams(d=1, alpha=1.0, N=3, T=0.5, M=2.0)
+    x = np.array([[0.0], [1e-4], [0.6]])
+    v = np.array([[0.3], [-0.2], [0.1]])
+    traj = integrate(ParticleState(0.0, x, v), params, tol=1e-8)
+    assert len(traj.step_stiff) == len(traj.step_t)
+    assert traj.step_stiff.any()
+    _, json_path = storage.save_trajectory(traj, tmp_path / "run")
+    assert "stiff" not in json_path.read_text()
+    assert storage.load_trajectory(tmp_path / "run").step_stiff.size == 0
+
+
 def test_measure_roundtrip(tmp_path):
     mu = EmpiricalMeasure(
         np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]]), [0.25, 0.5]
@@ -265,6 +277,18 @@ def test_mfstudy_threads_and_config_roundtrip(tmp_path):
     doc = json.loads((o1 / "study.json").read_text())
     assert "threads" not in doc["config"]
     assert doc["config"]["h"] is not None  # default h resolved and embedded
+
+
+def test_mfstudy_same_bytes_for_threads_1_and_2(tmp_path):
+    # jobs start largest N first; rows still follow n_list
+    cfg = mf_config(tmp_path, n_list=[12, 6, 24])
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert cli.main(["mfstudy", "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0
+    assert stripped(outs[0] / "study.json") == stripped(outs[1] / "study.json")
+    rows = json.loads((outs[0] / "study.json").read_text())["study"]["rows"]
+    assert [row["n"] for row in rows] == [12, 6, 24]
 
 
 def test_pairstudy_cli(tmp_path):

@@ -1,13 +1,18 @@
 """Particle model and integrator behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
-from flocklab import pairs
+from flocklab import dynamics, pairs
 from flocklab.dynamics import (
     _P,
     ModelParams,
     ParticleState,
+    _components,
+    _laplacian_modes,
+    _phi,
     alignment_rhs,
     integrate,
     min_pair_distance,
@@ -16,7 +21,7 @@ from flocklab.errors import CollisionalState, SnapshotMissing, StepCollapse
 from flocklab.meanfield import InitialSpec, sample_initial
 from flocklab.rng import CounterRNG
 
-from oracles import sqrt_fixed_step_snapshots
+from oracles import dp5_integrate, sqrt_fixed_step_snapshots
 
 
 def random_state(n, d, seed, spread=1.0, vmax=0.5):
@@ -24,6 +29,21 @@ def random_state(n, d, seed, spread=1.0, vmax=0.5):
     x = rng.uniform(n * d, -spread, spread).reshape(n, d)
     v = rng.uniform(n * d, -vmax, vmax).reshape(n, d)
     return ParticleState(0.0, x, v)
+
+
+def planted_state(n, d, seed, gaps):
+    """random_state with particles 1, 2, ... placed in a chain after
+    particle 0 at the given gaps, along the diagonal."""
+    s = random_state(n, d, seed)
+    x = s.x.copy()
+    for k, gap in enumerate(gaps):
+        x[k + 1] = x[k] + gap / np.sqrt(d)
+    return ParticleState(0.0, x, s.v)
+
+
+def stacked(traj):
+    return (np.stack([st.x for st in traj.snapshots]),
+            np.stack([st.v for st in traj.snapshots]))
 
 
 def test_params_validation():
@@ -109,6 +129,16 @@ def test_snapshot_grid_is_exact():
         tr.state_at(0.55)
 
 
+def test_snapshot_times_within_rounding_of_the_ends_merge():
+    p = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=1.0)
+    s = random_state(3, 1, seed=2)
+    for times in ([0.5, 1 + 1e-13], [-1e-16, 0.5]):
+        tr = integrate(s, p, tol=1e-8, snapshot_times=times)
+        assert tr.times().tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError):
+        integrate(s, p, snapshot_times=[0.5, 1 + 1e-9])
+
+
 def test_max_speed_never_grows():
     for seed in range(6):
         s = random_state(8, 1, seed=seed)
@@ -138,14 +168,36 @@ def test_momentum_conserved():
     assert np.abs(p1 - p0).max() < 1e-12
 
 
-def test_step_collapse_near_sticking():
-    # Head-on pair at very small gap with alpha = 2: forced tiny caps.
-    p = ModelParams(d=1, alpha=2.0, N=2, T=10.0, M=2.0)
-    s = ParticleState(
-        0.0, np.array([[-5e-7], [5e-7]]), np.array([[1.0], [-1.0]])
+def head_on_pair(gap, w0):
+    """Two particles gap apart in d = 1, closing at relative speed w0."""
+    return ParticleState(
+        0.0, np.array([[-gap / 2], [gap / 2]]), np.array([[w0 / 2], [-w0 / 2]])
     )
-    with pytest.raises((StepCollapse, CollisionalState)):
-        integrate(s, p, tol=1e-6)
+
+
+def test_step_collapse_forced_by_the_geometric_cap():
+    # closing time 5e-14, so the cap asks for steps below the floor 1e-11
+    p = ModelParams(d=1, alpha=1.0, N=2, T=10.0, M=2.0)
+    with pytest.raises(StepCollapse):
+        integrate(head_on_pair(1e-13, 2.0), p, tol=1e-6)
+
+
+@pytest.mark.parametrize("r0,w0,alpha", [(1e-6, 2.0, 2.0), (1e-4, 1.0, 1.0),
+                                         (1e-8, 2.0, 1.5)])
+def test_sticking_pair_matches_closed_form(r0, w0, alpha):
+    # For N = 2, w' = -psi(r) w and r' = -w, so dw/dr = psi(r): the pair
+    # sticks where the integral of psi from r0 reaches -w0.
+    tol = 1e-6
+    p = ModelParams(d=1, alpha=alpha, N=2, T=10.0, M=2.0)
+    tr = integrate(head_on_pair(r0, w0), p, tol=tol)
+    if alpha == 1.0:
+        r_star = r0 * np.exp(-w0)
+    else:
+        r_star = (r0 ** (1 - alpha) + (alpha - 1) * w0) ** (1 / (1 - alpha))
+    end = tr.snapshots[-1]
+    assert abs((end.x[1, 0] - end.x[0, 0]) / r_star - 1.0) <= 10 * tol
+    assert abs(end.v[0, 0] - end.v[1, 0]) <= 1e-12
+    assert tr.step_stiff.max() == 1
 
 
 def test_min_pair_distance_reports_pair():
@@ -174,14 +226,25 @@ def test_interpolant_coefficients_are_scipys():
     assert np.array_equal(_P, RK45.P)
 
 
-@pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.5)])
-def test_dense_snapshots_match_landed_runs(d, alpha):
+@pytest.mark.parametrize("d,alpha,gap", [
+    pytest.param(1, 1.0, None, id="1-1.0"),
+    pytest.param(2, 1.5, None, id="2-1.5"),
+    pytest.param(2, 1.5, 1e-3, id="2-1.5-planted-pair"),
+])
+def test_dense_snapshots_match_landed_runs(d, alpha, gap):
     # a run with horizon t_k lands on t_k; the dense run interpolates it
     tol = 1e-8
     s = random_state(6, d, seed=20 + d)
+    if gap is not None:
+        s = planted_state(6, d, seed=20 + d, gaps=[gap])
     times = np.linspace(0.0, 1.0, 17)
     p = ModelParams(d=d, alpha=alpha, N=6, T=1.0, M=1.0)
     dense = integrate(s, p, tol=tol, snapshot_times=times)
+    if gap is not None:
+        assert dense.step_stiff.any()
+        want = stacked(dp5_integrate(s, p, tol=1e-11, snapshot_times=times))
+        for got, ref in zip(stacked(dense), want):
+            assert np.abs(got - ref).max() <= 10 * tol
     for t_k in times[[3, 8, 13]]:
         landed = integrate(
             s, ModelParams(d=d, alpha=alpha, N=6, T=float(t_k), M=1.0), tol=tol
@@ -224,3 +287,130 @@ def test_snapshot_grid_does_not_change_the_steps():
     assert np.array_equal(gridded.step_t, free.step_t)
     assert np.array_equal(gridded.snapshots[-1].x, free.snapshots[-1].x)
     assert np.array_equal(gridded.snapshots[-1].v, free.snapshots[-1].v)
+
+
+# ---- stiff close pairs: exponential steps ----
+
+
+def test_components_join_chains_and_skip_loners():
+    close = np.eye(7, dtype=bool)
+    for i, j in ((5, 3), (3, 1), (0, 4), (6, 1)):
+        close[i, j] = close[j, i] = True
+    # one (C, m) array per component size m
+    got = [c.tolist() for c in _components(close)]
+    assert got == [[[0, 4]], [[1, 3, 5, 6]]]
+    assert _components(np.eye(3, dtype=bool)) == []
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_laplacian_modes_diagonalise_the_laplacian(m):
+    # a stack of three weight matrices, diagonalised together
+    rng = np.random.default_rng(m)
+    w = 10.0 ** rng.uniform(-2, 6, (3, m, m))
+    w = np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
+    qs, mus = _laplacian_modes(w)
+    for wc, q, mu in zip(w, qs, mus):
+        lap = np.diag(wc.sum(axis=1)) - wc
+        assert mu[0] == 0.0 and mu[1:].min() > 0.0
+        assert np.abs(q[:, 0] - m**-0.5).max() <= 1e-15
+        assert np.abs(q.T @ q - np.eye(m)).max() <= 1e-14
+        err = np.abs(q @ np.diag(mu) @ q.T - lap).max()
+        assert err <= 1e-13 * np.abs(lap).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matches_dp5_bit_for_bit_without_stiff_pairs(d):
+    s = random_state(9, d, seed=40 + d)
+    p = ModelParams(d=d, alpha=1.5, N=9, T=1.0, M=1.0)
+    times = np.linspace(0.0, 1.0, 13)
+    for kw in ({"tol": 1e-9}, {"fixed_step": 0.07}):
+        got = integrate(s, p, snapshot_times=times, **kw)
+        want = dp5_integrate(s, p, snapshot_times=times, **kw)
+        assert not got.step_stiff.any()
+        assert np.array_equal(got.times(), want.times())
+        for a, b in zip(stacked(got), stacked(want)):
+            assert np.array_equal(a, b)
+        for name in ("step_t", "step_h", "step_err", "step_min_dist"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def assert_close_to_tight_dp5(s, p, times, tol):
+    """integrate at tol against explicit steps at 1e-11, to 10 tol, with
+    momentum kept and kinetic energy never rising; returns the run."""
+    got = integrate(s, p, tol=tol, snapshot_times=times)
+    want = dp5_integrate(s, p, tol=1e-11, snapshot_times=times)
+    (xg, vg), (xw, vw) = stacked(got), stacked(want)
+    assert np.abs(xg - xw).max() <= 10 * tol
+    assert np.abs(vg - vw).max() <= 10 * tol
+    assert np.abs(vg.sum(axis=1) - s.v.sum(axis=0)).max() <= 1e-10 * p.N * p.M
+    assert np.diff((vg**2).sum(axis=(1, 2))).max() <= 0.0
+    return got
+
+
+@pytest.mark.parametrize("d,alpha,gaps,pairs", [
+    (1, 1.0, [1e-3], 1),
+    (1, 1.5, [1e-3, 1e-3], 3),
+    (1, 2.0, [1e-2, 1e-2], 3),
+    (2, 1.0, [3e-4], 1),
+    (2, 1.5, [1e-3, 1e-3], 3),
+    (2, 2.0, [1e-2], 1),
+])
+def test_planted_close_pairs_match_tight_dp5(d, alpha, gaps, pairs):
+    # a pair or a three-particle chain; pairs counts the pairs of the
+    # largest stiff component
+    s = planted_state(8, d, seed=4, gaps=gaps)
+    p = ModelParams(d=d, alpha=alpha, N=8, T=0.5, M=2.0)
+    got = assert_close_to_tight_dp5(s, p, np.linspace(0.0, 0.5, 17), 1e-8)
+    assert got.step_stiff.max() == pairs
+
+
+def test_components_above_the_size_cap_stay_explicit(monkeypatch):
+    # the three-particle chain with the cap at two members: its pairs turn
+    # stiff together, so every step stays explicit, as in the oracle
+    monkeypatch.setattr(dynamics, "STIFF_MAX_MEMBERS", 2)
+    s = planted_state(8, 1, seed=4, gaps=[1e-3, 1e-3])
+    p = ModelParams(d=1, alpha=1.5, N=8, T=0.5, M=2.0)
+    times = np.linspace(0.0, 0.5, 17)
+    got = integrate(s, p, tol=1e-8, snapshot_times=times)
+    assert not got.step_stiff.any()
+    want = dp5_integrate(s, p, tol=1e-8, snapshot_times=times)
+    for a, b in zip(stacked(got), stacked(want)):
+        assert np.array_equal(a, b)
+
+
+def test_refinement_rung_with_a_stiff_pair_matches_tight_dp5():
+    # the N = 200 rung of the d = 1 refinement ladder: closest gap 2e-6
+    spec = InitialSpec(
+        d=1,
+        density="uniform-box",
+        density_params={"center": [0.0], "halfwidth": 1.0},
+        velocity="sinusoid",
+        velocity_params={"amplitude": [0.05], "wavenumber": [120.0]},
+        seed=2,
+    )
+    x0, v0 = sample_initial(spec, 200, bound=2.0)
+    p = ModelParams(d=1, alpha=1.0, N=200, T=0.25, M=2.0)
+    got = assert_close_to_tight_dp5(
+        ParticleState(0.0, x0, v0), p, np.linspace(0, 0.25, 65), 1e-6
+    )
+    # explicit steps take 370 here, held to the pair's stability limit
+    assert got.step_stiff.any() and len(got.step_t) < 20
+
+
+def test_phi_functions_match_high_precision():
+    # phi_k(z) = (e^z - sum_{i < k} z^i / i!) / z^k, in 100-digit decimals
+    from decimal import Decimal, localcontext
+
+    z = np.array([-300.0, -7.0, -1.0, -0.999, -0.3, -1e-9, 0.0, 0.5])
+    got = _phi(z, 5)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        for k in range(6):
+            for zi, g in zip(z, got[k]):
+                zd = Decimal(float(zi))
+                if zi == 0.0:
+                    want = 1.0 / math.factorial(k)
+                else:
+                    head = sum(zd**i / math.factorial(i) for i in range(k))
+                    want = float((zd.exp() - head) / zd**k)
+                assert abs(g - want) <= 2e-15 * want, (k, zi)

@@ -1,5 +1,5 @@
 """Module layering: an acyclic import graph, imports at module level only,
-and benchmark tracer targets that still exist."""
+benchmark tracer targets that still exist, and no BLAS in the integrator."""
 
 import ast
 import sys
@@ -125,3 +125,41 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     ]
     assert missing == []
     assert len(traced.PATCHES) > 0
+
+
+# numpy entry points that may hand a product to the BLAS or LAPACK, whose
+# summation order depends on the library and its thread count
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def blas_uses(tree: ast.Module) -> list:
+    """(line, name) of every BLAS-backed attribute and every @ operator."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            out.append((node.lineno, "@"))
+    return out
+
+
+def test_blas_uses_finds_every_form():
+    tree = ast.parse(
+        "a = np.linalg.solve(m, b)\n"
+        "c = np.dot(a, b) + a.dot(b)\n"
+        "d = np.einsum('ij,j', m, b)\n"
+        "e = m @ b\n"
+        "m @= m\n"
+        "f = np.sum(a * b)\n"
+    )
+    names = sorted(name for _, name in blas_uses(tree))
+    assert names == sorted(["linalg", "dot", "dot", "einsum", "@", "@"])
+
+
+@pytest.mark.parametrize("name", ["dynamics", "pairs"])
+def test_integrator_never_calls_the_blas(name):
+    # the dynamics promise bytes that do not depend on the BLAS: a product
+    # through it sums in a library- and thread-dependent order
+    assert blas_uses(parse(name)) == []

@@ -340,6 +340,20 @@ def test_refinement_study_thread_merge_deterministic():
     assert a == b
 
 
+def test_refinement_study_starts_largest_n_first(monkeypatch):
+    real = meanfield._study_single_n
+    started = []
+
+    def record(spec, n, *args):
+        started.append(n)
+        return real(spec, n, *args)
+
+    monkeypatch.setattr(meanfield, "_study_single_n", record)
+    rep = small_study()
+    assert started == [16, 8]
+    assert [row.n for row in rep.rows] == [8, 16]
+
+
 def test_refinement_study_survives_single_failure(monkeypatch):
     real = flocklab.dynamics.integrate
 
