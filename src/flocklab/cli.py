@@ -81,8 +81,6 @@ def _cmd_simulate(args) -> int:
         params,
         tol=float(cfg["tol"]),
         snapshot_times=snaps,
-        fixed_step=cfg["fixed_step"],
-        kernel_floor=float(cfg["kernel_floor"]),
     )
     storage.save_trajectory(traj, out / "trajectory")
     diag = build_report(
@@ -203,7 +201,6 @@ def _cmd_mfstudy(args) -> int:
         quad_points=int(cfg["quad_points"]),
         battery_size=int(cfg["battery_size"]),
         battery_seed=int(cfg["battery_seed"]),
-        kernel_floor=float(cfg["kernel_floor"]),
         threads=int(cfg["threads"]),
         dbl_cap=int(cfg["dbl_cap"]),
     )

@@ -37,6 +37,7 @@ from .measures import (
     phi_weighted_marginal,
 )
 from .pairs import PairGrid, distances, kernel, off_diagonal
+from .weakform import cumulative_trapezoid
 
 
 def _split(mu: EmpiricalMeasure, d: int):
@@ -167,13 +168,6 @@ def min_distance(
         return np.inf
     r = distances(x) if grid is None else grid.r
     return float(off_diagonal(r).min())
-
-
-def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, float)
-    y = np.asarray(y, float)
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,8 +7,8 @@ The system integrated here is first order in position and velocity:
 
 with communication exponent alpha >= 1, the regime in which trajectories
 starting from pairwise-distinct positions stay collision free.  The kernel
-is evaluated without regularization by default; close approaches are
-handled by the step-size policy, not by smoothing the force law.
+is always evaluated without regularization; close approaches are handled
+by the step-size policy, not by smoothing the force law.
 
 Integration uses the Dormand-Prince embedded 5(4) pair with PI step-size
 control, plus a geometric cap that keeps each step well below the time a
@@ -17,18 +17,17 @@ speed.  Adaptive steps are free: the snapshot grid does not shorten them,
 and only the horizon T is landed on.  A snapshot inside an accepted step
 is read off the step's 4th-order continuous extension (Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), so it lies inside a step the cap has
-already made collision safe.  Fixed-step runs land on every snapshot.
+already made collision safe.
 
 Close pairs are stiff: a pair's relative velocity relaxes at the rate
 2 psi(r) / N, which would pin the explicit step to its stability bound
-h lambda ~ 3.3 on the real axis long after the pair has aligned.  An
-adaptive step of size h marks the pairs with h 2 psi(r) / N >= 3 (the
-kernel floor applied), groups them into connected components, and moves
-those particles' rows in Lawson form (Hochbruck and Ostermann, Exponential
-integrators, Acta Numerica 2010): each component's Laplacian
-L = Q diag(mu) Q^T with weights psi_ij / N is integrated exactly in its
-eigenbasis, and the rest of the force goes through the same Dormand-Prince
-weights, error norm and controller.  Snapshots in such a step, its end
+h lambda ~ 3.3 on the real axis long after the pair has aligned.  A step
+of size h marks the pairs with h 2 psi(r) / N >= 3, groups them into
+connected components, and moves those particles' rows in Lawson form
+(Hochbruck and Ostermann, Exponential integrators, Acta Numerica 2010):
+each component's Laplacian L = Q diag(mu) Q^T with weights psi_ij / N is
+integrated exactly in its eigenbasis, and the rest of the force goes
+through the same Dormand-Prince weights, error norm and controller.  Snapshots in such a step, its end
 included, come from the matching exponential interpolant.  The test is a
 comparison of the cap's minimum distance with one radius, so a step
 without a stiff pair does no extra pair pass and is the plain step bit
@@ -77,6 +76,9 @@ COLLISION_FLOOR = 1e-100
 
 # Step-size floor, relative to the horizon.
 STEP_FLOOR_FRACTION = 1e-12
+
+# No step is longer than this fraction of the smallest pair closing time.
+GEOMETRY_SAFETY = 0.2
 
 
 @dataclass(frozen=True)
@@ -172,15 +174,12 @@ def alignment_rhs(
     x: np.ndarray,
     v: np.ndarray,
     alpha: float,
-    kernel_floor: float = 0.0,
     work: pairs.Workspace | None = None,
 ) -> np.ndarray:
     """Velocity derivatives of the alignment system.
 
     Raises CollisionalState when a pair sits at (numerically) zero
-    separation.  The optional kernel_floor clips distances from below
-    before the power law is applied; it is off by default and only meant
-    for regularization experiments.
+    separation.
 
     With a workspace ``work`` given, the pair grids are built in its
     buffers, and the pair distances of x are left in ``work.dist``, with
@@ -197,7 +196,7 @@ def alignment_rhs(
     dist = pairs.distances(x, out=work.dist, scratch=work.a)
     np.fill_diagonal(dist, np.inf)
     dmin = float(dist.min())
-    if kernel_floor <= 0.0 and dmin <= COLLISION_FLOOR:
+    if dmin <= COLLISION_FLOOR:
         i, j = min_pair_distance(x)[1]
         raise CollisionalState(
             "pair separation at or below the evaluable floor",
@@ -205,11 +204,8 @@ def alignment_rhs(
             distance=dmin,
         )
     # pairs.kernel without its masking passes: the diagonal is inf, which
-    # the power maps to 0, and without a floor no pair is co-located
-    w = dist
-    if kernel_floor > 0.0:
-        w = np.maximum(dist, kernel_floor, out=work.a)
-    w = np.power(w, -alpha, out=work.a)
+    # the power maps to 0, and no pair is co-located
+    w = np.power(dist, -alpha, out=work.a)
     return pairs.relative_sums(w, v, scratch=work.b) / n
 
 
@@ -419,7 +415,7 @@ class _Lawson:
     Components with more than STIFF_MAX_MEMBERS particles stay explicit.
     """
 
-    def __init__(self, y, h, alpha, floor, r_stiff, work):
+    def __init__(self, y, h, alpha, r_stiff, work):
         n = len(work.dist)
         self.h, self.n, self.nd = h, n, len(y) // 2
         x, v = y[: self.nd].reshape(n, -1), y[self.nd :].reshape(n, -1)
@@ -432,7 +428,7 @@ class _Lawson:
             m = idx.shape[1]
             if m > STIFF_MAX_MEMBERS:
                 continue
-            r = np.maximum(dist[idx[:, :, None], idx[:, None, :]], floor)
+            r = dist[idx[:, :, None], idx[:, None, :]]
             r[:, range(m), range(m)] = np.inf
             w = np.power(r, -alpha) / n
             self.groups.append(_StiffGroup(idx, x, v, w, tau))
@@ -488,16 +484,17 @@ class _Lawson:
 class Trajectory:
     """Snapshots of one integration plus its per-step log.
 
-    Snapshots start at t=0 and end at t=T.  In adaptive runs a snapshot
-    strictly inside a step, or at the end of a step with stiff pairs, is
-    the step's interpolant, accurate to about the tolerance; fixed-step
-    runs land on every snapshot.  The log holds,
-    per accepted step: end time, step size, local error estimate
+    Snapshots start at t=0 and end at t=T.  A snapshot strictly inside a
+    step, or at the end of a step with stiff pairs, is the step's
+    interpolant, accurate to about the tolerance.  The log holds, per
+    accepted step: end time, step size, local error estimate
     (normalized), the minimum pair distance at the step's end state, and
     the number of pairs the step integrated through the exponential factor
     (0 on plain Dormand-Prince steps; kept in memory only).
-    Adaptive steps are free steps, sized by the error controller and the
-    geometric cap alone, so the log does not follow the snapshot grid.
+    Steps are free steps, sized by the error controller and the geometric
+    cap alone, so the log does not follow the snapshot grid.  ``tol`` is
+    None only on a trajectory file that an earlier version wrote in its
+    fixed-step mode.
     """
 
     params: ModelParams
@@ -507,8 +504,6 @@ class Trajectory:
     step_err: np.ndarray
     step_min_dist: np.ndarray
     tol: float | None = None
-    fixed_step: float | None = None
-    kernel_floor: float = 0.0
     step_stiff: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def times(self) -> np.ndarray:
@@ -532,7 +527,6 @@ def _step_cap(
     x: np.ndarray,
     v: np.ndarray,
     safety: float,
-    kernel_floor: float = 0.0,
     dist: np.ndarray | None = None,
     work: pairs.Workspace | None = None,
 ) -> tuple[float, float]:
@@ -557,7 +551,7 @@ def _step_cap(
     if dist is None:
         dist = pairs.distances(x, out=work.dist, scratch=work.a)
     dmin = float(pairs.off_diagonal(dist).min())
-    closing = pairs.closing_times(dist, v, kernel_floor, out=work.a, scratch=work.b)
+    closing = pairs.closing_times(dist, v, out=work.a, scratch=work.b)
     tau = float(closing.min())
     if tau == np.inf:
         return np.inf, dmin
@@ -569,9 +563,6 @@ def integrate(
     params: ModelParams,
     tol: float = 1e-8,
     snapshot_times: Sequence[float] | None = None,
-    fixed_step: float | None = None,
-    geometry_safety: float = 0.2,
-    kernel_floor: float = 0.0,
     max_steps: int = 50_000_000,
 ) -> Trajectory:
     """Integrate the alignment system over [0, T].
@@ -579,10 +570,10 @@ def integrate(
     t=0 and t=T are always snapshots.  The adaptive controller keeps the
     normalized local error estimate at or below 1 (absolute and relative
     tolerance both equal to ``tol``); independently, every step is capped
-    by  geometry_safety * min over pairs of (separation / closing speed),
+    by  GEOMETRY_SAFETY * min over pairs of (separation / closing speed),
     so no pair can close more than a fixed fraction of its gap per step.
-    The snapshot grid does not shorten adaptive steps: only T is landed
-    on, and a snapshot time s inside an accepted step [t, t + h] gets the
+    The snapshot grid does not shorten steps: only T is landed on, and a
+    snapshot time s inside an accepted step [t, t + h] gets the
     Dormand-Prince interpolant at theta = (s - t) / h, built from the
     step's seven stages; a snapshot at the step's end gets the step's
     5th-order state.  Interpolated snapshots carry an error of order
@@ -597,14 +588,11 @@ def integrate(
     particles stays explicit.  Without a stiff pair the step is the plain
     Dormand-Prince step.  ``step_stiff`` logs the pairs per step.
 
-    With ``fixed_step`` set, adaptivity, the geometric cap and the stiff
-    treatment are bypassed, and the integrator lands on every snapshot
-    time; this mode exists for convergence studies on smooth problems.
-
     Raises StepCollapse when the required step falls below 1e-12 * T,
-    NonFiniteState when the state or the local error estimate stops being
-    finite, and StepBudgetExceeded after ``max_steps`` step attempts; it
-    propagates CollisionalState from the force evaluation.
+    NonFiniteState when the state, a force evaluation or the local error
+    estimate stops being finite, and StepBudgetExceeded after
+    ``max_steps`` step attempts; it propagates CollisionalState from the
+    force evaluation.
     """
     n, d = state0.x.shape
     if (n, d) != (params.N, params.d):
@@ -624,7 +612,9 @@ def integrate(
 
     def f(y):
         x, v = unpack(y)
-        acc = alignment_rhs(x, v, params.alpha, kernel_floor=kernel_floor, work=work)
+        acc = alignment_rhs(x, v, params.alpha, work=work)
+        if not np.isfinite(acc).all():
+            raise NonFiniteState("force evaluation is not finite", time=t)
         return np.concatenate([v.ravel(), acc.ravel()])
 
     t = 0.0
@@ -642,52 +632,44 @@ def integrate(
     k[0] = f(y)
 
     h_floor = STEP_FLOOR_FRACTION * T
-    if fixed_step is not None:
-        h_ctrl = float(fixed_step)
-    else:
-        # Conservative opening step; the controller recovers quickly.
-        scale = tol + tol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / scale) ** 2))
-        d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
-        h_ctrl = 0.01 * d0 / d1 if d1 > 0 else 1e-3 * T
-        h_ctrl = min(max(h_ctrl, 1e-8 * T), 1e-2 * T)
+    # Conservative opening step; the controller recovers quickly.
+    scale = tol + tol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / scale) ** 2))
+    d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
+    h_ctrl = 0.01 * d0 / d1 if d1 > 0 else 1e-3 * T
+    h_ctrl = min(max(h_ctrl, 1e-8 * T), 1e-2 * T)
 
     facold = 1e-4
     last_rejected = False
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
     x_now, v_now = unpack(y)
-    cap, dmin_now = _step_cap(
-        x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
-    )
+    cap, dmin_now = _step_cap(x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work)
 
     while t < T:
         if steps >= max_steps:
             raise StepBudgetExceeded(
                 "step budget exceeded", time=t, steps=steps, budget=max_steps
             )
-        if fixed_step is not None:
-            h_free = h_ctrl
-            t_land = snaps[next_snap]
-        else:
-            h_free = min(h_ctrl, cap)
-            t_land = T
-            if h_free < h_floor:
-                dmin, pair = min_pair_distance(x_now)
-                raise StepCollapse(
-                    "step size fell below the floor",
-                    time=t,
-                    step=h_free,
-                    pair=list(pair),
-                    distance=dmin,
-                )
-        clamped = h_free >= (t_land - t) * (1 - 1e-14)
-        h = t_land - t if clamped else h_free
-        # h 2 psi(r) / N >= STIFF_THRESHOLD  <=>  max(r, floor) <= r_stiff
+        # a rejection leaves h_ctrl below the cap, so this one check also
+        # catches a controller that keeps rejecting
+        h_free = min(h_ctrl, cap)
+        if h_free < h_floor:
+            dmin, pair = min_pair_distance(x_now)
+            raise StepCollapse(
+                "step size fell below the floor",
+                time=t,
+                step=h_free,
+                pair=list(pair),
+                distance=dmin,
+            )
+        clamped = h_free >= (T - t) * (1 - 1e-14)
+        h = T - t if clamped else h_free
+        # h 2 psi(r) / N >= STIFF_THRESHOLD  <=>  r <= r_stiff
         r_stiff = (2.0 * h / (STIFF_THRESHOLD * n)) ** (1.0 / params.alpha)
         lawson = None
-        if fixed_step is None and max(dmin_now, kernel_floor) <= r_stiff:
-            lawson = _Lawson(y, h, params.alpha, kernel_floor, r_stiff, work)
+        if dmin_now <= r_stiff:
+            lawson = _Lawson(y, h, params.alpha, r_stiff, work)
             if not lawson.groups:
                 lawson = None
 
@@ -703,24 +685,18 @@ def integrate(
         # reused as the first stage of the next step.
         k[6] = f(y5)
 
-        if fixed_step is not None:
-            err = 0.0
-            if not np.isfinite(y5).all():
-                raise NonFiniteState("state is not finite", time=t, step=h)
-        else:
-            err_vec = h * sum(_E[m] * k[m] for m in range(7))
-            if lawson is not None:
-                lawson.rows(err_vec, k, 6, _E, base=False)
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-            if not np.isfinite(err):
-                raise NonFiniteState(
-                    "local error estimate is not finite", time=t, step=h
-                )
-        accept = err <= 1.0
+        err_vec = h * sum(_E[m] * k[m] for m in range(7))
+        if lawson is not None:
+            lawson.rows(err_vec, k, 6, _E, base=False)
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+        if not np.isfinite(err):
+            raise NonFiniteState(
+                "local error estimate is not finite", time=t, step=h
+            )
 
-        if accept:
-            t_new = t_land if clamped else t + h
+        if err <= 1.0:
+            t_new = T if clamped else t + h
             # snapshots in (t, t_new]: interpolated inside, y5 at the end.
             # A Lawson y5 holds h b_5 g_5 in each stiff velocity mode, far
             # from the slaved value the next step damps it to, so the end
@@ -742,7 +718,7 @@ def integrate(
                 snapshots.append(ParticleState(float(t_new), x_now, v_now))
             next_snap = stop
             cap, dmin_now = _step_cap(
-                x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
+                x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work
             )
             log_t.append(t_new)
             log_h.append(h)
@@ -752,30 +728,19 @@ def integrate(
             t = t_new
             if next_snap >= len(snaps):
                 break
-            if fixed_step is None:
-                fac11 = err**0.17
-                fac = fac11 / facold**0.04
-                fac = max(0.1, min(5.0, fac / 0.9))
-                h_new = h / fac
-                if last_rejected:
-                    h_new = min(h_new, h)
-                h_ctrl = h_new
-                facold = max(err, 1e-4)
-                last_rejected = False
+            fac11 = err**0.17
+            fac = fac11 / facold**0.04
+            fac = max(0.1, min(5.0, fac / 0.9))
+            h_new = h / fac
+            if last_rejected:
+                h_new = min(h_new, h)
+            h_ctrl = h_new
+            facold = max(err, 1e-4)
+            last_rejected = False
         else:
             fac11 = err**0.17
             h_ctrl = h / min(5.0, fac11 / 0.9)
             last_rejected = True
-            if h_ctrl < h_floor:
-                x_now, v_now = unpack(y)
-                dmin, pair = min_pair_distance(x_now)
-                raise StepCollapse(
-                    "step size fell below the floor",
-                    time=t,
-                    step=h_ctrl,
-                    pair=list(pair),
-                    distance=dmin,
-                )
         steps += 1
 
     return Trajectory(
@@ -785,8 +750,6 @@ def integrate(
         step_h=np.array(log_h),
         step_err=np.array(log_err),
         step_min_dist=np.array(log_dmin),
-        tol=None if fixed_step is not None else tol,
-        fixed_step=fixed_step,
-        kernel_floor=kernel_floor,
+        tol=tol,
         step_stiff=np.array(log_stiff, dtype=int),
     )

@@ -44,6 +44,20 @@ _VELOCITIES = ("constant", "linear-shear", "sinusoid", "two-speed-split")
 _REDRAW_BUDGET = 1000
 
 
+def _vector_shapes(kind: str, d: int) -> dict:
+    """The shape each vector parameter of a density or velocity kind must
+    have in dimension d."""
+    return {
+        "uniform-box": {"center": (d,)},
+        "truncated-gaussian": {"center": (d,)},
+        "two-bump": {"centers": (2, d)},
+        "constant": {"value": (d,)},
+        "linear-shear": {"base": (d,), "gradient": (d, d)},
+        "sinusoid": {"amplitude": (d,), "wavenumber": (d,)},
+        "two-speed-split": {"values": (2, d)},
+    }[kind]
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Recipe for an initial phase-space sample.
@@ -56,6 +70,7 @@ class InitialSpec:
       linear-shear: base (d,), gradient (d, d); u(x) = base + gradient @ x
       sinusoid: amplitude (d,), wavenumber (d,); u(x) = amplitude * sin(k . x)
       two-speed-split: values (2, d), fraction in (0, 1)
+    A vector parameter of any other shape raises ValueError naming it.
     Every draw must satisfy |x| <= M and |u0(x)| <= M for the configured
     bound M; violations raise at sampling time, not construction.
     """
@@ -74,6 +89,20 @@ class InitialSpec:
             raise ValueError(f"unknown density kind {self.density!r}")
         if self.velocity not in _VELOCITIES:
             raise ValueError(f"unknown velocity kind {self.velocity!r}")
+        for kind, params in (
+            (self.density, self.density_params),
+            (self.velocity, self.velocity_params),
+        ):
+            for key, shape in _vector_shapes(kind, self.d).items():
+                try:
+                    got = np.shape(params[key])
+                except ValueError:  # ragged nested lists
+                    got = None
+                if got != shape:
+                    raise ValueError(
+                        f"{kind} parameter {key!r} must have shape {shape} "
+                        f"for d = {self.d}"
+                    )
         if self.density == "uniform-box":
             if float(self.density_params["halfwidth"]) <= 0:
                 raise ValueError("halfwidth must be positive")
@@ -384,7 +413,6 @@ def _study_single_n(
     tol,
     battery_size,
     battery_seed,
-    kernel_floor,
 ):
     d = spec.d
     x0, v0 = sample_initial(spec, n, bound)
@@ -394,7 +422,6 @@ def _study_single_n(
         params,
         tol=tol,
         snapshot_times=snap_times,
-        kernel_floor=kernel_floor,
     )
 
     h_ladder = (2.0 * h, h, h / 2.0)
@@ -441,7 +468,6 @@ def refinement_study(
     quad_points: int = 33,
     battery_size: int = 24,
     battery_seed: int = 0,
-    kernel_floor: float = 0.0,
     threads: int = 1,
     dbl_cap: int = 2000,
 ) -> StudyReport:
@@ -474,7 +500,7 @@ def refinement_study(
         try:
             return n, _study_single_n(
                 spec, n, alpha, horizon, bound, h, probes, snap_times,
-                tol, battery_size, battery_seed, kernel_floor,
+                tol, battery_size, battery_seed,
             )
         except FlockLabError as exc:
             row = StudyRow(
@@ -669,9 +695,7 @@ def pair_alignment_study(
                 math.log(lo) - math.log(hi)
             )
             t_half = float(times[k - 1] + frac * (times[k] - times[k - 1]))
-        kint = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (psi[1:] + psi[:-1]) * np.diff(times))]
-        )
+        kint = weakform.cumulative_trapezoid(times, psi)
         if k == 0:
             kernel_integral = 0.0
         else:

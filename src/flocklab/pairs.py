@@ -7,9 +7,8 @@ goes through this module, so each grid is built one way:
                      never as (N, N, d) difference tensors;
   distances          |x_i - x_j| in d = 1, the square root of the squared
                      distances in d >= 2;
-  kernel             max(r, floor)^(-alpha) with self-pairs set to zero,
-                     and co-located pairs (r == 0) set to zero when there
-                     is no floor;
+  kernel             r^(-alpha), unregularized, with self-pairs and
+                     co-located pairs (r == 0) set to zero;
   closing times      r_ij / |v_i - v_j| for the pairs that move relative
                      to each other, inf for the others;
   row sums           fixed blocks of BLOCK columns, each block summed along
@@ -96,22 +95,15 @@ def off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def kernel(
-    r: np.ndarray, alpha: float, floor: float = 0.0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Pair kernel max(r, floor)^(-alpha) on a distance matrix.
+def kernel(r: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Pair kernel r^(-alpha) on a distance matrix.
 
-    Self-pairs (the diagonal) are zero whatever r holds there.  Without a
-    floor, co-located pairs (r == 0) are zero too; with floor > 0 they
-    count at the floor value.
+    Self-pairs (the diagonal) are zero whatever r holds there, and so are
+    co-located pairs (r == 0).
     """
-    if floor > 0.0:
-        out = np.maximum(r, floor, out=out)
-        np.power(out, -alpha, out=out)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.power(r, -alpha, out=out)
-        out[r == 0.0] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.power(r, -alpha, out=out)
+    out[r == 0.0] = 0.0
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -119,20 +111,18 @@ def kernel(
 def closing_times(
     r: np.ndarray,
     v: np.ndarray,
-    floor: float = 0.0,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(N, N) closing times max(r_ij, floor) / |v_i - v_j|.
+    """(N, N) closing times r_ij / |v_i - v_j|.
 
     Pairs at equal velocity (the diagonal included) never close; they get
     inf, as does any pair whose closing time overflows.  ``scratch`` must
     not be r.
     """
     speed = distances(v, out=out, scratch=scratch)
-    rr = np.maximum(r, floor, out=scratch) if floor > 0.0 else r
     moving = speed > 0.0
-    np.divide(rr, speed, out=speed, where=moving)
+    np.divide(r, speed, out=speed, where=moving)
     np.copyto(speed, np.inf, where=~moving)
     return speed
 

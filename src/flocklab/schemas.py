@@ -14,6 +14,10 @@ and Python's JSON reader and argparse both accept NaN and Infinity.  So a
 finiteness rule runs beside the schema: a conforming config holding a
 non-finite number anywhere is rejected with a ValidationError that names
 where it sits.
+
+``kernel_floor`` and ``fixed_step`` name integrator modes that no longer
+exist.  They are accepted at their defaults only (0 and null), so every
+report written with them still reproduces from itself, byte for byte.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ _NONNEG = {"type": "number", "minimum": 0}
 # the collision-avoidance regime the particle model is defined for
 _ALPHA = {"type": "number", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+# the unregularized kernel and the adaptive integrator, the only modes
+_NO_FLOOR = {"enum": [0]}
+_NO_FIXED_STEP = {"enum": [None]}
 
 SCHEMAS = {
     "simulate": {
@@ -56,8 +63,8 @@ SCHEMAS = {
             "seed": _SEED,
             "tol": _POSITIVE,
             "snapshots": {"type": "integer", "minimum": 2},
-            "kernel_floor": _NONNEG,
-            "fixed_step": {"type": ["number", "null"], "exclusiveMinimum": 0},
+            "kernel_floor": _NO_FLOOR,
+            "fixed_step": _NO_FIXED_STEP,
             "eta_ladder": {"type": "array", "items": _POSITIVE, "minItems": 1},
             "bin_fractions": {"type": "array", "items": _POSITIVE, "minItems": 1},
         },
@@ -108,7 +115,7 @@ SCHEMAS = {
             "quad_points": {"type": "integer", "minimum": 2},
             "battery_size": {"type": "integer", "minimum": 1},
             "battery_seed": _SEED,
-            "kernel_floor": _NONNEG,
+            "kernel_floor": _NO_FLOOR,
             "dbl_cap": {"type": "integer", "minimum": 1},
             "threads": {"type": "integer", "minimum": 1},
         },

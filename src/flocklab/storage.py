@@ -98,8 +98,6 @@ def save_trajectory(traj: Trajectory, stem) -> tuple[Path, Path]:
         "monokinetic_regime": p.monokinetic_regime,
         "meanfield_regime": p.meanfield_regime,
         "tol": traj.tol,
-        "fixed_step": traj.fixed_step,
-        "kernel_floor": traj.kernel_floor,
         "snapshot_count": len(traj.snapshots),
         "accepted_steps": int(len(traj.step_t)),
     }
@@ -111,7 +109,14 @@ def save_trajectory(traj: Trajectory, stem) -> tuple[Path, Path]:
 def load_trajectory(stem) -> Trajectory:
     """Rebuild a trajectory from the CSV/JSON pair written by
     save_trajectory.  Step-by-step solver series are not kept on disk, so
-    the loaded object has empty step arrays."""
+    the loaded object has empty step arrays.
+
+    Every row must have 2 + 2d fields, every snapshot exactly the rows
+    i = 0..N-1, and the file snapshot_count snapshots, or ValueError is
+    raised.  A "tol"
+    of null (a fixed-step run of an earlier version)
+    loads as None; keys this version no longer writes are ignored.
+    """
     stem = Path(stem)
     meta = read_report(stem.with_suffix(".json"))
     d = int(meta["d"])
@@ -130,6 +135,8 @@ def load_trajectory(stem) -> Trajectory:
         if len(header) != want or header[:2] != ["t", "i"]:
             raise ValueError(f"trajectory CSV header mismatch: {header}")
         for row in reader:
+            if len(row) != want:
+                raise ValueError(f"trajectory CSV line {reader.line_num}: {row}")
             rows.append([float(row[0]), int(row[1])] + [float(c) for c in row[2:]])
     snapshots = []
     by_t: dict[float, list] = {}
@@ -142,9 +149,19 @@ def load_trajectory(stem) -> Trajectory:
         by_t[t].append(row)
     for t in order:
         block = sorted(by_t[t], key=lambda r: r[1])
+        if [r[1] for r in block] != list(range(params.N)):
+            raise ValueError(
+                f"trajectory snapshot t={t!r} does not hold exactly the "
+                f"particles 0..{params.N - 1}"
+            )
         x = np.array([r[2 : 2 + d] for r in block])
         v = np.array([r[2 + d :] for r in block])
         snapshots.append(ParticleState(t, x, v))
+    if len(snapshots) != int(meta["snapshot_count"]):
+        raise ValueError(
+            f"trajectory CSV holds {len(snapshots)} snapshots, "
+            f"its summary {meta['snapshot_count']}"
+        )
     empty = np.zeros(0)
     return Trajectory(
         params=params,
@@ -153,9 +170,7 @@ def load_trajectory(stem) -> Trajectory:
         step_h=empty,
         step_err=empty,
         step_min_dist=empty,
-        tol=float(meta["tol"]),
-        fixed_step=meta["fixed_step"],
-        kernel_floor=float(meta["kernel_floor"]),
+        tol=None if meta["tol"] is None else float(meta["tol"]),
     )
 
 

@@ -327,6 +327,14 @@ def vector_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
 # ---- residuals on trajectories ----
 
 
+def cumulative_trapezoid(t, y) -> np.ndarray:
+    """Trapezoid integrals of y over t from t[0] to each t[k]."""
+    t = np.asarray(t, float)
+    y = np.asarray(y, float)
+    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
+    return np.concatenate([[0.0], np.cumsum(inc)])
+
+
 def kinetic_weak_residual(traj: Trajectory, phi: TestFunction) -> float:
     """Defect of the phase-space weak identity along one trajectory:
 
@@ -545,6 +553,4 @@ def dissipation_margin(times, grids, alpha: float) -> np.ndarray:
         psi = kernel(distances(b), alpha)
         s2 = sq_distances(u)
         dd[k] = float(((m[:, None] * m[None, :]) * psi * s2).sum())
-    inc = 0.5 * (dd[1:] + dd[:-1]) * np.diff(times)
-    integral = np.concatenate([[0.0], np.cumsum(inc)])
-    return (e[0] - e) - integral
+    return (e[0] - e) - cumulative_trapezoid(times, dd)

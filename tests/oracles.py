@@ -19,9 +19,8 @@ sqrt_alignment_rhs and sqrt_step_cap are the force evaluation and step
 cap as the package computed them before its lean pair pass: distances and
 relative speeds as square roots of coordinate squares in every dimension,
 the kernel with its masking passes, and block sums gathered through
-np.moveaxis.  sqrt_fixed_step_snapshots is the fixed-step integration that
-lands on every snapshot, driven by sqrt_alignment_rhs.  The differential
-tests compare the lean path against them bit for bit.
+np.moveaxis.  The differential tests compare the lean path against them
+bit for bit.
 
 loop_continuity_residual and loop_momentum_residual are the per-function
 field residuals the package used before its snapshot-major battery forms.
@@ -55,6 +54,7 @@ from flocklab.dynamics import (
     _B5,
     _E,
     COLLISION_FLOOR,
+    GEOMETRY_SAFETY,
     STEP_FLOOR_FRACTION,
     ModelParams,
     ParticleState,
@@ -236,26 +236,23 @@ def _tensor_block_sum(a: np.ndarray, axis: int, block: int = 32) -> np.ndarray:
     return s
 
 
-def tensor_alignment_rhs(
-    x: np.ndarray, v: np.ndarray, alpha: float, kernel_floor: float = 0.0
-) -> np.ndarray:
-    """(1/N) sum_j max(r_ij, floor)^(-alpha) (v_j - v_i) from (N, N, d)
-    tensors; no collision check."""
+def tensor_alignment_rhs(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """(1/N) sum_j r_ij^(-alpha) (v_j - v_i) from (N, N, d) tensors; no
+    collision check."""
     n, d = x.shape
     if n == 1:
         return np.zeros((1, d))
     dist = _tensor_distances(x)
     offdiag = ~np.eye(n, dtype=bool)
-    deff = np.maximum(dist, kernel_floor) if kernel_floor > 0.0 else dist
     with np.errstate(divide="ignore"):
-        w = np.where(offdiag, deff, 1.0) ** (-alpha)
+        w = np.where(offdiag, dist, 1.0) ** (-alpha)
     w[~offdiag] = 0.0
     contrib = w[:, :, None] * (v[None, :, :] - v[:, None, :])
     return _tensor_block_sum(contrib, axis=1) / n
 
 
 def tensor_step_cap(
-    x: np.ndarray, v: np.ndarray, safety: float, kernel_floor: float = 0.0
+    x: np.ndarray, v: np.ndarray, safety: float
 ) -> tuple[float, float]:
     """safety * min closing time and min distance over the upper triangle."""
     n = x.shape[0]
@@ -268,7 +265,7 @@ def tensor_step_cap(
     closing = w > 0.0
     if not closing.any():
         return np.inf, dmin
-    tau = float((np.maximum(r[closing], kernel_floor) / w[closing]).min())
+    tau = float((r[closing] / w[closing]).min())
     return safety * tau, dmin
 
 
@@ -350,18 +347,16 @@ def moveaxis_row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def sqrt_alignment_rhs(
-    x: np.ndarray, v: np.ndarray, alpha: float, kernel_floor: float = 0.0
-) -> np.ndarray:
+def sqrt_alignment_rhs(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
     n, d = x.shape
     if n == 1:
         return np.zeros((1, d))
     dist = sqrt_distances(x)
     np.fill_diagonal(dist, np.inf)
     dmin = float(dist.min())
-    if kernel_floor <= 0.0 and dmin <= COLLISION_FLOOR:
+    if dmin <= COLLISION_FLOOR:
         raise CollisionalState("pair separation at or below the evaluable floor")
-    w = kernel(dist, alpha, kernel_floor)
+    w = kernel(dist, alpha)
     out = np.empty(v.shape)
     for k in range(d):
         col = v[:, k]
@@ -371,55 +366,20 @@ def sqrt_alignment_rhs(
     return out / n
 
 
-def sqrt_step_cap(
-    x: np.ndarray, v: np.ndarray, safety: float, kernel_floor: float = 0.0
-) -> tuple[float, float]:
+def sqrt_step_cap(x: np.ndarray, v: np.ndarray, safety: float) -> tuple[float, float]:
     n = x.shape[0]
     if n < 2:
         return np.inf, np.inf
     dist = sqrt_distances(x)
     dmin = float(off_diagonal(dist).min())
     speed = sqrt_distances(v)
-    rr = np.maximum(dist, kernel_floor) if kernel_floor > 0.0 else dist
     moving = speed > 0.0
-    np.divide(rr, speed, out=speed, where=moving)
+    np.divide(dist, speed, out=speed, where=moving)
     np.copyto(speed, np.inf, where=~moving)
     tau = float(speed.min())
     if tau == np.inf:
         return np.inf, dmin
     return safety * tau, dmin
-
-
-def sqrt_fixed_step_snapshots(x0, v0, alpha, T, h, snapshot_times):
-    """(times, xs, vs) of a fixed-step Dormand-Prince run that shortens a
-    step to land on each snapshot time, as the package's fixed-step mode
-    does."""
-    n, d = x0.shape
-    nd = n * d
-    snaps = np.unique(np.concatenate([[0.0, T], np.asarray(snapshot_times, float)]))
-
-    def f(y):
-        x, v = y[:nd].reshape(n, d), y[nd:].reshape(n, d)
-        return np.concatenate([v.ravel(), sqrt_alignment_rhs(x, v, alpha).ravel()])
-
-    y = np.concatenate([x0.ravel(), v0.ravel()])
-    out = [y]
-    k = [f(y)] + [None] * 6
-    t = 0.0
-    for target in snaps[1:]:
-        while True:
-            clamped = h >= (target - t) * (1 - 1e-14)
-            step = target - t if clamped else h
-            for s in range(1, 6):
-                k[s] = f(y + step * sum(_A[s][m] * k[m] for m in range(s)))
-            y = y + step * sum(_B5[m] * k[m] for m in range(6))
-            k[0] = f(y)
-            t = target if clamped else t + step
-            if clamped:
-                break
-        out.append(y)
-    ys = np.array(out)
-    return snaps, ys[:, :nd].reshape(-1, n, d), ys[:, nd:].reshape(-1, n, d)
 
 
 # ---- per-function field residuals ----
@@ -752,9 +712,6 @@ def dp5_integrate(
     params: ModelParams,
     tol: float = 1e-8,
     snapshot_times: Sequence[float] | None = None,
-    fixed_step: float | None = None,
-    geometry_safety: float = 0.2,
-    kernel_floor: float = 0.0,
     max_steps: int = 50_000_000,
 ) -> Trajectory:
     """Integrate the alignment system over [0, T].
@@ -762,7 +719,7 @@ def dp5_integrate(
     t=0 and t=T are always snapshots.  The adaptive controller keeps the
     normalized local error estimate at or below 1 (absolute and relative
     tolerance both equal to ``tol``); independently, every step is capped
-    by  geometry_safety * min over pairs of (separation / closing speed),
+    by  GEOMETRY_SAFETY * min over pairs of (separation / closing speed),
     so no pair can close more than a fixed fraction of its gap per step.
     The snapshot grid does not shorten adaptive steps: only T is landed
     on, and a snapshot time s inside an accepted step [t, t + h] gets the
@@ -770,10 +727,6 @@ def dp5_integrate(
     step's seven stages; a snapshot at the step's end gets the step's
     5th-order state.  Interpolated snapshots carry an error of order
     ``tol`` and lie inside steps the geometric cap has bounded.
-
-    With ``fixed_step`` set, adaptivity and the geometric cap are bypassed,
-    and the integrator lands on every snapshot time; this mode exists for
-    convergence studies on smooth problems.
 
     Raises StepCollapse when the required step falls below 1e-12 * T,
     NonFiniteState when the state or the local error estimate stops being
@@ -799,7 +752,7 @@ def dp5_integrate(
 
     def f(y):
         x, v = unpack(y)
-        acc = alignment_rhs(x, v, params.alpha, kernel_floor=kernel_floor, work=work)
+        acc = alignment_rhs(x, v, params.alpha, work=work)
         return np.concatenate([v.ravel(), acc.ravel()])
 
     t = 0.0
@@ -817,47 +770,37 @@ def dp5_integrate(
     k[0] = f(y)
 
     h_floor = STEP_FLOOR_FRACTION * T
-    if fixed_step is not None:
-        h_ctrl = float(fixed_step)
-    else:
-        # Conservative opening step; the controller recovers quickly.
-        scale = tol + tol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / scale) ** 2))
-        d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
-        h_ctrl = 0.01 * d0 / d1 if d1 > 0 else 1e-3 * T
-        h_ctrl = min(max(h_ctrl, 1e-8 * T), 1e-2 * T)
+    # Conservative opening step; the controller recovers quickly.
+    scale = tol + tol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / scale) ** 2))
+    d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
+    h_ctrl = 0.01 * d0 / d1 if d1 > 0 else 1e-3 * T
+    h_ctrl = min(max(h_ctrl, 1e-8 * T), 1e-2 * T)
 
     facold = 1e-4
     last_rejected = False
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
     x_now, v_now = unpack(y)
-    cap, _ = _step_cap(
-        x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
-    )
+    cap, _ = _step_cap(x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work)
 
     while t < T:
         if steps >= max_steps:
             raise StepBudgetExceeded(
                 "step budget exceeded", time=t, steps=steps, budget=max_steps
             )
-        if fixed_step is not None:
-            h_free = h_ctrl
-            t_land = snaps[next_snap]
-        else:
-            h_free = min(h_ctrl, cap)
-            t_land = T
-            if h_free < h_floor:
-                dmin, pair = min_pair_distance(x_now)
-                raise StepCollapse(
-                    "step size fell below the floor",
-                    time=t,
-                    step=h_free,
-                    pair=list(pair),
-                    distance=dmin,
-                )
-        clamped = h_free >= (t_land - t) * (1 - 1e-14)
-        h = t_land - t if clamped else h_free
+        h_free = min(h_ctrl, cap)
+        if h_free < h_floor:
+            dmin, pair = min_pair_distance(x_now)
+            raise StepCollapse(
+                "step size fell below the floor",
+                time=t,
+                step=h_free,
+                pair=list(pair),
+                distance=dmin,
+            )
+        clamped = h_free >= (T - t) * (1 - 1e-14)
+        h = T - t if clamped else h_free
 
         for s in range(1, 6):
             ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
@@ -867,22 +810,15 @@ def dp5_integrate(
         # reused as the first stage of the next step.
         k[6] = f(y5)
 
-        if fixed_step is not None:
-            err = 0.0
-            if not np.isfinite(y5).all():
-                raise NonFiniteState("state is not finite", time=t, step=h)
-        else:
-            err_vec = h * sum(_E[m] * k[m] for m in range(7))
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-            if not np.isfinite(err):
-                raise NonFiniteState(
-                    "local error estimate is not finite", time=t, step=h
-                )
+        err_vec = h * sum(_E[m] * k[m] for m in range(7))
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+        if not np.isfinite(err):
+            raise NonFiniteState("local error estimate is not finite", time=t, step=h)
         accept = err <= 1.0
 
         if accept:
-            t_new = t_land if clamped else t + h
+            t_new = T if clamped else t + h
             # snapshots in (t, t_new]: interpolated inside, y5 at the end
             stop = int(np.searchsorted(snaps, t_new, side="right"))
             inner = stop - 1 if snaps[stop - 1] == t_new else stop
@@ -897,7 +833,7 @@ def dp5_integrate(
                 snapshots.append(ParticleState(float(t_new), x_now, v_now))
             next_snap = stop
             cap, dmin_new = _step_cap(
-                x_now, v_now, geometry_safety, kernel_floor, dist=work.dist, work=work
+                x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work
             )
             log_t.append(t_new)
             log_h.append(h)
@@ -906,16 +842,15 @@ def dp5_integrate(
             t = t_new
             if next_snap >= len(snaps):
                 break
-            if fixed_step is None:
-                fac11 = err**0.17
-                fac = fac11 / facold**0.04
-                fac = max(0.1, min(5.0, fac / 0.9))
-                h_new = h / fac
-                if last_rejected:
-                    h_new = min(h_new, h)
-                h_ctrl = h_new
-                facold = max(err, 1e-4)
-                last_rejected = False
+            fac11 = err**0.17
+            fac = fac11 / facold**0.04
+            fac = max(0.1, min(5.0, fac / 0.9))
+            h_new = h / fac
+            if last_rejected:
+                h_new = min(h_new, h)
+            h_ctrl = h_new
+            facold = max(err, 1e-4)
+            last_rejected = False
         else:
             fac11 = err**0.17
             h_ctrl = h / min(5.0, fac11 / 0.9)
@@ -939,7 +874,5 @@ def dp5_integrate(
         step_h=np.array(log_h),
         step_err=np.array(log_err),
         step_min_dist=np.array(log_dmin),
-        tol=None if fixed_step is not None else tol,
-        fixed_step=fixed_step,
-        kernel_floor=kernel_floor,
+        tol=tol,
     )

@@ -75,6 +75,63 @@ def test_stiff_step_counts_stay_in_memory(tmp_path):
     assert storage.load_trajectory(tmp_path / "run").step_stiff.size == 0
 
 
+def saved_trajectory(tmp_path):
+    params = ModelParams(d=1, alpha=1.0, N=5, T=0.2, M=2.0)
+    x = np.array([[0.0], [0.3], [0.5], [-0.4], [0.9]])
+    v = np.array([[0.1], [-0.2], [0.0], [0.2], [-0.1]])
+    traj = integrate(
+        ParticleState(0.0, x, v), params, snapshot_times=np.linspace(0, 0.2, 3)
+    )
+    return storage.save_trajectory(traj, tmp_path / "run")
+
+
+def test_trajectory_json_holds_no_integrator_mode_keys(tmp_path):
+    _, json_path = saved_trajectory(tmp_path)
+    doc = json.loads(json_path.read_text())
+    assert "fixed_step" not in doc and "kernel_floor" not in doc
+
+
+@pytest.mark.parametrize("cut, message", [
+    (1, "particles 0..4"), (2, "particles 0..4"), (5, "holds 2 snapshots"),
+    (0.5, "line 16"),
+])
+def test_trajectory_with_missing_rows_is_rejected(tmp_path, cut, message):
+    # cut whole rows off the end, or half of the last row
+    csv_path, _ = saved_trajectory(tmp_path)
+    text = csv_path.read_text()
+    if cut < 1:
+        csv_path.write_text(text[: text.rindex(",")] + "\n")
+    else:
+        lines = text.splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-cut]))
+    with pytest.raises(ValueError, match=message):
+        storage.load_trajectory(tmp_path / "run")
+
+
+def test_trajectory_with_a_repeated_row_is_rejected(tmp_path):
+    csv_path, _ = saved_trajectory(tmp_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    lines[2] = lines[1]  # particle 0 twice, particle 1 missing
+    csv_path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="particles 0..4"):
+        storage.load_trajectory(tmp_path / "run")
+
+
+def test_fixed_step_trajectory_file_still_loads(tmp_path):
+    # earlier versions had a fixed-step mode, which wrote a null tol and
+    # two keys this version no longer writes
+    _, json_path = saved_trajectory(tmp_path)
+    doc = json.loads(json_path.read_text())
+    doc.update(tol=None, fixed_step=0.05, kernel_floor=0.0)
+    json_path.write_text(json.dumps(doc))
+    assert storage.load_trajectory(tmp_path / "run").tol is None
+    for command, extra in (("diagnose", {}), ("residual", {"battery_size": 2})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "run"), **extra}))
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_measure_roundtrip(tmp_path):
     mu = EmpiricalMeasure(
         np.array([[0.1, -0.2, 0.3], [1.0, 2.0, -3.0]]), [0.25, 0.5]
@@ -331,6 +388,47 @@ def test_schema_violation_rejected(tmp_path, capsys):
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("key, value", [("fixed_step", 0.01),
+                                        ("kernel_floor", 0.5)])
+def test_removed_integrator_modes_are_schema_errors(tmp_path, capsys, key,
+                                                    value):
+    # the keys stay valid at their defaults only, so old reports reproduce
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config",
+                   str(sim_config(tmp_path, **{key: value})), "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValidationError"
+    assert f"[{key!r}]" in doc["error"]["message"]
+    assert not (out / "report.json").exists()
+
+
+def test_report_with_the_removed_keys_at_defaults_reproduces(saved_run,
+                                                             tmp_path):
+    report = saved_run / "report.json"
+    config = json.loads(report.read_text())["config"]
+    assert config["fixed_step"] is None and config["kernel_floor"] == 0.0
+    out = tmp_path / "again"
+    assert cli.main(["simulate", "--config", str(report), "--out", str(out)]) == 0
+    assert stripped(out / "report.json") == stripped(report)
+
+
+def test_vector_parameter_of_the_wrong_length_is_a_domain_error(tmp_path,
+                                                               capsys):
+    cfg = sim_config(tmp_path, d=2, initial={
+        "density": "uniform-box",
+        "density_params": {"center": [0.3], "halfwidth": 0.5},
+        "velocity": "constant",
+        "velocity_params": {"value": [0.1, 0.0]},
+    })
+    rc = cli.main(["simulate", "--config", str(cfg), "--out",
+                   str(tmp_path / "o")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValueError"
+    assert "'center'" in doc["error"]["message"]
 
 
 def test_nan_tolerance_override_is_a_validation_error(tmp_path, capsys):

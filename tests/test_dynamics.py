@@ -7,6 +7,10 @@ import pytest
 
 from flocklab import dynamics, pairs
 from flocklab.dynamics import (
+    _A,
+    _B5,
+    _C,
+    _E,
     _P,
     ModelParams,
     ParticleState,
@@ -21,7 +25,7 @@ from flocklab.errors import CollisionalState, SnapshotMissing, StepCollapse
 from flocklab.meanfield import InitialSpec, sample_initial
 from flocklab.rng import CounterRNG
 
-from oracles import dp5_integrate, sqrt_fixed_step_snapshots
+from oracles import dp5_integrate
 
 
 def random_state(n, d, seed, spread=1.0, vmax=0.5):
@@ -92,21 +96,6 @@ def test_compensated_sum_matches_exact():
         [math.fsum(a[:, j]) for j in range(a.shape[1])]
     )
     assert np.abs(got - want).max() <= 1e-12 * np.abs(a).sum()
-
-
-def test_integrator_order_five_fixed_step():
-    p = ModelParams(d=1, alpha=1.0, N=2, T=1.0, M=1.0)
-    s = ParticleState(0.0, np.array([[-0.3], [0.3]]), np.array([[0.9], [-0.7]]))
-    ref = integrate(s, p, fixed_step=1.0 / 4096)
-    errs = []
-    for m in (4, 8, 16):
-        tr = integrate(s, p, fixed_step=1.0 / m)
-        errs.append(
-            np.abs(tr.snapshots[-1].x - ref.snapshots[-1].x).max()
-            + np.abs(tr.snapshots[-1].v - ref.snapshots[-1].v).max()
-        )
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert orders.min() > 4.3, (errs, orders)
 
 
 def test_adaptive_tracks_reference():
@@ -207,17 +196,23 @@ def test_min_pair_distance_reports_pair():
     assert pair == (1, 2)
 
 
-def test_kernel_floor_changes_dynamics_and_is_recorded():
-    p = ModelParams(d=1, alpha=1.0, N=2, T=0.5, M=1.0)
-    s = ParticleState(0.0, np.array([[-0.05], [0.05]]), np.array([[0.4], [-0.4]]))
-    plain = integrate(s, p, tol=1e-10)
-    floored = integrate(s, p, tol=1e-10, kernel_floor=0.5)
-    assert floored.kernel_floor == 0.5
-    assert plain.kernel_floor == 0.0
-    assert not np.allclose(plain.snapshots[-1].v, floored.snapshots[-1].v)
-
-
 # ---- snapshots from the continuous extension ----
+
+
+def test_tableau_is_scipys():
+    # scipy's RK45 is the same Dormand-Prince 5(4) pair without the
+    # first-same-as-last stage (node 1, weight 0, row _A[6] = B); its E is
+    # the embedded minus the 5th-order weights, the negative of _E
+    from scipy.integrate._ivp.rk import RK45
+
+    a = np.zeros((6, 5))
+    for s in range(1, 6):
+        a[s, :s] = _A[s]
+    assert np.array_equal(a, RK45.A)
+    assert np.array_equal(_A[6], RK45.B)
+    assert np.array_equal(_B5, np.append(RK45.B, 0.0))
+    assert np.array_equal(_C, np.append(RK45.C, 1.0))
+    assert np.array_equal(_E, -RK45.E)
 
 
 def test_interpolant_coefficients_are_scipys():
@@ -252,19 +247,6 @@ def test_dense_snapshots_match_landed_runs(d, alpha, gap):
         got, want = dense.state_at(t_k), landed.snapshots[-1]
         assert np.abs(got.x - want.x).max() <= 10 * tol
         assert np.abs(got.v - want.v).max() <= 10 * tol
-
-
-def test_fixed_step_snapshots_land_on_the_grid_bit_for_bit():
-    s = random_state(7, 2, seed=31)
-    times = np.linspace(0.0, 0.5, 7)
-    p = ModelParams(d=2, alpha=1.5, N=7, T=0.5, M=1.0)
-    tr = integrate(s, p, fixed_step=0.03, snapshot_times=times)
-    t_want, x_want, v_want = sqrt_fixed_step_snapshots(
-        s.x, s.v, 1.5, 0.5, 0.03, times
-    )
-    assert np.array_equal(tr.times(), t_want)
-    assert np.array_equal(np.stack([st.x for st in tr.snapshots]), x_want)
-    assert np.array_equal(np.stack([st.v for st in tr.snapshots]), v_want)
 
 
 def test_snapshot_grid_does_not_change_the_steps():
@@ -323,15 +305,14 @@ def test_matches_dp5_bit_for_bit_without_stiff_pairs(d):
     s = random_state(9, d, seed=40 + d)
     p = ModelParams(d=d, alpha=1.5, N=9, T=1.0, M=1.0)
     times = np.linspace(0.0, 1.0, 13)
-    for kw in ({"tol": 1e-9}, {"fixed_step": 0.07}):
-        got = integrate(s, p, snapshot_times=times, **kw)
-        want = dp5_integrate(s, p, snapshot_times=times, **kw)
-        assert not got.step_stiff.any()
-        assert np.array_equal(got.times(), want.times())
-        for a, b in zip(stacked(got), stacked(want)):
-            assert np.array_equal(a, b)
-        for name in ("step_t", "step_h", "step_err", "step_min_dist"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+    got = integrate(s, p, tol=1e-9, snapshot_times=times)
+    want = dp5_integrate(s, p, tol=1e-9, snapshot_times=times)
+    assert not got.step_stiff.any()
+    assert np.array_equal(got.times(), want.times())
+    for a, b in zip(stacked(got), stacked(want)):
+        assert np.array_equal(a, b)
+    for name in ("step_t", "step_h", "step_err", "step_min_dist"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def assert_close_to_tight_dp5(s, p, times, tol):

@@ -72,6 +72,34 @@ def test_spec_validation():
                     {"values": [[1.0], [-1.0]], "fraction": 1.5}, 0)
 
 
+@pytest.mark.parametrize("density, dparams, velocity, vparams, key", [
+    ("uniform-box", {"center": [0.3], "halfwidth": 0.5},
+     "constant", {"value": [0.1, 0.0]}, "center"),
+    ("uniform-box", {"center": [0.3, 0.0], "halfwidth": 0.5},
+     "constant", {"value": [0.1]}, "value"),
+    ("two-bump", {"centers": [[0.3], [-0.3]], "halfwidth": 0.1, "split": 0.5},
+     "constant", {"value": [0.1, 0.0]}, "centers"),
+    ("truncated-gaussian", {"center": [0.0, 0.0], "sigma": 0.3, "cut": 0.6},
+     "sinusoid", {"amplitude": [0.4], "wavenumber": [1.0, 2.0]}, "amplitude"),
+    ("truncated-gaussian", {"center": [0.0, 0.0], "sigma": 0.3, "cut": 0.6},
+     "sinusoid", {"amplitude": [0.4, 0.0], "wavenumber": 2.0}, "wavenumber"),
+    ("uniform-box", {"center": [0.0, 0.0], "halfwidth": 0.5},
+     "linear-shear", {"base": [0.1], "gradient": np.eye(2).tolist()}, "base"),
+    ("uniform-box", {"center": [0.0, 0.0], "halfwidth": 0.5},
+     "linear-shear", {"base": [0.1, 0.0], "gradient": [[1.0, 0.0]]},
+     "gradient"),
+    ("uniform-box", {"center": [0.0, 0.0], "halfwidth": 0.5},
+     "two-speed-split", {"values": [[0.5, 0.0], [-0.5]], "fraction": 0.5},
+     "values"),
+])
+def test_vector_parameters_must_match_the_dimension(
+    density, dparams, velocity, vparams, key
+):
+    # numpy would broadcast a length-1 vector over d = 2 without a word
+    with pytest.raises(ValueError, match=repr(key)):
+        InitialSpec(2, density, dparams, velocity, vparams, seed=0)
+
+
 def test_bound_enforced_at_sampling():
     spec = box_spec(velocity="constant", vparams={"value": [3.0]})
     with pytest.raises(ValueError, match="bound"):

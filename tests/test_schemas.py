@@ -181,6 +181,14 @@ MF = {
     ("residual", {"input": None}, False),
     ("pairstudy", {"alpha": 1, "eps_list": [0.5], "v1": [0], "v2": [0]},
      True),
+    # integrator modes that no longer exist, valid at their defaults only
+    ("simulate", dict(SIM, fixed_step=0.01), False),
+    ("simulate", dict(SIM, kernel_floor=0), True),
+    ("simulate", dict(SIM, kernel_floor=0.0), True),
+    ("simulate", dict(SIM, kernel_floor=0.5), False),
+    ("simulate", dict(SIM, kernel_floor=False), False),
+    ("mfstudy", dict(MF, kernel_floor=0.0), True),
+    ("mfstudy", dict(MF, kernel_floor=0.3), False),
 ])
 def test_conforms_on_hand_cases(kind, doc, ok):
     assert _agree(doc, kind) == ok
