@@ -42,6 +42,19 @@ def cloud(n, d, seed, spread=1.0, vmax=0.5):
     return rng.uniform(-spread, spread, (n, d)), rng.uniform(-vmax, vmax, (n, d))
 
 
+def squeezed(x, frac, gap=1e-6):
+    """x with its first ceil(frac N) particles moved to within gap times
+    their offset of a partner counted from the other end, so a fraction
+    frac of the cloud sits in near-coincident pairs, where the
+    unregularized kernel is largest; frac = 0 leaves x as it is."""
+    x = x.copy()
+    n = x.shape[0]
+    for k in range(math.ceil(frac * n)):
+        j = n - 1 - k
+        x[k] = x[j] + gap * (x[k] - x[j])
+    return x
+
+
 def force_scale(x, v, alpha):
     """(1/N) sum_j |w_ij (v_j - v_i)| per component: the magnitude the
     force sums cancel down from."""
@@ -106,11 +119,13 @@ def test_min_pair_distance_picks_upper_triangle_on_ties():
 # ---- the lean pair pass against the square-root pass it replaced ----
 
 
+@pytest.mark.parametrize("squeeze", [0.0, 0.3])
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 31, 33, 200])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_lean_pair_pass_equals_sqrt_pass(d, n, alpha):
+def test_lean_pair_pass_equals_sqrt_pass(d, n, alpha, squeeze):
     x, v = cloud(n, d, seed=1000 * d + n)
+    x = squeezed(x, squeeze)
     v[n // 2] = v[0]  # a pair in lockstep never closes
     want = sqrt_alignment_rhs(x, v, alpha)
     assert np.array_equal(dynamics.alignment_rhs(x, v, alpha), want)
@@ -135,25 +150,31 @@ def test_colocated_pair_raises_without_floor(d):
 # ---- differential tests against the tensor formulations ----
 
 
+@pytest.mark.parametrize("squeeze", [0.0, 0.3])
 @pytest.mark.parametrize("n", [2, 31, 64, 200])
-def test_alignment_rhs_bitwise_in_one_dimension(n):
+def test_alignment_rhs_bitwise_in_one_dimension(n, squeeze):
     x, v = cloud(n, 1, seed=n)
+    x = squeezed(x, squeeze)
     got = dynamics.alignment_rhs(x, v, 1.5)
     assert np.array_equal(got, tensor_alignment_rhs(x, v, 1.5))
 
 
+@pytest.mark.parametrize("squeeze", [0.0, 0.3])
 @pytest.mark.parametrize("n,d", [(33, 2), (200, 2), (57, 3)])
-def test_alignment_rhs_within_ulps_in_higher_dimensions(n, d):
+def test_alignment_rhs_within_ulps_in_higher_dimensions(n, d, squeeze):
     # the per-block sums run pairwise instead of sequentially over j
     x, v = cloud(n, d, seed=10 * n + d)
+    x = squeezed(x, squeeze)
     got = dynamics.alignment_rhs(x, v, 1.5)
     want = tensor_alignment_rhs(x, v, 1.5)
     assert np.all(np.abs(got - want) <= 4 * EPS * force_scale(x, v, 1.5))
 
 
+@pytest.mark.parametrize("squeeze", [0.0, 0.3])
 @pytest.mark.parametrize("n,d", [(2, 1), (50, 1), (200, 2), (40, 3)])
-def test_step_cap_matches_upper_triangle_formulation(n, d):
+def test_step_cap_matches_upper_triangle_formulation(n, d, squeeze):
     x, v = cloud(n, d, seed=n + d)
+    x = squeezed(x, squeeze)
     cap, dmin = dynamics._step_cap(x, v, 0.2)
     want_cap, want_dmin = tensor_step_cap(x, v, 0.2)
     if d == 1:
@@ -163,9 +184,11 @@ def test_step_cap_matches_upper_triangle_formulation(n, d):
         assert dmin == pytest.approx(want_dmin, rel=4 * EPS)
 
 
+@pytest.mark.parametrize("squeeze", [0.0, 0.3])
 @pytest.mark.parametrize("n,d", [(2, 1), (64, 1), (200, 2), (40, 3)])
-def test_step_cap_from_force_distances_equals_fresh_cap(n, d):
+def test_step_cap_from_force_distances_equals_fresh_cap(n, d, squeeze):
     x, v = cloud(n, d, seed=7 * n + d)
+    x = squeezed(x, squeeze)
     work = pairs.Workspace(n)
     dynamics.alignment_rhs(x, v, 1.5, work=work)
     reused = dynamics._step_cap(x, v, 0.2, dist=work.dist, work=work)
@@ -266,12 +289,14 @@ def test_step_budget_is_a_typed_error_and_counts_attempts(monkeypatch):
     assert len(rhs) == 1 + 6 * 7
 
 
-def test_non_finite_velocity_is_reported_as_such():
+@pytest.mark.parametrize("snapshot_step", [None, 0.1])
+def test_non_finite_velocity_is_reported_as_such(snapshot_step):
     x = np.array([[0.0], [1.0], [2.0]])
     v = np.array([[0.1], [np.nan], [0.0]])
     params = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=2.0)
+    times = None if snapshot_step is None else np.linspace(0.0, 1.0, 11)
     with pytest.raises(NonFiniteState):
-        integrate(ParticleState(0.0, x, v), params)
+        integrate(ParticleState(0.0, x, v), params, snapshot_times=times)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
