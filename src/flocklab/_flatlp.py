@@ -5,9 +5,28 @@ and signed weights b_k = mu_k - nu_k is
 
     sup { sum_k b_k phi_k : |phi_k| <= 1,  |phi_k - phi_l| <= |p_k - p_l| }.
 
-Its linear-programming dual is an uncapacitated transshipment problem (the
-generalized Wasserstein distance W^{1,1}_{1,1} of Piccoli and Rossi) on the
-support nodes plus a ground node g of potential 0:
+On the line (d = 1) the constraints between sorted neighbours imply all
+the others, so the program is a chain: maximise sum b_k phi_k over
+|phi_k| <= 1 and |phi_{k+1} - phi_k| <= g_k, with g_k the gap between the
+sorted points k and k + 1.  It is solved exactly by dynamic programming.
+The best partial sum V_k(y) over phi_1..phi_k with phi_k = y is concave
+and piecewise linear in y, and one step is
+
+    V_k(y) = b_k y + max { V_{k-1}(z) : |z - y| <= g_{k-1} },  |y| <= 1:
+
+the window max opens a flat top of width 2 g at the argmax (the
+breakpoints left of it move left by g, those right of it move right), then
+the linear term is added and the domain clipped to [-1, 1].  The
+breakpoints are kept as two deques on either side of the argmax, each with
+one lazy offset, so a step costs the breakpoints that cross the argmax.
+The argmax m_k of each V_k is recorded, and the backtrack
+phi_k = clip(m_k, phi_{k+1} - g_k, phi_{k+1} + g_k) recovers an optimal
+potential.  The value is the exactly rounded sum of b_k phi_k.
+
+In d >= 2 the program goes through its linear-programming dual, an
+uncapacitated transshipment problem (the generalized Wasserstein distance
+W^{1,1}_{1,1} of Piccoli and Rossi) on the support nodes plus a ground
+node g of potential 0:
 
     arc k -> g   destroys mass at cost 1,
     arc g -> k   creates mass at cost 1,
@@ -16,33 +35,34 @@ support nodes plus a ground node g of potential 0:
 with supply b_k at node k and the balancing supply -sum_k b_k at g.  Strong
 duality gives equality of optima, and the node potentials of an optimal
 basis (phi_i - phi_j = cost on every basic arc i -> j) are an optimal phi.
-
 Arcs of length >= 2 are left out: destroying the mass at one end and
 creating it at the other costs 2, so no optimal flow needs them, and their
-dual constraints hold for any |phi| <= 1.  On the line only arcs between
-sorted neighbours are kept as well, because every arc decomposes into
-adjacent hops of the same total cost.  In d >= 2 the arcs come from the
-dense distance grid of ``pairs.distances``.
+dual constraints hold for any |phi| <= 1.  The arcs come from the dense
+distance grid of ``pairs.distances``.
 
-The solver is a primal network simplex whose bases are spanning trees
-rooted at g, stored as parent pointers with the orientation, cost and flow
-of each node's arc to its parent.  The starting tree hangs every node off
-the ground by its destroy arc (b_k > 0) or its create arc (b_k <= 0).  That
-tree is strongly feasible: every tree arc of zero flow points away from the
-root.  The leaving arc follows Cunningham's rule: of the arcs whose flow the
-pivot drives to zero first, the last one met when the pivot cycle is walked
-from its apex against the direction of the entering arc.  The rule keeps
-the tree strongly feasible, so a run of degenerate pivots cannot return to
-an earlier tree and the simplex cannot cycle.  A pivot re-hangs one
-subtree, and only that subtree's depths and potentials are recomputed.  Entering arcs are priced from a candidate list: the
-_CANDIDATES most negative reduced costs, refreshed as potentials change and
-rebuilt from the whole arc set only when none of them is negative any more.
-On the line the arc set is O(K), so every pivot prices all of it.
+The d >= 2 solver is a primal network simplex whose bases are spanning
+trees rooted at g, stored as parent pointers with the orientation, cost
+and flow of each node's arc to its parent.  The starting tree hangs every
+node off the ground by its destroy arc (b_k > 0) or its create arc
+(b_k <= 0).  That tree is strongly feasible: every tree arc of zero flow
+points away from the root.  The leaving arc follows Cunningham's rule: of
+the arcs whose flow the pivot drives to zero first, the last one met when
+the pivot cycle is walked from its apex against the direction of the
+entering arc.  The rule keeps the tree strongly feasible, so a run of
+degenerate pivots cannot return to an earlier tree and the simplex cannot
+cycle.  A pivot re-hangs one subtree, and only that subtree's depths and
+potentials are recomputed.  Entering arcs are priced from a candidate
+list: the _CANDIDATES most negative reduced costs, refreshed as potentials
+change and rebuilt from the whole arc set only when none of them is
+negative any more.  The pivot budget (``_pivot_budget``, then
+``PivotBudgetExceeded``) applies to this simplex only; the line DP has no
+pivots.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -60,27 +80,85 @@ def _pivot_budget(n_support: int) -> int:
 
 def _arcs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tail, head, cost) of every arc; node K is the ground."""
-    K, dim = points.shape
-    if dim == 1:
-        order = np.argsort(points[:, 0], kind="stable")
-        gaps = np.diff(points[order, 0])
-        keep = np.flatnonzero(gaps < 2.0)
-        lo, hi, length = order[keep], order[keep + 1], gaps[keep]
-        t = np.concatenate([lo, hi])
-        h = np.concatenate([hi, lo])
-        c = np.concatenate([length, length])
-    else:
-        dist = distances(points)
-        near = dist < 2.0
-        np.fill_diagonal(near, False)
-        t, h = np.nonzero(near)
-        c = dist[near]
+    K = points.shape[0]
+    dist = distances(points)
+    near = dist < 2.0
+    np.fill_diagonal(near, False)
+    t, h = np.nonzero(near)
     nodes = np.arange(K)
     ground = np.full(K, K)
     tail = np.concatenate([nodes, ground, t])
     head = np.concatenate([ground, nodes, h])
-    cost = np.concatenate([np.ones(2 * K), c])
+    cost = np.concatenate([np.ones(2 * K), dist[near]])
     return tail, head, cost
+
+
+def _line_potential(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Optimal potential of the chain program on the points x (K,)."""
+    order = np.argsort(x, kind="stable")
+    gaps = np.diff(x[order]).tolist()
+    w = b[order].tolist()
+    K = len(w)
+    # Breakpoints of V_k as (position - offset, slope drop), sorted by
+    # position: left of the argmax in ``left``, at and right of it in
+    # ``right``.  ``slope`` is V_k's slope between the two deques, and the
+    # argmax is right[0] when it is positive, -1 when it is not (left is
+    # then empty), and +1 when right is empty.
+    left, right = deque(), deque()
+    off_l = off_r = 0.0
+    slope = w[0]
+    m = [0.0] * K
+    m[0] = 1.0 if slope > 0.0 else -1.0
+    for k in range(1, K):
+        g = gaps[k - 1]
+        # Window max: open a flat top of width 2g at the argmax.  The slope
+        # drop at an argmax breakpoint splits over the top's two ends.
+        if slope <= 0.0:
+            if slope < 0.0:
+                right.appendleft((-1.0 - off_r, -slope))
+        elif right:
+            p, drop = right.popleft()
+            p += off_r
+            left.append((p - off_l, slope))
+            if drop > slope:
+                right.appendleft((p - off_r, drop - slope))
+        else:
+            left.append((1.0 - off_l, slope))
+        off_l -= g
+        off_r += g
+        while left and left[0][0] + off_l <= -1.0:
+            left.popleft()
+        while right and right[-1][0] + off_r >= 1.0:
+            right.pop()
+        if not left:
+            off_l = 0.0
+        if not right:
+            off_r = 0.0
+        # Add b_k y to the flat top's zero slope, and move the argmax to
+        # where the slope changes sign.
+        slope = w[k]
+        while slope <= 0.0 and left:
+            p, drop = left.pop()
+            right.appendleft((p + off_l - off_r, drop))
+            slope += drop
+        while slope > 0.0 and right and slope > right[0][1]:
+            p, drop = right.popleft()
+            left.append((p + off_r - off_l, drop))
+            slope -= drop
+        if slope <= 0.0:
+            m[k] = -1.0
+        elif right:
+            m[k] = min(max(right[0][0] + off_r, -1.0), 1.0)
+        else:
+            m[k] = 1.0
+
+    phi = m[:]
+    for k in range(K - 2, -1, -1):
+        nxt, g = phi[k + 1], gaps[k]
+        phi[k] = min(max(m[k], nxt - g), nxt + g)
+    out = np.empty(K)
+    out[order] = phi
+    return out
 
 
 def solve_flat_lp(
@@ -89,8 +167,8 @@ def solve_flat_lp(
     """Optimal flat-metric value and potential for signed weights b.
 
     Returns (value, phi) with phi the optimal potential per support point.
-    Raises SupportTooLarge when the support exceeds ``cap`` atoms and
-    PivotBudgetExceeded when the simplex does not finish within
+    Raises SupportTooLarge when the support exceeds ``cap`` atoms, and in
+    d >= 2 PivotBudgetExceeded when the simplex does not finish within
     ``_pivot_budget`` pivots.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -104,9 +182,11 @@ def solve_flat_lp(
         )
     if K == 0:
         return 0.0, np.zeros(0)
+    if points.shape[1] == 1:
+        phi = _line_potential(points[:, 0], b)
+        return math.fsum((b * phi).tolist()), phi
 
     tail, head, cost = _arcs(points)
-    line = points.shape[1] == 1
     budget = _pivot_budget(K)
 
     # The tree: node v < K reaches its parent through one arc, which points
@@ -121,17 +201,15 @@ def solve_flat_lp(
     pot = [1.0 if u else -1.0 for u in up[:K]] + [0.0]
     phi = np.array(pot)
 
-    # Candidate pool of entering arcs.  On the line it is the whole arc set;
-    # in d >= 2 it holds the most negative arcs of the last full pricing.
-    pool_t, pool_h, pool_c = (tail, head, cost) if line else (tail[:0],) * 3
+    # Candidate pool of entering arcs: the most negative arcs of the last
+    # full pricing.
+    pool_t, pool_h, pool_c = (tail[:0],) * 3
     rc_all = np.empty(cost.size)
     pivots = 0
     while True:
         rc = pool_c - phi[pool_t] + phi[pool_h]
         i = int(np.argmin(rc)) if rc.size else 0
         if not rc.size or rc[i] >= -_RC_TOL:
-            if line:
-                break
             np.subtract(cost, phi[tail], out=rc_all)
             rc_all += phi[head]
             sel = np.flatnonzero(rc_all < -_RC_TOL)

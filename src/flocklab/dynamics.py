@@ -533,8 +533,10 @@ def _step_cap(
     """Geometric step bound and current minimum pair distance.
 
     The bound is ``safety`` times the smallest per-pair closing time
-    r_ij / |v_i - v_j|, so a pair moving apart (or in lockstep) imposes no
-    constraint no matter how close it sits.  Pairing the global minimum
+    r_ij / |v_i - v_j|.  It is blind to direction: a pair moving apart or
+    passing sideways is bounded by its relative speed like an approaching
+    one, and only a pair in lockstep (v_i = v_j) imposes no constraint,
+    however close it sits.  Pairing the global minimum
     distance with the global maximum relative speed instead would throttle
     large well-separated clouds to absurdly small steps.
 

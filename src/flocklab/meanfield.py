@@ -8,10 +8,15 @@ the smaller ensembles.
 Binned fields live on an axis-aligned grid anchored at the origin with cell
 index floor(x / h) per coordinate.  A FieldGrid holds one array row per
 cell of positive mass (barycenter, velocity, mass, in-cell velocity
-variance), built in one pass over the atoms; the weak residuals in
-weakform read those arrays directly.  field_residuals is the one path from
-a trajectory to its continuity and momentum battery, shared by the
-refinement study and ``flocklab residual``.
+variance); the weak residuals in weakform read those arrays directly.
+stacked_fields bins a whole sequence of measures (every snapshot of a
+trajectory, or the probe states of a study) in one pass: one sort of the
+(snapshot, cell) rows and one np.bincount per sum.  local_fields is its
+one-measure case, so there is one binning path.  field_residuals is the
+one path from a trajectory to its continuity and momentum battery, shared
+by the refinement study and ``flocklab residual``.  A study draws its
+battery once: every N runs on the same snapshot times, so one
+weakform.FieldBattery serves continuity and momentum at every N.
 
 The package's import graph is acyclic: this module imports dynamics,
 weakform and measures, and diagnostics imports this one for mk_index.
@@ -58,6 +63,15 @@ def _vector_shapes(kind: str, d: int) -> dict:
     }[kind]
 
 
+# the scalar parameters of each kind; _vector_shapes names the vector ones
+_SCALARS = {
+    "uniform-box": ("halfwidth",),
+    "truncated-gaussian": ("sigma", "cut"),
+    "two-bump": ("halfwidth", "split"),
+    "two-speed-split": ("fraction",),
+}
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Recipe for an initial phase-space sample.
@@ -70,7 +84,8 @@ class InitialSpec:
       linear-shear: base (d,), gradient (d, d); u(x) = base + gradient @ x
       sinusoid: amplitude (d,), wavenumber (d,); u(x) = amplitude * sin(k . x)
       two-speed-split: values (2, d), fraction in (0, 1)
-    A vector parameter of any other shape raises ValueError naming it.
+    A missing parameter, or a vector parameter of any other shape, raises
+    ValueError naming the kind and the key.
     Every draw must satisfy |x| <= M and |u0(x)| <= M for the configured
     bound M; violations raise at sampling time, not construction.
     """
@@ -93,7 +108,11 @@ class InitialSpec:
             (self.density, self.density_params),
             (self.velocity, self.velocity_params),
         ):
-            for key, shape in _vector_shapes(kind, self.d).items():
+            shapes = _vector_shapes(kind, self.d)
+            for key in (*shapes, *_SCALARS.get(kind, ())):
+                if key not in params:
+                    raise ValueError(f"{kind} parameter {key!r} is missing")
+            for key, shape in shapes.items():
                 try:
                     got = np.shape(params[key])
                 except ValueError:  # ragged nested lists
@@ -242,47 +261,87 @@ class FieldGrid:
         return float(sum((self.mass * self.cov_trace).tolist()))
 
 
+def _bin(label, x, v, w, count, h) -> list:
+    """One FieldGrid per label 0..count-1 of the atoms (x, v, w).
+
+    One stable lexicographic sort of the (label, cell) rows groups the
+    atoms by label and then by cell, each label's cells in the
+    lexicographic order of their indices and each cell's atoms in their
+    input order.  The cell sums add the atoms in that order, and so does
+    each cell's variance, as one sum over its contiguous slice.  Cells
+    whose atoms all carry zero weight are dropped.
+    """
+    n, d = x.shape
+    rows = np.column_stack([label, np.floor(x / h).astype(np.int64)])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    cell_label = rows[starts, 0]
+    del rows
+    k = starts.size
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    mass = np.bincount(inverse, weights=w, minlength=k)
+    xsum = np.empty((k, d))
+    vsum = np.empty((k, d))
+    for j in range(d):
+        xsum[:, j] = np.bincount(inverse, weights=w * x[:, j], minlength=k)
+        vsum[:, j] = np.bincount(inverse, weights=w * v[:, j], minlength=k)
+    # cells of zero mass divide by 1 here and are dropped on return
+    keep = mass > 0.0
+    safe = np.where(keep, mass, 1.0)
+    bary = xsum / safe[:, None]
+    u = vsum / safe[:, None]
+    dv = u[inverse]
+    np.subtract(v, dv, out=dv)
+    terms = np.einsum("ij,ij->i", dv, dv)
+    terms *= w
+    terms = terms[order]
+    cuts = starts.tolist() + [n]
+    spread = np.array([terms[a:b].sum() for a, b in zip(cuts, cuts[1:])])
+    cov = spread / safe
+    bounds = np.searchsorted(cell_label, np.arange(count + 1)).tolist()
+    grids = []
+    for a, b in zip(bounds, bounds[1:]):
+        kept = keep[a:b]
+        grids.append(
+            FieldGrid(
+                h=float(h),
+                d=d,
+                barycenter=bary[a:b][kept],
+                velocity=u[a:b][kept],
+                mass=mass[a:b][kept],
+                cov_trace=cov[a:b][kept],
+            )
+        )
+    return grids
+
+
+def stacked_fields(measures, d: int, h: float) -> list:
+    """local_fields of every phase measure, binned in one pass: the cells
+    of all measures come from one sort of the (measure, cell) rows."""
+    if h <= 0:
+        raise ValueError("cell width must be positive")
+    if any(mu.point_dim != 2 * d for mu in measures):
+        raise ValueError("phase measure must have point dimension 2d")
+    if not measures:
+        return []
+    points = np.concatenate([mu.points for mu in measures])
+    label = np.repeat(np.arange(len(measures)), [mu.n_atoms for mu in measures])
+    w = np.concatenate([mu.weights for mu in measures])
+    return _bin(label, points[:, :d], points[:, d:], w, len(measures), h)
+
+
 def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     """Bin a phase measure into cells of width h anchored at the origin.
 
     Cells whose atoms all carry zero weight are dropped.  Each cell's
-    variance sums its atoms in their input order: a stable sort of the cell
-    labels makes every cell's atoms one contiguous slice.
+    variance sums its atoms in their input order.  This is the
+    one-measure case of stacked_fields.
     """
-    if h <= 0:
-        raise ValueError("cell width must be positive")
-    if mu.point_dim != 2 * d:
-        raise ValueError("phase measure must have point dimension 2d")
-    x = mu.points[:, :d]
-    v = mu.points[:, d:]
-    w = mu.weights
-    idx = np.floor(x / h).astype(np.int64)
-    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    k = uniq.shape[0]
-    mass = np.zeros(k)
-    np.add.at(mass, inverse, w)
-    xsum = np.zeros((k, d))
-    np.add.at(xsum, inverse, w[:, None] * x)
-    vsum = np.zeros((k, d))
-    np.add.at(vsum, inverse, w[:, None] * v)
-    # cells of zero mass divide by 1 here and are dropped on return
-    keep = mass > 0.0
-    safe = np.where(keep, mass, 1.0)
-    u = vsum / safe[:, None]
-    dv = v - u[inverse]
-    terms = w * np.einsum("ij,ij->i", dv, dv)
-    terms = terms[np.argsort(inverse, kind="stable")]
-    ends = np.cumsum(np.bincount(inverse, minlength=k)).tolist()
-    spread = np.array([terms[a:b].sum() for a, b in zip([0] + ends, ends)])
-    return FieldGrid(
-        h=float(h),
-        d=d,
-        barycenter=(xsum / safe[:, None])[keep],
-        velocity=u[keep],
-        mass=mass[keep],
-        cov_trace=(spread / safe)[keep],
-    )
+    return stacked_fields([mu], d, h)[0]
 
 
 def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
@@ -295,27 +354,39 @@ def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
 
 def field_residuals(traj: dynamics.Trajectory, h: float, size: int, seed: int):
     """The field battery of a trajectory: every snapshot binned at width h,
-    then the continuity and momentum residuals of the macro and vector
-    batteries drawn from traj.params (d, T, M) with the given size and
-    seed.  The momentum identity takes its t = 0 moment from the unbinned
-    first snapshot at weights 1/N.  Returns (grids, continuity, momentum),
-    the residuals one per test function.
+    then the continuity and momentum residuals of the vector battery drawn
+    from traj.params (d, T, M) with the given size and seed (continuity
+    reads its scalar parts, the macro battery of that size and seed).  The
+    momentum identity takes its t = 0 moment from the unbinned first
+    snapshot at weights 1/N.  Returns (grids, continuity, momentum), the
+    residuals one per test function.
     """
     p = traj.params
-    times = traj.times()
-    grids = [local_fields(from_particles(s), p.d, h) for s in traj.snapshots]
-    cont = weakform.continuity_residuals(
-        times, grids, weakform.macro_battery(p.d, p.T, p.M, size, seed)
+    phis = weakform.vector_battery(p.d, p.T, p.M, size, seed)
+    return _battery_residuals(traj, h, weakform.FieldBattery(phis, traj.times()))
+
+
+def _battery_residuals(traj, h, battery):
+    """field_residuals against a FieldBattery tabulated on the trajectory's
+    snapshot times."""
+    p = traj.params
+    if not np.array_equal(battery.times, traj.times()):
+        raise ValueError("battery and trajectory disagree on snapshot times")
+    # stacked_fields of the snapshots' uniform-weight measures
+    states = traj.snapshots
+    grids = _bin(
+        np.repeat(np.arange(len(states)), p.N),
+        np.concatenate([s.x for s in states]),
+        np.concatenate([s.v for s in states]),
+        np.full(len(states) * p.N, 1.0 / p.N),
+        len(states),
+        h,
     )
-    first = traj.snapshots[0]
-    mom = weakform.momentum_residuals(
-        times,
-        grids,
-        weakform.vector_battery(p.d, p.T, p.M, size, seed),
-        p.alpha,
-        initial_atoms=(first.x, first.v, np.full(p.N, 1.0 / p.N)),
+    first = states[0]
+    mom = battery.momentum(
+        grids, p.alpha, initial_atoms=(first.x, first.v, np.full(p.N, 1.0 / p.N))
     )
-    return grids, cont, mom
+    return grids, battery.continuity(grids), mom
 
 
 # ---- refinement study over particle number ----
@@ -411,8 +482,7 @@ def _study_single_n(
     probes,
     snap_times,
     tol,
-    battery_size,
-    battery_seed,
+    battery,
 ):
     d = spec.d
     x0, v0 = sample_initial(spec, n, bound)
@@ -424,20 +494,16 @@ def _study_single_n(
         snapshot_times=snap_times,
     )
 
-    h_ladder = (2.0 * h, h, h / 2.0)
-    marginals = []
-    energy = []
-    mk = []
-    maxcell = []
-    for p in probes:
-        mu = from_particles(traj.state_at(p))
-        marginals.append(marginal_x(mu, d))
-        energy.append(kinetic_energy(mu, d))
-        ladder = [local_fields(mu, d, hh) for hh in h_ladder]
-        mk.append(tuple(grid.mk() for grid in ladder))
-        maxcell.append(tuple(float(grid.mass.max()) for grid in ladder))
+    measures = [from_particles(traj.state_at(p)) for p in probes]
+    marginals = [marginal_x(mu, d) for mu in measures]
+    energy = [kinetic_energy(mu, d) for mu in measures]
+    # one row per probe: its grids at widths 2h, h, h/2
+    widths = (2.0 * h, h, h / 2.0)
+    ladder = list(zip(*(stacked_fields(measures, d, w) for w in widths)))
+    mk = [tuple(grid.mk() for grid in row) for row in ladder]
+    maxcell = [tuple(float(grid.mass.max()) for grid in row) for row in ladder]
 
-    grids, cont, mom = field_residuals(traj, h, battery_size, battery_seed)
+    grids, cont, mom = _battery_residuals(traj, h, battery)
     times = traj.times()
     all_margins = weakform.dissipation_margin(times, grids, alpha)
     probe_idx = [int(np.argmin(np.abs(times - p))) for p in probes]
@@ -495,12 +561,17 @@ def refinement_study(
     if any(p < 0 or p > horizon for p in probes):
         raise ValueError("probe times must lie in [0, horizon]")
     snap_times = np.union1d(np.linspace(0.0, horizon, quad_points), probes)
+    # every N runs on the same snapshot times, so one battery serves them all
+    battery = weakform.FieldBattery(
+        weakform.vector_battery(spec.d, horizon, bound, battery_size, battery_seed),
+        snap_times,
+    )
 
     def job(n):
         try:
             return n, _study_single_n(
                 spec, n, alpha, horizon, bound, h, probes, snap_times,
-                tol, battery_size, battery_seed,
+                tol, battery,
             )
         except FlockLabError as exc:
             row = StudyRow(

@@ -14,9 +14,10 @@ density v_j against the particle distribution is encoded as the nonnegative
 measure weighted by (v_j + shift) / (2 shift), which keeps the mass within
 [0, 1] whenever speeds stay below ``shift``.
 
-The flat metric ``dbl`` is computed exactly (to solver round-off) by the
-spanning-tree network simplex in ``_flatlp``; distances and their optimal
-potentials are deterministic functions of the inputs.  Measures of unequal
+The flat metric ``dbl`` is computed exactly (to solver round-off) by
+``_flatlp``: a dynamic program on the line, a spanning-tree network
+simplex in d >= 2.  Distances and their optimal potentials are
+deterministic functions of the inputs.  Measures of unequal
 total mass are accepted: the metric then also prices the mass difference,
 at cost 1 per unit, consistent with the test-function normalization
 |phi| <= 1.

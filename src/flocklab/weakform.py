@@ -27,15 +27,17 @@ d, and the per-cell arrays barycenter (C, d), velocity (C, d) and mass
 contribute nothing.
 
 Both the kinetic and the field residuals are computed snapshot-major, for
-a whole battery at once (kinetic_weak_residuals, continuity_residuals,
-momentum_residuals); the single-function forms are wrappers.  On fields,
-the bumps of all F functions are evaluated at each snapshot's barycenters
-as (F, C) values and (F, C, d) gradients, and the momentum identity
-builds the cell kernel psi and the weight (m m^T) psi once.  Each
-function's pair term is then one (C, C) product against that weight, so
-no (F, C, C) array is held.  The per-snapshot windows w(t), w'(t) are
-scalars per function.  The battery forms give the per-function results
-bit for bit.
+a whole battery at once (kinetic_weak_residuals, and a FieldBattery for
+the continuity and momentum identities); continuity_residuals,
+momentum_residuals and the single-function forms are wrappers.  A
+FieldBattery tabulates the windows w(t), w'(t) of its F functions once on
+its snapshot times (scalars per function), so one battery serves every
+trajectory sampled on those times.  On fields, the bumps of all F
+functions are evaluated at each snapshot's barycenters as (F, C) values
+and (F, C, d) gradients, and the momentum identity builds the cell kernel
+psi and the weight (m m^T) psi once and forms the pair term of the whole
+battery as one (F, C, C) product against that weight.  The battery forms
+give the per-function results bit for bit.
 """
 
 from __future__ import annotations
@@ -404,33 +406,39 @@ def _check_grids(grids):
     return h0, d0
 
 
-class _MacroStack:
-    """A battery of F macro test functions w(t) G(x), evaluated together.
+class FieldBattery:
+    """A battery of F vector test functions e_k w(t) G(x), evaluated
+    together on a fixed grid of snapshot times.
 
-    The scaled windows scale * w(t) and scale * w'(t) are tabulated once
-    per snapshot time as (F, K) arrays; the bumps of all functions are
-    evaluated in one call on stacked offsets.
+    The continuity identity reads the scalar parts w G and the momentum
+    identity the vector functions, so one battery serves both.  The scaled
+    windows scale * w(t) and scale * w'(t) are tabulated once per snapshot
+    time as (F, K) arrays; the bumps of all functions are evaluated in one
+    call on stacked offsets.
     """
 
     def __init__(self, phis, times):
-        self.center = np.array([phi.x_center for phi in phis])
-        self.r2 = np.array([phi.x_radius**2 for phi in phis])[:, None]
-        self.w = np.empty((len(phis), len(times)))
+        bases = [phi.base for phi in phis]
+        self.times = np.asarray(times, float)
+        self.comp = [phi.component for phi in phis]
+        self.center = np.array([phi.x_center for phi in bases])
+        self.r2 = np.array([phi.x_radius**2 for phi in bases])[:, None]
+        self.w = np.empty((len(bases), len(self.times)))
         self.wp = np.empty_like(self.w)
-        for f, phi in enumerate(phis):
-            for k, t in enumerate(times):
+        for f, phi in enumerate(bases):
+            for k, t in enumerate(self.times):
                 w, wp = _window(t, phi.t_end)
                 self.w[f, k] = phi.scale * w
                 self.wp[f, k] = phi.scale * wp
 
     def value(self, k: int, x: np.ndarray) -> np.ndarray:
-        """phi at snapshot k and points x, shape (F, n)."""
+        """The scalar parts at snapshot k and points x, shape (F, n)."""
         return self.w[:, k, None] * _bump(x - self.center[:, None, :], self.r2)[0]
 
     def fields(self, grids):
         """Per snapshot k with occupied cells: k, the cell arrays b, u, m,
-        and phi and the flux d_t phi + u . grad phi at the barycenters,
-        both of shape (F, C)."""
+        and the scalar parts phi and the flux d_t phi + u . grad phi at the
+        barycenters, both of shape (F, C)."""
         for k, grid in enumerate(grids[: self.w.shape[1]]):
             b, u, m = grid.barycenter, grid.velocity, grid.mass
             if m.size:
@@ -439,21 +447,55 @@ class _MacroStack:
                 conv = np.einsum("...j,...j->...", u, w[..., None] * grad)
                 yield k, b, u, m, w * g, wp * g + conv
 
+    def continuity(self, grids) -> list:
+        """continuity_residual of every scalar part on the field grids."""
+        _check_grids(grids)
+        vals = np.zeros(self.w.shape)
+        for k, _, _, m, _, flux in self.fields(grids):
+            vals[:, k] = (m * flux).sum(axis=1)
+        phi0 = (grids[0].mass * self.value(0, grids[0].barycenter)).sum(axis=1)
+        return [float(abs(p + np.trapezoid(v, self.times))) for p, v in zip(phi0, vals)]
+
+    def momentum(self, grids, alpha: float, initial_atoms=None) -> list:
+        """momentum_residual of every function on the field grids.
+
+        Per snapshot the cell kernel psi and the weight (m m^T) psi are
+        built once.  Since each phi = e_k w G has one nonzero component k,
+        its pair term is a (C, C) product against that weight,
+
+            sum_{c,c'} [(m m^T) psi]_cc' (phi_k(b_c) - phi_k(b_c'))
+                                         (u_ck - u_c'k),
+
+        formed for the whole battery as one (F, C, C) array.
+        """
+        _check_grids(grids)
+        comp = self.comp
+        tvals = np.zeros(self.w.shape)
+        svals = np.zeros(self.w.shape)
+        for k, b, u, m, val, drive in self.fields(grids):
+            tvals[:, k] = (m * (u.T[comp] * drive)).sum(axis=1)
+            weight = (m[:, None] * m[None, :]) * kernel(distances(b), alpha)
+            inner = val[:, :, None] - val[:, None, :]
+            inner *= np.stack([outer_diff(col) for col in u.T])[comp]
+            inner *= weight
+            svals[:, k] = inner.sum(axis=(1, 2))
+        if initial_atoms is None:
+            x0, v0, w0 = grids[0].barycenter, grids[0].velocity, grids[0].mass
+        else:
+            x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
+        phi0 = (w0 * (v0.T[comp] * self.value(0, x0))).sum(axis=1)
+        times = self.times
+        return [
+            float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
+            for p, a, b in zip(phi0, tvals, svals)
+        ]
+
 
 def continuity_residuals(times, grids, phis) -> list:
-    """continuity_residual for every MacroTestFunction of a battery.
-
-    Snapshot-major: the bumps of the whole battery are evaluated at each
-    snapshot's barycenters in one call.
-    """
-    _check_grids(grids)
-    times = np.asarray(times, float)
-    stack = _MacroStack(phis, times)
-    vals = np.zeros(stack.w.shape)
-    for k, _, _, m, _, flux in stack.fields(grids):
-        vals[:, k] = (m * flux).sum(axis=1)
-    phi0 = (grids[0].mass * stack.value(0, grids[0].barycenter)).sum(axis=1)
-    return [float(abs(p + np.trapezoid(v, times))) for p, v in zip(phi0, vals)]
+    """continuity_residual for every MacroTestFunction of a battery, through
+    a FieldBattery of the functions (as components 0)."""
+    vphis = [VectorTestFunction(phi, 0) for phi in phis]
+    return FieldBattery(vphis, times).continuity(grids)
 
 
 def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
@@ -468,43 +510,9 @@ def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
 
 
 def momentum_residuals(times, grids, phis, alpha: float, initial_atoms=None) -> list:
-    """momentum_residual for every VectorTestFunction of a battery.
-
-    Snapshot-major: per snapshot the bumps of the whole battery, the cell
-    kernel psi and the weight (m m^T) psi are built once.  Since each
-    phi = e_k w G has one nonzero component k, its pair term is one (C, C)
-    product against that weight,
-
-        sum_{c,c'} [(m m^T) psi]_cc' (phi_k(b_c) - phi_k(b_c'))
-                                     (u_ck - u_c'k),
-
-    so no (F, C, C) array is built.
-    """
-    _check_grids(grids)
-    times = np.asarray(times, float)
-    stack = _MacroStack([phi.base for phi in phis], times)
-    comp = [phi.component for phi in phis]
-    tvals = np.zeros(stack.w.shape)
-    svals = np.zeros(stack.w.shape)
-    for k, b, u, m, val, drive in stack.fields(grids):
-        tvals[:, k] = (m * (u.T[comp] * drive)).sum(axis=1)
-        weight = (m[:, None] * m[None, :]) * kernel(distances(b), alpha)
-        du = [outer_diff(col) for col in u.T]
-        inner = np.empty_like(weight)
-        for f, j in enumerate(comp):
-            outer_diff(val[f], out=inner)
-            inner *= du[j]
-            inner *= weight
-            svals[f, k] = inner.sum()
-    if initial_atoms is None:
-        x0, v0, w0 = grids[0].barycenter, grids[0].velocity, grids[0].mass
-    else:
-        x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
-    phi0 = (w0 * (v0.T[comp] * stack.value(0, x0))).sum(axis=1)
-    return [
-        float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
-        for p, a, b in zip(phi0, tvals, svals)
-    ]
+    """momentum_residual for every VectorTestFunction of a battery, through
+    a FieldBattery of the functions."""
+    return FieldBattery(phis, times).momentum(grids, alpha, initial_atoms)
 
 
 def momentum_residual(

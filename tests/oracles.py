@@ -8,6 +8,9 @@ and adaptive quadrature for the kernel normalization.
 dense_simplex_flat_lp is the revised simplex with a dense K x K basis
 inverse that the package used for the flat metric before its network
 simplex; the differential tests compare the two to 1e-12.
+line_simplex_flat_lp is that network simplex on the line, which the
+package used before d = 1 got its exact dynamic program; the differential
+tests compare the DP against it, the dense simplex and HiGHS to 1e-12.
 
 The tensor_* functions are the dense (N, N, d) formulations the package
 used before its pair geometry moved to per-component (N, N) arrays.  They
@@ -41,6 +44,7 @@ pair, and to 10 tol against a tight-tolerance run on states with one.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from itertools import combinations
 from typing import Sequence
@@ -48,7 +52,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate as _si
 
-from flocklab import pairs
+from flocklab import _flatlp, pairs
 from flocklab.dynamics import (
     _A,
     _B5,
@@ -695,6 +699,155 @@ def dense_simplex_flat_lp(
             stall += 1
             if stall > 3 * K + 50:
                 bland = True
+
+
+# ---- the network simplex on the line ----
+#
+# _flatlp.solve_flat_lp in d = 1 as it was before the line got its exact
+# dynamic program: the spanning-tree network simplex on the arcs between
+# sorted neighbours plus the ground arcs, with Cunningham's leaving rule
+# and full pricing at every pivot.  Kept verbatim as the differential
+# oracle for the line DP.
+
+
+def _line_arcs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tail, head, cost) of every arc; node K is the ground."""
+    K = points.shape[0]
+    order = np.argsort(points[:, 0], kind="stable")
+    gaps = np.diff(points[order, 0])
+    keep = np.flatnonzero(gaps < 2.0)
+    lo, hi, length = order[keep], order[keep + 1], gaps[keep]
+    t = np.concatenate([lo, hi])
+    h = np.concatenate([hi, lo])
+    c = np.concatenate([length, length])
+    nodes = np.arange(K)
+    ground = np.full(K, K)
+    tail = np.concatenate([nodes, ground, t])
+    head = np.concatenate([ground, nodes, h])
+    cost = np.concatenate([np.ones(2 * K), c])
+    return tail, head, cost
+
+
+def line_simplex_flat_lp(
+    points: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Optimal flat-metric value and potential for signed weights b on
+    support points of shape (K, 1), by the network simplex.
+
+    Raises PivotBudgetExceeded when the simplex does not finish within
+    ``_flatlp._pivot_budget`` pivots.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    K = points.shape[0]
+    if K == 0:
+        return 0.0, np.zeros(0)
+
+    tail, head, cost = _line_arcs(points)
+    budget = _flatlp._pivot_budget(K)
+
+    # The tree: node v < K reaches its parent through one arc, which points
+    # up (v -> parent) or down (parent -> v) and carries flow[v] >= 0.
+    root = K
+    parent = [root] * K + [-1]
+    up = [bool(bk > 0.0) for bk in b] + [False]
+    flow = [abs(float(bk)) for bk in b] + [0.0]
+    arc_cost = [1.0] * K + [0.0]
+    depth = [1] * K + [0]
+    children = [[] for _ in range(K)] + [list(range(K))]
+    pot = [1.0 if u else -1.0 for u in up[:K]] + [0.0]
+    phi = np.array(pot)
+
+    # Every pivot prices the whole arc set, which is O(K) on the line.
+    pool_t, pool_h, pool_c = tail, head, cost
+    pivots = 0
+    while True:
+        rc = pool_c - phi[pool_t] + phi[pool_h]
+        i = int(np.argmin(rc)) if rc.size else 0
+        if not rc.size or rc[i] >= -_RC_TOL:
+            break
+
+        if pivots >= budget:
+            raise PivotBudgetExceeded(
+                "flat-metric simplex exceeded its pivot budget",
+                support=K,
+                pivots=pivots,
+                budget=budget,
+            )
+        pivots += 1
+
+        # Entering arc k -> l closes the cycle k -> l -> ... -> apex -> ... -> k.
+        k, l, c = int(pool_t[i]), int(pool_h[i]), float(pool_c[i])
+        a, z = k, l
+        while a != z:
+            if depth[a] >= depth[z]:
+                a = parent[a]
+            else:
+                z = parent[z]
+        apex = a
+        kpath = []
+        v = k
+        while v != apex:
+            kpath.append(v)
+            v = parent[v]
+        lpath = []
+        v = l
+        while v != apex:
+            lpath.append(v)
+            v = parent[v]
+
+        # Pushing flow along k -> l raises it on the down arcs of the k side
+        # and the up arcs of the l side; the other arcs block.  Cunningham's
+        # rule: of the blocking arcs with least flow, take the last one met
+        # on the walk apex -> l, l -> k, k -> apex.
+        theta = math.inf
+        leave = -1
+        for v in reversed(lpath):
+            if not up[v] and flow[v] <= theta:
+                theta, leave = flow[v], v
+        for v in kpath:
+            if up[v] and flow[v] <= theta:
+                theta, leave = flow[v], v
+        if theta > 0.0:
+            for v in kpath:
+                flow[v] += -theta if up[v] else theta
+            for v in lpath:
+                flow[v] += theta if up[v] else -theta
+
+        # Cut the leaving arc and hang its subtree from the entering arc,
+        # reversing the path between the entering endpoint and the cut.
+        if leave in kpath:
+            v, new_parent, new_up = k, l, True
+        else:
+            v, new_parent, new_up = l, k, False
+        top = v
+        new_flow, new_cost = theta, c
+        while True:
+            old_parent = parent[v]
+            old_up, old_flow, old_cost = up[v], flow[v], arc_cost[v]
+            children[old_parent].remove(v)
+            children[new_parent].append(v)
+            parent[v] = new_parent
+            up[v], flow[v], arc_cost[v] = new_up, new_flow, new_cost
+            if v == leave:
+                break
+            new_parent, new_up = v, not old_up
+            new_flow, new_cost = old_flow, old_cost
+            v = old_parent
+
+        moved = []
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            pot[v] = pot[p] + arc_cost[v] if up[v] else pot[p] - arc_cost[v]
+            moved.append(v)
+            stack.extend(children[v])
+        phi[moved] = [pot[v] for v in moved]
+
+    value = math.fsum(arc_cost[v] * flow[v] for v in range(K))
+    return value, phi[:K]
 
 
 # ---- explicit Dormand-Prince integration ----

@@ -237,8 +237,9 @@ def test_dbl_prints_distance_and_potential(tmp_path, capsys):
 
 def test_dbl_pivot_budget_is_a_typed_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_flatlp, "_pivot_budget", lambda n_support: 1)
-    mu = EmpiricalMeasure(np.array([[0.0], [0.5]]), [0.5, 0.5])
-    nu = EmpiricalMeasure(np.array([[0.25], [0.75]]), [0.5, 0.5])
+    # in the plane: the line DP has no pivots to budget
+    mu = EmpiricalMeasure(np.array([[0.0, 0.0], [0.5, 0.5]]), [0.5, 0.5])
+    nu = EmpiricalMeasure(np.array([[0.25, 0.0], [0.75, 0.5]]), [0.5, 0.5])
     storage.save_measure(mu, tmp_path / "a.csv")
     storage.save_measure(nu, tmp_path / "b.csv")
     rc = cli.main(["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
@@ -388,6 +389,22 @@ def test_schema_violation_rejected(tmp_path, capsys):
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("params, key", [
+    ("density_params", "center"),
+    ("velocity_params", "gradient"),
+])
+def test_missing_recipe_parameter_is_named(tmp_path, capsys, params, key):
+    cfg = json.loads(sim_config(tmp_path).read_text())
+    del cfg["initial"][params][key]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    rc = cli.main(["simulate", "--config", str(tmp_path / "config.json"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValueError"
+    assert f"{key!r} is missing" in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("key, value", [("fixed_step", 0.01),

@@ -1,5 +1,7 @@
-"""The network-simplex flat-metric solver against the dense revised simplex
-and against HiGHS, its optimal potentials, and its pivot budget."""
+"""The flat-metric solvers against the dense revised simplex and against
+HiGHS: the line DP (d = 1) also against the network simplex it replaced,
+the network simplex (d >= 2) with its pivot budget, and the optimal
+potentials of both."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from flocklab import _flatlp
 from flocklab.errors import PivotBudgetExceeded
 from flocklab.measures import EmpiricalMeasure, dbl, union_support
 
-from oracles import dense_simplex_flat_lp
+from oracles import dense_simplex_flat_lp, line_simplex_flat_lp
 
 TOL = 1e-12
 
@@ -131,3 +133,79 @@ def test_pivot_budget_is_typed(monkeypatch):
         "pivots": 3,
         "budget": 3,
     }
+
+
+# ---- the line DP ----
+
+
+def line_case(name):
+    """(points (K, 1), b) of a named d = 1 case."""
+    rng = np.random.default_rng(len(name))
+    if name == "one atom":
+        x, b = [0.3], [0.4]
+    elif name == "one negative atom":
+        x, b = [-0.2], [-0.7]
+    elif name == "two atoms":
+        x, b = [0.75, 0.0], [-1.0, 1.0]
+    elif name == "two atoms, same sign":
+        x, b = [0.0, 0.5], [0.3, 0.6]
+    elif name == "duplicates":
+        x = rng.choice(np.arange(-4, 5) * 0.3, 30)
+        b = rng.normal(size=30)
+    elif name == "zero weights":
+        x = rng.uniform(-1.0, 1.0, 40)
+        b = rng.normal(size=40) * (rng.uniform(size=40) < 0.4)
+    elif name == "gaps of 2 and more":
+        centers = (-4.0, -1.5, 0.5, 4.0)
+        x = np.concatenate([c + rng.uniform(-0.3, 0.3, 8) for c in centers])
+        b = rng.normal(size=32)
+    else:  # alternating signs along the line
+        x = np.sort(rng.uniform(-1.0, 1.0, 60))
+        b = np.where(np.arange(60) % 2, 1.0, -1.0) * rng.uniform(0.5, 1.5, 60)
+    return np.asarray(x, float)[:, None], np.asarray(b, float)
+
+
+@pytest.mark.parametrize("name", [
+    "one atom", "one negative atom", "two atoms", "two atoms, same sign",
+    "duplicates", "zero weights", "gaps of 2 and more", "alternating",
+])
+def test_line_dp_matches_every_oracle(name):
+    points, b = line_case(name)
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(line_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert value == pytest.approx(dense_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert value == pytest.approx(highs_value(points, b), abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+def test_line_dp_exhaustive_small_supports():
+    # lattice points and a few weight levels: the argmax often sits on a
+    # breakpoint when the window opens, and its slope drop must split over
+    # both ends of the flat top
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        K = int(rng.integers(1, 7))
+        points = rng.integers(-6, 7, (K, 1)) * 0.25
+        b = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], K)
+        value, phi = _flatlp.solve_flat_lp(points, b)
+        want, _ = line_simplex_flat_lp(points, b)
+        assert value == pytest.approx(want, abs=TOL), (points.ravel(), b)
+        assert_optimal_potential(points, b, value, phi)
+
+
+def test_line_dp_matches_line_simplex_at_scale():
+    points, b = random_pair(np.random.default_rng(2400), 2400, 1)
+    value, phi = _flatlp.solve_flat_lp(points, b, cap=2400)
+    assert value == pytest.approx(line_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert np.abs(phi).max() <= 1.0 + TOL
+    order = np.argsort(points[:, 0])
+    steps = np.abs(np.diff(phi[order])) - np.diff(points[order, 0])
+    assert steps.max() <= TOL
+    assert float(b @ phi) == pytest.approx(value, abs=TOL)
+
+
+def test_line_dp_has_no_pivot_budget(monkeypatch):
+    monkeypatch.setattr(_flatlp, "_pivot_budget", lambda n_support: 0)
+    points, b = random_pair(np.random.default_rng(9), 40, 1)
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(highs_value(points, b), abs=TOL)

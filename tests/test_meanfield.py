@@ -19,9 +19,11 @@ from flocklab.meanfield import (
     pair_alignment_study,
     refinement_study,
     sample_initial,
+    stacked_fields,
 )
 from flocklab.measures import EmpiricalMeasure, from_particles
 from flocklab.weakform import (
+    FieldBattery,
     continuity_residuals,
     macro_battery,
     momentum_residuals,
@@ -98,6 +100,16 @@ def test_vector_parameters_must_match_the_dimension(
     # numpy would broadcast a length-1 vector over d = 2 without a word
     with pytest.raises(ValueError, match=repr(key)):
         InitialSpec(2, density, dparams, velocity, vparams, seed=0)
+
+
+@pytest.mark.parametrize("density, dparams, velocity, vparams, key", [
+    ("uniform-box", {"halfwidth": 0.8}, "constant", {"value": [0.1]}, "center"),
+    ("uniform-box", {"center": [0.0], "halfwidth": 0.8},
+     "two-speed-split", {"values": [[0.5], [-0.5]]}, "fraction"),
+])
+def test_missing_parameters_are_named(density, dparams, velocity, vparams, key):
+    with pytest.raises(ValueError, match=f"{key!r} is missing"):
+        InitialSpec(1, density, dparams, velocity, vparams, seed=0)
 
 
 def test_bound_enforced_at_sampling():
@@ -286,6 +298,30 @@ def test_local_fields_of_weightless_atoms_is_empty():
     assert grid.mk() == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_fields_equal_per_measure_binning(d):
+    rng = np.random.default_rng(40 + d)
+    x = rng.uniform(-1.0, 1.0, (5, d))
+    measures = [
+        random_phase_measure(40, d, False, seed=d),
+        phase_measure(np.zeros((0, d)), np.zeros((0, d)), np.zeros(0)),
+        random_phase_measure(17, d, True, seed=5 + d),
+        phase_measure(x, rng.normal(size=(5, d)), np.zeros(5)),  # zero mass
+        random_phase_measure(1, d, False, seed=9),
+        random_phase_measure(40, d, False, seed=d),  # a repeat
+    ]
+    for h in (0.07, 0.3, 1.1):
+        got = stacked_fields(measures, d, h)
+        assert len(got) == len(measures)
+        for grid, mu in zip(got, measures):
+            want = local_fields(mu, d, h)
+            assert grid.h == want.h and grid.d == want.d
+            for name in ("barycenter", "velocity", "mass", "cov_trace"):
+                assert np.array_equal(getattr(grid, name), getattr(want, name))
+        assert got[1].mass.size == got[3].mass.size == 0
+    assert stacked_fields([], d, 0.3) == []
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_field_residuals_equal_direct_battery_calls(d):
     n, alpha, horizon, bound, h = 24, 1.5, 0.3, 2.0, 0.35
@@ -360,6 +396,44 @@ def test_refinement_study_smoke():
     assert all(v >= 0 for v in rep.energy_cauchy[0])
     d = rep.to_dict()
     assert d["rows"][0]["n"] == 8
+
+
+def test_study_battery_equals_per_n_draws(monkeypatch):
+    # the study draws its battery once for every N; each N's residuals are
+    # those of a battery drawn for that trajectory alone
+    seen = {}
+    shared = meanfield._battery_residuals
+
+    def spy(traj, h, battery):
+        out = shared(traj, h, battery)
+        seen[traj.params.N] = (traj, battery, out)
+        return out
+
+    monkeypatch.setattr(meanfield, "_battery_residuals", spy)
+    rep = small_study()
+    monkeypatch.undo()
+    assert len({id(battery) for _, battery, _ in seen.values()}) == 1
+    for row in rep.rows:
+        traj, _, (_, cont, mom) = seen[row.n]
+        _, want_cont, want_mom = field_residuals(traj, 0.25, 4, 0)
+        assert cont == want_cont
+        assert mom == want_mom
+        assert row.continuity == max(want_cont)
+        assert row.momentum == max(want_mom)
+
+
+def test_battery_on_other_times_is_rejected():
+    x0, v0 = sample_initial(box_spec(seed=3), 6, 2.0)
+    traj = integrate(
+        ParticleState(0.0, x0, v0),
+        ModelParams(d=1, alpha=1.5, N=6, T=0.2, M=2.0),
+        tol=1e-6,
+        snapshot_times=np.linspace(0.0, 0.2, 5),
+    )
+    times = np.linspace(0.0, 0.2, 9)
+    battery = FieldBattery(vector_battery(1, 0.2, 2.0, size=3), times)
+    with pytest.raises(ValueError, match="snapshot times"):
+        meanfield._battery_residuals(traj, 0.25, battery)
 
 
 def test_refinement_study_thread_merge_deterministic():
