@@ -66,7 +66,6 @@ _EXPORTS = {
         "kinetic_energy",
         "marginal_x",
         "momentum",
-        "momentum_marginal",
         "phi_weighted_marginal",
     ),
     "rng": ("CounterRNG",),

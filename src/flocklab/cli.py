@@ -83,11 +83,7 @@ def _cmd_simulate(args) -> int:
         snapshot_times=snaps,
     )
     storage.save_trajectory(traj, out / "trajectory")
-    diag = build_report(
-        traj,
-        eta_ladder=tuple(cfg["eta_ladder"]),
-        bin_fractions=tuple(cfg["bin_fractions"]),
-    )
+    diag = build_report(traj, bin_fractions=tuple(cfg["bin_fractions"]))
     storage.save_diagnostics_csv(diag, out / "diagnostics.csv")
     payload = {
         "config": cfg,
@@ -98,7 +94,7 @@ def _cmd_simulate(args) -> int:
         "diagnostics": diag.to_dict(),
     }
     storage.write_report(out / "report.json", payload, kind="simulate")
-    print(f"simulate: {len(traj.snapshots)} snapshots -> {out}")
+    print(f"simulate: {len(traj)} snapshots -> {out}")
     return 0
 
 
@@ -129,11 +125,7 @@ def _cmd_diagnose(args) -> int:
     cfg = _load_config(args, "diagnose")
     out = _outdir(args)
     traj = storage.load_trajectory(cfg["input"])
-    diag = build_report(
-        traj,
-        eta_ladder=tuple(cfg["eta_ladder"]),
-        bin_fractions=tuple(cfg["bin_fractions"]),
-    )
+    diag = build_report(traj, bin_fractions=tuple(cfg["bin_fractions"]))
     storage.save_diagnostics_csv(diag, out / "diagnostics.csv")
     payload = {"config": cfg, "diagnostics": diag.to_dict()}
     storage.write_report(out / "diagnostics.json", payload, kind="diagnose")
@@ -149,7 +141,7 @@ def _cmd_residual(args) -> int:
     out = _outdir(args)
     traj = storage.load_trajectory(cfg["input"])
     p = traj.params
-    times = traj.times()
+    times = traj.times
     size = int(cfg["battery_size"])
     seed = int(cfg["battery_seed"])
 

@@ -174,13 +174,12 @@ def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Times, kinetic energy, and enstrophy along the snapshots."""
     d = traj.params.d
     alpha = traj.params.alpha
-    ts, es, ds = [], [], []
-    for st in traj.snapshots:
+    es, ds = [], []
+    for st in traj:
         mu = from_particles(st)
-        ts.append(st.t)
         es.append(kinetic_energy(mu, d))
         ds.append(enstrophy(mu, d, alpha))
-    return np.array(ts), np.array(es), np.array(ds)
+    return traj.times, np.array(es), np.array(ds)
 
 
 def energy_balance_residual(traj: Trajectory) -> float:
@@ -251,8 +250,8 @@ def sf_modulus(
 class DiagnosticsReport:
     """Per-snapshot diagnostic series for one trajectory.
 
-    eeta columns follow eta_ladder; mkvar columns follow h_ladder (bin
-    widths for the velocity-variance index).
+    mkvar columns follow h_ladder (bin widths for the velocity-variance
+    index).
     """
 
     times: np.ndarray
@@ -261,8 +260,6 @@ class DiagnosticsReport:
     dalpha: np.ndarray
     momentum: np.ndarray
     min_distance: np.ndarray
-    eta_ladder: tuple
-    eeta: np.ndarray
     h_ladder: tuple
     mkvar: np.ndarray
     energy_residual: float
@@ -277,8 +274,6 @@ class DiagnosticsReport:
             "min_distance": [
                 (x if np.isfinite(x) else None) for x in self.min_distance
             ],
-            "eta_ladder": list(self.eta_ladder),
-            "eeta": self.eeta.tolist(),
             "h_ladder": list(self.h_ladder),
             "mkvar": self.mkvar.tolist(),
             "energy_residual": self.energy_residual,
@@ -287,60 +282,44 @@ class DiagnosticsReport:
 
 def build_report(
     traj: Trajectory,
-    eta_ladder: tuple = (1.0, 0.3, 0.1, 0.03, 0.01),
     bin_fractions: tuple = (1 / 8, 1 / 16, 1 / 32),
 ) -> DiagnosticsReport:
     """Full diagnostic sweep over the snapshots of a trajectory."""
     d = traj.params.d
     alpha = traj.params.alpha
 
-    def measure_and_grid(st):
-        mu = from_particles(st)
+    def measure_and_grid(k):
+        mu = from_particles(traj[k])
         x, v, _ = _split(mu, d)
         return mu, PairGrid.of(x, v)
 
     # one pair grid per snapshot, shared by every pair functional below;
     # the first one also gives the diameter
-    mu0, g0 = measure_and_grid(traj.snapshots[0])
+    mu0, g0 = measure_and_grid(0)
     diam = float(g0.r.max()) if traj.params.N >= 2 else 1.0
     diam = max(diam, 1e-9)
     h_ladder = tuple(diam * f for f in bin_fractions)
 
-    rows = {
-        "t": [],
-        "E": [],
-        "D": [],
-        "Da": [],
-        "mom": [],
-        "md": [],
-        "eeta": [],
-        "mk": [],
-    }
-    for k, st in enumerate(traj.snapshots):
-        mu, g = (mu0, g0) if k == 0 else measure_and_grid(st)
-        rows["t"].append(st.t)
+    rows = {"E": [], "D": [], "Da": [], "mom": [], "md": [], "mk": []}
+    for k in range(len(traj)):
+        mu, g = (mu0, g0) if k == 0 else measure_and_grid(k)
         rows["E"].append(kinetic_energy(mu, d))
         rows["D"].append(enstrophy(mu, d, alpha, grid=g))
         rows["Da"].append(dalpha(mu, d, alpha, 0.0, grid=g))
         rows["mom"].append(momentum(mu, d))
         rows["md"].append(min_distance(mu, d, grid=g))
-        rows["eeta"].append(
-            [eta_monokineticity(mu, d, alpha, e, grid=g) for e in eta_ladder]
-        )
         rows["mk"].append([mk_index(mu, d, h) for h in h_ladder])
 
     return DiagnosticsReport(
-        times=np.array(rows["t"]),
+        times=traj.times,
         energy=np.array(rows["E"]),
         enstrophy=np.array(rows["D"]),
         dalpha=np.array(rows["Da"]),
         momentum=np.array(rows["mom"]),
         min_distance=np.array(rows["md"]),
-        eta_ladder=tuple(eta_ladder),
-        eeta=np.array(rows["eeta"]),
         h_ladder=h_ladder,
         mkvar=np.array(rows["mk"]),
         energy_residual=_balance_defect(
-            np.array(rows["t"]), np.array(rows["E"]), np.array(rows["D"])
+            traj.times, np.array(rows["E"]), np.array(rows["D"])
         ),
     )

@@ -484,6 +484,12 @@ class _Lawson:
 class Trajectory:
     """Snapshots of one integration plus its per-step log.
 
+    The S snapshots are stacked: ``times`` (S,), positions ``x`` (S, N, d)
+    and velocities ``v`` (S, N, d), all read-only float64 arrays, so a
+    consumer indexes or reshapes them instead of looping over states.
+    ``traj[k]`` and ``state_at(t)`` give one snapshot as a ParticleState
+    that views row k.
+
     Snapshots start at t=0 and end at t=T.  A snapshot strictly inside a
     step, or at the end of a step with stiff pairs, is the step's
     interpolant, accurate to about the tolerance.  The log holds, per
@@ -498,7 +504,9 @@ class Trajectory:
     """
 
     params: ModelParams
-    snapshots: tuple
+    times: np.ndarray  # (S,)
+    x: np.ndarray  # (S, N, d)
+    v: np.ndarray  # (S, N, d)
     step_t: np.ndarray
     step_h: np.ndarray
     step_err: np.ndarray
@@ -506,21 +514,35 @@ class Trajectory:
     tol: float | None = None
     step_stiff: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
+    def __post_init__(self):
+        times, x, v = _frozen(self.times), _frozen(self.x), _frozen(self.v)
+        p = self.params
+        if times.ndim != 1 or x.shape != (len(times), p.N, p.d) or x.shape != v.shape:
+            raise ValueError("need times (S,) and x, v of shape (S, N, d)")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "v", v)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.times)
+
+    def __getitem__(self, k: int) -> ParticleState:
+        """Snapshot k as a ParticleState that views row k of x and v."""
+        return ParticleState(float(self.times[k]), self.x[k], self.v[k])
+
+    @property
+    def snapshots(self) -> tuple:
+        """Every snapshot as a ParticleState view."""
+        return tuple(self)
 
     def state_at(self, t: float) -> ParticleState:
-        ts = self.times()
         scale = max(1.0, abs(float(t)))
-        k = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[k] - t) > 1e-9 * scale:
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9 * scale:
             raise SnapshotMissing(
                 "time not on the stored snapshot grid", requested=float(t)
             )
-        return self.snapshots[k]
+        return self[k]
 
 
 def _step_cap(
@@ -623,7 +645,10 @@ def integrate(
     y = np.concatenate([state0.x.ravel(), state0.v.ravel()])
     if not np.isfinite(y).all():
         raise NonFiniteState("initial state is not finite", time=0.0)
-    snapshots = [ParticleState(0.0, *unpack(y))]
+    # snapshot k goes to xs[k], vs[k]; snaps[0] = 0 is the initial state
+    xs = np.empty((len(snaps), n, d))
+    vs = np.empty((len(snaps), n, d))
+    xs[0], vs[0] = unpack(y)
     log_t, log_h, log_err, log_dmin, log_stiff = [], [], [], [], []
 
     # work.dist holds the pair distances of the last force evaluation.
@@ -711,13 +736,13 @@ def integrate(
                 rows = _dense(y, h, k, theta)
                 if lawson is not None:
                     lawson.dense(rows, k, theta)
-                for s_t, ys in zip(snaps[next_snap:inner], rows):
-                    snapshots.append(ParticleState(float(s_t), *unpack(ys)))
+                xs[next_snap:inner] = rows[:, :nd].reshape(-1, n, d)
+                vs[next_snap:inner] = rows[:, nd:].reshape(-1, n, d)
             y = y5
             k[0] = k[6]
             x_now, v_now = unpack(y)
             if stop > inner:
-                snapshots.append(ParticleState(float(t_new), x_now, v_now))
+                xs[inner], vs[inner] = x_now, v_now
             next_snap = stop
             cap, dmin_now = _step_cap(
                 x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work
@@ -747,7 +772,9 @@ def integrate(
 
     return Trajectory(
         params=params,
-        snapshots=tuple(snapshots),
+        times=snaps,
+        x=xs,
+        v=vs,
         step_t=np.array(log_t),
         step_h=np.array(log_h),
         step_err=np.array(log_err),

@@ -363,29 +363,27 @@ def field_residuals(traj: dynamics.Trajectory, h: float, size: int, seed: int):
     """
     p = traj.params
     phis = weakform.vector_battery(p.d, p.T, p.M, size, seed)
-    return _battery_residuals(traj, h, weakform.FieldBattery(phis, traj.times()))
+    return _battery_residuals(traj, h, weakform.FieldBattery(phis, traj.times))
 
 
 def _battery_residuals(traj, h, battery):
     """field_residuals against a FieldBattery tabulated on the trajectory's
     snapshot times."""
     p = traj.params
-    if not np.array_equal(battery.times, traj.times()):
+    if not np.array_equal(battery.times, traj.times):
         raise ValueError("battery and trajectory disagree on snapshot times")
     # stacked_fields of the snapshots' uniform-weight measures
-    states = traj.snapshots
+    s = len(traj)
     grids = _bin(
-        np.repeat(np.arange(len(states)), p.N),
-        np.concatenate([s.x for s in states]),
-        np.concatenate([s.v for s in states]),
-        np.full(len(states) * p.N, 1.0 / p.N),
-        len(states),
+        np.repeat(np.arange(s), p.N),
+        traj.x.reshape(-1, p.d),
+        traj.v.reshape(-1, p.d),
+        np.full(s * p.N, 1.0 / p.N),
+        s,
         h,
     )
-    first = states[0]
-    mom = battery.momentum(
-        grids, p.alpha, initial_atoms=(first.x, first.v, np.full(p.N, 1.0 / p.N))
-    )
+    first = (traj.x[0], traj.v[0], np.full(p.N, 1.0 / p.N))
+    mom = battery.momentum(grids, p.alpha, initial_atoms=first)
     return grids, battery.continuity(grids), mom
 
 
@@ -504,9 +502,8 @@ def _study_single_n(
     maxcell = [tuple(float(grid.mass.max()) for grid in row) for row in ladder]
 
     grids, cont, mom = _battery_residuals(traj, h, battery)
-    times = traj.times()
-    all_margins = weakform.dissipation_margin(times, grids, alpha)
-    probe_idx = [int(np.argmin(np.abs(times - p))) for p in probes]
+    all_margins = weakform.dissipation_margin(traj.times, grids, alpha)
+    probe_idx = [int(np.argmin(np.abs(traj.times - p))) for p in probes]
     margins = tuple(float(all_margins[i]) for i in probe_idx)
 
     row = StudyRow(
@@ -740,11 +737,7 @@ def pair_alignment_study(
             rows.append(PairRow(eps, None, None, None, None, exc.to_dict()))
             continue
 
-        dist, rel, dee = _pair_series(
-            np.stack([s.x for s in traj.snapshots]),
-            np.stack([s.v for s in traj.snapshots]),
-            alpha,
-        )
+        dist, rel, dee = _pair_series(traj.x, traj.v, alpha)
         psi = dist ** (-alpha)
         d_int = float(np.trapezoid(dee, times))
 

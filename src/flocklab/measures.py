@@ -8,11 +8,7 @@ momentum) among them.
 
 Weights are nonnegative and the total mass never exceeds 1 (plus round-off):
 probability measures and their sub-probability images under weighting by a
-[0, 1]-valued function.  Vector-valued momentum data are represented
-componentwise through the shift device: the signed spatial measure with
-density v_j against the particle distribution is encoded as the nonnegative
-measure weighted by (v_j + shift) / (2 shift), which keeps the mass within
-[0, 1] whenever speeds stay below ``shift``.
+[0, 1]-valued function.
 
 The flat metric ``dbl`` is computed exactly (to solver round-off) by
 ``_flatlp``: a dynamic program on the line, a spanning-tree network
@@ -173,22 +169,3 @@ def phi_weighted_marginal(
     x = mu.points[:, :d] - (t - t0) * v
     return EmpiricalMeasure(x, mu.weights * np.maximum(vals, 0.0))
 
-
-def momentum_marginal(
-    mu: EmpiricalMeasure, d: int, component: int, shift: float
-) -> EmpiricalMeasure:
-    """Shift-device encoding of the signed momentum-component marginal.
-
-    Returns the spatial measure with weights w * (v_j + shift) / (2 shift).
-    Requires |v_j| <= shift on the atoms; two such measures compare the
-    underlying signed densities: the shift contributes identically when the
-    spatial marginals agree, and the normalization keeps mass within 1.
-    """
-    _check_phase(mu, d)
-    if not 0 <= component < d:
-        raise ValueError("component out of range")
-    vj = mu.points[:, d + component]
-    if vj.size and np.abs(vj).max() > shift * (1.0 + 1e-12):
-        raise ValueError("shift must dominate every speed component")
-    w = mu.weights * (vj + shift) / (2.0 * shift)
-    return EmpiricalMeasure(mu.points[:, :d], w)

@@ -16,8 +16,10 @@ non-finite number anywhere is rejected with a ValidationError that names
 where it sits.
 
 ``kernel_floor`` and ``fixed_step`` name integrator modes that no longer
-exist.  They are accepted at their defaults only (0 and null), so every
-report written with them still reproduces from itself, byte for byte.
+exist, and ``eta_ladder`` a diagnostics series that is no longer reported.
+They are accepted at their defaults only (0, null and the default ladder),
+so every report written with them still reproduces from itself, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
 # the unregularized kernel and the adaptive integrator, the only modes
 _NO_FLOOR = {"enum": [0]}
 _NO_FIXED_STEP = {"enum": [None]}
+_ETA_LADDER = [1.0, 0.3, 0.1, 0.03, 0.01]
 
 SCHEMAS = {
     "simulate": {
@@ -65,7 +68,7 @@ SCHEMAS = {
             "snapshots": {"type": "integer", "minimum": 2},
             "kernel_floor": _NO_FLOOR,
             "fixed_step": _NO_FIXED_STEP,
-            "eta_ladder": {"type": "array", "items": _POSITIVE, "minItems": 1},
+            "eta_ladder": {"enum": [_ETA_LADDER]},
             "bin_fractions": {"type": "array", "items": _POSITIVE, "minItems": 1},
         },
         "additionalProperties": False,
@@ -75,7 +78,7 @@ SCHEMAS = {
         "required": ["input"],
         "properties": {
             "input": {"type": "string"},
-            "eta_ladder": {"type": "array", "items": _POSITIVE, "minItems": 1},
+            "eta_ladder": {"enum": [_ETA_LADDER]},
             "bin_fractions": {"type": "array", "items": _POSITIVE, "minItems": 1},
         },
         "additionalProperties": False,
@@ -143,11 +146,11 @@ DEFAULTS = {
         "snapshots": 33,
         "kernel_floor": 0.0,
         "fixed_step": None,
-        "eta_ladder": [1.0, 0.3, 0.1, 0.03, 0.01],
+        "eta_ladder": _ETA_LADDER,
         "bin_fractions": [1 / 8, 1 / 16, 1 / 32],
     },
     "diagnose": {
-        "eta_ladder": [1.0, 0.3, 0.1, 0.03, 0.01],
+        "eta_ladder": _ETA_LADDER,
         "bin_fractions": [1 / 8, 1 / 16, 1 / 32],
     },
     "residual": {"battery_size": 24, "battery_seed": 0, "h": None},
@@ -182,7 +185,9 @@ _TYPES = {
 
 
 def _same(a, b) -> bool:
-    # JSON equality: true and 1 are different values
+    # JSON equality: true and 1 are different values, inside arrays too
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ModelParams, ParticleState, Trajectory
+from .dynamics import ModelParams, Trajectory
 from .measures import EmpiricalMeasure
 
 SCHEMA_VERSION = "1"
@@ -81,12 +81,12 @@ def save_trajectory(traj: Trajectory, stem) -> tuple[Path, Path]:
             + [f"v{k + 1}" for k in range(d)]
         )
         writer.writerow(header)
-        for st in traj.snapshots:
-            for i in range(st.x.shape[0]):
+        for t, x, v in zip(traj.times, traj.x, traj.v):
+            for i in range(x.shape[0]):
                 writer.writerow(
-                    [repr(float(st.t)), i]
-                    + [repr(float(c)) for c in st.x[i]]
-                    + [repr(float(c)) for c in st.v[i]]
+                    [repr(float(t)), i]
+                    + [repr(float(c)) for c in x[i]]
+                    + [repr(float(c)) for c in v[i]]
                 )
     p = traj.params
     summary = {
@@ -98,7 +98,7 @@ def save_trajectory(traj: Trajectory, stem) -> tuple[Path, Path]:
         "monokinetic_regime": p.monokinetic_regime,
         "meanfield_regime": p.meanfield_regime,
         "tol": traj.tol,
-        "snapshot_count": len(traj.snapshots),
+        "snapshot_count": len(traj),
         "accepted_steps": int(len(traj.step_t)),
     }
     json_path = stem.with_suffix(".json")
@@ -138,34 +138,31 @@ def load_trajectory(stem) -> Trajectory:
             if len(row) != want:
                 raise ValueError(f"trajectory CSV line {reader.line_num}: {row}")
             rows.append([float(row[0]), int(row[1])] + [float(c) for c in row[2:]])
-    snapshots = []
     by_t: dict[float, list] = {}
-    order: list[float] = []
     for row in rows:
-        t = row[0]
-        if t not in by_t:
-            by_t[t] = []
-            order.append(t)
-        by_t[t].append(row)
-    for t in order:
-        block = sorted(by_t[t], key=lambda r: r[1])
+        by_t.setdefault(row[0], []).append(row)
+    blocks = []
+    for t, block in by_t.items():
+        block.sort(key=lambda r: r[1])
         if [r[1] for r in block] != list(range(params.N)):
             raise ValueError(
                 f"trajectory snapshot t={t!r} does not hold exactly the "
                 f"particles 0..{params.N - 1}"
             )
-        x = np.array([r[2 : 2 + d] for r in block])
-        v = np.array([r[2 + d :] for r in block])
-        snapshots.append(ParticleState(t, x, v))
-    if len(snapshots) != int(meta["snapshot_count"]):
+        blocks.append([r[2:] for r in block])
+    if len(blocks) != int(meta["snapshot_count"]):
         raise ValueError(
-            f"trajectory CSV holds {len(snapshots)} snapshots, "
+            f"trajectory CSV holds {len(blocks)} snapshots, "
             f"its summary {meta['snapshot_count']}"
         )
+    # (S, N, 2d): positions, then velocities
+    data = np.array(blocks, dtype=np.float64).reshape(len(blocks), params.N, 2 * d)
     empty = np.zeros(0)
     return Trajectory(
         params=params,
-        snapshots=tuple(snapshots),
+        times=np.array(list(by_t)),
+        x=data[..., :d],
+        v=data[..., d:],
         step_t=empty,
         step_h=empty,
         step_err=empty,

@@ -366,25 +366,24 @@ def kinetic_weak_residuals(traj: Trajectory, phis) -> list:
     alpha = traj.params.alpha
     n = traj.params.N
     w = 1.0 / n
-    times = traj.times()
+    times = traj.times
     a_vals = np.empty((len(phis), len(times)))
     b_vals = np.empty((len(phis), len(times)))
     work = Workspace(n)
-    for k, st in enumerate(traj.snapshots):
-        r = distances(st.x, out=work.dist, scratch=work.a)
+    for k, t in enumerate(times.tolist()):
+        x, v = traj.x[k], traj.v[k]
+        r = distances(x, out=work.dist, scratch=work.a)
         psi = kernel(r, alpha, out=work.a)
-        pull = relative_sums(psi, st.v, scratch=work.b)  # = -R
+        pull = relative_sums(psi, v, scratch=work.b)  # = -R
         for f, phi in enumerate(phis):
             a_vals[f, k] = (
-                phi.dt(st.t, st.x, st.v)
-                + np.einsum("ij,ij->i", st.v, phi.grad_x(st.t, st.x, st.v))
+                phi.dt(t, x, v) + np.einsum("ij,ij->i", v, phi.grad_x(t, x, v))
             ).sum() * w
-            gv = phi.grad_v(st.t, st.x, st.v)
+            gv = phi.grad_v(t, x, v)
             b_vals[f, k] = -2.0 * w * w * np.einsum("ij,ij->", gv, pull)
-    x0, v0 = traj.snapshots[0].x, traj.snapshots[0].v
     out = []
     for f, phi in enumerate(phis):
-        phi0 = phi.value(times[0], x0, v0).sum() * w
+        phi0 = phi.value(times[0], traj.x[0], traj.v[0]).sum() * w
         a_int = np.trapezoid(a_vals[f], times)
         b_int = np.trapezoid(b_vals[f], times)
         out.append(float(abs(-phi0 - a_int + 0.5 * b_int)))

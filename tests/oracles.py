@@ -292,7 +292,7 @@ def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
     residual |-phi0 - int A dt + 1/2 int B dt|, per test function."""
     alpha = traj.params.alpha
     w = 1.0 / traj.params.N
-    times = traj.times()
+    times = traj.times
     a_vals = np.empty(len(times))
     b_vals = np.empty(len(times))
     for k, st in enumerate(traj.snapshots):
@@ -1022,7 +1022,9 @@ def dp5_integrate(
 
     return Trajectory(
         params=params,
-        snapshots=tuple(snapshots),
+        times=np.array([s.t for s in snapshots]),
+        x=np.stack([s.x for s in snapshots]),
+        v=np.stack([s.v for s in snapshots]),
         step_t=np.array(log_t),
         step_h=np.array(log_h),
         step_err=np.array(log_err),

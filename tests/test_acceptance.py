@@ -120,15 +120,12 @@ def test_speed_and_position_envelopes(ensemble):
     worst_speed = -np.inf
     worst_pos = -np.inf
     for traj in ensemble:
-        v0 = traj.snapshots[0].v
-        x0 = traj.snapshots[0].x
-        smax0 = float(np.sqrt((v0**2).sum(axis=1)).max())
-        xmax0 = float(np.sqrt((x0**2).sum(axis=1)).max())
-        for s in traj.snapshots:
-            speed = float(np.sqrt((s.v**2).sum(axis=1)).max())
-            pos = float(np.sqrt((s.x**2).sum(axis=1)).max())
-            worst_speed = max(worst_speed, speed - smax0)
-            worst_pos = max(worst_pos, pos - (xmax0 + s.t * smax0))
+        # per snapshot: the largest speed and the largest |x|
+        speed = np.sqrt((traj.v**2).sum(axis=2)).max(axis=1)
+        pos = np.sqrt((traj.x**2).sum(axis=2)).max(axis=1)
+        worst_speed = max(worst_speed, float((speed - speed[0]).max()))
+        envelope = pos[0] + traj.times * speed[0]
+        worst_pos = max(worst_pos, float((pos - envelope).max()))
     assert worst_speed <= 1e-8
     assert worst_pos <= 1e-8
     print(
@@ -151,11 +148,10 @@ def test_collision_free_accepted_steps(ensemble):
 def test_momentum_conservation(ensemble):
     worst = -np.inf
     for traj in ensemble:
-        p0 = traj.snapshots[0].v.sum(axis=0)
+        p = traj.v.sum(axis=1)  # (S, d) total momentum per snapshot
         n, m = traj.params.N, traj.params.M
-        for s in traj.snapshots:
-            drift = float(np.linalg.norm(s.v.sum(axis=0) - p0))
-            worst = max(worst, drift / (n * m))
+        drift = np.sqrt(((p - p[0]) ** 2).sum(axis=1))
+        worst = max(worst, float(drift.max()) / (n * m))
     assert worst <= 1e-10
     print(f"PASS momentum conservation: worst drift {worst:.2e} <= 1e-10 per N*M")
 
@@ -209,8 +205,8 @@ def test_density_time_lipschitz(ensemble):
     for traj in ensemble:
         d = traj.params.d
         m = traj.params.M
-        margs = [marginal_x(from_particles(s), d) for s in traj.snapshots]
-        times = [s.t for s in traj.snapshots]
+        margs = [marginal_x(from_particles(s), d) for s in traj]
+        times = traj.times
         for _ in range(100):
             i, j = rng.choice(len(margs), 2, replace=False)
             gap = dbl(margs[i], margs[j]) - 2.0 * m * abs(times[i] - times[j])
@@ -353,8 +349,8 @@ def field_study():
             tol=1e-6,
             snapshot_times=grid_t,
         )
-        times = traj.times()
-        measures = [from_particles(s) for s in traj.snapshots]
+        times = traj.times
+        measures = [from_particles(s) for s in traj]
         grids = [local_fields(mu, 1, h) for mu in measures]
         out["cont"].append(max(continuity_residuals(times, grids, mb)))
         w0 = np.full(n, 1.0 / n)

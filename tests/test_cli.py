@@ -56,11 +56,27 @@ def test_trajectory_roundtrip(tmp_path):
     back = storage.load_trajectory(tmp_path / "run")
     assert back.params == params
     assert back.tol == traj.tol
-    assert len(back.snapshots) == 5
-    for a, b in zip(traj.snapshots, back.snapshots):
-        assert a.t == b.t  # repr round trip is exact
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.v, b.v)
+    assert len(back) == 5
+    # the repr round trip is exact
+    for name in ("times", "x", "v"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name))
+
+
+def test_trajectory_arrays_are_read_only_and_states_view_them(tmp_path):
+    params = ModelParams(d=2, alpha=1.5, N=4, T=0.2, M=2.0)
+    x = np.array([[0.0, 0.1], [0.5, -0.2], [-0.4, 0.3], [0.2, 0.6]])
+    traj = integrate(
+        ParticleState(0.0, x, -0.5 * x), params, snapshot_times=[0.05, 0.1]
+    )
+    storage.save_trajectory(traj, tmp_path / "run")
+    back = storage.load_trajectory(tmp_path / "run")
+    for tr in (traj, back):
+        assert tr.x.shape == tr.v.shape == (4, 4, 2)
+        assert not any(a.flags.writeable for a in (tr.times, tr.x, tr.v))
+        st = tr.state_at(0.1)
+        assert st.t == 0.1
+        assert np.shares_memory(st.x, tr.x) and np.shares_memory(st.v, tr.v)
+        assert np.array_equal(st.x, tr.x[2])
 
 
 def test_stiff_step_counts_stay_in_memory(tmp_path):
@@ -408,10 +424,12 @@ def test_missing_recipe_parameter_is_named(tmp_path, capsys, params, key):
 
 
 @pytest.mark.parametrize("key, value", [("fixed_step", 0.01),
-                                        ("kernel_floor", 0.5)])
+                                        ("kernel_floor", 0.5),
+                                        ("eta_ladder", [0.5, 0.1])])
 def test_removed_integrator_modes_are_schema_errors(tmp_path, capsys, key,
                                                     value):
-    # the keys stay valid at their defaults only, so old reports reproduce
+    # the keys of removed modes and of the removed eta ladder stay valid at
+    # their defaults only, so old reports reproduce
     out = tmp_path / "o"
     rc = cli.main(["simulate", "--config",
                    str(sim_config(tmp_path, **{key: value})), "--out", str(out)])
@@ -427,6 +445,7 @@ def test_report_with_the_removed_keys_at_defaults_reproduces(saved_run,
     report = saved_run / "report.json"
     config = json.loads(report.read_text())["config"]
     assert config["fixed_step"] is None and config["kernel_floor"] == 0.0
+    assert config["eta_ladder"] == [1.0, 0.3, 0.1, 0.03, 0.01]
     out = tmp_path / "again"
     assert cli.main(["simulate", "--config", str(report), "--out", str(out)]) == 0
     assert stripped(out / "report.json") == stripped(report)

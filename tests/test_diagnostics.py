@@ -261,7 +261,6 @@ def test_build_report_shapes_and_consistency():
     traj = integrate(ParticleState(0.0, x, v), params, tol=1e-8, snapshot_times=snaps)
     rep = build_report(traj)
     assert rep.times.shape == (7,)
-    assert rep.eeta.shape == (7, 5)
     assert rep.mkvar.shape == (7, 3)
     assert rep.momentum.shape == (7, 2)
     assert (rep.min_distance > 0).all()
@@ -270,5 +269,5 @@ def test_build_report_shapes_and_consistency():
     drift = np.abs(rep.momentum - rep.momentum[0]).max()
     assert drift < 1e-12
     d = rep.to_dict()
-    assert d["eta_ladder"] == [1.0, 0.3, 0.1, 0.03, 0.01]
+    assert "eta_ladder" not in d and "eeta" not in d
     assert len(d["energy"]) == 7

@@ -45,11 +45,6 @@ def planted_state(n, d, seed, gaps):
     return ParticleState(0.0, x, s.v)
 
 
-def stacked(traj):
-    return (np.stack([st.x for st in traj.snapshots]),
-            np.stack([st.v for st in traj.snapshots]))
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(d=1, alpha=0.5, N=2, T=1.0, M=1.0)
@@ -112,7 +107,7 @@ def test_snapshot_grid_is_exact():
     s = random_state(3, 1, seed=2)
     times = np.linspace(0.0, 1.0, 11)
     tr = integrate(s, p, tol=1e-8, snapshot_times=times)
-    assert np.array_equal(tr.times(), times)
+    assert np.array_equal(tr.times, times)
     assert tr.state_at(0.5).t == 0.5
     with pytest.raises(SnapshotMissing):
         tr.state_at(0.55)
@@ -123,7 +118,7 @@ def test_snapshot_times_within_rounding_of_the_ends_merge():
     s = random_state(3, 1, seed=2)
     for times in ([0.5, 1 + 1e-13], [-1e-16, 0.5]):
         tr = integrate(s, p, tol=1e-8, snapshot_times=times)
-        assert tr.times().tolist() == [0.0, 0.5, 1.0]
+        assert tr.times.tolist() == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError):
         integrate(s, p, snapshot_times=[0.5, 1 + 1e-9])
 
@@ -237,8 +232,8 @@ def test_dense_snapshots_match_landed_runs(d, alpha, gap):
     dense = integrate(s, p, tol=tol, snapshot_times=times)
     if gap is not None:
         assert dense.step_stiff.any()
-        want = stacked(dp5_integrate(s, p, tol=1e-11, snapshot_times=times))
-        for got, ref in zip(stacked(dense), want):
+        want = dp5_integrate(s, p, tol=1e-11, snapshot_times=times)
+        for got, ref in ((dense.x, want.x), (dense.v, want.v)):
             assert np.abs(got - ref).max() <= 10 * tol
     for t_k in times[[3, 8, 13]]:
         landed = integrate(
@@ -308,8 +303,8 @@ def test_matches_dp5_bit_for_bit_without_stiff_pairs(d):
     got = integrate(s, p, tol=1e-9, snapshot_times=times)
     want = dp5_integrate(s, p, tol=1e-9, snapshot_times=times)
     assert not got.step_stiff.any()
-    assert np.array_equal(got.times(), want.times())
-    for a, b in zip(stacked(got), stacked(want)):
+    assert np.array_equal(got.times, want.times)
+    for a, b in ((got.x, want.x), (got.v, want.v)):
         assert np.array_equal(a, b)
     for name in ("step_t", "step_h", "step_err", "step_min_dist"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -320,7 +315,7 @@ def assert_close_to_tight_dp5(s, p, times, tol):
     momentum kept and kinetic energy never rising; returns the run."""
     got = integrate(s, p, tol=tol, snapshot_times=times)
     want = dp5_integrate(s, p, tol=1e-11, snapshot_times=times)
-    (xg, vg), (xw, vw) = stacked(got), stacked(want)
+    xg, vg, xw, vw = got.x, got.v, want.x, want.v
     assert np.abs(xg - xw).max() <= 10 * tol
     assert np.abs(vg - vw).max() <= 10 * tol
     assert np.abs(vg.sum(axis=1) - s.v.sum(axis=0)).max() <= 1e-10 * p.N * p.M
@@ -355,7 +350,7 @@ def test_components_above_the_size_cap_stay_explicit(monkeypatch):
     got = integrate(s, p, tol=1e-8, snapshot_times=times)
     assert not got.step_stiff.any()
     want = dp5_integrate(s, p, tol=1e-8, snapshot_times=times)
-    for a, b in zip(stacked(got), stacked(want)):
+    for a, b in ((got.x, want.x), (got.v, want.v)):
         assert np.array_equal(a, b)
 
 

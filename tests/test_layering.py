@@ -1,10 +1,12 @@
 """Module layering: an acyclic import graph, imports at module level only,
-benchmark tracer targets that still exist, and no BLAS in the integrator."""
+benchmark tracer targets and reads that still work, snapshots read as
+arrays, and no BLAS in the integrator."""
 
 import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,6 +127,37 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     ]
     assert missing == []
     assert len(traced.PATCHES) > 0
+
+
+def test_benchmark_tracer_reads_an_integrate_result(monkeypatch):
+    # the tracer records counts read off the result of integrate; a change
+    # to Trajectory that breaks those reads would break the traced pass
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("traced", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import traced
+
+    from flocklab.dynamics import ModelParams, ParticleState, integrate
+
+    x = np.array([[0.0], [0.4], [-0.5]])
+    traj = integrate(
+        ParticleState(0.0, x, -x),
+        ModelParams(d=1, alpha=1.5, N=3, T=0.2, M=1.0),
+        snapshot_times=[0.05, 0.1],
+    )
+    info = traced._info("integrate", (), traj)
+    assert info == {"accepted": len(traj.step_t), "intervals": 3}
+
+
+def test_package_reads_snapshots_as_arrays():
+    # consumers index Trajectory.times, .x and .v; the tuple of states is
+    # kept for outside readers only
+    reads = {
+        name: [node.lineno for node in ast.walk(parse(name))
+               if isinstance(node, ast.Attribute) and node.attr == "snapshots"]
+        for name in MODULES
+    }
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 # numpy entry points that may hand a product to the BLAS or LAPACK, whose

@@ -333,7 +333,7 @@ def test_field_residuals_equal_direct_battery_calls(d):
         snapshot_times=np.linspace(0.0, horizon, 7),
     )
     grids, cont, mom = field_residuals(traj, h, 6, 3)
-    times = traj.times()
+    times = traj.times
     want = [local_fields(from_particles(s), d, h) for s in traj.snapshots]
     for got, ref in zip(grids, want, strict=True):
         for name in ("barycenter", "velocity", "mass", "cov_trace"):

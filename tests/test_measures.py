@@ -13,7 +13,6 @@ from flocklab.measures import (
     dbl_with_potential,
     from_particles,
     marginal_x,
-    momentum_marginal,
     phi_weighted_marginal,
     union_support,
 )
@@ -62,19 +61,6 @@ def test_phi_weighted_marginal_mass_and_bounds():
         phi_weighted_marginal(mu, 1, 0.0, 0.0, lambda v: -np.ones(len(v)))
     with pytest.raises(ValueError):
         phi_weighted_marginal(mu, 1, 0.0, 0.0, lambda v: 2.0 * np.ones(len(v)))
-
-
-def test_momentum_marginal_shift_device():
-    pts = np.array([[0.0, 0.8], [1.0, -0.6]])
-    mu = EmpiricalMeasure(pts, [0.5, 0.5])
-    nu = momentum_marginal(mu, 1, 0, shift=1.0)
-    assert np.allclose(nu.weights, [0.5 * 1.8 / 2, 0.5 * 0.4 / 2])
-    # difference of two shifted masses recovers the signed integral
-    total = nu.total_mass()
-    signed = 0.5 * 0.8 + 0.5 * (-0.6)
-    assert 2.0 * 1.0 * total - 1.0 * mu.total_mass() == pytest.approx(signed)
-    with pytest.raises(ValueError):
-        momentum_marginal(mu, 1, 0, shift=0.5)
 
 
 # ---- flat metric ----

@@ -189,6 +189,12 @@ MF = {
     ("simulate", dict(SIM, kernel_floor=False), False),
     ("mfstudy", dict(MF, kernel_floor=0.0), True),
     ("mfstudy", dict(MF, kernel_floor=0.3), False),
+    # a diagnostics ladder that is no longer reported, default only
+    ("simulate", dict(SIM, eta_ladder=[1.0, 0.3, 0.1, 0.03, 0.01]), True),
+    ("simulate", dict(SIM, eta_ladder=[1, 0.3, 0.1, 0.03, 0.01]), True),
+    ("simulate", dict(SIM, eta_ladder=[True, 0.3, 0.1, 0.03, 0.01]), False),
+    ("simulate", dict(SIM, eta_ladder=[1.0, 0.3]), False),
+    ("diagnose", {"input": "run", "eta_ladder": [0.5]}, False),
 ])
 def test_conforms_on_hand_cases(kind, doc, ok):
     assert _agree(doc, kind) == ok
@@ -229,7 +235,7 @@ def test_rejection_is_worded_by_jsonschema():
 @pytest.mark.parametrize("doc, path", [
     (dict(SIM, T=float("nan")), ["T"]),
     (dict(SIM, tol=float("inf")), ["tol"]),
-    (dict(SIM, eta_ladder=[1.0, float("inf")]), ["eta_ladder", 1]),
+    (dict(SIM, bin_fractions=[0.125, float("inf")]), ["bin_fractions", 1]),
 ])
 def test_non_finite_numbers_are_rejected_by_name(doc, path):
     # NaN passes every bound, so the schema accepts these documents
@@ -245,7 +251,8 @@ def test_non_finite_numbers_are_rejected_by_name(doc, path):
 
 # the package namespace before it became lazy (63 re-exports plus the 8
 # submodules the eager imports bound), less AmbiguousGrouping, LocalField,
-# disintegrate and pushforward_free, which were deleted with their code
+# disintegrate, momentum_marginal and pushforward_free, which were deleted
+# with their code
 PUBLIC = [
     "CollisionalState", "CounterRNG",
     "DiagnosticsReport", "DivergentNormalization", "EmpiricalMeasure",
@@ -262,7 +269,7 @@ PUBLIC = [
     "from_particles", "integrate", "kinetic_battery", "kinetic_energy",
     "kinetic_weak_residual", "kinetic_weak_residuals", "local_fields",
     "macro_battery", "marginal_x", "meanfield", "measures", "mk_index",
-    "momentum", "momentum_marginal", "momentum_residual",
+    "momentum", "momentum_residual",
     "momentum_residuals", "mp_margin", "pair_alignment_study", "pairs",
     "phi_weighted_marginal", "refinement_study", "rng",
     "sample_initial", "sf_modulus", "vector_battery", "weakform",
@@ -270,7 +277,7 @@ PUBLIC = [
 
 
 def test_public_namespace_unchanged():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 66
     assert flocklab.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(flocklab))
     for name in PUBLIC:
