@@ -81,6 +81,17 @@ STEP_FLOOR_FRACTION = 1e-12
 GEOMETRY_SAFETY = 0.2
 
 
+def sorted_distinct(a) -> np.ndarray:
+    """The distinct values of a, flattened and sorted, each kept at its
+    first occurrence: np.unique's values from one stable sort and an
+    adjacent-difference mask, without the numpy.ma import that np.unique
+    makes."""
+    s = np.sort(np.ravel(a), kind="stable")
+    keep = np.ones(s.size, bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Static description of one particle model.
@@ -380,7 +391,7 @@ def _components(close: np.ndarray) -> list:
             break
         label = new
     by_size = {}
-    for root in np.unique(label[ii]):
+    for root in sorted_distinct(label[ii]):
         members = np.flatnonzero(label == root)
         by_size.setdefault(len(members), []).append(members)
     return [np.array(by_size[m]) for m in sorted(by_size)]
@@ -627,7 +638,7 @@ def integrate(
     if snaps.min() < -1e-15 or snaps.max() > T * (1 + 1e-12):
         raise ValueError("snapshot times must lie in [0, T]")
     # clip before de-duplicating, so times within rounding of 0 or T merge
-    snaps = np.unique(np.clip(snaps, 0.0, T))
+    snaps = sorted_distinct(np.clip(snaps, 0.0, T))
 
     nd = n * d
 

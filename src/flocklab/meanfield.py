@@ -28,7 +28,6 @@ their module, so the swap takes effect here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -481,9 +480,11 @@ def _study_single_n(
     snap_times,
     tol,
     battery,
+    atoms,
 ):
     d = spec.d
-    x0, v0 = sample_initial(spec, n, bound)
+    # the study's one draw, or this N's own when that draw failed
+    x0, v0 = sample_initial(spec, n, bound) if atoms is None else atoms
     params = dynamics.ModelParams(d=d, alpha=alpha, N=n, T=horizon, M=bound)
     traj = dynamics.integrate(
         dynamics.ParticleState(0.0, x0, v0),
@@ -546,6 +547,10 @@ def refinement_study(
     error record, and so is a failed flat distance between two runs (support
     cap, pivot budget); the study continues.
 
+    The largest N is sampled once and every N runs on its prefix.  When
+    that draw raises RejectionOverflow, every N draws its own sample, so
+    only the N that reach the failing atom fail.
+
     threads > 1 integrates different N concurrently; results merge keyed
     by N, so the report is identical for any thread count.  Jobs start
     largest N first, so the costliest run is not left waiting for a pool
@@ -554,21 +559,31 @@ def refinement_study(
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) != len(n_list):
         raise ValueError("n_list entries must be distinct")
+    if not n_list or min(n_list) < 1:
+        raise ValueError("n_list must hold one or more positive sizes")
     probes = [float(p) for p in probe_times]
     if any(p < 0 or p > horizon for p in probes):
         raise ValueError("probe times must lie in [0, horizon]")
-    snap_times = np.union1d(np.linspace(0.0, horizon, quad_points), probes)
+    snap_times = dynamics.sorted_distinct(
+        np.concatenate([np.linspace(0.0, horizon, quad_points), probes])
+    )
     # every N runs on the same snapshot times, so one battery serves them all
     battery = weakform.FieldBattery(
         weakform.vector_battery(spec.d, horizon, bound, battery_size, battery_seed),
         snap_times,
     )
 
+    try:
+        xs, vs = sample_initial(spec, max(n_list), bound)
+    except RejectionOverflow:
+        xs = vs = None
+
     def job(n):
+        atoms = None if xs is None else (xs[:n], vs[:n])
         try:
             return n, _study_single_n(
                 spec, n, alpha, horizon, bound, h, probes, snap_times,
-                tol, battery,
+                tol, battery, atoms,
             )
         except FlockLabError as exc:
             row = StudyRow(
@@ -580,6 +595,8 @@ def refinement_study(
 
     largest_first = sorted(n_list, reverse=True)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             merged = dict(pool.map(job, largest_first))
     else:

@@ -4,7 +4,8 @@ Every pair computation of the dynamics, the diagnostics and the weak forms
 goes through this module, so each grid is built one way:
 
   squared distances  summed one coordinate at a time as (N, N) arrays,
-                     never as (N, N, d) difference tensors;
+                     never as (N, N, d) difference tensors; a row tile
+                     (R, N) of the grid repeats its rows' arithmetic;
   distances          |x_i - x_j| in d = 1, the square root of the squared
                      distances in d >= 2;
   kernel             r^(-alpha), unregularized, with self-pairs and
@@ -49,42 +50,53 @@ class Workspace:
         self.b = np.empty((n, n))
 
 
-def outer_diff(col: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(N, N) array of col[i] - col[j] for a 1-D array col."""
-    return np.subtract(col[:, None], col[None, :], out=out)
+def outer_diff(
+    col: np.ndarray, out: np.ndarray | None = None, rows: slice = slice(None)
+) -> np.ndarray:
+    """(N, N) array of col[i] - col[j] for a 1-D array col; only the grid
+    rows i in ``rows`` when given, an (R, N) array."""
+    return np.subtract(col[rows, None], col[None, :], out=out)
 
 
 def sq_distances(
-    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    rows: slice = slice(None),
 ) -> np.ndarray:
     """(N, N) squared Euclidean distances of the rows of x, zero diagonal.
 
     Coordinates are added one at a time in index order.  ``out`` receives
     the result and ``scratch`` holds each coordinate's differences; both
-    are allocated when not given.
+    are allocated when not given.  ``rows`` restricts the grid to those
+    rows, an (R, N) tile with the same values as the full grid's rows.
     """
-    s = outer_diff(x[:, 0], out=out)
+    s = outer_diff(x[:, 0], out=out, rows=rows)
     s *= s
     for k in range(1, x.shape[1]):
-        t = outer_diff(x[:, k], out=scratch)
+        t = outer_diff(x[:, k], out=scratch, rows=rows)
         t *= t
         s += t
     return s
 
 
 def distances(
-    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """(N, N) Euclidean distances of the rows of x, zero diagonal.
+    """(N, N) Euclidean distances of the rows of x, zero diagonal; an
+    (R, N) tile of them when ``rows`` is given, as in sq_distances.
 
     In d = 1 this is |x_i - x_j|, one subtraction and one absolute value;
     it equals the square root of the square bit for bit unless the square
     underflows or overflows (gaps below 1e-154 or above 1e154).
     """
     if x.shape[1] == 1:
-        r = outer_diff(x[:, 0], out=out)
+        r = outer_diff(x[:, 0], out=out, rows=rows)
         return np.abs(r, out=r)
-    r = sq_distances(x, out=out, scratch=scratch)
+    r = sq_distances(x, out=out, scratch=scratch, rows=rows)
     return np.sqrt(r, out=r)
 
 

@@ -11,6 +11,10 @@ simplex; the differential tests compare the two to 1e-12.
 line_simplex_flat_lp is that network simplex on the line, which the
 package used before d = 1 got its exact dynamic program; the differential
 tests compare the DP against it, the dense simplex and HiGHS to 1e-12.
+arc_simplex_flat_lp is the network simplex the package used in d >= 2
+before its column generation: every arc shorter than 2 stored and priced
+from the dense distance grid.  The differential tests compare the
+working-set simplex against it, the dense simplex and HiGHS to 1e-12.
 
 The tensor_* functions are the dense (N, N, d) formulations the package
 used before its pair geometry moved to per-component (N, N) arrays.  They
@@ -699,6 +703,165 @@ def dense_simplex_flat_lp(
             stall += 1
             if stall > 3 * K + 50:
                 bland = True
+
+
+# ---- the stored-arc network simplex ----
+#
+# _flatlp.solve_flat_lp in d >= 2 as it was before its column generation:
+# every arc shorter than 2 is built from the dense distance grid, stored,
+# and priced in full whenever the candidate pool runs dry.  Kept verbatim
+# as the differential oracle for the working-set simplex.
+
+_CANDIDATES = 100  # arcs kept in the pricing list
+
+
+def stored_arcs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tail, head, cost) of every arc; node K is the ground."""
+    K = points.shape[0]
+    dist = distances(points)
+    near = dist < 2.0
+    np.fill_diagonal(near, False)
+    t, h = np.nonzero(near)
+    nodes = np.arange(K)
+    ground = np.full(K, K)
+    tail = np.concatenate([nodes, ground, t])
+    head = np.concatenate([ground, nodes, h])
+    cost = np.concatenate([np.ones(2 * K), dist[near]])
+    return tail, head, cost
+
+
+def arc_simplex_flat_lp(
+    points: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Optimal flat-metric value and potential for signed weights b on
+    support points of shape (K, d), by the network simplex on every stored
+    arc shorter than 2.
+
+    Raises PivotBudgetExceeded when the simplex does not finish within
+    ``_flatlp._pivot_budget`` pivots.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    K = points.shape[0]
+    if K == 0:
+        return 0.0, np.zeros(0)
+
+    tail, head, cost = stored_arcs(points)
+    budget = _flatlp._pivot_budget(K)
+
+    # The tree: node v < K reaches its parent through one arc, which points
+    # up (v -> parent) or down (parent -> v) and carries flow[v] >= 0.
+    root = K
+    parent = [root] * K + [-1]
+    up = [bool(bk > 0.0) for bk in b] + [False]
+    flow = [abs(float(bk)) for bk in b] + [0.0]
+    arc_cost = [1.0] * K + [0.0]
+    depth = [1] * K + [0]
+    children = [[] for _ in range(K)] + [list(range(K))]
+    pot = [1.0 if u else -1.0 for u in up[:K]] + [0.0]
+    phi = np.array(pot)
+
+    # Candidate pool of entering arcs: the most negative arcs of the last
+    # full pricing.
+    pool_t, pool_h, pool_c = (tail[:0],) * 3
+    rc_all = np.empty(cost.size)
+    pivots = 0
+    while True:
+        rc = pool_c - phi[pool_t] + phi[pool_h]
+        i = int(np.argmin(rc)) if rc.size else 0
+        if not rc.size or rc[i] >= -_RC_TOL:
+            np.subtract(cost, phi[tail], out=rc_all)
+            rc_all += phi[head]
+            sel = np.flatnonzero(rc_all < -_RC_TOL)
+            if not sel.size:
+                break
+            if sel.size > _CANDIDATES:
+                best = np.argpartition(rc_all[sel], _CANDIDATES)
+                sel = sel[best[:_CANDIDATES]]
+            pool_t, pool_h, pool_c = tail[sel], head[sel], cost[sel]
+            i = int(np.argmin(rc_all[sel]))
+
+        if pivots >= budget:
+            raise PivotBudgetExceeded(
+                "flat-metric simplex exceeded its pivot budget",
+                support=K,
+                pivots=pivots,
+                budget=budget,
+            )
+        pivots += 1
+
+        # Entering arc k -> l closes the cycle k -> l -> ... -> apex -> ... -> k.
+        k, l, c = int(pool_t[i]), int(pool_h[i]), float(pool_c[i])
+        a, z = k, l
+        while a != z:
+            if depth[a] >= depth[z]:
+                a = parent[a]
+            else:
+                z = parent[z]
+        apex = a
+        kpath = []
+        v = k
+        while v != apex:
+            kpath.append(v)
+            v = parent[v]
+        lpath = []
+        v = l
+        while v != apex:
+            lpath.append(v)
+            v = parent[v]
+
+        # Pushing flow along k -> l raises it on the down arcs of the k side
+        # and the up arcs of the l side; the other arcs block.  Cunningham's
+        # rule: of the blocking arcs with least flow, take the last one met
+        # on the walk apex -> l, l -> k, k -> apex.
+        theta = math.inf
+        leave = -1
+        for v in reversed(lpath):
+            if not up[v] and flow[v] <= theta:
+                theta, leave = flow[v], v
+        for v in kpath:
+            if up[v] and flow[v] <= theta:
+                theta, leave = flow[v], v
+        if theta > 0.0:
+            for v in kpath:
+                flow[v] += -theta if up[v] else theta
+            for v in lpath:
+                flow[v] += theta if up[v] else -theta
+
+        # Cut the leaving arc and hang its subtree from the entering arc,
+        # reversing the path between the entering endpoint and the cut.
+        if leave in kpath:
+            v, new_parent, new_up = k, l, True
+        else:
+            v, new_parent, new_up = l, k, False
+        top = v
+        new_flow, new_cost = theta, c
+        while True:
+            old_parent = parent[v]
+            old_up, old_flow, old_cost = up[v], flow[v], arc_cost[v]
+            children[old_parent].remove(v)
+            children[new_parent].append(v)
+            parent[v] = new_parent
+            up[v], flow[v], arc_cost[v] = new_up, new_flow, new_cost
+            if v == leave:
+                break
+            new_parent, new_up = v, not old_up
+            new_flow, new_cost = old_flow, old_cost
+            v = old_parent
+
+        moved = []
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            pot[v] = pot[p] + arc_cost[v] if up[v] else pot[p] - arc_cost[v]
+            moved.append(v)
+            stack.extend(children[v])
+        phi[moved] = [pot[v] for v in moved]
+
+    value = math.fsum(arc_cost[v] * flow[v] for v in range(K))
+    return value, phi[:K]
 
 
 # ---- the network simplex on the line ----

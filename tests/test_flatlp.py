@@ -1,7 +1,10 @@
 """The flat-metric solvers against the dense revised simplex and against
 HiGHS: the line DP (d = 1) also against the network simplex it replaced,
-the network simplex (d >= 2) with its pivot budget, and the optimal
-potentials of both."""
+the working-set network simplex (d >= 2) also against the stored-arc
+simplex it replaced, with its pivot budget, its tile height and its memory
+bound, and the optimal potentials of both."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +14,14 @@ from scipy.sparse import coo_matrix
 from flocklab import _flatlp
 from flocklab.errors import PivotBudgetExceeded
 from flocklab.measures import EmpiricalMeasure, dbl, union_support
+from flocklab.pairs import distances
 
-from oracles import dense_simplex_flat_lp, line_simplex_flat_lp
+from oracles import (
+    arc_simplex_flat_lp,
+    dense_simplex_flat_lp,
+    line_simplex_flat_lp,
+    stored_arcs,
+)
 
 TOL = 1e-12
 
@@ -91,8 +100,10 @@ def test_arcs_longer_than_two_are_pruned_exactly(d):
     centers = 3.0 * np.arange(3)[:, None] * np.ones(d)
     points = np.vstack([c + rng.uniform(-0.4, 0.4, (20, d)) for c in centers])
     b = rng.normal(size=points.shape[0]) / points.shape[0]
-    assert _flatlp._arcs(points)[2].max() < 2.0
+    assert stored_arcs(points)[2].max() < 2.0
     value, phi = _flatlp.solve_flat_lp(points, b)
+    if d > 1:
+        assert value == pytest.approx(arc_simplex_flat_lp(points, b)[0], abs=TOL)
     assert value == pytest.approx(dense_simplex_flat_lp(points, b)[0], abs=TOL)
     assert value == pytest.approx(highs_value(points, b), abs=TOL)
     assert_optimal_potential(points, b, value, phi)
@@ -121,6 +132,83 @@ def test_lattice_ties_terminate():
     value, phi = _flatlp.solve_flat_lp(points, b)
     assert value == pytest.approx(dense_simplex_flat_lp(points, b)[0], abs=TOL)
     assert_optimal_potential(points, b, value, phi)
+
+
+def working_set_case(name, d):
+    """(points (K, d), b) of a named d >= 2 case."""
+    rng = np.random.default_rng(100 * d + len(name))
+    if name == "random":
+        return random_pair(rng, 150, d)
+    if name == "clusters":
+        # clusters more than 2 apart: only the ground arcs join them
+        centers = 2.5 * np.arange(3)[:, None] * np.ones(d)
+        points = np.vstack([c + rng.uniform(-0.3, 0.3, (30, d)) for c in centers])
+        return points, rng.normal(size=90) / 90
+    if name == "lattice":
+        axes = [np.arange(5) * 0.25] * d
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
+        b = rng.choice([-1.0, 0.0, 1.0], points.shape[0])
+        return points, b / np.abs(b).sum()
+    if name == "identical":
+        pts = rng.uniform(-1.0, 1.0, (50, d))
+        b = np.concatenate([np.full(50, 0.02), np.full(50, -0.02)])
+        return np.vstack([pts, pts]), b
+    # zero weights: most atoms carry none
+    points = rng.uniform(-0.6, 0.6, (120, d))
+    return points, rng.normal(size=120) * (rng.uniform(size=120) < 0.2) / 24
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "name", ["random", "clusters", "lattice", "identical", "zero weights"]
+)
+def test_working_set_matches_every_oracle(name, d):
+    points, b = working_set_case(name, d)
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert value == pytest.approx(arc_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert value == pytest.approx(dense_simplex_flat_lp(points, b)[0], abs=TOL)
+    assert value == pytest.approx(highs_value(points, b), abs=TOL)
+    assert_optimal_potential(points, b, value, phi)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_value_does_not_depend_on_tile_height(monkeypatch, d):
+    points, b = random_pair(np.random.default_rng(40 + d), 120, d)
+    K = points.shape[0]
+    want = arc_simplex_flat_lp(points, b)[0]
+    for rows in (1, 7, K):
+        monkeypatch.setattr(_flatlp, "_tile_rows", lambda n_support: rows)
+        value, phi = _flatlp.solve_flat_lp(points, b)
+        assert value == pytest.approx(want, abs=TOL), rows
+        assert_optimal_potential(points, b, value, phi)
+
+
+def test_pricing_tiles_keep_the_grid_arithmetic(monkeypatch):
+    # every tile row is bit for bit the full grid's row
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (37, 3))
+    monkeypatch.setattr(_flatlp, "_tile_rows", lambda n_support: 5)
+    full = distances(points)
+    starts = []
+    for r0, dist in _flatlp._tiles(points):
+        starts.append(r0)
+        np.testing.assert_array_equal(dist, full[r0 : r0 + dist.shape[0]])
+    assert starts == list(range(0, 37, 5))
+
+
+def test_working_set_memory_is_below_the_grid():
+    # K = 1200: the distance grid alone would take 11.5 MB
+    rng = np.random.default_rng(1)
+    points = np.vstack([rng.uniform(-0.8, 0.8, (600, 2)) for _ in range(2)])
+    b = np.concatenate([np.full(600, 2.0 / 1200), np.full(600, -2.0 / 1200)])
+    tracemalloc.start()
+    try:
+        value, phi = _flatlp.solve_flat_lp(points, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert np.abs(phi).max() <= 1.0 + TOL
+    assert float(b @ phi) == pytest.approx(value, abs=TOL)
 
 
 def test_pivot_budget_is_typed(monkeypatch):

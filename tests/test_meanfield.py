@@ -474,6 +474,45 @@ def test_refinement_study_survives_single_failure(monkeypatch):
     assert rep.energy_cauchy == (None,)
 
 
+def test_refinement_study_samples_once(monkeypatch):
+    real = meanfield.sample_initial
+    drawn = []
+
+    def record(spec, n, bound):
+        drawn.append(n)
+        return real(spec, n, bound)
+
+    monkeypatch.setattr(meanfield, "sample_initial", record)
+    rep = small_study(threads=2)
+    assert drawn == [16]
+    assert all(row.error is None for row in rep.rows)
+
+
+def test_rejection_overflow_fails_only_the_runs_past_its_atom(monkeypatch):
+    # a prefix-stable draw that overflows at atom 12 fails every n > 12
+    real = meanfield.sample_initial
+    drawn = []
+
+    def overflow_at_12(spec, n, bound):
+        drawn.append(n)
+        if n > 12:
+            raise RejectionOverflow("forced", atom=12, budget=1000)
+        return real(spec, n, bound)
+
+    want = small_study().rows
+    monkeypatch.setattr(meanfield, "sample_initial", overflow_at_12)
+    rep = small_study()
+    assert drawn == [16, 16, 8]
+    assert rep.rows[0] == want[0]
+    assert rep.rows[1].energy is None
+    assert rep.rows[1].error == {
+        "error": "RejectionOverflow",
+        "message": "forced",
+        "detail": {"atom": 12, "budget": 1000},
+    }
+    assert rep.dbl_cauchy == (None,)
+
+
 def test_refinement_study_records_failed_flat_distance():
     # the 8 + 16 atoms of a pair exceed the cap once every run has finished
     rep = small_study(dbl_cap=10)

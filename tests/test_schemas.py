@@ -368,6 +368,22 @@ def _write_sim(tmp_path, **overrides) -> Path:
     return path
 
 
+def test_simulate_and_serial_study_load_no_unused_library(tmp_path):
+    # np.unique and np.union1d import numpy.ma; only a pool needs
+    # concurrent.futures
+    sim = json.loads(_write_sim(tmp_path).read_text())
+    mf = dict(MF, initial=sim["initial"])
+    (tmp_path / "mf.json").write_text(json.dumps(mf))
+    for argv in (
+        ["simulate", "--config", "sim.json", "--out", "run"],
+        ["mfstudy", "--config", "mf.json", "--out", "study"],
+    ):
+        code, names = _loaded(argv, tmp_path)
+        assert code == 0
+        assert "numpy.ma" not in names
+        assert "concurrent.futures" not in names
+
+
 def test_valid_config_never_imports_jsonschema(tmp_path):
     _write_sim(tmp_path)
     argv = ["simulate", "--config", "sim.json", "--out", "run"]
