@@ -91,7 +91,7 @@ def _cmd_simulate(args) -> int:
             "monokinetic": params.monokinetic_regime,
             "meanfield": params.meanfield_regime,
         },
-        "diagnostics": diag.to_dict(),
+        "diagnostics": diag,
     }
     storage.write_report(out / "report.json", payload, kind="simulate")
     print(f"simulate: {len(traj)} snapshots -> {out}")
@@ -127,7 +127,7 @@ def _cmd_diagnose(args) -> int:
     traj = storage.load_trajectory(cfg["input"])
     diag = build_report(traj, bin_fractions=tuple(cfg["bin_fractions"]))
     storage.save_diagnostics_csv(diag, out / "diagnostics.csv")
-    payload = {"config": cfg, "diagnostics": diag.to_dict()}
+    payload = {"config": cfg, "diagnostics": diag}
     storage.write_report(out / "diagnostics.json", payload, kind="diagnose")
     print(f"diagnose: {len(diag.times)} snapshots -> {out}")
     return 0
@@ -200,7 +200,7 @@ def _cmd_mfstudy(args) -> int:
     # thread count steers execution, not results; keep it out of the
     # embedded config so reports stay byte-identical across worker counts
     echo = {k: v for k, v in cfg.items() if k != "threads"}
-    payload = {"config": echo, "study": report.to_dict()}
+    payload = {"config": echo, "study": report}
     storage.write_report(out / "study.json", payload, kind="mfstudy")
     failed = sum(1 for r in report.rows if r.error is not None)
     print(f"mfstudy: {len(report.rows)} runs ({failed} failed) -> {out}")
@@ -222,7 +222,7 @@ def _cmd_pairstudy(args) -> int:
         tol=float(cfg["tol"]),
     )
     storage.save_pair_table(study, out / "pairs.csv")
-    payload = {"config": cfg, "study": study.to_dict()}
+    payload = {"config": cfg, "study": study}
     storage.write_report(out / "pairstudy.json", payload, kind="pairstudy")
     print(f"pairstudy: {len(study.rows)} gaps -> {out}")
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import DivergentNormalization, UnsupportedDimension
-from .meanfield import mk_index
+from .meanfield import stacked_fields
 from .measures import (
     EmpiricalMeasure,
     dbl,
@@ -264,21 +264,6 @@ class DiagnosticsReport:
     mkvar: np.ndarray
     energy_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "energy": self.energy.tolist(),
-            "enstrophy": self.enstrophy.tolist(),
-            "dalpha": self.dalpha.tolist(),
-            "momentum": self.momentum.tolist(),
-            "min_distance": [
-                (x if np.isfinite(x) else None) for x in self.min_distance
-            ],
-            "h_ladder": list(self.h_ladder),
-            "mkvar": self.mkvar.tolist(),
-            "energy_residual": self.energy_residual,
-        }
-
 
 def build_report(
     traj: Trajectory,
@@ -288,27 +273,26 @@ def build_report(
     d = traj.params.d
     alpha = traj.params.alpha
 
-    def measure_and_grid(k):
-        mu = from_particles(traj[k])
-        x, v, _ = _split(mu, d)
-        return mu, PairGrid.of(x, v)
-
+    measures = [from_particles(st) for st in traj]
     # one pair grid per snapshot, shared by every pair functional below;
     # the first one also gives the diameter
-    mu0, g0 = measure_and_grid(0)
+    g0, _ = _grid(measures[0], d, None)
     diam = float(g0.r.max()) if traj.params.N >= 2 else 1.0
     diam = max(diam, 1e-9)
     h_ladder = tuple(diam * f for f in bin_fractions)
 
-    rows = {"E": [], "D": [], "Da": [], "mom": [], "md": [], "mk": []}
-    for k in range(len(traj)):
-        mu, g = (mu0, g0) if k == 0 else measure_and_grid(k)
+    rows = {"E": [], "D": [], "Da": [], "mom": [], "md": []}
+    for k, mu in enumerate(measures):
+        g, _ = _grid(mu, d, g0 if k == 0 else None)
         rows["E"].append(kinetic_energy(mu, d))
         rows["D"].append(enstrophy(mu, d, alpha, grid=g))
         rows["Da"].append(dalpha(mu, d, alpha, 0.0, grid=g))
         rows["mom"].append(momentum(mu, d))
         rows["md"].append(min_distance(mu, d, grid=g))
-        rows["mk"].append([mk_index(mu, d, h) for h in h_ladder])
+    # mk_index of every snapshot, binned in one pass per ladder width
+    mkvar = np.empty((len(measures), len(h_ladder)))
+    for j, h in enumerate(h_ladder):
+        mkvar[:, j] = [grid.mk() for grid in stacked_fields(measures, d, h)]
 
     return DiagnosticsReport(
         times=traj.times,
@@ -318,7 +302,7 @@ def build_report(
         momentum=np.array(rows["mom"]),
         min_distance=np.array(rows["md"]),
         h_ladder=h_ladder,
-        mkvar=np.array(rows["mk"]),
+        mkvar=mkvar,
         energy_residual=_balance_defect(
             traj.times, np.array(rows["E"]), np.array(rows["D"])
         ),

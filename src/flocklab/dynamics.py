@@ -635,7 +635,8 @@ def integrate(
     T = float(params.T)
     extra = [] if snapshot_times is None else snapshot_times
     snaps = np.concatenate([[0.0, T], np.asarray(extra, float)])
-    if snaps.min() < -1e-15 or snaps.max() > T * (1 + 1e-12):
+    # a NaN time fails both comparisons, so it is rejected too
+    if not ((snaps >= -1e-15) & (snaps <= T * (1 + 1e-12))).all():
         raise ValueError("snapshot times must lie in [0, T]")
     # clip before de-duplicating, so times within rounding of 0 or T merge
     snaps = sorted_distinct(np.clip(snaps, 0.0, T))

@@ -19,7 +19,7 @@ battery once: every N runs on the same snapshot times, so one
 weakform.FieldBattery serves continuity and momentum at every N.
 
 The package's import graph is acyclic: this module imports dynamics,
-weakform and measures, and diagnostics imports this one for mk_index.
+weakform and measures, and diagnostics imports this one for stacked_fields.
 Functions of other modules that a test or a profiler may swap at run time
 (dynamics.integrate, weakform.dissipation_margin) are looked up through
 their module, so the swap takes effect here.
@@ -408,21 +408,6 @@ class StudyRow:
     margins: tuple | None
     error: dict | None
 
-    def to_dict(self) -> dict:
-        def grid(v):
-            return [list(r) for r in v] if v is not None else None
-
-        return {
-            "n": self.n,
-            "energy": list(self.energy) if self.energy is not None else None,
-            "mk": grid(self.mk),
-            "max_cell_mass": grid(self.max_cell_mass),
-            "continuity": self.continuity,
-            "momentum": self.momentum,
-            "margins": list(self.margins) if self.margins is not None else None,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class StudyReport:
@@ -447,26 +432,6 @@ class StudyReport:
     dbl_cauchy: tuple
     dbl_errors: tuple
     energy_cauchy: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "probe_times": list(self.probe_times),
-            "h": self.h,
-            "h_ladder": list(self.h_ladder),
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "bound": self.bound,
-            "seed": self.seed,
-            "rows": [r.to_dict() for r in self.rows],
-            "dbl_cauchy": [
-                list(c) if c is not None else None for c in self.dbl_cauchy
-            ],
-            "dbl_errors": list(self.dbl_errors),
-            "energy_cauchy": [
-                list(c) if c is not None else None for c in self.energy_cauchy
-            ],
-        }
 
 
 def _study_single_n(
@@ -656,29 +621,12 @@ class PairRow:
     min_distance: float | None
     error: dict | None
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "t_half": self.t_half,
-            "kernel_integral": self.kernel_integral,
-            "d_integral": self.d_integral,
-            "min_distance": self.min_distance,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class PairStudy:
     alpha: float
     horizon: float
     rows: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def _pair_series(xs: np.ndarray, vs: np.ndarray, alpha: float):

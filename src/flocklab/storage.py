@@ -1,16 +1,24 @@
-"""On-disk formats.
+"""On-disk formats: this module alone decides how a result becomes JSON or
+CSV, under one set of rules.
 
-Trajectories: one CSV row per snapshot per particle with header
-``t,i,x1..xd,v1..vd`` plus a JSON summary carrying the run parameters.
-Measures: CSV with header ``weight,p1..pk``.  Reports: canonical JSON with
-sorted keys and shortest round-trip float repr, so identical results are
-byte-identical files; every report carries schema_version and a
-generated_at timestamp (the one field comparisons are expected to strip).
+JSON reports are canonical: sorted keys, two-space indent, floats as their
+shortest round-trip repr, non-finite values as null, tuples and arrays as
+lists, and a dataclass (the report and row types of diagnostics and
+meanfield) as the object of its fields, keyed by field name.  Identical
+results are byte-identical files; every report carries schema_version and
+a generated_at timestamp (the one field comparisons are expected to strip).
+
+CSV tables have one header row.  A float cell is its repr, and a missing
+(None) or non-finite value is an empty cell, the CSV form of the JSON null;
+an integer cell is written as it is.  Trajectories: one row per snapshot
+per particle with header ``t,i,x1..xd,v1..vd`` plus a JSON summary carrying
+the run parameters.  Measures: header ``weight,p1..pk``.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -25,8 +33,10 @@ SCHEMA_VERSION = "1"
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays and non-finite floats for
-    portable JSON."""
+    """Recursively convert dataclasses, numpy scalars/arrays and non-finite
+    floats for portable JSON."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -65,6 +75,27 @@ def read_report(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _cell(v):
+    """One CSV cell: an integer as it is, any other value by the float rule
+    (repr, or empty for None and non-finite values)."""
+    if isinstance(v, (int, np.integer)):
+        return v
+    if v is None:
+        return ""
+    f = float(v)
+    return repr(f) if math.isfinite(f) else ""
+
+
+def _write_csv(path, header, rows) -> Path:
+    """Write a header and rows of raw values, each cell through _cell."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return path
+
+
 # ---- trajectories ----
 
 
@@ -72,22 +103,14 @@ def save_trajectory(traj: Trajectory, stem) -> tuple[Path, Path]:
     """Write {stem}.csv (snapshot rows) and {stem}.json (parameters)."""
     stem = Path(stem)
     d = traj.params.d
-    csv_path = stem.with_suffix(".csv")
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["t", "i"]
-            + [f"x{k + 1}" for k in range(d)]
-            + [f"v{k + 1}" for k in range(d)]
-        )
-        writer.writerow(header)
-        for t, x, v in zip(traj.times, traj.x, traj.v):
-            for i in range(x.shape[0]):
-                writer.writerow(
-                    [repr(float(t)), i]
-                    + [repr(float(c)) for c in x[i]]
-                    + [repr(float(c)) for c in v[i]]
-                )
+    header = ["t", "i"] + [f"{c}{k + 1}" for c in "xv" for k in range(d)]
+    xv = np.concatenate([traj.x, traj.v], axis=2).tolist()
+    rows = (
+        [t, i, *row]
+        for t, snap in zip(traj.times.tolist(), xv)
+        for i, row in enumerate(snap)
+    )
+    csv_path = _write_csv(stem.with_suffix(".csv"), header, rows)
     p = traj.params
     summary = {
         "d": p.d,
@@ -175,14 +198,8 @@ def load_trajectory(stem) -> Trajectory:
 
 
 def save_measure(mu: EmpiricalMeasure, path) -> Path:
-    path = Path(path)
-    k = mu.point_dim
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["weight"] + [f"p{j + 1}" for j in range(k)])
-        for w, pt in zip(mu.weights, mu.points):
-            writer.writerow([repr(float(w))] + [repr(float(c)) for c in pt])
-    return path
+    header = ["weight"] + [f"p{j + 1}" for j in range(mu.point_dim)]
+    return _write_csv(path, header, np.column_stack([mu.weights, mu.points]).tolist())
 
 
 def load_measure(path) -> EmpiricalMeasure:
@@ -208,114 +225,78 @@ def load_measure(path) -> EmpiricalMeasure:
 
 def save_diagnostics_csv(report, path) -> Path:
     """Flat series: t, E, D, Dalpha, momentum components, min_distance."""
-    path = Path(path)
     d = report.momentum.shape[1]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "E", "D", "Dalpha"]
-            + [f"mom{k + 1}" for k in range(d)]
-            + ["min_distance"]
-        )
-        for k in range(len(report.times)):
-            md = report.min_distance[k]
-            writer.writerow(
-                [repr(float(report.times[k])), repr(float(report.energy[k])),
-                 repr(float(report.enstrophy[k])), repr(float(report.dalpha[k]))]
-                + [repr(float(c)) for c in report.momentum[k]]
-                + [repr(float(md)) if np.isfinite(md) else ""]
-            )
-    return path
+    header = ["t", "E", "D", "Dalpha"] + [f"mom{k + 1}" for k in range(d)]
+    columns = (report.times, report.energy, report.enstrophy, report.dalpha)
+    rows = np.column_stack([*columns, report.momentum, report.min_distance])
+    return _write_csv(path, header + ["min_distance"], rows.tolist())
 
 
 # ---- study tables ----
 
 
 def save_study_tables(report, outdir) -> list[Path]:
-    """Flat CSV per table, one value per row, keyed by n / t / h."""
+    """Flat CSV per table, one value per row, keyed by n / t / h.  The cells
+    of a failed run or pair are empty."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    probes = list(enumerate(report.probe_times))
+    ladder = list(enumerate(report.h_ladder))
+    pairs = list(zip(report.n_list[:-1], report.n_list[1:]))
 
-    def table(name, header, rows):
-        p = outdir / f"{name}.csv"
-        with p.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        paths.append(p)
+    def at(table, *index):
+        for k in index:
+            if table is None:
+                return None
+            table = table[k]
+        return table
 
-    def fmt(v):
-        return repr(float(v)) if v is not None else ""
+    def per_probe(series):
+        return [
+            [row.n, t, at(getattr(row, series), pi)]
+            for row in report.rows
+            for pi, t in probes
+        ]
 
-    probes = report.probe_times
-    ladder = report.h_ladder
+    def per_width(series):
+        return [
+            [row.n, t, h, at(getattr(row, series), pi, hi)]
+            for row in report.rows
+            for pi, t in probes
+            for hi, h in ladder
+        ]
 
-    energy_rows = []
-    mk_rows = []
-    cell_rows = []
-    margin_rows = []
-    resid_rows = []
-    for row in report.rows:
-        resid_rows.append([row.n, fmt(row.continuity), fmt(row.momentum)])
-        for pi, t in enumerate(probes):
-            energy_rows.append(
-                [row.n, fmt(t), fmt(row.energy[pi]) if row.energy else ""]
-            )
-            margin_rows.append(
-                [row.n, fmt(t), fmt(row.margins[pi]) if row.margins else ""]
-            )
-            for hi, h in enumerate(ladder):
-                mk_rows.append(
-                    [row.n, fmt(t), fmt(h), fmt(row.mk[pi][hi]) if row.mk else ""]
-                )
-                cell_rows.append(
-                    [row.n, fmt(t), fmt(h),
-                     fmt(row.max_cell_mass[pi][hi]) if row.max_cell_mass else ""]
-                )
-    table("energy", ["n", "t", "E"], energy_rows)
-    table("mk", ["n", "t", "h", "mk"], mk_rows)
-    table("max_cell_mass", ["n", "t", "h", "mass"], cell_rows)
-    table("margins", ["n", "t", "margin"], margin_rows)
-    table("residuals", ["n", "continuity", "momentum"], resid_rows)
+    def per_pair(series):
+        return [
+            [lo, hi, t, at(table, pi)]
+            for (lo, hi), table in zip(pairs, series)
+            for pi, t in probes
+        ]
 
-    cauchy_rows = []
-    ecauchy_rows = []
-    for k in range(len(report.n_list) - 1):
-        lo, hi = report.n_list[k], report.n_list[k + 1]
-        for pi, t in enumerate(probes):
-            dv = report.dbl_cauchy[k]
-            ev = report.energy_cauchy[k]
-            cauchy_rows.append(
-                [lo, hi, fmt(t), fmt(dv[pi]) if dv is not None else ""]
-            )
-            ecauchy_rows.append(
-                [lo, hi, fmt(t), fmt(ev[pi]) if ev is not None else ""]
-            )
-    table("dbl_cauchy", ["n_lo", "n_hi", "t", "dbl"], cauchy_rows)
-    table("energy_cauchy", ["n_lo", "n_hi", "t", "dE"], ecauchy_rows)
-    return paths
+    tables = {
+        "energy": (["n", "t", "E"], per_probe("energy")),
+        "mk": (["n", "t", "h", "mk"], per_width("mk")),
+        "max_cell_mass": (["n", "t", "h", "mass"], per_width("max_cell_mass")),
+        "margins": (["n", "t", "margin"], per_probe("margins")),
+        "residuals": (
+            ["n", "continuity", "momentum"],
+            [[row.n, row.continuity, row.momentum] for row in report.rows],
+        ),
+        "dbl_cauchy": (["n_lo", "n_hi", "t", "dbl"], per_pair(report.dbl_cauchy)),
+        "energy_cauchy": (
+            ["n_lo", "n_hi", "t", "dE"], per_pair(report.energy_cauchy)
+        ),
+    }
+    return [
+        _write_csv(outdir / f"{name}.csv", header, rows)
+        for name, (header, rows) in tables.items()
+    ]
 
 
 def save_pair_table(study, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["eps", "t_half", "kernel_integral", "d_integral", "min_distance"]
-        )
-        for r in study.rows:
-            writer.writerow(
-                [
-                    repr(float(r.eps)),
-                    repr(float(r.t_half)) if r.t_half is not None else "",
-                    repr(float(r.kernel_integral))
-                    if r.kernel_integral is not None
-                    else "",
-                    repr(float(r.d_integral)) if r.d_integral is not None else "",
-                    repr(float(r.min_distance))
-                    if r.min_distance is not None
-                    else "",
-                ]
-            )
-    return path
+    header = ["eps", "t_half", "kernel_integral", "d_integral", "min_distance"]
+    rows = (
+        [r.eps, r.t_half, r.kernel_integral, r.d_integral, r.min_distance]
+        for r in study.rows
+    )
+    return _write_csv(path, header, rows)

@@ -159,11 +159,11 @@ class TestFunction:
         self.lip_v = lip_v * self.scale
         self.sup_dt = (3.0 / self.t_end) * sup_h * self.scale
 
-    def _h(self, v: np.ndarray):
+    def _h(self, v: np.ndarray, plateau=None):
         r_in, r_out = self.v_plateau
         if self.v_kind == "bump":
             return _bump(v - self.v_center[None, :], self.v_radius**2)
-        p, gp = _plateau(v, r_in, r_out)
+        p, gp = _plateau(v, r_in, r_out) if plateau is None else plateau
         if self.v_kind == "const":
             return p, gp
         if self.v_kind == "linear":
@@ -175,27 +175,36 @@ class TestFunction:
         s2 = np.einsum("ij,ij->i", v, v)
         return s2 * p, s2[:, None] * gp + 2.0 * p[:, None] * v
 
-    def _parts(self, t: float, x: np.ndarray, v: np.ndarray):
+    def _parts(self, t: float, x: np.ndarray, v: np.ndarray, plateau=None):
         w, wp = _window(t, self.t_end)
         g, gg = _bump(x - self.x_center[None, :], self.x_radius**2)
-        h, gh = self._h(v)
+        h, gh = self._h(v, plateau)
         return w, wp, g, gg, h, gh
 
     def value(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         w, _, g, _, h, _ = self._parts(t, x, v)
         return self.scale * w * g * h
 
+    def derivatives(self, t: float, x: np.ndarray, v: np.ndarray, plateau=None):
+        """(dt, grad_x, grad_v) from one evaluation of the window, the
+        x-bump and the velocity factor.  plateau, when given, is
+        _plateau(v, *self.v_plateau), shared by the functions of a battery
+        at one snapshot."""
+        w, wp, g, gg, h, gh = self._parts(t, x, v, plateau)
+        return (
+            self.scale * wp * g * h,
+            self.scale * w * h[:, None] * gg,
+            self.scale * w * g[:, None] * gh,
+        )
+
     def dt(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        _, wp, g, _, h, _ = self._parts(t, x, v)
-        return self.scale * wp * g * h
+        return self.derivatives(t, x, v)[0]
 
     def grad_x(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w, _, _, gg, h, _ = self._parts(t, x, v)
-        return self.scale * w * h[:, None] * gg
+        return self.derivatives(t, x, v)[1]
 
     def grad_v(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w, _, g, _, _, gh = self._parts(t, x, v)
-        return self.scale * w * g[:, None] * gh
+        return self.derivatives(t, x, v)[2]
 
 
 class MacroTestFunction:
@@ -352,9 +361,11 @@ def kinetic_weak_residual(traj: Trajectory, phi: TestFunction) -> float:
 def kinetic_weak_residuals(traj: Trajectory, phis) -> list:
     """kinetic_weak_residual for every test function of a battery.
 
-    Snapshot-major: the pair kernel psi and the pair sums
-    R_i = sum_j psi_ij (v_i - v_j) are built once per snapshot and shared
-    by all test functions.  Since psi is symmetric, the pair term of each
+    Snapshot-major: the pair kernel psi, the pair sums
+    R_i = sum_j psi_ij (v_i - v_j) and the velocity plateau of each
+    distinct v_plateau are built once per snapshot and shared by all test
+    functions; each function's window, x-bump and velocity factor are
+    built once per snapshot.  Since psi is symmetric, the pair term of each
     test function reduces to an atom sum,
 
         sum_{i,j} (g_i - g_j) . (v_i - v_j) psi_ij = 2 sum_i g_i . R_i,
@@ -375,11 +386,10 @@ def kinetic_weak_residuals(traj: Trajectory, phis) -> list:
         r = distances(x, out=work.dist, scratch=work.a)
         psi = kernel(r, alpha, out=work.a)
         pull = relative_sums(psi, v, scratch=work.b)  # = -R
+        plateaus = {p: _plateau(v, *p) for p in {phi.v_plateau for phi in phis}}
         for f, phi in enumerate(phis):
-            a_vals[f, k] = (
-                phi.dt(t, x, v) + np.einsum("ij,ij->i", v, phi.grad_x(t, x, v))
-            ).sum() * w
-            gv = phi.grad_v(t, x, v)
+            dt, gx, gv = phi.derivatives(t, x, v, plateaus[phi.v_plateau])
+            a_vals[f, k] = (dt + np.einsum("ij,ij->i", v, gx)).sum() * w
             b_vals[f, k] = -2.0 * w * w * np.einsum("ij,ij->", gv, pull)
     out = []
     for f, phi in enumerate(phis):

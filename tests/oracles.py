@@ -39,6 +39,16 @@ loop_local_fields is the binning the package used before its field grids
 became arrays: one pass over all atoms per occupied cell.  The
 differential tests compare the array form against it bit for bit.
 
+method_kinetic_residuals is the kinetic battery loop the package used
+before its test functions built their pieces once per snapshot: dt,
+grad_x and grad_v each evaluated through their own rebuild of the window,
+the x-bump and the velocity factor.  The differential tests compare the
+battery against it bit for bit.
+
+The *_dict functions are the to_dict methods the report dataclasses of
+diagnostics and meanfield carried before storage serialized dataclasses
+by field.  The format tests compare the canonical JSON of both paths.
+
 dp5_integrate is the integrator the package used before close pairs got
 exponential steps: explicit Dormand-Prince steps throughout, which a stiff
 pair holds at the method's stability limit.  The differential tests
@@ -80,7 +90,15 @@ from flocklab.errors import (
     StepCollapse,
     SupportTooLarge,
 )
-from flocklab.pairs import BLOCK, distances, kernel, off_diagonal, outer_diff
+from flocklab.pairs import (
+    BLOCK,
+    Workspace,
+    distances,
+    kernel,
+    off_diagonal,
+    outer_diff,
+    relative_sums,
+)
 from flocklab.weakform import _check_grids
 
 
@@ -321,6 +339,53 @@ def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
 def tensor_kinetic_residual(traj, phi) -> float:
     phi0, a_int, b_int = tensor_kinetic_terms(traj, phi)
     return float(abs(-phi0 - a_int + 0.5 * b_int))
+
+
+def _method_dt(phi, t, x, v):
+    _, wp, g, _, h, _ = phi._parts(t, x, v)
+    return phi.scale * wp * g * h
+
+
+def _method_grad_x(phi, t, x, v):
+    w, _, _, gg, h, _ = phi._parts(t, x, v)
+    return phi.scale * w * h[:, None] * gg
+
+
+def _method_grad_v(phi, t, x, v):
+    w, _, g, _, _, gh = phi._parts(t, x, v)
+    return phi.scale * w * g[:, None] * gh
+
+
+def method_kinetic_residuals(traj, phis) -> list:
+    """kinetic_weak_residuals with dt, grad_x and grad_v of every function
+    rebuilt from its pieces per call."""
+    phis = list(phis)
+    alpha = traj.params.alpha
+    n = traj.params.N
+    w = 1.0 / n
+    times = traj.times
+    a_vals = np.empty((len(phis), len(times)))
+    b_vals = np.empty((len(phis), len(times)))
+    work = Workspace(n)
+    for k, t in enumerate(times.tolist()):
+        x, v = traj.x[k], traj.v[k]
+        r = distances(x, out=work.dist, scratch=work.a)
+        psi = kernel(r, alpha, out=work.a)
+        pull = relative_sums(psi, v, scratch=work.b)  # = -R
+        for f, phi in enumerate(phis):
+            a_vals[f, k] = (
+                _method_dt(phi, t, x, v)
+                + np.einsum("ij,ij->i", v, _method_grad_x(phi, t, x, v))
+            ).sum() * w
+            gv = _method_grad_v(phi, t, x, v)
+            b_vals[f, k] = -2.0 * w * w * np.einsum("ij,ij->", gv, pull)
+    out = []
+    for f, phi in enumerate(phis):
+        phi0 = phi.value(times[0], traj.x[0], traj.v[0]).sum() * w
+        a_int = np.trapezoid(a_vals[f], times)
+        b_int = np.trapezoid(b_vals[f], times)
+        out.append(float(abs(-phi0 - a_int + 0.5 * b_int)))
+    return out
 
 
 # ---- the pair pass before its lean form ----
@@ -1194,3 +1259,81 @@ def dp5_integrate(
         step_min_dist=np.array(log_dmin),
         tol=tol,
     )
+
+
+# ---- report dictionaries before storage serialized dataclasses ----
+#
+# The to_dict methods of DiagnosticsReport, StudyRow, StudyReport, PairRow
+# and PairStudy, kept verbatim as functions of the report.
+
+
+def diagnostics_report_dict(self) -> dict:
+    return {
+        "times": self.times.tolist(),
+        "energy": self.energy.tolist(),
+        "enstrophy": self.enstrophy.tolist(),
+        "dalpha": self.dalpha.tolist(),
+        "momentum": self.momentum.tolist(),
+        "min_distance": [
+            (x if np.isfinite(x) else None) for x in self.min_distance
+        ],
+        "h_ladder": list(self.h_ladder),
+        "mkvar": self.mkvar.tolist(),
+        "energy_residual": self.energy_residual,
+    }
+
+
+def study_row_dict(self) -> dict:
+    def grid(v):
+        return [list(r) for r in v] if v is not None else None
+
+    return {
+        "n": self.n,
+        "energy": list(self.energy) if self.energy is not None else None,
+        "mk": grid(self.mk),
+        "max_cell_mass": grid(self.max_cell_mass),
+        "continuity": self.continuity,
+        "momentum": self.momentum,
+        "margins": list(self.margins) if self.margins is not None else None,
+        "error": self.error,
+    }
+
+
+def study_report_dict(self) -> dict:
+    return {
+        "n_list": list(self.n_list),
+        "probe_times": list(self.probe_times),
+        "h": self.h,
+        "h_ladder": list(self.h_ladder),
+        "alpha": self.alpha,
+        "horizon": self.horizon,
+        "bound": self.bound,
+        "seed": self.seed,
+        "rows": [study_row_dict(r) for r in self.rows],
+        "dbl_cauchy": [
+            list(c) if c is not None else None for c in self.dbl_cauchy
+        ],
+        "dbl_errors": list(self.dbl_errors),
+        "energy_cauchy": [
+            list(c) if c is not None else None for c in self.energy_cauchy
+        ],
+    }
+
+
+def pair_row_dict(self) -> dict:
+    return {
+        "eps": self.eps,
+        "t_half": self.t_half,
+        "kernel_integral": self.kernel_integral,
+        "d_integral": self.d_integral,
+        "min_distance": self.min_distance,
+        "error": self.error,
+    }
+
+
+def pair_study_dict(self) -> dict:
+    return {
+        "alpha": self.alpha,
+        "horizon": self.horizon,
+        "rows": [pair_row_dict(r) for r in self.rows],
+    }

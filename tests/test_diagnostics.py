@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flocklab import storage
 from flocklab.diagnostics import (
     beta_eta,
     build_report,
@@ -22,7 +23,8 @@ from flocklab.diagnostics import (
 )
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import DivergentNormalization, UnsupportedDimension
-from flocklab.measures import EmpiricalMeasure
+from flocklab.meanfield import mk_index
+from flocklab.measures import EmpiricalMeasure, from_particles
 from flocklab.rng import CounterRNG
 
 from oracles import (
@@ -268,6 +270,22 @@ def test_build_report_shapes_and_consistency():
     # momentum is conserved along the flow
     drift = np.abs(rep.momentum - rep.momentum[0]).max()
     assert drift < 1e-12
-    d = rep.to_dict()
+    d = storage._plain(rep)
     assert "eta_ladder" not in d and "eeta" not in d
     assert len(d["energy"]) == 7
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_report_mkvar_equals_per_snapshot_mk_index(d):
+    # build_report bins all snapshots in one pass per ladder width
+    n = 12
+    rng = CounterRNG(7 + d)
+    x = rng.uniform(n * d, -0.7, 0.7).reshape(n, d)
+    v = rng.uniform(n * d, -0.5, 0.5).reshape(n, d)
+    params = ModelParams(d=d, alpha=1.5, N=n, T=0.2, M=2.0)
+    snaps = np.linspace(0.0, 0.2, 6)
+    traj = integrate(ParticleState(0.0, x, v), params, tol=1e-7, snapshot_times=snaps)
+    rep = build_report(traj, bin_fractions=(1 / 4, 1 / 8, 1 / 16))
+    want = [[mk_index(from_particles(st), d, h) for h in rep.h_ladder] for st in traj]
+    assert rep.mkvar.tolist() == want
+    assert rep.mkvar.max() > 0.0

@@ -123,6 +123,16 @@ def test_snapshot_times_within_rounding_of_the_ends_merge():
         integrate(s, p, snapshot_times=[0.5, 1 + 1e-9])
 
 
+def test_nan_snapshot_time_is_rejected():
+    # NaN fails every comparison, so a range check alone would let it
+    # through as an extra snapshot row at t = nan
+    p = ModelParams(d=1, alpha=1.0, N=2, T=0.1, M=1.0)
+    s = random_state(2, 1, seed=2)
+    for times in ([math.nan], [0.05, math.nan]):
+        with pytest.raises(ValueError, match="snapshot times"):
+            integrate(s, p, snapshot_times=times)
+
+
 def test_max_speed_never_grows():
     for seed in range(6):
         s = random_state(8, 1, seed=seed)

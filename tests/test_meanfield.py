@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flocklab.dynamics
-from flocklab import meanfield
+from flocklab import meanfield, storage
 from flocklab.diagnostics import enstrophy
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import RejectionOverflow, StepCollapse
@@ -394,7 +394,7 @@ def test_refinement_study_smoke():
     assert all(v >= 0 for v in rep.dbl_cauchy[0])
     assert rep.dbl_errors == (None,)
     assert all(v >= 0 for v in rep.energy_cauchy[0])
-    d = rep.to_dict()
+    d = storage._plain(rep)
     assert d["rows"][0]["n"] == 8
 
 
@@ -437,8 +437,8 @@ def test_battery_on_other_times_is_rejected():
 
 
 def test_refinement_study_thread_merge_deterministic():
-    a = small_study(threads=1).to_dict()
-    b = small_study(threads=3).to_dict()
+    a = storage._plain(small_study(threads=1))
+    b = storage._plain(small_study(threads=3))
     assert a == b
 
 
@@ -522,7 +522,7 @@ def test_refinement_study_records_failed_flat_distance():
     (err,) = rep.dbl_errors
     assert err["error"] == "SupportTooLarge"
     assert err["detail"]["cap"] == 10
-    assert rep.to_dict()["dbl_errors"] == [err]
+    assert storage._plain(rep)["dbl_errors"] == [err]
 
 
 def test_refinement_study_validates_probes():

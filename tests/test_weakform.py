@@ -19,13 +19,18 @@ from flocklab.weakform import (
     dissipation_margin,
     kinetic_battery,
     kinetic_weak_residual,
+    kinetic_weak_residuals,
     macro_battery,
     momentum_residual,
     momentum_residuals,
     vector_battery,
 )
 
-from oracles import loop_continuity_residual, loop_momentum_residual
+from oracles import (
+    loop_continuity_residual,
+    loop_momentum_residual,
+    method_kinetic_residuals,
+)
 
 
 
@@ -224,6 +229,32 @@ def test_kinetic_residual_free_particle():
     rc = kinetic_weak_residual(traj_c, phi)
     rf = kinetic_weak_residual(traj_f, phi)
     assert rf < rc / 8  # pure quadrature error, second order
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kinetic_battery_matches_method_oracle(d):
+    # the battery builds each function's pieces once per snapshot and each
+    # velocity plateau once; every residual equals the per-method loop's
+    n = 6
+    rng = CounterRNG(d)
+    x = rng.uniform(n * d, -0.8, 0.8).reshape(n, d)
+    v = rng.uniform(n * d, -0.5, 0.5).reshape(n, d)
+    traj = integrate(
+        ParticleState(0.0, x, v),
+        ModelParams(d=d, alpha=1.5, N=n, T=0.4, M=2.0),
+        tol=1e-6,
+        snapshot_times=np.linspace(0.0, 0.4, 5),
+    )
+    phis = kinetic_battery(d, 0.4, 2.0, size=2 * (d + 3), seed=5)
+    # a second plateau whose transition band the velocities reach
+    for kind in ("const", "linear", "energy"):
+        phis.append(
+            TestFunction(
+                d, 0.4, np.zeros(d), 1.5, kind, v_plateau=(0.3, 0.9), v_component=d - 1
+            )
+        )
+    assert {phi.v_kind for phi in phis} == {"const", "linear", "energy", "bump"}
+    assert kinetic_weak_residuals(traj, phis) == method_kinetic_residuals(traj, phis)
 
 
 # ---- field residuals ----
