@@ -53,5 +53,5 @@ for n in (50, 100, 200, 400):
         snapshot_times=times,
     )
     # batteries of 24 functions, seed 0, drawn from the run's d, T and M
-    _, cont, mom = field_residuals(traj, H, 24, 0)
+    _, cont, mom, _ = field_residuals(traj, H, 24, 0)
     print(f"{n:5d}  {max(cont):.3e}    {max(mom):.3e}")

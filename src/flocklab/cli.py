@@ -5,7 +5,9 @@ expects a JSON document (see schemas.SCHEMAS); a previously written report
 is also accepted, in which case its embedded config is reused, so any
 report can be reproduced from itself.  The --seed, --tol and --threads
 overrides are merged into that document before it is validated, so they
-pass the same schema check.  Outputs land in --out (default
+pass the same schema check.  --threads (the ``threads`` key of an mfstudy
+config) is accepted and changes nothing: the study runs its sizes one
+after another, and no report echoes it.  Outputs land in --out (default
 current directory).  Identical config and seed give byte-identical reports
 apart from the generated_at line.
 
@@ -158,7 +160,7 @@ def _cmd_residual(args) -> int:
     }
     if cfg["h"] is not None:
         h = float(cfg["h"])
-        _, cont, mom = field_residuals(traj, h, size, seed)
+        _, cont, mom, _ = field_residuals(traj, h, size, seed)
         payload["fields"] = {
             "h": h,
             "continuity": {"residuals": cont, "max": max(cont)},
@@ -193,12 +195,11 @@ def _cmd_mfstudy(args) -> int:
         quad_points=int(cfg["quad_points"]),
         battery_size=int(cfg["battery_size"]),
         battery_seed=int(cfg["battery_seed"]),
-        threads=int(cfg["threads"]),
         dbl_cap=int(cfg["dbl_cap"]),
     )
     storage.save_study_tables(report, out / "tables")
-    # thread count steers execution, not results; keep it out of the
-    # embedded config so reports stay byte-identical across worker counts
+    # threads changes nothing; leaving it out keeps the reports of every
+    # --threads value byte-identical
     echo = {k: v for k, v in cfg.items() if k != "threads"}
     payload = {"config": echo, "study": report}
     storage.write_report(out / "study.json", payload, kind="mfstudy")
@@ -242,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument(
-            "--threads", type=int, default=None, help="worker thread count"
+            "--threads", type=int, default=None,
+            help="accepted for old configs; changes nothing",
         )
 
     p = sub.add_parser("simulate", help="integrate one ensemble and diagnose it")

@@ -13,16 +13,17 @@ stacked_fields bins a whole sequence of measures (every snapshot of a
 trajectory, or the probe states of a study) in one pass: one sort of the
 (snapshot, cell) rows and one np.bincount per sum.  local_fields is its
 one-measure case, so there is one binning path.  field_residuals is the
-one path from a trajectory to its continuity and momentum battery, shared
-by the refinement study and ``flocklab residual``.  A study draws its
-battery once: every N runs on the same snapshot times, so one
-weakform.FieldBattery serves continuity and momentum at every N.
+one path from a trajectory to its continuity and momentum battery and its
+dissipation margins, one weakform.FieldBattery pass over the binned
+snapshots, shared by the refinement study and ``flocklab residual``.  A
+study draws its battery once: every N runs on the same snapshot times, so
+one FieldBattery serves every N.  The study runs its N one after another.
 
 The package's import graph is acyclic: this module imports dynamics,
 weakform and measures, and diagnostics imports this one for stacked_fields.
 Functions of other modules that a test or a profiler may swap at run time
-(dynamics.integrate, weakform.dissipation_margin) are looked up through
-their module, so the swap takes effect here.
+(dynamics.integrate) are looked up through their module, so the swap takes
+effect here.
 """
 
 from __future__ import annotations
@@ -357,8 +358,9 @@ def field_residuals(traj: dynamics.Trajectory, h: float, size: int, seed: int):
     from traj.params (d, T, M) with the given size and seed (continuity
     reads its scalar parts, the macro battery of that size and seed).  The
     momentum identity takes its t = 0 moment from the unbinned first
-    snapshot at weights 1/N.  Returns (grids, continuity, momentum), the
-    residuals one per test function.
+    snapshot at weights 1/N.  Returns (grids, continuity, momentum,
+    margins): the residuals one per test function, and the dissipation
+    margins per snapshot at the run's alpha.
     """
     p = traj.params
     phis = weakform.vector_battery(p.d, p.T, p.M, size, seed)
@@ -382,8 +384,7 @@ def _battery_residuals(traj, h, battery):
         h,
     )
     first = (traj.x[0], traj.v[0], np.full(p.N, 1.0 / p.N))
-    mom = battery.momentum(grids, p.alpha, initial_atoms=first)
-    return grids, battery.continuity(grids), mom
+    return (grids, *battery.residuals(grids, p.alpha, initial_atoms=first))
 
 
 # ---- refinement study over particle number ----
@@ -467,8 +468,7 @@ def _study_single_n(
     mk = [tuple(grid.mk() for grid in row) for row in ladder]
     maxcell = [tuple(float(grid.mass.max()) for grid in row) for row in ladder]
 
-    grids, cont, mom = _battery_residuals(traj, h, battery)
-    all_margins = weakform.dissipation_margin(traj.times, grids, alpha)
+    _, cont, mom, all_margins = _battery_residuals(traj, h, battery)
     probe_idx = [int(np.argmin(np.abs(traj.times - p))) for p in probes]
     margins = tuple(float(all_margins[i]) for i in probe_idx)
 
@@ -497,7 +497,6 @@ def refinement_study(
     quad_points: int = 33,
     battery_size: int = 24,
     battery_seed: int = 0,
-    threads: int = 1,
     dbl_cap: int = 2000,
 ) -> StudyReport:
     """Run one initial recipe at every N in n_list and compare.
@@ -514,12 +513,8 @@ def refinement_study(
 
     The largest N is sampled once and every N runs on its prefix.  When
     that draw raises RejectionOverflow, every N draws its own sample, so
-    only the N that reach the failing atom fail.
-
-    threads > 1 integrates different N concurrently; results merge keyed
-    by N, so the report is identical for any thread count.  Jobs start
-    largest N first, so the costliest run is not left waiting for a pool
-    thread behind the small ones.
+    only the N that reach the failing atom fail.  The N run one after
+    another in n_list order.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) != len(n_list):
@@ -543,38 +538,27 @@ def refinement_study(
     except RejectionOverflow:
         xs = vs = None
 
-    def job(n):
+    runs = []  # (row, spatial marginals at the probes) per N
+    for n in n_list:
         atoms = None if xs is None else (xs[:n], vs[:n])
         try:
-            return n, _study_single_n(
+            runs.append(_study_single_n(
                 spec, n, alpha, horizon, bound, h, probes, snap_times,
                 tol, battery, atoms,
-            )
+            ))
         except FlockLabError as exc:
             row = StudyRow(
                 n=n, energy=None, mk=None, max_cell_mass=None,
                 continuity=None, momentum=None, margins=None,
                 error=exc.to_dict(),
             )
-            return n, (row, None)
-
-    largest_first = sorted(n_list, reverse=True)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = dict(pool.map(job, largest_first))
-    else:
-        merged = dict(job(n) for n in largest_first)
-
-    rows = tuple(merged[n][0] for n in n_list)
-    marg = {n: merged[n][1] for n in n_list}
+            runs.append((row, None))
 
     dbl_cauchy = []
     dbl_errors = []
     energy_cauchy = []
-    for a, b in zip(n_list[:-1], n_list[1:]):
-        if marg[a] is None or marg[b] is None:
+    for (row_a, marg_a), (row_b, marg_b) in zip(runs, runs[1:]):
+        if marg_a is None or marg_b is None:
             dbl_cauchy.append(None)
             dbl_errors.append(None)
             energy_cauchy.append(None)
@@ -582,16 +566,16 @@ def refinement_study(
         try:
             dists = tuple(
                 float(dbl(ma, mb, cap=dbl_cap))
-                for ma, mb in zip(marg[a], marg[b])
+                for ma, mb in zip(marg_a, marg_b)
             )
             error = None
         except FlockLabError as exc:
             dists, error = None, exc.to_dict()
         dbl_cauchy.append(dists)
         dbl_errors.append(error)
-        ea = merged[a][0].energy
-        eb = merged[b][0].energy
-        energy_cauchy.append(tuple(abs(x - y) for x, y in zip(ea, eb)))
+        energy_cauchy.append(
+            tuple(abs(x - y) for x, y in zip(row_a.energy, row_b.energy))
+        )
 
     return StudyReport(
         n_list=tuple(n_list),
@@ -602,7 +586,7 @@ def refinement_study(
         horizon=float(horizon),
         bound=float(bound),
         seed=spec.seed,
-        rows=rows,
+        rows=tuple(row for row, _ in runs),
         dbl_cauchy=tuple(dbl_cauchy),
         dbl_errors=tuple(dbl_errors),
         energy_cauchy=tuple(energy_cauchy),

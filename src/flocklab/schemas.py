@@ -19,7 +19,9 @@ where it sits.
 exist, and ``eta_ladder`` a diagnostics series that is no longer reported.
 They are accepted at their defaults only (0, null and the default ladder),
 so every report written with them still reproduces from itself, byte for
-byte.
+byte.  ``threads`` in an mfstudy config named the worker threads of a
+study that now runs its sizes one after another; any positive count is
+accepted, changes nothing and is not echoed into reports.
 """
 
 from __future__ import annotations
@@ -162,7 +164,6 @@ DEFAULTS = {
         "battery_seed": 0,
         "kernel_floor": 0.0,
         "dbl_cap": 2000,
-        "threads": 1,
     },
     "pairstudy": {"horizon": 8.0, "grid_points": 4096, "tol": 1e-10},
 }

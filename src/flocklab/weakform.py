@@ -27,16 +27,13 @@ d, and the per-cell arrays barycenter (C, d), velocity (C, d) and mass
 contribute nothing.
 
 Both the kinetic and the field residuals are computed snapshot-major, for
-a whole battery at once (kinetic_weak_residuals, and a FieldBattery for
-the continuity and momentum identities); continuity_residuals,
-momentum_residuals and the single-function forms are wrappers.  A
-FieldBattery tabulates the windows w(t), w'(t) of its F functions once on
-its snapshot times (scalars per function), so one battery serves every
-trajectory sampled on those times.  On fields, the bumps of all F
-functions are evaluated at each snapshot's barycenters as (F, C) values
-and (F, C, d) gradients, and the momentum identity builds the cell kernel
-psi and the weight (m m^T) psi once and forms the pair term of the whole
-battery as one (F, C, C) product against that weight.  The battery forms
+a whole battery at once: kinetic_weak_residuals, and FieldBattery.residuals,
+which gives the continuity and momentum residuals and the dissipation
+margin in one walk over the field grids.  continuity_residuals,
+momentum_residuals, dissipation_margin and the single-function forms are
+wrappers of those.  A FieldBattery tabulates the windows w(t), w'(t) of
+its F functions once on its snapshot times (scalars per function), so one
+battery serves every trajectory sampled on those times.  The battery forms
 give the per-function results bit for bit.
 """
 
@@ -54,7 +51,6 @@ from .pairs import (
     kernel,
     outer_diff,
     relative_sums,
-    sq_distances,
 )
 from .rng import CounterRNG
 
@@ -440,71 +436,92 @@ class FieldBattery:
                 self.w[f, k] = phi.scale * w
                 self.wp[f, k] = phi.scale * wp
 
-    def value(self, k: int, x: np.ndarray) -> np.ndarray:
-        """The scalar parts at snapshot k and points x, shape (F, n)."""
-        return self.w[:, k, None] * _bump(x - self.center[:, None, :], self.r2)[0]
+    def _bumps(self, x: np.ndarray):
+        """The bumps of all functions at points x (n, d): values (F, n) and
+        gradients (F, n, d)."""
+        center = self.center.reshape(len(self.comp), 1, x.shape[1])
+        return _bump(x - center, self.r2)
 
-    def fields(self, grids):
-        """Per snapshot k with occupied cells: k, the cell arrays b, u, m,
-        and the scalar parts phi and the flux d_t phi + u . grad phi at the
-        barycenters, both of shape (F, C)."""
-        for k, grid in enumerate(grids[: self.w.shape[1]]):
-            b, u, m = grid.barycenter, grid.velocity, grid.mass
-            if m.size:
-                g, grad = _bump(b - self.center[:, None, :], self.r2)
-                w, wp = self.w[:, k, None], self.wp[:, k, None]
-                conv = np.einsum("...j,...j->...", u, w[..., None] * grad)
-                yield k, b, u, m, w * g, wp * g + conv
+    def residuals(self, grids, alpha: float, initial_atoms=None):
+        """continuity_residual and momentum_residual of every function and
+        dissipation_margin per snapshot, from one pass over the field grids.
 
-    def continuity(self, grids) -> list:
-        """continuity_residual of every scalar part on the field grids."""
-        _check_grids(grids)
-        vals = np.zeros(self.w.shape)
-        for k, _, _, m, _, flux in self.fields(grids):
-            vals[:, k] = (m * flux).sum(axis=1)
-        phi0 = (grids[0].mass * self.value(0, grids[0].barycenter)).sum(axis=1)
-        return [float(abs(p + np.trapezoid(v, self.times))) for p, v in zip(phi0, vals)]
-
-    def momentum(self, grids, alpha: float, initial_atoms=None) -> list:
-        """momentum_residual of every function on the field grids.
-
-        Per snapshot the cell kernel psi and the weight (m m^T) psi are
-        built once.  Since each phi = e_k w G has one nonzero component k,
-        its pair term is a (C, C) product against that weight,
+        Each snapshot with occupied cells evaluates the bumps once, as
+        (F, C) values and (F, C, d) gradients at its barycenters, and builds
+        the cell weight (m m^T) psi and the (d, C, C) stack of velocity
+        differences once.  Since each phi = e_k w G has one nonzero
+        component k, its momentum pair term is a (C, C) product against
+        that weight,
 
             sum_{c,c'} [(m m^T) psi]_cc' (phi_k(b_c) - phi_k(b_c'))
                                          (u_ck - u_c'k),
 
-        formed for the whole battery as one (F, C, C) array.
+        formed for the whole battery as one (F, C, C) array; the
+        dissipation D(t) sums the same weight against the squared velocity
+        differences.  Returns (continuity, momentum, margins): one residual
+        per function for each identity, and the margins as an array over
+        the snapshot times.
         """
+        if len(grids) != len(self.times):
+            raise ValueError(
+                f"{len(grids)} field grids for {len(self.times)} snapshot times"
+            )
         _check_grids(grids)
         comp = self.comp
+        cvals = np.zeros(self.w.shape)
         tvals = np.zeros(self.w.shape)
         svals = np.zeros(self.w.shape)
-        for k, b, u, m, val, drive in self.fields(grids):
-            tvals[:, k] = (m * (u.T[comp] * drive)).sum(axis=1)
+        energy = np.zeros(len(self.times))
+        dissipation = np.zeros(len(self.times))
+        # t = 0 moments of the first grid; initial_atoms replaces the momentum one
+        mass0 = mom0 = np.zeros(len(comp))
+        for k, grid in enumerate(grids):
+            b, u, m = grid.barycenter, grid.velocity, grid.mass
+            if not m.size:
+                continue
+            g, grad = self._bumps(b)
+            w, wp = self.w[:, k, None], self.wp[:, k, None]
+            val = w * g
+            flux = wp * g + np.einsum("...j,...j->...", u, w[..., None] * grad)
+            uc = u.T[comp]
+            cvals[:, k] = (m * flux).sum(axis=1)
+            tvals[:, k] = (m * (uc * flux)).sum(axis=1)
+            if k == 0:
+                mass0 = (m * val).sum(axis=1)
+                mom0 = (m * (uc * val)).sum(axis=1)
             weight = (m[:, None] * m[None, :]) * kernel(distances(b), alpha)
+            du = np.stack([outer_diff(col) for col in u.T])
             inner = val[:, :, None] - val[:, None, :]
-            inner *= np.stack([outer_diff(col) for col in u.T])[comp]
+            inner *= du[comp]
             inner *= weight
             svals[:, k] = inner.sum(axis=(1, 2))
-        if initial_atoms is None:
-            x0, v0, w0 = grids[0].barycenter, grids[0].velocity, grids[0].mass
-        else:
+            s2 = du[0] * du[0]
+            for dc in du[1:]:
+                s2 += dc * dc
+            energy[k] = (m * np.einsum("ij,ij->i", u, u)).sum()
+            dissipation[k] = (weight * s2).sum()
+        if initial_atoms is not None:
             x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
-        phi0 = (w0 * (v0.T[comp] * self.value(0, x0))).sum(axis=1)
+            val0 = self.w[:, 0, None] * self._bumps(x0)[0]
+            mom0 = (w0 * (v0.T[comp] * val0)).sum(axis=1)
         times = self.times
-        return [
-            float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
-            for p, a, b in zip(phi0, tvals, svals)
+        continuity = [
+            float(abs(p + np.trapezoid(a, times))) for p, a in zip(mass0, cvals)
         ]
+        momentum = [
+            float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
+            for p, a, b in zip(mom0, tvals, svals)
+        ]
+        margins = (energy[0] - energy) - cumulative_trapezoid(times, dissipation)
+        return continuity, momentum, margins
 
 
 def continuity_residuals(times, grids, phis) -> list:
     """continuity_residual for every MacroTestFunction of a battery, through
     a FieldBattery of the functions (as components 0)."""
     vphis = [VectorTestFunction(phi, 0) for phi in phis]
-    return FieldBattery(vphis, times).continuity(grids)
+    # the continuity identity has no pair term: any kernel exponent serves
+    return FieldBattery(vphis, times).residuals(grids, 1.0)[0]
 
 
 def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
@@ -521,7 +538,7 @@ def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
 def momentum_residuals(times, grids, phis, alpha: float, initial_atoms=None) -> list:
     """momentum_residual for every VectorTestFunction of a battery, through
     a FieldBattery of the functions."""
-    return FieldBattery(phis, times).momentum(grids, alpha, initial_atoms)
+    return FieldBattery(phis, times).residuals(grids, alpha, initial_atoms)[1]
 
 
 def momentum_residual(
@@ -555,19 +572,7 @@ def dissipation_margin(times, grids, alpha: float) -> np.ndarray:
 
     Binning discards in-cell variance from E, so on refined grids the
     margin approaches the true (nonnegative) defect from above or below
-    only in the limit; values are reported raw.
+    only in the limit; values are reported raw.  This is the field pass of
+    a FieldBattery without test functions.
     """
-    _check_grids(grids)
-    times = np.asarray(times, float)
-    e = np.empty(len(times))
-    dd = np.empty(len(times))
-    for k, g in enumerate(grids):
-        b, u, m = g.barycenter, g.velocity, g.mass
-        if m.size == 0:
-            e[k] = dd[k] = 0.0
-            continue
-        e[k] = float((m * np.einsum("ij,ij->i", u, u)).sum())
-        psi = kernel(distances(b), alpha)
-        s2 = sq_distances(u)
-        dd[k] = float(((m[:, None] * m[None, :]) * psi * s2).sum())
-    return (e[0] - e) - cumulative_trapezoid(times, dd)
+    return FieldBattery([], times).residuals(grids, alpha)[2]

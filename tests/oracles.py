@@ -34,6 +34,9 @@ field residuals the package used before its snapshot-major battery forms.
 They share the package's grid check and pair kernel, read the grid's cell
 arrays, and evaluate each test function through its own methods; the
 differential tests compare the battery forms against them bit for bit.
+loop_dissipation_margin is the standalone margin loop the package used
+before the field battery computed continuity, momentum and the margin in
+one pass; the differential tests compare that pass against it bit for bit.
 
 loop_local_fields is the binning the package used before its field grids
 became arrays: one pass over all atoms per occupied cell.  The
@@ -98,8 +101,9 @@ from flocklab.pairs import (
     off_diagonal,
     outer_diff,
     relative_sums,
+    sq_distances,
 )
-from flocklab.weakform import _check_grids
+from flocklab.weakform import _check_grids, cumulative_trapezoid
 
 
 def vertex_enum_dbl(points: np.ndarray, b: np.ndarray) -> float:
@@ -460,8 +464,9 @@ def sqrt_step_cap(x: np.ndarray, v: np.ndarray, safety: float) -> tuple[float, f
 # continuity_residual and momentum_residual as the package computed them
 # before the snapshot-major battery forms: one test function at a time,
 # with the cell arrays, the bump and the cell kernel rebuilt for every
-# function at every snapshot.  Kept verbatim as the differential oracle;
-# the battery forms match them bit for bit.
+# function at every snapshot; and dissipation_margin before it joined the
+# battery's field pass.  Kept verbatim as the differential oracles; the
+# battery pass matches them bit for bit.
 
 
 def pair_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -524,6 +529,34 @@ def loop_momentum_residual(
             else 0.0
         )
     return float(abs(phi0 + np.trapezoid(tvals, times) - 0.5 * np.trapezoid(svals, times)))
+
+
+def loop_dissipation_margin(times, grids, alpha: float) -> np.ndarray:
+    """Energy drop minus integrated pair dissipation, per snapshot, on
+    binned fields:
+
+        margin(t) = (E(0) - E(t)) - int_0^t D(s) ds
+        E(t) = sum_c m_c |u_c|^2
+        D(t) = sum_{c != c'} m_c m_c' |u_c - u_c'|^2 psi(b_c, b_c')
+
+    Binning discards in-cell variance from E, so on refined grids the
+    margin approaches the true (nonnegative) defect from above or below
+    only in the limit; values are reported raw.
+    """
+    _check_grids(grids)
+    times = np.asarray(times, float)
+    e = np.empty(len(times))
+    dd = np.empty(len(times))
+    for k, g in enumerate(grids):
+        b, u, m = g.barycenter, g.velocity, g.mass
+        if m.size == 0:
+            e[k] = dd[k] = 0.0
+            continue
+        e[k] = float((m * np.einsum("ij,ij->i", u, u)).sum())
+        psi = kernel(distances(b), alpha)
+        s2 = sq_distances(u)
+        dd[k] = float(((m[:, None] * m[None, :]) * psi * s2).sum())
+    return (e[0] - e) - cumulative_trapezoid(times, dd)
 
 
 # ---- per-cell binning ----

@@ -354,14 +354,20 @@ def test_mfstudy_threads_and_config_roundtrip(tmp_path):
 
 
 def test_mfstudy_same_bytes_for_threads_1_and_2(tmp_path):
-    # jobs start largest N first; rows still follow n_list
+    # --threads is inert: no count, and none given, change a byte; rows
+    # follow n_list
     cfg = mf_config(tmp_path, n_list=[12, 6, 24])
-    outs = [tmp_path / "t1", tmp_path / "t2"]
-    for out, threads in zip(outs, ("1", "2")):
-        assert cli.main(["mfstudy", "--config", str(cfg), "--out", str(out),
-                         "--threads", threads]) == 0
-    assert stripped(outs[0] / "study.json") == stripped(outs[1] / "study.json")
-    rows = json.loads((outs[0] / "study.json").read_text())["study"]["rows"]
+    runs = {"none": [], "t1": ["--threads", "1"], "t2": ["--threads", "2"],
+            "t3": ["--threads", "3"]}
+    for name, flag in runs.items():
+        assert cli.main(["mfstudy", "--config", str(cfg),
+                         "--out", str(tmp_path / name), *flag]) == 0
+    want = stripped(tmp_path / "none" / "study.json")
+    for name in runs:
+        assert stripped(tmp_path / name / "study.json") == want
+        for f in sorted((tmp_path / "none" / "tables").glob("*.csv")):
+            assert f.read_bytes() == (tmp_path / name / "tables" / f.name).read_bytes()
+    rows = json.loads((tmp_path / "t1" / "study.json").read_text())["study"]["rows"]
     assert [row["n"] for row in rows] == [12, 6, 24]
 
 

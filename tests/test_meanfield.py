@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flocklab.dynamics
-from flocklab import meanfield, storage
+from flocklab import meanfield, storage, weakform
 from flocklab.diagnostics import enstrophy
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import RejectionOverflow, StepCollapse
@@ -25,6 +25,7 @@ from flocklab.measures import EmpiricalMeasure, from_particles
 from flocklab.weakform import (
     FieldBattery,
     continuity_residuals,
+    dissipation_margin,
     macro_battery,
     momentum_residuals,
     vector_battery,
@@ -332,7 +333,7 @@ def test_field_residuals_equal_direct_battery_calls(d):
         tol=1e-7,
         snapshot_times=np.linspace(0.0, horizon, 7),
     )
-    grids, cont, mom = field_residuals(traj, h, 6, 3)
+    grids, cont, mom, margins = field_residuals(traj, h, 6, 3)
     times = traj.times
     want = [local_fields(from_particles(s), d, h) for s in traj.snapshots]
     for got, ref in zip(grids, want, strict=True):
@@ -348,12 +349,13 @@ def test_field_residuals_equal_direct_battery_calls(d):
         alpha,
         initial_atoms=(x0, v0, np.full(n, 1.0 / n)),
     )
+    assert np.array_equal(margins, dissipation_margin(times, want, alpha))
 
 
 # ---- refinement study ----
 
 
-def small_study(threads=1, **kw):
+def small_study(**kw):
     spec = box_spec(seed=21)
     return refinement_study(
         spec,
@@ -366,7 +368,6 @@ def small_study(threads=1, **kw):
         tol=1e-6,
         quad_points=9,
         battery_size=4,
-        threads=threads,
         **kw,
     )
 
@@ -414,12 +415,45 @@ def test_study_battery_equals_per_n_draws(monkeypatch):
     monkeypatch.undo()
     assert len({id(battery) for _, battery, _ in seen.values()}) == 1
     for row in rep.rows:
-        traj, _, (_, cont, mom) = seen[row.n]
-        _, want_cont, want_mom = field_residuals(traj, 0.25, 4, 0)
+        traj, _, (grids, cont, mom, margins) = seen[row.n]
+        _, want_cont, want_mom, want_margins = field_residuals(traj, 0.25, 4, 0)
         assert cont == want_cont
         assert mom == want_mom
+        assert np.array_equal(margins, want_margins)
+        assert np.array_equal(
+            margins, dissipation_margin(traj.times, grids, traj.params.alpha)
+        )
         assert row.continuity == max(want_cont)
         assert row.momentum == max(want_mom)
+        probe_idx = [int(np.argmin(np.abs(traj.times - p))) for p in (0.1, 0.2)]
+        assert row.margins == tuple(float(margins[i]) for i in probe_idx)
+
+
+@pytest.mark.parametrize("name", ["kernel", "_bump"])
+def test_study_builds_psi_and_bumps_once_per_snapshot(monkeypatch, name):
+    # one field pass: each occupied snapshot builds the cell kernel psi and
+    # the battery's bumps once; the bumps are evaluated once more at the
+    # unbinned t = 0 atoms of each N
+    calls = []
+    occupied = []
+    real = getattr(weakform, name)
+    shared = meanfield._battery_residuals
+
+    def count(*args):
+        calls.append(name)
+        return real(*args)
+
+    def battery_spy(traj, h, battery):
+        out = shared(traj, h, battery)
+        occupied.append(sum(grid.mass.size > 0 for grid in out[0]))
+        return out
+
+    monkeypatch.setattr(weakform, name, count)
+    monkeypatch.setattr(meanfield, "_battery_residuals", battery_spy)
+    small_study()
+    assert len(occupied) == 2 and min(occupied) > 0
+    per_n = 1 if name == "_bump" else 0
+    assert len(calls) == sum(occupied) + per_n * len(occupied)
 
 
 def test_battery_on_other_times_is_rejected():
@@ -434,26 +468,6 @@ def test_battery_on_other_times_is_rejected():
     battery = FieldBattery(vector_battery(1, 0.2, 2.0, size=3), times)
     with pytest.raises(ValueError, match="snapshot times"):
         meanfield._battery_residuals(traj, 0.25, battery)
-
-
-def test_refinement_study_thread_merge_deterministic():
-    a = storage._plain(small_study(threads=1))
-    b = storage._plain(small_study(threads=3))
-    assert a == b
-
-
-def test_refinement_study_starts_largest_n_first(monkeypatch):
-    real = meanfield._study_single_n
-    started = []
-
-    def record(spec, n, *args):
-        started.append(n)
-        return real(spec, n, *args)
-
-    monkeypatch.setattr(meanfield, "_study_single_n", record)
-    rep = small_study()
-    assert started == [16, 8]
-    assert [row.n for row in rep.rows] == [8, 16]
 
 
 def test_refinement_study_survives_single_failure(monkeypatch):
@@ -483,7 +497,7 @@ def test_refinement_study_samples_once(monkeypatch):
         return real(spec, n, bound)
 
     monkeypatch.setattr(meanfield, "sample_initial", record)
-    rep = small_study(threads=2)
+    rep = small_study()
     assert drawn == [16]
     assert all(row.error is None for row in rep.rows)
 
@@ -502,7 +516,7 @@ def test_rejection_overflow_fails_only_the_runs_past_its_atom(monkeypatch):
     want = small_study().rows
     monkeypatch.setattr(meanfield, "sample_initial", overflow_at_12)
     rep = small_study()
-    assert drawn == [16, 16, 8]
+    assert drawn == [16, 8, 16]
     assert rep.rows[0] == want[0]
     assert rep.rows[1].energy is None
     assert rep.rows[1].error == {

@@ -369,14 +369,15 @@ def _write_sim(tmp_path, **overrides) -> Path:
 
 
 def test_simulate_and_serial_study_load_no_unused_library(tmp_path):
-    # np.unique and np.union1d import numpy.ma; only a pool needs
-    # concurrent.futures
+    # np.unique and np.union1d import numpy.ma; the study runs its sizes
+    # one after another whatever --threads says, so no pool is loaded
     sim = json.loads(_write_sim(tmp_path).read_text())
     mf = dict(MF, initial=sim["initial"])
     (tmp_path / "mf.json").write_text(json.dumps(mf))
     for argv in (
         ["simulate", "--config", "sim.json", "--out", "run"],
         ["mfstudy", "--config", "mf.json", "--out", "study"],
+        ["mfstudy", "--config", "mf.json", "--out", "study2", "--threads", "2"],
     ):
         code, names = _loaded(argv, tmp_path)
         assert code == 0

@@ -11,6 +11,7 @@ from flocklab.meanfield import FieldGrid, local_fields
 from flocklab.measures import from_particles
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
+    FieldBattery,
     MacroTestFunction,
     TestFunction,
     VectorTestFunction,
@@ -28,6 +29,7 @@ from flocklab.weakform import (
 
 from oracles import (
     loop_continuity_residual,
+    loop_dissipation_margin,
     loop_momentum_residual,
     method_kinetic_residuals,
 )
@@ -386,17 +388,23 @@ def test_continuity_battery_matches_oracle(d, pad):
 @pytest.mark.parametrize("atoms", [False, True])
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.5])
 def test_momentum_battery_matches_oracle(d, pad, atoms, alpha):
+    # the one field pass gives the continuity, momentum and margin oracles
     times, grids, initial = binned_sequence(d, seed=10 + d)
     if pad:
         grids = padded(grids, d)
     ia = initial if atoms else None
     vb = vector_battery(d, 0.5, 2.0, size=24, seed=d)
-    got = momentum_residuals(times, grids, vb, alpha, initial_atoms=ia)
+    cont, mom, margins = FieldBattery(vb, times).residuals(grids, alpha, ia)
     want = [
         loop_momentum_residual(times, grids, phi, alpha, initial_atoms=ia)
         for phi in vb
     ]
-    assert got == want
+    assert mom == want
+    assert momentum_residuals(times, grids, vb, alpha, initial_atoms=ia) == want
+    assert cont == [loop_continuity_residual(times, grids, phi.base) for phi in vb]
+    want_margins = loop_dissipation_margin(times, grids, alpha)
+    assert np.array_equal(margins, want_margins)
+    assert np.array_equal(dissipation_margin(times, grids, alpha), want_margins)
 
 
 def test_single_function_battery_equals_wrapper():
@@ -422,3 +430,18 @@ def test_battery_forms_reject_grid_mismatch():
         continuity_residuals(times, bad, [phi])
     with pytest.raises(GridMismatch):
         momentum_residuals(times, bad, [VectorTestFunction(phi, 0)], 1.5)
+
+
+@pytest.mark.parametrize("count", [3, 7])
+def test_field_forms_reject_grid_count_mismatch(count):
+    # one grid per snapshot time: too few and too many are both rejected
+    times, grids = drifting_cell_sequence(m=5)
+    bad = (list(grids) * 2)[:count]
+    phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
+    message = f"{count} field grids for 5 snapshot times"
+    with pytest.raises(ValueError, match=message):
+        continuity_residuals(times, bad, [phi])
+    with pytest.raises(ValueError, match=message):
+        momentum_residuals(times, bad, [VectorTestFunction(phi, 0)], 1.5)
+    with pytest.raises(ValueError, match=message):
+        dissipation_margin(times, bad, 1.5)
