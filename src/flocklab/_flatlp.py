@@ -71,7 +71,7 @@ its current tree.  It stops when a full pricing finds no negative arc, so
 the basis is optimal for the whole arc set.
 
 Memory is a few arrays of one tile's R K entries (R = _tile_rows(K), so
-about _TILE_ENTRIES) plus the working set: 2K ground arcs, at most
+about pairs.TILE_ENTRIES) plus the working set: 2K ground arcs, at most
 _NEIGHBOURS K neighbour arcs, and at most _TILE_ARCS arcs per tile per
 full pricing.  No array with K^2 entries is built; two uniform clouds of
 800 atoms each (K = 1600, d = 2) peak near 3 MB of traced allocations,
@@ -86,13 +86,12 @@ from collections import deque
 import numpy as np
 
 from .errors import PivotBudgetExceeded, SupportTooLarge
-from .pairs import distances
+from .pairs import TILE_ENTRIES, distances
 
 _RC_TOL = 1e-11  # reduced-cost threshold for optimality
 _CANDIDATES = 100  # arcs kept in the pricing list in d >= 2
 _NEIGHBOURS = 8  # nearest neighbours per node in the starting working set
 _TILE_ARCS = 64  # most negative arcs a pricing tile adds to the working set
-_TILE_ENTRIES = 1 << 16  # grid entries per pricing tile
 
 
 def _pivot_budget(n_support: int) -> int:
@@ -102,7 +101,7 @@ def _pivot_budget(n_support: int) -> int:
 
 def _tile_rows(n_support: int) -> int:
     """Grid rows per pricing tile on a support of n_support atoms."""
-    return max(1, _TILE_ENTRIES // n_support)
+    return max(1, TILE_ENTRIES // n_support)
 
 
 def _tiles(points: np.ndarray):

@@ -5,9 +5,12 @@ expects a JSON document (see schemas.SCHEMAS); a previously written report
 is also accepted, in which case its embedded config is reused, so any
 report can be reproduced from itself.  The --seed, --tol and --threads
 overrides are merged into that document before it is validated, so they
-pass the same schema check.  --threads (the ``threads`` key of an mfstudy
-config) is accepted and changes nothing: the study runs its sizes one
-after another, and no report echoes it.  Outputs land in --out (default
+pass the same schema check.  A subcommand takes --seed and --tol only when
+its schema has that key: simulate and mfstudy take both, pairstudy takes
+--tol, diagnose and residual take neither.  --threads (the ``threads`` key
+of an mfstudy config) is accepted by every config subcommand and changes
+nothing: the study runs its sizes one after another, and no report echoes
+it.  Outputs land in --out (default
 current directory).  Identical config and seed give byte-identical reports
 apart from the generated_at line.
 
@@ -236,19 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p, kind):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        # an override exists only where the schema has its key
+        props = schemas.SCHEMAS[kind]["properties"]
+        if "seed" in props:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
+        if "tol" in props:
+            p.add_argument(
+                "--tol", type=float, default=None, help="tolerance override"
+            )
         p.add_argument(
             "--threads", type=int, default=None,
             help="accepted for old configs; changes nothing",
         )
 
     p = sub.add_parser("simulate", help="integrate one ensemble and diagnose it")
-    common(p)
+    common(p, "simulate")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("dbl", help="flat distance between two measure files")
@@ -259,19 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dbl)
 
     p = sub.add_parser("diagnose", help="diagnostics report for a saved trajectory")
-    common(p)
+    common(p, "diagnose")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("residual", help="weak-identity battery on a trajectory")
-    common(p)
+    common(p, "residual")
     p.set_defaults(func=_cmd_residual)
 
     p = sub.add_parser("mfstudy", help="refinement study over particle numbers")
-    common(p)
+    common(p, "mfstudy")
     p.set_defaults(func=_cmd_mfstudy)
 
     p = sub.add_parser("pairstudy", help="two-particle alignment study")
-    common(p)
+    common(p, "pairstudy")
     p.set_defaults(func=_cmd_pairstudy)
 
     return parser

@@ -4,8 +4,8 @@ Conventions.  All pair functionals are double sums over ordered atom pairs
 (a, b) against the product measure, so each unordered pair enters twice.
 Self-pairs (a = b) are excluded; they contribute nothing when a kernel is
 bounded, and are meaningless for the raw singular kernel.  Pairs sharing a
-position are additionally excluded exactly when the kernel has no
-regularization (eta = 0), mirroring an off-diagonal integral.
+position add zero terms when the kernel has no regularization (eta = 0),
+since the kernel vanishes there, mirroring an off-diagonal integral.
 
 The kernel normalization beta(eta, alpha, d) is the integral of
 (|x| + eta)^(-alpha) over R^d.  Closed forms are implemented for d = 1 and
@@ -14,9 +14,15 @@ set to 1 exactly.  The eta-weighted monokineticity functional uses the
 conditional mean velocity at exact position groups, with the inner sum
 running over the spatial marginal's atoms.
 
-Pair functionals accept an optional ``grid`` (pairs.PairGrid) holding the
-distances and squared relative speeds of the measure's atoms, so a caller
-evaluating several of them on one measure builds that grid once.
+Trajectory series read the stacked snapshot arrays directly: the pair
+sums of every snapshot come from one pairs.snapshot_series pass, the
+velocity moments from measures.phase_moments, and the binned fields from
+meanfield.snapshot_fields.  enstrophy and dalpha are the one-snapshot case
+of that pass, so a measure and a trajectory snapshot give the same bits;
+min_distance reads the same pairs.distances grid.  Since the kernel
+vanishes at co-located pairs, the pass sums them as zero terms at eta = 0
+instead of leaving them out; on a measure with co-located atoms that may
+move the sums by an ulp.
 """
 
 from __future__ import annotations
@@ -27,16 +33,16 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import DivergentNormalization, UnsupportedDimension
-from .meanfield import stacked_fields
+from .meanfield import snapshot_fields
 from .measures import (
     EmpiricalMeasure,
     dbl,
     from_particles,
-    kinetic_energy,
-    momentum,
+    kinetic_energy,  # not called here: the benchmark tracer wraps this name
+    phase_moments,
     phi_weighted_marginal,
 )
-from .pairs import PairGrid, distances, kernel, off_diagonal
+from .pairs import distances, off_diagonal, snapshot_series
 from .weakform import cumulative_trapezoid
 
 
@@ -46,50 +52,26 @@ def _split(mu: EmpiricalMeasure, d: int):
     return mu.points[:, :d], mu.points[:, d:], mu.weights
 
 
-def _grid(mu: EmpiricalMeasure, d: int, grid: PairGrid | None):
+def _series(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0):
+    """snapshot_series of one measure, as a one-snapshot stack."""
     x, v, w = _split(mu, d)
-    return (PairGrid.of(x, v) if grid is None else grid), w
+    return snapshot_series(x[None], v[None], w, alpha, eta)
 
 
-def _counted(r: np.ndarray, colocated: bool) -> np.ndarray:
-    """Mask of the pairs a functional sums over: off-diagonal, and apart
-    unless co-located pairs count."""
-    mask = np.ones(r.shape, dtype=bool) if colocated else r > 0.0
-    np.fill_diagonal(mask, False)
-    return mask
-
-
-def enstrophy(
-    mu: EmpiricalMeasure, d: int, alpha: float, grid: PairGrid | None = None
-) -> float:
+def enstrophy(mu: EmpiricalMeasure, d: int, alpha: float) -> float:
     """Alignment dissipation rate:
     sum over off-diagonal pairs of w_a w_b |v_a - v_b|^2 / |x_a - x_b|^alpha."""
-    g, w = _grid(mu, d, grid)
-    mask = _counted(g.r, colocated=False)
-    val = (w[:, None] * w[None, :]) * g.s2 * kernel(g.r, alpha)
-    return float(val[mask].sum())
+    return float(_series(mu, d, alpha)[0][0])
 
 
-def dalpha(
-    mu: EmpiricalMeasure,
-    d: int,
-    alpha: float,
-    eta: float = 0.0,
-    grid: PairGrid | None = None,
-) -> float:
+def dalpha(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0) -> float:
     """Higher-moment dissipation:
     sum over pairs of w_a w_b |v_a - v_b|^(alpha+2) / (|x_a - x_b| + eta)^alpha.
 
-    At eta = 0 pairs sharing a position are excluded; with eta > 0 every
-    off-diagonal pair counts (co-located atoms included).
+    At eta = 0 pairs sharing a position add zero terms, since the kernel
+    vanishes there; with eta > 0 they count like every off-diagonal pair.
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    g, w = _grid(mu, d, grid)
-    mask = _counted(g.r, colocated=eta > 0.0)
-    kern = kernel(g.r + eta, alpha)
-    val = (w[:, None] * w[None, :]) * g.s2 ** ((alpha + 2.0) / 2.0) * kern
-    return float(val[mask].sum())
+    return float(_series(mu, d, alpha, eta)[1][0])
 
 
 def beta_eta(eta: float, alpha: float, d: int) -> float:
@@ -121,11 +103,7 @@ def beta_eta(eta: float, alpha: float, d: int) -> float:
 
 
 def eta_monokineticity(
-    mu: EmpiricalMeasure,
-    d: int,
-    alpha: float,
-    eta: float,
-    grid: PairGrid | None = None,
+    mu: EmpiricalMeasure, d: int, alpha: float, eta: float
 ) -> float:
     """Deviation from a single velocity per site, weighted by the
     regularized kernel against the spatial marginal:
@@ -153,33 +131,32 @@ def eta_monokineticity(
     np.add.at(means, labels, wn[:, None] * v)
     u = means[labels]
     dev = np.sqrt(np.einsum("ij,ij->i", v - u, v - u))
-    r = distances(x) if grid is None else grid.r
+    r = distances(x)
     # every pair counts here, self-pairs included, at eta^(-alpha)
     kern = (r + eta) ** (-alpha)
     return float((w * dev ** (alpha + 2.0)) @ kern @ w)
 
 
-def min_distance(
-    mu: EmpiricalMeasure, d: int, grid: PairGrid | None = None
-) -> float:
+def min_distance(mu: EmpiricalMeasure, d: int) -> float:
     """Smallest distance between two different atoms (inf below two)."""
-    x, _, _ = _split(mu, d)
-    if x.shape[0] < 2:
-        return np.inf
-    r = distances(x) if grid is None else grid.r
-    return float(off_diagonal(r).min())
+    x = _split(mu, d)[0]
+    return float(off_diagonal(distances(x)).min()) if len(x) >= 2 else np.inf
+
+
+def _sweep(traj: Trajectory):
+    """Kinetic energy, momentum, D, D_alpha (eta = 0) and minimum distance
+    of every snapshot, read from the stacked arrays at weights 1/N."""
+    p = traj.params
+    w = np.full(p.N, 1.0 / p.N)
+    # the phase rows of from_particles, so the moments keep its bits
+    energy, mom = phase_moments(np.concatenate([traj.x, traj.v], axis=2), p.d, w)
+    return (energy, mom, *snapshot_series(traj.x, traj.v, w, p.alpha))
 
 
 def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times, kinetic energy, and enstrophy along the snapshots."""
-    d = traj.params.d
-    alpha = traj.params.alpha
-    es, ds = [], []
-    for st in traj:
-        mu = from_particles(st)
-        es.append(kinetic_energy(mu, d))
-        ds.append(enstrophy(mu, d, alpha))
-    return traj.times, np.array(es), np.array(ds)
+    energy, _, dd, _, _ = _sweep(traj)
+    return traj.times, energy, dd
 
 
 def energy_balance_residual(traj: Trajectory) -> float:
@@ -270,40 +247,24 @@ def build_report(
     bin_fractions: tuple = (1 / 8, 1 / 16, 1 / 32),
 ) -> DiagnosticsReport:
     """Full diagnostic sweep over the snapshots of a trajectory."""
-    d = traj.params.d
-    alpha = traj.params.alpha
-
-    measures = [from_particles(st) for st in traj]
-    # one pair grid per snapshot, shared by every pair functional below;
-    # the first one also gives the diameter
-    g0, _ = _grid(measures[0], d, None)
-    diam = float(g0.r.max()) if traj.params.N >= 2 else 1.0
+    diam = float(distances(traj.x[0]).max()) if traj.params.N >= 2 else 1.0
     diam = max(diam, 1e-9)
     h_ladder = tuple(diam * f for f in bin_fractions)
 
-    rows = {"E": [], "D": [], "Da": [], "mom": [], "md": []}
-    for k, mu in enumerate(measures):
-        g, _ = _grid(mu, d, g0 if k == 0 else None)
-        rows["E"].append(kinetic_energy(mu, d))
-        rows["D"].append(enstrophy(mu, d, alpha, grid=g))
-        rows["Da"].append(dalpha(mu, d, alpha, 0.0, grid=g))
-        rows["mom"].append(momentum(mu, d))
-        rows["md"].append(min_distance(mu, d, grid=g))
+    energy, mom, dd, da, md = _sweep(traj)
     # mk_index of every snapshot, binned in one pass per ladder width
-    mkvar = np.empty((len(measures), len(h_ladder)))
+    mkvar = np.empty((len(traj), len(h_ladder)))
     for j, h in enumerate(h_ladder):
-        mkvar[:, j] = [grid.mk() for grid in stacked_fields(measures, d, h)]
+        mkvar[:, j] = [grid.mk() for grid in snapshot_fields(traj, h)]
 
     return DiagnosticsReport(
         times=traj.times,
-        energy=np.array(rows["E"]),
-        enstrophy=np.array(rows["D"]),
-        dalpha=np.array(rows["Da"]),
-        momentum=np.array(rows["mom"]),
-        min_distance=np.array(rows["md"]),
+        energy=energy,
+        enstrophy=dd,
+        dalpha=da,
+        momentum=mom,
+        min_distance=md,
         h_ladder=h_ladder,
         mkvar=mkvar,
-        energy_residual=_balance_defect(
-            traj.times, np.array(rows["E"]), np.array(rows["D"])
-        ),
+        energy_residual=_balance_defect(traj.times, energy, dd),
     )

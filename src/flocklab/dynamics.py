@@ -161,10 +161,6 @@ class ParticleState:
     def n_particles(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
     def max_speed(self) -> float:
         return float(np.sqrt((self.v**2).sum(axis=1).max()))
 

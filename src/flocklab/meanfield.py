@@ -9,21 +9,24 @@ Binned fields live on an axis-aligned grid anchored at the origin with cell
 index floor(x / h) per coordinate.  A FieldGrid holds one array row per
 cell of positive mass (barycenter, velocity, mass, in-cell velocity
 variance); the weak residuals in weakform read those arrays directly.
-stacked_fields bins a whole sequence of measures (every snapshot of a
-trajectory, or the probe states of a study) in one pass: one sort of the
-(snapshot, cell) rows and one np.bincount per sum.  local_fields is its
-one-measure case, so there is one binning path.  field_residuals is the
-one path from a trajectory to its continuity and momentum battery and its
-dissipation margins, one weakform.FieldBattery pass over the binned
-snapshots, shared by the refinement study and ``flocklab residual``.  A
-study draws its battery once: every N runs on the same snapshot times, so
-one FieldBattery serves every N.  The study runs its N one after another.
+snapshot_fields bins rows of a trajectory's stacked snapshots (all of
+them, or the probe times of a study) in one pass: one sort of the
+(snapshot, cell) rows and one np.bincount per sum.  local_fields bins one
+measure through the same sort, so there is one binning path.
+field_residuals is the one path from a trajectory to its continuity and
+momentum battery and its dissipation margins, one weakform.FieldBattery
+pass over the binned snapshots, shared by the refinement study and
+``flocklab residual``.  A study draws its battery once: every N runs on
+the same snapshot times, so one FieldBattery serves every N.  The study
+runs its N one after another.
 
 The package's import graph is acyclic: this module imports dynamics,
-weakform and measures, and diagnostics imports this one for stacked_fields.
-Functions of other modules that a test or a profiler may swap at run time
-(dynamics.integrate) are looked up through their module, so the swap takes
-effect here.
+pairs, weakform and measures, and diagnostics imports this one for
+snapshot_fields.  The pair study reads its gaps and dissipation from
+pairs.snapshot_series, the stacked pass the diagnostics use.  Functions
+of other modules that a test or a profiler may swap at run time
+(dynamics.integrate) are looked up through their module, so the swap
+takes effect here.
 """
 
 from __future__ import annotations
@@ -33,15 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, weakform
+from . import dynamics, pairs, weakform
 from .errors import FlockLabError, RejectionOverflow
-from .measures import (
-    EmpiricalMeasure,
-    dbl,
-    from_particles,
-    kinetic_energy,
-    marginal_x,
-)
+from .measures import EmpiricalMeasure, dbl, phase_moments
 from .rng import CounterRNG
 
 _DENSITIES = ("uniform-box", "truncated-gaussian", "two-bump")
@@ -271,6 +268,8 @@ def _bin(label, x, v, w, count, h) -> list:
     each cell's variance, as one sum over its contiguous slice.  Cells
     whose atoms all carry zero weight are dropped.
     """
+    if h <= 0:
+        raise ValueError("cell width must be positive")
     n, d = x.shape
     rows = np.column_stack([label, np.floor(x / h).astype(np.int64)])
     order = np.lexsort(rows.T[::-1])
@@ -319,29 +318,33 @@ def _bin(label, x, v, w, count, h) -> list:
     return grids
 
 
-def stacked_fields(measures, d: int, h: float) -> list:
-    """local_fields of every phase measure, binned in one pass: the cells
-    of all measures come from one sort of the (measure, cell) rows."""
-    if h <= 0:
-        raise ValueError("cell width must be positive")
-    if any(mu.point_dim != 2 * d for mu in measures):
-        raise ValueError("phase measure must have point dimension 2d")
-    if not measures:
-        return []
-    points = np.concatenate([mu.points for mu in measures])
-    label = np.repeat(np.arange(len(measures)), [mu.n_atoms for mu in measures])
-    w = np.concatenate([mu.weights for mu in measures])
-    return _bin(label, points[:, :d], points[:, d:], w, len(measures), h)
+def snapshot_fields(traj: dynamics.Trajectory, h: float, rows=None) -> list:
+    """local_fields of the uniform-weight measure of every snapshot of traj
+    (or of the snapshots indexed by rows), binned in one pass: the cells of
+    all snapshots come from one sort of the (snapshot, cell) rows."""
+    p = traj.params
+    x, v = (traj.x, traj.v) if rows is None else (traj.x[rows], traj.v[rows])
+    s = len(x)
+    return _bin(
+        np.repeat(np.arange(s), p.N),
+        x.reshape(-1, p.d),
+        v.reshape(-1, p.d),
+        np.full(s * p.N, 1.0 / p.N),
+        s,
+        h,
+    )
 
 
 def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     """Bin a phase measure into cells of width h anchored at the origin.
 
     Cells whose atoms all carry zero weight are dropped.  Each cell's
-    variance sums its atoms in their input order.  This is the
-    one-measure case of stacked_fields.
+    variance sums its atoms in their input order.
     """
-    return stacked_fields([mu], d, h)[0]
+    if mu.point_dim != 2 * d:
+        raise ValueError("phase measure must have point dimension 2d")
+    label = np.zeros(mu.n_atoms, dtype=np.int64)
+    return _bin(label, mu.points[:, :d], mu.points[:, d:], mu.weights, 1, h)[0]
 
 
 def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
@@ -373,16 +376,7 @@ def _battery_residuals(traj, h, battery):
     p = traj.params
     if not np.array_equal(battery.times, traj.times):
         raise ValueError("battery and trajectory disagree on snapshot times")
-    # stacked_fields of the snapshots' uniform-weight measures
-    s = len(traj)
-    grids = _bin(
-        np.repeat(np.arange(s), p.N),
-        traj.x.reshape(-1, p.d),
-        traj.v.reshape(-1, p.d),
-        np.full(s * p.N, 1.0 / p.N),
-        s,
-        h,
-    )
+    grids = snapshot_fields(traj, h)
     first = (traj.x[0], traj.v[0], np.full(p.N, 1.0 / p.N))
     return (grids, *battery.residuals(grids, p.alpha, initial_atoms=first))
 
@@ -459,22 +453,24 @@ def _study_single_n(
         snapshot_times=snap_times,
     )
 
-    measures = [from_particles(traj.state_at(p)) for p in probes]
-    marginals = [marginal_x(mu, d) for mu in measures]
-    energy = [kinetic_energy(mu, d) for mu in measures]
+    # the probes are on the snapshot grid: each is the row nearest to it
+    idx = [int(np.argmin(np.abs(traj.times - p))) for p in probes]
+    w = np.full(n, 1.0 / n)
+    marginals = [EmpiricalMeasure(traj.x[k], w) for k in idx]
+    phase = np.concatenate([traj.x[idx], traj.v[idx]], axis=2)
+    energy, _ = phase_moments(phase, d, w)
     # one row per probe: its grids at widths 2h, h, h/2
     widths = (2.0 * h, h, h / 2.0)
-    ladder = list(zip(*(stacked_fields(measures, d, w) for w in widths)))
+    ladder = list(zip(*(snapshot_fields(traj, wd, idx) for wd in widths)))
     mk = [tuple(grid.mk() for grid in row) for row in ladder]
     maxcell = [tuple(float(grid.mass.max()) for grid in row) for row in ladder]
 
     _, cont, mom, all_margins = _battery_residuals(traj, h, battery)
-    probe_idx = [int(np.argmin(np.abs(traj.times - p))) for p in probes]
-    margins = tuple(float(all_margins[i]) for i in probe_idx)
+    margins = tuple(float(all_margins[k]) for k in idx)
 
     row = StudyRow(
         n=n,
-        energy=tuple(energy),
+        energy=tuple(energy.tolist()),
         mk=tuple(mk),
         max_cell_mass=tuple(maxcell),
         continuity=float(max(cont)),
@@ -613,32 +609,6 @@ class PairStudy:
     rows: tuple
 
 
-def _pair_series(xs: np.ndarray, vs: np.ndarray, alpha: float):
-    """Gap, relative speed and dissipation rate of every snapshot of a pair,
-    from the stacked (S, 2, d) positions xs and velocities vs.
-
-    Coordinates are summed in index order, with elementwise operations
-    only.  The gap is the distance pairs.distances gives (|x_0 - x_1| in
-    d = 1), and the dissipation rate repeats the elementwise operations of
-    enstrophy(from_particles(s), d, alpha) on that gap, with the weight
-    product 1/4.  Its two ordered pairs give the same bits and are added;
-    a co-located pair counts zero.
-    """
-    dx = xs[:, 0, :] - xs[:, 1, :]
-    dv = vs[:, 0, :] - vs[:, 1, :]
-    r2 = dx[:, 0] * dx[:, 0]
-    s2 = dv[:, 0] * dv[:, 0]
-    for k in range(1, dx.shape[1]):
-        r2 += dx[:, k] * dx[:, k]
-        s2 += dv[:, k] * dv[:, k]
-    r = np.abs(dx[:, 0]) if dx.shape[1] == 1 else np.sqrt(r2)
-    kern = np.zeros_like(r)
-    np.power(r, -alpha, out=kern, where=r > 0.0)
-    w = 1.0 / 2
-    val = (w * w) * s2 * kern
-    return r, np.sqrt(s2), val + val
-
-
 def pair_alignment_study(
     eps_list,
     v1,
@@ -686,7 +656,9 @@ def pair_alignment_study(
             rows.append(PairRow(eps, None, None, None, None, exc.to_dict()))
             continue
 
-        dist, rel, dee = _pair_series(traj.x, traj.v, alpha)
+        w = np.full(2, 0.5)
+        dee, _, dist = pairs.snapshot_series(traj.x, traj.v, w, alpha)
+        rel = np.sqrt(pairs.sq_distances(traj.v)[:, 0, 1])
         psi = dist ** (-alpha)
         d_int = float(np.trapezoid(dee, times))
 

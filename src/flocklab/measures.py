@@ -34,16 +34,10 @@ _MASS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted atoms: points (K, k), weights (K,), declared support bound.
-
-    ``support_radius`` bounds the Euclidean norm of every atom; it defaults
-    to the observed maximum and is carried through transformations so that
-    downstream grids and test functions can size themselves.
-    """
+    """Weighted atoms: points (K, k) and weights (K,)."""
 
     points: np.ndarray
     weights: np.ndarray
-    support_radius: float = -1.0
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.atleast_2d(self.points), dtype=np.float64)
@@ -56,17 +50,10 @@ class EmpiricalMeasure:
         total = float(w.sum())
         if total > 1.0 + _MASS_SLACK:
             raise ValueError("total mass exceeds 1; normalize before wrapping")
-        radius = float(self.support_radius)
-        observed = float(np.sqrt((pts**2).sum(axis=1).max())) if pts.size else 0.0
-        if radius < 0.0:
-            radius = observed
-        elif observed > radius * (1.0 + 1e-9) + 1e-12:
-            raise ValueError("atoms fall outside the declared support radius")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "support_radius", radius)
 
     @property
     def n_atoms(self) -> int:
@@ -100,17 +87,34 @@ def _check_phase(mu: EmpiricalMeasure, d: int):
         raise ValueError("phase measure must have point dimension 2d")
 
 
+def phase_moments(
+    phase: np.ndarray, d: int, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kinetic energy (S,) and momentum (S, d) of stacked phase rows
+    (S, K, 2d) at atom weights w (K,): sum of w |v|^2 and sum of w v.
+
+    Row k gives the moments of EmpiricalMeasure(phase[k], w) bit for bit:
+    its velocities are read through the same strided (K, d) view.
+    """
+    energy = np.empty(phase.shape[0])
+    mom = np.empty((phase.shape[0], d))
+    for k, rows in enumerate(phase):
+        v = rows[:, d:]
+        energy[k] = w @ np.einsum("ij,ij->i", v, v)
+        mom[k] = w @ v
+    return energy, mom
+
+
 def kinetic_energy(mu: EmpiricalMeasure, d: int) -> float:
     """Second velocity moment: sum of w |v|^2."""
     _check_phase(mu, d)
-    v = mu.points[:, d:]
-    return float(mu.weights @ np.einsum("ij,ij->i", v, v))
+    return float(phase_moments(mu.points[None], d, mu.weights)[0][0])
 
 
 def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
     """First velocity moment: sum of w v."""
     _check_phase(mu, d)
-    return mu.weights @ mu.points[:, d:]
+    return phase_moments(mu.points[None], d, mu.weights)[1][0]
 
 
 def union_support(

@@ -5,7 +5,9 @@ goes through this module, so each grid is built one way:
 
   squared distances  summed one coordinate at a time as (N, N) arrays,
                      never as (N, N, d) difference tensors; a row tile
-                     (R, N) of the grid repeats its rows' arithmetic;
+                     (R, N) of the grid repeats its rows' arithmetic, and
+                     stacked clouds (..., N, d) give stacked grids
+                     (..., N, N) with each cloud's arithmetic;
   distances          |x_i - x_j| in d = 1, the square root of the squared
                      distances in d >= 2;
   kernel             r^(-alpha), unregularized, with self-pairs and
@@ -19,6 +21,12 @@ goes through this module, so each grid is built one way:
 The block layout depends only on N, so every result is reproducible bit
 for bit whatever the thread count or the BLAS.
 
+snapshot_series is the one path from stacked snapshots to their pair
+sums: the dissipation D, its higher moment D_alpha and the smallest pair
+distance of each snapshot.  It works through groups of snapshots whose
+grids together hold at most TILE_ENTRIES entries (one snapshot per group
+once N^2 exceeds that), so it never holds an (S, N, N) array.
+
 The force evaluation (dynamics.alignment_rhs) raises its distances to the
 power itself: its grid holds inf on the diagonal and has been checked for
 co-located pairs, so the kernel's masks would change nothing there.
@@ -26,11 +34,10 @@ co-located pairs, so the kernel's masks would change nothing there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BLOCK = 32
+TILE_ENTRIES = 1 << 16  # grid entries per tile of a tiled pair pass
 
 
 class Workspace:
@@ -53,9 +60,10 @@ class Workspace:
 def outer_diff(
     col: np.ndarray, out: np.ndarray | None = None, rows: slice = slice(None)
 ) -> np.ndarray:
-    """(N, N) array of col[i] - col[j] for a 1-D array col; only the grid
-    rows i in ``rows`` when given, an (R, N) array."""
-    return np.subtract(col[rows, None], col[None, :], out=out)
+    """(..., N, N) array of col[..., i] - col[..., j] for an array col of
+    shape (..., N); only the grid rows i in ``rows`` when given, an
+    (..., R, N) array."""
+    return np.subtract(col[..., rows, None], col[..., None, :], out=out)
 
 
 def sq_distances(
@@ -64,17 +72,18 @@ def sq_distances(
     scratch: np.ndarray | None = None,
     rows: slice = slice(None),
 ) -> np.ndarray:
-    """(N, N) squared Euclidean distances of the rows of x, zero diagonal.
+    """(N, N) squared Euclidean distances of the rows of x, zero diagonal;
+    (..., N, N) for stacked clouds x of shape (..., N, d).
 
     Coordinates are added one at a time in index order.  ``out`` receives
     the result and ``scratch`` holds each coordinate's differences; both
     are allocated when not given.  ``rows`` restricts the grid to those
     rows, an (R, N) tile with the same values as the full grid's rows.
     """
-    s = outer_diff(x[:, 0], out=out, rows=rows)
+    s = outer_diff(x[..., 0], out=out, rows=rows)
     s *= s
-    for k in range(1, x.shape[1]):
-        t = outer_diff(x[:, k], out=scratch, rows=rows)
+    for k in range(1, x.shape[-1]):
+        t = outer_diff(x[..., k], out=scratch, rows=rows)
         t *= t
         s += t
     return s
@@ -87,14 +96,15 @@ def distances(
     rows: slice = slice(None),
 ) -> np.ndarray:
     """(N, N) Euclidean distances of the rows of x, zero diagonal; an
-    (R, N) tile of them when ``rows`` is given, as in sq_distances.
+    (R, N) tile of them when ``rows`` is given, and stacked grids for
+    stacked clouds, as in sq_distances.
 
     In d = 1 this is |x_i - x_j|, one subtraction and one absolute value;
     it equals the square root of the square bit for bit unless the square
     underflows or overflows (gaps below 1e-154 or above 1e154).
     """
-    if x.shape[1] == 1:
-        r = outer_diff(x[:, 0], out=out, rows=rows)
+    if x.shape[-1] == 1:
+        r = outer_diff(x[..., 0], out=out, rows=rows)
         return np.abs(r, out=r)
     r = sq_distances(x, out=out, scratch=scratch, rows=rows)
     return np.sqrt(r, out=r)
@@ -108,15 +118,17 @@ def off_diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def kernel(r: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Pair kernel r^(-alpha) on a distance matrix.
+    """Pair kernel r^(-alpha) on a distance matrix, or on stacked ones
+    (..., N, N).
 
-    Self-pairs (the diagonal) are zero whatever r holds there, and so are
-    co-located pairs (r == 0).
+    Self-pairs (the diagonal of the last two axes) are zero whatever r
+    holds there, and so are co-located pairs (r == 0).
     """
     with np.errstate(divide="ignore"):
         out = np.power(r, -alpha, out=out)
     out[r == 0.0] = 0.0
-    np.fill_diagonal(out, 0.0)
+    i = np.arange(r.shape[-1])
+    out[..., i, i] = 0.0
     return out
 
 
@@ -178,17 +190,40 @@ def relative_sums(
     return out
 
 
-@dataclass(frozen=True)
-class PairGrid:
-    """Distances and squared relative speeds of one phase-space sample.
+def snapshot_series(
+    x: np.ndarray, v: np.ndarray, w: np.ndarray, alpha: float, eta: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair sums of every snapshot of the stacked (S, N, d) positions x and
+    velocities v, at atom weights w (N,).  Returns three (S,) arrays:
 
-    r   (N, N) distances between positions, zero diagonal
-    s2  (N, N) squared distances between velocities, zero diagonal
+      D        sum of w_a w_b |v_a - v_b|^2 / |x_a - x_b|^alpha
+      D_alpha  sum of w_a w_b |v_a - v_b|^(alpha+2) / (|x_a - x_b| + eta)^alpha
+      r_min    smallest distance between two different atoms (inf below two)
+
+    Both sums run over the off-diagonal pairs, each snapshot's in row-major
+    order as one numpy sum along a contiguous row.  The kernel is zero at
+    co-located pairs, so at eta = 0 they add zero terms; with eta > 0 they
+    count.  Snapshots go in groups of TILE_ENTRIES // N^2 (at least one).
     """
-
-    r: np.ndarray
-    s2: np.ndarray
-
-    @classmethod
-    def of(cls, x: np.ndarray, v: np.ndarray) -> "PairGrid":
-        return cls(distances(x), sq_distances(v))
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    s, n = x.shape[:2]
+    group = max(1, TILE_ENTRIES // max(1, n * n))
+    off = ~np.eye(n, dtype=bool)
+    ww = w[:, None] * w[None, :]
+    power = (alpha + 2.0) / 2.0
+    dd, da, r_min = np.empty(s), np.empty(s), np.full(s, np.inf)
+    for a in range(0, s, group):
+        b = min(a + group, s)
+        r = distances(x[a:b])
+        s2 = sq_distances(v[a:b])
+        # the full-shape mask keeps each snapshot's terms one contiguous row
+        mask = np.broadcast_to(off, r.shape)
+        kern = kernel(r, alpha)
+        dd[a:b] = (ww * s2 * kern)[mask].reshape(b - a, -1).sum(axis=-1)
+        if eta > 0.0:
+            kern = kernel(r + eta, alpha)
+        da[a:b] = (ww * s2**power * kern)[mask].reshape(b - a, -1).sum(axis=-1)
+        if n >= 2:
+            r_min[a:b] = r[mask].reshape(b - a, -1).min(axis=-1)
+    return dd, da, r_min

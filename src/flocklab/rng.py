@@ -68,34 +68,22 @@ class CounterRNG:
         """Independent child stream; stable under parent consumption."""
         return CounterRNG(substream(int(self.key), index))
 
-    def raw(self, n: int | None = None):
-        """Next raw uint64 output(s)."""
-        if n is None:
-            k = np.uint64(self.counter)
-            self.counter += 1
-            with np.errstate(over="ignore"):
-                return int(mix64(self.key + (k + _U64(1)) * _GAMMA))
+    def raw(self, n: int) -> np.ndarray:
+        """Next n raw uint64 outputs."""
         ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
             return mix64(self.key + ks * _GAMMA)
 
-    def uniform(self, n: int | None = None, low: float = 0.0, high: float = 1.0):
-        """Uniform doubles in [low, high) from the top 53 bits."""
-        if n is None:
-            u = (self.raw() >> 11) * 2.0**-53
-            return low + (high - low) * u
+    def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """n uniform doubles in [low, high) from the top 53 bits."""
         u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return low + (high - low) * u
 
-    def normal(self, n: int | None = None):
-        """Standard normals via Box-Muller on consecutive uniform pairs."""
-        scalar = n is None
-        m = 1 if scalar else int(n)
-        pairs = (m + 1) // 2
+    def normal(self, n: int) -> np.ndarray:
+        """n standard normals via Box-Muller on consecutive uniform pairs."""
+        pairs = (n + 1) // 2
         u = self.uniform(2 * pairs).reshape(pairs, 2)
         r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
         theta = 2.0 * np.pi * u[:, 1]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
-        return float(out[0]) if scalar else out
-
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]

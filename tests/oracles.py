@@ -48,6 +48,19 @@ grad_x and grad_v each evaluated through their own rebuild of the window,
 the x-bump and the velocity factor.  The differential tests compare the
 battery against it bit for bit.
 
+grid_enstrophy, grid_dalpha and grid_min_distance are the per-measure
+pair functionals the package used before its stacked snapshot pass: one
+(N, N) grid per measure, summed through a mask that drops co-located
+pairs at eta = 0.  pair_series is the hand-written two-particle copy of
+that arithmetic the pair study used, and per_snapshot_report the loop
+over from_particles measures that the diagnostics report ran, velocity
+moments included.  The differential tests compare the stacked pass
+against them bit for bit.
+
+line_invariant is the d = 1 invariant I_i = v_i - (1/N) sum_j Psi(x_j - x_i)
+with Psi(r) = -sgn(r) |r|^(1 - alpha) / (alpha - 1), the odd antiderivative
+of the kernel, summed pair by pair in plain Python floats.
+
 The *_dict functions are the to_dict methods the report dataclasses of
 diagnostics and meanfield carried before storage serialized dataclasses
 by field.  The format tests compare the canonical JSON of both paths.
@@ -93,6 +106,7 @@ from flocklab.errors import (
     StepCollapse,
     SupportTooLarge,
 )
+from flocklab.measures import from_particles
 from flocklab.pairs import (
     BLOCK,
     Workspace,
@@ -232,6 +246,88 @@ def eta_mono_loops(
                 / (r + eta) ** alpha
             )
     return total
+
+
+def _phase_split(mu, d: int):
+    return mu.points[:, :d], mu.points[:, d:], mu.weights
+
+
+def _counted(r: np.ndarray, colocated: bool) -> np.ndarray:
+    mask = np.ones(r.shape, dtype=bool) if colocated else r > 0.0
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def grid_enstrophy(mu, d: int, alpha: float) -> float:
+    x, v, w = _phase_split(mu, d)
+    r = distances(x)
+    val = (w[:, None] * w[None, :]) * sq_distances(v) * kernel(r, alpha)
+    return float(val[_counted(r, colocated=False)].sum())
+
+
+def grid_dalpha(mu, d: int, alpha: float, eta: float) -> float:
+    x, v, w = _phase_split(mu, d)
+    r = distances(x)
+    kern = kernel(r + eta, alpha)
+    s2 = sq_distances(v)
+    val = (w[:, None] * w[None, :]) * s2 ** ((alpha + 2.0) / 2.0) * kern
+    return float(val[_counted(r, colocated=eta > 0.0)].sum())
+
+
+def grid_min_distance(mu, d: int) -> float:
+    x, _, _ = _phase_split(mu, d)
+    if x.shape[0] < 2:
+        return np.inf
+    return float(off_diagonal(distances(x)).min())
+
+
+def pair_series(xs: np.ndarray, vs: np.ndarray, alpha: float):
+    """Gap, relative speed and dissipation rate of every snapshot of a
+    pair, from stacked (S, 2, d) positions and velocities, at weights 1/2."""
+    dx = xs[:, 0, :] - xs[:, 1, :]
+    dv = vs[:, 0, :] - vs[:, 1, :]
+    r2 = dx[:, 0] * dx[:, 0]
+    s2 = dv[:, 0] * dv[:, 0]
+    for k in range(1, dx.shape[1]):
+        r2 += dx[:, k] * dx[:, k]
+        s2 += dv[:, k] * dv[:, k]
+    r = np.abs(dx[:, 0]) if dx.shape[1] == 1 else np.sqrt(r2)
+    kern = np.zeros_like(r)
+    np.power(r, -alpha, out=kern, where=r > 0.0)
+    w = 1.0 / 2
+    val = (w * w) * s2 * kern
+    return r, np.sqrt(s2), val + val
+
+
+def per_snapshot_report(traj) -> dict:
+    """Energy, momentum, D, D_alpha (eta = 0) and minimum distance of every
+    snapshot, one from_particles measure at a time."""
+    d, alpha = traj.params.d, traj.params.alpha
+    rows = {"energy": [], "momentum": [], "D": [], "Da": [], "md": []}
+    for state in traj:
+        mu = from_particles(state)
+        v = mu.points[:, d:]
+        rows["energy"].append(float(mu.weights @ np.einsum("ij,ij->i", v, v)))
+        rows["momentum"].append(mu.weights @ v)
+        rows["D"].append(grid_enstrophy(mu, d, alpha))
+        rows["Da"].append(grid_dalpha(mu, d, alpha, 0.0))
+        rows["md"].append(grid_min_distance(mu, d))
+    return {key: np.array(val) for key, val in rows.items()}
+
+
+def line_invariant(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-particle invariant of the alignment system on the line, for
+    positions and velocities of shape (N, 1) and alpha > 1."""
+    n = x.shape[0]
+    out = np.empty(n)
+    for i in range(n):
+        total = 0.0
+        for j in range(n):
+            if j != i:
+                r = float(x[j, 0] - x[i, 0])
+                total -= math.copysign(abs(r) ** (1.0 - alpha), r) / (alpha - 1.0)
+        out[i] = float(v[i, 0]) - total / n
+    return out
 
 
 def beta_quadrature(eta: float, alpha: float, d: int) -> float:

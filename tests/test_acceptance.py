@@ -46,7 +46,7 @@ from flocklab.weakform import (
     momentum_residuals,
     vector_battery,
 )
-from oracles import beta_quadrature
+from oracles import beta_quadrature, line_invariant
 
 ENSEMBLE_TIMES = np.linspace(0.0, 0.8, 17)
 ENSEMBLE_ALPHAS = (1.0, 1.5, 2.0)
@@ -154,6 +154,41 @@ def test_momentum_conservation(ensemble):
         worst = max(worst, float(drift.max()) / (n * m))
     assert worst <= 1e-10
     print(f"PASS momentum conservation: worst drift {worst:.2e} <= 1e-10 per N*M")
+
+
+def test_line_invariant_and_order():
+    # in d = 1 each I_i = v_i - (1/N) sum_j Psi(x_j - x_i) is constant in
+    # time (Psi' = psi); crossing streams press many pairs together, and
+    # the particles never pass one another
+    start = time.perf_counter()
+    n, alpha, tol = 100, 1.5, 1e-6
+    spec = InitialSpec(
+        d=1,
+        density="uniform-box",
+        density_params={"center": [0.0], "halfwidth": 1.0},
+        velocity="two-speed-split",
+        velocity_params={"values": [[0.5], [-0.5]], "fraction": 0.5},
+        seed=4,
+    )
+    x0, v0 = sample_initial(spec, n, bound=2.0)
+    traj = integrate(
+        ParticleState(0.0, x0, v0),
+        ModelParams(d=1, alpha=alpha, N=n, T=0.1, M=2.0),
+        tol=tol,
+        snapshot_times=np.linspace(0.0, 0.1, 11),
+    )
+    inv = np.array([line_invariant(x, v, alpha) for x, v in zip(traj.x, traj.v)])
+    drift = float(np.abs(inv - inv[0]).max())
+    ratio = drift / (tol * float(np.abs(inv[0]).max()))
+    order = np.argsort(traj.x[0, :, 0])
+    for x in traj.x:
+        assert (np.diff(x[order, 0]) > 0.0).all()
+    elapsed = time.perf_counter() - start
+    assert ratio <= 50.0
+    print(
+        f"PASS line invariant: max |I(t) - I(0)| = {drift:.2e}, "
+        f"{ratio:.1f} <= 50 tol max|I(0)|, order kept, {elapsed:.2f}s"
+    )
 
 
 def test_flat_metric_closed_form_and_axioms():

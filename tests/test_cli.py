@@ -558,3 +558,29 @@ def test_overrides_are_schema_checked(tmp_path, capsys, command, flag,
     assert doc["error"]["message"].startswith(message + "\n")
     assert json.loads((out / "error.json").read_text()) == doc
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("diagnose", "--seed", "3"),
+    ("residual", "--seed", "5"),
+    ("diagnose", "--tol", "1e-3"),
+    ("residual", "--tol", "0.5"),
+    ("pairstudy", "--seed", "1"),
+])
+def test_override_without_a_schema_key_is_a_usage_error(tmp_path, capsys,
+                                                        command, flag, value):
+    # an override whose key the schema lacks would be dropped unseen; the
+    # residual battery's seed is battery_seed, not --seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(tmp_path / "c.json"), flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose", "residual",
+                                     "mfstudy", "pairstudy"])
+def test_threads_is_accepted_by_every_config_subcommand(command):
+    args = cli.build_parser().parse_args(
+        [command, "--config", "c.json", "--threads", "2"]
+    )
+    assert args.threads == 2

@@ -17,14 +17,13 @@ from flocklab.diagnostics import (
     eta_monokineticity,
     kinetic_energy,
     min_distance,
-    momentum,
     mp_margin,
     sf_modulus,
 )
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import DivergentNormalization, UnsupportedDimension
 from flocklab.meanfield import mk_index
-from flocklab.measures import EmpiricalMeasure, from_particles
+from flocklab.measures import EmpiricalMeasure, from_particles, momentum
 from flocklab.rng import CounterRNG
 
 from oracles import (
@@ -33,6 +32,10 @@ from oracles import (
     energy_loops,
     enstrophy_loops,
     eta_mono_loops,
+    grid_dalpha,
+    grid_enstrophy,
+    grid_min_distance,
+    per_snapshot_report,
 )
 
 
@@ -289,3 +292,37 @@ def test_report_mkvar_equals_per_snapshot_mk_index(d):
     want = [[mk_index(from_particles(st), d, h) for h in rep.h_ladder] for st in traj]
     assert rep.mkvar.tolist() == want
     assert rep.mkvar.max() > 0.0
+
+
+@pytest.mark.parametrize("d,n", [(1, 12), (2, 12), (3, 8), (2, 2)])
+def test_report_series_equal_per_snapshot_oracles(d, n):
+    # the report reads every series from the stacked arrays in one pass;
+    # each equals the per-measure value of its snapshot bit for bit
+    rng = CounterRNG(20 + d + n)
+    x = rng.uniform(n * d, -0.7, 0.7).reshape(n, d)
+    v = rng.uniform(n * d, -0.5, 0.5).reshape(n, d)
+    params = ModelParams(d=d, alpha=1.5, N=n, T=0.2, M=2.0)
+    snaps = np.linspace(0.0, 0.2, 9)
+    traj = integrate(ParticleState(0.0, x, v), params, tol=1e-7, snapshot_times=snaps)
+    rep = build_report(traj)
+    want = per_snapshot_report(traj)
+    assert np.array_equal(rep.energy, want["energy"])
+    assert np.array_equal(rep.momentum, want["momentum"])
+    assert np.array_equal(rep.enstrophy, want["D"])
+    assert np.array_equal(rep.dalpha, want["Da"])
+    assert np.array_equal(rep.min_distance, want["md"])
+    _, e, dd = energy_series(traj)
+    assert np.array_equal(e, want["energy"]) and np.array_equal(dd, want["D"])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_measure_functionals_equal_grid_oracles(d):
+    # the one-snapshot case of the stacked pass, on a sub-probability
+    # measure; co-located atoms count only at eta > 0
+    mu = random_measure(80 + d, 9, d)
+    assert enstrophy(mu, d, 1.5) == grid_enstrophy(mu, d, 1.5)
+    assert dalpha(mu, d, 1.5) == grid_dalpha(mu, d, 1.5, 0.0)
+    assert min_distance(mu, d) == grid_min_distance(mu, d)
+    split = random_measure(90 + d, 9, d, coincident=3)
+    assert dalpha(split, d, 2.0, 0.4) == grid_dalpha(split, d, 2.0, 0.4)
+    assert min_distance(split, d) == 0.0

@@ -1,6 +1,6 @@
 """Module layering: an acyclic import graph, imports at module level only,
-benchmark tracer targets and reads that still work, snapshots read as
-arrays, and no BLAS in the integrator."""
+no unused imports, benchmark tracer targets and reads that still work,
+snapshots read as arrays, and no BLAS in the integrator."""
 
 import ast
 import sys
@@ -83,7 +83,7 @@ def test_package_targets_reads_every_import_form():
 
 def test_module_import_graph_is_acyclic():
     graph = import_graph()
-    assert graph["meanfield"] >= {"dynamics", "weakform", "measures"}
+    assert graph["meanfield"] >= {"dynamics", "pairs", "weakform", "measures"}
     assert "meanfield" in graph["diagnostics"]
     done, active = set(), []
 
@@ -110,6 +110,56 @@ def test_only_cli_imports_package_modules_inside_functions():
         if name != "cli"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """Names bound by module-level imports that the module never reads."""
+    bound = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        todo.extend(ast.iter_child_nodes(node))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_unused_imports_finds_every_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .pairs import kernel, distances as dist\n"
+        "from . import dynamics\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    import math\n"
+        "    return np.sqrt(dist(x)) + kernel\n"
+    )
+    assert unused_imports(tree) == ["dynamics", "json", "os"]
+
+
+def test_package_has_no_unused_imports(monkeypatch):
+    # a name the benchmark tracer wraps may stay imported only for it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("traced", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import traced
+
+    traced_names = {attr for _, attr, _ in traced.PATCHES}
+    found = {
+        name: [n for n in unused_imports(parse(name)) if n not in traced_names]
+        for name in MODULES
+    }
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import flocklab.dynamics
-from flocklab import meanfield, storage, weakform
-from flocklab.diagnostics import enstrophy
-from flocklab.dynamics import ModelParams, ParticleState, integrate
+from flocklab import meanfield, pairs, storage, weakform
+from flocklab.dynamics import ModelParams, ParticleState, Trajectory, integrate
 from flocklab.errors import RejectionOverflow, StepCollapse
 from flocklab.meanfield import (
     FieldGrid,
@@ -19,7 +18,7 @@ from flocklab.meanfield import (
     pair_alignment_study,
     refinement_study,
     sample_initial,
-    stacked_fields,
+    snapshot_fields,
 )
 from flocklab.measures import EmpiricalMeasure, from_particles
 from flocklab.weakform import (
@@ -31,7 +30,7 @@ from flocklab.weakform import (
     vector_battery,
 )
 
-from oracles import loop_local_fields, loop_mk
+from oracles import grid_enstrophy, loop_local_fields, loop_mk, pair_series
 
 
 def box_spec(seed=0, d=1, velocity=None, vparams=None):
@@ -273,7 +272,7 @@ def random_phase_measure(n, d, zero_weights, seed):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 33, 200])
+@pytest.mark.parametrize("n", [0, 1, 2, 33, 200])
 @pytest.mark.parametrize("zero_weights", [False, True])
 def test_local_fields_matches_loop_oracle(d, n, zero_weights):
     mu = random_phase_measure(n, d, zero_weights, seed=100 * d + n)
@@ -289,6 +288,8 @@ def test_local_fields_matches_loop_oracle(d, n, zero_weights):
         for name, value in want.items():
             assert np.array_equal(getattr(grid, name), value), (name, h)
         assert grid.mk() == loop_mk(cells)
+        if n == 0:  # no atoms, or one of zero weight: no cells
+            assert grid.mass.size == 0 and grid.mk() == 0.0
 
 
 def test_local_fields_of_weightless_atoms_is_empty():
@@ -297,30 +298,42 @@ def test_local_fields_of_weightless_atoms_is_empty():
     assert grid.barycenter.shape == grid.velocity.shape == (0, 2)
     assert grid.mass.shape == grid.cov_trace.shape == (0,)
     assert grid.mk() == 0.0
+    with pytest.raises(ValueError, match="cell width"):
+        local_fields(mu, 2, 0.0)
+
+
+def stacked_trajectory(xs, vs, alpha=1.5):
+    """A Trajectory holding the given (S, N, d) snapshots, with no step log."""
+    s, n, d = xs.shape
+    params = ModelParams(d=d, alpha=alpha, N=n, T=1.0, M=10.0)
+    empty = np.zeros(0)
+    return Trajectory(
+        params, np.linspace(0.0, 1.0, s), xs, vs, empty, empty, empty, empty
+    )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stacked_fields_equal_per_measure_binning(d):
+    # snapshot_fields bins trajectory rows in one pass; each grid equals
+    # local_fields of that snapshot's uniform-weight measure
     rng = np.random.default_rng(40 + d)
-    x = rng.uniform(-1.0, 1.0, (5, d))
-    measures = [
-        random_phase_measure(40, d, False, seed=d),
-        phase_measure(np.zeros((0, d)), np.zeros((0, d)), np.zeros(0)),
-        random_phase_measure(17, d, True, seed=5 + d),
-        phase_measure(x, rng.normal(size=(5, d)), np.zeros(5)),  # zero mass
-        random_phase_measure(1, d, False, seed=9),
-        random_phase_measure(40, d, False, seed=d),  # a repeat
-    ]
+    xs = rng.uniform(-1.0, 1.0, (6, 40, d))
+    vs = rng.normal(size=(6, 40, d))
+    xs[3, 5:9] = xs[3, 0]  # atoms sharing a cell and a position
+    traj = stacked_trajectory(xs, vs)
     for h in (0.07, 0.3, 1.1):
-        got = stacked_fields(measures, d, h)
-        assert len(got) == len(measures)
-        for grid, mu in zip(got, measures):
-            want = local_fields(mu, d, h)
-            assert grid.h == want.h and grid.d == want.d
-            for name in ("barycenter", "velocity", "mass", "cov_trace"):
-                assert np.array_equal(getattr(grid, name), getattr(want, name))
-        assert got[1].mass.size == got[3].mass.size == 0
-    assert stacked_fields([], d, 0.3) == []
+        for rows in (None, [4, 0, 4], [5]):
+            got = snapshot_fields(traj, h, rows)
+            index = range(len(traj)) if rows is None else rows
+            assert len(got) == len(index)
+            for grid, k in zip(got, index):
+                want = local_fields(from_particles(traj[k]), d, h)
+                assert grid.h == want.h and grid.d == want.d
+                for name in ("barycenter", "velocity", "mass", "cov_trace"):
+                    assert np.array_equal(getattr(grid, name), getattr(want, name))
+        assert snapshot_fields(traj, h, []) == []
+    with pytest.raises(ValueError):
+        snapshot_fields(traj, 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -591,21 +604,28 @@ def test_pair_study_dissipation_matches_energy_drop():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_series_equal_per_snapshot_loops(d):
+    # the pair study reads gap and dissipation from the stacked pass, and
+    # the relative speed from the stacked velocity grid
     rng = np.random.default_rng(d)
-    xs = rng.uniform(-1.0, 1.0, (40, 2, d))
-    vs = rng.uniform(-0.5, 0.5, (40, 2, d))
+    xs = rng.uniform(-1.0, 1.0, (1024, 2, d))
+    vs = rng.uniform(-0.5, 0.5, (1024, 2, d))
     xs[5, 1] = xs[5, 0]  # co-located: dissipates nothing
     vs[7, 1] = vs[7, 0]  # in lockstep
     xs[9, 1] = xs[9, 0] + 1e-3
     gap = np.array([np.linalg.norm(x[0] - x[1]) for x in xs])
     speed = np.array([np.linalg.norm(v[0] - v[1]) for v in vs])
     for alpha in (1.0, 1.5, 2.0):
-        dist, rel, dee = meanfield._pair_series(xs, vs, alpha)
-        want = np.array([
-            enstrophy(from_particles(ParticleState(0.0, x, v)), d, alpha)
-            for x, v in zip(xs, vs)
+        dee, _, dist = pairs.snapshot_series(xs, vs, np.full(2, 0.5), alpha)
+        rel = np.sqrt(pairs.sq_distances(vs)[:, 0, 1])
+        want_dist, want_rel, want_dee = pair_series(xs, vs, alpha)
+        assert np.array_equal(dee, want_dee)
+        assert np.array_equal(dist, want_dist) and np.array_equal(rel, want_rel)
+        per_measure = np.array([
+            grid_enstrophy(from_particles(ParticleState(0.0, x, v)), d, alpha)
+            for x, v in zip(xs[:40], vs[:40])
         ])
-        assert np.array_equal(dee, want)
+        assert np.array_equal(dee[:40], per_measure)
+        assert dee[5] == 0.0 and dee[7] == 0.0
         if d == 1:
             assert np.array_equal(dist, gap) and np.array_equal(rel, speed)
         else:

@@ -25,11 +25,8 @@ def test_measure_validation():
         EmpiricalMeasure(np.array([[0.0]]), [-0.5])
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([[0.0], [1.0]]), [0.9, 0.9])
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([[3.0]]), [1.0], support_radius=1.0)
     m = EmpiricalMeasure(np.array([[0.25], [0.5]]), [0.5, 0.5])
     assert m.is_probability()
-    assert m.support_radius == 0.5
 
 
 def test_from_particles_and_marginal():

@@ -23,6 +23,9 @@ from flocklab.weakform import (
 )
 
 from oracles import (
+    grid_dalpha,
+    grid_enstrophy,
+    grid_min_distance,
     moveaxis_row_sums,
     sqrt_alignment_rhs,
     sqrt_distances,
@@ -93,6 +96,76 @@ def test_kernel_masks_self_and_colocated_pairs():
     assert np.array_equal(np.diag(w), np.zeros(3))
     assert w[0, 1] == w[1, 0] == 0.0
     assert w[0, 2] == 2.0**-1.5
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_grids_equal_per_snapshot_grids(d):
+    # leading snapshot axes repeat each snapshot's arithmetic; the kernel
+    # zeroes the diagonal of the last two axes
+    rng = np.random.default_rng(30 + d)
+    xs = rng.uniform(-1.0, 1.0, (4, 9, d))
+    xs[2, 4] = xs[2, 1]
+    r = pairs.distances(xs)
+    s2 = pairs.sq_distances(xs)
+    kern = pairs.kernel(r, 1.5)
+    diff = pairs.outer_diff(xs[..., 0])
+    tile = pairs.distances(xs, rows=slice(2, 5))
+    assert r.shape == s2.shape == kern.shape == diff.shape == (4, 9, 9)
+    assert tile.shape == (4, 3, 9)
+    for k, x in enumerate(xs):
+        assert np.array_equal(r[k], pairs.distances(x))
+        assert np.array_equal(s2[k], pairs.sq_distances(x))
+        assert np.array_equal(kern[k], pairs.kernel(pairs.distances(x), 1.5))
+        assert np.array_equal(diff[k], pairs.outer_diff(x[:, 0]))
+        assert np.array_equal(tile[k], pairs.distances(x, rows=slice(2, 5)))
+    assert kern[2, 4, 1] == kern[2, 1, 4] == 0.0
+
+
+def random_snapshots(s, n, d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, n)
+    w /= w.sum() * 1.25
+    return rng.uniform(-1.0, 1.0, (s, n, d)), rng.uniform(-0.5, 0.5, (s, n, d)), w
+
+
+# (S, N, d): N = 1; N = 2 in one group; N = 50 and 30 in groups of many
+# snapshots; N = 260 above the tile, one snapshot per group
+@pytest.mark.parametrize("s, n, d", [
+    (5, 1, 1), (3, 1, 3), (300, 2, 2), (40, 50, 1), (40, 50, 2), (80, 30, 3),
+    (2, 260, 1), (2, 260, 2),
+])
+def test_snapshot_series_equals_per_measure_functionals(s, n, d):
+    xs, vs, w = random_snapshots(s, n, d, seed=s + n + d)
+    for alpha in (1.0, 1.5):
+        dd, da, md = pairs.snapshot_series(xs, vs, w, alpha)
+        for k in range(s):
+            mu = EmpiricalMeasure(np.hstack([xs[k], vs[k]]), w)
+            assert dd[k] == grid_enstrophy(mu, d, alpha)
+            assert da[k] == grid_dalpha(mu, d, alpha, 0.0)
+            assert md[k] == grid_min_distance(mu, d)
+    if n == 1:
+        assert (dd == 0.0).all() and (da == 0.0).all() and (md == np.inf).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_snapshot_series_on_colocated_atoms(d):
+    # with eta > 0 co-located pairs count and the bits are the per-measure
+    # ones; at eta = 0 they add zero terms, which may move a sum by an ulp
+    xs, vs, w = random_snapshots(6, 12, d, seed=70 + d)
+    xs[1, 3] = xs[1, 0]
+    xs[4, 5] = xs[4, 6] = xs[4, 11]
+    vs[4, 6] = vs[4, 5]  # a co-located pair in lockstep
+    for alpha in (1.0, 2.0):
+        dd, _, md = pairs.snapshot_series(xs, vs, w, alpha)
+        da = pairs.snapshot_series(xs, vs, w, alpha, eta=0.3)[1]
+        for k in range(6):
+            mu = EmpiricalMeasure(np.hstack([xs[k], vs[k]]), w)
+            assert da[k] == grid_dalpha(mu, d, alpha, 0.3)
+            assert dd[k] == pytest.approx(grid_enstrophy(mu, d, alpha), rel=1e-14)
+            assert md[k] == grid_min_distance(mu, d)
+        assert md[1] == md[4] == 0.0
+    with pytest.raises(ValueError):
+        pairs.snapshot_series(xs, vs, w, 1.5, eta=-0.1)
 
 
 def test_row_sums_equal_the_moveaxis_gather():
