@@ -10,7 +10,8 @@ its schema has that key: simulate and mfstudy take both, pairstudy takes
 --tol, diagnose and residual take neither.  --threads (the ``threads`` key
 of an mfstudy config) is accepted by every config subcommand and changes
 nothing: the study runs its sizes one after another, and no report echoes
-it.  Outputs land in --out (default
+it.  Every subcommand rejects a count below 1 as mfstudy's schema does.
+Outputs land in --out (default
 current directory).  Identical config and seed give byte-identical reports
 apart from the generated_at line.
 
@@ -36,13 +37,15 @@ def _load_config(args, kind: str) -> dict:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if isinstance(doc, dict) and "kind" in doc and "config" in doc:
         doc = doc["config"]
+    props = schemas.SCHEMAS[kind]["properties"]
     if isinstance(doc, dict):
         # command-line overrides are part of the document the schema checks
-        props = schemas.SCHEMAS[kind]["properties"]
         for key in ("seed", "tol", "threads"):
             value = getattr(args, key, None)
             if value is not None and key in props:
                 doc[key] = value
+    if args.threads is not None and "threads" not in props:
+        schemas.check_threads(args.threads)
     return schemas.resolve(kind, doc)
 
 

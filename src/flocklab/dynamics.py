@@ -35,15 +35,11 @@ for bit.
 
 Pair geometry comes from flocklab.pairs and is built one coordinate at a
 time as (N, N) arrays.  Force sums run per velocity component along each
-row of the (N, N) pair array: blocks of 32 columns are summed along their
-contiguous rows (numpy's pairwise reduction) and the block sums are
-combined in order with Kahan compensation.  The order depends only on N,
-so results do not depend on BLAS threading or thread count, and momentum
-cancellation survives long runs.  In d = 1 this is the same order as the
-earlier (N, N, d) tensor formulation, bit for bit; in d >= 2 that
-formulation summed each block sequentially over j, and results differ from
-it by about one ulp.  The stage sums and the interpolant are explicit
-ordered sums for the same reason.
+row of the (N, N) pair array, each row summed whole by numpy's pairwise
+reduction, whose error grows like log N.  The order depends only on N, so
+results do not depend on the BLAS, and the antisymmetric pair forces keep
+the total momentum to rounding over long runs.  The stage sums and the
+interpolant are explicit ordered sums for the same reason.
 
 The last Dormand-Prince stage of an accepted step is evaluated at the
 step's end state, which is the state the geometric cap inspects next; the
@@ -193,7 +189,7 @@ def alignment_rhs(
     inf on the diagonal, for reuse by the caller.
 
     The accumulated pair forces are antisymmetric, so the velocity
-    derivatives sum to zero up to the accuracy of compensated summation.
+    derivatives sum to zero up to the rounding of the row sums.
     """
     n, d = x.shape
     if n == 1:

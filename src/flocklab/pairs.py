@@ -14,12 +14,15 @@ goes through this module, so each grid is built one way:
                      co-located pairs (r == 0) set to zero;
   closing times      r_ij / |v_i - v_j| for the pairs that move relative
                      to each other, inf for the others;
-  row sums           fixed blocks of BLOCK columns, each block summed along
-                     its contiguous row (numpy pairwise reduction), blocks
-                     combined in order with Kahan compensation.
+  row sums           each row summed whole along its contiguous last axis
+                     by numpy's pairwise reduction, whose error grows like
+                     log N.
 
-The block layout depends only on N, so every result is reproducible bit
-for bit whatever the thread count or the BLAS.
+Every pair sum of the package is a plain numpy sum of that kind:
+relative_sums sums each grid row, snapshot_series each snapshot's
+off-diagonal terms as one row.  The reduction's order depends only on the
+row length, so results are reproducible bit for bit, and a row tile
+(R, N) sums its rows exactly as the full grid does.
 
 snapshot_series is the one path from stacked snapshots to their pair
 sums: the dissipation D, its higher moment D_alpha and the smallest pair
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import numpy as np
 
-BLOCK = 32
 TILE_ENTRIES = 1 << 16  # grid entries per tile of a tiled pair pass
 
 
@@ -151,42 +153,17 @@ def closing_times(
     return speed
 
 
-def row_sums(a: np.ndarray) -> np.ndarray:
-    """Compensated sums along the last axis of a (..., N) array.
-
-    Full blocks of BLOCK columns are summed along their contiguous rows in
-    one reduction; the blocks (and a shorter last block) are then combined
-    in order with Kahan compensation.
-    """
-    n = a.shape[-1]
-    full = n - n % BLOCK
-    parts = []
-    if full:
-        head = a[..., :full].reshape(a.shape[:-1] + (full // BLOCK, BLOCK))
-        sums = head.sum(axis=-1)
-        parts.extend(sums[..., b] for b in range(full // BLOCK))
-    if full < n:
-        parts.append(a[..., full:].sum(axis=-1))
-    s = np.zeros(a.shape[:-1])
-    c = np.zeros_like(s)
-    for part in parts:
-        y = part - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
 def relative_sums(
     w: np.ndarray, u: np.ndarray, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """(N, k) array of sum_j w_ij (u_j - u_i), one component at a time."""
+    """(N, k) array of sum_j w_ij (u_j - u_i), one component at a time,
+    each row of the weighted differences summed whole."""
     out = np.empty(u.shape)
     for k in range(u.shape[1]):
         col = u[:, k]
         t = np.subtract(col[None, :], col[:, None], out=scratch)
         t *= w
-        out[:, k] = row_sums(t)
+        out[:, k] = t.sum(axis=1)
     return out
 
 

@@ -21,7 +21,9 @@ They are accepted at their defaults only (0, null and the default ladder),
 so every report written with them still reproduces from itself, byte for
 byte.  ``threads`` in an mfstudy config named the worker threads of a
 study that now runs its sizes one after another; any positive count is
-accepted, changes nothing and is not echoed into reports.
+accepted, changes nothing and is not echoed into reports.  The other
+config subcommands take ``--threads`` without a schema key (a report
+echoes its config) and check the count by the same rule.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ _NONNEG = {"type": "number", "minimum": 0}
 # the collision-avoidance regime the particle model is defined for
 _ALPHA = {"type": "number", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+_THREADS = {"type": "integer", "minimum": 1}
 # the unregularized kernel and the adaptive integrator, the only modes
 _NO_FLOOR = {"enum": [0]}
 _NO_FIXED_STEP = {"enum": [None]}
@@ -122,7 +125,7 @@ SCHEMAS = {
             "battery_seed": _SEED,
             "kernel_floor": _NO_FLOOR,
             "dbl_cap": {"type": "integer", "minimum": 1},
-            "threads": {"type": "integer", "minimum": 1},
+            "threads": _THREADS,
         },
         "additionalProperties": False,
     },
@@ -255,17 +258,26 @@ def _non_finite(doc, path=()):
     return None
 
 
+def _validate(doc, schema) -> None:
+    """Raise jsonschema.ValidationError unless ``doc`` satisfies ``schema``."""
+    if not _conforms(doc, schema):
+        import jsonschema
+
+        jsonschema.validate(doc, schema)
+
+
+def check_threads(count) -> None:
+    """Reject a ``--threads`` count below 1 with a ValidationError."""
+    _validate(count, _THREADS)
+
+
 def resolve(kind: str, doc: dict) -> dict:
     """Validate a config document and merge in the defaults.
 
     A document that violates the schema, or that holds a NaN or an
     infinity, raises ``jsonschema.ValidationError``.
     """
-    schema = SCHEMAS[kind]
-    if not _conforms(doc, schema):
-        import jsonschema
-
-        jsonschema.validate(doc, schema)
+    _validate(doc, SCHEMAS[kind])
     found = _non_finite(doc)
     if found is not None:
         import jsonschema

@@ -217,7 +217,9 @@ def load_measure(path) -> EmpiricalMeasure:
                 raise ValueError("measure CSV row width mismatch")
             weights.append(float(row[0]))
             points.append([float(c) for c in row[1:]])
-    return EmpiricalMeasure(np.array(points), np.array(weights))
+    # (rows, k) even without rows: a header-only file is the empty measure
+    points = np.array(points, dtype=np.float64).reshape(len(weights), k)
+    return EmpiricalMeasure(points, np.array(weights))
 
 
 # ---- per-snapshot diagnostics series ----

@@ -56,7 +56,6 @@ from .rng import CounterRNG
 
 _BUMP_LIP = 96.0 / (25.0 * math.sqrt(5.0))  # max of 6 s (1-s^2)^2
 _PLATEAU_LIP = 15.0 / 8.0
-_PLATEAU_HESS = 10.0 / math.sqrt(3.0)
 
 
 def _bump(z: np.ndarray, r2):

@@ -17,17 +17,23 @@ from the dense distance grid.  The differential tests compare the
 working-set simplex against it, the dense simplex and HiGHS to 1e-12.
 
 The tensor_* functions are the dense (N, N, d) formulations the package
-used before its pair geometry moved to per-component (N, N) arrays.  They
-sum over j sequentially inside each block of 32 (pairwise in d = 1), which
-the differential tests compare against bit for bit in d = 1 and to a few
-ulp of the summed magnitudes in d >= 2.
+used before its pair geometry moved to per-component (N, N) arrays.
+tensor_alignment_rhs sums over j by numpy, pairwise along the contiguous
+axis in d = 1, which the differential tests compare against bit for bit.
+fsum_alignment_rhs sums the same terms exactly; the tests hold the
+package's force to a few ulp of the summed magnitudes from it in d >= 2.
+
+moveaxis_row_sums is the row sum the package used before it summed each
+row whole: blocks of 32 columns summed along their rows and the block
+sums combined in order with Kahan compensation, gathered through
+np.moveaxis.  The differential tests hold the whole-row sums to a few ulp
+of the summed magnitudes from it, and to its bits on rows of at most 32.
 
 sqrt_alignment_rhs and sqrt_step_cap are the force evaluation and step
 cap as the package computed them before its lean pair pass: distances and
 relative speeds as square roots of coordinate squares in every dimension,
-the kernel with its masking passes, and block sums gathered through
-np.moveaxis.  The differential tests compare the lean path against them
-bit for bit.
+and the kernel with its masking passes.  The differential tests compare
+the lean path against them bit for bit.
 
 loop_continuity_residual and loop_momentum_residual are the per-function
 field residuals the package used before its snapshot-major battery forms.
@@ -108,7 +114,6 @@ from flocklab.errors import (
 )
 from flocklab.measures import from_particles
 from flocklab.pairs import (
-    BLOCK,
     Workspace,
     distances,
     kernel,
@@ -350,31 +355,30 @@ def _tensor_distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _tensor_block_sum(a: np.ndarray, axis: int, block: int = 32) -> np.ndarray:
-    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
-    s = np.zeros(a.shape[1:])
-    c = np.zeros_like(s)
-    for start in range(0, a.shape[0], block):
-        y = a[start : start + block].sum(axis=0) - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-def tensor_alignment_rhs(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
-    """(1/N) sum_j r_ij^(-alpha) (v_j - v_i) from (N, N, d) tensors; no
-    collision check."""
-    n, d = x.shape
-    if n == 1:
-        return np.zeros((1, d))
+def _tensor_force_terms(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """(N, N, d) terms r_ij^(-alpha) (v_j - v_i), zero on the diagonal."""
+    n = x.shape[0]
     dist = _tensor_distances(x)
     offdiag = ~np.eye(n, dtype=bool)
     with np.errstate(divide="ignore"):
         w = np.where(offdiag, dist, 1.0) ** (-alpha)
     w[~offdiag] = 0.0
-    contrib = w[:, :, None] * (v[None, :, :] - v[:, None, :])
-    return _tensor_block_sum(contrib, axis=1) / n
+    return w[:, :, None] * (v[None, :, :] - v[:, None, :])
+
+
+def tensor_alignment_rhs(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """(1/N) sum_j r_ij^(-alpha) (v_j - v_i) from (N, N, d) tensors, summed
+    over j by numpy; no collision check."""
+    return _tensor_force_terms(x, v, alpha).sum(axis=1) / x.shape[0]
+
+
+def fsum_alignment_rhs(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """tensor_alignment_rhs with every sum over j exact (math.fsum) and
+    rounded once."""
+    terms = _tensor_force_terms(x, v, alpha)
+    n, d = x.shape
+    sums = [[math.fsum(terms[i, :, k]) for k in range(d)] for i in range(n)]
+    return np.array(sums) / n
 
 
 def tensor_step_cap(
@@ -501,7 +505,13 @@ def sqrt_distances(x: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
+BLOCK = 32
+
+
 def moveaxis_row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of a (..., N) array: full blocks of BLOCK
+    columns summed along their contiguous rows, the blocks (and a shorter
+    last block) combined in order with Kahan compensation."""
     n = a.shape[-1]
     full = n - n % BLOCK
     parts = []
@@ -535,7 +545,7 @@ def sqrt_alignment_rhs(x: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray
         col = v[:, k]
         t = np.subtract(col[None, :], col[:, None])
         t *= w
-        out[:, k] = moveaxis_row_sums(t)
+        out[:, k] = t.sum(axis=1)
     return out / n
 
 

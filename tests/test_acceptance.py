@@ -145,15 +145,50 @@ def test_collision_free_accepted_steps(ensemble):
     )
 
 
+def block_scale_runs():
+    """Two N = 200 runs, well above one 32-column block of the force sums:
+    the stream-2d recipe (d = 2, two counter-streaming halves) and the top
+    rung of refine-1d (d = 1, a sinusoid with stiff steps)."""
+    stream = InitialSpec(
+        d=2,
+        density="uniform-box",
+        density_params={"center": [0.0, 0.0], "halfwidth": 0.8},
+        velocity="two-speed-split",
+        velocity_params={"values": [[0.5, 0.0], [-0.5, 0.0]], "fraction": 0.5},
+        seed=1,
+    )
+    rung = InitialSpec(
+        d=1,
+        density="uniform-box",
+        density_params={"center": [0.0], "halfwidth": 1.0},
+        velocity="sinusoid",
+        velocity_params={"amplitude": [0.05], "wavenumber": [120.0]},
+        seed=2,
+    )
+    runs = []
+    for spec, alpha, tol, count in ((stream, 1.5, 1e-8, 9), (rung, 1.0, 1e-6, 65)):
+        x0, v0 = sample_initial(spec, 200, bound=2.0)
+        runs.append(integrate(
+            ParticleState(0.0, x0, v0),
+            ModelParams(d=spec.d, alpha=alpha, N=200, T=0.25, M=2.0),
+            tol=tol,
+            snapshot_times=np.linspace(0.0, 0.25, count),
+        ))
+    return runs
+
+
 def test_momentum_conservation(ensemble):
     worst = -np.inf
-    for traj in ensemble:
+    for traj in [*ensemble, *block_scale_runs()]:
         p = traj.v.sum(axis=1)  # (S, d) total momentum per snapshot
         n, m = traj.params.N, traj.params.M
         drift = np.sqrt(((p - p[0]) ** 2).sum(axis=1))
         worst = max(worst, float(drift.max()) / (n * m))
     assert worst <= 1e-10
-    print(f"PASS momentum conservation: worst drift {worst:.2e} <= 1e-10 per N*M")
+    print(
+        f"PASS momentum conservation: worst drift {worst:.2e} <= 1e-10 per N*M "
+        f"(N = 12 ensemble, N = 200 in d = 1 and 2)"
+    )
 
 
 def test_line_invariant_and_order():

@@ -160,6 +160,21 @@ def test_measure_roundtrip(tmp_path):
     assert header == "weight,p1,p2,p3"
 
 
+def test_empty_measure_roundtrip(tmp_path, capsys):
+    # a header-only file is the empty measure, which dbl prices at its
+    # mass difference
+    empty = EmpiricalMeasure(np.empty((0, 2)), np.empty(0))
+    storage.save_measure(empty, tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "weight,p1,p2\n"
+    back = storage.load_measure(tmp_path / "empty.csv")
+    assert back.points.shape == (0, 2) and back.weights.shape == (0,)
+    two = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 0.5]]), [0.5, 0.5])
+    storage.save_measure(two, tmp_path / "two.csv")
+    rc = cli.main(["dbl", str(tmp_path / "empty.csv"), str(tmp_path / "two.csv")])
+    assert rc == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == 1.0
+
+
 def test_measure_header_rejected(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("mass,p1\n0.5,0.0\n")
@@ -539,16 +554,36 @@ def test_domain_error_is_machine_readable(tmp_path, capsys):
     assert "bound" in doc["error"]["message"]
 
 
+def config_of(command, tmp_path):
+    """A valid config of a config subcommand; the trajectory that diagnose
+    and residual name does not exist."""
+    if command == "simulate":
+        return sim_config(tmp_path)
+    if command == "mfstudy":
+        return mf_config(tmp_path)
+    doc = {"input": str(tmp_path / "run" / "trajectory")}
+    if command == "pairstudy":
+        doc = {"alpha": 1.5, "eps_list": [0.5], "v1": [0.3], "v2": [-0.3]}
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("simulate", "--seed", "-1", "-1 is less than the minimum of 0"),
     ("simulate", "--tol", "-1", "-1.0 is less than or equal to the minimum of 0"),
     ("mfstudy", "--threads", "0", "0 is less than the minimum of 1"),
+    # --threads changes nothing, but every subcommand checks its count
+    ("simulate", "--threads", "0", "0 is less than the minimum of 1"),
+    ("diagnose", "--threads", "0", "0 is less than the minimum of 1"),
+    ("residual", "--threads", "-5", "-5 is less than the minimum of 1"),
+    ("pairstudy", "--threads", "0", "0 is less than the minimum of 1"),
 ])
 def test_overrides_are_schema_checked(tmp_path, capsys, command, flag,
                                       value, message):
     # an override is part of the document the schema sees, not patched in
     # after validation
-    cfg = (sim_config if command == "simulate" else mf_config)(tmp_path)
+    cfg = config_of(command, tmp_path)
     out = tmp_path / "o"
     rc = cli.main([command, "--config", str(cfg), "--out", str(out),
                    flag, value])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flocklab import dynamics, pairs
+from flocklab import dynamics
 from flocklab.dynamics import (
     _A,
     _B5,
@@ -26,6 +26,7 @@ from flocklab.meanfield import InitialSpec, sample_initial
 from flocklab.rng import CounterRNG
 
 from oracles import dp5_integrate
+from test_pairs import row_reduction
 
 
 def random_state(n, d, seed, spread=1.0, vmax=0.5):
@@ -82,14 +83,11 @@ def test_rhs_collision_raises():
 
 
 def test_compensated_sum_matches_exact():
+    # the row reduction of the force sums against exact sums
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, (257, 4)) * 10.0 ** rng.integers(-8, 8, (257, 4))
-    got = pairs.row_sums(a.T)
-    import math
-
-    want = np.array(
-        [math.fsum(a[:, j]) for j in range(a.shape[1])]
-    )
+    got = row_reduction(a.T)
+    want = np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(a).sum()
 
 

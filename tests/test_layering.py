@@ -246,3 +246,58 @@ def test_integrator_never_calls_the_blas(name):
     # the dynamics promise bytes that do not depend on the BLAS: a product
     # through it sums in a library- and thread-dependent order
     assert blas_uses(parse(name)) == []
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """Names with one leading underscore that a module binds at module
+    level by assignment, def or class."""
+    out = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return {n for n in out if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(tree: ast.Module) -> set:
+    """Every name a module loads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_private_definitions_and_reads_find_every_form():
+    tree = ast.parse(
+        "_A = 1\n"
+        "_B: int = 2\n"
+        "__all__ = []\n"
+        "if True:\n"
+        "    _C = 3\n"
+        "def _f():\n"
+        "    _local = 4\n"
+        "    return _A + mod._g\n"
+        "class _K:\n"
+        "    _attr = 5\n"
+    )
+    assert private_definitions(tree) == {"_A", "_B", "_C", "_f", "_K"}
+    assert {"_A", "_g"} <= names_read(tree)
+    assert not {"_B", "_C", "_local"} & names_read(tree)
+
+
+def test_every_private_module_name_is_read():
+    # a private constant or helper nothing reads is dead code
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        read |= names_read(ast.parse(path.read_text(encoding="utf-8")))
+    unread = {
+        name: sorted(private_definitions(parse(name)) - read) for name in MODULES
+    }
+    assert {name: names for name, names in unread.items() if names} == {}

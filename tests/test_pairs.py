@@ -23,6 +23,7 @@ from flocklab.weakform import (
 )
 
 from oracles import (
+    fsum_alignment_rhs,
     grid_dalpha,
     grid_enstrophy,
     grid_min_distance,
@@ -69,6 +70,18 @@ def force_scale(x, v, alpha):
     return (w[:, :, None] * dv).sum(axis=1) / x.shape[0]
 
 
+def row_reduction(a):
+    """The sums relative_sums takes along the rows of a (R, n): particles
+    0..R-1 at u = 0 weigh the n particles at u = 1 by the rows of a, so
+    result r sums R zeros and the row a[r]."""
+    r, n = a.shape
+    w = np.zeros((r + n, r + n))
+    w[:r, r:] = a
+    u = np.ones((r + n, 1))
+    u[:r] = 0.0
+    return pairs.relative_sums(w, u)[:r, 0]
+
+
 # ---- building blocks ----
 
 
@@ -76,9 +89,27 @@ def test_row_sums_match_exact_sums():
     rng = np.random.default_rng(3)
     for n in (1, 31, 32, 33, 200):
         a = rng.uniform(-1, 1, (5, n)) * 10.0 ** rng.integers(-8, 8, (5, n))
-        got = pairs.row_sums(a)
+        got = row_reduction(a)
         want = np.array([math.fsum(row) for row in a])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(a).sum()
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 200, 3200])
+def test_relative_sums_equal_blocked_kahan_sums_to_ulps(n):
+    # whole-row sums against the blocked Kahan sums they replaced: the
+    # same bits while a row is one block of 32, a few ulp of the summed
+    # magnitudes beyond
+    rng = np.random.default_rng(n)
+    w = rng.uniform(-1, 1, (n, n))
+    w *= 10.0 ** rng.integers(-8, 8, (n, n), dtype=np.int8)
+    u = rng.uniform(-1, 1, (n, 1))
+    got = pairs.relative_sums(w, u)[:, 0]
+    terms = np.multiply(w, u.T - u, out=w)  # w_ij (u_j - u_i), in place
+    want = moveaxis_row_sums(terms)
+    if n <= 32:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(terms).sum(axis=1))
 
 
 def test_off_diagonal_view_holds_every_off_diagonal_entry():
@@ -168,13 +199,6 @@ def test_snapshot_series_on_colocated_atoms(d):
         pairs.snapshot_series(xs, vs, w, 1.5, eta=-0.1)
 
 
-def test_row_sums_equal_the_moveaxis_gather():
-    rng = np.random.default_rng(4)
-    for shape in ((7, 1), (7, 31), (7, 32), (7, 33), (3, 5, 200)):
-        a = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-8, 8, shape)
-        assert np.array_equal(pairs.row_sums(a), moveaxis_row_sums(a))
-
-
 def test_one_dimensional_distances_are_absolute_differences():
     x, _ = cloud(50, 1, seed=9)
     x[7] = x[3]
@@ -235,11 +259,12 @@ def test_alignment_rhs_bitwise_in_one_dimension(n, squeeze):
 @pytest.mark.parametrize("squeeze", [0.0, 0.3])
 @pytest.mark.parametrize("n,d", [(33, 2), (200, 2), (57, 3)])
 def test_alignment_rhs_within_ulps_in_higher_dimensions(n, d, squeeze):
-    # the per-block sums run pairwise instead of sequentially over j
+    # the terms round differently from the tensor ones, and the row sums
+    # round once more against exact sums
     x, v = cloud(n, d, seed=10 * n + d)
     x = squeezed(x, squeeze)
     got = dynamics.alignment_rhs(x, v, 1.5)
-    want = tensor_alignment_rhs(x, v, 1.5)
+    want = fsum_alignment_rhs(x, v, 1.5)
     assert np.all(np.abs(got - want) <= 4 * EPS * force_scale(x, v, 1.5))
 
 
