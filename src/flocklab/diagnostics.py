@@ -40,21 +40,16 @@ from .measures import (
     from_particles,
     kinetic_energy,  # not called here: the benchmark tracer wraps this name
     phase_moments,
+    phase_split,
     phi_weighted_marginal,
 )
 from .pairs import distances, off_diagonal, snapshot_series
 from .weakform import cumulative_trapezoid
 
 
-def _split(mu: EmpiricalMeasure, d: int):
-    if mu.point_dim != 2 * d:
-        raise ValueError("phase measure must have point dimension 2d")
-    return mu.points[:, :d], mu.points[:, d:], mu.weights
-
-
 def _series(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0):
     """snapshot_series of one measure, as a one-snapshot stack."""
-    x, v, w = _split(mu, d)
+    x, v, w = phase_split(mu, d)
     return snapshot_series(x[None], v[None], w, alpha, eta)
 
 
@@ -117,7 +112,7 @@ def eta_monokineticity(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    x, v, w = _split(mu, d)
+    x, v, w = phase_split(mu, d)
     _, inverse = np.unique(x, axis=0, return_inverse=True)
     labels = inverse.ravel()
     k = int(labels.max()) + 1 if labels.size else 0
@@ -139,7 +134,7 @@ def eta_monokineticity(
 
 def min_distance(mu: EmpiricalMeasure, d: int) -> float:
     """Smallest distance between two different atoms (inf below two)."""
-    x = _split(mu, d)[0]
+    x = phase_split(mu, d)[0]
     return float(off_diagonal(distances(x)).min()) if len(x) >= 2 else np.inf
 
 

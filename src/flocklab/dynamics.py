@@ -493,13 +493,14 @@ class Trajectory:
     ``traj[k]`` and ``state_at(t)`` give one snapshot as a ParticleState
     that views row k.
 
-    Snapshots start at t=0 and end at t=T.  A snapshot strictly inside a
-    step, or at the end of a step with stiff pairs, is the step's
-    interpolant, accurate to about the tolerance.  The log holds, per
-    accepted step: end time, step size, local error estimate
-    (normalized), the minimum pair distance at the step's end state, and
-    the number of pairs the step integrated through the exponential factor
-    (0 on plain Dormand-Prince steps; kept in memory only).
+    Snapshot times strictly increase, from t=0 to t=T; other times are
+    rejected.  A snapshot strictly inside a step, or at the end of a step
+    with stiff pairs, is the step's interpolant, accurate to about the
+    tolerance.  The log holds, per accepted step: end time, step size,
+    local error estimate (normalized), the minimum pair distance at the
+    step's end state, and the number of pairs the step integrated through
+    the exponential factor (0 on plain Dormand-Prince steps; kept in
+    memory only).
     Steps are free steps, sized by the error controller and the geometric
     cap alone, so the log does not follow the snapshot grid.  ``tol`` is
     None only on a trajectory file that an earlier version wrote in its
@@ -522,6 +523,8 @@ class Trajectory:
         p = self.params
         if times.ndim != 1 or x.shape != (len(times), p.N, p.d) or x.shape != v.shape:
             raise ValueError("need times (S,) and x, v of shape (S, N, d)")
+        if not np.all(np.diff(times) > 0.0):
+            raise ValueError("snapshot times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)

@@ -14,11 +14,12 @@ them, or the probe times of a study) in one pass: one sort of the
 (snapshot, cell) rows and one np.bincount per sum.  local_fields bins one
 measure through the same sort, so there is one binning path.
 field_residuals is the one path from a trajectory to its continuity and
-momentum battery and its dissipation margins, one weakform.FieldBattery
-pass over the binned snapshots, shared by the refinement study and
-``flocklab residual``.  A study draws its battery once: every N runs on
-the same snapshot times, so one FieldBattery serves every N.  The study
-runs its N one after another.
+momentum battery and its dissipation margins, shared by the refinement
+study and ``flocklab residual``: weakform.FieldBattery runs the
+weak-identity pass of the kinetic residuals over the binned cells, as
+weighted atoms with velocity factors 1 and v_k.  A study draws its
+battery once: every N runs on the same snapshot times, so one
+FieldBattery serves every N.  The study runs its N one after another.
 
 The package's import graph is acyclic: this module imports dynamics,
 pairs, weakform and measures, and diagnostics imports this one for
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import dynamics, pairs, weakform
 from .errors import FlockLabError, RejectionOverflow
-from .measures import EmpiricalMeasure, dbl, phase_moments
+from .measures import EmpiricalMeasure, dbl, phase_moments, phase_split
 from .rng import CounterRNG
 
 _DENSITIES = ("uniform-box", "truncated-gaussian", "two-bump")
@@ -341,10 +342,8 @@ def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     Cells whose atoms all carry zero weight are dropped.  Each cell's
     variance sums its atoms in their input order.
     """
-    if mu.point_dim != 2 * d:
-        raise ValueError("phase measure must have point dimension 2d")
-    label = np.zeros(mu.n_atoms, dtype=np.int64)
-    return _bin(label, mu.points[:, :d], mu.points[:, d:], mu.weights, 1, h)[0]
+    x, v, w = phase_split(mu, d)
+    return _bin(np.zeros(len(w), dtype=np.int64), x, v, w, 1, h)[0]
 
 
 def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:

@@ -34,7 +34,7 @@ _MASS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted atoms: points (K, k) and weights (K,)."""
+    """Weighted atoms: points (K, k) and weights (K,), all finite."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -44,6 +44,8 @@ class EmpiricalMeasure:
         w = np.ascontiguousarray(self.weights, dtype=np.float64).ravel()
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights disagree in length")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise ValueError("points and weights must be finite")
         if w.size and w.min() < -1e-15:
             raise ValueError("weights must be nonnegative")
         w = np.maximum(w, 0.0)
@@ -76,15 +78,18 @@ def from_particles(state: ParticleState) -> EmpiricalMeasure:
     return EmpiricalMeasure(pts, np.full(n, 1.0 / n))
 
 
-def marginal_x(mu: EmpiricalMeasure, d: int) -> EmpiricalMeasure:
-    """Spatial marginal of a phase measure; atoms kept unmerged."""
-    _check_phase(mu, d)
-    return EmpiricalMeasure(mu.points[:, :d], mu.weights)
-
-
-def _check_phase(mu: EmpiricalMeasure, d: int):
+def phase_split(mu: EmpiricalMeasure, d: int):
+    """Positions (K, d), velocities (K, d) and weights (K,) of a phase
+    measure, as views; ValueError unless its points have dimension 2d."""
     if mu.point_dim != 2 * d:
         raise ValueError("phase measure must have point dimension 2d")
+    return mu.points[:, :d], mu.points[:, d:], mu.weights
+
+
+def marginal_x(mu: EmpiricalMeasure, d: int) -> EmpiricalMeasure:
+    """Spatial marginal of a phase measure; atoms kept unmerged."""
+    x, _, w = phase_split(mu, d)
+    return EmpiricalMeasure(x, w)
 
 
 def phase_moments(
@@ -107,13 +112,13 @@ def phase_moments(
 
 def kinetic_energy(mu: EmpiricalMeasure, d: int) -> float:
     """Second velocity moment: sum of w |v|^2."""
-    _check_phase(mu, d)
+    phase_split(mu, d)
     return float(phase_moments(mu.points[None], d, mu.weights)[0][0])
 
 
 def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
     """First velocity moment: sum of w v."""
-    _check_phase(mu, d)
+    phase_split(mu, d)
     return phase_moments(mu.points[None], d, mu.weights)[1][0]
 
 
@@ -163,13 +168,11 @@ def phi_weighted_marginal(
     phi must map velocities into [0, 1]; values outside make the result
     either signed or heavier than mass 1, both rejected.
     """
-    _check_phase(mu, d)
-    v = mu.points[:, d:]
+    x, v, _ = phase_split(mu, d)
     vals = np.asarray(phi(v), dtype=np.float64).ravel()
     if vals.shape[0] != mu.n_atoms:
         raise ValueError("phi must return one value per atom")
     if vals.size and (vals.min() < -1e-15 or vals.max() > 1.0 + 1e-12):
         raise ValueError("phi must take values in [0, 1]")
-    x = mu.points[:, :d] - (t - t0) * v
-    return EmpiricalMeasure(x, mu.weights * np.maximum(vals, 0.0))
+    return EmpiricalMeasure(x - (t - t0) * v, mu.weights * np.maximum(vals, 0.0))
 

@@ -135,9 +135,9 @@ def load_trajectory(stem) -> Trajectory:
     the loaded object has empty step arrays.
 
     Every row must have 2 + 2d fields, every snapshot exactly the rows
-    i = 0..N-1, and the file snapshot_count snapshots, or ValueError is
-    raised.  A "tol"
-    of null (a fixed-step run of an earlier version)
+    i = 0..N-1, the file snapshot_count snapshots, and the snapshots
+    strictly increasing times (Trajectory checks that), or ValueError is
+    raised.  A "tol" of null (a fixed-step run of an earlier version)
     loads as None; keys this version no longer writes are ignored.
     """
     stem = Path(stem)

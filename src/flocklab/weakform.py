@@ -21,20 +21,18 @@ vanishes up to quadrature and binning error; the pair interaction term
 always enters with coefficient -1/2 after symmetrizing the force over
 ordered pairs.
 
-Field-based residuals read cell arrays: a grid is any object exposing h,
-d, and the per-cell arrays barycenter (C, d), velocity (C, d) and mass
-(C,), such as meanfield.FieldGrid.  Cells of zero mass may be present and
-contribute nothing.
-
-Both the kinetic and the field residuals are computed snapshot-major, for
-a whole battery at once: kinetic_weak_residuals, and FieldBattery.residuals,
-which gives the continuity and momentum residuals and the dissipation
-margin in one walk over the field grids.  continuity_residuals,
-momentum_residuals, dissipation_margin and the single-function forms are
-wrappers of those.  A FieldBattery tabulates the windows w(t), w'(t) of
-its F functions once on its snapshot times (scalars per function), so one
-battery serves every trajectory sampled on those times.  The battery forms
-give the per-function results bit for bit.
+Every residual is one weak identity, evaluated by one pass over weighted
+atoms (x, v, m), one set per snapshot, for a whole battery at once.
+kinetic_weak_residuals passes the particles at m = 1/N with the H of each
+TestFunction.  FieldBattery.residuals passes the cells of field grids
+(any object exposing h, d and the cell arrays barycenter (C, d), velocity
+(C, d) and mass (C,), such as meanfield.FieldGrid; zero-mass cells add
+nothing) with H = 1 for the continuity identity and H = v_k for the
+momentum identity; the same pass gives the energy and pair dissipation
+behind the dissipation margins.  The pair terms read one pull vector per
+snapshot, so no array has a battery axis and two atom axes.  The other
+residual functions wrap these two.  Each function is reduced along its
+own row, so a battery gives the per-function results bit for bit.
 """
 
 from __future__ import annotations
@@ -45,13 +43,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import GridMismatch
-from .pairs import (
-    Workspace,
-    distances,
-    kernel,
-    outer_diff,
-    relative_sums,
-)
+from .pairs import distances, kernel, relative_sums
 from .rng import CounterRNG
 
 _BUMP_LIP = 96.0 / (25.0 * math.sqrt(5.0))  # max of 6 s (1-s^2)^2
@@ -170,22 +162,20 @@ class TestFunction:
         s2 = np.einsum("ij,ij->i", v, v)
         return s2 * p, s2[:, None] * gp + 2.0 * p[:, None] * v
 
-    def _parts(self, t: float, x: np.ndarray, v: np.ndarray, plateau=None):
+    def _parts(self, t: float, x: np.ndarray, v: np.ndarray):
         w, wp = _window(t, self.t_end)
         g, gg = _bump(x - self.x_center[None, :], self.x_radius**2)
-        h, gh = self._h(v, plateau)
+        h, gh = self._h(v)
         return w, wp, g, gg, h, gh
 
     def value(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         w, _, g, _, h, _ = self._parts(t, x, v)
         return self.scale * w * g * h
 
-    def derivatives(self, t: float, x: np.ndarray, v: np.ndarray, plateau=None):
+    def derivatives(self, t: float, x: np.ndarray, v: np.ndarray):
         """(dt, grad_x, grad_v) from one evaluation of the window, the
-        x-bump and the velocity factor.  plateau, when given, is
-        _plateau(v, *self.v_plateau), shared by the functions of a battery
-        at one snapshot."""
-        w, wp, g, gg, h, gh = self._parts(t, x, v, plateau)
+        x-bump and the velocity factor."""
+        w, wp, g, gg, h, gh = self._parts(t, x, v)
         return (
             self.scale * wp * g * h,
             self.scale * w * h[:, None] * gg,
@@ -266,13 +256,17 @@ class VectorTestFunction:
 # ---- batteries ----
 
 
-def _draw_radius(sub: CounterRNG, center: np.ndarray, T: float, M: float) -> float:
-    """Bump radius in [min(0.4 M, r_cap), r_cap), where r_cap keeps the
-    ball around center inside (T + 1) B(0, 2M)."""
+def _draw_support(sub: CounterRNG, d: int, T: float, M: float):
+    """Bump center in [-M, M]^d, bump radius and window end t_end in
+    [0.6 T, T), drawn in that order.  The radius lies in
+    [min(0.4 M, r_cap), r_cap), where r_cap keeps the ball around the
+    center inside (T + 1) B(0, 2M)."""
+    center = sub.uniform(d, -M, M)
     r_cap = min((1.0 + T) * M, 2.0 * (1.0 + T) * M - np.linalg.norm(center))
     if r_cap <= 0.0:
         raise ValueError("bump center leaves no room inside (T + 1) B(0, 2M)")
-    return float(sub.uniform(1, min(0.4 * M, r_cap), r_cap)[0])
+    radius = float(sub.uniform(1, min(0.4 * M, r_cap), r_cap)[0])
+    return center, radius, float(sub.uniform(1, 0.6 * T, T)[0])
 
 
 def kinetic_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
@@ -285,26 +279,16 @@ def kinetic_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
     for i in range(size):
         kind = kinds[i % len(kinds)]
         sub = rng.spawn(i)
-        center = sub.uniform(d, -M, M)
-        radius = _draw_radius(sub, center, T, M)
-        t_end = float(sub.uniform(1, 0.6 * T, T)[0])
+        center, radius, t_end = _draw_support(sub, d, T, M)
         common = dict(
-            d=d,
-            t_end=t_end,
-            x_center=center,
-            x_radius=radius,
-            v_plateau=(M, 2.0 * M),
+            d=d, t_end=t_end, x_center=center, x_radius=radius, v_plateau=(M, 2.0 * M)
         )
-        if kind == "const":
-            out.append(TestFunction(v_kind="const", **common))
-        elif kind == "energy":
-            out.append(TestFunction(v_kind="energy", **common))
-        elif kind == "bump":
+        if kind == "bump":
             vc = sub.uniform(d, -M / 2, M / 2)
             vr = float(sub.uniform(1, 0.5 * M, M)[0])
-            out.append(
-                TestFunction(v_kind="bump", v_center=vc, v_radius=vr, **common)
-            )
+            out.append(TestFunction(v_kind=kind, v_center=vc, v_radius=vr, **common))
+        elif kind in ("const", "energy"):
+            out.append(TestFunction(v_kind=kind, **common))
         else:
             out.append(TestFunction(v_kind="linear", v_component=kind[1], **common))
     return out
@@ -312,25 +296,16 @@ def kinetic_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
 
 def macro_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
     rng = CounterRNG(seed)
-    out = []
-    for i in range(size):
-        sub = rng.spawn(i)
-        center = sub.uniform(d, -M, M)
-        radius = _draw_radius(sub, center, T, M)
-        t_end = float(sub.uniform(1, 0.6 * T, T)[0])
-        out.append(MacroTestFunction(d, t_end, center, radius))
-    return out
+    supports = (_draw_support(rng.spawn(i), d, T, M) for i in range(size))
+    return [MacroTestFunction(d, t, c, r) for c, r, t in supports]
 
 
 def vector_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
     scalars = macro_battery(d, T, M, size=size, seed=seed)
-    return [
-        VectorTestFunction(base, component=i % d)
-        for i, base in enumerate(scalars)
-    ]
+    return [VectorTestFunction(base, i % d) for i, base in enumerate(scalars)]
 
 
-# ---- residuals on trajectories ----
+# ---- the weak identity over weighted atoms ----
 
 
 def cumulative_trapezoid(t, y) -> np.ndarray:
@@ -339,6 +314,80 @@ def cumulative_trapezoid(t, y) -> np.ndarray:
     y = np.asarray(y, float)
     inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
     return np.concatenate([[0.0], np.cumsum(inc)])
+
+
+def _tabulate(phis, times):
+    """The tables of a battery on its snapshot times: the scaled windows
+    scale * w(t) and scale * w'(t) as (F, K) arrays, and the centers and
+    squared radii of the x-bumps."""
+    times = np.asarray(times, float)
+    windows = [[_window(t, phi.t_end) for t in times] for phi in phis]
+    windows = np.array(windows).reshape(len(phis), len(times), 2)
+    scale = np.array([phi.scale for phi in phis]).reshape(-1, 1)
+    center = np.array([phi.x_center for phi in phis])
+    r2 = np.array([phi.x_radius**2 for phi in phis]).reshape(-1, 1)
+    return scale * windows[..., 0], scale * windows[..., 1], center, r2
+
+
+def _bumps(tables, x: np.ndarray):
+    """The x-bumps of a battery at points x (n, d): values (F, n) and
+    gradients (F, n, d)."""
+    center, r2 = tables[2:]
+    return _bump(x - center.reshape(len(r2), 1, x.shape[1]), r2)
+
+
+def _weak_terms(atoms, tables, factors, alpha: float):
+    """The terms of the weak identity of F test functions
+    phi_f = w_f(t) G_f(x) H_f(v), in one pass over the weighted atoms
+    (x (n, d), v (n, d), m (n,)) of each snapshot.
+
+    tables is _tabulate of the functions on the snapshot times.
+    factors(v, P) gives H_f(v_i) and grad_v H_f(v_i) . P_i, both of shape
+    (..., F, n), for the pull vector P_i = sum_j m_j psi_ij (v_j - v_i),
+    one relative_sums call per snapshot.  With g = grad_v phi, the
+    symmetry of psi turns the pair sums into atom sums:
+
+        phi0 = sum_i m_i phi(0, x_i, v_i)                          (..., F)
+        A    = sum_i m_i (d_t phi + v_i . grad_x phi)(x_i, v_i)    (..., F, K)
+        B    = sum_{i,j} m_i m_j psi_ij (g_i - g_j) . (v_i - v_j)
+             = -2 sum_i m_i g_i . P_i                              (..., F, K)
+        E    = sum_i m_i |v_i|^2                                   (K,)
+        D    = sum_{i,j} m_i m_j psi_ij |v_i - v_j|^2
+             = -2 sum_i m_i v_i . P_i                              (K,)
+
+    Each function is reduced along its own row.  A snapshot without atoms
+    contributes zeros.
+    """
+    w_tab, wp_tab = tables[:2]
+    a_vals, b_vals = [], []
+    energy, dissipation = np.empty(w_tab.shape[1]), np.empty(w_tab.shape[1])
+    for k, (x, v, m) in enumerate(atoms):
+        g, grad = _bumps(tables, x)
+        w, wp = w_tab[:, k, None], wp_tab[:, k, None]
+        val = w * g
+        flux = wp * g + np.einsum("...j,...j->...", v, w[..., None] * grad)
+        weight = kernel(distances(x), alpha)
+        weight *= m
+        pull = relative_sums(weight, v)
+        h, dh = factors(v, pull)
+        if k == 0:
+            phi0 = (m * (h * val)).sum(axis=-1)
+        a_vals.append((m * (h * flux)).sum(axis=-1))
+        b_vals.append(-2.0 * (m * (val * dh)).sum(axis=-1))
+        energy[k] = (m * np.einsum("ij,ij->i", v, v)).sum()
+        dissipation[k] = -2.0 * (m * np.einsum("ij,ij->i", v, pull)).sum()
+    return phi0, np.stack(a_vals, -1), np.stack(b_vals, -1), energy, dissipation
+
+
+def _defects(phi0, a_vals, b_vals, times) -> list:
+    """|phi0 + int A dt - 1/2 int B dt| per function, by trapezoids."""
+    return [
+        float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
+        for p, a, b in zip(phi0, a_vals, b_vals)
+    ]
+
+
+# ---- residuals on trajectories ----
 
 
 def kinetic_weak_residual(traj: Trajectory, phi: TestFunction) -> float:
@@ -354,45 +403,24 @@ def kinetic_weak_residual(traj: Trajectory, phi: TestFunction) -> float:
 
 
 def kinetic_weak_residuals(traj: Trajectory, phis) -> list:
-    """kinetic_weak_residual for every test function of a battery.
-
-    Snapshot-major: the pair kernel psi, the pair sums
-    R_i = sum_j psi_ij (v_i - v_j) and the velocity plateau of each
-    distinct v_plateau are built once per snapshot and shared by all test
-    functions; each function's window, x-bump and velocity factor are
-    built once per snapshot.  Since psi is symmetric, the pair term of each
-    test function reduces to an atom sum,
-
-        sum_{i,j} (g_i - g_j) . (v_i - v_j) psi_ij = 2 sum_i g_i . R_i,
-
-    with g = grad_v phi.  Only one snapshot's pair arrays are alive at a
-    time.
+    """kinetic_weak_residual for every test function of a battery: the
+    weak-identity pass over the particles at weights 1/N.  The velocity
+    plateau of each distinct v_plateau is built once per snapshot and
+    shared by the functions that use it.
     """
     phis = list(phis)
-    alpha = traj.params.alpha
-    n = traj.params.N
-    w = 1.0 / n
-    times = traj.times
-    a_vals = np.empty((len(phis), len(times)))
-    b_vals = np.empty((len(phis), len(times)))
-    work = Workspace(n)
-    for k, t in enumerate(times.tolist()):
-        x, v = traj.x[k], traj.v[k]
-        r = distances(x, out=work.dist, scratch=work.a)
-        psi = kernel(r, alpha, out=work.a)
-        pull = relative_sums(psi, v, scratch=work.b)  # = -R
+    m = np.full(traj.params.N, 1.0 / traj.params.N)
+
+    def factors(v, pull):
         plateaus = {p: _plateau(v, *p) for p in {phi.v_plateau for phi in phis}}
-        for f, phi in enumerate(phis):
-            dt, gx, gv = phi.derivatives(t, x, v, plateaus[phi.v_plateau])
-            a_vals[f, k] = (dt + np.einsum("ij,ij->i", v, gx)).sum() * w
-            b_vals[f, k] = -2.0 * w * w * np.einsum("ij,ij->", gv, pull)
-    out = []
-    for f, phi in enumerate(phis):
-        phi0 = phi.value(times[0], traj.x[0], traj.v[0]).sum() * w
-        a_int = np.trapezoid(a_vals[f], times)
-        b_int = np.trapezoid(b_vals[f], times)
-        out.append(float(abs(-phi0 - a_int + 0.5 * b_int)))
-    return out
+        parts = [phi._h(v, plateaus[phi.v_plateau]) for phi in phis]
+        h = np.array([p[0] for p in parts]).reshape(len(phis), len(v))
+        gh = np.array([p[1] for p in parts]).reshape(len(phis), *v.shape)
+        return h, (gh * pull).sum(axis=-1)
+
+    atoms = ((x, v, m) for x, v in zip(traj.x, traj.v))
+    terms = _weak_terms(atoms, _tabulate(phis, traj.times), factors, traj.params.alpha)
+    return _defects(*terms[:3], traj.times)
 
 
 # ---- residuals on binned fields ----
@@ -411,55 +439,29 @@ def _check_grids(grids):
 
 
 class FieldBattery:
-    """A battery of F vector test functions e_k w(t) G(x), evaluated
-    together on a fixed grid of snapshot times.
+    """A battery of F vector test functions e_k w(t) G(x), tabulated once
+    on a fixed grid of snapshot times, so one battery serves every
+    trajectory sampled on those times.
 
-    The continuity identity reads the scalar parts w G and the momentum
-    identity the vector functions, so one battery serves both.  The scaled
-    windows scale * w(t) and scale * w'(t) are tabulated once per snapshot
-    time as (F, K) arrays; the bumps of all functions are evaluated in one
-    call on stacked offsets.
+    The continuity identity tests with the scalar parts w G (velocity
+    factor H = 1), the momentum identity with the vector functions
+    (H = v_k), so one weak-identity pass over the cells serves both.
     """
 
     def __init__(self, phis, times):
-        bases = [phi.base for phi in phis]
         self.times = np.asarray(times, float)
         self.comp = [phi.component for phi in phis]
-        self.center = np.array([phi.x_center for phi in bases])
-        self.r2 = np.array([phi.x_radius**2 for phi in bases])[:, None]
-        self.w = np.empty((len(bases), len(self.times)))
-        self.wp = np.empty_like(self.w)
-        for f, phi in enumerate(bases):
-            for k, t in enumerate(self.times):
-                w, wp = _window(t, phi.t_end)
-                self.w[f, k] = phi.scale * w
-                self.wp[f, k] = phi.scale * wp
-
-    def _bumps(self, x: np.ndarray):
-        """The bumps of all functions at points x (n, d): values (F, n) and
-        gradients (F, n, d)."""
-        center = self.center.reshape(len(self.comp), 1, x.shape[1])
-        return _bump(x - center, self.r2)
+        self.tables = _tabulate([phi.base for phi in phis], self.times)
 
     def residuals(self, grids, alpha: float, initial_atoms=None):
         """continuity_residual and momentum_residual of every function and
-        dissipation_margin per snapshot, from one pass over the field grids.
+        dissipation_margin per snapshot, from one pass over the cells
+        (barycenter, velocity, mass) of the field grids.
 
-        Each snapshot with occupied cells evaluates the bumps once, as
-        (F, C) values and (F, C, d) gradients at its barycenters, and builds
-        the cell weight (m m^T) psi and the (d, C, C) stack of velocity
-        differences once.  Since each phi = e_k w G has one nonzero
-        component k, its momentum pair term is a (C, C) product against
-        that weight,
-
-            sum_{c,c'} [(m m^T) psi]_cc' (phi_k(b_c) - phi_k(b_c'))
-                                         (u_ck - u_c'k),
-
-        formed for the whole battery as one (F, C, C) array; the
-        dissipation D(t) sums the same weight against the squared velocity
-        differences.  Returns (continuity, momentum, margins): one residual
-        per function for each identity, and the margins as an array over
-        the snapshot times.
+        For phi = e_k w G, grad_v (v_k) . P = P_k, so each momentum pair
+        term is -2 sum_c m_c w G(b_c) P_ck.  Returns (continuity, momentum,
+        margins): one residual per function for each identity, and the
+        margins as an array over the snapshot times.
         """
         if len(grids) != len(self.times):
             raise ValueError(
@@ -467,51 +469,24 @@ class FieldBattery:
             )
         _check_grids(grids)
         comp = self.comp
-        cvals = np.zeros(self.w.shape)
-        tvals = np.zeros(self.w.shape)
-        svals = np.zeros(self.w.shape)
-        energy = np.zeros(len(self.times))
-        dissipation = np.zeros(len(self.times))
-        # t = 0 moments of the first grid; initial_atoms replaces the momentum one
-        mass0 = mom0 = np.zeros(len(comp))
-        for k, grid in enumerate(grids):
-            b, u, m = grid.barycenter, grid.velocity, grid.mass
-            if not m.size:
-                continue
-            g, grad = self._bumps(b)
-            w, wp = self.w[:, k, None], self.wp[:, k, None]
-            val = w * g
-            flux = wp * g + np.einsum("...j,...j->...", u, w[..., None] * grad)
-            uc = u.T[comp]
-            cvals[:, k] = (m * flux).sum(axis=1)
-            tvals[:, k] = (m * (uc * flux)).sum(axis=1)
-            if k == 0:
-                mass0 = (m * val).sum(axis=1)
-                mom0 = (m * (uc * val)).sum(axis=1)
-            weight = (m[:, None] * m[None, :]) * kernel(distances(b), alpha)
-            du = np.stack([outer_diff(col) for col in u.T])
-            inner = val[:, :, None] - val[:, None, :]
-            inner *= du[comp]
-            inner *= weight
-            svals[:, k] = inner.sum(axis=(1, 2))
-            s2 = du[0] * du[0]
-            for dc in du[1:]:
-                s2 += dc * dc
-            energy[k] = (m * np.einsum("ij,ij->i", u, u)).sum()
-            dissipation[k] = (weight * s2).sum()
+
+        def factors(v, pull):
+            vk = v.T[comp]
+            h = np.stack([np.ones_like(vk), vk])
+            return h, np.stack([np.zeros_like(vk), pull.T[comp]])
+
+        atoms = ((g.barycenter, g.velocity, g.mass) for g in grids)
+        terms = _weak_terms(atoms, self.tables, factors, alpha)
+        phi0, a_vals, b_vals, energy, dissipation = terms
         if initial_atoms is not None:
+            # the unbinned atoms give the t = 0 moment of the momentum rows
             x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
-            val0 = self.w[:, 0, None] * self._bumps(x0)[0]
-            mom0 = (w0 * (v0.T[comp] * val0)).sum(axis=1)
-        times = self.times
-        continuity = [
-            float(abs(p + np.trapezoid(a, times))) for p, a in zip(mass0, cvals)
-        ]
-        momentum = [
-            float(abs(p + np.trapezoid(a, times) - 0.5 * np.trapezoid(b, times)))
-            for p, a, b in zip(mom0, tvals, svals)
-        ]
-        margins = (energy[0] - energy) - cumulative_trapezoid(times, dissipation)
+            val0 = self.tables[0][:, 0, None] * _bumps(self.tables, x0)[0]
+            phi0[1] = (w0 * (v0.T[comp] * val0)).sum(axis=1)
+        continuity, momentum = (
+            _defects(*rows, self.times) for rows in zip(phi0, a_vals, b_vals)
+        )
+        margins = (energy[0] - energy) - cumulative_trapezoid(self.times, dissipation)
         return continuity, momentum, margins
 
 

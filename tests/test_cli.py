@@ -133,6 +133,25 @@ def test_trajectory_with_a_repeated_row_is_rejected(tmp_path):
         storage.load_trajectory(tmp_path / "run")
 
 
+def test_trajectory_out_of_time_order_is_rejected(tmp_path, capsys):
+    # the snapshots at t = 0.1 and t = 0.2 swapped in the CSV: every other
+    # check passes, and the residuals would integrate over times 0, 0.2, 0.1
+    csv_path, _ = saved_trajectory(tmp_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text("".join(lines[:6] + lines[11:] + lines[6:11]))
+    message = "snapshot times must be strictly increasing"
+    with pytest.raises(ValueError, match=message):
+        storage.load_trajectory(tmp_path / "run")
+    for command, extra in (("diagnose", {}), ("residual", {"battery_size": 2})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "run"), **extra}))
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert doc == {"error": {"type": "ValueError", "message": message}}
+        assert json.loads((out / "error.json").read_text()) == doc
+
+
 def test_fixed_step_trajectory_file_still_loads(tmp_path):
     # earlier versions had a fixed-step mode, which wrote a null tol and
     # two keys this version no longer writes
@@ -180,6 +199,22 @@ def test_measure_header_rejected(tmp_path):
     bad.write_text("mass,p1\n0.5,0.0\n")
     with pytest.raises(ValueError, match="header"):
         storage.load_measure(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "weight,p1\n0.5,0.0\nnan,1.0\n",  # a NaN weight
+    "weight,p1\n0.5,0.0\n0.5,inf\n",  # an atom at infinity
+    "weight,p1,p2\n0.5,0.0,0.0\n0.5,nan,1.0\n",  # a NaN coordinate
+], ids=["nan-weight", "inf-atom", "nan-coordinate"])
+def test_dbl_rejects_non_finite_measures(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    k = text.splitlines()[0].count(",")
+    storage.save_measure(EmpiricalMeasure(np.zeros((1, k)), [1.0]), tmp_path / "a.csv")
+    assert cli.main(["dbl", str(bad), str(tmp_path / "a.csv")]) == 2
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    message = "points and weights must be finite"
+    assert doc == {"error": {"type": "ValueError", "message": message}}
 
 
 def test_canonical_json_is_deterministic_and_plain():
