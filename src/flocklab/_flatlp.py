@@ -62,13 +62,15 @@ arcs come from a candidate pool: the _CANDIDATES most negative reduced
 costs of the working set, refreshed as potentials change and rebuilt from
 the working set when none of them is negative any more.  Only when no arc
 of the working set prices below -_RC_TOL are all K^2 pairs priced, in
-tiles of ``_tile_rows(K)`` grid rows whose distances come from
-``pairs.distances`` with the same per-coordinate arithmetic as the full
-grid.  Each tile adds its _TILE_ARCS most negative arcs to the working set
-(an arc priced negative is never in it already, since the working set
-priced nonnegative at the same potentials), and the simplex resumes from
-its current tree.  It stops when a full pricing finds no negative arc, so
-the basis is optimal for the whole arc set.
+tiles of ``_tile_rows(K)`` grid rows whose separations come from
+``pairs.separations`` with the same per-coordinate arithmetic as the full
+grid and +inf on the self-arcs, which therefore never price negative and
+are never among a node's nearest neighbours.  Each tile adds its
+_TILE_ARCS most negative arcs to the working set (an arc priced negative
+is never in it already, since the working set priced nonnegative at the
+same potentials), and the simplex resumes from its current tree.  It
+stops when a full pricing finds no negative arc, so the basis is optimal
+for the whole arc set.
 
 Memory is a few arrays of one tile's R K entries (R = _tile_rows(K), so
 about pairs.TILE_ENTRIES) plus the working set: 2K ground arcs, at most
@@ -86,7 +88,7 @@ from collections import deque
 import numpy as np
 
 from .errors import PivotBudgetExceeded, SupportTooLarge
-from .pairs import TILE_ENTRIES, distances
+from .pairs import TILE_ENTRIES, separations
 
 _RC_TOL = 1e-11  # reduced-cost threshold for optimality
 _CANDIDATES = 100  # arcs kept in the pricing list in d >= 2
@@ -105,15 +107,16 @@ def _tile_rows(n_support: int) -> int:
 
 
 def _tiles(points: np.ndarray):
-    """Yield (first row, distance tile) over the rows of the distance grid
-    of points, _tile_rows(K) rows at a time, in two reused buffers."""
+    """Yield (first row, separation tile) over the rows of the separations
+    grid of points (pairs.separations, +inf on the self-arcs),
+    _tile_rows(K) rows at a time, in two reused buffers."""
     K = points.shape[0]
     R = min(_tile_rows(K), K)
     out, scratch = np.empty((R, K)), np.empty((R, K))
     for r0 in range(0, K, R):
         n = min(R, K - r0)
         rows = slice(r0, r0 + n)
-        yield r0, distances(points, out=out[:n], scratch=scratch[:n], rows=rows)
+        yield r0, separations(points, out=out[:n], scratch=scratch[:n], rows=rows)
 
 
 def _starting_arcs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +129,6 @@ def _starting_arcs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     nn = min(_NEIGHBOURS, K - 1)
     for r0, dist in _tiles(points) if nn else ():
         rows = np.arange(r0, r0 + dist.shape[0])
-        dist[rows - r0, rows] = np.inf
         j = np.argpartition(dist, nn - 1, axis=1)[:, :nn]
         tail.append(np.repeat(rows, nn))
         head.append(j.ravel())

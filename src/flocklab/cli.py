@@ -109,6 +109,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_dbl(args) -> int:
     from .measures import dbl_with_potential
 
+    schemas.check_cap(args.cap)
     mu = storage.load_measure(args.a)
     nu = storage.load_measure(args.b)
     value, points, phi = dbl_with_potential(mu, nu, cap=args.cap)

@@ -43,7 +43,7 @@ from .measures import (
     phase_split,
     phi_weighted_marginal,
 )
-from .pairs import distances, off_diagonal, snapshot_series
+from .pairs import distances, separations, snapshot_series
 from .weakform import cumulative_trapezoid
 
 
@@ -135,7 +135,7 @@ def eta_monokineticity(
 def min_distance(mu: EmpiricalMeasure, d: int) -> float:
     """Smallest distance between two different atoms (inf below two)."""
     x = phase_split(mu, d)[0]
-    return float(off_diagonal(distances(x)).min()) if len(x) >= 2 else np.inf
+    return float(separations(x).min(initial=np.inf))
 
 
 def _sweep(traj: Trajectory):

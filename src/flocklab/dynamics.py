@@ -43,9 +43,11 @@ interpolant are explicit ordered sums for the same reason.
 
 The last Dormand-Prince stage of an accepted step is evaluated at the
 step's end state, which is the state the geometric cap inspects next; the
-cap reuses the pair distances that stage computed instead of rebuilding
-them.  The eigenbases come from Householder and Jacobi rotations, not from
-LAPACK, and all their products are elementwise sums.
+cap reuses the pair separations that stage computed (pairs.separations,
++inf on the self-pairs) instead of rebuilding them, so its minimum
+distance and minimum closing time are plain minima over that grid.  The
+eigenbases come from Householder and Jacobi rotations, not from LAPACK,
+and all their products are elementwise sums.
 """
 
 from __future__ import annotations
@@ -166,8 +168,7 @@ def min_pair_distance(x: np.ndarray) -> tuple[float, tuple[int, int]]:
     n = x.shape[0]
     if n < 2:
         return np.inf, (-1, -1)
-    dist = pairs.distances(x)
-    np.fill_diagonal(dist, np.inf)
+    dist = pairs.separations(x)
     # row-major argmin of the symmetric matrix lands in the upper triangle
     i, j = divmod(int(np.argmin(dist)), n)
     return float(dist[i, j]), (i, j)
@@ -185,8 +186,8 @@ def alignment_rhs(
     separation.
 
     With a workspace ``work`` given, the pair grids are built in its
-    buffers, and the pair distances of x are left in ``work.dist``, with
-    inf on the diagonal, for reuse by the caller.
+    buffers, and the pair separations of x (pairs.separations) are left
+    in ``work.dist`` for reuse by the caller.
 
     The accumulated pair forces are antisymmetric, so the velocity
     derivatives sum to zero up to the rounding of the row sums.
@@ -196,8 +197,7 @@ def alignment_rhs(
         return np.zeros((1, d))
     if work is None:
         work = pairs.Workspace(n)
-    dist = pairs.distances(x, out=work.dist, scratch=work.a)
-    np.fill_diagonal(dist, np.inf)
+    dist = pairs.separations(x, out=work.dist, scratch=work.a)
     dmin = float(dist.min())
     if dmin <= COLLISION_FLOOR:
         i, j = min_pair_distance(x)[1]
@@ -422,7 +422,7 @@ class _Lawson:
         n = len(work.dist)
         self.h, self.n, self.nd = h, n, len(y) // 2
         x, v = y[: self.nd].reshape(n, -1), y[self.nd :].reshape(n, -1)
-        dist = pairs.distances(x, out=work.a, scratch=work.b)
+        dist = pairs.separations(x, out=work.a, scratch=work.b)
         # (c_s - c_m) h for m <= s; the clip spares the unused m > s
         tau = h * np.maximum(_C[:, None] - _C[None, :], 0.0)
         self.groups = []
@@ -432,7 +432,6 @@ class _Lawson:
             if m > STIFF_MAX_MEMBERS:
                 continue
             r = dist[idx[:, :, None], idx[:, None, :]]
-            r[:, range(m), range(m)] = np.inf
             w = np.power(r, -alpha) / n
             self.groups.append(_StiffGroup(idx, x, v, w, tau))
             self.pairs += idx.size * (m - 1) // 2
@@ -568,10 +567,12 @@ def _step_cap(
     distance with the global maximum relative speed instead would throttle
     large well-separated clouds to absurdly small steps.
 
-    ``dist`` may carry the pair distances of x already computed (its
-    diagonal is ignored); the integrator passes the ones its last force
-    evaluation left behind.  Scratch grids go to the workspace ``work``
-    when one is given.
+    ``dist`` may carry the pair separations of x already computed
+    (pairs.separations, +inf on the diagonal); the integrator passes the
+    ones its last force evaluation left behind.  Scratch grids go to the
+    workspace ``work`` when one is given.  The closing times are one
+    division, and their minimum an np.fmin reduction, which skips the
+    0 / 0 of a co-located pair in lockstep.
     """
     n = x.shape[0]
     if n < 2:
@@ -579,10 +580,10 @@ def _step_cap(
     if work is None:
         work = pairs.Workspace(n)
     if dist is None:
-        dist = pairs.distances(x, out=work.dist, scratch=work.a)
-    dmin = float(pairs.off_diagonal(dist).min())
+        dist = pairs.separations(x, out=work.dist, scratch=work.a)
+    dmin = float(dist.min())
     closing = pairs.closing_times(dist, v, out=work.a, scratch=work.b)
-    tau = float(closing.min())
+    tau = float(np.fmin.reduce(closing, axis=None))
     if tau == np.inf:
         return np.inf, dmin
     return safety * tau, dmin
@@ -658,7 +659,7 @@ def integrate(
     xs[0], vs[0] = unpack(y)
     log_t, log_h, log_err, log_dmin, log_stiff = [], [], [], [], []
 
-    # work.dist holds the pair distances of the last force evaluation.
+    # work.dist holds the pair separations of the last force evaluation.
     # After the first-same-as-last stage that is exactly the state an
     # accepted step ends in, which the geometric cap inspects next.
     work = pairs.Workspace(n)

@@ -458,14 +458,14 @@ def _study_single_n(
     marginals = [EmpiricalMeasure(traj.x[k], w) for k in idx]
     phase = np.concatenate([traj.x[idx], traj.v[idx]], axis=2)
     energy, _ = phase_moments(phase, d, w)
-    # one row per probe: its grids at widths 2h, h, h/2
-    widths = (2.0 * h, h, h / 2.0)
-    ladder = list(zip(*(snapshot_fields(traj, wd, idx) for wd in widths)))
+    grids, cont, mom, all_margins = _battery_residuals(traj, h, battery)
+    margins = tuple(float(all_margins[k]) for k in idx)
+    # one row per probe: its grids at widths 2h, h, h/2, the width-h ones
+    # read off the battery's (binning is per snapshot, so they are the same)
+    coarse, fine = (snapshot_fields(traj, wd, idx) for wd in (2.0 * h, h / 2.0))
+    ladder = list(zip(coarse, [grids[k] for k in idx], fine))
     mk = [tuple(grid.mk() for grid in row) for row in ladder]
     maxcell = [tuple(float(grid.mass.max()) for grid in row) for row in ladder]
-
-    _, cont, mom, all_margins = _battery_residuals(traj, h, battery)
-    margins = tuple(float(all_margins[k]) for k in idx)
 
     row = StudyRow(
         n=n,

@@ -34,7 +34,8 @@ _MASS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted atoms: points (K, k) and weights (K,), all finite."""
+    """Weighted atoms: points (K, k) with k >= 1 and weights (K,), all
+    finite; K = 0 is the empty measure."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -44,6 +45,8 @@ class EmpiricalMeasure:
         w = np.ascontiguousarray(self.weights, dtype=np.float64).ravel()
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights disagree in length")
+        if pts.shape[1] < 1:
+            raise ValueError("points need at least one coordinate")
         if not (np.isfinite(pts).all() and np.isfinite(w).all()):
             raise ValueError("points and weights must be finite")
         if w.size and w.min() < -1e-15:

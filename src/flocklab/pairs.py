@@ -10,10 +10,18 @@ goes through this module, so each grid is built one way:
                      (..., N, N) with each cloud's arithmetic;
   distances          |x_i - x_j| in d = 1, the square root of the squared
                      distances in d >= 2;
+  separations        the distances with +inf on every self-pair, so a
+                     minimum over the grid is one over distinct pairs and
+                     r^(-alpha) is zero on the self-pairs; this is the
+                     only place that sets a self-pair entry of a
+                     distance grid (the kernel aside);
   kernel             r^(-alpha), unregularized, with self-pairs and
                      co-located pairs (r == 0) set to zero;
-  closing times      r_ij / |v_i - v_j| for the pairs that move relative
-                     to each other, inf for the others;
+  closing times      one division of the separations by the relative
+                     speeds |v_i - v_j|: self-pairs give inf / 0 = inf,
+                     pairs in lockstep r / 0 = inf, and a co-located
+                     pair in lockstep 0 / 0 = nan, which an np.fmin
+                     reduction skips;
   row sums           each row summed whole along its contiguous last axis
                      by numpy's pairwise reduction, whose error grows like
                      log N.
@@ -30,9 +38,9 @@ distance of each snapshot.  It works through groups of snapshots whose
 grids together hold at most TILE_ENTRIES entries (one snapshot per group
 once N^2 exceeds that), so it never holds an (S, N, N) array.
 
-The force evaluation (dynamics.alignment_rhs) raises its distances to the
-power itself: its grid holds inf on the diagonal and has been checked for
-co-located pairs, so the kernel's masks would change nothing there.
+The force evaluation (dynamics.alignment_rhs) raises its separations to
+the power itself: the grid has been checked for co-located pairs, so the
+kernel's masks would change nothing there.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ TILE_ENTRIES = 1 << 16  # grid entries per tile of a tiled pair pass
 class Workspace:
     """Reusable (N, N) buffers for repeated pair computations at one N.
 
-    dist  pair distances, written by a force evaluation and read by the
-          step cap that follows it
+    dist  pair separations (distances, +inf on the diagonal), written by
+          a force evaluation and read by the step cap that follows it
     a, b  scratch space for the intermediate grids
 
     Fresh (N, N) temporaries on every call cost page faults once they
@@ -112,11 +120,19 @@ def distances(
     return np.sqrt(r, out=r)
 
 
-def off_diagonal(a: np.ndarray) -> np.ndarray:
-    """View of the N (N - 1) off-diagonal entries of a square array, as an
-    (N - 1, N) array; no copy is made."""
-    n = a.shape[0]
-    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+def separations(
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    rows: slice = slice(None),
+) -> np.ndarray:
+    """distances with every self-pair entry (i, i) set to +inf, for full
+    grids, ``rows`` tiles and stacked clouds alike; every other entry is
+    the distances entry bit for bit."""
+    r = distances(x, out=out, scratch=scratch, rows=rows)
+    i = np.arange(x.shape[-2])[rows]
+    r[..., np.arange(i.size), i] = np.inf
+    return r
 
 
 def kernel(r: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -140,17 +156,16 @@ def closing_times(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(N, N) closing times r_ij / |v_i - v_j|.
+    """(N, N) closing times r_ij / |v_i - v_j| on a separations grid r.
 
-    Pairs at equal velocity (the diagonal included) never close; they get
-    inf, as does any pair whose closing time overflows.  ``scratch`` must
-    not be r.
+    One division: self-pairs get inf / 0 = inf, and so does a pair in
+    lockstep (r / 0) or one whose closing time overflows.  A co-located
+    pair in lockstep gets 0 / 0 = nan, which an np.fmin reduction skips.
+    ``scratch`` must not be r.
     """
     speed = distances(v, out=out, scratch=scratch)
-    moving = speed > 0.0
-    np.divide(r, speed, out=speed, where=moving)
-    np.copyto(speed, np.inf, where=~moving)
-    return speed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(r, speed, out=speed)
 
 
 def relative_sums(
@@ -189,10 +204,10 @@ def snapshot_series(
     off = ~np.eye(n, dtype=bool)
     ww = w[:, None] * w[None, :]
     power = (alpha + 2.0) / 2.0
-    dd, da, r_min = np.empty(s), np.empty(s), np.full(s, np.inf)
+    dd, da, r_min = np.empty(s), np.empty(s), np.empty(s)
     for a in range(0, s, group):
         b = min(a + group, s)
-        r = distances(x[a:b])
+        r = separations(x[a:b])
         s2 = sq_distances(v[a:b])
         # the full-shape mask keeps each snapshot's terms one contiguous row
         mask = np.broadcast_to(off, r.shape)
@@ -201,6 +216,5 @@ def snapshot_series(
         if eta > 0.0:
             kern = kernel(r + eta, alpha)
         da[a:b] = (ww * s2**power * kern)[mask].reshape(b - a, -1).sum(axis=-1)
-        if n >= 2:
-            r_min[a:b] = r[mask].reshape(b - a, -1).min(axis=-1)
+        r_min[a:b] = r.min(axis=(-2, -1), initial=np.inf)
     return dd, da, r_min

@@ -271,6 +271,12 @@ def check_threads(count) -> None:
     _validate(count, _THREADS)
 
 
+def check_cap(cap) -> None:
+    """Reject a ``dbl --cap`` below 1 with a ValidationError, by the rule
+    of mfstudy's ``dbl_cap``."""
+    _validate(cap, SCHEMAS["mfstudy"]["properties"]["dbl_cap"])
+
+
 def resolve(kind: str, doc: dict) -> dict:
     """Validate a config document and merge in the defaults.
 

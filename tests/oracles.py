@@ -57,7 +57,9 @@ battery against it bit for bit.
 grid_enstrophy, grid_dalpha and grid_min_distance are the per-measure
 pair functionals the package used before its stacked snapshot pass: one
 (N, N) grid per measure, summed through a mask that drops co-located
-pairs at eta = 0.  pair_series is the hand-written two-particle copy of
+pairs at eta = 0; grid_min_distance and sqrt_step_cap take their minimum
+distance over off_diagonal, the view of the off-diagonal entries the
+package read before its separations grid.  pair_series is the hand-written two-particle copy of
 that arithmetic the pair study used, and per_snapshot_report the loop
 over from_particles measures that the diagnostics report ran, velocity
 moments included.  The differential tests compare the stacked pass
@@ -117,7 +119,6 @@ from flocklab.pairs import (
     Workspace,
     distances,
     kernel,
-    off_diagonal,
     outer_diff,
     relative_sums,
     sq_distances,
@@ -251,6 +252,13 @@ def eta_mono_loops(
                 / (r + eta) ** alpha
             )
     return total
+
+
+def off_diagonal(a: np.ndarray) -> np.ndarray:
+    """View of the N (N - 1) off-diagonal entries of a square array, as an
+    (N - 1, N) array; no copy is made."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def _phase_split(mu, d: int):

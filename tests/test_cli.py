@@ -152,6 +152,31 @@ def test_trajectory_out_of_time_order_is_rejected(tmp_path, capsys):
         assert json.loads((out / "error.json").read_text()) == doc
 
 
+@pytest.mark.parametrize("column, value", [(2, "nan"), (3, "nan"), (3, "-inf")])
+def test_trajectory_with_a_non_finite_coordinate_is_rejected(tmp_path, capsys,
+                                                             column, value):
+    # one position (column 2) or velocity (column 3) of the t = 0.1
+    # snapshot set to nan or inf: every other check passes, and the
+    # diagnostics would write empty cells and the residuals null
+    csv_path, _ = saved_trajectory(tmp_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    cells = lines[8].rstrip("\n").split(",")
+    cells[column] = value
+    lines[8] = ",".join(cells) + "\n"
+    csv_path.write_text("".join(lines))
+    message = "snapshot positions and velocities must be finite"
+    with pytest.raises(ValueError, match=message):
+        storage.load_trajectory(tmp_path / "run")
+    for command, extra in (("diagnose", {}), ("residual", {"battery_size": 2})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "run"), **extra}))
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert doc == {"error": {"type": "ValueError", "message": message}}
+        assert json.loads((out / "error.json").read_text()) == doc
+
+
 def test_fixed_step_trajectory_file_still_loads(tmp_path):
     # earlier versions had a fixed-step mode, which wrote a null tol and
     # two keys this version no longer writes
@@ -215,6 +240,34 @@ def test_dbl_rejects_non_finite_measures(tmp_path, capsys, text):
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     message = "points and weights must be finite"
     assert doc == {"error": {"type": "ValueError", "message": message}}
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_dbl_rejects_measures_without_coordinates(tmp_path, capsys, rows):
+    # a header of just "weight": measures with no coordinate column
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text("weight\n" + "0.5\n" * rows)
+    rc = cli.main(["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    message = "points need at least one coordinate"
+    assert doc == {"error": {"type": "ValueError", "message": message}}
+    with pytest.raises(ValueError, match=message):
+        EmpiricalMeasure(np.empty((2, 0)), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_dbl_cap_below_one_is_rejected_before_reading(tmp_path, capsys, cap):
+    # mfstudy's dbl_cap rule; the missing files show nothing was read
+    out = tmp_path / "o"
+    rc = cli.main(["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                   "--cap", cap, "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ValidationError"
+    message = f"{cap} is less than the minimum of 1\n"
+    assert doc["error"]["message"].startswith(message)
+    assert json.loads((out / "error.json").read_text()) == doc
 
 
 def test_canonical_json_is_deterministic_and_plain():

@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix
 from flocklab import _flatlp
 from flocklab.errors import PivotBudgetExceeded
 from flocklab.measures import EmpiricalMeasure, dbl, union_support
-from flocklab.pairs import distances
+from flocklab.pairs import separations
 
 from oracles import (
     arc_simplex_flat_lp,
@@ -184,10 +184,11 @@ def test_value_does_not_depend_on_tile_height(monkeypatch, d):
 
 
 def test_pricing_tiles_keep_the_grid_arithmetic(monkeypatch):
-    # every tile row is bit for bit the full grid's row
+    # every tile row is bit for bit the full separations grid's row, its
+    # +inf self-arc included
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (37, 3))
     monkeypatch.setattr(_flatlp, "_tile_rows", lambda n_support: 5)
-    full = distances(points)
+    full = separations(points)
     starts = []
     for r0, dist in _flatlp._tiles(points):
         starts.append(r0)

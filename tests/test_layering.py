@@ -1,6 +1,7 @@
 """Module layering: an acyclic import graph, imports at module level only,
 no unused imports, benchmark tracer targets and reads that still work,
-snapshots read as arrays, and no BLAS in the integrator."""
+snapshots read as arrays, no BLAS in the integrator, and self-pairs set
+in pairs alone."""
 
 import ast
 import sys
@@ -246,6 +247,48 @@ def test_integrator_never_calls_the_blas(name):
     # the dynamics promise bytes that do not depend on the BLAS: a product
     # through it sums in a library- and thread-dependent order
     assert blas_uses(parse(name)) == []
+
+
+def self_pair_writes(tree: ast.Module) -> list:
+    """(line, form) of every fill_diagonal call and every assignment of
+    inf through a subscript."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "fill_diagonal" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            out.append((node.lineno, "fill_diagonal"))
+        elif isinstance(node, ast.Assign) and "inf" in (
+            getattr(node.value, "attr", None), getattr(node.value, "id", None)
+        ):
+            # np.inf, math.inf or a bare inf
+            if any(isinstance(t, ast.Subscript) for t in node.targets):
+                out.append((node.lineno, "[...] = inf"))
+    return sorted(out)
+
+
+def test_self_pair_writes_finds_every_form():
+    tree = ast.parse(
+        "np.fill_diagonal(dist, np.inf)\n"
+        "fill_diagonal(dist, 0.0)\n"
+        "dist[rows - r0, rows] = np.inf\n"
+        "r[:, i, i] = math.inf\n"
+        "a = b[0] = inf\n"
+        "best = np.inf\n"
+        "r_min = np.full(s, np.inf)\n"
+        "w[i, i] = 0.0\n"
+    )
+    assert self_pair_writes(tree) == [
+        (1, "fill_diagonal"), (2, "fill_diagonal"), (3, "[...] = inf"),
+        (4, "[...] = inf"), (5, "[...] = inf"),
+    ]
+
+
+def test_only_pairs_sets_self_pairs():
+    # pairs.separations is the one place a self-pair of a distance grid
+    # becomes +inf; a local copy of that rule elsewhere could drift from it
+    found = {name: self_pair_writes(parse(name)) for name in MODULES if name != "pairs"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def private_definitions(tree: ast.Module) -> set:

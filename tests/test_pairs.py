@@ -112,12 +112,35 @@ def test_relative_sums_equal_blocked_kahan_sums_to_ulps(n):
         assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(terms).sum(axis=1))
 
 
-def test_off_diagonal_view_holds_every_off_diagonal_entry():
-    a = np.arange(25.0).reshape(5, 5)
-    view = pairs.off_diagonal(a)
-    assert view.shape == (4, 5)
-    assert sorted(view.ravel()) == sorted(a[~np.eye(5, dtype=bool)])
-    assert np.shares_memory(view, a)
+def assert_separations_of(got, want, rows):
+    """got is want bit for bit off the self-pairs and +inf on them, for
+    a grid (..., R, n) whose rows are the grid rows ``rows``."""
+    n = want.shape[-1]
+    self_pair = np.arange(n)[rows, None] == np.arange(n)
+    assert got.shape == want.shape
+    assert (got[..., self_pair] == np.inf).all()
+    assert np.array_equal(got[..., ~self_pair], want[..., ~self_pair])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_separations_are_distances_with_inf_self_pairs(d, n):
+    # full grid, a row tile that does not start at row 0, and stacked
+    # clouds, with one co-located pair among the distinct ones
+    rng = np.random.default_rng(10 * d + n)
+    xs = rng.uniform(-1.0, 1.0, (3, n, d))
+    if n == 9:
+        xs[1, 4] = xs[1, 1]
+    for rows in (slice(None), slice(1, 5)):
+        for x in (xs[1], xs):
+            got = pairs.separations(x, rows=rows)
+            assert_separations_of(got, pairs.distances(x, rows=rows), rows)
+    if n == 9:
+        assert pairs.separations(xs[1])[1, 4] == 0.0
+    out, scratch = np.empty((n, n)), np.empty((n, n))
+    got = pairs.separations(xs[0], out=out, scratch=scratch)
+    assert got is out
+    assert_separations_of(got, pairs.distances(xs[0]), slice(None))
 
 
 def test_kernel_masks_self_and_colocated_pairs():
@@ -297,6 +320,16 @@ def test_step_cap_ignores_pairs_in_lockstep():
     x = np.array([[0.0], [1e-3], [5.0]])
     v = np.array([[1.0], [1.0], [1.0]])
     assert dynamics._step_cap(x, v, 0.2) == (np.inf, 1e-3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_step_cap_of_a_colocated_pair_in_lockstep_is_inf(d):
+    # its closing time is 0 / 0 in the one division; the reduction skips it
+    x = np.zeros((2, d))
+    v = np.ones((2, d))
+    assert dynamics._step_cap(x, v, 0.2) == (np.inf, 0.0)
+    closing = pairs.closing_times(pairs.separations(x), v)
+    assert np.isnan(closing[0, 1]) and closing[0, 0] == np.inf
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
