@@ -492,14 +492,14 @@ class Trajectory:
     ``traj[k]`` and ``state_at(t)`` give one snapshot as a ParticleState
     that views row k.
 
-    Snapshot times strictly increase, from t=0 to t=T; other times are
-    rejected.  A snapshot strictly inside a step, or at the end of a step
-    with stiff pairs, is the step's interpolant, accurate to about the
-    tolerance.  The log holds, per accepted step: end time, step size,
-    local error estimate (normalized), the minimum pair distance at the
-    step's end state, and the number of pairs the step integrated through
-    the exponential factor (0 on plain Dormand-Prince steps; kept in
-    memory only).
+    Snapshot times strictly increase, from t=0 to t=T, and every position
+    and velocity is finite; other snapshots are rejected.  A snapshot
+    strictly inside a step, or at the end of a step with stiff pairs, is
+    the step's interpolant, accurate to about the tolerance.  The log
+    holds, per accepted step: end time, step size, local error estimate
+    (normalized), the minimum pair distance at the step's end state, and
+    the number of pairs the step integrated through the exponential factor
+    (0 on plain Dormand-Prince steps; kept in memory only).
     Steps are free steps, sized by the error controller and the geometric
     cap alone, so the log does not follow the snapshot grid.  ``tol`` is
     None only on a trajectory file that an earlier version wrote in its
@@ -524,6 +524,8 @@ class Trajectory:
             raise ValueError("need times (S,) and x, v of shape (S, N, d)")
         if not np.all(np.diff(times) > 0.0):
             raise ValueError("snapshot times must be strictly increasing")
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise ValueError("snapshot positions and velocities must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)

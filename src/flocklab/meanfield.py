@@ -3,7 +3,8 @@
 Sampling is counter-based: atom i of a configuration draws from substream i
 of the configuration key, so the first n atoms of an N-atom sample coincide
 with the n-atom sample for every n <= N.  Growing a study never reshuffles
-the smaller ensembles.
+the smaller ensembles.  sample_initial draws all atoms at once, one stream
+per atom, and redraws only exact position repeats one atom at a time.
 
 Binned fields live on an axis-aligned grid anchored at the origin with cell
 index floor(x / h) per coordinate.  A FieldGrid holds one array row per
@@ -19,7 +20,9 @@ study and ``flocklab residual``: weakform.FieldBattery runs the
 weak-identity pass of the kinetic residuals over the binned cells, as
 weighted atoms with velocity factors 1 and v_k.  A study draws its
 battery once: every N runs on the same snapshot times, so one
-FieldBattery serves every N.  The study runs its N one after another.
+FieldBattery serves every N.  The study runs its N one after another, and
+each N draws its own sample, whose atoms are the prefix of the largest
+N's.
 
 The package's import graph is acyclic: this module imports dynamics,
 pairs, weakform and measures, and diagnostics imports this one for
@@ -42,31 +45,24 @@ from .errors import FlockLabError, RejectionOverflow
 from .measures import EmpiricalMeasure, dbl, phase_moments, phase_split
 from .rng import CounterRNG
 
-_DENSITIES = ("uniform-box", "truncated-gaussian", "two-bump")
-_VELOCITIES = ("constant", "linear-shear", "sinusoid", "two-speed-split")
 _REDRAW_BUDGET = 1000
 
-
-def _vector_shapes(kind: str, d: int) -> dict:
-    """The shape each vector parameter of a density or velocity kind must
-    have in dimension d."""
-    return {
-        "uniform-box": {"center": (d,)},
-        "truncated-gaussian": {"center": (d,)},
-        "two-bump": {"centers": (2, d)},
-        "constant": {"value": (d,)},
-        "linear-shear": {"base": (d,), "gradient": (d, d)},
-        "sinusoid": {"amplitude": (d,), "wavenumber": (d,)},
-        "two-speed-split": {"values": (2, d)},
-    }[kind]
-
-
-# the scalar parameters of each kind; _vector_shapes names the vector ones
-_SCALARS = {
-    "uniform-box": ("halfwidth",),
-    "truncated-gaussian": ("sigma", "cut"),
-    "two-bump": ("halfwidth", "split"),
-    "two-speed-split": ("fraction",),
+# Every parameter of each density and velocity kind: its shape ("d" stands
+# for the dimension) and the open range (low, high) of each of its entries.
+_VECTOR = (("d",), -math.inf, math.inf)
+_PAIR = ((2, "d"), -math.inf, math.inf)
+_POSITIVE = ((), 0.0, math.inf)
+_FRACTION = ((), 0.0, 1.0)
+_DENSITIES = {
+    "uniform-box": {"center": _VECTOR, "halfwidth": _POSITIVE},
+    "truncated-gaussian": {"center": _VECTOR, "sigma": _POSITIVE, "cut": _POSITIVE},
+    "two-bump": {"centers": _PAIR, "split": _FRACTION, "halfwidth": _POSITIVE},
+}
+_VELOCITIES = {
+    "constant": {"value": _VECTOR},
+    "linear-shear": {"base": _VECTOR, "gradient": (("d", "d"), -math.inf, math.inf)},
+    "sinusoid": {"amplitude": _VECTOR, "wavenumber": _VECTOR},
+    "two-speed-split": {"values": _PAIR, "fraction": _FRACTION},
 }
 
 
@@ -77,13 +73,14 @@ class InitialSpec:
     density_params / velocity_params by kind:
       uniform-box: center (d,), halfwidth > 0
       truncated-gaussian: center (d,), sigma > 0, cut > 0 (radius, redraw outside)
-      two-bump: centers (2, d), halfwidth, split in (0, 1)
+      two-bump: centers (2, d), halfwidth > 0, split in (0, 1)
       constant: value (d,)
       linear-shear: base (d,), gradient (d, d); u(x) = base + gradient @ x
       sinusoid: amplitude (d,), wavenumber (d,); u(x) = amplitude * sin(k . x)
       two-speed-split: values (2, d), fraction in (0, 1)
-    A missing parameter, or a vector parameter of any other shape, raises
-    ValueError naming the kind and the key.
+    A missing or unknown parameter, a vector parameter of any other shape,
+    or a parameter with a non-finite entry raises ValueError naming the
+    kind and the key.
     Every draw must satisfy |x| <= M and |u0(x)| <= M for the configured
     bound M; violations raise at sampling time, not construction.
     """
@@ -98,19 +95,19 @@ class InitialSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
-        if self.density not in _DENSITIES:
-            raise ValueError(f"unknown density kind {self.density!r}")
-        if self.velocity not in _VELOCITIES:
-            raise ValueError(f"unknown velocity kind {self.velocity!r}")
-        for kind, params in (
-            (self.density, self.density_params),
-            (self.velocity, self.velocity_params),
+        for role, kind, params, table in (
+            ("density", self.density, self.density_params, _DENSITIES),
+            ("velocity", self.velocity, self.velocity_params, _VELOCITIES),
         ):
-            shapes = _vector_shapes(kind, self.d)
-            for key in (*shapes, *_SCALARS.get(kind, ())):
+            if kind not in table:
+                raise ValueError(f"unknown {role} kind {kind!r}")
+            for key in params:
+                if key not in table[kind]:
+                    raise ValueError(f"{kind} parameter {key!r} is unknown")
+            for key, (shape, low, high) in table[kind].items():
                 if key not in params:
                     raise ValueError(f"{kind} parameter {key!r} is missing")
-            for key, shape in shapes.items():
+                shape = tuple(self.d if n == "d" else n for n in shape)
                 try:
                     got = np.shape(params[key])
                 except ValueError:  # ragged nested lists
@@ -120,22 +117,14 @@ class InitialSpec:
                         f"{kind} parameter {key!r} must have shape {shape} "
                         f"for d = {self.d}"
                     )
-        if self.density == "uniform-box":
-            if float(self.density_params["halfwidth"]) <= 0:
-                raise ValueError("halfwidth must be positive")
-        elif self.density == "truncated-gaussian":
-            if float(self.density_params["sigma"]) <= 0:
-                raise ValueError("sigma must be positive")
-            if float(self.density_params["cut"]) <= 0:
-                raise ValueError("cut must be positive")
-        else:
-            if not 0 < float(self.density_params["split"]) < 1:
-                raise ValueError("split must lie in (0, 1)")
-            if float(self.density_params["halfwidth"]) <= 0:
-                raise ValueError("halfwidth must be positive")
-        if self.velocity == "two-speed-split":
-            if not 0 < float(self.velocity_params["fraction"]) < 1:
-                raise ValueError("fraction must lie in (0, 1)")
+                value = np.asarray(params[key], float)
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{kind} parameter {key!r} must be finite")
+                if not ((low < value) & (value < high)).all():
+                    raise ValueError(
+                        f"{key} must be positive" if high == math.inf
+                        else f"{key} must lie in ({low:g}, {high:g})"
+                    )
 
     def support_diameter(self) -> float:
         """Diameter of the recipe's spatial support (exact, not sampled);
@@ -150,88 +139,104 @@ class InitialSpec:
         return gap + 2.0 * float(p["halfwidth"]) * math.sqrt(self.d)
 
 
-def _draw_position(spec: InitialSpec, rng: CounterRNG) -> np.ndarray:
-    d = spec.d
+def _norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a, bit for bit: one BLAS dot per row,
+    whose sum order a reduction over the rows does not reproduce at d >= 2."""
+    return np.sqrt(a[:, 0] ** 2 if a.shape[1] == 1 else [r.dot(r) for r in a])
+
+
+def _positions(spec: InitialSpec, rng: CounterRNG, rows: np.ndarray):
+    """One position draw from each stream of rng that rows indexes.  A
+    stream whose truncated gaussian rounds all fall outside the cut gets a
+    NaN row, which no draw from finite parameters gives."""
     p = spec.density_params
-    if spec.density == "uniform-box":
-        c = np.asarray(p["center"], float)
-        h = float(p["halfwidth"])
-        return c + rng.uniform(d, -h, h)
     if spec.density == "truncated-gaussian":
-        c = np.asarray(p["center"], float)
-        s = float(p["sigma"])
-        cut = float(p["cut"])
+        x = np.full((len(rows), spec.d), np.nan)
+        todo = np.arange(len(rows))
         for _ in range(_REDRAW_BUDGET):
-            g = s * rng.normal(d)
-            if np.linalg.norm(g) <= cut:
-                return c + g
-        raise RejectionOverflow(
-            "truncated gaussian redraw budget exhausted",
-            budget=_REDRAW_BUDGET,
-        )
-    centers = np.asarray(p["centers"], float)
+            g = float(p["sigma"]) * rng.normal(spec.d, rows[todo])
+            ok = _norms(g) <= float(p["cut"])
+            x[todo[ok]] = np.asarray(p["center"], float) + g[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+        return x
     h = float(p["halfwidth"])
-    split = float(p["split"])
-    pick = centers[0] if rng.uniform(1)[0] < split else centers[1]
-    return pick + rng.uniform(d, -h, h)
+    if spec.density == "uniform-box":
+        base = np.asarray(p["center"], float)
+    else:
+        centers = np.asarray(p["centers"], float)
+        near = rng.uniform(1, rows=rows)[:, 0] < float(p["split"])
+        base = np.where(near[:, None], centers[0], centers[1])
+    return base + rng.uniform(spec.d, -h, h, rows)
 
 
-def _velocity_at(spec: InitialSpec, x: np.ndarray, rng: CounterRNG) -> np.ndarray:
+def _velocities(spec: InitialSpec, x: np.ndarray, rng: CounterRNG):
+    """u0 at each position x[i], with one matrix or dot product per row
+    for the reason _norms gives.  The two-speed coin of atom i is the next
+    draw of stream i, after its position draws, so that the spatial stream
+    does not depend on the velocity kind."""
     p = spec.velocity_params
     if spec.velocity == "constant":
-        return np.asarray(p["value"], float).copy()
+        return np.tile(np.asarray(p["value"], float), (len(x), 1))
     if spec.velocity == "linear-shear":
-        base = np.asarray(p["base"], float)
-        grad = np.asarray(p["gradient"], float)
-        return base + grad @ x
+        base, grad = np.asarray(p["base"], float), np.asarray(p["gradient"], float)
+        return np.array([base + grad @ r for r in x]).reshape(x.shape)
     if spec.velocity == "sinusoid":
-        amp = np.asarray(p["amplitude"], float)
         k = np.asarray(p["wavenumber"], float)
-        return amp * math.sin(float(k @ x))
+        return np.asarray(p["amplitude"], float) * np.sin([k @ r for r in x])[:, None]
     values = np.asarray(p["values"], float)
-    frac = float(p["fraction"])
-    # coin drawn after the position so the spatial stream is unchanged
-    return values[0].copy() if rng.uniform(1)[0] < frac else values[1].copy()
+    first = rng.uniform(1, rows=np.arange(len(x)))[:, 0] < float(p["fraction"])
+    return np.where(first[:, None], values[0], values[1])
 
 
 def sample_initial(spec: InitialSpec, n: int, bound: float):
     """Draw n phase atoms (positions x, velocities v) from the recipe.
 
     Atom i uses substream i of the seed; prefixes are stable under growing
-    n.  Exact position duplicates are redrawn from later counters of the
-    same substream (budget per atom, then RejectionOverflow).  Raises if a
-    draw lands outside |x| <= bound or |v| <= bound.
+    n.  Exact repeats of an earlier atom's position are redrawn, in index
+    order, from later counters of the same substream (budget per atom,
+    then RejectionOverflow).  Raises if a draw lands outside |x| <= bound
+    or |v| <= bound.  Of these failures, the lowest atom's is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    root = CounterRNG(spec.seed)
-    xs = np.empty((n, spec.d))
-    vs = np.empty((n, spec.d))
-    seen = set()
-    for i in range(n):
-        sub = root.spawn(i)
-        for attempt in range(_REDRAW_BUDGET):
-            x = _draw_position(spec, sub)
-            key = x.tobytes()
-            if key not in seen:
-                break
-        else:
-            raise RejectionOverflow(
+    rng = CounterRNG(spec.seed).spawn(np.arange(n))
+    x = _positions(spec, rng, np.arange(n))
+    tries = np.ones(n, dtype=int)
+    while True:
+        # the atoms before stop drew positions; the first repeat is redrawn
+        stop = int(np.argmax(np.append(np.isnan(x[:, 0]), True)))
+        _, first = np.unique(x[:stop].view(np.uint64), axis=0, return_index=True)
+        if len(first) == stop:
+            error = None if stop == n else RejectionOverflow(
+                "truncated gaussian redraw budget exhausted",
+                budget=_REDRAW_BUDGET,
+            )
+            break
+        i = int(np.setdiff1d(np.arange(stop), first)[0])
+        if tries[i] == _REDRAW_BUDGET:
+            stop, error = i, RejectionOverflow(
                 "duplicate-position redraw budget exhausted",
                 atom=i,
                 budget=_REDRAW_BUDGET,
             )
-        seen.add(key)
-        v = _velocity_at(spec, x, sub)
-        if np.linalg.norm(x) > bound or np.linalg.norm(v) > bound:
-            raise ValueError(
-                "initial recipe escapes the configured bound: "
-                f"|x|={np.linalg.norm(x):.3g}, |v|={np.linalg.norm(v):.3g}, "
-                f"bound={bound:.3g}"
-            )
-        xs[i] = x
-        vs[i] = v
-    return xs, vs
+            break
+        x[i] = _positions(spec, rng, np.array([i]))
+        tries[i] += 1
+    x = x[:stop]
+    v = _velocities(spec, x, rng)
+    nx, nv = _norms(x), _norms(v)
+    escaped = np.flatnonzero(~((nx <= bound) & (nv <= bound)))
+    if escaped.size:
+        i = escaped[0]
+        raise ValueError(
+            "initial recipe escapes the configured bound: "
+            f"|x|={nx[i]:.3g}, |v|={nv[i]:.3g}, bound={bound:.3g}"
+        )
+    if error is not None:
+        raise error
+    return x, v
 
 
 @dataclass(frozen=True)
@@ -439,11 +444,9 @@ def _study_single_n(
     snap_times,
     tol,
     battery,
-    atoms,
 ):
     d = spec.d
-    # the study's one draw, or this N's own when that draw failed
-    x0, v0 = sample_initial(spec, n, bound) if atoms is None else atoms
+    x0, v0 = sample_initial(spec, n, bound)
     params = dynamics.ModelParams(d=d, alpha=alpha, N=n, T=horizon, M=bound)
     traj = dynamics.integrate(
         dynamics.ParticleState(0.0, x0, v0),
@@ -506,10 +509,9 @@ def refinement_study(
     error record, and so is a failed flat distance between two runs (support
     cap, pivot budget); the study continues.
 
-    The largest N is sampled once and every N runs on its prefix.  When
-    that draw raises RejectionOverflow, every N draws its own sample, so
-    only the N that reach the failing atom fail.  The N run one after
-    another in n_list order.
+    Each N draws its own sample, so a RejectionOverflow fails only the N
+    that reach the failing atom.  The N run one after another in n_list
+    order.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) != len(n_list):
@@ -528,18 +530,12 @@ def refinement_study(
         snap_times,
     )
 
-    try:
-        xs, vs = sample_initial(spec, max(n_list), bound)
-    except RejectionOverflow:
-        xs = vs = None
-
     runs = []  # (row, spatial marginals at the probes) per N
     for n in n_list:
-        atoms = None if xs is None else (xs[:n], vs[:n])
         try:
             runs.append(_study_single_n(
                 spec, n, alpha, horizon, bound, h, probes, snap_times,
-                tol, battery, atoms,
+                tol, battery,
             ))
         except FlockLabError as exc:
             row = StudyRow(
@@ -629,6 +625,8 @@ def pair_alignment_study(
     """
     v1 = np.asarray(v1, float)
     v2 = np.asarray(v2, float)
+    if v1.shape != v2.shape:
+        raise ValueError(f"v1 and v2 differ in length: {len(v1)} and {len(v2)}")
     d = v1.shape[0]
     w0 = float(np.linalg.norm(v1 - v2))
     bound = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))

@@ -19,11 +19,15 @@ The algorithm, written out (all arithmetic modulo 2**64):
     substream(key, i) = mix64(key ^ mix64((i + 1) * GAMMA))
 
 ``output`` is the SplitMix64 sequence for seed ``key``; ``substream``
-derives the key of child stream i (used to give every sampled atom its own
-stream).  Uniform doubles in [0, 1) take the top 53 bits:
-``(output >> 11) * 2.0**-53``.  Normal deviates use the Box-Muller
-transform on two consecutive uniforms, with the first uniform remapped away
-from zero via u -> 1 - u.
+(CounterRNG.spawn) derives the key of child stream i, which gives every
+sampled atom and every battery test function its own stream.  Uniform
+doubles in [0, 1) take the top 53 bits: ``(output >> 11) * 2.0**-53``.
+Normal deviates use the Box-Muller transform on two consecutive uniforms,
+with the first uniform remapped away from zero via u -> 1 - u.
+
+A CounterRNG may hold an array of streams, each with its own counter, so a
+sampler draws for all its atoms at once; each stream gives the outputs it
+gives alone.
 """
 
 from __future__ import annotations
@@ -45,45 +49,41 @@ def mix64(z):
         return z ^ (z >> _U64(31))
 
 
-def substream(key: int, index: int) -> int:
-    """Key of child stream ``index`` under master ``key``."""
-    k = np.uint64(key)
-    i = np.uint64(int(index) & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        return int(mix64(k ^ mix64((i + _U64(1)) * _GAMMA)))
-
-
 class CounterRNG:
-    """Sequential view of one SplitMix64 stream.
+    """Sequential view of one SplitMix64 stream, or of an array of them.
 
-    Draws advance an internal counter; ``jump`` to any counter is allowed
-    because outputs depend only on (key, counter).
+    ``key`` is one key or an array of keys, each stream with its own
+    counter.  A draw of n values, from every stream or from those that
+    ``rows`` indexes, has shape key.shape + (n,) and advances only the
+    streams it draws from.
     """
 
-    def __init__(self, key: int, counter: int = 0):
-        self.key = np.uint64(key)
-        self.counter = int(counter)
+    def __init__(self, key, counter: int = 0):
+        self.key = np.asarray(key, dtype=np.uint64)
+        self.counter = np.full(self.key.shape, counter, dtype=np.uint64)
 
-    def spawn(self, index: int) -> "CounterRNG":
-        """Independent child stream; stable under parent consumption."""
-        return CounterRNG(substream(int(self.key), index))
-
-    def raw(self, n: int) -> np.ndarray:
-        """Next n raw uint64 outputs."""
-        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
+    def spawn(self, index) -> "CounterRNG":
+        """Child stream ``index`` of a one-stream generator, or an array of
+        children for an array of indices; stable under parent consumption."""
+        i = np.asarray(index, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return mix64(self.key + ks * _GAMMA)
+            return CounterRNG(mix64(self.key ^ mix64((i + _U64(1)) * _GAMMA)))
 
-    def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def raw(self, n: int, rows=...) -> np.ndarray:
+        """Next n raw uint64 outputs of each selected stream."""
+        ks = self.counter[rows][..., None] + np.arange(1, n + 1, dtype=np.uint64)
+        self.counter[rows] += _U64(n)
+        with np.errstate(over="ignore"):
+            return mix64(self.key[rows][..., None] + ks * _GAMMA)
+
+    def uniform(self, n: int, low=0.0, high=1.0, rows=...) -> np.ndarray:
         """n uniform doubles in [low, high) from the top 53 bits."""
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = (self.raw(n, rows) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return low + (high - low) * u
 
-    def normal(self, n: int) -> np.ndarray:
+    def normal(self, n: int, rows=...) -> np.ndarray:
         """n standard normals via Box-Muller on consecutive uniform pairs."""
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs).reshape(pairs, 2)
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        theta = 2.0 * np.pi * u[:, 1]
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        u = self.uniform(2 * ((n + 1) // 2), rows=rows)
+        r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+        theta = 2.0 * np.pi * u[..., 1::2]
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]

@@ -135,9 +135,9 @@ def load_trajectory(stem) -> Trajectory:
     the loaded object has empty step arrays.
 
     Every row must have 2 + 2d fields, every snapshot exactly the rows
-    i = 0..N-1, the file snapshot_count snapshots, every position and
-    velocity finite, and the snapshots strictly increasing times
-    (Trajectory checks that), or ValueError is raised.  A "tol" of null
+    i = 0..N-1, the file snapshot_count snapshots, and the snapshots
+    finite positions and velocities at strictly increasing times
+    (Trajectory checks those two), or ValueError is raised.  A "tol" of null
     (a fixed-step run of an earlier version) loads as None; keys this
     version no longer writes are ignored.
     """
@@ -181,8 +181,6 @@ def load_trajectory(stem) -> Trajectory:
         )
     # (S, N, 2d): positions, then velocities
     data = np.array(blocks, dtype=np.float64).reshape(len(blocks), params.N, 2 * d)
-    if not np.isfinite(data).all():
-        raise ValueError("snapshot positions and velocities must be finite")
     empty = np.zeros(0)
     return Trajectory(
         params=params,

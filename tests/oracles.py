@@ -78,6 +78,14 @@ exponential steps: explicit Dormand-Prince steps throughout, which a stiff
 pair holds at the method's stability limit.  The differential tests
 compare the package against it bit for bit on states without a stiff
 pair, and to 10 tol against a tight-tolerance run on states with one.
+
+loop_sample_initial is the sampler the package used before it drew every
+atom at once: one CounterRNG stream spawned per atom, a few numbers drawn
+at a time, a set of the positions seen so far for the repeat redraws, and
+the bound checked atom by atom, so the first failing atom raises.  Its
+bound check is written as not |x| <= bound, which a NaN fails.  The
+differential tests compare the array sampler against it bit for bit, and
+its exceptions by type, message and detail.
 """
 
 from __future__ import annotations
@@ -110,6 +118,7 @@ from flocklab.errors import (
     CollisionalState,
     NonFiniteState,
     PivotBudgetExceeded,
+    RejectionOverflow,
     StepBudgetExceeded,
     StepCollapse,
     SupportTooLarge,
@@ -123,6 +132,7 @@ from flocklab.pairs import (
     relative_sums,
     sq_distances,
 )
+from flocklab.rng import CounterRNG
 from flocklab.weakform import _check_grids, cumulative_trapezoid
 
 
@@ -1484,3 +1494,80 @@ def pair_study_dict(self) -> dict:
         "horizon": self.horizon,
         "rows": [pair_row_dict(r) for r in self.rows],
     }
+
+
+LOOP_REDRAW_BUDGET = 1000
+
+
+def _loop_position(spec, rng):
+    d = spec.d
+    p = spec.density_params
+    if spec.density == "uniform-box":
+        c = np.asarray(p["center"], float)
+        h = float(p["halfwidth"])
+        return c + rng.uniform(d, -h, h)
+    if spec.density == "truncated-gaussian":
+        c = np.asarray(p["center"], float)
+        s = float(p["sigma"])
+        cut = float(p["cut"])
+        for _ in range(LOOP_REDRAW_BUDGET):
+            g = s * rng.normal(d)
+            if np.linalg.norm(g) <= cut:
+                return c + g
+        raise RejectionOverflow(
+            "truncated gaussian redraw budget exhausted",
+            budget=LOOP_REDRAW_BUDGET,
+        )
+    centers = np.asarray(p["centers"], float)
+    h = float(p["halfwidth"])
+    split = float(p["split"])
+    pick = centers[0] if rng.uniform(1)[0] < split else centers[1]
+    return pick + rng.uniform(d, -h, h)
+
+
+def _loop_velocity(spec, x, rng):
+    p = spec.velocity_params
+    if spec.velocity == "constant":
+        return np.asarray(p["value"], float).copy()
+    if spec.velocity == "linear-shear":
+        base = np.asarray(p["base"], float)
+        grad = np.asarray(p["gradient"], float)
+        return base + grad @ x
+    if spec.velocity == "sinusoid":
+        amp = np.asarray(p["amplitude"], float)
+        k = np.asarray(p["wavenumber"], float)
+        return amp * math.sin(float(k @ x))
+    values = np.asarray(p["values"], float)
+    frac = float(p["fraction"])
+    return values[0].copy() if rng.uniform(1)[0] < frac else values[1].copy()
+
+
+def loop_sample_initial(spec, n: int, bound: float):
+    root = CounterRNG(spec.seed)
+    xs = np.empty((n, spec.d))
+    vs = np.empty((n, spec.d))
+    seen = set()
+    for i in range(n):
+        sub = root.spawn(i)
+        for _ in range(LOOP_REDRAW_BUDGET):
+            x = _loop_position(spec, sub)
+            key = x.tobytes()
+            if key not in seen:
+                break
+        else:
+            raise RejectionOverflow(
+                "duplicate-position redraw budget exhausted",
+                atom=i,
+                budget=LOOP_REDRAW_BUDGET,
+            )
+        seen.add(key)
+        v = _loop_velocity(spec, x, sub)
+        if not np.linalg.norm(x) <= bound or not np.linalg.norm(v) <= bound:
+            raise ValueError(
+                "initial recipe escapes the configured bound: "
+                f"|x|={np.linalg.norm(x):.3g}, |v|={np.linalg.norm(v):.3g}, "
+                f"bound={bound:.3g}"
+            )
+        xs[i] = x
+        vs[i] = v
+    return xs, vs

@@ -493,6 +493,20 @@ def test_pairstudy_cli(tmp_path):
     assert len(lines) == 2
 
 
+def test_pairstudy_velocities_of_different_lengths(tmp_path, capsys):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps(
+        {"alpha": 1.5, "eps_list": [0.5], "v1": [0.5, 0.0], "v2": [-0.5]}
+    ))
+    out = tmp_path / "pair"
+    assert cli.main(["pairstudy", "--config", str(cfg), "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert doc == {"error": {
+        "type": "ValueError",
+        "message": "v1 and v2 differ in length: 2 and 1",
+    }}
+
+
 # ---- errors ----
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flocklab.dynamics
-from flocklab import meanfield, pairs, storage, weakform
+from flocklab import meanfield, pairs, schemas, storage, weakform
 from flocklab.dynamics import ModelParams, ParticleState, Trajectory, integrate
 from flocklab.errors import RejectionOverflow, StepCollapse
 from flocklab.meanfield import (
@@ -21,6 +21,7 @@ from flocklab.meanfield import (
     snapshot_fields,
 )
 from flocklab.measures import EmpiricalMeasure, from_particles
+from flocklab.rng import CounterRNG
 from flocklab.weakform import (
     FieldBattery,
     continuity_residuals,
@@ -30,7 +31,13 @@ from flocklab.weakform import (
     vector_battery,
 )
 
-from oracles import grid_enstrophy, loop_local_fields, loop_mk, pair_series
+from oracles import (
+    grid_enstrophy,
+    loop_local_fields,
+    loop_mk,
+    loop_sample_initial,
+    pair_series,
+)
 
 
 def box_spec(seed=0, d=1, velocity=None, vparams=None):
@@ -54,6 +61,117 @@ def test_prefix_property():
     x_big, v_big = sample_initial(spec, 17, bound=2.0)
     assert np.array_equal(x_small, x_big[:6])
     assert np.array_equal(v_small, v_big[:6])
+
+
+def recipe(density, velocity, d, seed, **over):
+    """A recipe of each kind in dimension d whose every draw stays inside
+    |x|, |v| <= 3; over replaces density parameters."""
+    dparams = {
+        "uniform-box": {"center": [0.1] * d, "halfwidth": 0.8},
+        "truncated-gaussian": {"center": [0.2] * d, "sigma": 0.6, "cut": 0.9},
+        "two-bump": {"centers": [[-0.6] * d, [0.5] * d], "halfwidth": 0.3,
+                     "split": 0.4},
+    }[density]
+    vparams = {
+        "constant": {"value": [0.2] * d},
+        "linear-shear": {
+            "base": [0.1] * d,
+            "gradient": (0.1 * np.arange(d * d).reshape(d, d) - 0.3).tolist(),
+        },
+        "sinusoid": {"amplitude": [0.4, -0.3, 0.2][:d],
+                     "wavenumber": [2.0, -1.3, 0.7][:d]},
+        "two-speed-split": {"values": [[0.5] * d, [-0.5] * d],
+                            "fraction": 0.3},
+    }[velocity]
+    return InitialSpec(d, density, {**dparams, **over}, velocity, vparams, seed)
+
+
+def outcome(sampler, spec, n, bound):
+    try:
+        return sampler(spec, n, bound)
+    except (ValueError, RejectionOverflow) as exc:
+        return exc
+
+
+def assert_matches_loop(spec, n, bound):
+    """sample_initial gives the per-atom oracle's arrays bit for bit, or
+    its exception by type, message and detail; returns the outcome."""
+    want = outcome(loop_sample_initial, spec, n, bound)
+    got = outcome(sample_initial, spec, n, bound)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "detail", None) == getattr(want, "detail", None)
+    else:
+        assert not isinstance(got, Exception), got
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+    return want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("velocity", [
+    "constant", "linear-shear", "sinusoid", "two-speed-split",
+])
+@pytest.mark.parametrize("density", [
+    "uniform-box", "truncated-gaussian", "two-bump",
+])
+def test_sample_matches_per_atom_loop(density, velocity, d):
+    for seed in (0, 1, 5, 2**63 + 11):
+        spec = recipe(density, velocity, d, seed)
+        for n in (1, 300):
+            assert not isinstance(assert_matches_loop(spec, n, 3.0), Exception)
+
+
+@pytest.mark.parametrize("d, halfwidth", [(1, 2.0**-50), (2, 2.0**-52)])
+def test_forced_repeats_match_per_atom_loop(d, halfwidth):
+    # positions this close to 1.0 take about a dozen values in all, so
+    # most of these draws hold atoms that repeat earlier ones
+    for seed in (0, 1, 5):
+        spec = recipe("uniform-box", "two-speed-split", d, seed,
+                      center=[1.0] * d, halfwidth=halfwidth)
+        for n in (3, 5, 8):
+            x, _ = assert_matches_loop(spec, n, 3.0)
+            assert len(np.unique(x, axis=0)) == n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_norms_are_the_per_vector_norms(d):
+    # the gaussian cut and the bound decide on these norms; a row-wise
+    # reduction differs from the per-vector BLAS dot in about 8% of rows
+    a = CounterRNG(d).uniform(3000 * d, -1.0, 1.0).reshape(3000, d)
+    want = np.array([np.linalg.norm(row) for row in a])
+    assert np.array_equal(meanfield._norms(a), want)
+
+
+@pytest.mark.parametrize("spec, n, bound, error, message", [
+    # every gaussian round of atom 0 falls outside the cut
+    (recipe("truncated-gaussian", "constant", 2, 4, sigma=1.0, cut=1e-9),
+     5, 3.0, RejectionOverflow, "truncated gaussian"),
+    # about one round in 330 lands inside the cut: atom 22 exhausts them
+    (recipe("truncated-gaussian", "linear-shear", 1, 3, sigma=1.0,
+            cut=0.0038), 300, 3.0, RejectionOverflow, "truncated gaussian"),
+    # every position rounds to 1.0: atom 1 repeats atom 0 in each redraw,
+    # and its gaussian rounds run out first
+    (recipe("truncated-gaussian", "constant", 1, 1, center=[1.0],
+            sigma=2.0**-50, cut=0.0038 * 2.0**-50),
+     3, 3.0, RejectionOverflow, "truncated gaussian"),
+    # a dozen positions for 20 atoms
+    (recipe("uniform-box", "constant", 1, 0, center=[1.0],
+            halfwidth=2.0**-50),
+     20, 3.0, RejectionOverflow, "duplicate-position"),
+    (recipe("uniform-box", "constant", 1, 0), 300, 0.85, ValueError, "bound"),
+    (recipe("uniform-box", "sinusoid", 2, 1), 300, 0.5, ValueError, "bound"),
+    # the same draws as the overflows above, with a bound that an earlier
+    # atom escapes
+    (recipe("truncated-gaussian", "linear-shear", 1, 3, sigma=1.0,
+            cut=0.0038), 300, 0.2, ValueError, "bound"),
+    (recipe("uniform-box", "constant", 1, 0, center=[1.0],
+            halfwidth=2.0**-50), 20, 1.0, ValueError, "bound"),
+])
+def test_failed_sample_raises_as_per_atom_loop(spec, n, bound, error, message):
+    want = assert_matches_loop(spec, n, bound)
+    assert isinstance(want, error) and message in str(want)
 
 
 def test_seed_changes_sample():
@@ -110,6 +228,51 @@ def test_vector_parameters_must_match_the_dimension(
 def test_missing_parameters_are_named(density, dparams, velocity, vparams, key):
     with pytest.raises(ValueError, match=f"{key!r} is missing"):
         InitialSpec(1, density, dparams, velocity, vparams, seed=0)
+
+
+@pytest.mark.parametrize("density, dparams, velocity, vparams, kind, key", [
+    # these drew 1000 repeats per atom before a RejectionOverflow
+    ("uniform-box", {"center": [0.0], "halfwidth": math.nan},
+     "constant", {"value": [0.1]}, "uniform-box", "halfwidth"),
+    ("uniform-box", {"center": [0.0], "halfwidth": math.inf},
+     "constant", {"value": [0.1]}, "uniform-box", "halfwidth"),
+    ("uniform-box", {"center": [math.nan], "halfwidth": 1.0},
+     "constant", {"value": [0.1]}, "uniform-box", "center"),
+    # this sampled NaN velocities inside the bound
+    ("uniform-box", {"center": [0.0], "halfwidth": 1.0},
+     "constant", {"value": [math.nan]}, "constant", "value"),
+    ("two-bump", {"centers": [[-1.0], [math.inf]], "halfwidth": 0.1,
+                  "split": 0.5},
+     "constant", {"value": [0.1]}, "two-bump", "centers"),
+    ("truncated-gaussian", {"center": [0.0], "sigma": 0.3, "cut": math.inf},
+     "constant", {"value": [0.1]}, "truncated-gaussian", "cut"),
+    ("uniform-box", {"center": [0.0], "halfwidth": 1.0},
+     "two-speed-split", {"values": [[0.5], [-0.5]], "fraction": math.nan},
+     "two-speed-split", "fraction"),
+])
+def test_non_finite_parameters_are_named(
+    density, dparams, velocity, vparams, kind, key
+):
+    with pytest.raises(ValueError, match=f"^{kind} parameter {key!r} must be finite"):
+        InitialSpec(1, density, dparams, velocity, vparams, seed=0)
+
+
+@pytest.mark.parametrize("dparams, vparams, kind, key", [
+    ({"center": [0.0], "halfwidth": 1.0, "halfwidht": 3},
+     {"value": [0.1]}, "uniform-box", "halfwidht"),
+    ({"center": [0.0], "halfwidth": 1.0},
+     {"value": [0.1], "fraction": 0.5}, "constant", "fraction"),
+])
+def test_unknown_parameters_are_named(dparams, vparams, kind, key):
+    with pytest.raises(ValueError, match=f"^{kind} parameter {key!r} is unknown"):
+        InitialSpec(1, "uniform-box", dparams, "constant", vparams, seed=0)
+
+
+def test_schema_lists_the_kinds_of_the_recipe_table():
+    # schemas may not import meanfield, so the kind names live in both
+    props = schemas._INITIAL["properties"]
+    assert props["density"]["enum"] == list(meanfield._DENSITIES)
+    assert props["velocity"]["enum"] == list(meanfield._VELOCITIES)
 
 
 def test_bound_enforced_at_sampling():
@@ -244,8 +407,6 @@ def test_mk_index_equals_variance_in_one_cell():
 
 
 def test_mk_index_lipschitz_bound():
-    from flocklab.rng import CounterRNG
-
     x = CounterRNG(0).uniform(200, -1.0, 1.0).reshape(200, 1)
     lip = 0.5
     v = lip * x  # exactly Lipschitz velocity field
@@ -501,7 +662,9 @@ def test_refinement_study_survives_single_failure(monkeypatch):
     assert rep.energy_cauchy == (None,)
 
 
-def test_refinement_study_samples_once(monkeypatch):
+def test_refinement_study_samples_each_n(monkeypatch):
+    # each N draws its own sample, and prefix stability makes it the
+    # prefix of one draw of the largest N
     real = meanfield.sample_initial
     drawn = []
 
@@ -509,10 +672,15 @@ def test_refinement_study_samples_once(monkeypatch):
         drawn.append(n)
         return real(spec, n, bound)
 
+    def prefix_of_16(spec, n, bound):
+        return tuple(a[:n] for a in real(spec, 16, bound))
+
     monkeypatch.setattr(meanfield, "sample_initial", record)
     rep = small_study()
-    assert drawn == [16]
+    assert drawn == [8, 16]
     assert all(row.error is None for row in rep.rows)
+    monkeypatch.setattr(meanfield, "sample_initial", prefix_of_16)
+    assert small_study().rows == rep.rows
 
 
 def test_rejection_overflow_fails_only_the_runs_past_its_atom(monkeypatch):
@@ -529,7 +697,7 @@ def test_rejection_overflow_fails_only_the_runs_past_its_atom(monkeypatch):
     want = small_study().rows
     monkeypatch.setattr(meanfield, "sample_initial", overflow_at_12)
     rep = small_study()
-    assert drawn == [16, 8, 16]
+    assert drawn == [8, 16]
     assert rep.rows[0] == want[0]
     assert rep.rows[1].energy is None
     assert rep.rows[1].error == {

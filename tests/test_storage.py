@@ -104,7 +104,7 @@ def test_trajectory_csv_bytes(tmp_path):
         params=ModelParams(d=1, alpha=1.5, N=2, T=0.5, M=2.0),
         times=np.array([0.0, 0.5]),
         x=np.array([[[-0.5], [0.5]], [[-0.25], [0.25]]]),
-        v=np.array([[[0.5], [-0.5]], [[NAN], [-0.25]]]),
+        v=np.array([[[0.5], [-0.5]], [[0.1], [-0.25]]]),
         step_t=np.zeros(0),
         step_h=np.zeros(0),
         step_err=np.zeros(0),
@@ -116,9 +116,27 @@ def test_trajectory_csv_bytes(tmp_path):
         b"t,i,x1,v1\r\n"
         b"0.0,0,-0.5,0.5\r\n"
         b"0.0,1,0.5,-0.5\r\n"
-        b"0.5,0,-0.25,\r\n"
+        b"0.5,0,-0.25,0.1\r\n"
         b"0.5,1,0.25,-0.25\r\n"
     )
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+@pytest.mark.parametrize("field", ["x", "v"])
+def test_trajectory_rejects_non_finite_snapshots(field, bad):
+    # the CSV writer would leave an empty cell that no loader can read back
+    arrays = {"x": np.array([[[-0.5], [0.5]]]), "v": np.array([[[0.5], [-0.5]]])}
+    arrays[field][0, 1, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Trajectory(
+            params=ModelParams(d=1, alpha=1.5, N=2, T=0.5, M=2.0),
+            times=np.array([0.0]),
+            step_t=np.zeros(0),
+            step_h=np.zeros(0),
+            step_err=np.zeros(0),
+            step_min_dist=np.zeros(0),
+            **arrays,
+        )
 
 
 def test_measure_csv_bytes(tmp_path):
