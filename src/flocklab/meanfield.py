@@ -20,9 +20,8 @@ study and ``flocklab residual``: weakform.FieldBattery runs the
 weak-identity pass of the kinetic residuals over the binned cells, as
 weighted atoms with velocity factors 1 and v_k.  A study draws its
 battery once: every N runs on the same snapshot times, so one
-FieldBattery serves every N.  The study runs its N one after another, and
-each N draws its own sample, whose atoms are the prefix of the largest
-N's.
+FieldBattery serves every N.  Each N draws its own sample, and the N run
+one after another.
 
 The package's import graph is acyclic: this module imports dynamics,
 pairs, weakform and measures, and diagnostics imports this one for
@@ -142,7 +141,7 @@ class InitialSpec:
 def _norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of a, bit for bit: one BLAS dot per row,
     whose sum order a reduction over the rows does not reproduce at d >= 2."""
-    return np.sqrt(a[:, 0] ** 2 if a.shape[1] == 1 else [r.dot(r) for r in a])
+    return np.sqrt([r.dot(r) for r in a])
 
 
 def _positions(spec: InitialSpec, rng: CounterRNG, rows: np.ndarray):
@@ -180,11 +179,13 @@ def _velocities(spec: InitialSpec, x: np.ndarray, rng: CounterRNG):
     if spec.velocity == "constant":
         return np.tile(np.asarray(p["value"], float), (len(x), 1))
     if spec.velocity == "linear-shear":
-        base, grad = np.asarray(p["base"], float), np.asarray(p["gradient"], float)
+        base = np.asarray(p["base"], float)
+        grad = np.asarray(p["gradient"], float)
         return np.array([base + grad @ r for r in x]).reshape(x.shape)
     if spec.velocity == "sinusoid":
+        amp = np.asarray(p["amplitude"], float)
         k = np.asarray(p["wavenumber"], float)
-        return np.asarray(p["amplitude"], float) * np.sin([k @ r for r in x])[:, None]
+        return amp * np.array([math.sin(k @ r) for r in x])[:, None]
     values = np.asarray(p["values"], float)
     first = rng.uniform(1, rows=np.arange(len(x)))[:, 0] < float(p["fraction"])
     return np.where(first[:, None], values[0], values[1])
@@ -204,19 +205,23 @@ def sample_initial(spec: InitialSpec, n: int, bound: float):
     rng = CounterRNG(spec.seed).spawn(np.arange(n))
     x = _positions(spec, rng, np.arange(n))
     tries = np.ones(n, dtype=int)
+    error = None
     while True:
         # the atoms before stop drew positions; the first repeat is redrawn
-        stop = int(np.argmax(np.append(np.isnan(x[:, 0]), True)))
+        unplaced = np.flatnonzero(np.isnan(x[:, 0]))
+        stop = int(unplaced[0]) if unplaced.size else n
         _, first = np.unique(x[:stop].view(np.uint64), axis=0, return_index=True)
         if len(first) == stop:
-            error = None if stop == n else RejectionOverflow(
-                "truncated gaussian redraw budget exhausted",
-                budget=_REDRAW_BUDGET,
-            )
+            if stop < n:
+                error = RejectionOverflow(
+                    "truncated gaussian redraw budget exhausted",
+                    budget=_REDRAW_BUDGET,
+                )
             break
         i = int(np.setdiff1d(np.arange(stop), first)[0])
         if tries[i] == _REDRAW_BUDGET:
-            stop, error = i, RejectionOverflow(
+            stop = i
+            error = RejectionOverflow(
                 "duplicate-position redraw budget exhausted",
                 atom=i,
                 budget=_REDRAW_BUDGET,
@@ -510,8 +515,9 @@ def refinement_study(
     cap, pivot budget); the study continues.
 
     Each N draws its own sample, so a RejectionOverflow fails only the N
-    that reach the failing atom.  The N run one after another in n_list
-    order.
+    that reach the failing atom.  A draw that escapes the bound raises
+    ValueError from the first N that reaches the escaping atom, after the
+    N before it have run.  The N run one after another in n_list order.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) != len(n_list):
@@ -658,18 +664,18 @@ def pair_alignment_study(
         rel = np.sqrt(pairs.sq_distances(traj.v)[:, 0, 1])
         psi = dist ** (-alpha)
         d_int = float(np.trapezoid(dee, times))
+        r_min = float(dist.min())
 
         half = w0 / 2.0
         below = np.flatnonzero(rel <= half)
         if below.size == 0:
-            rows.append(
-                PairRow(eps, None, None, d_int, float(dist.min()), None)
-            )
+            rows.append(PairRow(eps, None, None, d_int, r_min, None))
             continue
         k = int(below[0])
+        kint = weakform.cumulative_trapezoid(times, psi)
         if k == 0:
             t_half = 0.0
-            frac = 0.0
+            kernel_integral = 0.0
         else:
             lo, hi = rel[k - 1], rel[k]
             # exponential decay: interpolate linearly in the log
@@ -677,20 +683,7 @@ def pair_alignment_study(
                 math.log(lo) - math.log(hi)
             )
             t_half = float(times[k - 1] + frac * (times[k] - times[k - 1]))
-        kint = weakform.cumulative_trapezoid(times, psi)
-        if k == 0:
-            kernel_integral = 0.0
-        else:
             step = 0.5 * (psi[k - 1] + psi[k]) * (times[k] - times[k - 1])
             kernel_integral = float(kint[k - 1] + frac * step)
-        rows.append(
-            PairRow(
-                eps,
-                t_half,
-                kernel_integral,
-                d_int,
-                float(dist.min()),
-                None,
-            )
-        )
+        rows.append(PairRow(eps, t_half, kernel_integral, d_int, r_min, None))
     return PairStudy(alpha=float(alpha), horizon=float(horizon), rows=tuple(rows))

@@ -23,11 +23,9 @@ The algorithm, written out (all arithmetic modulo 2**64):
 sampled atom and every battery test function its own stream.  Uniform
 doubles in [0, 1) take the top 53 bits: ``(output >> 11) * 2.0**-53``.
 Normal deviates use the Box-Muller transform on two consecutive uniforms,
-with the first uniform remapped away from zero via u -> 1 - u.
-
-A CounterRNG may hold an array of streams, each with its own counter, so a
-sampler draws for all its atoms at once; each stream gives the outputs it
-gives alone.
+with the first uniform remapped away from zero via u -> 1 - u.  A
+CounterRNG may hold an array of streams, one counter each, so a sampler
+draws for all its atoms at once.
 """
 
 from __future__ import annotations

@@ -708,6 +708,24 @@ def test_rejection_overflow_fails_only_the_runs_past_its_atom(monkeypatch):
     assert rep.dbl_cauchy == (None,)
 
 
+def test_bound_escape_fails_the_study_at_the_first_n_past_its_atom(monkeypatch):
+    # a bound escape is not a run failure: the first N that reaches the
+    # escaping atom raises it, after the N before it have run
+    real = meanfield.sample_initial
+    drawn = []
+
+    def escape_at_12(spec, n, bound):
+        drawn.append(n)
+        if n > 12:
+            raise ValueError("initial recipe escapes the configured bound")
+        return real(spec, n, bound)
+
+    monkeypatch.setattr(meanfield, "sample_initial", escape_at_12)
+    with pytest.raises(ValueError, match="escapes the configured bound"):
+        small_study()
+    assert drawn == [8, 16]
+
+
 def test_refinement_study_records_failed_flat_distance():
     # the 8 + 16 atoms of a pair exceed the cap once every run has finished
     rep = small_study(dbl_cap=10)
