@@ -76,7 +76,7 @@ def beta_eta(eta: float, alpha: float, d: int) -> float:
     ratios).  Raises DivergentNormalization for alpha < d and
     UnsupportedDimension for d >= 3; scaling obeys eta^alpha beta ~ eta^d.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     if d not in (1, 2):
         raise UnsupportedDimension(
@@ -110,7 +110,7 @@ def eta_monokineticity(
     splitting v - u(x) at the partner site and applying the convexity bound
     (s + t)^p <= 2^(p-1) (s^p + t^p) twice.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     x, v, w = phase_split(mu, d)
     _, inverse = np.unique(x, axis=0, return_inverse=True)
@@ -125,11 +125,11 @@ def eta_monokineticity(
     means = np.zeros((k, d))
     np.add.at(means, labels, wn[:, None] * v)
     u = means[labels]
-    dev = np.sqrt(np.einsum("ij,ij->i", v - u, v - u))
+    dev = np.sqrt(((v - u) ** 2).sum(axis=1))
     r = distances(x)
     # every pair counts here, self-pairs included, at eta^(-alpha)
     kern = (r + eta) ** (-alpha)
-    return float((w * dev ** (alpha + 2.0)) @ kern @ w)
+    return float(((w * dev ** (alpha + 2.0))[:, None] * kern * w).sum())
 
 
 def min_distance(mu: EmpiricalMeasure, d: int) -> float:
@@ -179,7 +179,7 @@ def mp_margin(
     Nonnegative whenever speeds stay below M, since every particle moves at
     most (t - t0) M.  Raises SnapshotMissing off the snapshot grid.
     """
-    if t < t0:
+    if not t >= t0:
         raise ValueError("needs t >= t0")
     center = np.asarray(center, float)
     s0 = traj.state_at(t0)

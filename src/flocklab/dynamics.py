@@ -543,11 +543,11 @@ class Trajectory:
         return tuple(self)
 
     def state_at(self, t: float) -> ParticleState:
-        scale = max(1.0, abs(float(t)))
+        t = float(t)
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * scale:
+        if not (math.isfinite(t) and abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t))):
             raise SnapshotMissing(
-                "time not on the stored snapshot grid", requested=float(t)
+                "time not on the stored snapshot grid", requested=t
             )
         return self[k]
 
@@ -630,6 +630,8 @@ def integrate(
     n, d = state0.x.shape
     if (n, d) != (params.N, params.d):
         raise ValueError("state shape does not match params")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     T = float(params.T)
     extra = [] if snapshot_times is None else snapshot_times
     snaps = np.concatenate([[0.0, T], np.asarray(extra, float)])

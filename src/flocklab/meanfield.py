@@ -279,7 +279,7 @@ def _bin(label, x, v, w, count, h) -> list:
     each cell's variance, as one sum over its contiguous slice.  Cells
     whose atoms all carry zero weight are dropped.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("cell width must be positive")
     n, d = x.shape
     rows = np.column_stack([label, np.floor(x / h).astype(np.int64)])
@@ -624,7 +624,9 @@ def pair_alignment_study(
     For the pair the relative velocity obeys w' = -psi(r) w, so the
     half-life t_half of |w| satisfies  int_0^t_half psi(r(s)) ds = ln 2.
     Reported per eps: t_half (bracketing plus log-linear interpolation on
-    a dense snapshot grid; None if not reached by the horizon), the kernel
+    a dense snapshot grid; None if not reached by the horizon; a relative
+    speed of exactly 0 at the first snapshot below half takes the
+    interpolant's limit, t_half at the snapshot before it), the kernel
     integral up to t_half (a consistency check against ln 2), the
     trapezoid integral of the dissipation rate over the whole run, and the
     smallest pair distance observed at snapshots.
@@ -678,10 +680,10 @@ def pair_alignment_study(
             kernel_integral = 0.0
         else:
             lo, hi = rel[k - 1], rel[k]
-            # exponential decay: interpolate linearly in the log
-            frac = (math.log(lo) - math.log(half)) / (
-                math.log(lo) - math.log(hi)
-            )
+            # exponential decay: interpolate linearly in the log (frac -> 0 as hi -> 0)
+            frac = 0.0
+            if hi > 0.0:
+                frac = (math.log(lo) - math.log(half)) / (math.log(lo) - math.log(hi))
             t_half = float(times[k - 1] + frac * (times[k] - times[k - 1]))
             step = 0.5 * (psi[k - 1] + psi[k]) * (times[k] - times[k - 1])
             kernel_integral = float(kint[k - 1] + frac * step)

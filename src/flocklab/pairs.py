@@ -197,7 +197,7 @@ def snapshot_series(
     co-located pairs, so at eta = 0 they add zero terms; with eta > 0 they
     count.  Snapshots go in groups of TILE_ENTRIES // N^2 (at least one).
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("eta must be nonnegative")
     s, n = x.shape[:2]
     group = max(1, TILE_ENTRIES // max(1, n * n))

@@ -15,6 +15,10 @@ pieces with certified analytic bounds:
            (15/8)/(r_out - r_in); Hessian norm <= (10/sqrt 3)/(r_out -
            r_in)^2 for r_in >= r_out - r_in.
 
+The test-function classes are parameter records; the battery tables
+(_tabulate, _bumps, TestFunction._h) are their only evaluators, and the
+pointwise evaluation of one function is a test oracle (tests/oracles.py).
+
 Residuals integrate the transported test function against snapshot data
 with trapezoid quadrature in time.  For an exact solution each residual
 vanishes up to quadrature and binning error; the pair interaction term
@@ -146,11 +150,11 @@ class TestFunction:
         self.lip_v = lip_v * self.scale
         self.sup_dt = (3.0 / self.t_end) * sup_h * self.scale
 
-    def _h(self, v: np.ndarray, plateau=None):
-        r_in, r_out = self.v_plateau
+    def _h(self, v: np.ndarray, plateau):
+        """H and grad_v H at v (n, d), given _plateau(v, *v_plateau)."""
         if self.v_kind == "bump":
             return _bump(v - self.v_center[None, :], self.v_radius**2)
-        p, gp = _plateau(v, r_in, r_out) if plateau is None else plateau
+        p, gp = plateau
         if self.v_kind == "const":
             return p, gp
         if self.v_kind == "linear":
@@ -162,38 +166,10 @@ class TestFunction:
         s2 = np.einsum("ij,ij->i", v, v)
         return s2 * p, s2[:, None] * gp + 2.0 * p[:, None] * v
 
-    def _parts(self, t: float, x: np.ndarray, v: np.ndarray):
-        w, wp = _window(t, self.t_end)
-        g, gg = _bump(x - self.x_center[None, :], self.x_radius**2)
-        h, gh = self._h(v)
-        return w, wp, g, gg, h, gh
-
-    def value(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w, _, g, _, h, _ = self._parts(t, x, v)
-        return self.scale * w * g * h
-
-    def derivatives(self, t: float, x: np.ndarray, v: np.ndarray):
-        """(dt, grad_x, grad_v) from one evaluation of the window, the
-        x-bump and the velocity factor."""
-        w, wp, g, gg, h, gh = self._parts(t, x, v)
-        return (
-            self.scale * wp * g * h,
-            self.scale * w * h[:, None] * gg,
-            self.scale * w * g[:, None] * gh,
-        )
-
-    def dt(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.derivatives(t, x, v)[0]
-
-    def grad_x(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.derivatives(t, x, v)[1]
-
-    def grad_v(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.derivatives(t, x, v)[2]
-
 
 class MacroTestFunction:
-    """Scalar space-time test function w(t) G(x) for the macro equations."""
+    """Scalar space-time test function w(t) G(x) for the macro equations,
+    rescaled so that max(sup |phi|, Lip_x) = 1."""
 
     def __init__(self, d: int, t_end: float, x_center, x_radius: float):
         self.d = d
@@ -206,51 +182,16 @@ class MacroTestFunction:
         self.lip_x = lip * self.scale
         self.sup_dt = (3.0 / self.t_end) * self.scale
 
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        w, _ = _window(t, self.t_end)
-        g, _ = _bump(x - self.x_center[None, :], self.x_radius**2)
-        return self.scale * w * g
-
-    def dt(self, t: float, x: np.ndarray) -> np.ndarray:
-        _, wp = _window(t, self.t_end)
-        g, _ = _bump(x - self.x_center[None, :], self.x_radius**2)
-        return self.scale * wp * g
-
-    def grad_x(self, t: float, x: np.ndarray) -> np.ndarray:
-        w, _ = _window(t, self.t_end)
-        _, gg = _bump(x - self.x_center[None, :], self.x_radius**2)
-        return self.scale * w * gg
-
 
 class VectorTestFunction:
-    """One-component vector test function phi = e_k w(t) G(x)."""
+    """One-component vector test function phi = e_k w(t) G(x); base holds
+    w G and its bounds."""
 
     def __init__(self, base: MacroTestFunction, component: int):
         if not 0 <= component < base.d:
             raise ValueError("component out of range")
         self.base = base
         self.component = component
-        self.d = base.d
-        self.sup_value = base.sup_value
-        self.lip_x = base.lip_x
-        self.sup_dt = base.sup_dt
-
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((x.shape[0], self.d))
-        out[:, self.component] = self.base.value(t, x)
-        return out
-
-    def dt(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((x.shape[0], self.d))
-        out[:, self.component] = self.base.dt(t, x)
-        return out
-
-    def conv(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(u . grad) phi, shape (n, d)."""
-        out = np.zeros((x.shape[0], self.d))
-        g = self.base.grad_x(t, x)
-        out[:, self.component] = np.einsum("ij,ij->i", u, g)
-        return out
 
 
 # ---- batteries ----

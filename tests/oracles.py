@@ -38,8 +38,9 @@ the lean path against them bit for bit.
 loop_continuity_residual and loop_momentum_residual are the per-function
 field residuals the package used before its snapshot-major battery forms.
 They share the package's grid check and pair kernel, read the grid's cell
-arrays, and evaluate each test function through its own methods; the
-differential tests compare the battery forms against them bit for bit.
+arrays, and evaluate each test function pointwise through macro_* and
+vector_*; the differential tests compare the battery forms against them
+bit for bit.
 loop_dissipation_margin is the standalone margin loop the package used
 before the field battery computed continuity, momentum and the margin in
 one pass; the differential tests compare that pass against it bit for bit.
@@ -47,6 +48,10 @@ one pass; the differential tests compare that pass against it bit for bit.
 loop_local_fields is the binning the package used before its field grids
 became arrays: one pass over all atoms per occupied cell.  The
 differential tests compare the array form against it bit for bit.
+
+The phase_*, macro_* and vector_* functions are the pointwise evaluators
+the test-function classes carried as methods.  They share the package's
+window, bump, plateau and TestFunction._h, so they keep the methods' bits.
 
 method_kinetic_residuals is the kinetic battery loop the package used
 before its test functions built their pieces once per snapshot: dt,
@@ -98,7 +103,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate as _si
 
-from flocklab import _flatlp, pairs
+from flocklab import _flatlp, pairs, weakform
 from flocklab.dynamics import (
     _A,
     _B5,
@@ -441,18 +446,18 @@ def tensor_kinetic_terms(traj, phi) -> tuple[float, float, float]:
     b_vals = np.empty(len(times))
     for k, st in enumerate(traj.snapshots):
         a_vals[k] = (
-            phi.dt(st.t, st.x, st.v)
-            + np.einsum("ij,ij->i", st.v, phi.grad_x(st.t, st.x, st.v))
+            phase_dt(phi, st.t, st.x, st.v)
+            + np.einsum("ij,ij->i", st.v, phase_grad_x(phi, st.t, st.x, st.v))
         ).sum() * w
         r = _tensor_distances(st.x)
         mask = ~np.eye(st.x.shape[0], dtype=bool) & (r > 0.0)
         with np.errstate(divide="ignore"):
             psi = np.where(mask, np.where(mask, r, 1.0) ** (-alpha), 0.0)
-        gv = phi.grad_v(st.t, st.x, st.v)
+        gv = phase_grad_v(phi, st.t, st.x, st.v)
         dgv = gv[:, None, :] - gv[None, :, :]
         dv = st.v[:, None, :] - st.v[None, :, :]
         b_vals[k] = w * w * (np.einsum("ijk,ijk->ij", dgv, dv) * psi).sum()
-    phi0 = phi.value(times[0], traj.snapshots[0].x, traj.snapshots[0].v).sum() * w
+    phi0 = phase_value(phi, times[0], traj.x[0], traj.v[0]).sum() * w
     return float(phi0), float(np.trapezoid(a_vals, times)), float(
         np.trapezoid(b_vals, times)
     )
@@ -463,19 +468,69 @@ def tensor_kinetic_residual(traj, phi) -> float:
     return float(abs(-phi0 - a_int + 0.5 * b_int))
 
 
-def _method_dt(phi, t, x, v):
-    _, wp, g, _, h, _ = phi._parts(t, x, v)
+def phase_parts(phi, t, x, v):
+    """(w, w', G, grad G, H, grad_v H) of a TestFunction."""
+    w, wp = weakform._window(t, phi.t_end)
+    g, gg = weakform._bump(x - phi.x_center[None, :], phi.x_radius**2)
+    h, gh = phi._h(v, weakform._plateau(v, *phi.v_plateau))
+    return w, wp, g, gg, h, gh
+
+
+def phase_value(phi, t, x, v):
+    w, _, g, _, h, _ = phase_parts(phi, t, x, v)
+    return phi.scale * w * g * h
+
+
+def phase_dt(phi, t, x, v):
+    _, wp, g, _, h, _ = phase_parts(phi, t, x, v)
     return phi.scale * wp * g * h
 
 
-def _method_grad_x(phi, t, x, v):
-    w, _, _, gg, h, _ = phi._parts(t, x, v)
+def phase_grad_x(phi, t, x, v):
+    w, _, _, gg, h, _ = phase_parts(phi, t, x, v)
     return phi.scale * w * h[:, None] * gg
 
 
-def _method_grad_v(phi, t, x, v):
-    w, _, g, _, _, gh = phi._parts(t, x, v)
+def phase_grad_v(phi, t, x, v):
+    w, _, g, _, _, gh = phase_parts(phi, t, x, v)
     return phi.scale * w * g[:, None] * gh
+
+
+def macro_value(phi, t, x):
+    w, _ = weakform._window(t, phi.t_end)
+    g, _ = weakform._bump(x - phi.x_center[None, :], phi.x_radius**2)
+    return phi.scale * w * g
+
+
+def macro_dt(phi, t, x):
+    _, wp = weakform._window(t, phi.t_end)
+    g, _ = weakform._bump(x - phi.x_center[None, :], phi.x_radius**2)
+    return phi.scale * wp * g
+
+
+def macro_grad_x(phi, t, x):
+    w, _ = weakform._window(t, phi.t_end)
+    _, gg = weakform._bump(x - phi.x_center[None, :], phi.x_radius**2)
+    return phi.scale * w * gg
+
+
+def _component(phi, col):
+    out = np.zeros((col.shape[0], phi.base.d))
+    out[:, phi.component] = col
+    return out
+
+
+def vector_value(phi, t, x):
+    return _component(phi, macro_value(phi.base, t, x))
+
+
+def vector_dt(phi, t, x):
+    return _component(phi, macro_dt(phi.base, t, x))
+
+
+def vector_conv(phi, t, x, u):
+    """(u . grad) phi of a VectorTestFunction, shape (n, d)."""
+    return _component(phi, np.einsum("ij,ij->i", u, macro_grad_x(phi.base, t, x)))
 
 
 def method_kinetic_residuals(traj, phis) -> list:
@@ -496,14 +551,14 @@ def method_kinetic_residuals(traj, phis) -> list:
         pull = relative_sums(psi, v, scratch=work.b)  # = -R
         for f, phi in enumerate(phis):
             a_vals[f, k] = (
-                _method_dt(phi, t, x, v)
-                + np.einsum("ij,ij->i", v, _method_grad_x(phi, t, x, v))
+                phase_dt(phi, t, x, v)
+                + np.einsum("ij,ij->i", v, phase_grad_x(phi, t, x, v))
             ).sum() * w
-            gv = _method_grad_v(phi, t, x, v)
+            gv = phase_grad_v(phi, t, x, v)
             b_vals[f, k] = -2.0 * w * w * np.einsum("ij,ij->", gv, pull)
     out = []
     for f, phi in enumerate(phis):
-        phi0 = phi.value(times[0], traj.x[0], traj.v[0]).sum() * w
+        phi0 = phase_value(phi, times[0], traj.x[0], traj.v[0]).sum() * w
         a_int = np.trapezoid(a_vals[f], times)
         b_int = np.trapezoid(b_vals[f], times)
         out.append(float(abs(-phi0 - a_int + 0.5 * b_int)))
@@ -610,11 +665,10 @@ def loop_continuity_residual(times, grids, phi) -> float:
         if m.size == 0:
             vals[k] = 0.0
             continue
-        vals[k] = float(
-            (m * (phi.dt(t, b) + np.einsum("ij,ij->i", u, phi.grad_x(t, b)))).sum()
-        )
+        flux = macro_dt(phi, t, b) + np.einsum("ij,ij->i", u, macro_grad_x(phi, t, b))
+        vals[k] = float((m * flux).sum())
     b0, m0 = grids[0].barycenter, grids[0].mass
-    phi0 = float((m0 * phi.value(times[0], b0)).sum()) if m0.size else 0.0
+    phi0 = float((m0 * macro_value(phi, times[0], b0)).sum()) if m0.size else 0.0
     return float(abs(phi0 + np.trapezoid(vals, times)))
 
 
@@ -634,21 +688,22 @@ def loop_momentum_residual(
         if m.size == 0:
             tvals[k] = svals[k] = 0.0
             continue
-        drive = phi.dt(t, b) + phi.conv(t, b, u)
+        drive = vector_dt(phi, t, b) + vector_conv(phi, t, b, u)
         tvals[k] = float((m * np.einsum("ij,ij->i", u, drive)).sum())
         psi = kernel(distances(b), alpha)
-        inner = pair_dot(phi.value(t, b), u)
+        inner = pair_dot(vector_value(phi, t, b), u)
         svals[k] = float(((m[:, None] * m[None, :]) * psi * inner).sum())
     if initial_atoms is not None:
         x0, v0, w0 = initial_atoms
         x0 = np.asarray(x0, float)
         v0 = np.asarray(v0, float)
         w0 = np.asarray(w0, float)
-        phi0 = float((w0 * np.einsum("ij,ij->i", v0, phi.value(times[0], x0))).sum())
+        val0 = vector_value(phi, times[0], x0)
+        phi0 = float((w0 * np.einsum("ij,ij->i", v0, val0)).sum())
     else:
         b0, u0, m0 = grids[0].barycenter, grids[0].velocity, grids[0].mass
         phi0 = (
-            float((m0 * np.einsum("ij,ij->i", u0, phi.value(times[0], b0))).sum())
+            float((m0 * np.einsum("ij,ij->i", u0, vector_value(phi, times[0], b0))).sum())
             if m0.size
             else 0.0
         )

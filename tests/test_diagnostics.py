@@ -1,5 +1,7 @@
 """Scalar diagnostics against brute-force loop and quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,11 @@ from flocklab.diagnostics import (
     sf_modulus,
 )
 from flocklab.dynamics import ModelParams, ParticleState, integrate
-from flocklab.errors import DivergentNormalization, UnsupportedDimension
+from flocklab.errors import (
+    DivergentNormalization,
+    SnapshotMissing,
+    UnsupportedDimension,
+)
 from flocklab.meanfield import mk_index
 from flocklab.measures import EmpiricalMeasure, from_particles, momentum
 from flocklab.rng import CounterRNG
@@ -239,6 +245,27 @@ def test_mp_margin_nonnegative_and_validates():
     assert mp_margin(traj, 0.2, 0.6, np.array([0.1]), 0.3) >= -1e-15
     with pytest.raises(ValueError):
         mp_margin(traj, 0.5, 0.2, np.array([0.0]), 0.1)
+    # a NaN time fails the order check; an infinite one has no snapshot
+    for t0, t in ((math.nan, 0.8), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            mp_margin(traj, t0, t, np.array([0.0]), 0.3)
+    with pytest.raises(SnapshotMissing):
+        mp_margin(traj, 0.0, math.inf, np.array([0.0]), 0.3)
+
+
+def test_dalpha_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta"):
+        dalpha(random_measure(3, 4, 1), 1, 1.5, math.nan)
+
+
+def test_beta_eta_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta"):
+        beta_eta(math.nan, 1.5, 1)
+
+
+def test_eta_monokineticity_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta"):
+        eta_monokineticity(random_measure(3, 4, 1), 1, 1.5, math.nan)
 
 
 def test_sf_modulus_vanishes_at_origin_and_shrinks():

@@ -111,6 +111,21 @@ def test_snapshot_grid_is_exact():
         tr.state_at(0.55)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_has_no_snapshot(t):
+    p = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=1.0)
+    tr = integrate(random_state(3, 1, seed=2), p, snapshot_times=[0.5])
+    with pytest.raises(SnapshotMissing):
+        tr.state_at(t)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, 0.0, math.inf, math.nan])
+def test_tolerance_must_be_positive_and_finite(tol):
+    p = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=1.0)
+    with pytest.raises(ValueError, match="tol"):
+        integrate(random_state(3, 1, seed=2), p, tol=tol)
+
+
 def test_snapshot_times_within_rounding_of_the_ends_merge():
     p = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=1.0)
     s = random_state(3, 1, seed=2)

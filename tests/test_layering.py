@@ -242,10 +242,10 @@ def test_blas_uses_finds_every_form():
     assert names == sorted(["linalg", "dot", "dot", "einsum", "@", "@"])
 
 
-@pytest.mark.parametrize("name", ["dynamics", "pairs"])
+@pytest.mark.parametrize("name", ["dynamics", "pairs", "diagnostics"])
 def test_integrator_never_calls_the_blas(name):
-    # the dynamics promise bytes that do not depend on the BLAS: a product
-    # through it sums in a library- and thread-dependent order
+    # the dynamics and the reports promise bytes that do not depend on the
+    # BLAS: a product through it sums in a library- and thread-dependent order
     assert blas_uses(parse(name)) == []
 
 

@@ -463,6 +463,18 @@ def test_local_fields_of_weightless_atoms_is_empty():
         local_fields(mu, 2, 0.0)
 
 
+def test_local_fields_rejects_nan_cell_width():
+    mu = phase_measure([[0.1, 0.2], [-1.0, 3.0]], [[1.0, 0.0]] * 2, [0.5, 0.5])
+    with pytest.raises(ValueError, match="cell width"):
+        local_fields(mu, 2, math.nan)
+
+
+def test_snapshot_fields_rejects_nan_cell_width():
+    traj = stacked_trajectory(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)))
+    with pytest.raises(ValueError, match="cell width"):
+        snapshot_fields(traj, math.nan)
+
+
 def stacked_trajectory(xs, vs, alpha=1.5):
     """A Trajectory holding the given (S, N, d) snapshots, with no step log."""
     s, n, d = xs.shape
@@ -786,6 +798,19 @@ def test_pair_study_dissipation_matches_energy_drop():
     # drop (|w0|^2 - |w(T)|^2)/4, and by t = 6 the pair is fully aligned,
     # so the drop is |w0|^2/4 = 0.16/4
     assert row.d_integral == pytest.approx(0.04, abs=1e-4)
+
+
+def test_pair_study_relative_speed_reaching_zero():
+    # the close pair aligns exactly within the first snapshot interval, so
+    # its relative speed there is 0.0: t_half takes the log-linear limit,
+    # the snapshot before, and the farther pair keeps its own row
+    study = pair_alignment_study(
+        [1e-4, 0.5], [0.5], [-0.5], alpha=2.0, horizon=1.0, grid_points=64
+    )
+    close, far = study.rows
+    assert close.error is None and far.error is None
+    assert close.t_half == 0.0 and close.kernel_integral == 0.0
+    assert far.t_half > 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

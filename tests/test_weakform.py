@@ -34,7 +34,14 @@ from oracles import (
     loop_continuity_residual,
     loop_dissipation_margin,
     loop_momentum_residual,
+    macro_dt,
+    macro_grad_x,
+    macro_value,
     method_kinetic_residuals,
+    phase_dt,
+    phase_grad_v,
+    phase_grad_x,
+    phase_value,
 )
 
 EPS = np.finfo(float).eps
@@ -85,16 +92,19 @@ def test_gradients_match_finite_differences(idx):
     v = rng.uniform(8 * d, -2.5, 2.5).reshape(8, d)
     h = 1e-6
 
-    dt_fd = (phi.value(t + h, x, v) - phi.value(t - h, x, v)) / (2 * h)
-    assert np.allclose(phi.dt(t, x, v), dt_fd, atol=1e-7)
+    def value(t, x, v):
+        return phase_value(phi, t, x, v)
+
+    dt_fd = (value(t + h, x, v) - value(t - h, x, v)) / (2 * h)
+    assert np.allclose(phase_dt(phi, t, x, v), dt_fd, atol=1e-7)
 
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
-        gx_fd = (phi.value(t, x + e, v) - phi.value(t, x - e, v)) / (2 * h)
-        assert np.allclose(phi.grad_x(t, x, v)[:, k], gx_fd, atol=1e-7)
-        gv_fd = (phi.value(t, x, v + e) - phi.value(t, x, v - e)) / (2 * h)
-        assert np.allclose(phi.grad_v(t, x, v)[:, k], gv_fd, atol=1e-7)
+        gx_fd = (value(t, x + e, v) - value(t, x - e, v)) / (2 * h)
+        assert np.allclose(phase_grad_x(phi, t, x, v)[:, k], gx_fd, atol=1e-7)
+        gv_fd = (value(t, x, v + e) - value(t, x, v - e)) / (2 * h)
+        assert np.allclose(phase_grad_v(phi, t, x, v)[:, k], gv_fd, atol=1e-7)
 
 
 def test_macro_gradients_match_finite_differences():
@@ -103,13 +113,13 @@ def test_macro_gradients_match_finite_differences():
     x = rng.uniform(12, -2.0, 2.0).reshape(6, 2)
     h = 1e-6
     t = 0.4
-    dt_fd = (phi.value(t + h, x) - phi.value(t - h, x)) / (2 * h)
-    assert np.allclose(phi.dt(t, x), dt_fd, atol=1e-7)
+    dt_fd = (macro_value(phi, t + h, x) - macro_value(phi, t - h, x)) / (2 * h)
+    assert np.allclose(macro_dt(phi, t, x), dt_fd, atol=1e-7)
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
-        fd = (phi.value(t, x + e) - phi.value(t, x - e)) / (2 * h)
-        assert np.allclose(phi.grad_x(t, x)[:, k], fd, atol=1e-7)
+        fd = (macro_value(phi, t, x + e) - macro_value(phi, t, x - e)) / (2 * h)
+        assert np.allclose(macro_grad_x(phi, t, x)[:, k], fd, atol=1e-7)
 
 
 def test_certified_bounds_hold_on_samples():
@@ -120,13 +130,26 @@ def test_certified_bounds_hold_on_samples():
     for phi in kinetic_battery(d, T, M, size=12, seed=21):
         assert max(phi.sup_value, phi.lip_x, phi.lip_v) == pytest.approx(1.0)
         for t in (0.0, 0.3, 0.79):
-            vals = phi.value(t, pts, vel)
+            vals = phase_value(phi, t, pts, vel)
             assert np.abs(vals).max() <= phi.sup_value + 1e-12
-            assert np.abs(phi.dt(t, pts, vel)).max() <= phi.sup_dt + 1e-12
-            gx = np.linalg.norm(phi.grad_x(t, pts, vel), axis=1)
+            assert np.abs(phase_dt(phi, t, pts, vel)).max() <= phi.sup_dt + 1e-12
+            gx = np.linalg.norm(phase_grad_x(phi, t, pts, vel), axis=1)
             assert gx.max() <= phi.lip_x + 1e-12
-            gv = np.linalg.norm(phi.grad_v(t, pts, vel), axis=1)
+            gv = np.linalg.norm(phase_grad_v(phi, t, pts, vel), axis=1)
             assert gv.max() <= phi.lip_v + 1e-12
+
+
+def test_macro_certified_bounds_hold_on_samples():
+    d, T, M = 2, 0.8, 1.5
+    rng = CounterRNG(6)
+    pts = rng.uniform(4000 * d, -2 * M * (1 + T), 2 * M * (1 + T)).reshape(-1, d)
+    for phi in macro_battery(d, T, M, size=12, seed=21):
+        assert max(phi.sup_value, phi.lip_x) == pytest.approx(1.0)
+        for t in (0.0, 0.3, 0.79):
+            assert np.abs(macro_value(phi, t, pts)).max() <= phi.sup_value + 1e-12
+            assert np.abs(macro_dt(phi, t, pts)).max() <= phi.sup_dt + 1e-12
+            gx = np.linalg.norm(macro_grad_x(phi, t, pts), axis=1)
+            assert gx.max() <= phi.lip_x + 1e-12
 
 
 def test_supports_contained():
@@ -136,12 +159,12 @@ def test_supports_contained():
         far_x = np.array([[2 * M * (1 + T) + 0.1, 0.0]])
         any_v = np.array([[0.3, -0.2]])
         assert np.linalg.norm(phi.x_center) + phi.x_radius <= 2 * M * (1 + T) + 1e-12
-        assert phi.value(0.1, far_x, any_v)[0] == 0.0
+        assert phase_value(phi, 0.1, far_x, any_v)[0] == 0.0
         far_v = np.array([[0.0, 2 * M + 0.1]])
         some_x = phi.x_center[None, :]
-        assert phi.value(0.1, some_x, far_v)[0] == 0.0
+        assert phase_value(phi, 0.1, some_x, far_v)[0] == 0.0
         # and at the final time the window has died
-        assert phi.value(T, some_x, np.zeros((1, 2)))[0] == 0.0
+        assert phase_value(phi, T, some_x, np.zeros((1, 2)))[0] == 0.0
 
 
 def test_battery_reproducible_and_kinds_cycle():
@@ -272,16 +295,17 @@ def test_kinetic_battery_matches_method_oracle(d):
 
 def kinetic_scale(traj, phi) -> float:
     """Sum of |phi0|, |int A| and 1/2 |int B| of the kinetic identity with
-    absolute values taken inside every sum, from phi's methods."""
+    absolute values taken inside every sum, from the oracle evaluators."""
     m = 1.0 / traj.params.N
     a_abs, b_abs = [], []
     for t, x, v in zip(traj.times, traj.x, traj.v):
-        gx, gv = phi.grad_x(t, x, v), phi.grad_v(t, x, v)
-        a_abs.append(m * (np.abs(phi.dt(t, x, v)) + np.abs(v * gx).sum(1)).sum())
+        gx, gv = phase_grad_x(phi, t, x, v), phase_grad_v(phi, t, x, v)
+        dt = phase_dt(phi, t, x, v)
+        a_abs.append(m * (np.abs(dt) + np.abs(v * gx).sum(1)).sum())
         terms = np.abs((gv[:, None] - gv[None]) * (v[:, None] - v[None])).sum(-1)
         psi = kernel(distances(x), traj.params.alpha)
         b_abs.append(m * m * (psi * terms).sum())
-    phi0 = m * np.abs(phi.value(traj.times[0], traj.x[0], traj.v[0])).sum()
+    phi0 = m * np.abs(phase_value(phi, traj.times[0], traj.x[0], traj.v[0])).sum()
     times = traj.times
     return phi0 + np.trapezoid(a_abs, times) + 0.5 * np.trapezoid(b_abs, times)
 
@@ -448,21 +472,22 @@ def cell_pairs(g, alpha):
 
 def momentum_scale(times, grids, phi, alpha, initial_atoms=None) -> float:
     """Sum of |phi0|, |int A| and 1/2 |int B| of the momentum identity with
-    absolute values taken inside every sum, from phi's methods."""
+    absolute values taken inside every sum, from the oracle evaluators."""
     k, base = phi.component, phi.base
     a_abs, b_abs = [], []
     for t, g in zip(times, grids):
         b, u, m = g.barycenter, g.velocity, g.mass
-        flux = np.abs(base.dt(t, b)) + np.abs(u * base.grad_x(t, b)).sum(axis=1)
+        gx = macro_grad_x(base, t, b)
+        flux = np.abs(macro_dt(base, t, b)) + np.abs(u * gx).sum(axis=1)
         a_abs.append((m * np.abs(u[:, k]) * flux).sum())
-        val = base.value(t, b)
+        val = macro_value(base, t, b)
         du = u[:, None, k] - u[None, :, k]
         terms = np.abs(val[:, None] - val[None]) * np.abs(du)
         b_abs.append((cell_pairs(g, alpha) * terms).sum())
     x0, v0, w0 = initial_atoms or (
         grids[0].barycenter, grids[0].velocity, grids[0].mass
     )
-    phi0 = (w0 * np.abs(v0[:, k] * base.value(times[0], x0))).sum()
+    phi0 = (w0 * np.abs(v0[:, k] * macro_value(base, times[0], x0))).sum()
     return phi0 + np.trapezoid(a_abs, times) + 0.5 * np.trapezoid(b_abs, times)
 
 
