@@ -75,9 +75,12 @@ def beta_eta(eta: float, alpha: float, d: int) -> float:
     Equals 1 exactly at alpha = d (the critical case enters only through
     ratios).  Raises DivergentNormalization for alpha < d and
     UnsupportedDimension for d >= 3; scaling obeys eta^alpha beta ~ eta^d.
+    A NaN eta, or an alpha that is not finite, raises ValueError.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if d not in (1, 2):
         raise UnsupportedDimension(
             "closed forms cover d in {1, 2}", dimension=d
@@ -177,11 +180,18 @@ def mp_margin(
         rho_t( B(center, radius + (t - t0) M) ) - rho_t0( B(center, radius) )
 
     Nonnegative whenever speeds stay below M, since every particle moves at
-    most (t - t0) M.  Raises SnapshotMissing off the snapshot grid.
+    most (t - t0) M.  Raises SnapshotMissing off the snapshot grid, and
+    ValueError unless t >= t0, radius >= 0 and center is a finite array
+    of shape (d,).
     """
     if not t >= t0:
         raise ValueError("needs t >= t0")
+    if not radius >= 0:
+        raise ValueError("radius must be nonnegative")
+    d = traj.params.d
     center = np.asarray(center, float)
+    if center.shape != (d,) or not np.isfinite(center).all():
+        raise ValueError(f"center must be a finite array of shape ({d},)")
     s0 = traj.state_at(t0)
     s1 = traj.state_at(t)
     m = traj.params.M

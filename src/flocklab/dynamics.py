@@ -41,13 +41,17 @@ results do not depend on the BLAS, and the antisymmetric pair forces keep
 the total momentum to rounding over long runs.  The stage sums and the
 interpolant are explicit ordered sums for the same reason.
 
-The last Dormand-Prince stage of an accepted step is evaluated at the
-step's end state, which is the state the geometric cap inspects next; the
-cap reuses the pair separations that stage computed (pairs.separations,
-+inf on the self-pairs) instead of rebuilding them, so its minimum
-distance and minimum closing time are plain minima over that grid.  The
-eigenbases come from Householder and Jacobi rotations, not from LAPACK,
-and all their products are elementwise sums.
+The integrator's state, and each stage, is one (2, N, d) array with
+positions in row 0 and velocities in row 1.  The last row of the tableau
+is the 5th-order weights, so the stage loop's seventh stage is evaluated
+at the step's end state, and an accepted step reuses it as the next
+step's first (first same as last).  That end state is the state the
+geometric cap inspects next; the cap reuses the pair separations that
+stage computed (pairs.separations, +inf on the self-pairs) instead of
+rebuilding them, so its minimum distance and minimum closing time are
+plain minima over that grid.  The eigenbases come from Householder and
+Jacobi rotations, not from LAPACK, and all their products are elementwise
+sums.
 """
 
 from __future__ import annotations
@@ -212,8 +216,10 @@ def alignment_rhs(
     return pairs.relative_sums(w, v, scratch=work.b) / n
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau.  _A's last row is the 5th-order weights, so
+# the seventh stage is evaluated at the step's end state (first same as last).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -221,9 +227,8 @@ _A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    _B5[:6],
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # Difference between the 5th and embedded 4th order weights.
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
@@ -247,13 +252,14 @@ _P = np.array([
 
 
 def _dense(y: np.ndarray, h: float, k: list, theta: np.ndarray) -> np.ndarray:
-    """(len(theta), len(y)) states y + h sum_m b_m(theta) k_m of one step.
+    """(len(theta), *y.shape) states y + h sum_m b_m(theta) k_m of one step,
+    for a state of any shape, such as the integrator's (2, N, d).
 
     Every sum runs in a fixed order with elementwise operations only, so
     the bytes do not depend on the BLAS, and each row equals the same
     evaluation at its theta alone.
     """
-    th = theta[:, None]
+    th = theta.reshape(-1, *[1] * y.ndim)
     powers = [th]
     for _ in range(3):
         powers.append(powers[-1] * th)
@@ -416,12 +422,15 @@ class _Lawson:
     and g = F + L_C v, what the force adds to it, goes through the
     Dormand-Prince weights.  Everything else about the step is unchanged.
     Components with more than STIFF_MAX_MEMBERS particles stay explicit.
+
+    States and stages are (2, N, d) arrays of positions and velocities;
+    the first-same-as-last stage is the tableau's last row, s = 6.
     """
 
     def __init__(self, y, h, alpha, r_stiff, work):
         n = len(work.dist)
-        self.h, self.n, self.nd = h, n, len(y) // 2
-        x, v = y[: self.nd].reshape(n, -1), y[self.nd :].reshape(n, -1)
+        self.h = h
+        x, v = y
         dist = pairs.separations(x, out=work.a, scratch=work.b)
         # (c_s - c_m) h for m <= s; the clip spares the unused m > s
         tau = h * np.maximum(_C[:, None] - _C[None, :], 0.0)
@@ -438,7 +447,7 @@ class _Lawson:
 
     def _g(self, c, m, k):
         if c.g[m] is None:
-            force = k[m][self.nd :].reshape(self.n, -1)[c.idx]
+            force = k[m][1][c.idx]
             c.g[m] = _mm(c.qt, force) + c.mu[..., None] * c.vt[m]
         return c.g[m]
 
@@ -446,7 +455,7 @@ class _Lawson:
         """Set the stiff rows of out to the Lawson combination with weights
         a at node c_s: a stage state, or with base=False the error vector,
         which has no x_n or v_n term."""
-        ox, ov = out[: self.nd].reshape(self.n, -1), out[self.nd :].reshape(self.n, -1)
+        ox, ov = out
         for c in self.groups:
             v_new = c.ex[s, 0] * c.vt[0] if base else 0.0
             x_new = c.p1[s, 0] * c.vt[0] if base else 0.0
@@ -465,8 +474,7 @@ class _Lawson:
         the exponential continuous extension: the Dormand-Prince dense
         forcing sum_j G_j theta^j, integrated exactly with phi_1 .. phi_5."""
         h, th = self.h, theta[:, None, None, None]
-        ox = out[:, : self.nd].reshape(len(theta), self.n, -1)
-        ov = out[:, self.nd :].reshape(len(theta), self.n, -1)
+        ox, ov = out[:, 0], out[:, 1]
         for c in self.groups:
             ph = _phi(-h * theta[:, None, None] * c.mu, 5)[..., None]
             v_new = ph[0] * c.vt[0]
@@ -610,7 +618,10 @@ def integrate(
     Dormand-Prince interpolant at theta = (s - t) / h, built from the
     step's seven stages; a snapshot at the step's end gets the step's
     5th-order state.  Interpolated snapshots carry an error of order
-    ``tol`` and lie inside steps the geometric cap has bounded.
+    ``tol`` and lie inside steps the geometric cap has bounded.  The state
+    is a (2, N, d) array of positions and velocities, and one loop over the
+    tableau's rows evaluates a step's seven stages; the last row is the
+    5th-order weights, so the last stage (first same as last) is at y5.
 
     A pair with h 2 psi(r) / N >= STIFF_THRESHOLD at the step size h is
     stiff; 3 stays below the explicit step's stability bound of about 3.3.
@@ -641,34 +652,28 @@ def integrate(
     # clip before de-duplicating, so times within rounding of 0 or T merge
     snaps = sorted_distinct(np.clip(snaps, 0.0, T))
 
-    nd = n * d
-
-    def unpack(y):
-        return y[:nd].reshape(n, d), y[nd:].reshape(n, d)
-
+    # states and stages are (2, N, d): positions in row 0, velocities in row 1
     def f(y):
-        x, v = unpack(y)
-        acc = alignment_rhs(x, v, params.alpha, work=work)
+        acc = alignment_rhs(y[0], y[1], params.alpha, work=work)
         if not np.isfinite(acc).all():
             raise NonFiniteState("force evaluation is not finite", time=t)
-        return np.concatenate([v.ravel(), acc.ravel()])
+        return np.array([y[1], acc])
 
     t = 0.0
-    y = np.concatenate([state0.x.ravel(), state0.v.ravel()])
+    y = np.array([state0.x, state0.v])
     if not np.isfinite(y).all():
         raise NonFiniteState("initial state is not finite", time=0.0)
     # snapshot k goes to xs[k], vs[k]; snaps[0] = 0 is the initial state
     xs = np.empty((len(snaps), n, d))
     vs = np.empty((len(snaps), n, d))
-    xs[0], vs[0] = unpack(y)
+    xs[0], vs[0] = y
     log_t, log_h, log_err, log_dmin, log_stiff = [], [], [], [], []
 
     # work.dist holds the pair separations of the last force evaluation.
     # After the first-same-as-last stage that is exactly the state an
     # accepted step ends in, which the geometric cap inspects next.
     work = pairs.Workspace(n)
-    k = [np.empty_like(y) for _ in range(7)]
-    k[0] = f(y)
+    k = [f(y)] + [None] * 6
 
     h_floor = STEP_FLOOR_FRACTION * T
     # Conservative opening step; the controller recovers quickly.
@@ -682,8 +687,7 @@ def integrate(
     last_rejected = False
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
-    x_now, v_now = unpack(y)
-    cap, dmin_now = _step_cap(x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work)
+    cap, dmin_now = _step_cap(y[0], y[1], GEOMETRY_SAFETY, dist=work.dist, work=work)
 
     while t < T:
         if steps >= max_steps:
@@ -694,7 +698,7 @@ def integrate(
         # catches a controller that keeps rejecting
         h_free = min(h_ctrl, cap)
         if h_free < h_floor:
-            dmin, pair = min_pair_distance(x_now)
+            dmin, pair = min_pair_distance(y[0])
             raise StepCollapse(
                 "step size fell below the floor",
                 time=t,
@@ -712,22 +716,18 @@ def integrate(
             if not lawson.groups:
                 lawson = None
 
-        for s in range(1, 6):
+        # after _A's last row, ys is the 5th-order state y5 at t + h, and
+        # its stage is reused as the first stage of the next step
+        for s in range(1, 7):
             ys = y + h * sum(_A[s][m] * k[m] for m in range(s))
             if lawson is not None:
                 lawson.rows(ys, k, s, _A[s])
             k[s] = f(ys)
-        y5 = y + h * sum(_B5[m] * k[m] for m in range(6))
-        if lawson is not None:
-            lawson.rows(y5, k, 6, _B5[:6])
-        # _B5[6] = 0; the last stage is evaluated at (t+h, y5) and is
-        # reused as the first stage of the next step.
-        k[6] = f(y5)
 
         err_vec = h * sum(_E[m] * k[m] for m in range(7))
         if lawson is not None:
             lawson.rows(err_vec, k, 6, _E, base=False)
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(ys))
         err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
         if not np.isfinite(err):
             raise NonFiniteState(
@@ -748,16 +748,15 @@ def integrate(
                 rows = _dense(y, h, k, theta)
                 if lawson is not None:
                     lawson.dense(rows, k, theta)
-                xs[next_snap:inner] = rows[:, :nd].reshape(-1, n, d)
-                vs[next_snap:inner] = rows[:, nd:].reshape(-1, n, d)
-            y = y5
+                xs[next_snap:inner] = rows[:, 0]
+                vs[next_snap:inner] = rows[:, 1]
+            y = ys
             k[0] = k[6]
-            x_now, v_now = unpack(y)
             if stop > inner:
-                xs[inner], vs[inner] = x_now, v_now
+                xs[inner], vs[inner] = y
             next_snap = stop
             cap, dmin_now = _step_cap(
-                x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work
+                y[0], y[1], GEOMETRY_SAFETY, dist=work.dist, work=work
             )
             log_t.append(t_new)
             log_h.append(h)

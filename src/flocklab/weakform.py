@@ -79,6 +79,20 @@ def _plateau(y: np.ndarray, r_in: float, r_out: float):
     return val, coef[:, None] * y
 
 
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def _center(name: str, center, d: int) -> np.ndarray:
+    center = np.asarray(center, float)
+    if center.shape != (d,) or not np.isfinite(center).all():
+        raise ValueError(f"{name} must be a finite array of shape ({d},)")
+    return center
+
+
 def _window(t: float, t_end: float):
     if t >= t_end:
         return 0.0, 0.0
@@ -95,7 +109,9 @@ class TestFunction:
     "energy" (|v|^2 times the plateau), or "bump" (cube bump at v_center).
     The whole product is rescaled so that
     max(sup |phi|, Lip_x, Lip_v) = 1; certified bounds are stored after
-    scaling.
+    scaling.  t_end, x_radius and v_radius must be positive and finite,
+    0 <= r_in < r_out for v_plateau = (r_in, r_out), and each center a
+    finite array of shape (d,); other values raise ValueError.
     """
 
     __test__ = False  # keep pytest collection away from the name
@@ -117,18 +133,22 @@ class TestFunction:
         if v_kind == "linear" and not 0 <= v_component < d:
             raise ValueError("v_component out of range")
         self.d = d
-        self.t_end = float(t_end)
-        self.x_center = np.asarray(x_center, float)
-        self.x_radius = float(x_radius)
+        self.t_end = _positive("t_end", t_end)
+        self.x_center = _center("x_center", x_center, d)
+        self.x_radius = _positive("x_radius", x_radius)
         self.v_kind = v_kind
         self.v_plateau = (float(v_plateau[0]), float(v_plateau[1]))
         self.v_component = int(v_component)
-        self.v_center = (
-            np.zeros(d) if v_center is None else np.asarray(v_center, float)
+        self.v_center = _center(
+            "v_center", np.zeros(d) if v_center is None else v_center, d
         )
-        self.v_radius = float(v_radius)
+        self.v_radius = (
+            _positive("v_radius", v_radius) if v_kind == "bump" else float(v_radius)
+        )
 
         r_in, r_out = self.v_plateau
+        if not 0.0 <= r_in < r_out < math.inf:
+            raise ValueError("v_plateau must satisfy 0 <= r_in < r_out, finite")
         width = r_out - r_in
         if v_kind == "const":
             sup_h, lip_h = 1.0, _PLATEAU_LIP / width
@@ -169,13 +189,14 @@ class TestFunction:
 
 class MacroTestFunction:
     """Scalar space-time test function w(t) G(x) for the macro equations,
-    rescaled so that max(sup |phi|, Lip_x) = 1."""
+    rescaled so that max(sup |phi|, Lip_x) = 1.  t_end and x_radius must be
+    positive and finite, and x_center a finite array of shape (d,)."""
 
     def __init__(self, d: int, t_end: float, x_center, x_radius: float):
         self.d = d
-        self.t_end = float(t_end)
-        self.x_center = np.asarray(x_center, float)
-        self.x_radius = float(x_radius)
+        self.t_end = _positive("t_end", t_end)
+        self.x_center = _center("x_center", x_center, d)
+        self.x_radius = _positive("x_radius", x_radius)
         lip = _BUMP_LIP / self.x_radius
         self.scale = 1.0 / max(1.0, lip)
         self.sup_value = self.scale
@@ -250,9 +271,12 @@ def vector_battery(d: int, T: float, M: float, size: int = 24, seed: int = 0):
 
 
 def cumulative_trapezoid(t, y) -> np.ndarray:
-    """Trapezoid integrals of y over t from t[0] to each t[k]."""
+    """Trapezoid integrals of y over t from t[0] to each t[k]; t and y are
+    1-D arrays of one length."""
     t = np.asarray(t, float)
     y = np.asarray(y, float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise ValueError(f"need t and y of one length, got {t.shape} and {y.shape}")
     inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
     return np.concatenate([[0.0], np.cumsum(inc)])
 
@@ -268,6 +292,16 @@ def _tabulate(phis, times):
     center = np.array([phi.x_center for phi in phis])
     r2 = np.array([phi.x_radius**2 for phi in phis]).reshape(-1, 1)
     return scale * windows[..., 0], scale * windows[..., 1], center, r2
+
+
+def _check_dimension(phis, d: int):
+    """Raise ValueError unless every test function has the data's
+    dimension d."""
+    for phi in phis:
+        if phi.d != d:
+            raise ValueError(
+                f"test function of dimension {phi.d} on data of dimension {d}"
+            )
 
 
 def _bumps(tables, x: np.ndarray):
@@ -350,6 +384,7 @@ def kinetic_weak_residuals(traj: Trajectory, phis) -> list:
     shared by the functions that use it.
     """
     phis = list(phis)
+    _check_dimension(phis, traj.params.d)
     m = np.full(traj.params.N, 1.0 / traj.params.N)
 
     def factors(v, pull):
@@ -387,12 +422,18 @@ class FieldBattery:
     The continuity identity tests with the scalar parts w G (velocity
     factor H = 1), the momentum identity with the vector functions
     (H = v_k), so one weak-identity pass over the cells serves both.
+    The times must be finite and strictly increasing, as on a Trajectory.
     """
 
     def __init__(self, phis, times):
         self.times = np.asarray(times, float)
+        if self.times.ndim != 1 or not (
+            np.isfinite(self.times).all() and np.all(np.diff(self.times) > 0.0)
+        ):
+            raise ValueError("snapshot times must be finite and strictly increasing")
+        self.bases = [phi.base for phi in phis]
         self.comp = [phi.component for phi in phis]
-        self.tables = _tabulate([phi.base for phi in phis], self.times)
+        self.tables = _tabulate(self.bases, self.times)
 
     def residuals(self, grids, alpha: float, initial_atoms=None):
         """continuity_residual and momentum_residual of every function and
@@ -408,7 +449,7 @@ class FieldBattery:
             raise ValueError(
                 f"{len(grids)} field grids for {len(self.times)} snapshot times"
             )
-        _check_grids(grids)
+        _check_dimension(self.bases, _check_grids(grids)[1])
         comp = self.comp
 
         def factors(v, pull):

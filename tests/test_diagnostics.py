@@ -263,6 +263,30 @@ def test_beta_eta_rejects_nan_eta():
         beta_eta(math.nan, 1.5, 1)
 
 
+def test_beta_eta_rejects_non_finite_alpha():
+    # alpha < d is false for NaN, so this used to return nan, and so did
+    # an infinite alpha at eta < 1
+    for d in (1, 2):
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                beta_eta(0.1, alpha, d)
+
+
+def test_mp_margin_rejects_bad_center_and_radius():
+    params = ModelParams(d=2, alpha=2.0, N=3, T=0.2, M=1.0)
+    x = np.array([[0.0, 0.0], [0.5, 0.1], [-0.3, 0.6]])
+    v = np.array([[0.1, 0.0], [0.0, -0.2], [0.2, 0.1]])
+    snaps = np.linspace(0.0, 0.2, 3)
+    traj = integrate(ParticleState(0.0, x, v), params, tol=1e-9, snapshot_times=snaps)
+    assert mp_margin(traj, 0.0, 0.1, np.array([0.45, 0.0]), 0.2) >= 0.0
+    for center in ([0.45], [0.45, 0.0, 0.0], [math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="center"):
+            mp_margin(traj, 0.0, 0.1, center, 0.2)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            mp_margin(traj, 0.0, 0.1, [0.45, 0.0], radius)
+
+
 def test_eta_monokineticity_rejects_nan_eta():
     with pytest.raises(ValueError, match="eta"):
         eta_monokineticity(random_measure(3, 4, 1), 1, 1.5, math.nan)

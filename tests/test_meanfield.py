@@ -86,6 +86,20 @@ def recipe(density, velocity, d, seed, **over):
     return InitialSpec(d, density, {**dparams, **over}, velocity, vparams, seed)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_support_diameter_of_each_density(d):
+    box = recipe("uniform-box", "constant", d, seed=0)
+    assert box.support_diameter() == 2.0 * 0.8 * math.sqrt(d)
+    gaussian = recipe("truncated-gaussian", "constant", d, seed=0)
+    assert gaussian.support_diameter() == 2.0 * 0.9
+    bumps = recipe("two-bump", "constant", d, seed=0)
+    gap = np.linalg.norm(np.array([-0.6] * d) - np.array([0.5] * d))
+    assert bumps.support_diameter() == pytest.approx(
+        gap + 2.0 * 0.3 * math.sqrt(d), rel=1e-15
+    )
+    assert bumps.support_diameter() == pytest.approx(1.7 * math.sqrt(d), rel=1e-15)
+
+
 def outcome(sampler, spec, n, bound):
     try:
         return sampler(spec, n, bound)
@@ -798,6 +812,37 @@ def test_pair_study_dissipation_matches_energy_drop():
     # drop (|w0|^2 - |w(T)|^2)/4, and by t = 6 the pair is fully aligned,
     # so the drop is |w0|^2/4 = 0.16/4
     assert row.d_integral == pytest.approx(0.04, abs=1e-4)
+
+
+def test_pair_study_records_a_failed_gap_and_keeps_the_others():
+    # co-located particles: the first force evaluation has no kernel
+    study = pair_alignment_study(
+        [0.0, 0.5], [0.5], [-0.5], alpha=2.0, horizon=1.0, grid_points=64
+    )
+    failed, kept = study.rows
+    assert failed.eps == 0.0 and failed.error["error"] == "CollisionalState"
+    assert failed.t_half is None and failed.kernel_integral is None
+    assert failed.d_integral is None and failed.min_distance is None
+    assert kept.error is None and kept.t_half > 0.0
+
+
+def test_pair_study_gap_that_never_halves():
+    # psi = 4^-1.5 = 1/8 would take ln 2 / psi ~ 5.5 to halve |w|, far
+    # beyond the horizon 2, and the sideways drift only widens the gap
+    v1, v2 = [0.3, 0.2], [0.3, -0.2]
+    study = pair_alignment_study([4.0], v1, v2, alpha=1.5, horizon=2.0, grid_points=512)
+    row = study.rows[0]
+    assert row.error is None
+    assert row.t_half is None and row.kernel_integral is None
+    assert row.min_distance == pytest.approx(4.0, abs=1e-12)
+    # the dissipation integral is the energy drop (|w0|^2 - |w(T)|^2) / 4
+    params = ModelParams(d=2, alpha=1.5, N=2, T=2.0, M=1.0)
+    x = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    traj = integrate(ParticleState(0.0, x, np.array([v1, v2])), params, tol=1e-10)
+    w_end = traj.v[-1, 0] - traj.v[-1, 1]
+    drop = (0.16 - w_end @ w_end) / 4.0
+    assert 0.0 < drop < 0.75 * 0.16 / 4.0
+    assert row.d_integral == pytest.approx(drop, rel=1e-4)
 
 
 def test_pair_study_relative_speed_reaching_zero():

@@ -395,7 +395,7 @@ def counting(monkeypatch, name):
 def test_integrate_call_counts_per_step(monkeypatch):
     # one force evaluation to start, six per attempted step (the last
     # stage is reused as the next first stage); one cap per accepted step
-    # plus one at the start.  This run rejects no step.
+    # plus one at the start.  The first run rejects no step.
     rhs = counting(monkeypatch, "alignment_rhs")
     cap = counting(monkeypatch, "_step_cap")
     x, v = cloud(5, 2, seed=1)
@@ -403,6 +403,17 @@ def test_integrate_call_counts_per_step(monkeypatch):
     traj = integrate(ParticleState(0.0, x, v), params, tol=1e-10)
     accepted = len(traj.step_t)
     assert accepted == 12
+    assert len(rhs) == 1 + 6 * accepted
+    assert len(cap) == 1 + accepted
+    # a planted close pair: most steps take the Lawson rows, whose stages
+    # are the same six force evaluations per attempt.  This run rejects no
+    # step either.
+    del rhs[:], cap[:]
+    x = x.copy()
+    x[1] = x[0] + 1e-3 / np.sqrt(2)
+    traj = integrate(ParticleState(0.0, x, v), params, tol=1e-10)
+    accepted = len(traj.step_t)
+    assert (traj.step_stiff > 0).sum() > accepted / 2
     assert len(rhs) == 1 + 6 * accepted
     assert len(cap) == 1 + accepted
 

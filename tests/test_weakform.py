@@ -562,3 +562,90 @@ def test_field_forms_reject_grid_count_mismatch(count):
         momentum_residuals(times, bad, [VectorTestFunction(phi, 0)], 1.5)
     with pytest.raises(ValueError, match=message):
         dissipation_margin(times, bad, 1.5)
+
+
+# ---- parameter and input checks ----
+
+PHASE = dict(d=2, t_end=1.0, x_center=[0.0, 0.0], x_radius=0.5, v_kind="const")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(t_end=0.0),
+        dict(t_end=-1.0),
+        dict(t_end=math.nan),
+        dict(t_end=math.inf),
+        dict(x_radius=0.0),
+        dict(x_radius=-1.0),
+        dict(x_radius=math.nan),
+        dict(v_plateau=(2.0, 1.0)),
+        dict(v_plateau=(1.0, 1.0)),
+        dict(v_plateau=(-0.5, 1.0)),
+        dict(v_plateau=(math.nan, 1.0)),
+        dict(v_plateau=(1.0, math.inf)),
+        dict(x_center=[0.0]),
+        dict(x_center=[0.0, math.nan]),
+        dict(v_center=[0.0, 0.0, 0.0]),
+        dict(v_kind="bump", v_radius=0.0),
+        dict(v_kind="bump", v_radius=math.nan),
+        dict(v_kind="bump", v_center=[math.inf, 0.0]),
+    ],
+)
+def test_test_function_parameters_are_checked(bad):
+    TestFunction(**PHASE)
+    with pytest.raises(ValueError):
+        TestFunction(**{**PHASE, **bad})
+
+
+def test_test_function_rejects_zero_window():
+    # this used to divide by zero in the certified d_t bound
+    with pytest.raises(ValueError, match="t_end"):
+        TestFunction(1, 0.0, [0.0], 0.5, "const")
+
+
+@pytest.mark.parametrize(
+    "t_end, center, radius",
+    [
+        (1.0, [0.0], 0.0),
+        (-1.0, [0.0], 1.0),
+        (math.nan, [0.0], 1.0),
+        (1.0, [0.0], -1.0),
+        (1.0, [0.0], math.inf),
+        (1.0, [0.0, 0.0], 1.0),
+        (1.0, [math.nan], 1.0),
+    ],
+)
+def test_macro_test_function_parameters_are_checked(t_end, center, radius):
+    MacroTestFunction(1, 1.0, [0.0], 1.0)
+    with pytest.raises(ValueError):
+        MacroTestFunction(1, t_end, center, radius)
+
+
+def test_battery_of_other_dimension_is_rejected():
+    x = np.array([[0.0], [0.4], [1.0]])
+    v = np.array([[0.2], [0.0], [-0.1]])
+    params = ModelParams(d=1, alpha=1.5, N=3, T=0.2, M=2.0)
+    traj = integrate(ParticleState(0.0, x, v), params, tol=1e-8)
+    message = "dimension 2 on data of dimension 1"
+    with pytest.raises(ValueError, match=message):
+        kinetic_weak_residuals(traj, kinetic_battery(2, 0.2, 2.0, size=3))
+    times, grids = drifting_cell_sequence(m=5)
+    battery = FieldBattery(vector_battery(2, 1.0, 2.0, size=3), times)
+    with pytest.raises(ValueError, match=message):
+        battery.residuals(grids, 1.5)
+
+
+def test_field_battery_rejects_unordered_times():
+    times, grids = drifting_cell_sequence(m=5)
+    phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        continuity_residuals(times[::-1], grids, [phi])
+    for bad in ([0.0, math.nan, 0.2], [0.0, 0.2, 0.2], [0.0, 0.2, math.inf], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FieldBattery([], bad)
+
+
+def test_cumulative_trapezoid_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="one length"):
+        cumulative_trapezoid([0.0, 1.0, 2.0], [1.0, 2.0])
