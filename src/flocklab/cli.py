@@ -5,13 +5,11 @@ expects a JSON document (see schemas.SCHEMAS); a previously written report
 is also accepted, in which case its embedded config is reused, so any
 report can be reproduced from itself.  The --seed, --tol and --threads
 overrides are merged into that document before it is validated, so they
-pass the same schema check.  A subcommand takes --seed and --tol only when
-its schema has that key: simulate and mfstudy take both, pairstudy takes
---tol, diagnose and residual take neither.  --threads (the ``threads`` key
-of an mfstudy config) is accepted by every config subcommand and changes
-nothing: the study runs its sizes one after another, and no report echoes
-it.  Every subcommand rejects a count below 1 as mfstudy's schema does.
-Outputs land in --out (default
+pass the same schema check.  A subcommand takes an override only when its
+schema has that key: simulate and mfstudy take --seed and --tol, pairstudy
+takes --tol, diagnose and residual take neither, and only mfstudy takes
+--threads, which changes nothing: the study runs its sizes one after
+another, and no report echoes it.  Outputs land in --out (default
 current directory).  Identical config and seed give byte-identical reports
 apart from the generated_at line.
 
@@ -32,20 +30,25 @@ import numpy as np
 from . import schemas, storage
 from .errors import FlockLabError
 
+# command-line overrides of config keys: (key, type, help).  A subcommand
+# has one only where its schema has the key.
+_OVERRIDES = (
+    ("seed", int, "seed override"),
+    ("tol", float, "tolerance override"),
+    ("threads", int, "accepted for old configs; changes nothing"),
+)
+
 
 def _load_config(args, kind: str) -> dict:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if isinstance(doc, dict) and "kind" in doc and "config" in doc:
         doc = doc["config"]
-    props = schemas.SCHEMAS[kind]["properties"]
     if isinstance(doc, dict):
         # command-line overrides are part of the document the schema checks
-        for key in ("seed", "tol", "threads"):
+        for key, _, _ in _OVERRIDES:
             value = getattr(args, key, None)
-            if value is not None and key in props:
+            if value is not None:
                 doc[key] = value
-    if args.threads is not None and "threads" not in props:
-        schemas.check_threads(args.threads)
     return schemas.resolve(kind, doc)
 
 
@@ -246,18 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, kind):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        # an override exists only where the schema has its key
-        props = schemas.SCHEMAS[kind]["properties"]
-        if "seed" in props:
-            p.add_argument("--seed", type=int, default=None, help="seed override")
-        if "tol" in props:
-            p.add_argument(
-                "--tol", type=float, default=None, help="tolerance override"
-            )
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="accepted for old configs; changes nothing",
-        )
+        for key, type_, help_ in _OVERRIDES:
+            if key in schemas.SCHEMAS[kind]["properties"]:
+                p.add_argument(f"--{key}", type=type_, default=None, help=help_)
 
     p = sub.add_parser("simulate", help="integrate one ensemble and diagnose it")
     common(p, "simulate")
@@ -289,32 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(exc: Exception) -> dict:
-    if isinstance(exc, FlockLabError):
-        body = exc.to_dict()
-    else:
-        body = {"type": type(exc).__name__, "message": str(exc)}
-    return {"error": body}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - single choke point for the CLI
-        import jsonschema
-
-        handled = (
-            FlockLabError,
-            ValueError,
-            KeyError,
-            OSError,
-            json.JSONDecodeError,
-            jsonschema.ValidationError,
-        )
-        if not isinstance(exc, handled):
-            raise
-        payload = _error_payload(exc)
+    except (FlockLabError, ValueError, KeyError, OSError) as exc:
+        # ValueError covers schemas.ValidationError and json.JSONDecodeError
+        if isinstance(exc, FlockLabError):
+            payload = {"error": exc.to_dict()}
+        else:
+            payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload, sort_keys=True))
         out = getattr(args, "out", None)
         if out is not None:

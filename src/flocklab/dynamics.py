@@ -196,9 +196,7 @@ def alignment_rhs(
     The accumulated pair forces are antisymmetric, so the velocity
     derivatives sum to zero up to the rounding of the row sums.
     """
-    n, d = x.shape
-    if n == 1:
-        return np.zeros((1, d))
+    n = x.shape[0]
     if work is None:
         work = pairs.Workspace(n)
     dist = pairs.separations(x, out=work.dist, scratch=work.a)
@@ -584,19 +582,13 @@ def _step_cap(
     division, and their minimum an np.fmin reduction, which skips the
     0 / 0 of a co-located pair in lockstep.
     """
-    n = x.shape[0]
-    if n < 2:
-        return np.inf, np.inf
     if work is None:
-        work = pairs.Workspace(n)
+        work = pairs.Workspace(x.shape[0])
     if dist is None:
         dist = pairs.separations(x, out=work.dist, scratch=work.a)
     dmin = float(dist.min())
     closing = pairs.closing_times(dist, v, out=work.a, scratch=work.b)
-    tau = float(np.fmin.reduce(closing, axis=None))
-    if tau == np.inf:
-        return np.inf, dmin
-    return safety * tau, dmin
+    return safety * float(np.fmin.reduce(closing, axis=None)), dmin
 
 
 def integrate(

@@ -4,10 +4,12 @@ Configs are JSON objects validated before execution; defaults below are
 merged in afterwards so that every report can embed the fully resolved
 config it ran with.
 
-A config is accepted by ``_conforms``, a stdlib check of exactly the JSON
-Schema keywords used here, with Draft 2020-12 semantics (a bool is not a
-number, ``1.0`` is an integer).  jsonschema is imported only to explain a
-rejected config, so it alone words every schema violation.
+One stdlib pass, ``_violations``, checks exactly the JSON Schema keywords
+used here, with Draft 2020-12 semantics (a bool is not a number, ``1.0``
+is an integer), and words a rejection as jsonschema would: the error
+raised is the one its ``best_match`` picks, with its message and path.
+No third-party package is needed to run a config; jsonschema is the
+tests' oracle only.
 
 JSON Schema bounds cannot reject NaN (every comparison with it is false),
 and Python's JSON reader and argparse both accept NaN and Infinity.  So a
@@ -21,14 +23,14 @@ They are accepted at their defaults only (0, null and the default ladder),
 so every report written with them still reproduces from itself, byte for
 byte.  ``threads`` in an mfstudy config named the worker threads of a
 study that now runs its sizes one after another; any positive count is
-accepted, changes nothing and is not echoed into reports.  The other
-config subcommands take ``--threads`` without a schema key (a report
-echoes its config) and check the count by the same rule.
+accepted, changes nothing and is not echoed into reports.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 _INITIAL = {
     "type": "object",
@@ -51,7 +53,6 @@ _NONNEG = {"type": "number", "minimum": 0}
 # the collision-avoidance regime the particle model is defined for
 _ALPHA = {"type": "number", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
-_THREADS = {"type": "integer", "minimum": 1}
 # the unregularized kernel and the adaptive integrator, the only modes
 _NO_FLOOR = {"enum": [0]}
 _NO_FIXED_STEP = {"enum": [None]}
@@ -125,7 +126,7 @@ SCHEMAS = {
             "battery_seed": _SEED,
             "kernel_floor": _NO_FLOOR,
             "dbl_cap": {"type": "integer", "minimum": 1},
-            "threads": _THREADS,
+            "threads": {"type": "integer", "minimum": 1},
         },
         "additionalProperties": False,
     },
@@ -195,80 +196,102 @@ def _same(a, b) -> bool:
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
-# the keywords _conforms implements; SCHEMAS may use no other
+# the keywords _violations implements; SCHEMAS may use no other
 _KEYWORDS = frozenset({
     "type", "enum", "required", "properties", "additionalProperties",
     "minimum", "maximum", "exclusiveMinimum", "items", "minItems",
 })
 
 
-def _conforms(doc, schema) -> bool:
-    """Whether ``doc`` satisfies ``schema``, for the keywords SCHEMAS uses.
+class ValidationError(ValueError):
+    """A config that breaks its schema or the finiteness rule: ``message``
+    says how, ``path`` (a tuple of keys and indices) says where."""
 
-    Each keyword constrains only instances of its own JSON type, as in the
-    specification.  The bound checks are jsonschema's own failure tests, so
-    NaN passes them there and here alike.
+    def __init__(self, message: str, path: tuple, instance):
+        self.message = message
+        self.path = path
+        where = "".join(f"[{key!r}]" for key in path)
+        super().__init__(f"{message}\n\nOn instance{where}:\n    {instance!r}")
+
+
+def _violations(doc, schema, path=()):
+    """(path, message) of every way ``doc`` breaks ``schema``, for the
+    _KEYWORDS (``additionalProperties`` as false only).
+
+    Keywords run in the schema's key order and each constrains only
+    instances of its own JSON type, so the errors come in the order of
+    jsonschema's ``iter_errors`` and in its words.  The bound checks are
+    its failure tests too, so NaN passes them.
     """
-    if isinstance(schema, bool):
-        return schema
-    types = schema.get("type")
-    if types is not None:
-        names = [types] if isinstance(types, str) else types
-        if not any(_TYPES[name](doc) for name in names):
-            return False
-    if "enum" in schema and not any(_same(doc, v) for v in schema["enum"]):
-        return False
-    if isinstance(doc, dict):
-        if any(key not in doc for key in schema.get("required", ())):
-            return False
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        for key, value in doc.items():
-            if not _conforms(value, props[key] if key in props else extra):
-                return False
-    if _is_number(doc):
-        if "minimum" in schema and doc < schema["minimum"]:
-            return False
-        if "maximum" in schema and doc > schema["maximum"]:
-            return False
-        if "exclusiveMinimum" in schema and doc <= schema["exclusiveMinimum"]:
-            return False
-    if isinstance(doc, list):
-        if len(doc) < schema.get("minItems", 0):
-            return False
-        items = schema.get("items", True)
-        if not all(_conforms(item, items) for item in doc):
-            return False
-    return True
+    for key, rule in schema.items():
+        if key == "type":
+            names = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[name](doc) for name in names):
+                yield path, f"{doc!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "enum":
+            if not any(_same(doc, value) for value in rule):
+                yield path, f"{doc!r} is not one of {rule!r}"
+        elif isinstance(doc, dict):
+            if key == "required":
+                for name in rule:
+                    if name not in doc:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in rule.items():
+                    if name in doc:
+                        yield from _violations(doc[name], sub, path + (name,))
+            elif key == "additionalProperties" and rule is False:
+                extras = sorted(doc.keys() - schema["properties"].keys(), key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, (
+                        "Additional properties are not allowed "
+                        f"({', '.join(map(repr, extras))} {verb} unexpected)"
+                    )
+        elif _is_number(doc):
+            if key == "minimum" and doc < rule:
+                yield path, f"{doc!r} is less than the minimum of {rule!r}"
+            elif key == "maximum" and doc > rule:
+                yield path, f"{doc!r} is greater than the maximum of {rule!r}"
+            elif key == "exclusiveMinimum" and doc <= rule:
+                yield path, (
+                    f"{doc!r} is less than or equal to the minimum of {rule!r}"
+                )
+        elif isinstance(doc, list):
+            if key == "minItems" and len(doc) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{doc!r} {short}"
+            elif key == "items":
+                for i, item in enumerate(doc):
+                    yield from _violations(item, rule, path + (i,))
 
 
 def _non_finite(doc, path=()):
-    """(path, value) of the first NaN or infinity in ``doc``, or None."""
+    """(path, value) of every NaN or infinity in ``doc``, in document order."""
     if isinstance(doc, float) and not math.isfinite(doc):
-        return path, doc
+        yield path, doc
     items = (
         doc.items() if isinstance(doc, dict)
         else enumerate(doc) if isinstance(doc, list)
         else ()
     )
     for key, value in items:
-        found = _non_finite(value, path + (key,))
-        if found is not None:
-            return found
-    return None
+        yield from _non_finite(value, path + (key,))
 
 
 def _validate(doc, schema) -> None:
-    """Raise jsonschema.ValidationError unless ``doc`` satisfies ``schema``."""
-    if not _conforms(doc, schema):
-        import jsonschema
-
-        jsonschema.validate(doc, schema)
-
-
-def check_threads(count) -> None:
-    """Reject a ``--threads`` count below 1 with a ValidationError."""
-    _validate(count, _THREADS)
+    """Raise ValidationError unless ``doc`` satisfies ``schema``: the
+    error jsonschema's ``best_match`` picks, the first with the shortest
+    and then largest path.  (Its third key, whether the instance has the
+    subschema's type, ties too: in SCHEMAS a path has one subschema.)"""
+    best = max(
+        _violations(doc, schema), key=lambda e: (-len(e[0]), e[0]), default=None
+    )
+    if best is not None:
+        path, message = best
+        raise ValidationError(message, path, functools.reduce(
+            operator.getitem, path, doc
+        ))
 
 
 def check_cap(cap) -> None:
@@ -281,20 +304,13 @@ def resolve(kind: str, doc: dict) -> dict:
     """Validate a config document and merge in the defaults.
 
     A document that violates the schema, or that holds a NaN or an
-    infinity, raises ``jsonschema.ValidationError``.
+    infinity, raises ValidationError.
     """
     _validate(doc, SCHEMAS[kind])
-    found = _non_finite(doc)
+    found = next(_non_finite(doc), None)
     if found is not None:
-        import jsonschema
-
         path, value = found
-        where = "".join(f"[{key!r}]" for key in path)
-        raise jsonschema.ValidationError(
-            f"{value!r} is not a finite number\n\nOn instance{where}:\n"
-            f"    {value!r}",
-            path=path,
-        )
+        raise ValidationError(f"{value!r} is not a finite number", path, value)
     out = dict(DEFAULTS.get(kind, {}))
     out.update(doc)
     return out

@@ -93,6 +93,12 @@ def _center(name: str, center, d: int) -> np.ndarray:
     return center
 
 
+def _component(name: str, value, d: int) -> int:
+    if not (isinstance(value, (int, np.integer)) and 0 <= value < d):
+        raise ValueError(f"{name} must be an integer in [0, {d}), not {value!r}")
+    return int(value)
+
+
 def _window(t: float, t_end: float):
     if t >= t_end:
         return 0.0, 0.0
@@ -110,8 +116,9 @@ class TestFunction:
     The whole product is rescaled so that
     max(sup |phi|, Lip_x, Lip_v) = 1; certified bounds are stored after
     scaling.  t_end, x_radius and v_radius must be positive and finite,
-    0 <= r_in < r_out for v_plateau = (r_in, r_out), and each center a
-    finite array of shape (d,); other values raise ValueError.
+    0 <= r_in < r_out for v_plateau = (r_in, r_out), each center a
+    finite array of shape (d,), and v_component an integer in [0, d);
+    other values raise ValueError.
     """
 
     __test__ = False  # keep pytest collection away from the name
@@ -130,15 +137,13 @@ class TestFunction:
     ):
         if v_kind not in ("const", "linear", "energy", "bump"):
             raise ValueError(f"unknown v_kind {v_kind!r}")
-        if v_kind == "linear" and not 0 <= v_component < d:
-            raise ValueError("v_component out of range")
         self.d = d
         self.t_end = _positive("t_end", t_end)
         self.x_center = _center("x_center", x_center, d)
         self.x_radius = _positive("x_radius", x_radius)
         self.v_kind = v_kind
         self.v_plateau = (float(v_plateau[0]), float(v_plateau[1]))
-        self.v_component = int(v_component)
+        self.v_component = _component("v_component", v_component, d)
         self.v_center = _center(
             "v_center", np.zeros(d) if v_center is None else v_center, d
         )
@@ -209,10 +214,8 @@ class VectorTestFunction:
     w G and its bounds."""
 
     def __init__(self, base: MacroTestFunction, component: int):
-        if not 0 <= component < base.d:
-            raise ValueError("component out of range")
         self.base = base
-        self.component = component
+        self.component = _component("component", component, base.d)
 
 
 # ---- batteries ----
@@ -449,7 +452,8 @@ class FieldBattery:
             raise ValueError(
                 f"{len(grids)} field grids for {len(self.times)} snapshot times"
             )
-        _check_dimension(self.bases, _check_grids(grids)[1])
+        d = _check_grids(grids)[1]
+        _check_dimension(self.bases, d)
         comp = self.comp
 
         def factors(v, pull):
@@ -463,6 +467,12 @@ class FieldBattery:
         if initial_atoms is not None:
             # the unbinned atoms give the t = 0 moment of the momentum rows
             x0, v0, w0 = (np.asarray(a, float) for a in initial_atoms)
+            n = x0.shape[:1]
+            if (x0.shape, v0.shape, w0.shape) != (n + (d,), n + (d,), n):
+                raise ValueError(
+                    f"initial atoms of shapes {x0.shape}, {v0.shape}, {w0.shape}"
+                    f" on a battery of dimension {d}: need {n + (d,)} twice, {n}"
+                )
             val0 = self.tables[0][:, 0, None] * _bumps(self.tables, x0)[0]
             phi0[1] = (w0 * (v0.T[comp] * val0)).sum(axis=1)
         continuity, momentum = (

@@ -553,23 +553,18 @@ def test_cli_reports_reproducible(tmp_path):
         },
     }))
 
-    for args, out in (
-        (["simulate", "--config", str(sim_cfg)], "s"),
-        (["mfstudy", "--config", str(mf_cfg)], "m"),
+    repeat = {"a": [], "b": []}
+    # only mfstudy takes --threads
+    threads = {**repeat, "t1": ["--threads", "1"], "t4": ["--threads", "4"]}
+    for args, out, runs in (
+        (["simulate", "--config", str(sim_cfg)], "s", repeat),
+        (["mfstudy", "--config", str(mf_cfg)], "m", threads),
     ):
-        dirs = {
-            "a": tmp_path / f"{out}_a",
-            "b": tmp_path / f"{out}_b",
-            "t1": tmp_path / f"{out}_t1",
-            "t4": tmp_path / f"{out}_t4",
-        }
-        for key, extra in (
-            ("a", []), ("b", []),
-            ("t1", ["--threads", "1"]), ("t4", ["--threads", "4"]),
-        ):
+        dirs = {key: tmp_path / f"{out}_{key}" for key in runs}
+        for key, extra in runs.items():
             code = cli.main(args + ["--out", str(dirs[key])] + extra)
             assert code == 0
-        for left, right in (("a", "b"), ("t1", "t4")):
+        for left, right in zip(list(runs)[::2], list(runs)[1::2]):
             left_files = sorted(p for p in dirs[left].rglob("*") if p.is_file())
             assert left_files
             for lf in left_files:
@@ -580,5 +575,5 @@ def test_cli_reports_reproducible(tmp_path):
                     assert lf.read_bytes() == rf.read_bytes()
     print(
         "PASS reproducibility: simulate and study reports byte-identical "
-        "across repeat runs and thread counts 1 vs 4 (timestamp excluded)"
+        "across repeat runs and mfstudy thread counts 1 vs 4 (timestamp excluded)"
     )

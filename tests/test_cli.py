@@ -675,11 +675,6 @@ def config_of(command, tmp_path):
     ("simulate", "--seed", "-1", "-1 is less than the minimum of 0"),
     ("simulate", "--tol", "-1", "-1.0 is less than or equal to the minimum of 0"),
     ("mfstudy", "--threads", "0", "0 is less than the minimum of 1"),
-    # --threads changes nothing, but every subcommand checks its count
-    ("simulate", "--threads", "0", "0 is less than the minimum of 1"),
-    ("diagnose", "--threads", "0", "0 is less than the minimum of 1"),
-    ("residual", "--threads", "-5", "-5 is less than the minimum of 1"),
-    ("pairstudy", "--threads", "0", "0 is less than the minimum of 1"),
 ])
 def test_overrides_are_schema_checked(tmp_path, capsys, command, flag,
                                       value, message):
@@ -703,6 +698,11 @@ def test_overrides_are_schema_checked(tmp_path, capsys, command, flag,
     ("diagnose", "--tol", "1e-3"),
     ("residual", "--tol", "0.5"),
     ("pairstudy", "--seed", "1"),
+    # only mfstudy's schema has threads
+    ("simulate", "--threads", "2"),
+    ("diagnose", "--threads", "2"),
+    ("residual", "--threads", "2"),
+    ("pairstudy", "--threads", "2"),
 ])
 def test_override_without_a_schema_key_is_a_usage_error(tmp_path, capsys,
                                                         command, flag, value):
@@ -712,12 +712,3 @@ def test_override_without_a_schema_key_is_a_usage_error(tmp_path, capsys,
         cli.main([command, "--config", str(tmp_path / "c.json"), flag, value])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + flag in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["simulate", "diagnose", "residual",
-                                     "mfstudy", "pairstudy"])
-def test_threads_is_accepted_by_every_config_subcommand(command):
-    args = cli.build_parser().parse_args(
-        [command, "--config", "c.json", "--threads", "2"]
-    )
-    assert args.threads == 2

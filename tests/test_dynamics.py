@@ -17,6 +17,7 @@ from flocklab.dynamics import (
     _components,
     _laplacian_modes,
     _phi,
+    _step_cap,
     alignment_rhs,
     integrate,
     min_pair_distance,
@@ -67,6 +68,18 @@ def test_rhs_two_body_hand_computed():
     want = 0.5 * (1 / 0.5) * (-2.0)
     assert acc[0, 0] == pytest.approx(want, abs=1e-15)
     assert acc[1, 0] == pytest.approx(-want, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_particle_feels_no_force_and_no_cap(d):
+    # the self-pair is +inf, so the general path gives +0.0 and (inf, inf)
+    x = np.full((1, d), 0.25)
+    v = np.full((1, d), -1.5)
+    acc = alignment_rhs(x, v, alpha=1.5)
+    assert acc.shape == (1, d)
+    assert np.array_equal(acc, np.zeros((1, d)))
+    assert not np.signbit(acc).any()
+    assert _step_cap(x, v, dynamics.GEOMETRY_SAFETY) == (np.inf, np.inf)
 
 
 def test_rhs_force_sum_vanishes():

@@ -1,7 +1,7 @@
 """Module layering: an acyclic import graph, imports at module level only,
-no unused imports, benchmark tracer targets and reads that still work,
-snapshots read as arrays, no BLAS in the integrator, and self-pairs set
-in pairs alone."""
+no third-party import but numpy, no unused imports, benchmark tracer
+targets and reads that still work, snapshots read as arrays, no BLAS in
+the integrator, and self-pairs set in pairs alone."""
 
 import ast
 import sys
@@ -102,6 +102,47 @@ def test_module_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def third_party_imports(tree: ast.Module) -> list:
+    """(line, top-level name) of every absolute import, at module level or
+    inside a function, of a package that is neither the standard library,
+    numpy nor flocklab."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "numpy", "flocklab"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, n.split(".")[0]) for n in names
+                if n.split(".")[0] not in allowed]
+    return out
+
+
+def test_third_party_imports_finds_every_form():
+    tree = ast.parse(
+        "import json, jsonschema\n"
+        "import numpy as np\n"
+        "from scipy.optimize import linprog\n"
+        "from . import pairs\n"
+        "from flocklab.rng import CounterRNG\n"
+        "def f():\n"
+        "    import hypothesis.strategies\n"
+        "    from collections import deque\n"
+    )
+    assert third_party_imports(tree) == [
+        (1, "jsonschema"), (3, "scipy"), (7, "hypothesis"),
+    ]
+
+
+def test_package_imports_no_third_party_package_but_numpy():
+    # numpy is the one runtime dependency; jsonschema and scipy are the
+    # tests' oracles
+    found = {name: third_party_imports(parse(name)) for name in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def test_only_cli_imports_package_modules_inside_functions():

@@ -1,5 +1,6 @@
-"""Config schemas: the stdlib conformance check against jsonschema, and the
-import hygiene of the package namespace and of the command line."""
+"""Config schemas: the stdlib validator against jsonschema, its verdicts
+and its words, and the import hygiene of the package namespace and of the
+command line."""
 
 import json
 import math
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 import flocklab
 from flocklab import schemas
-from flocklab.schemas import SCHEMAS, _conforms
+from flocklab.schemas import SCHEMAS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# ---- differential check: _conforms against Draft 2020-12 ----
+# ---- differential check: schemas.resolve against Draft 2020-12 ----
 
 # values that sit on the edges of the JSON types and of the bounds
 EDGE = st.sampled_from([
@@ -117,11 +118,27 @@ def near(draw, schema):
     return doc
 
 
+def _rejection(kind, doc):
+    """(message, path) of the error schemas.resolve raises, or None."""
+    try:
+        schemas.resolve(kind, doc)
+    except schemas.ValidationError as exc:
+        return exc.message, list(exc.path)
+    return None
+
+
 def _agree(doc, kind):
-    schema = SCHEMAS[kind]
-    expected = jsonschema.Draft202012Validator(schema).is_valid(doc)
-    assert _conforms(doc, schema) == expected, doc
-    return expected
+    """Whether Draft 2020-12 accepts ``doc``, after checking that resolve
+    rejects it exactly then, with best_match's message and path."""
+    validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
+    best = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    got = _rejection(kind, doc)
+    if best is None:
+        # what the schema accepts only the finiteness rule may reject
+        assert got is None or got[0].endswith(" is not a finite number"), doc
+    else:
+        assert got == (best.message, list(best.path)), doc
+    return best is None
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
@@ -219,15 +236,29 @@ def _keywords(schema) -> set:
 
 
 def test_schemas_use_exactly_the_keywords_conforms_implements():
-    # a keyword _conforms does not know would be ignored on the accept path
+    # a keyword schemas._violations does not know would be ignored silently
     used = set().union(*(_keywords(s) for s in SCHEMAS.values()))
     assert used == schemas._KEYWORDS
 
 
 def test_rejection_is_worded_by_jsonschema():
-    with pytest.raises(jsonschema.ValidationError) as info:
+    # in jsonschema's words, without its "Failed validating" block
+    with pytest.raises(schemas.ValidationError) as info:
         schemas.resolve("simulate", dict(SIM, alpha=0.5))
+    assert isinstance(info.value, ValueError)
     assert info.value.message == "0.5 is less than the minimum of 1"
+    assert list(info.value.path) == ["alpha"]
+    assert str(info.value) == (
+        "0.5 is less than the minimum of 1\n\nOn instance['alpha']:\n    0.5"
+    )
+    with pytest.raises(schemas.ValidationError) as info:
+        schemas.resolve("simulate", dict(SIM, extra=1, more=2))
+    assert info.value.message == (
+        "Additional properties are not allowed ('extra', 'more' were unexpected)"
+    )
+    assert str(info.value).endswith("\n\nOn instance:\n    " + repr(
+        dict(SIM, extra=1, more=2)
+    ))
     cfg = schemas.resolve("simulate", SIM)
     assert cfg["tol"] == schemas.DEFAULTS["simulate"]["tol"]
 
@@ -239,12 +270,17 @@ def test_rejection_is_worded_by_jsonschema():
 ])
 def test_non_finite_numbers_are_rejected_by_name(doc, path):
     # NaN passes every bound, so the schema accepts these documents
-    assert _conforms(doc, SCHEMAS["simulate"])
-    with pytest.raises(jsonschema.ValidationError) as info:
+    assert jsonschema.Draft202012Validator(SCHEMAS["simulate"]).is_valid(doc)
+    schemas._validate(doc, SCHEMAS["simulate"])
+    with pytest.raises(schemas.ValidationError) as info:
         schemas.resolve("simulate", doc)
+    value = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
     assert list(info.value.path) == path
-    assert "is not a finite number" in info.value.message
-    assert "".join(f"[{key!r}]" for key in path) in info.value.message
+    assert info.value.message == f"{value!r} is not a finite number"
+    where = "".join(f"[{key!r}]" for key in path)
+    assert str(info.value) == (
+        f"{value!r} is not a finite number\n\nOn instance{where}:\n    {value!r}"
+    )
 
 
 # ---- import hygiene ----
@@ -386,14 +422,18 @@ def test_simulate_and_serial_study_load_no_unused_library(tmp_path):
 
 
 def test_valid_config_never_imports_jsonschema(tmp_path):
+    # no flocklab process imports it: schemas words its own rejections
     _write_sim(tmp_path)
     argv = ["simulate", "--config", "sim.json", "--out", "run"]
     code, names = _loaded(argv, tmp_path)
     assert code == 0
     assert "flocklab.dynamics" in names
     assert "jsonschema" not in names
-    # control: a rejected config does import it, to word the error
     _write_sim(tmp_path, alpha=0.5)
     code, names = _loaded(argv, tmp_path)
     assert code == 2
-    assert "jsonschema" in names
+    assert "jsonschema" not in names
+    error = json.loads((tmp_path / "run" / "error.json").read_text())
+    assert error["error"]["message"].startswith(
+        "0.5 is less than the minimum of 1\n\nOn instance['alpha']:"
+    )

@@ -189,6 +189,19 @@ def test_linear_v_component_out_of_range_rejected(k):
         TestFunction(2, 1.0, np.zeros(2), 1.0, v_kind="linear", v_component=k)
 
 
+@pytest.mark.parametrize("k", [1.7, 1.0, "1", None])
+def test_component_that_is_not_an_integer_rejected(k):
+    # int(1.7) would quietly test component 1
+    for kind in ("linear", "const"):
+        with pytest.raises(ValueError, match="must be an integer in"):
+            TestFunction(2, 1.0, np.zeros(2), 1.0, v_kind=kind, v_component=k)
+    with pytest.raises(ValueError, match="must be an integer in"):
+        VectorTestFunction(MacroTestFunction(2, 1.0, np.zeros(2), 1.0), k)
+    # numpy integers are integers
+    phi = VectorTestFunction(MacroTestFunction(2, 1.0, np.zeros(2), 1.0), np.int64(1))
+    assert phi.component == 1 and type(phi.component) is int
+
+
 @pytest.mark.parametrize("seed", [3, 9])
 @pytest.mark.parametrize("battery", [kinetic_battery, macro_battery])
 def test_battery_supports_inside_ball_at_small_horizon(battery, seed):
@@ -384,6 +397,24 @@ def test_momentum_residual_initial_atoms_override():
         times, grids, phi, alpha=1.5, initial_atoms=(x0, v0, w0)
     )
     assert same == pytest.approx(base, abs=1e-15)
+
+
+@pytest.mark.parametrize("atoms, shapes", [
+    # d = 2 atoms on a d = 1 battery
+    (([[-0.2, 0.0]], [[0.3, 0.0]], [1.0]), r"\(1, 2\), \(1, 2\), \(1,\)"),
+    (([[-0.2]], [0.3], [1.0]), r"\(1, 1\), \(1,\), \(1,\)"),
+    # one weight too many
+    (([[-0.2], [0.1]], [[0.3], [0.3]], [0.5, 0.25, 0.25]),
+     r"\(2, 1\), \(2, 1\), \(3,\)"),
+], ids=["dimension", "velocity-shape", "weight-count"])
+def test_initial_atoms_of_the_wrong_shape_rejected(atoms, shapes):
+    times, grids = drifting_cell_sequence(m=5)
+    phi = VectorTestFunction(MacroTestFunction(1, 0.9, np.array([0.0]), 1.0), 0)
+    n = len(atoms[0])
+    need = rf"need \({n}, 1\) twice, \({n},\)"
+    message = f"initial atoms of shapes {shapes} on a battery of dimension 1: {need}"
+    with pytest.raises(ValueError, match=message):
+        momentum_residual(times, grids, phi, alpha=1.5, initial_atoms=atoms)
 
 
 def test_dissipation_margin_two_cells():
