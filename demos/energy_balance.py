@@ -8,7 +8,7 @@ doubling the snapshot density cuts it by four.
 
 import numpy as np
 
-from flocklab.diagnostics import energy_balance_residual, energy_series
+from flocklab.diagnostics import build_report
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 
 x = np.linspace(-0.6, 0.6, 10)[:, None]
@@ -22,9 +22,9 @@ for count in (50, 100, 200, 400):
         tol=1e-9,
         snapshot_times=np.linspace(0.0, 1.0, count),
     )
-    res = energy_balance_residual(traj)
-    print(f"{count:4d} snapshots: balance defect {res:.3e}")
+    report = build_report(traj)
+    print(f"{count:4d} snapshots: balance defect {report.energy_residual:.3e}")
 
-t, e, dee = energy_series(traj)
+e, dee = report.energy, report.enstrophy
 print(f"\nenergy {e[0]:.6f} -> {e[-1]:.6f}; dissipation rate peaks at {dee.max():.4f}")
 print("defect shrinks ~4x per halving: pure trapezoid error, as it should be")

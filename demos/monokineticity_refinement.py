@@ -14,8 +14,7 @@ dynamics produces the trend.
 import numpy as np
 
 from flocklab.dynamics import ModelParams, ParticleState, integrate
-from flocklab.meanfield import InitialSpec, mk_index, sample_initial
-from flocklab.measures import from_particles
+from flocklab.meanfield import InitialSpec, sample_initial, snapshot_fields
 
 spec = InitialSpec(
     d=1,
@@ -34,8 +33,7 @@ for n in (50, 100, 200, 400):
     traj = integrate(
         ParticleState(0.0, x0, v0), params, tol=1e-6, snapshot_times=[0.0, 0.5]
     )
-    mk0 = mk_index(from_particles(traj.state_at(0.0)), 1, H)
-    mk1 = mk_index(from_particles(traj.state_at(0.5)), 1, H)
+    mk0, mk1 = (grid.mk() for grid in snapshot_fields(traj, H))
     print(f"{n:5d}   {mk0:.3e}    {mk1:.3e}")
 
 print("\nlarger ensembles end up closer to a single velocity per cell")

@@ -16,15 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "diagnostics": (
         "DiagnosticsReport",
-        "beta_eta",
         "build_report",
         "dalpha",
-        "energy_balance_residual",
-        "energy_series",
         "enstrophy",
         "eta_monokineticity",
-        "mp_margin",
-        "sf_modulus",
     ),
     "dynamics": (
         "ModelParams",
@@ -35,7 +30,6 @@ _EXPORTS = {
     ),
     "errors": (
         "CollisionalState",
-        "DivergentNormalization",
         "FlockLabError",
         "GridMismatch",
         "NonFiniteState",
@@ -45,7 +39,6 @@ _EXPORTS = {
         "StepBudgetExceeded",
         "StepCollapse",
         "SupportTooLarge",
-        "UnsupportedDimension",
     ),
     "meanfield": (
         "FieldGrid",
@@ -53,7 +46,6 @@ _EXPORTS = {
         "PairStudy",
         "StudyReport",
         "local_fields",
-        "mk_index",
         "pair_alignment_study",
         "refinement_study",
         "sample_initial",
@@ -62,11 +54,7 @@ _EXPORTS = {
         "EmpiricalMeasure",
         "dbl",
         "dbl_with_potential",
-        "from_particles",
         "kinetic_energy",
-        "marginal_x",
-        "momentum",
-        "phi_weighted_marginal",
     ),
     "rng": ("CounterRNG",),
     "weakform": (

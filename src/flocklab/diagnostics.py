@@ -7,19 +7,16 @@ bounded, and are meaningless for the raw singular kernel.  Pairs sharing a
 position add zero terms when the kernel has no regularization (eta = 0),
 since the kernel vanishes there, mirroring an off-diagonal integral.
 
-The kernel normalization beta(eta, alpha, d) is the integral of
-(|x| + eta)^(-alpha) over R^d.  Closed forms are implemented for d = 1 and
-d = 2; when alpha equals d the quantity enters only through ratios and is
-set to 1 exactly.  The eta-weighted monokineticity functional uses the
-conditional mean velocity at exact position groups, with the inner sum
-running over the spatial marginal's atoms.
+The eta-weighted monokineticity functional uses the conditional mean
+velocity at exact position groups, with the inner sum running over the
+spatial marginal's atoms.
 
 Trajectory series read the stacked snapshot arrays directly: the pair
 sums of every snapshot come from one pairs.snapshot_series pass, the
 velocity moments from measures.phase_moments, and the binned fields from
 meanfield.snapshot_fields.  enstrophy and dalpha are the one-snapshot case
 of that pass, so a measure and a trajectory snapshot give the same bits;
-min_distance reads the same pairs.distances grid.  Since the kernel
+min_distance reads the same pairs.separations grid.  Since the kernel
 vanishes at co-located pairs, the pass sums them as zero terms at eta = 0
 instead of leaving them out; on a measure with co-located atoms that may
 move the sums by an ulp.
@@ -32,16 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import DivergentNormalization, UnsupportedDimension
 from .meanfield import snapshot_fields
 from .measures import (
     EmpiricalMeasure,
-    dbl,
-    from_particles,
     kinetic_energy,  # not called here: the benchmark tracer wraps this name
     phase_moments,
     phase_split,
-    phi_weighted_marginal,
 )
 from .pairs import distances, separations, snapshot_series
 from .weakform import cumulative_trapezoid
@@ -67,37 +60,6 @@ def dalpha(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0) -> floa
     vanishes there; with eta > 0 they count like every off-diagonal pair.
     """
     return float(_series(mu, d, alpha, eta)[1][0])
-
-
-def beta_eta(eta: float, alpha: float, d: int) -> float:
-    """Normalization integral of (|x| + eta)^(-alpha) over R^d, closed form.
-
-    Equals 1 exactly at alpha = d (the critical case enters only through
-    ratios).  Raises DivergentNormalization for alpha < d and
-    UnsupportedDimension for d >= 3; scaling obeys eta^alpha beta ~ eta^d.
-    A NaN eta, or an alpha that is not finite, raises ValueError.
-    """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if d not in (1, 2):
-        raise UnsupportedDimension(
-            "closed forms cover d in {1, 2}", dimension=d
-        )
-    if alpha < d:
-        raise DivergentNormalization(
-            "normalization integral diverges for alpha < d",
-            alpha=alpha,
-            dimension=d,
-        )
-    if alpha == d:
-        return 1.0
-    if d == 1:
-        return 2.0 * eta ** (1.0 - alpha) / (alpha - 1.0)
-    return 2.0 * np.pi * eta ** (2.0 - alpha) * (
-        1.0 / (alpha - 2.0) - 1.0 / (alpha - 1.0)
-    )
 
 
 def eta_monokineticity(
@@ -146,86 +108,15 @@ def _sweep(traj: Trajectory):
     of every snapshot, read from the stacked arrays at weights 1/N."""
     p = traj.params
     w = np.full(p.N, 1.0 / p.N)
-    # the phase rows of from_particles, so the moments keep its bits
+    # the phase rows (x, v) of each snapshot, so the moments keep the bits
+    # of its uniform-weight phase measure
     energy, mom = phase_moments(np.concatenate([traj.x, traj.v], axis=2), p.d, w)
     return (energy, mom, *snapshot_series(traj.x, traj.v, w, p.alpha))
-
-
-def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, kinetic energy, and enstrophy along the snapshots."""
-    energy, _, dd, _, _ = _sweep(traj)
-    return traj.times, energy, dd
-
-
-def energy_balance_residual(traj: Trajectory) -> float:
-    """Largest defect of the balance  integral of enstrophy = energy drop,
-    checked at every snapshot with trapezoid quadrature in time."""
-    return _balance_defect(*energy_series(traj))
 
 
 def _balance_defect(t, e, dd) -> float:
     integral = cumulative_trapezoid(t, dd)
     return float(np.abs(integral - (e[0] - e)).max())
-
-
-def mp_margin(
-    traj: Trajectory,
-    t0: float,
-    t: float,
-    center: np.ndarray,
-    radius: float,
-) -> float:
-    """Mass-propagation margin for the closed ball B(center, radius):
-
-        rho_t( B(center, radius + (t - t0) M) ) - rho_t0( B(center, radius) )
-
-    Nonnegative whenever speeds stay below M, since every particle moves at
-    most (t - t0) M.  Raises SnapshotMissing off the snapshot grid, and
-    ValueError unless t >= t0, radius >= 0 and center is a finite array
-    of shape (d,).
-    """
-    if not t >= t0:
-        raise ValueError("needs t >= t0")
-    if not radius >= 0:
-        raise ValueError("radius must be nonnegative")
-    d = traj.params.d
-    center = np.asarray(center, float)
-    if center.shape != (d,) or not np.isfinite(center).all():
-        raise ValueError(f"center must be a finite array of shape ({d},)")
-    s0 = traj.state_at(t0)
-    s1 = traj.state_at(t)
-    m = traj.params.M
-    n = traj.params.N
-
-    def ball_mass(state, rad):
-        dist = np.sqrt(((state.x - center[None, :]) ** 2).sum(axis=1))
-        return float((dist <= rad).sum()) / n
-
-    return ball_mass(s1, radius + (t - t0) * m) - ball_mass(s0, radius)
-
-
-def sf_modulus(
-    traj: Trajectory,
-    t0: float,
-    phi_v,
-    probe_times,
-) -> np.ndarray:
-    """Continuity modulus of the free-transport unwind.
-
-    For each probe time t, the flat distance between the phi-weighted
-    unwound spatial measure of mu_t (atoms at x - (t - t0) v, weights
-    w phi(v)) and the same construction at t = t0.  Values tend to zero as
-    t -> t0 for trajectories; no claim is made beyond the probes reported.
-    """
-    d = traj.params.d
-    ref_state = traj.state_at(t0)
-    ref = phi_weighted_marginal(from_particles(ref_state), d, t0, t0, phi_v)
-    out = []
-    for t in probe_times:
-        mu = from_particles(traj.state_at(t))
-        unwound = phi_weighted_marginal(mu, d, t0, t, phi_v)
-        out.append(dbl(unwound, ref))
-    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -257,7 +148,7 @@ def build_report(
     h_ladder = tuple(diam * f for f in bin_fractions)
 
     energy, mom, dd, da, md = _sweep(traj)
-    # mk_index of every snapshot, binned in one pass per ladder width
+    # FieldGrid.mk of every snapshot, binned in one pass per ladder width
     mkvar = np.empty((len(traj), len(h_ladder)))
     for j, h in enumerate(h_ladder):
         mkvar[:, j] = [grid.mk() for grid in snapshot_fields(traj, h)]

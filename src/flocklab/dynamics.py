@@ -163,9 +163,6 @@ class ParticleState:
     def n_particles(self) -> int:
         return self.x.shape[0]
 
-    def max_speed(self) -> float:
-        return float(np.sqrt((self.v**2).sum(axis=1).max()))
-
 
 def min_pair_distance(x: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Smallest pairwise distance and the indices (i < j) achieving it."""
@@ -498,10 +495,11 @@ class Trajectory:
     ``traj[k]`` and ``state_at(t)`` give one snapshot as a ParticleState
     that views row k.
 
-    Snapshot times strictly increase, from t=0 to t=T, and every position
-    and velocity is finite; other snapshots are rejected.  A snapshot
-    strictly inside a step, or at the end of a step with stiff pairs, is
-    the step's interpolant, accurate to about the tolerance.  The log
+    There is at least one snapshot, snapshot times strictly increase, from
+    t=0 to t=T, and every position and velocity is finite; other snapshots
+    are rejected.  A snapshot strictly inside a step, or at the end of a
+    step with stiff pairs, is the step's interpolant, accurate to about
+    the tolerance.  The log
     holds, per accepted step: end time, step size, local error estimate
     (normalized), the minimum pair distance at the step's end state, and
     the number of pairs the step integrated through the exponential factor
@@ -528,6 +526,8 @@ class Trajectory:
         p = self.params
         if times.ndim != 1 or x.shape != (len(times), p.N, p.d) or x.shape != v.shape:
             raise ValueError("need times (S,) and x, v of shape (S, N, d)")
+        if len(times) == 0:
+            raise ValueError("a trajectory needs at least one snapshot")
         if not np.all(np.diff(times) > 0.0):
             raise ValueError("snapshot times must be strictly increasing")
         if not (np.isfinite(x).all() and np.isfinite(v).all()):

@@ -57,16 +57,6 @@ class PivotBudgetExceeded(FlockLabError):
     budget."""
 
 
-class DivergentNormalization(FlockLabError):
-    """The kernel normalization integral diverges for the requested exponent
-    and dimension (alpha < d)."""
-
-
-class UnsupportedDimension(FlockLabError):
-    """Closed forms for the kernel normalization exist only in dimensions
-    one and two."""
-
-
 class SnapshotMissing(FlockLabError):
     """A requested time is not on the stored snapshot grid."""
 

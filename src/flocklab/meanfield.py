@@ -264,8 +264,11 @@ class FieldGrid:
     cov_trace: np.ndarray
 
     def mk(self) -> float:
-        """Mass-weighted in-cell velocity variance, sum of mass * cov_trace
-        over the cells in row order; see mk_index."""
+        """Binned monokineticity index: mass-weighted in-cell velocity
+        variance, sum of mass * cov_trace over the cells in row order.
+        Zero iff each cell is single-speed; bounded by Lip(u)^2 d h^2 for
+        velocities sampled from an L-Lipschitz field (each in-cell
+        deviation is at most L h sqrt(d))."""
         return float(sum((self.mass * self.cov_trace).tolist()))
 
 
@@ -354,14 +357,6 @@ def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     """
     x, v, w = phase_split(mu, d)
     return _bin(np.zeros(len(w), dtype=np.int64), x, v, w, 1, h)[0]
-
-
-def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
-    """Binned monokineticity index: mass-weighted velocity variance,
-    sum over cells of mass * cov_trace.  Zero iff each cell is
-    single-speed; bounded by Lip(u)^2 d h^2 for velocities sampled from an
-    L-Lipschitz field (each in-cell deviation is at most L h sqrt(d))."""
-    return local_fields(mu, d, h).mk()
 
 
 def field_residuals(traj: dynamics.Trajectory, h: float, size: int, seed: int):

@@ -2,9 +2,9 @@
 
 An EmpiricalMeasure is a finite list of weighted atoms in R^k.  Phase-space
 measures use k = 2d with rows (x, v); purely spatial measures use k = d.
-Operations that need the phase split take the spatial dimension d
-explicitly: the spatial marginal and the velocity moments (kinetic energy,
-momentum) among them.
+The phase split and the velocity moments (phase_moments of stacked
+snapshot rows, kinetic_energy of one measure) take the spatial dimension
+d explicitly.
 
 Weights are nonnegative and the total mass never exceeds 1 (plus round-off):
 probability measures and their sub-probability images under weighting by a
@@ -22,12 +22,10 @@ at cost 1 per unit, consistent with the test-function normalization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._flatlp import solve_flat_lp
-from .dynamics import ParticleState
 
 _MASS_SLACK = 1e-12
 
@@ -71,15 +69,6 @@ class EmpiricalMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
-
-def from_particles(state: ParticleState) -> EmpiricalMeasure:
-    """Uniform-weight phase-space measure of a particle state."""
-    pts = np.hstack([state.x, state.v])
-    n = state.n_particles
-    return EmpiricalMeasure(pts, np.full(n, 1.0 / n))
-
 
 def phase_split(mu: EmpiricalMeasure, d: int):
     """Positions (K, d), velocities (K, d) and weights (K,) of a phase
@@ -87,12 +76,6 @@ def phase_split(mu: EmpiricalMeasure, d: int):
     if mu.point_dim != 2 * d:
         raise ValueError("phase measure must have point dimension 2d")
     return mu.points[:, :d], mu.points[:, d:], mu.weights
-
-
-def marginal_x(mu: EmpiricalMeasure, d: int) -> EmpiricalMeasure:
-    """Spatial marginal of a phase measure; atoms kept unmerged."""
-    x, _, w = phase_split(mu, d)
-    return EmpiricalMeasure(x, w)
 
 
 def phase_moments(
@@ -117,12 +100,6 @@ def kinetic_energy(mu: EmpiricalMeasure, d: int) -> float:
     """Second velocity moment: sum of w |v|^2."""
     phase_split(mu, d)
     return float(phase_moments(mu.points[None], d, mu.weights)[0][0])
-
-
-def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
-    """First velocity moment: sum of w v."""
-    phase_split(mu, d)
-    return phase_moments(mu.points[None], d, mu.weights)[1][0]
 
 
 def union_support(
@@ -157,25 +134,4 @@ def dbl_with_potential(
     pts, b = union_support(mu, nu)
     value, phi = solve_flat_lp(pts, b, cap=cap)
     return float(value), pts, phi
-
-
-def phi_weighted_marginal(
-    mu: EmpiricalMeasure,
-    d: int,
-    t0: float,
-    t: float,
-    phi: Callable[[np.ndarray], np.ndarray],
-) -> EmpiricalMeasure:
-    """Spatial measure at unwound positions, atoms weighted by phi(v) >= 0.
-
-    phi must map velocities into [0, 1]; values outside make the result
-    either signed or heavier than mass 1, both rejected.
-    """
-    x, v, _ = phase_split(mu, d)
-    vals = np.asarray(phi(v), dtype=np.float64).ravel()
-    if vals.shape[0] != mu.n_atoms:
-        raise ValueError("phi must return one value per atom")
-    if vals.size and (vals.min() < -1e-15 or vals.max() > 1.0 + 1e-12):
-        raise ValueError("phi must take values in [0, 1]")
-    return EmpiricalMeasure(x - (t - t0) * v, mu.weights * np.maximum(vals, 0.0))
 

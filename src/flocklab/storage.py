@@ -135,11 +135,11 @@ def load_trajectory(stem) -> Trajectory:
     the loaded object has empty step arrays.
 
     Every row must have 2 + 2d fields, every snapshot exactly the rows
-    i = 0..N-1, the file snapshot_count snapshots, and the snapshots
-    finite positions and velocities at strictly increasing times
-    (Trajectory checks those two), or ValueError is raised.  A "tol" of null
-    (a fixed-step run of an earlier version) loads as None; keys this
-    version no longer writes are ignored.
+    i = 0..N-1, the file snapshot_count snapshots and at least one, and
+    the snapshots finite positions and velocities at strictly increasing
+    times (Trajectory checks the last three), or ValueError is raised.
+    A "tol" of null (a fixed-step run of an earlier version) loads as
+    None; keys this version no longer writes are ignored.
     """
     stem = Path(stem)
     meta = read_report(stem.with_suffix(".json"))

@@ -84,6 +84,17 @@ pair holds at the method's stability limit.  The differential tests
 compare the package against it bit for bit on states without a stiff
 pair, and to 10 tol against a tight-tolerance run on states with one.
 
+from_particles, marginal_x, momentum, phi_weighted_marginal, mk_index,
+beta_eta (with the DivergentNormalization and UnsupportedDimension it
+raises), energy_series, energy_balance_residual, mp_margin and sf_modulus
+are instruments the package carried although no subcommand ran them.  They
+moved here with their arithmetic unchanged: energy_series and
+energy_balance_residual share the package's _sweep and _balance_defect,
+mk_index is FieldGrid.mk of local_fields, momentum is the package's
+phase_moments of one measure, and marginal_x and phi_weighted_marginal
+read atoms through its phase_split.  The tests that pinned them run
+against these copies.
+
 loop_sample_initial is the sampler the package used before it drew every
 atom at once: one CounterRNG stream spawned per atom, a few numbers drawn
 at a time, a set of the positions seen so far for the repeat redraws, and
@@ -98,12 +109,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate as _si
 
 from flocklab import _flatlp, pairs, weakform
+from flocklab.diagnostics import _balance_defect, _sweep
 from flocklab.dynamics import (
     _A,
     _B5,
@@ -121,6 +133,7 @@ from flocklab.dynamics import (
 )
 from flocklab.errors import (
     CollisionalState,
+    FlockLabError,
     NonFiniteState,
     PivotBudgetExceeded,
     RejectionOverflow,
@@ -128,7 +141,8 @@ from flocklab.errors import (
     StepCollapse,
     SupportTooLarge,
 )
-from flocklab.measures import from_particles
+from flocklab.meanfield import local_fields
+from flocklab.measures import EmpiricalMeasure, dbl, phase_moments, phase_split
 from flocklab.pairs import (
     Workspace,
     distances,
@@ -368,6 +382,170 @@ def beta_quadrature(eta: float, alpha: float, d: int) -> float:
         val, _ = _si.quad(lambda r: r * (r + eta) ** (-alpha), 0.0, np.inf)
         return 2.0 * np.pi * val
     raise ValueError("oracle covers d in {1, 2}")
+
+
+# ---- instruments that no command runs, moved out of the package ----
+
+
+def from_particles(state: ParticleState) -> EmpiricalMeasure:
+    """Uniform-weight phase-space measure of a particle state."""
+    pts = np.hstack([state.x, state.v])
+    n = state.n_particles
+    return EmpiricalMeasure(pts, np.full(n, 1.0 / n))
+
+
+def marginal_x(mu: EmpiricalMeasure, d: int) -> EmpiricalMeasure:
+    """Spatial marginal of a phase measure; atoms kept unmerged."""
+    x, _, w = phase_split(mu, d)
+    return EmpiricalMeasure(x, w)
+
+
+def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
+    """First velocity moment: sum of w v."""
+    phase_split(mu, d)
+    return phase_moments(mu.points[None], d, mu.weights)[1][0]
+
+
+def phi_weighted_marginal(
+    mu: EmpiricalMeasure,
+    d: int,
+    t0: float,
+    t: float,
+    phi: Callable[[np.ndarray], np.ndarray],
+) -> EmpiricalMeasure:
+    """Spatial measure at unwound positions, atoms weighted by phi(v) >= 0.
+
+    phi must map velocities into [0, 1]; values outside make the result
+    either signed or heavier than mass 1, both rejected.
+    """
+    x, v, _ = phase_split(mu, d)
+    vals = np.asarray(phi(v), dtype=np.float64).ravel()
+    if vals.shape[0] != mu.n_atoms:
+        raise ValueError("phi must return one value per atom")
+    if vals.size and (vals.min() < -1e-15 or vals.max() > 1.0 + 1e-12):
+        raise ValueError("phi must take values in [0, 1]")
+    return EmpiricalMeasure(x - (t - t0) * v, mu.weights * np.maximum(vals, 0.0))
+
+
+def mk_index(mu: EmpiricalMeasure, d: int, h: float) -> float:
+    """Binned monokineticity index: mass-weighted velocity variance,
+    sum over cells of mass * cov_trace.  Zero iff each cell is
+    single-speed; bounded by Lip(u)^2 d h^2 for velocities sampled from an
+    L-Lipschitz field (each in-cell deviation is at most L h sqrt(d))."""
+    return local_fields(mu, d, h).mk()
+
+
+class DivergentNormalization(FlockLabError):
+    """The kernel normalization integral diverges for the requested exponent
+    and dimension (alpha < d)."""
+
+
+class UnsupportedDimension(FlockLabError):
+    """Closed forms for the kernel normalization exist only in dimensions
+    one and two."""
+
+
+def beta_eta(eta: float, alpha: float, d: int) -> float:
+    """Normalization integral of (|x| + eta)^(-alpha) over R^d, closed form.
+
+    Equals 1 exactly at alpha = d (the critical case enters only through
+    ratios).  Raises DivergentNormalization for alpha < d and
+    UnsupportedDimension for d >= 3; scaling obeys eta^alpha beta ~ eta^d.
+    A NaN eta, or an alpha that is not finite, raises ValueError.
+    """
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if d not in (1, 2):
+        raise UnsupportedDimension(
+            "closed forms cover d in {1, 2}", dimension=d
+        )
+    if alpha < d:
+        raise DivergentNormalization(
+            "normalization integral diverges for alpha < d",
+            alpha=alpha,
+            dimension=d,
+        )
+    if alpha == d:
+        return 1.0
+    if d == 1:
+        return 2.0 * eta ** (1.0 - alpha) / (alpha - 1.0)
+    return 2.0 * np.pi * eta ** (2.0 - alpha) * (
+        1.0 / (alpha - 2.0) - 1.0 / (alpha - 1.0)
+    )
+
+
+def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, kinetic energy, and enstrophy along the snapshots."""
+    energy, _, dd, _, _ = _sweep(traj)
+    return traj.times, energy, dd
+
+
+def energy_balance_residual(traj: Trajectory) -> float:
+    """Largest defect of the balance  integral of enstrophy = energy drop,
+    checked at every snapshot with trapezoid quadrature in time."""
+    return _balance_defect(*energy_series(traj))
+
+
+def mp_margin(
+    traj: Trajectory,
+    t0: float,
+    t: float,
+    center: np.ndarray,
+    radius: float,
+) -> float:
+    """Mass-propagation margin for the closed ball B(center, radius):
+
+        rho_t( B(center, radius + (t - t0) M) ) - rho_t0( B(center, radius) )
+
+    Nonnegative whenever speeds stay below M, since every particle moves at
+    most (t - t0) M.  Raises SnapshotMissing off the snapshot grid, and
+    ValueError unless t >= t0, radius >= 0 and center is a finite array
+    of shape (d,).
+    """
+    if not t >= t0:
+        raise ValueError("needs t >= t0")
+    if not radius >= 0:
+        raise ValueError("radius must be nonnegative")
+    d = traj.params.d
+    center = np.asarray(center, float)
+    if center.shape != (d,) or not np.isfinite(center).all():
+        raise ValueError(f"center must be a finite array of shape ({d},)")
+    s0 = traj.state_at(t0)
+    s1 = traj.state_at(t)
+    m = traj.params.M
+    n = traj.params.N
+
+    def ball_mass(state, rad):
+        dist = np.sqrt(((state.x - center[None, :]) ** 2).sum(axis=1))
+        return float((dist <= rad).sum()) / n
+
+    return ball_mass(s1, radius + (t - t0) * m) - ball_mass(s0, radius)
+
+
+def sf_modulus(
+    traj: Trajectory,
+    t0: float,
+    phi_v,
+    probe_times,
+) -> np.ndarray:
+    """Continuity modulus of the free-transport unwind.
+
+    For each probe time t, the flat distance between the phi-weighted
+    unwound spatial measure of mu_t (atoms at x - (t - t0) v, weights
+    w phi(v)) and the same construction at t = t0.  Values tend to zero as
+    t -> t0 for trajectories; no claim is made beyond the probes reported.
+    """
+    d = traj.params.d
+    ref_state = traj.state_at(t0)
+    ref = phi_weighted_marginal(from_particles(ref_state), d, t0, t0, phi_v)
+    out = []
+    for t in probe_times:
+        mu = from_particles(traj.state_at(t))
+        unwound = phi_weighted_marginal(mu, d, t0, t, phi_v)
+        out.append(dbl(unwound, ref))
+    return np.array(out)
 
 
 # ---- dense tensor formulations of the pair layer ----

@@ -14,29 +14,15 @@ import pytest
 from scipy import stats
 
 from flocklab import cli
-from flocklab.diagnostics import (
-    beta_eta,
-    dalpha,
-    energy_balance_residual,
-    enstrophy,
-    eta_monokineticity,
-    mp_margin,
-    sf_modulus,
-)
+from flocklab.diagnostics import dalpha, enstrophy, eta_monokineticity
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.meanfield import (
     InitialSpec,
     local_fields,
-    mk_index,
     pair_alignment_study,
     sample_initial,
 )
-from flocklab.measures import (
-    EmpiricalMeasure,
-    dbl,
-    from_particles,
-    marginal_x,
-)
+from flocklab.measures import EmpiricalMeasure, dbl
 from flocklab.weakform import (
     continuity_residuals,
     dissipation_margin,
@@ -46,7 +32,17 @@ from flocklab.weakform import (
     momentum_residuals,
     vector_battery,
 )
-from oracles import beta_quadrature, line_invariant
+from oracles import (
+    beta_eta,
+    beta_quadrature,
+    energy_balance_residual,
+    from_particles,
+    line_invariant,
+    marginal_x,
+    mk_index,
+    mp_margin,
+    sf_modulus,
+)
 
 ENSEMBLE_TIMES = np.linspace(0.0, 0.8, 17)
 ENSEMBLE_ALPHAS = (1.0, 1.5, 2.0)

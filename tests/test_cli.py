@@ -177,6 +177,28 @@ def test_trajectory_with_a_non_finite_coordinate_is_rejected(tmp_path, capsys,
         assert json.loads((out / "error.json").read_text()) == doc
 
 
+def test_trajectory_without_snapshots_is_rejected(tmp_path, capsys):
+    # the header alone and a summary that agrees: every other check passes,
+    # and the diagnostics would index snapshot 0 and the residuals find no
+    # initial moment
+    csv_path, json_path = saved_trajectory(tmp_path)
+    csv_path.write_text(csv_path.read_text().splitlines(keepends=True)[0])
+    doc = json.loads(json_path.read_text())
+    doc["snapshot_count"] = 0
+    json_path.write_text(json.dumps(doc))
+    message = "a trajectory needs at least one snapshot"
+    with pytest.raises(ValueError, match=message):
+        storage.load_trajectory(tmp_path / "run")
+    for command, extra in (("diagnose", {}), ("residual", {"battery_size": 2})):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "run"), **extra}))
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert doc == {"error": {"type": "ValueError", "message": message}}
+        assert json.loads((out / "error.json").read_text()) == doc
+
+
 def test_fixed_step_trajectory_file_still_loads(tmp_path):
     # earlier versions had a fixed-step mode, which wrote a null tol and
     # two keys this version no longer writes

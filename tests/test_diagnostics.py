@@ -9,39 +9,39 @@ from hypothesis import strategies as st
 
 from flocklab import storage
 from flocklab.diagnostics import (
-    beta_eta,
     build_report,
     cumulative_trapezoid,
     dalpha,
-    energy_balance_residual,
-    energy_series,
     enstrophy,
     eta_monokineticity,
     kinetic_energy,
     min_distance,
-    mp_margin,
-    sf_modulus,
 )
 from flocklab.dynamics import ModelParams, ParticleState, integrate
-from flocklab.errors import (
-    DivergentNormalization,
-    SnapshotMissing,
-    UnsupportedDimension,
-)
-from flocklab.meanfield import mk_index
-from flocklab.measures import EmpiricalMeasure, from_particles, momentum
+from flocklab.errors import SnapshotMissing
+from flocklab.measures import EmpiricalMeasure
 from flocklab.rng import CounterRNG
 
 from oracles import (
+    DivergentNormalization,
+    UnsupportedDimension,
+    beta_eta,
     beta_quadrature,
     dalpha_loops,
+    energy_balance_residual,
     energy_loops,
+    energy_series,
     enstrophy_loops,
     eta_mono_loops,
+    from_particles,
     grid_dalpha,
     grid_enstrophy,
     grid_min_distance,
+    mk_index,
+    momentum,
+    mp_margin,
     per_snapshot_report,
+    sf_modulus,
 )
 
 

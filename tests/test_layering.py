@@ -1,7 +1,8 @@
 """Module layering: an acyclic import graph, imports at module level only,
 no third-party import but numpy, no unused imports, benchmark tracer
-targets and reads that still work, snapshots read as arrays, no BLAS in
-the integrator, and self-pairs set in pairs alone."""
+targets and reads that still work, no export that the package never reads,
+snapshots read as arrays, no BLAS in the integrator, and self-pairs set in
+pairs alone."""
 
 import ast
 import sys
@@ -219,6 +220,27 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     ]
     assert missing == []
     assert len(traced.PATCHES) > 0
+
+
+def test_every_export_is_read_in_the_package(monkeypatch):
+    # a public name that no module reads and the tracer does not wrap serves
+    # only tests: it belongs in the test oracles
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("traced", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import traced
+
+    import flocklab
+
+    read = set().union(
+        *(names_read(parse(name)) for name in MODULES if name != "__init__")
+    )
+    traced_names = {attr for _, attr, _ in traced.PATCHES}
+    unread = {
+        mod: sorted(set(names) - read - traced_names)
+        for mod, names in flocklab._EXPORTS.items()
+    }
+    assert {mod: names for mod, names in unread.items() if names} == {}
 
 
 def test_benchmark_tracer_reads_an_integrate_result(monkeypatch):

@@ -14,13 +14,12 @@ from flocklab.meanfield import (
     InitialSpec,
     field_residuals,
     local_fields,
-    mk_index,
     pair_alignment_study,
     refinement_study,
     sample_initial,
     snapshot_fields,
 )
-from flocklab.measures import EmpiricalMeasure, from_particles
+from flocklab.measures import EmpiricalMeasure
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
     FieldBattery,
@@ -32,10 +31,12 @@ from flocklab.weakform import (
 )
 
 from oracles import (
+    from_particles,
     grid_enstrophy,
     loop_local_fields,
     loop_mk,
     loop_sample_initial,
+    mk_index,
     pair_series,
 )
 

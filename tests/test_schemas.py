@@ -288,32 +288,36 @@ def test_non_finite_numbers_are_rejected_by_name(doc, path):
 # the package namespace before it became lazy (63 re-exports plus the 8
 # submodules the eager imports bound), less AmbiguousGrouping, LocalField,
 # disintegrate, momentum_marginal and pushforward_free, which were deleted
-# with their code
+# with their code, and less the twelve instruments no command ran, which
+# moved to the test oracles: beta_eta, DivergentNormalization,
+# energy_balance_residual, energy_series, from_particles, marginal_x,
+# mk_index, momentum, mp_margin, phi_weighted_marginal, sf_modulus and
+# UnsupportedDimension
 PUBLIC = [
     "CollisionalState", "CounterRNG",
-    "DiagnosticsReport", "DivergentNormalization", "EmpiricalMeasure",
+    "DiagnosticsReport", "EmpiricalMeasure",
     "FieldGrid", "FlockLabError", "GridMismatch", "InitialSpec",
     "MacroTestFunction", "ModelParams", "NonFiniteState",
     "PairStudy", "ParticleState", "PivotBudgetExceeded", "RejectionOverflow",
     "SnapshotMissing", "StepBudgetExceeded", "StepCollapse", "StudyReport",
-    "SupportTooLarge", "TestFunction", "Trajectory", "UnsupportedDimension",
-    "VectorTestFunction", "alignment_rhs", "beta_eta", "build_report",
+    "SupportTooLarge", "TestFunction", "Trajectory",
+    "VectorTestFunction", "alignment_rhs", "build_report",
     "continuity_residual", "continuity_residuals", "dalpha", "dbl",
     "dbl_with_potential", "diagnostics",
-    "dissipation_margin", "dynamics", "energy_balance_residual",
-    "energy_series", "enstrophy", "errors", "eta_monokineticity",
-    "from_particles", "integrate", "kinetic_battery", "kinetic_energy",
+    "dissipation_margin", "dynamics",
+    "enstrophy", "errors", "eta_monokineticity",
+    "integrate", "kinetic_battery", "kinetic_energy",
     "kinetic_weak_residual", "kinetic_weak_residuals", "local_fields",
-    "macro_battery", "marginal_x", "meanfield", "measures", "mk_index",
-    "momentum", "momentum_residual",
-    "momentum_residuals", "mp_margin", "pair_alignment_study", "pairs",
-    "phi_weighted_marginal", "refinement_study", "rng",
-    "sample_initial", "sf_modulus", "vector_battery", "weakform",
+    "macro_battery", "meanfield", "measures",
+    "momentum_residual",
+    "momentum_residuals", "pair_alignment_study", "pairs",
+    "refinement_study", "rng",
+    "sample_initial", "vector_battery", "weakform",
 ]
 
 
 def test_public_namespace_unchanged():
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 54
     assert flocklab.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(flocklab))
     for name in PUBLIC:

@@ -9,7 +9,6 @@ import pytest
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import GridMismatch
 from flocklab.meanfield import FieldGrid, local_fields
-from flocklab.measures import from_particles
 from flocklab.pairs import distances, kernel
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
@@ -31,6 +30,7 @@ from flocklab.weakform import (
 )
 
 from oracles import (
+    from_particles,
     loop_continuity_residual,
     loop_dissipation_margin,
     loop_momentum_residual,
