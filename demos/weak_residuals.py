@@ -14,7 +14,12 @@ import numpy as np
 
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.meanfield import InitialSpec, field_residuals, sample_initial
-from flocklab.weakform import kinetic_battery, kinetic_weak_residuals
+from flocklab.weakform import (
+    FieldBattery,
+    kinetic_battery,
+    kinetic_weak_residuals,
+    vector_battery,
+)
 
 # ---- kinetic identity on an atomic trajectory ----
 x = np.linspace(-0.5, 0.5, 10)[:, None]
@@ -43,6 +48,8 @@ spec = InitialSpec(
 )
 H, T = 0.125, 0.5
 times = np.linspace(0.0, T, 1025)
+# 24 vector test functions, seed 0, drawn from the runs' d, T and M
+fields = FieldBattery(vector_battery(1, T, 2.0, 24, 0), times)
 print("\n    N  continuity   momentum")
 for n in (50, 100, 200, 400):
     x0, v0 = sample_initial(spec, n, bound=2.0)
@@ -52,6 +59,5 @@ for n in (50, 100, 200, 400):
         tol=1e-6,
         snapshot_times=times,
     )
-    # batteries of 24 functions, seed 0, drawn from the run's d, T and M
-    _, cont, mom, _ = field_residuals(traj, H, 24, 0)
+    _, cont, mom, _ = field_residuals(traj, H, fields)
     print(f"{n:5d}  {max(cont):.3e}    {max(mom):.3e}")

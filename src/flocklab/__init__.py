@@ -62,14 +62,12 @@ _EXPORTS = {
         "TestFunction",
         "VectorTestFunction",
         "continuity_residual",
-        "continuity_residuals",
         "dissipation_margin",
         "kinetic_battery",
         "kinetic_weak_residual",
         "kinetic_weak_residuals",
         "macro_battery",
         "momentum_residual",
-        "momentum_residuals",
         "vector_battery",
     ),
 }

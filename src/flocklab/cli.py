@@ -147,7 +147,9 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_residual(args) -> int:
     from .meanfield import field_residuals
-    from .weakform import kinetic_battery, kinetic_weak_residuals
+    from .weakform import (
+        FieldBattery, kinetic_battery, kinetic_weak_residuals, vector_battery,
+    )
 
     cfg = _load_config(args, "residual")
     out = _outdir(args)
@@ -170,7 +172,8 @@ def _cmd_residual(args) -> int:
     }
     if cfg["h"] is not None:
         h = float(cfg["h"])
-        _, cont, mom, _ = field_residuals(traj, h, size, seed)
+        battery = FieldBattery(vector_battery(p.d, p.T, p.M, size, seed), times)
+        _, cont, mom, _ = field_residuals(traj, h, battery)
         payload["fields"] = {
             "h": h,
             "continuity": {"residuals": cont, "max": max(cont)},

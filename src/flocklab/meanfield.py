@@ -14,12 +14,13 @@ snapshot_fields bins rows of a trajectory's stacked snapshots (all of
 them, or the probe times of a study) in one pass: one sort of the
 (snapshot, cell) rows and one np.bincount per sum.  local_fields bins one
 measure through the same sort, so there is one binning path.
-field_residuals is the one path from a trajectory to its continuity and
-momentum battery and its dissipation margins, shared by the refinement
-study and ``flocklab residual``: weakform.FieldBattery runs the
+field_residuals(traj, h, battery) is the one path from a trajectory to
+its continuity and momentum battery and its dissipation margins, shared
+by the refinement study and ``flocklab residual``: each builds a
+weakform.FieldBattery on the trajectory's snapshot times, which runs the
 weak-identity pass of the kinetic residuals over the binned cells, as
 weighted atoms with velocity factors 1 and v_k.  A study draws its
-battery once: every N runs on the same snapshot times, so one
+battery once and integrates every N on the battery's times, so one
 FieldBattery serves every N.  Each N draws its own sample, and the N run
 one after another.
 
@@ -359,24 +360,15 @@ def local_fields(mu: EmpiricalMeasure, d: int, h: float) -> FieldGrid:
     return _bin(np.zeros(len(w), dtype=np.int64), x, v, w, 1, h)[0]
 
 
-def field_residuals(traj: dynamics.Trajectory, h: float, size: int, seed: int):
+def field_residuals(traj: dynamics.Trajectory, h: float, battery):
     """The field battery of a trajectory: every snapshot binned at width h,
-    then the continuity and momentum residuals of the vector battery drawn
-    from traj.params (d, T, M) with the given size and seed (continuity
-    reads its scalar parts, the macro battery of that size and seed).  The
-    momentum identity takes its t = 0 moment from the unbinned first
+    then the continuity and momentum residuals of a weakform.FieldBattery
+    tabulated on the trajectory's snapshot times (ValueError otherwise).
+    The momentum identity takes its t = 0 moment from the unbinned first
     snapshot at weights 1/N.  Returns (grids, continuity, momentum,
     margins): the residuals one per test function, and the dissipation
     margins per snapshot at the run's alpha.
     """
-    p = traj.params
-    phis = weakform.vector_battery(p.d, p.T, p.M, size, seed)
-    return _battery_residuals(traj, h, weakform.FieldBattery(phis, traj.times))
-
-
-def _battery_residuals(traj, h, battery):
-    """field_residuals against a FieldBattery tabulated on the trajectory's
-    snapshot times."""
     p = traj.params
     if not np.array_equal(battery.times, traj.times):
         raise ValueError("battery and trajectory disagree on snapshot times")
@@ -441,7 +433,6 @@ def _study_single_n(
     bound,
     h,
     probes,
-    snap_times,
     tol,
     battery,
 ):
@@ -452,7 +443,7 @@ def _study_single_n(
         dynamics.ParticleState(0.0, x0, v0),
         params,
         tol=tol,
-        snapshot_times=snap_times,
+        snapshot_times=battery.times,
     )
 
     # the probes are on the snapshot grid: each is the row nearest to it
@@ -461,7 +452,7 @@ def _study_single_n(
     marginals = [EmpiricalMeasure(traj.x[k], w) for k in idx]
     phase = np.concatenate([traj.x[idx], traj.v[idx]], axis=2)
     energy, _ = phase_moments(phase, d, w)
-    grids, cont, mom, all_margins = _battery_residuals(traj, h, battery)
+    grids, cont, mom, all_margins = field_residuals(traj, h, battery)
     margins = tuple(float(all_margins[k]) for k in idx)
     # one row per probe: its grids at widths 2h, h, h/2, the width-h ones
     # read off the battery's (binning is per snapshot, so they are the same)
@@ -535,8 +526,7 @@ def refinement_study(
     for n in n_list:
         try:
             runs.append(_study_single_n(
-                spec, n, alpha, horizon, bound, h, probes, snap_times,
-                tol, battery,
+                spec, n, alpha, horizon, bound, h, probes, tol, battery,
             ))
         except FlockLabError as exc:
             row = StudyRow(

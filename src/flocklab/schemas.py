@@ -1,4 +1,5 @@
-"""Config document schemas for the command-line entry points.
+"""Config document schemas for the command-line entry points, and the
+schema of the summary a saved trajectory carries.
 
 Configs are JSON objects validated before execution; defaults below are
 merged in afterwards so that every report can embed the fully resolved
@@ -143,6 +144,20 @@ SCHEMAS = {
             "tol": _POSITIVE,
         },
         "additionalProperties": False,
+    },
+    # the summary beside a saved trajectory; keys not listed are ignored
+    "trajectory": {
+        "type": "object",
+        "required": ["d", "alpha", "N", "T", "M", "tol", "snapshot_count"],
+        "properties": {
+            "d": {"type": "integer"},
+            "alpha": {"type": "number"},
+            "N": {"type": "integer"},
+            "T": {"type": "number"},
+            "M": {"type": "number"},
+            "tol": {"type": ["number", "null"]},
+            "snapshot_count": {"type": "integer"},
+        },
     },
 }
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import schemas
 from .dynamics import ModelParams, Trajectory
 from .measures import EmpiricalMeasure
 
@@ -59,16 +60,13 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path, payload: dict, kind: str, timestamp: str | None = None) -> dict:
-    """Stamp and write a report; returns the stamped payload."""
+def write_report(path, payload: dict, kind: str) -> None:
+    """Stamp a report with schema_version, kind and generated_at; write it."""
     stamped = dict(payload)
     stamped["schema_version"] = SCHEMA_VERSION
     stamped["kind"] = kind
-    stamped["generated_at"] = timestamp or (
-        datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
+    stamped["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     Path(path).write_text(canonical_json(stamped), encoding="utf-8")
-    return stamped
 
 
 def read_report(path) -> dict:
@@ -84,6 +82,25 @@ def _cell(v):
         return ""
     f = float(v)
     return repr(f) if math.isfinite(f) else ""
+
+
+def _read_csv(path, kind: str, lead: list, width: int | None = None):
+    """The header row and the rows of a CSV table, as lists of strings.
+    ValueError unless the file has a header row that starts with lead (and
+    has width cells, if given) and every row is as wide as the header."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{kind} CSV {path} has no header row")
+        if header[: len(lead)] != lead or width not in (None, len(header)):
+            raise ValueError(f"{kind} CSV header mismatch: {header}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{kind} CSV line {reader.line_num}: {row}")
+            rows.append(row)
+    return header, rows
 
 
 def _write_csv(path, header, rows) -> Path:
@@ -134,15 +151,16 @@ def load_trajectory(stem) -> Trajectory:
     save_trajectory.  Step-by-step solver series are not kept on disk, so
     the loaded object has empty step arrays.
 
-    Every row must have 2 + 2d fields, every snapshot exactly the rows
-    i = 0..N-1, the file snapshot_count snapshots and at least one, and
-    the snapshots finite positions and velocities at strictly increasing
-    times (Trajectory checks the last three), or ValueError is raised.
-    A "tol" of null (a fixed-step run of an earlier version) loads as
-    None; keys this version no longer writes are ignored.
+    The summary must match schemas.SCHEMAS["trajectory"], every row have
+    2 + 2d fields, every snapshot exactly the rows i = 0..N-1, the file
+    snapshot_count snapshots and at least one, and the snapshots finite
+    positions and velocities at strictly increasing times (Trajectory
+    checks the last three), or ValueError is raised.  A "tol" of null (a
+    fixed-step run of an earlier version) loads as None; keys this version
+    no longer writes are ignored.
     """
     stem = Path(stem)
-    meta = read_report(stem.with_suffix(".json"))
+    meta = schemas.resolve("trajectory", read_report(stem.with_suffix(".json")))
     d = int(meta["d"])
     params = ModelParams(
         d=d,
@@ -151,24 +169,16 @@ def load_trajectory(stem) -> Trajectory:
         T=float(meta["T"]),
         M=float(meta["M"]),
     )
-    rows = []
-    with stem.with_suffix(".csv").open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        want = 2 + 2 * d
-        if len(header) != want or header[:2] != ["t", "i"]:
-            raise ValueError(f"trajectory CSV header mismatch: {header}")
-        for row in reader:
-            if len(row) != want:
-                raise ValueError(f"trajectory CSV line {reader.line_num}: {row}")
-            rows.append([float(row[0]), int(row[1])] + [float(c) for c in row[2:]])
+    _, cells = _read_csv(stem.with_suffix(".csv"), "trajectory", ["t", "i"], 2 + 2 * d)
     by_t: dict[float, list] = {}
-    for row in rows:
+    for row in cells:
+        row = [float(row[0]), int(row[1])] + [float(c) for c in row[2:]]
         by_t.setdefault(row[0], []).append(row)
     blocks = []
     for t, block in by_t.items():
         block.sort(key=lambda r: r[1])
-        if [r[1] for r in block] != list(range(params.N)):
+        ids = [r[1] for r in block]
+        if len(ids) != params.N or ids != list(range(params.N)):
             raise ValueError(
                 f"trajectory snapshot t={t!r} does not hold exactly the "
                 f"particles 0..{params.N - 1}"
@@ -204,22 +214,11 @@ def save_measure(mu: EmpiricalMeasure, path) -> Path:
 
 
 def load_measure(path) -> EmpiricalMeasure:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "weight":
-            raise ValueError(f"measure CSV header mismatch: {header}")
-        k = len(header) - 1
-        weights = []
-        points = []
-        for row in reader:
-            if len(row) != k + 1:
-                raise ValueError("measure CSV row width mismatch")
-            weights.append(float(row[0]))
-            points.append([float(c) for c in row[1:]])
+    header, rows = _read_csv(path, "measure", ["weight"])
+    weights = [float(row[0]) for row in rows]
+    points = [[float(c) for c in row[1:]] for row in rows]
     # (rows, k) even without rows: a header-only file is the empty measure
-    points = np.array(points, dtype=np.float64).reshape(len(weights), k)
+    points = np.array(points, dtype=np.float64).reshape(len(rows), len(header) - 1)
     return EmpiricalMeasure(points, np.array(weights))
 
 

@@ -34,8 +34,9 @@ TestFunction.  FieldBattery.residuals passes the cells of field grids
 nothing) with H = 1 for the continuity identity and H = v_k for the
 momentum identity; the same pass gives the energy and pair dissipation
 behind the dissipation margins.  The pair terms read one pull vector per
-snapshot, so no array has a battery axis and two atom axes.  The other
-residual functions wrap these two.  Each function is reduced along its
+snapshot, so no array has a battery axis and two atom axes.  The
+single-function forms run these two on a battery of one function
+(dissipation_margin on an empty one).  Each function is reduced along its
 own row, so a battery gives the per-function results bit for bit.
 """
 
@@ -482,14 +483,6 @@ class FieldBattery:
         return continuity, momentum, margins
 
 
-def continuity_residuals(times, grids, phis) -> list:
-    """continuity_residual for every MacroTestFunction of a battery, through
-    a FieldBattery of the functions (as components 0)."""
-    vphis = [VectorTestFunction(phi, 0) for phi in phis]
-    # the continuity identity has no pair term: any kernel exponent serves
-    return FieldBattery(vphis, times).residuals(grids, 1.0)[0]
-
-
 def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
     """Defect of the weak continuity identity on binned fields:
 
@@ -498,13 +491,9 @@ def continuity_residual(times, grids, phi: MacroTestFunction) -> float:
     with phi evaluated at cell barycenters.  Converges to zero as the
     trajectory, grid, and time step refine together.
     """
-    return continuity_residuals(times, grids, [phi])[0]
-
-
-def momentum_residuals(times, grids, phis, alpha: float, initial_atoms=None) -> list:
-    """momentum_residual for every VectorTestFunction of a battery, through
-    a FieldBattery of the functions."""
-    return FieldBattery(phis, times).residuals(grids, alpha, initial_atoms)[1]
+    battery = FieldBattery([VectorTestFunction(phi, 0)], times)
+    # the continuity identity has no pair term: any kernel exponent serves
+    return battery.residuals(grids, 1.0)[0][0]
 
 
 def momentum_residual(
@@ -525,7 +514,7 @@ def momentum_residual(
     If initial_atoms = (x0, v0, w0) is given the t = 0 moment uses the
     unbinned atoms; otherwise the first grid supplies it.
     """
-    return momentum_residuals(times, grids, [phi], alpha, initial_atoms)[0]
+    return FieldBattery([phi], times).residuals(grids, alpha, initial_atoms)[1][0]
 
 
 def dissipation_margin(times, grids, alpha: float) -> np.ndarray:

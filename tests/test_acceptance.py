@@ -24,12 +24,10 @@ from flocklab.meanfield import (
 )
 from flocklab.measures import EmpiricalMeasure, dbl
 from flocklab.weakform import (
-    continuity_residuals,
+    FieldBattery,
     dissipation_margin,
     kinetic_battery,
     kinetic_weak_residual,
-    macro_battery,
-    momentum_residuals,
     vector_battery,
 )
 from oracles import (
@@ -402,7 +400,6 @@ def field_study():
     h, horizon, alpha = 0.125, 0.5, 1.0
     grid_t = np.linspace(0.0, horizon, 1025)
     probe_idx = (256, 512, 768, 1024)
-    mb = macro_battery(1, horizon, 2.0, size=24, seed=0)
     vb = vector_battery(1, horizon, 2.0, size=24, seed=0)
     out = {"n_list": (50, 100, 200, 400), "cont": [], "mom": [],
            "margin": [], "bound": [], "probe_idx": probe_idx}
@@ -418,14 +415,13 @@ def field_study():
         times = traj.times
         measures = [from_particles(s) for s in traj]
         grids = [local_fields(mu, 1, h) for mu in measures]
-        out["cont"].append(max(continuity_residuals(times, grids, mb)))
         w0 = np.full(n, 1.0 / n)
-        out["mom"].append(
-            max(
-                momentum_residuals(times, grids, vb, alpha,
-                                   initial_atoms=(x0, v0, w0))
-            )
+        # continuity tests with the scalar parts of vb, the macro battery
+        cont, mom, _ = FieldBattery(vb, times).residuals(
+            grids, alpha, initial_atoms=(x0, v0, w0)
         )
+        out["cont"].append(max(cont))
+        out["mom"].append(max(mom))
         margins = dissipation_margin(times, grids, alpha)
         # quadrature estimate: binned-away kinetic energy at the two ends
         # plus a trapezoid curvature term for the dissipation integral

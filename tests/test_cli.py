@@ -1,11 +1,15 @@
 """Command-line round trips, determinism, and error reporting."""
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flocklab import _flatlp, cli, storage
+from flocklab import _flatlp, cli, schemas, storage
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.measures import EmpiricalMeasure
 
@@ -212,6 +216,167 @@ def test_fixed_step_trajectory_file_still_loads(tmp_path):
         cfg.write_text(json.dumps({"input": str(tmp_path / "run"), **extra}))
         out = tmp_path / command
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def run_cli(argv, out, capsys):
+    """Run one subcommand with --out out; returns the exit status and, on
+    status 2, the printed error document, which out/error.json must hold."""
+    rc = cli.main([*argv, "--out", str(out)])
+    if rc != 2:
+        return rc, None
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert json.loads((out / "error.json").read_text()) == doc
+    return rc, doc
+
+
+def on_trajectory(command, wdir):
+    """The arguments of diagnose or residual (with field residuals) on the
+    trajectory wdir/run."""
+    doc = {"input": str(wdir / "run")}
+    if command == "residual":
+        doc.update(battery_size=2, h=0.25)
+    cfg = wdir / f"{command}.json"
+    cfg.write_text(json.dumps(doc))
+    return [command, "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("command", ["dbl", "diagnose", "residual"])
+def test_empty_input_file_is_rejected(tmp_path, capsys, command):
+    # a zero-byte measure or trajectory CSV has no header row to read
+    if command == "dbl":
+        empty, other = tmp_path / "a.csv", tmp_path / "b.csv"
+        storage.save_measure(EmpiricalMeasure(np.zeros((1, 1)), [1.0]), other)
+        argv = ["dbl", str(empty), str(other)]
+    else:
+        empty, _ = saved_trajectory(tmp_path)
+        argv = on_trajectory(command, tmp_path)
+    empty.write_text("")
+    kind = "measure" if command == "dbl" else "trajectory"
+    message = f"{kind} CSV {empty} has no header row"
+    rc, doc = run_cli(argv, tmp_path / "out", capsys)
+    assert rc == 2
+    assert doc == {"error": {"type": "ValueError", "message": message}}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (None, None, "is not of type 'object'"),  # the summary as a JSON list
+    ("snapshot_count", None, "None is not of type 'integer'"),
+    ("N", 5.7, "5.7 is not of type 'integer'"),
+    ("d", 1.9, "1.9 is not of type 'integer'"),
+    ("snapshot_count", 3.2, "3.2 is not of type 'integer'"),
+    ("tol", KeyError, "'tol' is a required property"),  # the key left out
+    ("alpha", math.inf, "inf is not a finite number"),  # written as 1e400
+    ("T", "2", "'2' is not of type 'number'"),
+])
+def test_malformed_trajectory_summary_is_rejected(tmp_path, capsys, key, value,
+                                                  message):
+    # each once raised TypeError or OverflowError, gave KeyError('tol'), or
+    # loaded silently, with int() truncating the value
+    _, json_path = saved_trajectory(tmp_path)
+    doc = json.loads(json_path.read_text())
+    if key is None:
+        doc = [doc]
+    elif value is KeyError:
+        del doc[key]
+    else:
+        doc[key] = value
+    json_path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    with pytest.raises(schemas.ValidationError) as info:
+        storage.load_trajectory(tmp_path / "run")
+    assert info.value.message.endswith(message)
+    for command in ("diagnose", "residual"):
+        argv = on_trajectory(command, tmp_path)
+        rc, doc = run_cli(argv, tmp_path / command, capsys)
+        assert rc == 2
+        assert doc["error"] == {"type": "ValidationError", "message": str(info.value)}
+
+
+def test_trajectory_summary_with_a_huge_particle_count_is_rejected(tmp_path):
+    # the rows of a snapshot are counted before the particle ids 0..N-1 are
+    # listed, so a forged N allocates nothing
+    _, json_path = saved_trajectory(tmp_path)
+    doc = json.loads(json_path.read_text())
+    doc["N"] = 2**62
+    json_path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="particles 0..4611686018427387903"):
+        storage.load_trajectory(tmp_path / "run")
+
+
+# the edits the property test makes: CSV cells and summary values (as JSON)
+BAD_CELLS = ["", "nan", "1e400", "x", "1.5"]
+BAD_VALUES = ["null", '"x"', "1.5", "1e400", "[]", "{}"]
+
+
+@st.composite
+def edited(draw, name, data: bytes) -> bytes:
+    """One edit of an input file: truncated at a byte, a line dropped, or
+    one CSV cell or one summary value replaced."""
+    op = draw(st.sampled_from(
+        ["truncate", "drop", "value" if name.endswith(".json") else "cell"]
+    ))
+    if op == "truncate":
+        return data[: draw(st.integers(0, len(data)))]
+    lines = data.decode().splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    if op == "drop":
+        return "".join(lines[:i] + lines[i + 1:]).encode()
+    if op == "cell":
+        body = lines[i].rstrip("\r\n")
+        cells = body.split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        lines[i] = ",".join(cells) + lines[i][len(body):]
+        return "".join(lines).encode()
+    doc = json.loads(data)
+    doc[draw(st.sampled_from(sorted(doc)))] = "@edit@"
+    text = json.dumps(doc, indent=2)
+    return text.replace('"@edit@"', draw(st.sampled_from(BAD_VALUES))).encode()
+
+
+def test_no_input_file_makes_a_subcommand_raise(tmp_path, capsys):
+    # dbl on an edited measure CSV, and diagnose and residual on an edited
+    # trajectory CSV or summary, exit 0, or 2 with an error.json
+    base = tmp_path / "base"
+    base.mkdir()
+    params = ModelParams(d=1, alpha=1.5, N=3, T=0.2, M=2.0)
+    x = np.array([[-0.3], [0.1], [0.4]])
+    v = np.array([[0.2], [0.0], [-0.1]])
+    traj = integrate(
+        ParticleState(0.0, x, v), params, snapshot_times=np.linspace(0, 0.2, 3)
+    )
+    storage.save_trajectory(traj, base / "run")
+    mu = EmpiricalMeasure(np.array([[0.0, 0.5], [0.2, -0.1], [0.7, 0.3]]),
+                          [0.25, 0.25, 0.5])
+    storage.save_measure(mu, base / "a.csv")
+    files = {
+        name: (base / name).read_bytes()
+        for name in ("a.csv", "run.csv", "run.json")
+    }
+    examples = itertools.count()
+    outcomes = []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(sorted(files)).flatmap(
+        lambda name: st.tuples(st.just(name), edited(name, files[name]))
+    ))
+    def check(edit):
+        name, data = edit
+        wdir = tmp_path / f"ex{next(examples)}"
+        wdir.mkdir()
+        for other, original in files.items():
+            (wdir / other).write_bytes(data if other == name else original)
+        (wdir / "b.csv").write_bytes(files["a.csv"])
+        if name == "a.csv":
+            runs = [["dbl", str(wdir / "a.csv"), str(wdir / "b.csv")]]
+        else:
+            runs = [on_trajectory(cmd, wdir) for cmd in ("diagnose", "residual")]
+        for argv in runs:
+            rc, _ = run_cli(argv, wdir / f"out-{argv[0]}", capsys)
+            assert rc in (0, 2), (argv, data)
+            outcomes.append(rc)
+
+    check()
+    # the edits reach both outcomes
+    assert {0, 2} <= set(outcomes)
 
 
 def test_measure_roundtrip(tmp_path):

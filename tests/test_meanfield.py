@@ -23,10 +23,9 @@ from flocklab.measures import EmpiricalMeasure
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
     FieldBattery,
-    continuity_residuals,
+    VectorTestFunction,
     dissipation_margin,
     macro_battery,
-    momentum_residuals,
     vector_battery,
 )
 
@@ -534,22 +533,20 @@ def test_field_residuals_equal_direct_battery_calls(d):
         tol=1e-7,
         snapshot_times=np.linspace(0.0, horizon, 7),
     )
-    grids, cont, mom, margins = field_residuals(traj, h, 6, 3)
     times = traj.times
+    vb = vector_battery(d, horizon, bound, size=6, seed=3)
+    grids, cont, mom, margins = field_residuals(traj, h, FieldBattery(vb, times))
     want = [local_fields(from_particles(s), d, h) for s in traj.snapshots]
     for got, ref in zip(grids, want, strict=True):
         for name in ("barycenter", "velocity", "mass", "cov_trace"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
-    assert cont == continuity_residuals(
-        times, want, macro_battery(d, horizon, bound, size=6, seed=3)
-    )
-    assert mom == momentum_residuals(
-        times,
-        want,
-        vector_battery(d, horizon, bound, size=6, seed=3),
-        alpha,
-        initial_atoms=(x0, v0, np.full(n, 1.0 / n)),
-    )
+    # continuity reads the scalar parts: the macro battery of that size and seed
+    mb = macro_battery(d, horizon, bound, size=6, seed=3)
+    scalar = FieldBattery([VectorTestFunction(phi, 0) for phi in mb], times)
+    assert cont == scalar.residuals(want, 1.0)[0]
+    assert mom == FieldBattery(vb, times).residuals(
+        want, alpha, initial_atoms=(x0, v0, np.full(n, 1.0 / n))
+    )[1]
     assert np.array_equal(margins, dissipation_margin(times, want, alpha))
 
 
@@ -604,20 +601,22 @@ def test_study_battery_equals_per_n_draws(monkeypatch):
     # the study draws its battery once for every N; each N's residuals are
     # those of a battery drawn for that trajectory alone
     seen = {}
-    shared = meanfield._battery_residuals
+    shared = meanfield.field_residuals
 
     def spy(traj, h, battery):
         out = shared(traj, h, battery)
         seen[traj.params.N] = (traj, battery, out)
         return out
 
-    monkeypatch.setattr(meanfield, "_battery_residuals", spy)
+    monkeypatch.setattr(meanfield, "field_residuals", spy)
     rep = small_study()
     monkeypatch.undo()
     assert len({id(battery) for _, battery, _ in seen.values()}) == 1
     for row in rep.rows:
         traj, _, (grids, cont, mom, margins) = seen[row.n]
-        _, want_cont, want_mom, want_margins = field_residuals(traj, 0.25, 4, 0)
+        p = traj.params
+        own = FieldBattery(vector_battery(p.d, p.T, p.M, 4, 0), traj.times)
+        _, want_cont, want_mom, want_margins = field_residuals(traj, 0.25, own)
         assert cont == want_cont
         assert mom == want_mom
         assert np.array_equal(margins, want_margins)
@@ -638,7 +637,7 @@ def test_study_builds_psi_and_bumps_once_per_snapshot(monkeypatch, name):
     calls = []
     occupied = []
     real = getattr(weakform, name)
-    shared = meanfield._battery_residuals
+    shared = meanfield.field_residuals
 
     def count(*args):
         calls.append(name)
@@ -650,7 +649,7 @@ def test_study_builds_psi_and_bumps_once_per_snapshot(monkeypatch, name):
         return out
 
     monkeypatch.setattr(weakform, name, count)
-    monkeypatch.setattr(meanfield, "_battery_residuals", battery_spy)
+    monkeypatch.setattr(meanfield, "field_residuals", battery_spy)
     small_study()
     assert len(occupied) == 2 and min(occupied) > 0
     per_n = 1 if name == "_bump" else 0
@@ -668,7 +667,7 @@ def test_battery_on_other_times_is_rejected():
     times = np.linspace(0.0, 0.2, 9)
     battery = FieldBattery(vector_battery(1, 0.2, 2.0, size=3), times)
     with pytest.raises(ValueError, match="snapshot times"):
-        meanfield._battery_residuals(traj, 0.25, battery)
+        field_residuals(traj, 0.25, battery)
 
 
 def test_refinement_study_survives_single_failure(monkeypatch):

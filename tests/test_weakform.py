@@ -17,7 +17,6 @@ from flocklab.weakform import (
     TestFunction,
     VectorTestFunction,
     continuity_residual,
-    continuity_residuals,
     cumulative_trapezoid,
     dissipation_margin,
     kinetic_battery,
@@ -25,7 +24,6 @@ from flocklab.weakform import (
     kinetic_weak_residuals,
     macro_battery,
     momentum_residual,
-    momentum_residuals,
     vector_battery,
 )
 
@@ -461,7 +459,8 @@ def test_continuity_battery_matches_oracle(d, pad):
     if pad:
         grids = padded(grids, d)
     mb = macro_battery(d, 0.5, 2.0, size=24, seed=d)
-    got = continuity_residuals(times, grids, mb)
+    battery = FieldBattery([VectorTestFunction(phi, 0) for phi in mb], times)
+    got = battery.residuals(grids, 1.0)[0]
     assert got == [loop_continuity_residual(times, grids, phi) for phi in mb]
 
 
@@ -485,8 +484,6 @@ def test_momentum_battery_matches_oracle(d, pad, atoms, alpha):
         [momentum_scale(times, grids, phi, alpha, ia) for phi in vb]
     )
     assert np.all(np.abs(np.subtract(mom, want)) <= bound)
-    got = momentum_residuals(times, grids, vb, alpha, initial_atoms=ia)
-    assert np.all(np.abs(np.subtract(got, want)) <= bound)
     assert cont == [loop_continuity_residual(times, grids, phi.base) for phi in vb]
     want_margins = loop_dissipation_margin(times, grids, alpha)
     bound = C_EPS * EPS * margin_scale(times, grids, alpha)
@@ -556,16 +553,17 @@ def test_field_pass_holds_no_battery_pair_array():
 
 
 def test_single_function_battery_equals_wrapper():
+    # each row of a battery is the single-function form of its function
     times, grids, initial = binned_sequence(2, seed=4)
-    phi = macro_battery(2, 0.5, 2.0, size=3, seed=1)[2]
-    vphi = VectorTestFunction(phi, 1)
-    assert continuity_residuals(times, grids, [phi]) == [
-        continuity_residual(times, grids, phi)
-    ]
+    mb = macro_battery(2, 0.5, 2.0, size=3, seed=1)
+    vb = [VectorTestFunction(phi, 1) for phi in mb]
     for ia in (None, initial):
-        assert momentum_residuals(
-            times, grids, [vphi], 1.5, initial_atoms=ia
-        ) == [momentum_residual(times, grids, vphi, 1.5, initial_atoms=ia)]
+        cont, mom, _ = FieldBattery(vb, times).residuals(grids, 1.5, ia)
+        assert cont == [continuity_residual(times, grids, phi) for phi in mb]
+        assert mom == [
+            momentum_residual(times, grids, vphi, 1.5, initial_atoms=ia)
+            for vphi in vb
+        ]
 
 
 def test_battery_forms_reject_grid_mismatch():
@@ -574,10 +572,13 @@ def test_battery_forms_reject_grid_mismatch():
     g = grids[2]
     bad[2] = grid(0.25, 1, g.mass, g.velocity, g.barycenter)
     phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
+    battery = FieldBattery([VectorTestFunction(phi, 0)], times)
     with pytest.raises(GridMismatch):
-        continuity_residuals(times, bad, [phi])
+        battery.residuals(bad, 1.5)
     with pytest.raises(GridMismatch):
-        momentum_residuals(times, bad, [VectorTestFunction(phi, 0)], 1.5)
+        continuity_residual(times, bad, phi)
+    with pytest.raises(GridMismatch):
+        momentum_residual(times, bad, VectorTestFunction(phi, 0), 1.5)
 
 
 @pytest.mark.parametrize("count", [3, 7])
@@ -587,10 +588,13 @@ def test_field_forms_reject_grid_count_mismatch(count):
     bad = (list(grids) * 2)[:count]
     phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
     message = f"{count} field grids for 5 snapshot times"
+    battery = FieldBattery([VectorTestFunction(phi, 0)], times)
     with pytest.raises(ValueError, match=message):
-        continuity_residuals(times, bad, [phi])
+        battery.residuals(bad, 1.5)
     with pytest.raises(ValueError, match=message):
-        momentum_residuals(times, bad, [VectorTestFunction(phi, 0)], 1.5)
+        continuity_residual(times, bad, phi)
+    with pytest.raises(ValueError, match=message):
+        momentum_residual(times, bad, VectorTestFunction(phi, 0), 1.5)
     with pytest.raises(ValueError, match=message):
         dissipation_margin(times, bad, 1.5)
 
@@ -671,7 +675,7 @@ def test_field_battery_rejects_unordered_times():
     times, grids = drifting_cell_sequence(m=5)
     phi = MacroTestFunction(1, 0.9, np.array([0.0]), 1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
-        continuity_residuals(times[::-1], grids, [phi])
+        continuity_residual(times[::-1], grids, phi)
     for bad in ([0.0, math.nan, 0.2], [0.0, 0.2, 0.2], [0.0, 0.2, math.inf], [[0.0, 1.0]]):
         with pytest.raises(ValueError, match="strictly increasing"):
             FieldBattery([], bad)
