@@ -38,7 +38,6 @@ _EXPORTS = {
         "SnapshotMissing",
         "StepBudgetExceeded",
         "StepCollapse",
-        "SupportTooLarge",
     ),
     "meanfield": (
         "FieldGrid",

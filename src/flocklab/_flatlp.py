@@ -87,7 +87,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import PivotBudgetExceeded, SupportTooLarge
+from .errors import PivotBudgetExceeded
 from .pairs import TILE_ENTRIES, separations
 
 _RC_TOL = 1e-11  # reduced-cost threshold for optimality
@@ -230,25 +230,17 @@ def _line_potential(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_flat_lp(
-    points: np.ndarray, b: np.ndarray, cap: int = 2000
-) -> tuple[float, np.ndarray]:
+def solve_flat_lp(points: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """Optimal flat-metric value and potential for signed weights b.
 
     Returns (value, phi) with phi the optimal potential per support point.
-    Raises SupportTooLarge when the support exceeds ``cap`` atoms, and in
-    d >= 2 PivotBudgetExceeded when the simplex does not finish within
-    ``_pivot_budget`` pivots.
+    No support size is refused: memory is O(K) (see the module docstring).
+    The one failure is PivotBudgetExceeded, in d >= 2, when the simplex
+    does not finish within ``_pivot_budget`` pivots.
     """
     points = np.asarray(points, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     K = points.shape[0]
-    if K > cap:
-        raise SupportTooLarge(
-            "union support exceeds the exact-program cap",
-            support=K,
-            cap=cap,
-        )
     if K == 0:
         return 0.0, np.zeros(0)
     if points.shape[1] == 1:

@@ -9,9 +9,11 @@ pass the same schema check.  A subcommand takes an override only when its
 schema has that key: simulate and mfstudy take --seed and --tol, pairstudy
 takes --tol, diagnose and residual take neither, and only mfstudy takes
 --threads, which changes nothing: the study runs its sizes one after
-another, and no report echoes it.  Outputs land in --out (default
-current directory).  Identical config and seed give byte-identical reports
-apart from the generated_at line.
+another, and no report echoes it.  dbl's --cap is accepted for old
+command lines and changes nothing, since the flat distance takes any
+support size; it must still be at least 1 and is echoed in dbl.json.
+Outputs land in --out (default current directory).  Identical config and
+seed give byte-identical reports apart from the generated_at line.
 
 On any handled failure the process prints one machine-readable JSON error
 object, writes it to <out>/error.json when possible, and exits with
@@ -115,7 +117,7 @@ def _cmd_dbl(args) -> int:
     schemas.check_cap(args.cap)
     mu = storage.load_measure(args.a)
     nu = storage.load_measure(args.b)
-    value, points, phi = dbl_with_potential(mu, nu, cap=args.cap)
+    value, points, phi = dbl_with_potential(mu, nu)
     print(repr(float(value)))
     for pt, p in zip(points, phi):
         print(",".join(repr(float(c)) for c in pt) + "," + repr(float(p)))
@@ -208,7 +210,6 @@ def _cmd_mfstudy(args) -> int:
         quad_points=int(cfg["quad_points"]),
         battery_size=int(cfg["battery_size"]),
         battery_seed=int(cfg["battery_seed"]),
-        dbl_cap=int(cfg["dbl_cap"]),
     )
     storage.save_study_tables(report, out / "tables")
     # threads changes nothing; leaving it out keeps the reports of every
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dbl", help="flat distance between two measure files")
     p.add_argument("a", help="first measure CSV")
     p.add_argument("b", help="second measure CSV")
-    p.add_argument("--cap", type=int, default=2000, help="union support cap")
+    p.add_argument("--cap", type=int, default=2000,
+                   help="accepted for old command lines; changes nothing")
     p.add_argument("--out", default=None, help="also write dbl.json here")
     p.set_defaults(func=_cmd_dbl)
 

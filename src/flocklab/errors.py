@@ -46,11 +46,6 @@ class NonFiniteState(FlockLabError):
     finite (NaN or infinite), so no step size can repair the step."""
 
 
-class SupportTooLarge(FlockLabError):
-    """The union support of the two measures exceeds the configured size cap
-    for the exact flat-metric program.  Subsample or coarsen first."""
-
-
 class PivotBudgetExceeded(FlockLabError):
     """The flat-metric simplex used up its pivot budget without reaching an
     optimal basis; carries the support size, the pivots made and the

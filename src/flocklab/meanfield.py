@@ -281,12 +281,17 @@ def _bin(label, x, v, w, count, h) -> list:
     lexicographic order of their indices and each cell's atoms in their
     input order.  The cell sums add the atoms in that order, and so does
     each cell's variance, as one sum over its contiguous slice.  Cells
-    whose atoms all carry zero weight are dropped.
+    whose atoms all carry zero weight are dropped.  Cell indices stay
+    float64 sort keys, exact at any width whose x / h is finite.
     """
     if not h > 0:
         raise ValueError("cell width must be positive")
     n, d = x.shape
-    rows = np.column_stack([label, np.floor(x / h).astype(np.int64)])
+    with np.errstate(over="ignore"):
+        cells = np.floor(x / h)
+    if not np.isfinite(cells).all():
+        raise ValueError(f"cell width {h!r} puts a cell beyond the float range")
+    rows = np.column_stack([label, cells])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.ones(n, dtype=bool)
@@ -407,8 +412,9 @@ class StudyReport:
     dbl_cauchy[k][p] is the flat distance between the spatial marginals of
     runs n_list[k] and n_list[k + 1] at probe p; energy_cauchy likewise
     for kinetic energies.  None entries mark pairs where a run failed, or
-    where the flat distance itself failed: dbl_errors[k] then holds that
-    error record (None for every other pair).
+    where the flat distance exceeded the simplex's pivot budget:
+    dbl_errors[k] then holds that PivotBudgetExceeded record (None for
+    every other pair).
     """
 
     n_list: tuple
@@ -486,7 +492,6 @@ def refinement_study(
     quad_points: int = 33,
     battery_size: int = 24,
     battery_seed: int = 0,
-    dbl_cap: int = 2000,
 ) -> StudyReport:
     """Run one initial recipe at every N in n_list and compare.
 
@@ -497,8 +502,8 @@ def refinement_study(
     residuals on width-h fields, and dissipation margins at the probe
     times.  Consecutive runs are compared in the flat metric on spatial
     marginals.  A failed run (collision, step collapse) is kept as its
-    error record, and so is a failed flat distance between two runs (support
-    cap, pivot budget); the study continues.
+    error record, and so is a flat distance between two runs that exceeds
+    the simplex's pivot budget; the study continues.
 
     Each N draws its own sample, so a RejectionOverflow fails only the N
     that reach the failing atom.  A draw that escapes the bound raises
@@ -546,10 +551,7 @@ def refinement_study(
             energy_cauchy.append(None)
             continue
         try:
-            dists = tuple(
-                float(dbl(ma, mb, cap=dbl_cap))
-                for ma, mb in zip(marg_a, marg_b)
-            )
+            dists = tuple(float(dbl(ma, mb)) for ma, mb in zip(marg_a, marg_b))
             error = None
         except FlockLabError as exc:
             dists, error = None, exc.to_dict()

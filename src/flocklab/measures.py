@@ -12,11 +12,12 @@ probability measures and their sub-probability images under weighting by a
 
 The flat metric ``dbl`` is computed exactly (to solver round-off) by
 ``_flatlp``: a dynamic program on the line, a spanning-tree network
-simplex in d >= 2.  Distances and their optimal potentials are
-deterministic functions of the inputs.  Measures of unequal
-total mass are accepted: the metric then also prices the mass difference,
-at cost 1 per unit, consistent with the test-function normalization
-|phi| <= 1.
+simplex in d >= 2.  Any support size is accepted; the one failure is
+the simplex's pivot budget (PivotBudgetExceeded) in d >= 2.  Distances
+and their optimal potentials are deterministic functions of the inputs.
+Measures of unequal total mass are accepted: the metric then also prices
+the mass difference, at cost 1 per unit, consistent with the
+test-function normalization |phi| <= 1.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def union_support(
     return uniq, b
 
 
-def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = 2000) -> float:
+def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Flat (bounded-Lipschitz) distance between two atomic measures.
 
     Exact linear program over the union support:
@@ -124,14 +125,14 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = 2000) -> float:
     |phi(p) - phi(q)| <= |p - q|.  Always at most mass(mu) + mass(nu),
     hence at most 2 for probability measures.
     """
-    return dbl_with_potential(mu, nu, cap)[0]
+    return dbl_with_potential(mu, nu)[0]
 
 
 def dbl_with_potential(
-    mu: EmpiricalMeasure, nu: EmpiricalMeasure, cap: int = 2000
+    mu: EmpiricalMeasure, nu: EmpiricalMeasure
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Distance plus (support points, optimal potential values)."""
     pts, b = union_support(mu, nu)
-    value, phi = solve_flat_lp(pts, b, cap=cap)
+    value, phi = solve_flat_lp(pts, b)
     return float(value), pts, phi
 

@@ -13,25 +13,28 @@ No third-party package is needed to run a config; jsonschema is the
 tests' oracle only.
 
 JSON Schema bounds cannot reject NaN (every comparison with it is false),
-and Python's JSON reader and argparse both accept NaN and Infinity.  So a
-finiteness rule runs beside the schema: a conforming config holding a
-non-finite number anywhere is rejected with a ValidationError that names
-where it sits.
+and Python's JSON reader and argparse both accept NaN and Infinity; nor
+do they bound an integer, which Python's JSON reader keeps exact however
+long it is.  So a finiteness rule runs beside the schema: a conforming
+config holding a NaN, an infinity or an integer beyond the float range
+anywhere is rejected with a ValidationError that names where it sits.
 
 ``kernel_floor`` and ``fixed_step`` name integrator modes that no longer
 exist, and ``eta_ladder`` a diagnostics series that is no longer reported.
 They are accepted at their defaults only (0, null and the default ladder),
 so every report written with them still reproduces from itself, byte for
-byte.  ``threads`` in an mfstudy config named the worker threads of a
-study that now runs its sizes one after another; any positive count is
-accepted, changes nothing and is not echoed into reports.
+byte.  Two keys of an mfstudy config change nothing.  ``threads`` named
+the worker threads of a study that now runs its sizes one after another;
+any positive count is accepted and is not echoed into reports.
+``dbl_cap`` bounded the union support of a flat distance, which now takes
+any size; any positive value is accepted and echoed, as before.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
+import sys
 
 _INITIAL = {
     "type": "object",
@@ -282,8 +285,9 @@ def _violations(doc, schema, path=()):
 
 
 def _non_finite(doc, path=()):
-    """(path, value) of every NaN or infinity in ``doc``, in document order."""
-    if isinstance(doc, float) and not math.isfinite(doc):
+    """(path, value) of every NaN, infinity or integer beyond the float
+    range in ``doc``, in document order."""
+    if _is_number(doc) and not abs(doc) <= sys.float_info.max:
         yield path, doc
     items = (
         doc.items() if isinstance(doc, dict)
@@ -311,7 +315,7 @@ def _validate(doc, schema) -> None:
 
 def check_cap(cap) -> None:
     """Reject a ``dbl --cap`` below 1 with a ValidationError, by the rule
-    of mfstudy's ``dbl_cap``."""
+    of mfstudy's ``dbl_cap``; neither bounds anything any more."""
     _validate(cap, SCHEMAS["mfstudy"]["properties"]["dbl_cap"])
 
 

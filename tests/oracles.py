@@ -139,7 +139,6 @@ from flocklab.errors import (
     RejectionOverflow,
     StepBudgetExceeded,
     StepCollapse,
-    SupportTooLarge,
 )
 from flocklab.meanfield import local_fields
 from flocklab.measures import EmpiricalMeasure, dbl, phase_moments, phase_split
@@ -196,16 +195,13 @@ def vertex_enum_dbl(points: np.ndarray, b: np.ndarray) -> float:
 
 
 def w1_line(p1: np.ndarray, w1: np.ndarray, p2: np.ndarray, w2: np.ndarray) -> float:
-    """Order-1 transport distance between equal-mass measures on the line,
-    via the area between cumulative distribution functions."""
-    grid = np.unique(np.concatenate([p1, p2]))
-
-    def cdf(p, w, z):
-        return np.array([w[p <= t].sum() for t in z])
-
-    f1 = cdf(p1, w1, grid)
-    f2 = cdf(p2, w2, grid)
-    return float(np.sum(np.abs(f1 - f2)[:-1] * np.diff(grid)))
+    """Order-1 transport distance between equal-mass measures on the line:
+    the area between their cumulative distribution functions, from one
+    sort of the pooled atoms and a cumulative sum of the signed weights."""
+    p = np.concatenate([p1, p2])
+    order = np.argsort(p, kind="stable")
+    gap = np.cumsum(np.concatenate([w1, -np.asarray(w2)])[order])[:-1]
+    return float(np.abs(gap) @ np.diff(p[order]))
 
 
 def energy_loops(points: np.ndarray, weights: np.ndarray, d: int) -> float:
@@ -1061,17 +1057,14 @@ def dense_simplex_flat_lp(
     """Optimal flat-metric value and potential for signed weights b.
 
     Returns (value, phi) with phi the optimal potential per support point.
-    Raises SupportTooLarge when the support exceeds ``cap`` atoms.
+    The basis inverse holds K^2 entries, so a support above ``cap`` atoms
+    raises ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     K = points.shape[0]
     if K > cap:
-        raise SupportTooLarge(
-            "union support exceeds the exact-program cap",
-            support=K,
-            cap=cap,
-        )
+        raise ValueError(f"dense oracle refuses {K} atoms, above its cap {cap}")
     if K == 0:
         return 0.0, np.zeros(0)
 

@@ -1,8 +1,10 @@
 """Command-line round trips, determinism, and error reporting."""
 
+import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from flocklab import _flatlp, cli, schemas, storage
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.measures import EmpiricalMeasure
+
+from oracles import w1_line
 
 
 def sim_config(tmp_path, **overrides):
@@ -218,6 +222,10 @@ def test_fixed_step_trajectory_file_still_loads(tmp_path):
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
 
+# a 401-digit JSON integer: exact in Python, beyond the float range
+HUGE = 10**400
+
+
 def run_cli(argv, out, capsys):
     """Run one subcommand with --out out; returns the exit status and, on
     status 2, the printed error document, which out/error.json must hold."""
@@ -266,6 +274,7 @@ def test_empty_input_file_is_rejected(tmp_path, capsys, command):
     ("snapshot_count", 3.2, "3.2 is not of type 'integer'"),
     ("tol", KeyError, "'tol' is a required property"),  # the key left out
     ("alpha", math.inf, "inf is not a finite number"),  # written as 1e400
+    ("T", HUGE, f"{HUGE} is not a finite number"),  # beyond the float range
     ("T", "2", "'2' is not of type 'number'"),
 ])
 def test_malformed_trajectory_summary_is_rejected(tmp_path, capsys, key, value,
@@ -304,7 +313,7 @@ def test_trajectory_summary_with_a_huge_particle_count_is_rejected(tmp_path):
 
 # the edits the property test makes: CSV cells and summary values (as JSON)
 BAD_CELLS = ["", "nan", "1e400", "x", "1.5"]
-BAD_VALUES = ["null", '"x"', "1.5", "1e400", "[]", "{}"]
+BAD_VALUES = ["null", '"x"', "1.5", "1e400", str(HUGE), "[]", "{}"]
 
 
 @st.composite
@@ -441,6 +450,47 @@ def test_dbl_rejects_measures_without_coordinates(tmp_path, capsys, rows):
     assert doc == {"error": {"type": "ValueError", "message": message}}
     with pytest.raises(ValueError, match=message):
         EmpiricalMeasure(np.empty((2, 0)), [0.5, 0.5])
+
+
+def test_dbl_past_the_old_cap_is_w1(tmp_path, capsys):
+    # two 3200-atom measures on [-1, 1] of equal mass: K = 6400, and the
+    # flat distance is W1; --cap is accepted and changes nothing
+    rng = np.random.default_rng(64)
+    p1, p2 = rng.uniform(-1.0, 1.0, (2, 3200))
+    w = np.full(3200, 1 / 3200)
+    for name, p in (("a.csv", p1), ("b.csv", p2)):
+        storage.save_measure(EmpiricalMeasure(p[:, None], w), tmp_path / name)
+    printed = []
+    for cap in ([], ["--cap", "1"]):
+        argv = ["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        assert cli.main([*argv, *cap, "--out", str(tmp_path / f"o{len(cap)}")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    lines = printed[0].splitlines()
+    assert len(lines) == 1 + 6400
+    want = w1_line(p1, w, p2, w)
+    assert float(lines[0]) == pytest.approx(want, abs=1e-12)
+    for out, cap in (("o0", 2000), ("o2", 1)):
+        doc = json.loads((tmp_path / out / "dbl.json").read_text())
+        assert doc["config"]["cap"] == cap
+
+
+def test_mfstudy_dbl_cap_is_echoed_and_changes_nothing(tmp_path):
+    # dbl_cap stays accepted for old configs, and is only echoed
+    for name in ("default", "one"):
+        (tmp_path / name).mkdir()
+    runs = {"default": mf_config(tmp_path / "default"),
+            "one": mf_config(tmp_path / "one", dbl_cap=1)}
+    docs = {}
+    for name, cfg in runs.items():
+        out = tmp_path / name / "o"
+        assert cli.main(["mfstudy", "--config", str(cfg), "--out", str(out)]) == 0
+        docs[name] = json.loads(stripped(out / "study.json"))
+        for f in sorted((tmp_path / "default" / "o" / "tables").glob("*.csv")):
+            assert f.read_bytes() == (out / "tables" / f.name).read_bytes()
+    assert docs["default"]["study"] == docs["one"]["study"]
+    assert docs["default"]["config"]["dbl_cap"] == 2000
+    assert docs["one"]["config"] == dict(docs["default"]["config"], dbl_cap=1)
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -856,6 +906,32 @@ def config_of(command, tmp_path):
     path = tmp_path / f"{command}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("command, path", [
+    ("simulate", ["alpha"]),
+    ("simulate", ["T"]),
+    ("simulate", ["M"]),
+    ("simulate", ["tol"]),
+    ("simulate", ["initial", "density_params", "halfwidth"]),
+    ("mfstudy", ["horizon"]),
+    ("pairstudy", ["eps_list", 0]),
+    ("pairstudy", ["horizon"]),
+    ("pairstudy", ["v1", 0]),
+])
+def test_integer_beyond_the_float_range_is_a_validation_error(
+        tmp_path, capsys, command, path):
+    # each once raised OverflowError converting the value to a float
+    cfg = config_of(command, tmp_path)
+    doc = json.loads(cfg.read_text())
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, doc)[key] = HUGE
+    cfg.write_text(json.dumps(doc))
+    rc, err = run_cli([command, "--config", str(cfg)], tmp_path / "o", capsys)
+    assert rc == 2
+    where = "".join(f"[{key!r}]" for key in path)
+    message = f"{HUGE} is not a finite number\n\nOn instance{where}:\n    {HUGE}"
+    assert err["error"] == {"type": "ValidationError", "message": message}
 
 
 @pytest.mark.parametrize("command, flag, value, message", [

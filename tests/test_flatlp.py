@@ -212,6 +212,21 @@ def test_working_set_memory_is_below_the_grid():
     assert float(b @ phi) == pytest.approx(value, abs=TOL)
 
 
+def test_network_simplex_past_the_old_cap():
+    # K = 2205 in d = 2: an optimal potential, checked on all pairs in
+    # row tiles of the separations grid
+    points, b = random_pair(np.random.default_rng(22), 2450, 2)
+    K = points.shape[0]
+    assert K == 2205
+    value, phi = _flatlp.solve_flat_lp(points, b)
+    assert np.abs(phi).max() <= 1.0 + TOL
+    for r0 in range(0, K, 200):
+        rows = slice(r0, min(r0 + 200, K))
+        dist = separations(points, rows=rows)
+        assert (np.abs(phi[rows, None] - phi[None, :]) - dist).max() <= TOL
+    assert float(b @ phi) == pytest.approx(value, abs=TOL)
+
+
 def test_pivot_budget_is_typed(monkeypatch):
     monkeypatch.setattr(_flatlp, "_pivot_budget", lambda n_support: 3)
     points, b = random_pair(np.random.default_rng(9), 40, 2)
@@ -284,7 +299,7 @@ def test_line_dp_exhaustive_small_supports():
 
 def test_line_dp_matches_line_simplex_at_scale():
     points, b = random_pair(np.random.default_rng(2400), 2400, 1)
-    value, phi = _flatlp.solve_flat_lp(points, b, cap=2400)
+    value, phi = _flatlp.solve_flat_lp(points, b)
     assert value == pytest.approx(line_simplex_flat_lp(points, b)[0], abs=TOL)
     assert np.abs(phi).max() <= 1.0 + TOL
     order = np.argsort(points[:, 0])

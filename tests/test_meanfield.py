@@ -8,7 +8,7 @@ import pytest
 import flocklab.dynamics
 from flocklab import meanfield, pairs, schemas, storage, weakform
 from flocklab.dynamics import ModelParams, ParticleState, Trajectory, integrate
-from flocklab.errors import RejectionOverflow, StepCollapse
+from flocklab.errors import PivotBudgetExceeded, RejectionOverflow, StepCollapse
 from flocklab.meanfield import (
     FieldGrid,
     InitialSpec,
@@ -19,7 +19,7 @@ from flocklab.meanfield import (
     sample_initial,
     snapshot_fields,
 )
-from flocklab.measures import EmpiricalMeasure
+from flocklab.measures import EmpiricalMeasure, dbl, union_support
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
     FieldBattery,
@@ -483,6 +483,18 @@ def test_local_fields_rejects_nan_cell_width():
         local_fields(mu, 2, math.nan)
 
 
+def test_tiny_cell_width_keeps_atoms_in_their_own_cells():
+    # x / h near 1e299 is far past the int64 range, and its cells stay apart
+    mu = phase_measure([[0.1], [0.5], [-0.3]], [[1.0], [0.0], [-1.0]])
+    grid = local_fields(mu, 1, 1e-300)
+    assert grid.barycenter[:, 0].tolist() == [-0.3, 0.1, 0.5]
+    assert grid.velocity[:, 0].tolist() == [-1.0, 1.0, 0.0]
+    assert grid.cov_trace.tolist() == [0.0, 0.0, 0.0]
+    # past the float range no cell index exists
+    with pytest.raises(ValueError, match="cell width 1e-310 puts a cell beyond"):
+        local_fields(mu, 1, 1e-310)
+
+
 def test_snapshot_fields_rejects_nan_cell_width():
     traj = stacked_trajectory(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError, match="cell width"):
@@ -553,7 +565,7 @@ def test_field_residuals_equal_direct_battery_calls(d):
 # ---- refinement study ----
 
 
-def small_study(**kw):
+def small_study():
     spec = box_spec(seed=21)
     return refinement_study(
         spec,
@@ -566,7 +578,6 @@ def small_study(**kw):
         tol=1e-6,
         quad_points=9,
         battery_size=4,
-        **kw,
     )
 
 
@@ -752,16 +763,40 @@ def test_bound_escape_fails_the_study_at_the_first_n_past_its_atom(monkeypatch):
     assert drawn == [8, 16]
 
 
-def test_refinement_study_records_failed_flat_distance():
-    # the 8 + 16 atoms of a pair exceed the cap once every run has finished
-    rep = small_study(dbl_cap=10)
+def test_refinement_study_records_failed_flat_distance(monkeypatch):
+    # the pair's flat distance fails once every run has finished
+    def over_budget(mu, nu):
+        raise PivotBudgetExceeded("forced", support=24, pivots=3, budget=3)
+
+    monkeypatch.setattr(meanfield, "dbl", over_budget)
+    rep = small_study()
     assert all(row.error is None for row in rep.rows)
     assert rep.dbl_cauchy == (None,)
     assert rep.energy_cauchy[0] is not None
     (err,) = rep.dbl_errors
-    assert err["error"] == "SupportTooLarge"
-    assert err["detail"]["cap"] == 10
+    assert err["error"] == "PivotBudgetExceeded"
+    assert err["detail"] == {"support": 24, "pivots": 3, "budget": 3}
     assert storage._plain(rep)["dbl_errors"] == [err]
+
+
+def test_refinement_study_measures_past_the_old_cap(monkeypatch):
+    # N = 1000 and 1050 in d = 1: the pair's union support passes 2000
+    # atoms, and the study records its flat distance
+    supports = []
+
+    def counted(mu, nu):
+        supports.append(union_support(mu, nu)[0].shape[0])
+        return dbl(mu, nu)
+
+    monkeypatch.setattr(meanfield, "dbl", counted)
+    rep = refinement_study(
+        box_spec(), [1000, 1050], alpha=1.0, horizon=0.01, bound=2.0,
+        h=0.25, probe_times=[0.01], tol=1e-6, quad_points=2, battery_size=1,
+    )
+    assert supports == [2050]
+    assert rep.dbl_errors == (None,)
+    ((dist,),) = rep.dbl_cauchy
+    assert 0.0 < dist < 0.01
 
 
 def test_refinement_study_validates_probes():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flocklab.dynamics import ParticleState
-from flocklab.errors import SupportTooLarge
 from flocklab.measures import (
     EmpiricalMeasure,
     dbl,
@@ -157,12 +156,39 @@ def test_dbl_potential_is_feasible_and_attains():
 
 
 def test_dbl_support_cap():
+    # a union support of 60 atoms; no support size is refused
     pts = np.arange(30, dtype=float)[:, None]
     m1 = EmpiricalMeasure(pts, np.full(30, 1 / 30))
     m2 = EmpiricalMeasure(pts + 0.25, np.full(30, 1 / 30))
-    with pytest.raises(SupportTooLarge):
-        dbl(m1, m2, cap=40)
-    assert dbl(m1, m2, cap=60) == pytest.approx(0.25, abs=1e-10)
+    assert dbl(m1, m2) == pytest.approx(0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("K", [200, 3200, 12800])
+def test_dbl_is_w1_on_the_line_past_the_old_cap(K):
+    # equal masses on a support of diameter at most 2: |phi| <= 1 cannot
+    # bind, so the flat distance is W1, at any K
+    rng = np.random.default_rng(K)
+    p1, p2 = rng.uniform(-1.0, 1.0, (2, K // 2))
+    w = np.full(K // 2, 2.0 / K)
+    m1, m2 = (EmpiricalMeasure(p[:, None], w) for p in (p1, p2))
+    assert union_support(m1, m2)[0].shape[0] == K
+    assert dbl(m1, m2) == pytest.approx(w1_line(p1, w, p2, w), abs=1e-12)
+
+
+def test_dbl_is_below_w1_across_a_gap_wider_than_two():
+    # two bumps whose edges are 2.2 apart, weighted 3:1 and 1:3: W1 carries
+    # half the mass across the gap at cost above 2.2 per unit, the flat
+    # distance destroys and creates it at cost 2
+    rng = np.random.default_rng(3)
+    bump = rng.uniform(-0.4, 0.4, (2, 400))
+    p1 = np.concatenate([bump[0, :200] - 1.5, bump[0, 200:] + 1.5])
+    p2 = np.concatenate([bump[1, :200] - 1.5, bump[1, 200:] + 1.5])
+    w1 = np.concatenate([np.full(200, 0.75 / 200), np.full(200, 0.25 / 200)])
+    w2 = w1[::-1].copy()
+    flat = dbl(EmpiricalMeasure(p1[:, None], w1), EmpiricalMeasure(p2[:, None], w2))
+    w1_dist = w1_line(p1, w1, p2, w2)
+    assert flat <= w1_dist
+    assert flat < w1_dist - 0.1
 
 
 def test_dbl_mass_defect_is_priced():

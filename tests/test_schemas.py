@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # values that sit on the edges of the JSON types and of the bounds
 EDGE = st.sampled_from([
     True, False, None, 0, 1, 2, -1, 0.0, -0.0, 1.0, 1.5, 2.0, -1.5,
-    2**64 - 1, 2**64, float(2**64), math.nan, math.inf, -math.inf,
+    2**64 - 1, 2**64, float(2**64), 10**400, math.nan, math.inf, -math.inf,
     "", "uniform-box", "constant", [], {}, [1], [True], [None], {"a": 1},
 ])
 WILD = st.one_of(
@@ -267,9 +267,11 @@ def test_rejection_is_worded_by_jsonschema():
     (dict(SIM, T=float("nan")), ["T"]),
     (dict(SIM, tol=float("inf")), ["tol"]),
     (dict(SIM, bin_fractions=[0.125, float("inf")]), ["bin_fractions", 1]),
+    (dict(SIM, alpha=10**400), ["alpha"]),  # beyond the float range
 ])
 def test_non_finite_numbers_are_rejected_by_name(doc, path):
-    # NaN passes every bound, so the schema accepts these documents
+    # NaN passes every bound, and alpha has no upper one, so the schema
+    # accepts these documents
     assert jsonschema.Draft202012Validator(SCHEMAS["simulate"]).is_valid(doc)
     schemas._validate(doc, SCHEMAS["simulate"])
     with pytest.raises(schemas.ValidationError) as info:
@@ -288,7 +290,8 @@ def test_non_finite_numbers_are_rejected_by_name(doc, path):
 # the package namespace before it became lazy (63 re-exports plus the 8
 # submodules the eager imports bound), less AmbiguousGrouping, LocalField,
 # disintegrate, momentum_marginal and pushforward_free, which were deleted
-# with their code, and less the twelve instruments no command ran, which
+# with their code, less SupportTooLarge, deleted with the flat distance's
+# support cap, and less the twelve instruments no command ran, which
 # moved to the test oracles: beta_eta, DivergentNormalization,
 # energy_balance_residual, energy_series, from_particles, marginal_x,
 # mk_index, momentum, mp_margin, phi_weighted_marginal, sf_modulus and
@@ -302,7 +305,7 @@ PUBLIC = [
     "MacroTestFunction", "ModelParams", "NonFiniteState",
     "PairStudy", "ParticleState", "PivotBudgetExceeded", "RejectionOverflow",
     "SnapshotMissing", "StepBudgetExceeded", "StepCollapse", "StudyReport",
-    "SupportTooLarge", "TestFunction", "Trajectory",
+    "TestFunction", "Trajectory",
     "VectorTestFunction", "alignment_rhs", "build_report",
     "continuity_residual", "dalpha", "dbl",
     "dbl_with_potential", "diagnostics",
@@ -318,7 +321,7 @@ PUBLIC = [
 
 
 def test_public_namespace_unchanged():
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 51
     assert flocklab.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(flocklab))
     for name in PUBLIC:
