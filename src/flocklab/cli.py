@@ -13,7 +13,8 @@ another, and no report echoes it.  dbl's --cap is accepted for old
 command lines and changes nothing, since the flat distance takes any
 support size; it must still be at least 1 and is echoed in dbl.json.
 Outputs land in --out (default current directory).  Identical config and
-seed give byte-identical reports apart from the generated_at line.
+seed give byte-identical reports apart from the generated_at line, on any
+BLAS build and CPU: no module of the package hands a product to the BLAS.
 
 On any handled failure the process prints one machine-readable JSON error
 object, writes it to <out>/error.json when possible, and exits with
@@ -158,6 +159,11 @@ def _cmd_residual(args) -> int:
     traj = storage.load_trajectory(cfg["input"])
     p = traj.params
     times = traj.times
+    if len(times) < 2:
+        raise ValueError(
+            "the weak identities need at least two snapshots; "
+            f"the trajectory has {len(times)}"
+        )
     size = int(cfg["battery_size"])
     seed = int(cfg["battery_seed"])
 

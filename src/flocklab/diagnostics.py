@@ -108,9 +108,9 @@ def _sweep(traj: Trajectory):
     of every snapshot, read from the stacked arrays at weights 1/N."""
     p = traj.params
     w = np.full(p.N, 1.0 / p.N)
-    # the phase rows (x, v) of each snapshot, so the moments keep the bits
-    # of its uniform-weight phase measure
-    energy, mom = phase_moments(np.concatenate([traj.x, traj.v], axis=2), p.d, w)
+    # row s holds the moments of snapshot s's measure at weights 1/N, bit
+    # for bit (kinetic_energy of that measure reads the same reduction)
+    energy, mom = phase_moments(traj.v, w)
     return (energy, mom, *snapshot_series(traj.x, traj.v, w, p.alpha))
 
 

@@ -4,7 +4,9 @@ Sampling is counter-based: atom i of a configuration draws from substream i
 of the configuration key, so the first n atoms of an N-atom sample coincide
 with the n-atom sample for every n <= N.  Growing a study never reshuffles
 the smaller ensembles.  sample_initial draws all atoms at once, one stream
-per atom, and redraws only exact position repeats one atom at a time.
+per atom, and redraws only exact position repeats one atom at a time.  Its
+norms and products sum the coordinates in index order, not through the
+BLAS, so a sample has the same bits on any BLAS build and CPU.
 
 Binned fields live on an axis-aligned grid anchored at the origin with cell
 index floor(x / h) per coordinate.  A FieldGrid holds one array row per
@@ -42,7 +44,9 @@ import numpy as np
 
 from . import dynamics, pairs, weakform
 from .errors import FlockLabError, RejectionOverflow
-from .measures import EmpiricalMeasure, dbl, phase_moments, phase_split
+from .measures import (
+    EmpiricalMeasure, _ordered_dot, dbl, phase_moments, phase_split,
+)
 from .rng import CounterRNG
 
 _REDRAW_BUDGET = 1000
@@ -135,14 +139,8 @@ class InitialSpec:
         if self.density == "truncated-gaussian":
             return 2.0 * float(p["cut"])
         centers = np.asarray(p["centers"], float)
-        gap = float(np.linalg.norm(centers[0] - centers[1]))
+        gap = math.dist(centers[0], centers[1])
         return gap + 2.0 * float(p["halfwidth"]) * math.sqrt(self.d)
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a, bit for bit: one BLAS dot per row,
-    whose sum order a reduction over the rows does not reproduce at d >= 2."""
-    return np.sqrt([r.dot(r) for r in a])
 
 
 def _positions(spec: InitialSpec, rng: CounterRNG, rows: np.ndarray):
@@ -155,7 +153,7 @@ def _positions(spec: InitialSpec, rng: CounterRNG, rows: np.ndarray):
         todo = np.arange(len(rows))
         for _ in range(_REDRAW_BUDGET):
             g = float(p["sigma"]) * rng.normal(spec.d, rows[todo])
-            ok = _norms(g) <= float(p["cut"])
+            ok = np.sqrt(_ordered_dot(g, g)) <= float(p["cut"])
             x[todo[ok]] = np.asarray(p["center"], float) + g[ok]
             todo = todo[~ok]
             if not todo.size:
@@ -172,21 +170,22 @@ def _positions(spec: InitialSpec, rng: CounterRNG, rows: np.ndarray):
 
 
 def _velocities(spec: InitialSpec, x: np.ndarray, rng: CounterRNG):
-    """u0 at each position x[i], with one matrix or dot product per row
-    for the reason _norms gives.  The two-speed coin of atom i is the next
-    draw of stream i, after its position draws, so that the spatial stream
-    does not depend on the velocity kind."""
+    """u0 at each position x[i], with sin from libm once per atom.  The
+    two-speed coin of atom i is the next draw of stream i, after its
+    position draws, so that the spatial stream does not depend on the
+    velocity kind."""
     p = spec.velocity_params
     if spec.velocity == "constant":
         return np.tile(np.asarray(p["value"], float), (len(x), 1))
     if spec.velocity == "linear-shear":
         base = np.asarray(p["base"], float)
         grad = np.asarray(p["gradient"], float)
-        return np.array([base + grad @ r for r in x]).reshape(x.shape)
+        return base + _ordered_dot(x[:, None], grad)
     if spec.velocity == "sinusoid":
         amp = np.asarray(p["amplitude"], float)
         k = np.asarray(p["wavenumber"], float)
-        return amp * np.array([math.sin(k @ r) for r in x])[:, None]
+        kx = _ordered_dot(x, k).tolist()
+        return amp * np.array([math.sin(t) for t in kx])[:, None]
     values = np.asarray(p["values"], float)
     first = rng.uniform(1, rows=np.arange(len(x)))[:, 0] < float(p["fraction"])
     return np.where(first[:, None], values[0], values[1])
@@ -232,7 +231,7 @@ def sample_initial(spec: InitialSpec, n: int, bound: float):
         tries[i] += 1
     x = x[:stop]
     v = _velocities(spec, x, rng)
-    nx, nv = _norms(x), _norms(v)
+    nx, nv = np.sqrt(_ordered_dot(x, x)), np.sqrt(_ordered_dot(v, v))
     escaped = np.flatnonzero(~((nx <= bound) & (nv <= bound)))
     if escaped.size:
         i = escaped[0]
@@ -456,8 +455,7 @@ def _study_single_n(
     idx = [int(np.argmin(np.abs(traj.times - p))) for p in probes]
     w = np.full(n, 1.0 / n)
     marginals = [EmpiricalMeasure(traj.x[k], w) for k in idx]
-    phase = np.concatenate([traj.x[idx], traj.v[idx]], axis=2)
-    energy, _ = phase_moments(phase, d, w)
+    energy, _ = phase_moments(traj.v[idx], w)
     grids, cont, mom, all_margins = field_residuals(traj, h, battery)
     margins = tuple(float(all_margins[k]) for k in idx)
     # one row per probe: its grids at widths 2h, h, h/2, the width-h ones
@@ -623,8 +621,8 @@ def pair_alignment_study(
     if v1.shape != v2.shape:
         raise ValueError(f"v1 and v2 differ in length: {len(v1)} and {len(v2)}")
     d = v1.shape[0]
-    w0 = float(np.linalg.norm(v1 - v2))
-    bound = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))
+    w0 = math.dist(v1, v2)
+    bound = max(1.0, math.hypot(*v1), math.hypot(*v2))
     times = np.linspace(0.0, horizon, grid_points)
 
     rows = []

@@ -2,9 +2,10 @@
 
 An EmpiricalMeasure is a finite list of weighted atoms in R^k.  Phase-space
 measures use k = 2d with rows (x, v); purely spatial measures use k = d.
-The phase split and the velocity moments (phase_moments of stacked
-snapshot rows, kinetic_energy of one measure) take the spatial dimension
-d explicitly.
+phase_moments reads stacked velocities; the phase split and kinetic_energy
+take the spatial dimension d explicitly.  No BLAS product: a sum over the
+d coordinates adds them one at a time in index order (_ordered_dot), and
+a sum over atoms is one numpy sum along a contiguous row.
 
 Weights are nonnegative and the total mass never exceeds 1 (plus round-off):
 probability measures and their sub-probability images under weighting by a
@@ -79,28 +80,26 @@ def phase_split(mu: EmpiricalMeasure, d: int):
     return mu.points[:, :d], mu.points[:, d:], mu.weights
 
 
-def phase_moments(
-    phase: np.ndarray, d: int, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kinetic energy (S,) and momentum (S, d) of stacked phase rows
-    (S, K, 2d) at atom weights w (K,): sum of w |v|^2 and sum of w v.
+def _ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[..., j] b[..., j] over the last axis (broadcast), the d
+    terms added one at a time in index order."""
+    s = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        s += a[..., j] * b[..., j]
+    return s
 
-    Row k gives the moments of EmpiricalMeasure(phase[k], w) bit for bit:
-    its velocities are read through the same strided (K, d) view.
-    """
-    energy = np.empty(phase.shape[0])
-    mom = np.empty((phase.shape[0], d))
-    for k, rows in enumerate(phase):
-        v = rows[:, d:]
-        energy[k] = w @ np.einsum("ij,ij->i", v, v)
-        mom[k] = w @ v
-    return energy, mom
+
+def phase_moments(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kinetic energy (S,) and momentum (S, d) of stacked velocities
+    (S, K, d) at atom weights w (K,): sum of w |v|^2 and sum of w v."""
+    mom = [(w * v[..., k]).sum(axis=-1) for k in range(v.shape[-1])]
+    return (w * _ordered_dot(v, v)).sum(axis=-1), np.stack(mom, axis=-1)
 
 
 def kinetic_energy(mu: EmpiricalMeasure, d: int) -> float:
     """Second velocity moment: sum of w |v|^2."""
-    phase_split(mu, d)
-    return float(phase_moments(mu.points[None], d, mu.weights)[0][0])
+    v = phase_split(mu, d)[1]
+    return float(phase_moments(v[None], mu.weights)[0][0])
 
 
 def union_support(

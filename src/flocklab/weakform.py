@@ -228,7 +228,7 @@ def _draw_support(sub: CounterRNG, d: int, T: float, M: float):
     [min(0.4 M, r_cap), r_cap), where r_cap keeps the ball around the
     center inside (T + 1) B(0, 2M)."""
     center = sub.uniform(d, -M, M)
-    r_cap = min((1.0 + T) * M, 2.0 * (1.0 + T) * M - np.linalg.norm(center))
+    r_cap = min((1.0 + T) * M, 2.0 * (1.0 + T) * M - math.hypot(*center))
     if r_cap <= 0.0:
         raise ValueError("bump center leaves no room inside (T + 1) B(0, 2M)")
     radius = float(sub.uniform(1, min(0.4 * M, r_cap), r_cap)[0])

@@ -99,7 +99,9 @@ loop_sample_initial is the sampler the package used before it drew every
 atom at once: one CounterRNG stream spawned per atom, a few numbers drawn
 at a time, a set of the positions seen so far for the repeat redraws, and
 the bound checked atom by atom, so the first failing atom raises.  Its
-bound check is written as not |x| <= bound, which a NaN fails.  The
+bound check is written as not |x| <= bound, which a NaN fails.  Its dot
+products and norms are scalar loops that add the d terms in index order
+(ordered_dot), the order the package's arrays add them in.  The
 differential tests compare the array sampler against it bit for bit, and
 its exceptions by type, message and detail.
 """
@@ -337,6 +339,25 @@ def pair_series(xs: np.ndarray, vs: np.ndarray, alpha: float):
     return r, np.sqrt(s2), val + val
 
 
+def ordered_dot(a, b) -> float:
+    """Sum of a[j] b[j] over the coordinates, added one at a time in index
+    order, as scalar Python floats."""
+    total = float(a[0]) * float(b[0])
+    for aj, bj in zip(a[1:], b[1:]):
+        total += float(aj) * float(bj)
+    return total
+
+
+def ordered_norm(a) -> float:
+    """Euclidean norm of one vector, its squares added in index order."""
+    return math.sqrt(ordered_dot(a, a))
+
+
+def ordered_sq(v: np.ndarray) -> np.ndarray:
+    """|v_i|^2 of each row of v (K, d), by ordered_dot."""
+    return np.array([ordered_dot(row, row) for row in v])
+
+
 def per_snapshot_report(traj) -> dict:
     """Energy, momentum, D, D_alpha (eta = 0) and minimum distance of every
     snapshot, one from_particles measure at a time."""
@@ -345,8 +366,8 @@ def per_snapshot_report(traj) -> dict:
     for state in traj:
         mu = from_particles(state)
         v = mu.points[:, d:]
-        rows["energy"].append(float(mu.weights @ np.einsum("ij,ij->i", v, v)))
-        rows["momentum"].append(mu.weights @ v)
+        rows["energy"].append(float((mu.weights * ordered_sq(v)).sum()))
+        rows["momentum"].append([(mu.weights * c).sum() for c in v.T])
         rows["D"].append(grid_enstrophy(mu, d, alpha))
         rows["Da"].append(grid_dalpha(mu, d, alpha, 0.0))
         rows["md"].append(grid_min_distance(mu, d))
@@ -398,8 +419,7 @@ def marginal_x(mu: EmpiricalMeasure, d: int) -> EmpiricalMeasure:
 
 def momentum(mu: EmpiricalMeasure, d: int) -> np.ndarray:
     """First velocity moment: sum of w v."""
-    phase_split(mu, d)
-    return phase_moments(mu.points[None], d, mu.weights)[1][0]
+    return phase_moments(phase_split(mu, d)[1][None], mu.weights)[1][0]
 
 
 def phi_weighted_marginal(
@@ -1738,7 +1758,7 @@ def _loop_position(spec, rng):
         cut = float(p["cut"])
         for _ in range(LOOP_REDRAW_BUDGET):
             g = s * rng.normal(d)
-            if np.linalg.norm(g) <= cut:
+            if ordered_norm(g) <= cut:
                 return c + g
         raise RejectionOverflow(
             "truncated gaussian redraw budget exhausted",
@@ -1758,11 +1778,11 @@ def _loop_velocity(spec, x, rng):
     if spec.velocity == "linear-shear":
         base = np.asarray(p["base"], float)
         grad = np.asarray(p["gradient"], float)
-        return base + grad @ x
+        return base + np.array([ordered_dot(row, x) for row in grad])
     if spec.velocity == "sinusoid":
         amp = np.asarray(p["amplitude"], float)
         k = np.asarray(p["wavenumber"], float)
-        return amp * math.sin(float(k @ x))
+        return amp * math.sin(ordered_dot(k, x))
     values = np.asarray(p["values"], float)
     frac = float(p["fraction"])
     return values[0].copy() if rng.uniform(1)[0] < frac else values[1].copy()
@@ -1788,11 +1808,11 @@ def loop_sample_initial(spec, n: int, bound: float):
             )
         seen.add(key)
         v = _loop_velocity(spec, x, sub)
-        if not np.linalg.norm(x) <= bound or not np.linalg.norm(v) <= bound:
+        nx, nv = ordered_norm(x), ordered_norm(v)
+        if not nx <= bound or not nv <= bound:
             raise ValueError(
                 "initial recipe escapes the configured bound: "
-                f"|x|={np.linalg.norm(x):.3g}, |v|={np.linalg.norm(v):.3g}, "
-                f"bound={bound:.3g}"
+                f"|x|={nx:.3g}, |v|={nv:.3g}, bound={bound:.3g}"
             )
         xs[i] = x
         vs[i] = v

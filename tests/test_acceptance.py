@@ -7,7 +7,12 @@ the whole battery totals about a minute on a laptop.
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,4 +573,80 @@ def test_cli_reports_reproducible(tmp_path):
     print(
         "PASS reproducibility: simulate and study reports byte-identical "
         "across repeat runs and mfstudy thread counts 1 vs 4 (timestamp excluded)"
+    )
+
+
+def _openblas_on_x86() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 only prints its config
+        return False
+    blas = config["Build Dependencies"].get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower() and (
+        platform.machine().lower() in ("x86_64", "amd64")
+    )
+
+
+@pytest.mark.skipif(not _openblas_on_x86(), reason="needs OpenBLAS on x86-64")
+def test_cli_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel OpenBLAS would pick on another
+    # CPU; a product through the BLAS sums in that kernel's order
+    sim_cfg = tmp_path / "sim.json"
+    sim_cfg.write_text(json.dumps({
+        "d": 2, "alpha": 1.5, "N": 100, "T": 0.05, "M": 2.0,
+        "seed": 3, "tol": 1e-7, "snapshots": 3,
+        "initial": {
+            "density": "uniform-box",
+            "density_params": {"center": [0.1, -0.2], "halfwidth": 0.8},
+            "velocity": "sinusoid",
+            "velocity_params": {
+                "amplitude": [0.4, -0.3], "wavenumber": [2.0, 3.0],
+            },
+        },
+    }))
+    mf_cfg = tmp_path / "mf.json"
+    mf_cfg.write_text(json.dumps({
+        "d": 1, "alpha": 1.5, "horizon": 0.1, "bound": 2.0, "seed": 0,
+        "n_list": [25, 50, 100], "probe_times": [0.0, 0.05, 0.1],
+        "tol": 1e-7, "quad_points": 9, "battery_size": 4,
+        "initial": {
+            "density": "uniform-box",
+            "density_params": {"center": [0.0], "halfwidth": 0.8},
+            "velocity": "sinusoid",
+            "velocity_params": {"amplitude": [0.4], "wavenumber": [2.0]},
+        },
+    }))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ),
+    }
+    base.pop("OPENBLAS_CORETYPE", None)
+    kernels = {"default": base, "nehalem": {**base, "OPENBLAS_CORETYPE": "Nehalem"}}
+    compared = 0
+    for command, cfg in (("simulate", sim_cfg), ("mfstudy", mf_cfg)):
+        dirs = {key: tmp_path / f"{command}_{key}" for key in kernels}
+        for key, env in kernels.items():
+            run = subprocess.run(
+                [sys.executable, "-m", "flocklab.cli", command,
+                 "--config", str(cfg), "--out", str(dirs[key])],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, run.stdout + run.stderr
+        files = sorted(p for p in dirs["default"].rglob("*") if p.is_file())
+        assert files
+        for lf in files:
+            rf = dirs["nehalem"] / lf.relative_to(dirs["default"])
+            if lf.suffix == ".json":
+                assert _stripped(lf) == _stripped(rf), lf.name
+            else:
+                assert lf.read_bytes() == rf.read_bytes(), lf.name
+            compared += 1
+    print(
+        f"PASS BLAS independence: {compared} simulate and study files "
+        "byte-identical under the default and the Nehalem OpenBLAS kernel "
+        "(timestamp excluded)"
     )

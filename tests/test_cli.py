@@ -207,6 +207,29 @@ def test_trajectory_without_snapshots_is_rejected(tmp_path, capsys):
         assert json.loads((out / "error.json").read_text()) == doc
 
 
+def test_residual_of_one_snapshot_is_rejected(tmp_path, capsys):
+    # the t = 0 rows alone load as a trajectory, but no weak identity
+    # can be integrated over one time
+    csv_path, json_path = saved_trajectory(tmp_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text("".join(lines[:6]))  # the header and 5 particles
+    doc = json.loads(json_path.read_text())
+    doc["snapshot_count"] = 1
+    json_path.write_text(json.dumps(doc))
+    assert len(storage.load_trajectory(tmp_path / "run")) == 1
+    cfg = tmp_path / "residual.json"
+    cfg.write_text(json.dumps({"input": str(tmp_path / "run"), "h": 0.2}))
+    out = tmp_path / "residual"
+    assert cli.main(["residual", "--config", str(cfg), "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    message = (
+        "the weak identities need at least two snapshots; the trajectory has 1"
+    )
+    assert doc == {"error": {"type": "ValueError", "message": message}}
+    assert json.loads((out / "error.json").read_text()) == doc
+    assert not (out / "residuals.json").exists()
+
+
 def test_fixed_step_trajectory_file_still_loads(tmp_path):
     # earlier versions had a fixed-step mode, which wrote a null tol and
     # two keys this version no longer writes

@@ -1,8 +1,8 @@
 """Module layering: an acyclic import graph, imports at module level only,
 no third-party import but numpy, no unused imports, benchmark tracer
 targets and reads that still work, no export that the package never reads,
-snapshots read as arrays, no BLAS in the integrator, and self-pairs set in
-pairs alone."""
+snapshots read as arrays, no BLAS product in any module (and no einsum in
+the integrator), and self-pairs set in pairs alone."""
 
 import ast
 import sys
@@ -310,6 +310,44 @@ def test_integrator_never_calls_the_blas(name):
     # the dynamics and the reports promise bytes that do not depend on the
     # BLAS: a product through it sums in a library- and thread-dependent order
     assert blas_uses(parse(name)) == []
+
+
+def blas_products(tree: ast.Module) -> list:
+    """(line, name) of every product that reaches the BLAS: blas_uses
+    without plain einsum, which sums in numpy's own loops, plus every
+    einsum call with optimize=, its one route to the BLAS."""
+    out = [hit for hit in blas_uses(tree) if hit[1] != "einsum"]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "einsum"
+            and any(k.arg == "optimize" for k in node.keywords)
+        ):
+            out.append((node.lineno, "einsum(optimize=)"))
+    return sorted(out)
+
+
+def test_blas_products_flag_optimized_einsum_only():
+    tree = ast.parse(
+        "a = np.einsum('ij,ij->i', v, v)\n"
+        "b = np.einsum('ij,jk', m, m, optimize=True)\n"
+        "c = np.einsum('ij,j', m, b, optimize='greedy')\n"
+        "d = np.vdot(a, b) + np.inner(a, b) + np.matmul(m, m)\n"
+        "e = np.tensordot(m, m) + m @ m\n"
+        "f = np.linalg.norm(a)\n"
+    )
+    assert blas_products(tree) == [
+        (2, "einsum(optimize=)"), (3, "einsum(optimize=)"),
+        (4, "inner"), (4, "matmul"), (4, "vdot"),
+        (5, "@"), (5, "tensordot"), (6, "linalg"),
+    ]
+
+
+def test_package_never_calls_the_blas():
+    # every report, sample and moment promises bytes that do not depend on
+    # the BLAS build or the CPU it picks a kernel for
+    found = {name: blas_products(parse(name)) for name in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def self_pair_writes(tree: ast.Module) -> list:

@@ -19,7 +19,7 @@ from flocklab.meanfield import (
     sample_initial,
     snapshot_fields,
 )
-from flocklab.measures import EmpiricalMeasure, dbl, union_support
+from flocklab.measures import EmpiricalMeasure, _ordered_dot, dbl, union_support
 from flocklab.rng import CounterRNG
 from flocklab.weakform import (
     FieldBattery,
@@ -36,6 +36,7 @@ from oracles import (
     loop_mk,
     loop_sample_initial,
     mk_index,
+    ordered_norm,
     pair_series,
 )
 
@@ -151,11 +152,11 @@ def test_forced_repeats_match_per_atom_loop(d, halfwidth):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_row_norms_are_the_per_vector_norms(d):
-    # the gaussian cut and the bound decide on these norms; a row-wise
-    # reduction differs from the per-vector BLAS dot in about 8% of rows
+    # the gaussian cut and the bound decide on these norms; each row adds
+    # its squares in index order, as the per-atom loop does
     a = CounterRNG(d).uniform(3000 * d, -1.0, 1.0).reshape(3000, d)
-    want = np.array([np.linalg.norm(row) for row in a])
-    assert np.array_equal(meanfield._norms(a), want)
+    want = np.array([ordered_norm(row) for row in a])
+    assert np.array_equal(np.sqrt(_ordered_dot(a, a)), want)
 
 
 @pytest.mark.parametrize("spec, n, bound, error, message", [

@@ -1,4 +1,6 @@
-"""Atomic measures, transforms, and the flat metric."""
+"""Atomic measures, transforms, velocity moments, and the flat metric."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from flocklab.measures import (
     EmpiricalMeasure,
     dbl,
     dbl_with_potential,
+    kinetic_energy,
+    phase_moments,
     union_support,
 )
+from flocklab.rng import CounterRNG
 
 from oracles import (
     from_particles,
@@ -67,6 +72,35 @@ def test_phi_weighted_marginal_mass_and_bounds():
 
 
 # ---- flat metric ----
+
+
+
+def within_ulps(got: float, terms: list, ulps: int) -> bool:
+    """got lies within ulps units in the last place of the sum's absolute
+    scale, fsum of |terms|, from the correctly rounded fsum of terms."""
+    scale = math.fsum(abs(t) for t in terms)
+    return abs(got - math.fsum(terms)) <= ulps * math.ulp(scale)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [7, 200, 3200])
+def test_phase_moments_are_accurate_sums(d, k):
+    # the energy terms are nonnegative, so their scale is the sum itself;
+    # a momentum sum that cancels is held to the scale of its terms
+    rng = CounterRNG(10 * d + k)
+    v = rng.uniform(3 * k * d, -1.0, 1.0).reshape(3, k, d)
+    w = rng.uniform(k, 0.0, 1.0)
+    w /= w.sum()
+    energy, mom = phase_moments(v, w)
+    assert energy.shape == (3,) and mom.shape == (3, d)
+    for s in range(3):
+        sq = [math.fsum(c * c for c in row.tolist()) for row in v[s]]
+        assert within_ulps(energy[s], [wi * q for wi, q in zip(w, sq)], 4)
+        for j in range(d):
+            assert within_ulps(mom[s, j], (w * v[s, :, j]).tolist(), 4)
+        # one measure's energy is its snapshot's row, bit for bit
+        mu = EmpiricalMeasure(np.hstack([np.zeros((k, d)), v[s]]), w)
+        assert kinetic_energy(mu, d) == energy[s]
 
 
 def test_dbl_two_atom_closed_form():

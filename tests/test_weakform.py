@@ -218,7 +218,7 @@ def test_battery_radii_unchanged_in_low_dimension(d):
     for i, phi in enumerate(macro_battery(d, T, M, size=48, seed=5)):
         sub = CounterRNG(5).spawn(i)
         center = sub.uniform(d, -M, M)
-        r_cap = min((1 + T) * M, 2 * (1 + T) * M - np.linalg.norm(center))
+        r_cap = min((1 + T) * M, 2 * (1 + T) * M - math.hypot(*center))
         assert r_cap > 0.4 * M
         assert phi.x_radius == float(sub.uniform(1, 0.4 * M, r_cap)[0])
 
