@@ -14,7 +14,8 @@ command lines and changes nothing, since the flat distance takes any
 support size; it must still be at least 1 and is echoed in dbl.json.
 Outputs land in --out (default current directory).  Identical config and
 seed give byte-identical reports apart from the generated_at line, on any
-BLAS build and CPU: no module of the package hands a product to the BLAS.
+BLAS build, as no module hands a product to the BLAS, but not yet across
+numpy's SIMD loops for power, exp, log and log1p (ROADMAP item 16).
 
 On any handled failure the process prints one machine-readable JSON error
 object, writes it to <out>/error.json when possible, and exits with

@@ -45,11 +45,11 @@ The integrator's state, and each stage, is one (2, N, d) array with
 positions in row 0 and velocities in row 1.  The last row of the tableau
 is the 5th-order weights, so the stage loop's seventh stage is evaluated
 at the step's end state, and an accepted step reuses it as the next
-step's first (first same as last).  That end state is the state the
-geometric cap inspects next; the cap reuses the pair separations that
-stage computed (pairs.separations, +inf on the self-pairs) instead of
-rebuilding them, so its minimum distance and minimum closing time are
-plain minima over that grid.  The eigenbases come from Householder and
+step's first (first same as last).  The integrator keeps one separations
+grid (pairs.separations, +inf on the self-pairs) per state, which that
+stage or, after a rejection, a rebuild leaves in the workspace; the cap,
+the stiff set-up and the collision and collapse errors read it, and psi
+is always pairs.kernel on it.  The eigenbases come from Householder and
 Jacobi rotations, not from LAPACK, and all their products are elementwise
 sums.
 """
@@ -164,17 +164,6 @@ class ParticleState:
         return self.x.shape[0]
 
 
-def min_pair_distance(x: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Smallest pairwise distance and the indices (i < j) achieving it."""
-    n = x.shape[0]
-    if n < 2:
-        return np.inf, (-1, -1)
-    dist = pairs.separations(x)
-    # row-major argmin of the symmetric matrix lands in the upper triangle
-    i, j = divmod(int(np.argmin(dist)), n)
-    return float(dist[i, j]), (i, j)
-
-
 def alignment_rhs(
     x: np.ndarray,
     v: np.ndarray,
@@ -187,7 +176,7 @@ def alignment_rhs(
     separation.
 
     With a workspace ``work`` given, the pair grids are built in its
-    buffers, and the pair separations of x (pairs.separations) are left
+    buffers, and the separations of x, which pairs.kernel weights, are left
     in ``work.dist`` for reuse by the caller.
 
     The accumulated pair forces are antisymmetric, so the velocity
@@ -199,15 +188,12 @@ def alignment_rhs(
     dist = pairs.separations(x, out=work.dist, scratch=work.a)
     dmin = float(dist.min())
     if dmin <= COLLISION_FLOOR:
-        i, j = min_pair_distance(x)[1]
         raise CollisionalState(
             "pair separation at or below the evaluable floor",
-            pair=[i, j],
+            pair=list(divmod(int(np.argmin(dist)), n)),
             distance=dmin,
         )
-    # pairs.kernel without its masking passes: the diagonal is inf, which
-    # the power maps to 0, and no pair is co-located
-    w = np.power(dist, -alpha, out=work.a)
+    w = pairs.kernel(dist, alpha, out=work.a)
     return pairs.relative_sums(w, v, scratch=work.b) / n
 
 
@@ -419,14 +405,14 @@ class _Lawson:
     Components with more than STIFF_MAX_MEMBERS particles stay explicit.
 
     States and stages are (2, N, d) arrays of positions and velocities;
-    the first-same-as-last stage is the tableau's last row, s = 6.
+    the first-same-as-last stage is the tableau's last row, s = 6.  dist
+    is the separations grid of y[0], which the integrator holds.
     """
 
-    def __init__(self, y, h, alpha, r_stiff, work):
-        n = len(work.dist)
+    def __init__(self, y, h, alpha, r_stiff, dist):
+        n = len(dist)
         self.h = h
         x, v = y
-        dist = pairs.separations(x, out=work.a, scratch=work.b)
         # (c_s - c_m) h for m <= s; the clip spares the unused m > s
         tau = h * np.maximum(_C[:, None] - _C[None, :], 0.0)
         self.groups = []
@@ -436,7 +422,7 @@ class _Lawson:
             if m > STIFF_MAX_MEMBERS:
                 continue
             r = dist[idx[:, :, None], idx[:, None, :]]
-            w = np.power(r, -alpha) / n
+            w = pairs.kernel(r, alpha) / n
             self.groups.append(_StiffGroup(idx, x, v, w, tau))
             self.pairs += idx.size * (m - 1) // 2
 
@@ -661,9 +647,9 @@ def integrate(
     xs[0], vs[0] = y
     log_t, log_h, log_err, log_dmin, log_stiff = [], [], [], [], []
 
-    # work.dist holds the pair separations of the last force evaluation.
-    # After the first-same-as-last stage that is exactly the state an
-    # accepted step ends in, which the geometric cap inspects next.
+    # work.dist holds the pair separations of y at the top of every step
+    # attempt: the first-same-as-last stage leaves those of the state an
+    # accepted step ends in, and a rejection rebuilds them.
     work = pairs.Workspace(n)
     k = [f(y)] + [None] * 6
 
@@ -690,13 +676,12 @@ def integrate(
         # catches a controller that keeps rejecting
         h_free = min(h_ctrl, cap)
         if h_free < h_floor:
-            dmin, pair = min_pair_distance(y[0])
             raise StepCollapse(
                 "step size fell below the floor",
                 time=t,
                 step=h_free,
-                pair=list(pair),
-                distance=dmin,
+                pair=list(divmod(int(np.argmin(work.dist)), n)),
+                distance=dmin_now,
             )
         clamped = h_free >= (T - t) * (1 - 1e-14)
         h = T - t if clamped else h_free
@@ -704,7 +689,7 @@ def integrate(
         r_stiff = (2.0 * h / (STIFF_THRESHOLD * n)) ** (1.0 / params.alpha)
         lawson = None
         if dmin_now <= r_stiff:
-            lawson = _Lawson(y, h, params.alpha, r_stiff, work)
+            lawson = _Lawson(y, h, params.alpha, r_stiff, work.dist)
             if not lawson.groups:
                 lawson = None
 
@@ -771,6 +756,8 @@ def integrate(
             fac11 = err**0.17
             h_ctrl = h / min(5.0, fac11 / 0.9)
             last_rejected = True
+            # the trial stages overwrote y's separations
+            pairs.separations(y[0], out=work.dist, scratch=work.a)
         steps += 1
 
     return Trajectory(

@@ -6,7 +6,8 @@ with the n-atom sample for every n <= N.  Growing a study never reshuffles
 the smaller ensembles.  sample_initial draws all atoms at once, one stream
 per atom, and redraws only exact position repeats one atom at a time.  Its
 norms and products sum the coordinates in index order, not through the
-BLAS, so a sample has the same bits on any BLAS build and CPU.
+BLAS, so a sample has the same bits on any BLAS build (the gaussian's
+log1p still follows numpy's SIMD dispatch).
 
 Binned fields live on an axis-aligned grid anchored at the origin with cell
 index floor(x / h) per coordinate.  A FieldGrid holds one array row per
@@ -279,7 +280,9 @@ def _bin(label, x, v, w, count, h) -> list:
     atoms by label and then by cell, each label's cells in the
     lexicographic order of their indices and each cell's atoms in their
     input order.  The cell sums add the atoms in that order, and so does
-    each cell's variance, as one sum over its contiguous slice.  Cells
+    each cell's variance, as one sum over its contiguous slice.  Velocities
+    are averaged about each cell's first atom, so a single-speed cell gives
+    its velocity back exactly and its variance is 0.  Cells
     whose atoms all carry zero weight are dropped.  Cell indices stay
     float64 sort keys, exact at any width whose x / h is finite.
     """
@@ -302,16 +305,18 @@ def _bin(label, x, v, w, count, h) -> list:
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     mass = np.bincount(inverse, weights=w, minlength=k)
+    ref = v[order[starts]]
     xsum = np.empty((k, d))
     vsum = np.empty((k, d))
     for j in range(d):
         xsum[:, j] = np.bincount(inverse, weights=w * x[:, j], minlength=k)
-        vsum[:, j] = np.bincount(inverse, weights=w * v[:, j], minlength=k)
+        dvj = v[:, j] - ref[inverse, j]
+        vsum[:, j] = np.bincount(inverse, weights=w * dvj, minlength=k)
     # cells of zero mass divide by 1 here and are dropped on return
     keep = mass > 0.0
     safe = np.where(keep, mass, 1.0)
     bary = xsum / safe[:, None]
-    u = vsum / safe[:, None]
+    u = ref + vsum / safe[:, None]
     dv = u[inverse]
     np.subtract(v, dv, out=dv)
     terms = np.einsum("ij,ij->i", dv, dv)
@@ -649,7 +654,7 @@ def pair_alignment_study(
         w = np.full(2, 0.5)
         dee, _, dist = pairs.snapshot_series(traj.x, traj.v, w, alpha)
         rel = np.sqrt(pairs.sq_distances(traj.v)[:, 0, 1])
-        psi = dist ** (-alpha)
+        psi = pairs.kernel(pairs.separations(traj.x), alpha)[:, 0, 1]
         d_int = float(np.trapezoid(dee, times))
         r_min = float(dist.min())
 

@@ -16,7 +16,9 @@ goes through this module, so each grid is built one way:
                      only place that sets a self-pair entry of a
                      distance grid (the kernel aside);
   kernel             r^(-alpha), unregularized, with self-pairs and
-                     co-located pairs (r == 0) set to zero;
+                     co-located pairs (r == 0) set to zero; the one
+                     evaluation of psi for the force pass, the stiff
+                     weights and the pair study;
   closing times      one division of the separations by the relative
                      speeds |v_i - v_j|: self-pairs give inf / 0 = inf,
                      pairs in lockstep r / 0 = inf, and a co-located
@@ -37,10 +39,6 @@ sums: the dissipation D, its higher moment D_alpha and the smallest pair
 distance of each snapshot.  It works through groups of snapshots whose
 grids together hold at most TILE_ENTRIES entries (one snapshot per group
 once N^2 exceeds that), so it never holds an (S, N, N) array.
-
-The force evaluation (dynamics.alignment_rhs) raises its separations to
-the power itself: the grid has been checked for co-located pairs, so the
-kernel's masks would change nothing there.
 """
 
 from __future__ import annotations

@@ -46,8 +46,10 @@ before the field battery computed continuity, momentum and the margin in
 one pass; the differential tests compare that pass against it bit for bit.
 
 loop_local_fields is the binning the package used before its field grids
-became arrays: one pass over all atoms per occupied cell.  The
-differential tests compare the array form against it bit for bit.
+became arrays: one pass over all atoms per occupied cell, with each
+cell's mean velocity taken about its first atom as the package now takes
+it.  The differential tests compare the array form against it bit for
+bit.
 
 The phase_*, macro_* and vector_* functions are the pointwise evaluators
 the test-function classes carried as methods.  They share the package's
@@ -64,7 +66,10 @@ pair functionals the package used before its stacked snapshot pass: one
 (N, N) grid per measure, summed through a mask that drops co-located
 pairs at eta = 0; grid_min_distance and sqrt_step_cap take their minimum
 distance over off_diagonal, the view of the off-diagonal entries the
-package read before its separations grid.  pair_series is the hand-written two-particle copy of
+package read before its separations grid.  min_pair_distance is the
+separate pass the integrator made to name the closest pair in its
+collision and collapse errors, before it read the separations grid it
+already held.  pair_series is the hand-written two-particle copy of
 that arithmetic the pair study used, and per_snapshot_report the loop
 over from_particles measures that the diagnostics report ran, velocity
 moments included.  The differential tests compare the stacked pass
@@ -131,7 +136,6 @@ from flocklab.dynamics import (
     _dense,
     _step_cap,
     alignment_rhs,
-    min_pair_distance,
 )
 from flocklab.errors import (
     CollisionalState,
@@ -150,6 +154,7 @@ from flocklab.pairs import (
     kernel,
     outer_diff,
     relative_sums,
+    separations,
     sq_distances,
 )
 from flocklab.rng import CounterRNG
@@ -319,6 +324,17 @@ def grid_min_distance(mu, d: int) -> float:
     if x.shape[0] < 2:
         return np.inf
     return float(off_diagonal(distances(x)).min())
+
+
+def min_pair_distance(x: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Smallest pairwise distance and the indices (i < j) achieving it."""
+    n = x.shape[0]
+    if n < 2:
+        return np.inf, (-1, -1)
+    dist = separations(x)
+    # row-major argmin of the symmetric matrix lands in the upper triangle
+    i, j = divmod(int(np.argmin(dist)), n)
+    return float(dist[i, j]), (i, j)
 
 
 def pair_series(xs: np.ndarray, vs: np.ndarray, alpha: float):
@@ -960,14 +976,16 @@ def loop_local_fields(mu, d: int, h: float) -> tuple:
     np.add.at(mass, inverse, w)
     xsum = np.zeros((k, d))
     np.add.at(xsum, inverse, w[:, None] * x)
+    # each cell's mean velocity about its first atom in input order
+    ref = v[[int(np.flatnonzero(inverse == c)[0]) for c in range(k)]]
     vsum = np.zeros((k, d))
-    np.add.at(vsum, inverse, w[:, None] * v)
+    np.add.at(vsum, inverse, w[:, None] * (v - ref[inverse]))
     cells = []
     for c in range(k):
         m = float(mass[c])
         if m <= 0.0:
             continue
-        u = vsum[c] / m
+        u = ref[c] + vsum[c] / m
         bary = xsum[c] / m
         sel = inverse == c
         dv = v[sel] - u

@@ -576,6 +576,33 @@ def test_cli_reports_reproducible(tmp_path):
     )
 
 
+def _cli_env() -> dict:
+    """The environment of a CLI subprocess: this package's source first on
+    the path, and one OpenBLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ),
+    }
+
+
+def _assert_same_reports(left: Path, right: Path) -> int:
+    """Every file under left equals its twin under right, byte for byte
+    apart from a JSON report's generated_at; returns the count."""
+    files = sorted(p for p in left.rglob("*") if p.is_file())
+    assert files
+    for lf in files:
+        rf = right / lf.relative_to(left)
+        if lf.suffix == ".json":
+            assert _stripped(lf) == _stripped(rf), lf.name
+        else:
+            assert lf.read_bytes() == rf.read_bytes(), lf.name
+    return len(files)
+
+
 def _openblas_on_x86() -> bool:
     try:
         config = np.show_config(mode="dicts")
@@ -616,14 +643,7 @@ def test_cli_reports_do_not_depend_on_the_blas_kernel(tmp_path):
             "velocity_params": {"amplitude": [0.4], "wavenumber": [2.0]},
         },
     }))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    base = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        ),
-    }
+    base = _cli_env()
     base.pop("OPENBLAS_CORETYPE", None)
     kernels = {"default": base, "nehalem": {**base, "OPENBLAS_CORETYPE": "Nehalem"}}
     compared = 0
@@ -636,17 +656,115 @@ def test_cli_reports_do_not_depend_on_the_blas_kernel(tmp_path):
                 env=env, capture_output=True, text=True,
             )
             assert run.returncode == 0, run.stdout + run.stderr
-        files = sorted(p for p in dirs["default"].rglob("*") if p.is_file())
-        assert files
-        for lf in files:
-            rf = dirs["nehalem"] / lf.relative_to(dirs["default"])
-            if lf.suffix == ".json":
-                assert _stripped(lf) == _stripped(rf), lf.name
-            else:
-                assert lf.read_bytes() == rf.read_bytes(), lf.name
-            compared += 1
+        compared += _assert_same_reports(dirs["default"], dirs["nehalem"])
     print(
         f"PASS BLAS independence: {compared} simulate and study files "
         "byte-identical under the default and the Nehalem OpenBLAS kernel "
         "(timestamp excluded)"
+    )
+
+
+# numpy's run-time dispatch: this switches its AVX-512 loops off, and it
+# runs its AVX2 ones instead
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _simd_found(env) -> list:
+    """The SIMD targets numpy reports as found in a process with env."""
+    probe = (
+        "import json, numpy; print(json.dumps(numpy.show_config(mode='dicts')"
+        ".get('SIMD Extensions', {}).get('found', [])))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    return json.loads(run.stdout) if run.returncode == 0 else []
+
+
+@pytest.fixture(scope="module")
+def dispatch_envs():
+    """Environments for the default loops and for the AVX2 loops; skips
+    unless numpy finds X86_V4 here and NO_AVX512 switches it off."""
+    base = _cli_env()
+    base.pop("NPY_DISABLE_CPU_FEATURES", None)
+    envs = {"default": base, "avx2": {**base, **NO_AVX512}}
+    if "X86_V4" not in _simd_found(base):
+        pytest.skip("numpy finds no X86_V4 (AVX-512) loops on this CPU")
+    if "X86_V4" in _simd_found(envs["avx2"]):
+        pytest.skip("NPY_DISABLE_CPU_FEATURES does not switch X86_V4 off")
+    return envs
+
+
+def _dispatch_case(case, tmp: Path) -> list:
+    """Write the inputs of one case to tmp; return its command lines."""
+    if case == "simulate-1d":
+        # psi at alpha = 1 is np.power(r, -1.0), which both loops round
+        # alike, and without a stiff step no exp runs
+        (tmp / "sim.json").write_text(json.dumps({
+            "d": 1, "alpha": 1.0, "N": 50, "T": 0.05, "M": 2.0,
+            "seed": 3, "tol": 1e-6, "snapshots": 5,
+            "initial": {
+                "density": "uniform-box",
+                "density_params": {"center": [0.0], "halfwidth": 0.8},
+                "velocity": "sinusoid",
+                "velocity_params": {"amplitude": [0.3], "wavenumber": [2.0]},
+            },
+        }))
+        return [["simulate", "--config", "sim.json", "--out", "sim"]]
+    if case == "dbl-2d":
+        rng = np.random.default_rng(11)
+        for name in ("a", "b"):
+            pts = rng.uniform(-1.0, 1.0, (60, 2))
+            rows = [f"{1 / 60!r},{p!r},{q!r}\n" for p, q in pts.tolist()]
+            (tmp / f"{name}.csv").write_text("weight,p1,p2\n" + "".join(rows))
+        return [["dbl", "a.csv", "b.csv", "--out", "dbl"]]
+    # case "simulate-2d+residual": alpha = 1.5 in d = 2, then the battery
+    (tmp / "sim.json").write_text(json.dumps({
+        "d": 2, "alpha": 1.5, "N": 60, "T": 0.1, "M": 2.0,
+        "seed": 1, "tol": 1e-8, "snapshots": 5,
+        "initial": {
+            "density": "uniform-box",
+            "density_params": {"center": [0.0, 0.0], "halfwidth": 0.8},
+            "velocity": "two-speed-split",
+            "velocity_params": {
+                "values": [[0.5, 0.0], [-0.5, 0.0]], "fraction": 0.5,
+            },
+        },
+    }))
+    (tmp / "res.json").write_text(json.dumps({
+        "input": "sim/trajectory", "battery_size": 8, "battery_seed": 0,
+        "h": 0.2,
+    }))
+    return [
+        ["simulate", "--config", "sim.json", "--out", "sim"],
+        ["residual", "--config", "res.json", "--out", "res"],
+    ]
+
+
+@pytest.mark.parametrize("case", [
+    "simulate-1d",
+    "dbl-2d",
+    pytest.param("simulate-2d+residual", marks=pytest.mark.xfail(
+        strict=True,
+        reason="np.power, np.exp, np.log and np.log1p round differently in "
+        "numpy's AVX-512 and AVX2 loops (ROADMAP item 16)",
+    )),
+])
+def test_cli_reports_across_numpy_simd_dispatch(case, tmp_path, dispatch_envs):
+    # the same command lines under numpy's default (AVX-512) loops and its
+    # AVX2 loops; every report must keep its bytes, generated_at aside
+    dirs = {}
+    for key, env in dispatch_envs.items():
+        dirs[key] = tmp_path / key
+        dirs[key].mkdir()
+        for argv in _dispatch_case(case, dirs[key]):
+            run = subprocess.run(
+                [sys.executable, "-m", "flocklab.cli", *argv],
+                cwd=dirs[key], env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, run.stdout + run.stderr
+    compared = _assert_same_reports(dirs["default"], dirs["avx2"])
+    print(
+        f"PASS SIMD dispatch: {case}, {compared} files byte-identical "
+        "under numpy's AVX-512 and AVX2 loops (timestamp excluded)"
     )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flocklab import dynamics
+from flocklab import dynamics, pairs
 from flocklab.dynamics import (
     _A,
     _B5,
@@ -20,13 +20,12 @@ from flocklab.dynamics import (
     _step_cap,
     alignment_rhs,
     integrate,
-    min_pair_distance,
 )
 from flocklab.errors import CollisionalState, SnapshotMissing, StepCollapse
 from flocklab.meanfield import InitialSpec, sample_initial
 from flocklab.rng import CounterRNG
 
-from oracles import dp5_integrate
+from oracles import dp5_integrate, min_pair_distance
 from test_pairs import row_reduction
 
 
@@ -204,6 +203,38 @@ def test_step_collapse_forced_by_the_geometric_cap():
     p = ModelParams(d=1, alpha=1.0, N=2, T=10.0, M=2.0)
     with pytest.raises(StepCollapse):
         integrate(head_on_pair(1e-13, 2.0), p, tol=1e-6)
+    # behind a far particle 0 the error names the pair (1, 2) and its gap
+    pair = head_on_pair(1e-13, 2.0)
+    s = ParticleState(
+        0.0, np.vstack([[-5.0], pair.x]), np.vstack([[0.0], pair.v])
+    )
+    p = ModelParams(d=1, alpha=1.0, N=3, T=10.0, M=6.0)
+    with pytest.raises(StepCollapse) as err:
+        integrate(s, p, tol=1e-6)
+    assert err.value.detail["pair"] == [1, 2]
+    assert err.value.detail["distance"] == min_pair_distance(s.x)[0]
+
+
+def test_stiff_steps_after_a_rejection_read_the_retried_state(monkeypatch):
+    # a rejected attempt leaves its trial stages' separations in the
+    # workspace; the retry's stiff set-up must see those of its own state
+    seen, rhs_calls = [], [0]
+
+    class Checked(dynamics._Lawson):
+        def __init__(self, y, h, alpha, r_stiff, dist):
+            seen.append(np.array_equal(dist, pairs.separations(y[0])))
+            super().__init__(y, h, alpha, r_stiff, dist)
+
+    def counted(*args, **kwargs):
+        rhs_calls[0] += 1
+        return alignment_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_Lawson", Checked)
+    monkeypatch.setattr(dynamics, "alignment_rhs", counted)
+    p = ModelParams(d=1, alpha=2.0, N=11, T=0.1, M=2.0)
+    tr = integrate(planted_state(11, 1, 1, [1e-4, 2e-4]), p, tol=1e-3)
+    assert rhs_calls[0] > 1 + 6 * len(tr.step_t)  # at least one rejection
+    assert len(seen) > 0 and all(seen)
 
 
 @pytest.mark.parametrize("r0,w0,alpha", [(1e-6, 2.0, 2.0), (1e-4, 1.0, 1.0),

@@ -2,7 +2,8 @@
 no third-party import but numpy, no unused imports, benchmark tracer
 targets and reads that still work, no export that the package never reads,
 snapshots read as arrays, no BLAS product in any module (and no einsum in
-the integrator), and self-pairs set in pairs alone."""
+the integrator), and self-pairs set and the kernel psi = r^(-alpha)
+evaluated in pairs alone."""
 
 import ast
 import sys
@@ -389,6 +390,67 @@ def test_only_pairs_sets_self_pairs():
     # pairs.separations is the one place a self-pair of a distance grid
     # becomes +inf; a local copy of that rule elsewhere could drift from it
     found = {name: self_pair_writes(parse(name)) for name in MODULES if name != "pairs"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def negative_powers(tree: ast.Module) -> list:
+    """(line, function) of every np.power(x, -e) call and every x ** -e
+    whose exponent is minus a variable, such as -alpha or -p.alpha, with
+    the innermost function around it ("" at module level).  Constant
+    exponents such as m ** -0.5 are not the kernel and are not flagged."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = fn
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            exp = None
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow):
+                exp = child.right
+            elif (
+                isinstance(child, ast.Call)
+                and "power" in (getattr(child.func, "attr", None),
+                                getattr(child.func, "id", None))
+                and len(child.args) >= 2
+            ):
+                exp = child.args[1]
+            if (
+                isinstance(exp, ast.UnaryOp)
+                and isinstance(exp.op, ast.USub)
+                and not isinstance(exp.operand, ast.Constant)
+            ):
+                out.append((child.lineno, inner))
+            visit(child, inner)
+
+    visit(tree, "")
+    return sorted(out)
+
+
+def test_negative_powers_finds_every_form():
+    tree = ast.parse(
+        "a = np.power(r, -alpha)\n"
+        "def f(r, o, p):\n"
+        "    np.power(r, -alpha, out=o)\n"
+        "    b = r ** (-alpha)\n"
+        "    return r ** -p.alpha\n"
+        "c = r ** 2 + s2 ** power + m ** -0.5 + np.power(r, 2.0)\n"
+    )
+    assert negative_powers(tree) == [(1, ""), (3, "f"), (4, "f"), (5, "f")]
+
+
+def test_only_pairs_evaluates_the_kernel():
+    # pairs.kernel is the one evaluation of psi = r^(-alpha), so the
+    # force, the stiff weights and the pair study share its bits
+    found = {
+        name: negative_powers(parse(name)) for name in MODULES if name != "pairs"
+    }
+    # eta_monokineticity keeps its own (r + eta)^(-alpha) with self-pairs
+    # counted; no command runs it, and ROADMAP item 1(b) moves it to the
+    # test oracles
+    found["diagnostics"] = [
+        hit for hit in found["diagnostics"] if hit[1] != "eta_monokineticity"
+    ]
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -415,6 +415,33 @@ def test_mk_index_zero_when_cells_single_speed():
     assert mk_index(mu2, 1, 0.5) == 0.0
 
 
+def test_single_speed_cells_give_their_velocity_back():
+    # 400 atoms at h = 1e-4 leave 392 one-atom cells; a plain
+    # (sum w v) / mass missed v by 1 ulp in 62 of them
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (400, 1))
+    v = rng.uniform(-0.7, 0.7, (400, 1))
+    grid = local_fields(phase_measure(x, v), 1, 1e-4)
+    _, first, count = np.unique(
+        np.floor(x[:, 0] / 1e-4), return_index=True, return_counts=True
+    )
+    alone = count == 1
+    assert alone.sum() == 392
+    assert np.array_equal(grid.velocity[alone, 0], v[first[alone], 0])
+    assert not grid.cov_trace[alone].any()
+    # five atoms of one velocity in one cell, whose plain mean rounds away
+    rng = np.random.default_rng(7)
+    m = int(rng.integers(2, 6))
+    w = rng.uniform(0.1, 1.0, m)
+    w /= w.sum()
+    v0 = rng.uniform(-1.0, 1.0)
+    x = rng.uniform(0.0, 0.5, (m, 1))
+    assert m == 5 and sum((w * v0).tolist()) / sum(w.tolist()) != v0
+    grid = local_fields(phase_measure(x, np.full((m, 1), v0), w), 1, 1.0)
+    assert grid.velocity.tolist() == [[v0]]
+    assert grid.cov_trace.tolist() == [0.0] and grid.mk() == 0.0
+
+
 def test_mk_index_equals_variance_in_one_cell():
     mu = phase_measure([[0.1], [0.2]], [[1.0], [0.0]], [0.5, 0.5])
     # single cell: mass-weighted variance of {1, 0} around 1/2 is 1/4

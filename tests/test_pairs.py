@@ -27,6 +27,7 @@ from oracles import (
     grid_dalpha,
     grid_enstrophy,
     grid_min_distance,
+    min_pair_distance,
     moveaxis_row_sums,
     sqrt_alignment_rhs,
     sqrt_distances,
@@ -232,8 +233,8 @@ def test_one_dimensional_distances_are_absolute_differences():
 
 def test_min_pair_distance_picks_upper_triangle_on_ties():
     x = np.array([[0.0], [1.0], [5.0], [6.0]])
-    assert dynamics.min_pair_distance(x) == (1.0, (0, 1))
-    assert dynamics.min_pair_distance(x[:1]) == (np.inf, (-1, -1))
+    assert min_pair_distance(x) == (1.0, (0, 1))
+    assert min_pair_distance(x[:1]) == (np.inf, (-1, -1))
 
 
 # ---- the lean pair pass against the square-root pass it replaced ----
@@ -261,8 +262,11 @@ def test_lean_pair_pass_equals_sqrt_pass(d, n, alpha, squeeze):
 def test_colocated_pair_raises_without_floor(d):
     x, v = cloud(9, d, seed=d)
     x[6] = x[2]
-    with pytest.raises(CollisionalState):
+    with pytest.raises(CollisionalState) as err:
         dynamics.alignment_rhs(x, v, 1.5)
+    # the error names the pair the separate oracle pass finds
+    assert err.value.detail == {"pair": [2, 6], "distance": 0.0}
+    assert min_pair_distance(x) == (0.0, (2, 6))
     with pytest.raises(CollisionalState):
         sqrt_alignment_rhs(x, v, 1.5)
 
