@@ -59,5 +59,5 @@ for n in (50, 100, 200, 400):
         tol=1e-6,
         snapshot_times=times,
     )
-    _, cont, mom, _ = field_residuals(traj, H, fields)
+    cont, mom, _ = field_residuals(traj, H, fields)
     print(f"{n:5d}  {max(cont):.3e}    {max(mom):.3e}")

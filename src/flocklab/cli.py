@@ -182,7 +182,7 @@ def _cmd_residual(args) -> int:
     if cfg["h"] is not None:
         h = float(cfg["h"])
         battery = FieldBattery(vector_battery(p.d, p.T, p.M, size, seed), times)
-        _, cont, mom, _ = field_residuals(traj, h, battery)
+        cont, mom, _ = field_residuals(traj, h, battery)
         payload["fields"] = {
             "h": h,
             "continuity": {"residuals": cont, "max": max(cont)},

@@ -11,15 +11,14 @@ The eta-weighted monokineticity functional uses the conditional mean
 velocity at exact position groups, with the inner sum running over the
 spatial marginal's atoms.
 
-Trajectory series read the stacked snapshot arrays directly: the pair
-sums of every snapshot come from one pairs.snapshot_series pass, the
-velocity moments from measures.phase_moments, and the binned fields from
-meanfield.snapshot_fields.  enstrophy and dalpha are the one-snapshot case
-of that pass, so a measure and a trajectory snapshot give the same bits;
-min_distance reads the same pairs.separations grid.  Since the kernel
-vanishes at co-located pairs, the pass sums them as zero terms at eta = 0
-instead of leaving them out; on a measure with co-located atoms that may
-move the sums by an ulp.
+A trajectory's report is meanfield.snapshot_stats of all its snapshots
+(the velocity moments, one pairs.snapshot_series pass and one binning per
+ladder width), plus the defect of its energy balance.  enstrophy and
+dalpha are the one-snapshot case of that pair pass, so a measure and a
+trajectory snapshot give the same bits; min_distance reads the same
+pairs.separations grid.  Since the kernel vanishes at co-located pairs,
+the pass sums them as zero terms at eta = 0 instead of leaving them out;
+on a measure with co-located atoms that may move the sums by an ulp.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .meanfield import snapshot_fields
+from .meanfield import SnapshotStats, snapshot_stats
 from .measures import (
     EmpiricalMeasure,
     kinetic_energy,  # not called here: the benchmark tracer wraps this name
-    phase_moments,
     phase_split,
 )
 from .pairs import distances, separations, snapshot_series
@@ -103,38 +101,17 @@ def min_distance(mu: EmpiricalMeasure, d: int) -> float:
     return float(separations(x).min(initial=np.inf))
 
 
-def _sweep(traj: Trajectory):
-    """Kinetic energy, momentum, D, D_alpha (eta = 0) and minimum distance
-    of every snapshot, read from the stacked arrays at weights 1/N."""
-    p = traj.params
-    w = np.full(p.N, 1.0 / p.N)
-    # row s holds the moments of snapshot s's measure at weights 1/N, bit
-    # for bit (kinetic_energy of that measure reads the same reduction)
-    energy, mom = phase_moments(traj.v, w)
-    return (energy, mom, *snapshot_series(traj.x, traj.v, w, p.alpha))
-
-
 def _balance_defect(t, e, dd) -> float:
     integral = cumulative_trapezoid(t, dd)
     return float(np.abs(integral - (e[0] - e)).max())
 
 
 @dataclass(frozen=True)
-class DiagnosticsReport:
-    """Per-snapshot diagnostic series for one trajectory.
+class DiagnosticsReport(SnapshotStats):
+    """The SnapshotStats of every snapshot of one trajectory, with the
+    largest defect of its energy balance.  mkvar and max_cell_mass columns
+    follow h_ladder, a ladder of fractions of the initial diameter."""
 
-    mkvar columns follow h_ladder (bin widths for the velocity-variance
-    index).
-    """
-
-    times: np.ndarray
-    energy: np.ndarray
-    enstrophy: np.ndarray
-    dalpha: np.ndarray
-    momentum: np.ndarray
-    min_distance: np.ndarray
-    h_ladder: tuple
-    mkvar: np.ndarray
     energy_residual: float
 
 
@@ -145,22 +122,8 @@ def build_report(
     """Full diagnostic sweep over the snapshots of a trajectory."""
     diam = float(distances(traj.x[0]).max()) if traj.params.N >= 2 else 1.0
     diam = max(diam, 1e-9)
-    h_ladder = tuple(diam * f for f in bin_fractions)
-
-    energy, mom, dd, da, md = _sweep(traj)
-    # FieldGrid.mk of every snapshot, binned in one pass per ladder width
-    mkvar = np.empty((len(traj), len(h_ladder)))
-    for j, h in enumerate(h_ladder):
-        mkvar[:, j] = [grid.mk() for grid in snapshot_fields(traj, h)]
-
+    stats = snapshot_stats(traj, slice(None), (diam * f for f in bin_fractions))
     return DiagnosticsReport(
-        times=traj.times,
-        energy=energy,
-        enstrophy=dd,
-        dalpha=da,
-        momentum=mom,
-        min_distance=md,
-        h_ladder=h_ladder,
-        mkvar=mkvar,
-        energy_residual=_balance_defect(traj.times, energy, dd),
+        **vars(stats),
+        energy_residual=_balance_defect(traj.times, stats.energy, stats.enstrophy),
     )

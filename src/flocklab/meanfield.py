@@ -27,13 +27,16 @@ battery once and integrates every N on the battery's times, so one
 FieldBattery serves every N.  Each N draws its own sample, and the N run
 one after another.
 
+snapshot_stats(traj, rows, h_ladder) is the one path from snapshots to
+their instruments (moments, pair sums, MK index and heaviest cell per
+width), read by the diagnostics report (every row), the refinement study
+(its probes at widths 2h, h, h/2) and the pair study (no widths).
+
 The package's import graph is acyclic: this module imports dynamics,
 pairs, weakform and measures, and diagnostics imports this one for
-snapshot_fields.  The pair study reads its gaps and dissipation from
-pairs.snapshot_series, the stacked pass the diagnostics use.  Functions
-of other modules that a test or a profiler may swap at run time
-(dynamics.integrate) are looked up through their module, so the swap
-takes effect here.
+snapshot_stats.  Functions of other modules that a test or a profiler may
+swap at run time (dynamics.integrate) are looked up through their module,
+so the swap takes effect here.
 """
 
 from __future__ import annotations
@@ -374,16 +377,55 @@ def field_residuals(traj: dynamics.Trajectory, h: float, battery):
     then the continuity and momentum residuals of a weakform.FieldBattery
     tabulated on the trajectory's snapshot times (ValueError otherwise).
     The momentum identity takes its t = 0 moment from the unbinned first
-    snapshot at weights 1/N.  Returns (grids, continuity, momentum,
-    margins): the residuals one per test function, and the dissipation
-    margins per snapshot at the run's alpha.
+    snapshot at weights 1/N.  Returns (continuity, momentum, margins): the
+    residuals one per test function, and the dissipation margins per
+    snapshot at the run's alpha.
     """
     p = traj.params
     if not np.array_equal(battery.times, traj.times):
         raise ValueError("battery and trajectory disagree on snapshot times")
-    grids = snapshot_fields(traj, h)
     first = (traj.x[0], traj.v[0], np.full(p.N, 1.0 / p.N))
-    return (grids, *battery.residuals(grids, p.alpha, initial_atoms=first))
+    return battery.residuals(snapshot_fields(traj, h), p.alpha, initial_atoms=first)
+
+
+@dataclass(frozen=True)
+class SnapshotStats:
+    """Instruments of chosen trajectory rows at weights 1/N, one entry per
+    row: enstrophy is D, dalpha is D_alpha at eta = 0, and mkvar and
+    max_cell_mass are (rows, len(h_ladder)) tables of the binned MK index
+    and the heaviest cell."""
+
+    times: np.ndarray
+    energy: np.ndarray
+    momentum: np.ndarray
+    enstrophy: np.ndarray
+    dalpha: np.ndarray
+    min_distance: np.ndarray
+    h_ladder: tuple
+    mkvar: np.ndarray
+    max_cell_mass: np.ndarray
+
+
+def snapshot_stats(traj: dynamics.Trajectory, rows, h_ladder) -> SnapshotStats:
+    """One phase_moments call, one pairs.snapshot_series pass and one
+    binning per width over the snapshots that rows indexes; each row's
+    numbers read that snapshot alone, whatever the other rows."""
+    p = traj.params
+    w = np.full(p.N, 1.0 / p.N)
+    x, v = traj.x[rows], traj.v[rows]
+    energy, momentum = phase_moments(v, w)
+    h_ladder = tuple(h_ladder)
+    mkvar = np.empty((len(x), len(h_ladder)))
+    max_cell_mass = np.empty_like(mkvar)
+    for j, h in enumerate(h_ladder):
+        grids = snapshot_fields(traj, h, rows)
+        mkvar[:, j] = [grid.mk() for grid in grids]
+        max_cell_mass[:, j] = [grid.mass.max() for grid in grids]
+    return SnapshotStats(
+        traj.times[rows], energy, momentum,
+        *pairs.snapshot_series(x, v, w, p.alpha),
+        h_ladder, mkvar, max_cell_mass,
+    )
 
 
 # ---- refinement study over particle number ----
@@ -458,23 +500,16 @@ def _study_single_n(
 
     # the probes are on the snapshot grid: each is the row nearest to it
     idx = [int(np.argmin(np.abs(traj.times - p))) for p in probes]
-    w = np.full(n, 1.0 / n)
-    marginals = [EmpiricalMeasure(traj.x[k], w) for k in idx]
-    energy, _ = phase_moments(traj.v[idx], w)
-    grids, cont, mom, all_margins = field_residuals(traj, h, battery)
+    marginals = [EmpiricalMeasure(traj.x[k], np.full(n, 1.0 / n)) for k in idx]
+    stats = snapshot_stats(traj, idx, (2.0 * h, h, h / 2.0))
+    cont, mom, all_margins = field_residuals(traj, h, battery)
     margins = tuple(float(all_margins[k]) for k in idx)
-    # one row per probe: its grids at widths 2h, h, h/2, the width-h ones
-    # read off the battery's (binning is per snapshot, so they are the same)
-    coarse, fine = (snapshot_fields(traj, wd, idx) for wd in (2.0 * h, h / 2.0))
-    ladder = list(zip(coarse, [grids[k] for k in idx], fine))
-    mk = [tuple(grid.mk() for grid in row) for row in ladder]
-    maxcell = [tuple(float(grid.mass.max()) for grid in row) for row in ladder]
 
     row = StudyRow(
         n=n,
-        energy=tuple(energy.tolist()),
-        mk=tuple(mk),
-        max_cell_mass=tuple(maxcell),
+        energy=tuple(stats.energy.tolist()),
+        mk=tuple(map(tuple, stats.mkvar.tolist())),
+        max_cell_mass=tuple(map(tuple, stats.max_cell_mass.tolist())),
         continuity=float(max(cont)),
         momentum=float(max(mom)),
         margins=margins,
@@ -651,12 +686,11 @@ def pair_alignment_study(
             rows.append(PairRow(eps, None, None, None, None, exc.to_dict()))
             continue
 
-        w = np.full(2, 0.5)
-        dee, _, dist = pairs.snapshot_series(traj.x, traj.v, w, alpha)
+        stats = snapshot_stats(traj, slice(None), ())
         rel = np.sqrt(pairs.sq_distances(traj.v)[:, 0, 1])
         psi = pairs.kernel(pairs.separations(traj.x), alpha)[:, 0, 1]
-        d_int = float(np.trapezoid(dee, times))
-        r_min = float(dist.min())
+        d_int = float(np.trapezoid(stats.enstrophy, times))
+        r_min = float(stats.min_distance.min())
 
         half = w0 / 2.0
         below = np.flatnonzero(rel <= half)

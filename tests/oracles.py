@@ -94,11 +94,11 @@ beta_eta (with the DivergentNormalization and UnsupportedDimension it
 raises), energy_series, energy_balance_residual, mp_margin and sf_modulus
 are instruments the package carried although no subcommand ran them.  They
 moved here with their arithmetic unchanged: energy_series and
-energy_balance_residual share the package's _sweep and _balance_defect,
-mk_index is FieldGrid.mk of local_fields, momentum is the package's
-phase_moments of one measure, and marginal_x and phi_weighted_marginal
-read atoms through its phase_split.  The tests that pinned them run
-against these copies.
+energy_balance_residual read the package's snapshot_stats and
+_balance_defect, mk_index is FieldGrid.mk of local_fields, momentum is the
+package's phase_moments of one measure, and marginal_x and
+phi_weighted_marginal read atoms through its phase_split.  The tests that
+pinned them run against these copies.
 
 loop_sample_initial is the sampler the package used before it drew every
 atom at once: one CounterRNG stream spawned per atom, a few numbers drawn
@@ -122,7 +122,7 @@ import numpy as np
 from scipy import integrate as _si
 
 from flocklab import _flatlp, pairs, weakform
-from flocklab.diagnostics import _balance_defect, _sweep
+from flocklab.diagnostics import _balance_defect
 from flocklab.dynamics import (
     _A,
     _B5,
@@ -146,7 +146,7 @@ from flocklab.errors import (
     StepBudgetExceeded,
     StepCollapse,
 )
-from flocklab.meanfield import local_fields
+from flocklab.meanfield import local_fields, snapshot_stats
 from flocklab.measures import EmpiricalMeasure, dbl, phase_moments, phase_split
 from flocklab.pairs import (
     Workspace,
@@ -510,8 +510,8 @@ def beta_eta(eta: float, alpha: float, d: int) -> float:
 
 def energy_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Times, kinetic energy, and enstrophy along the snapshots."""
-    energy, _, dd, _, _ = _sweep(traj)
-    return traj.times, energy, dd
+    stats = snapshot_stats(traj, slice(None), ())
+    return traj.times, stats.energy, stats.enstrophy
 
 
 def energy_balance_residual(traj: Trajectory) -> float:
@@ -1685,7 +1685,9 @@ def dp5_integrate(
 # ---- report dictionaries before storage serialized dataclasses ----
 #
 # The to_dict methods of DiagnosticsReport, StudyRow, StudyReport, PairRow
-# and PairStudy, kept verbatim as functions of the report.
+# and PairStudy, kept verbatim as functions of the report, except that the
+# diagnostics dict gained max_cell_mass when DiagnosticsReport became a
+# SnapshotStats.
 
 
 def diagnostics_report_dict(self) -> dict:
@@ -1700,6 +1702,7 @@ def diagnostics_report_dict(self) -> dict:
         ],
         "h_ladder": list(self.h_ladder),
         "mkvar": self.mkvar.tolist(),
+        "max_cell_mass": self.max_cell_mass.tolist(),
         "energy_residual": self.energy_residual,
     }
 

@@ -19,6 +19,7 @@ from flocklab.diagnostics import (
 )
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.errors import SnapshotMissing
+from flocklab.meanfield import local_fields
 from flocklab.measures import EmpiricalMeasure
 from flocklab.rng import CounterRNG
 
@@ -331,7 +332,8 @@ def test_build_report_shapes_and_consistency():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_report_mkvar_equals_per_snapshot_mk_index(d):
-    # build_report bins all snapshots in one pass per ladder width
+    # build_report bins all snapshots in one pass per ladder width, for the
+    # MK index and the heaviest cell
     n = 12
     rng = CounterRNG(7 + d)
     x = rng.uniform(n * d, -0.7, 0.7).reshape(n, d)
@@ -343,6 +345,11 @@ def test_report_mkvar_equals_per_snapshot_mk_index(d):
     want = [[mk_index(from_particles(st), d, h) for h in rep.h_ladder] for st in traj]
     assert rep.mkvar.tolist() == want
     assert rep.mkvar.max() > 0.0
+    heaviest = [
+        [float(local_fields(from_particles(st), d, h).mass.max()) for h in rep.h_ladder]
+        for st in traj
+    ]
+    assert rep.max_cell_mass.tolist() == heaviest
 
 
 @pytest.mark.parametrize("d,n", [(1, 12), (2, 12), (3, 8), (2, 2)])

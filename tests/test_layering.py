@@ -2,8 +2,9 @@
 no third-party import but numpy, no unused imports, benchmark tracer
 targets and reads that still work, no export that the package never reads,
 snapshots read as arrays, no BLAS product in any module (and no einsum in
-the integrator), and self-pairs set and the kernel psi = r^(-alpha)
-evaluated in pairs alone."""
+the integrator), self-pairs set and the kernel psi = r^(-alpha) evaluated
+in pairs alone, and the per-snapshot instruments read in
+meanfield.snapshot_stats alone."""
 
 import ast
 import sys
@@ -393,11 +394,9 @@ def test_only_pairs_sets_self_pairs():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def negative_powers(tree: ast.Module) -> list:
-    """(line, function) of every np.power(x, -e) call and every x ** -e
-    whose exponent is minus a variable, such as -alpha or -p.alpha, with
-    the innermost function around it ("" at module level).  Constant
-    exponents such as m ** -0.5 are not the kernel and are not flagged."""
+def nodes_by_function(tree: ast.Module) -> list:
+    """(node, name of the innermost function around it, "" at module
+    level) for every node below tree; a def is inside its own name."""
     out = []
 
     def visit(node, fn):
@@ -405,25 +404,36 @@ def negative_powers(tree: ast.Module) -> list:
             inner = fn
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            exp = None
-            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow):
-                exp = child.right
-            elif (
-                isinstance(child, ast.Call)
-                and "power" in (getattr(child.func, "attr", None),
-                                getattr(child.func, "id", None))
-                and len(child.args) >= 2
-            ):
-                exp = child.args[1]
-            if (
-                isinstance(exp, ast.UnaryOp)
-                and isinstance(exp.op, ast.USub)
-                and not isinstance(exp.operand, ast.Constant)
-            ):
-                out.append((child.lineno, inner))
+            out.append((child, inner))
             visit(child, inner)
 
     visit(tree, "")
+    return out
+
+
+def negative_powers(tree: ast.Module) -> list:
+    """(line, function) of every np.power(x, -e) call and every x ** -e
+    whose exponent is minus a variable, such as -alpha or -p.alpha, with
+    the innermost function around it ("" at module level).  Constant
+    exponents such as m ** -0.5 are not the kernel and are not flagged."""
+    out = []
+    for node, fn in nodes_by_function(tree):
+        exp = None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exp = node.right
+        elif (
+            isinstance(node, ast.Call)
+            and "power" in (getattr(node.func, "attr", None),
+                            getattr(node.func, "id", None))
+            and len(node.args) >= 2
+        ):
+            exp = node.args[1]
+        if (
+            isinstance(exp, ast.UnaryOp)
+            and isinstance(exp.op, ast.USub)
+            and not isinstance(exp.operand, ast.Constant)
+        ):
+            out.append((node.lineno, fn))
     return sorted(out)
 
 
@@ -452,6 +462,55 @@ def test_only_pairs_evaluates_the_kernel():
         hit for hit in found["diagnostics"] if hit[1] != "eta_monokineticity"
     ]
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def instrument_calls(tree: ast.Module) -> list:
+    """(line, function, name) of every method call .mk() and every call of
+    snapshot_series, bare or through a module, with the innermost function
+    around it ("" at module level)."""
+    out = []
+    for node, fn in nodes_by_function(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name == "snapshot_series" or (name == "mk" and isinstance(f, ast.Attribute)):
+            out.append((node.lineno, fn, name))
+    return sorted(out)
+
+
+def test_instrument_calls_finds_every_form():
+    tree = ast.parse(
+        "a = [grid.mk() for grid in grids]\n"
+        "def f(x, v, w):\n"
+        "    return pairs.snapshot_series(x, v, w, 1.5)\n"
+        "def g(x, v, w):\n"
+        "    dd = snapshot_series(x, v, w, 1.5)[0]\n"
+        "    return grid.mk(), mk(), grid.mk, snapshot_series\n"
+    )
+    assert instrument_calls(tree) == [
+        (1, "", "mk"), (3, "f", "snapshot_series"),
+        (5, "g", "snapshot_series"), (6, "g", "mk"),
+    ]
+
+
+def test_only_snapshot_stats_reads_the_instruments():
+    # meanfield.snapshot_stats is the one path from a trajectory to its
+    # per-snapshot MK index and pair sums, so simulate, diagnose, mfstudy
+    # and pairstudy share its bits; diagnostics._series, the one-measure
+    # pair pass behind the enstrophy and dalpha that the benchmark tracer
+    # wraps, is the one other caller
+    allowed = {
+        ("meanfield", "snapshot_stats", "mk"),
+        ("meanfield", "snapshot_stats", "snapshot_series"),
+        ("diagnostics", "_series", "snapshot_series"),
+    }
+    found = {
+        (name, fn, callee)
+        for name in MODULES
+        for _, fn, callee in instrument_calls(parse(name))
+    }
+    assert found == allowed
 
 
 def private_definitions(tree: ast.Module) -> set:

@@ -1,5 +1,7 @@
-"""Sampling recipes, binned fields, and the two study drivers."""
+"""Sampling recipes, binned fields, the per-snapshot record, and the two
+study drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,17 +9,20 @@ import pytest
 
 import flocklab.dynamics
 from flocklab import meanfield, pairs, schemas, storage, weakform
+from flocklab.diagnostics import build_report
 from flocklab.dynamics import ModelParams, ParticleState, Trajectory, integrate
 from flocklab.errors import PivotBudgetExceeded, RejectionOverflow, StepCollapse
 from flocklab.meanfield import (
     FieldGrid,
     InitialSpec,
+    SnapshotStats,
     field_residuals,
     local_fields,
     pair_alignment_study,
     refinement_study,
     sample_initial,
     snapshot_fields,
+    snapshot_stats,
 )
 from flocklab.measures import EmpiricalMeasure, _ordered_dot, dbl, union_support
 from flocklab.rng import CounterRNG
@@ -575,9 +580,9 @@ def test_field_residuals_equal_direct_battery_calls(d):
     )
     times = traj.times
     vb = vector_battery(d, horizon, bound, size=6, seed=3)
-    grids, cont, mom, margins = field_residuals(traj, h, FieldBattery(vb, times))
+    cont, mom, margins = field_residuals(traj, h, FieldBattery(vb, times))
     want = [local_fields(from_particles(s), d, h) for s in traj.snapshots]
-    for got, ref in zip(grids, want, strict=True):
+    for got, ref in zip(snapshot_fields(traj, h), want, strict=True):
         for name in ("barycenter", "velocity", "mass", "cov_trace"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
     # continuity reads the scalar parts: the macro battery of that size and seed
@@ -588,6 +593,40 @@ def test_field_residuals_equal_direct_battery_calls(d):
         want, alpha, initial_atoms=(x0, v0, np.full(n, 1.0 / n))
     )[1]
     assert np.array_equal(margins, dissipation_margin(times, want, alpha))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_snapshot_stats_rows_depend_on_their_snapshot_alone(d):
+    # every column of a row reads that snapshot alone: repeated, reversed
+    # and single rows give the full record's rows, bit for bit
+    rng = np.random.default_rng(60 + d)
+    xs = rng.uniform(-1.0, 1.0, (6, 30, d))
+    vs = rng.normal(size=(6, 30, d))
+    xs[2, 4:7] = xs[2, 0]  # co-located atoms
+    traj = stacked_trajectory(xs, vs)
+    ladder = (0.07, 0.3, 1.1)
+    full = snapshot_stats(traj, slice(None), ladder)
+    assert full.mkvar.shape == full.max_cell_mass.shape == (6, 3)
+    for rows in ([4, 0, 4], [5, 4, 3, 2, 1, 0], [3]):
+        part = snapshot_stats(traj, rows, ladder)
+        assert part.h_ladder == ladder
+        for field in dataclasses.fields(SnapshotStats):
+            if field.name != "h_ladder":
+                want = getattr(full, field.name)[rows]
+                assert np.array_equal(getattr(part, field.name), want)
+
+
+def test_snapshot_stats_without_widths_has_empty_binned_columns():
+    rng = np.random.default_rng(64)
+    traj = stacked_trajectory(
+        rng.uniform(-1.0, 1.0, (4, 10, 2)), rng.normal(size=(4, 10, 2))
+    )
+    for rows, s in ((slice(None), 4), ([1, 1], 2), ([], 0)):
+        stats = snapshot_stats(traj, rows, ())
+        assert stats.h_ladder == ()
+        assert stats.mkvar.shape == stats.max_cell_mass.shape == (s, 0)
+        assert stats.energy.shape == stats.min_distance.shape == (s,)
+        assert stats.momentum.shape == (s, 2)
 
 
 # ---- refinement study ----
@@ -652,10 +691,11 @@ def test_study_battery_equals_per_n_draws(monkeypatch):
     monkeypatch.undo()
     assert len({id(battery) for _, battery, _ in seen.values()}) == 1
     for row in rep.rows:
-        traj, _, (grids, cont, mom, margins) = seen[row.n]
+        traj, _, (cont, mom, margins) = seen[row.n]
+        grids = snapshot_fields(traj, 0.25)
         p = traj.params
         own = FieldBattery(vector_battery(p.d, p.T, p.M, 4, 0), traj.times)
-        _, want_cont, want_mom, want_margins = field_residuals(traj, 0.25, own)
+        want_cont, want_mom, want_margins = field_residuals(traj, 0.25, own)
         assert cont == want_cont
         assert mom == want_mom
         assert np.array_equal(margins, want_margins)
@@ -683,9 +723,8 @@ def test_study_builds_psi_and_bumps_once_per_snapshot(monkeypatch, name):
         return real(*args)
 
     def battery_spy(traj, h, battery):
-        out = shared(traj, h, battery)
-        occupied.append(sum(grid.mass.size > 0 for grid in out[0]))
-        return out
+        occupied.append(sum(grid.mass.size > 0 for grid in snapshot_fields(traj, h)))
+        return shared(traj, h, battery)
 
     monkeypatch.setattr(weakform, name, count)
     monkeypatch.setattr(meanfield, "field_residuals", battery_spy)
@@ -693,6 +732,30 @@ def test_study_builds_psi_and_bumps_once_per_snapshot(monkeypatch, name):
     assert len(occupied) == 2 and min(occupied) > 0
     per_n = 1 if name == "_bump" else 0
     assert len(calls) == sum(occupied) + per_n * len(occupied)
+
+
+def test_study_probe_rows_equal_the_diagnostics_report(monkeypatch):
+    # one instrument record: a study's probe row is the diagnostics
+    # report's row at that snapshot and width, bit for bit
+    seen = {}
+    shared = meanfield.field_residuals
+
+    def spy(traj, h, battery):
+        seen[traj.params.N] = traj
+        return shared(traj, h, battery)
+
+    monkeypatch.setattr(meanfield, "field_residuals", spy)
+    rep = small_study()
+    monkeypatch.undo()
+    for row in rep.rows:
+        traj = seen[row.n]
+        diam = float(pairs.distances(traj.x[0]).max())
+        report = build_report(traj, tuple(h / diam for h in rep.h_ladder))
+        assert report.h_ladder == rep.h_ladder
+        idx = [int(np.argmin(np.abs(traj.times - t))) for t in rep.probe_times]
+        assert np.array_equal(row.energy, report.energy[idx])
+        assert np.array_equal(row.mk, report.mkvar[idx])
+        assert np.array_equal(row.max_cell_mass, report.max_cell_mass[idx])
 
 
 def test_battery_on_other_times_is_rejected():

@@ -29,6 +29,7 @@ def diagnostics_report():
         min_distance=np.array([INF, 0.75]),
         h_ladder=(0.5, 0.25),
         mkvar=np.array([[0.0, 0.0], [1e-3, 5e-4]]),
+        max_cell_mass=np.array([[0.5, 0.25], [1.0, 0.5]]),
         energy_residual=1e-17,
     )
 
