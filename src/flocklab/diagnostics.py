@@ -4,8 +4,8 @@ Conventions.  All pair functionals are double sums over ordered atom pairs
 (a, b) against the product measure, so each unordered pair enters twice.
 Self-pairs (a = b) are excluded; they contribute nothing when a kernel is
 bounded, and are meaningless for the raw singular kernel.  Pairs sharing a
-position add zero terms when the kernel has no regularization (eta = 0),
-since the kernel vanishes there, mirroring an off-diagonal integral.
+position add zero terms to the unregularized enstrophy and dalpha, since the
+kernel vanishes there, mirroring an off-diagonal integral.
 
 The eta-weighted monokineticity functional uses the conditional mean
 velocity at exact position groups, with the inner sum running over the
@@ -17,8 +17,8 @@ ladder width), plus the defect of its energy balance.  enstrophy and
 dalpha are the one-snapshot case of that pair pass, so a measure and a
 trajectory snapshot give the same bits; min_distance reads the same
 pairs.separations grid.  Since the kernel vanishes at co-located pairs,
-the pass sums them as zero terms at eta = 0 instead of leaving them out;
-on a measure with co-located atoms that may move the sums by an ulp.
+the pass sums them as zero terms instead of leaving them out; on a measure
+with co-located atoms that may move the sums by an ulp.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from .pairs import distances, separations, snapshot_series
 from .weakform import cumulative_trapezoid
 
 
-def _series(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0):
+def _series(mu: EmpiricalMeasure, d: int, alpha: float):
     """snapshot_series of one measure, as a one-snapshot stack."""
     x, v, w = phase_split(mu, d)
-    return snapshot_series(x[None], v[None], w, alpha, eta)
+    return snapshot_series(x[None], v[None], w, alpha)
 
 
 def enstrophy(mu: EmpiricalMeasure, d: int, alpha: float) -> float:
@@ -50,14 +50,11 @@ def enstrophy(mu: EmpiricalMeasure, d: int, alpha: float) -> float:
     return float(_series(mu, d, alpha)[0][0])
 
 
-def dalpha(mu: EmpiricalMeasure, d: int, alpha: float, eta: float = 0.0) -> float:
-    """Higher-moment dissipation:
-    sum over pairs of w_a w_b |v_a - v_b|^(alpha+2) / (|x_a - x_b| + eta)^alpha.
-
-    At eta = 0 pairs sharing a position add zero terms, since the kernel
-    vanishes there; with eta > 0 they count like every off-diagonal pair.
-    """
-    return float(_series(mu, d, alpha, eta)[1][0])
+def dalpha(mu: EmpiricalMeasure, d: int, alpha: float) -> float:
+    """Higher-moment dissipation D_alpha: sum over off-diagonal pairs of
+    w_a w_b |v_a - v_b|^(alpha+2) / |x_a - x_b|^alpha.  Pairs sharing a
+    position add zero terms, since the kernel vanishes there."""
+    return float(_series(mu, d, alpha)[1][0])
 
 
 def eta_monokineticity(
@@ -69,8 +66,10 @@ def eta_monokineticity(
         sum_{a,b} w_a w_b |v_a - u(x_a)|^(alpha+2) / (|x_a - x_b| + eta)^alpha
 
     with u the conditional mean velocity at exact position groups.  Zero
-    exactly on monokinetic data.  Dominated by 2^(alpha+1) dalpha(mu, eta):
-    splitting v - u(x) at the partner site and applying the convexity bound
+    exactly on monokinetic data.  Dominated by 2^(alpha+1) times D_alpha at
+    regularization eta, the sum over off-diagonal pairs of
+    w_a w_b |v_a - v_b|^(alpha+2) / (|x_a - x_b| + eta)^alpha: split
+    v - u(x) at the partner site and apply the convexity bound
     (s + t)^p <= 2^(p-1) (s^p + t^p) twice.
     """
     if not eta > 0:

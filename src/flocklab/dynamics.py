@@ -547,13 +547,12 @@ class Trajectory:
 def _step_cap(
     x: np.ndarray,
     v: np.ndarray,
-    safety: float,
     dist: np.ndarray | None = None,
     work: pairs.Workspace | None = None,
 ) -> tuple[float, float]:
     """Geometric step bound and current minimum pair distance.
 
-    The bound is ``safety`` times the smallest per-pair closing time
+    The bound is GEOMETRY_SAFETY times the smallest per-pair closing time
     r_ij / |v_i - v_j|.  It is blind to direction: a pair moving apart or
     passing sideways is bounded by its relative speed like an approaching
     one, and only a pair in lockstep (v_i = v_j) imposes no constraint,
@@ -574,7 +573,7 @@ def _step_cap(
         dist = pairs.separations(x, out=work.dist, scratch=work.a)
     dmin = float(dist.min())
     closing = pairs.closing_times(dist, v, out=work.a, scratch=work.b)
-    return safety * float(np.fmin.reduce(closing, axis=None)), dmin
+    return GEOMETRY_SAFETY * float(np.fmin.reduce(closing, axis=None)), dmin
 
 
 def integrate(
@@ -584,7 +583,8 @@ def integrate(
     snapshot_times: Sequence[float] | None = None,
     max_steps: int = 50_000_000,
 ) -> Trajectory:
-    """Integrate the alignment system over [0, T].
+    """Integrate the alignment system over [0, T] from state0, which must
+    be the state at t = 0 (ValueError otherwise).
 
     t=0 and t=T are always snapshots.  The adaptive controller keeps the
     normalized local error estimate at or below 1 (absolute and relative
@@ -619,6 +619,8 @@ def integrate(
     n, d = state0.x.shape
     if (n, d) != (params.N, params.d):
         raise ValueError("state shape does not match params")
+    if state0.t != 0.0:
+        raise ValueError("state0 must be the state at t = 0")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     T = float(params.T)
@@ -665,7 +667,7 @@ def integrate(
     last_rejected = False
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
-    cap, dmin_now = _step_cap(y[0], y[1], GEOMETRY_SAFETY, dist=work.dist, work=work)
+    cap, dmin_now = _step_cap(y[0], y[1], dist=work.dist, work=work)
 
     while t < T:
         if steps >= max_steps:
@@ -732,9 +734,7 @@ def integrate(
             if stop > inner:
                 xs[inner], vs[inner] = y
             next_snap = stop
-            cap, dmin_now = _step_cap(
-                y[0], y[1], GEOMETRY_SAFETY, dist=work.dist, work=work
-            )
+            cap, dmin_now = _step_cap(y[0], y[1], dist=work.dist, work=work)
             log_t.append(t_new)
             log_h.append(h)
             log_err.append(err)

@@ -436,13 +436,18 @@ class StudyRow:
     """Per-N outcome of a refinement study.  None fields mean the run for
     this N failed; see error.
 
-    mk and max_cell_mass are (probe, ladder-width) tables over the study's
-    h_ladder.  max_cell_mass tracks the heaviest bin: a proxy trend for
-    atom concentration in the limit, reported without any verdict.
+    energy, enstrophy (D), dalpha (D_alpha) and min_distance hold one
+    value per probe.  mk and max_cell_mass are (probe, ladder-width) tables
+    over the study's h_ladder.  max_cell_mass tracks the heaviest bin: a
+    proxy trend for atom concentration in the limit, reported without any
+    verdict.
     """
 
     n: int
     energy: tuple | None
+    enstrophy: tuple | None
+    dalpha: tuple | None
+    min_distance: tuple | None
     mk: tuple | None
     max_cell_mass: tuple | None
     continuity: float | None
@@ -508,6 +513,9 @@ def _study_single_n(
     row = StudyRow(
         n=n,
         energy=tuple(stats.energy.tolist()),
+        enstrophy=tuple(stats.enstrophy.tolist()),
+        dalpha=tuple(stats.dalpha.tolist()),
+        min_distance=tuple(stats.min_distance.tolist()),
         mk=tuple(map(tuple, stats.mkvar.tolist())),
         max_cell_mass=tuple(map(tuple, stats.max_cell_mass.tolist())),
         continuity=float(max(cont)),
@@ -535,13 +543,14 @@ def refinement_study(
 
     Each N integrates the same recipe (prefix-stable sampling, so smaller
     ensembles are literal prefixes of larger ones), then reports kinetic
-    energy, the binned monokineticity index and heaviest-cell mass across
-    the ladder (2h, h, h/2), battery-maximal continuity and momentum
-    residuals on width-h fields, and dissipation margins at the probe
-    times.  Consecutive runs are compared in the flat metric on spatial
-    marginals.  A failed run (collision, step collapse) is kept as its
-    error record, and so is a flat distance between two runs that exceeds
-    the simplex's pivot budget; the study continues.
+    energy, the dissipations D and D_alpha, the smallest pair distance, the
+    binned monokineticity index and heaviest-cell mass across the ladder
+    (2h, h, h/2), battery-maximal continuity and momentum residuals on
+    width-h fields, and dissipation margins at the probe times.
+    Consecutive runs are compared in the flat metric on spatial marginals.
+    A failed run (collision, step collapse) is kept as its error record,
+    and so is a flat distance between two runs that exceeds the simplex's
+    pivot budget; the study continues.
 
     Each N draws its own sample, so a RejectionOverflow fails only the N
     that reach the failing atom.  A draw that escapes the bound raises
@@ -573,7 +582,8 @@ def refinement_study(
             ))
         except FlockLabError as exc:
             row = StudyRow(
-                n=n, energy=None, mk=None, max_cell_mass=None,
+                n=n, energy=None, enstrophy=None, dalpha=None,
+                min_distance=None, mk=None, max_cell_mass=None,
                 continuity=None, momentum=None, margins=None,
                 error=exc.to_dict(),
             )

@@ -181,22 +181,20 @@ def relative_sums(
 
 
 def snapshot_series(
-    x: np.ndarray, v: np.ndarray, w: np.ndarray, alpha: float, eta: float = 0.0
+    x: np.ndarray, v: np.ndarray, w: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair sums of every snapshot of the stacked (S, N, d) positions x and
     velocities v, at atom weights w (N,).  Returns three (S,) arrays:
 
       D        sum of w_a w_b |v_a - v_b|^2 / |x_a - x_b|^alpha
-      D_alpha  sum of w_a w_b |v_a - v_b|^(alpha+2) / (|x_a - x_b| + eta)^alpha
+      D_alpha  sum of w_a w_b |v_a - v_b|^(alpha+2) / |x_a - x_b|^alpha
       r_min    smallest distance between two different atoms (inf below two)
 
     Both sums run over the off-diagonal pairs, each snapshot's in row-major
     order as one numpy sum along a contiguous row.  The kernel is zero at
-    co-located pairs, so at eta = 0 they add zero terms; with eta > 0 they
-    count.  Snapshots go in groups of TILE_ENTRIES // N^2 (at least one).
+    co-located pairs, so they add zero terms.  Snapshots go in groups of
+    TILE_ENTRIES // N^2 (at least one).
     """
-    if not eta >= 0:
-        raise ValueError("eta must be nonnegative")
     s, n = x.shape[:2]
     group = max(1, TILE_ENTRIES // max(1, n * n))
     off = ~np.eye(n, dtype=bool)
@@ -211,8 +209,6 @@ def snapshot_series(
         mask = np.broadcast_to(off, r.shape)
         kern = kernel(r, alpha)
         dd[a:b] = (ww * s2 * kern)[mask].reshape(b - a, -1).sum(axis=-1)
-        if eta > 0.0:
-            kern = kernel(r + eta, alpha)
         da[a:b] = (ww * s2**power * kern)[mask].reshape(b - a, -1).sum(axis=-1)
         r_min[a:b] = r.min(axis=(-2, -1), initial=np.inf)
     return dd, da, r_min

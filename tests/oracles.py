@@ -64,9 +64,12 @@ battery against it bit for bit.
 grid_enstrophy, grid_dalpha and grid_min_distance are the per-measure
 pair functionals the package used before its stacked snapshot pass: one
 (N, N) grid per measure, summed through a mask that drops co-located
-pairs at eta = 0; grid_min_distance and sqrt_step_cap take their minimum
-distance over off_diagonal, the view of the off-diagonal entries the
-package read before its separations grid.  min_pair_distance is the
+pairs at eta = 0.  grid_dalpha at eta > 0 is the regularized D_alpha,
+co-located pairs counted, that the convexity-chain tests bound
+eta_monokineticity by; the package computes D_alpha at eta = 0 only.
+grid_min_distance and sqrt_step_cap take their minimum distance over
+off_diagonal, the view of the off-diagonal entries the package read
+before its separations grid.  min_pair_distance is the
 separate pass the integrator made to name the closest pair in its
 collision and collapse errors, before it read the separations grid it
 already held.  pair_series is the hand-written two-particle copy of
@@ -128,7 +131,6 @@ from flocklab.dynamics import (
     _B5,
     _E,
     COLLISION_FLOOR,
-    GEOMETRY_SAFETY,
     STEP_FLOOR_FRACTION,
     ModelParams,
     ParticleState,
@@ -1584,7 +1586,7 @@ def dp5_integrate(
     next_snap = 1  # index into snaps; snaps[0] already recorded
     steps = 0
     x_now, v_now = unpack(y)
-    cap, _ = _step_cap(x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work)
+    cap, _ = _step_cap(x_now, v_now, dist=work.dist, work=work)
 
     while t < T:
         if steps >= max_steps:
@@ -1634,9 +1636,7 @@ def dp5_integrate(
             if stop > inner:
                 snapshots.append(ParticleState(float(t_new), x_now, v_now))
             next_snap = stop
-            cap, dmin_new = _step_cap(
-                x_now, v_now, GEOMETRY_SAFETY, dist=work.dist, work=work
-            )
+            cap, dmin_new = _step_cap(x_now, v_now, dist=work.dist, work=work)
             log_t.append(t_new)
             log_h.append(h)
             log_err.append(err)
@@ -1687,7 +1687,8 @@ def dp5_integrate(
 # The to_dict methods of DiagnosticsReport, StudyRow, StudyReport, PairRow
 # and PairStudy, kept verbatim as functions of the report, except that the
 # diagnostics dict gained max_cell_mass when DiagnosticsReport became a
-# SnapshotStats.
+# SnapshotStats, and the study row dict enstrophy, dalpha and min_distance
+# when the study kept the probes' pair sums.
 
 
 def diagnostics_report_dict(self) -> dict:
@@ -1714,6 +1715,11 @@ def study_row_dict(self) -> dict:
     return {
         "n": self.n,
         "energy": list(self.energy) if self.energy is not None else None,
+        "enstrophy": list(self.enstrophy) if self.enstrophy is not None else None,
+        "dalpha": list(self.dalpha) if self.dalpha is not None else None,
+        "min_distance": (
+            list(self.min_distance) if self.min_distance is not None else None
+        ),
         "mk": grid(self.mk),
         "max_cell_mass": grid(self.max_cell_mass),
         "continuity": self.continuity,

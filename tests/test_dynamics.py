@@ -78,7 +78,7 @@ def test_single_particle_feels_no_force_and_no_cap(d):
     assert acc.shape == (1, d)
     assert np.array_equal(acc, np.zeros((1, d)))
     assert not np.signbit(acc).any()
-    assert _step_cap(x, v, dynamics.GEOMETRY_SAFETY) == (np.inf, np.inf)
+    assert _step_cap(x, v) == (np.inf, np.inf)
 
 
 def test_rhs_force_sum_vanishes():
@@ -136,6 +136,16 @@ def test_tolerance_must_be_positive_and_finite(tol):
     p = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=1.0)
     with pytest.raises(ValueError, match="tol"):
         integrate(random_state(3, 1, seed=2), p, tol=tol)
+
+
+@pytest.mark.parametrize("t0", [7.0, 1e-300, math.nan])
+def test_start_state_must_be_at_time_zero(t0):
+    # the trajectory is stamped from t = 0 over [0, T]; a state at another
+    # time would be integrated as if it were the initial one
+    p = ModelParams(d=1, alpha=1.0, N=3, T=1.0, M=1.0)
+    s = random_state(3, 1, seed=2)
+    with pytest.raises(ValueError, match="t = 0"):
+        integrate(ParticleState(t0, s.x, s.v), p)
 
 
 def test_snapshot_times_within_rounding_of_the_ends_merge():

@@ -1,12 +1,19 @@
 """Module layering: an acyclic import graph, imports at module level only,
 no third-party import but numpy, no unused imports, benchmark tracer
-targets and reads that still work, no export that the package never reads,
+targets and reads that still work, a benchmark set-up probe that runs on
+the package, no public module-level name (def, class or assignment) that
+no module reads and the tracer does not wrap (storage.save_measure aside),
 snapshots read as arrays, no BLAS product in any module (and no einsum in
 the integrator), self-pairs set and the kernel psi = r^(-alpha) evaluated
 in pairs alone, and the per-snapshot instruments read in
-meanfield.snapshot_stats alone."""
+meanfield.snapshot_stats alone.
+
+The package's __init__ binds only __version__: every name is read from
+the module that defines it, so the guards read the modules, not a table
+of exports."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -69,6 +76,15 @@ def parse(name: str) -> ast.Module:
 
 def import_graph() -> dict:
     return {name: module_level_imports(parse(name)) - {name} for name in MODULES}
+
+
+def perfbench_module(monkeypatch, name: str):
+    """A fresh import of the benchmark module perfbench/<name>.py, with
+    the benchmark's modules it imports loaded fresh too."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for mod in ("run", "traced", "workloads"):
+        monkeypatch.delitem(sys.modules, mod, raising=False)
+    return importlib.import_module(name)
 
 
 def test_package_targets_reads_every_import_form():
@@ -194,10 +210,7 @@ def test_unused_imports_finds_every_form():
 
 def test_package_has_no_unused_imports(monkeypatch):
     # a name the benchmark tracer wraps may stay imported only for it
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    for name in ("traced", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    import traced
+    traced = perfbench_module(monkeypatch, "traced")
 
     traced_names = {attr for _, attr, _ in traced.PATCHES}
     found = {
@@ -210,10 +223,7 @@ def test_package_has_no_unused_imports(monkeypatch):
 def test_benchmark_tracer_targets_resolve(monkeypatch):
     # the tracer swaps these module attributes by name; a module move that
     # drops one would break the traced benchmark pass
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    for name in ("traced", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    import traced
+    traced = perfbench_module(monkeypatch, "traced")
 
     missing = [
         f"{mod.__name__}.{attr}"
@@ -224,34 +234,44 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     assert len(traced.PATCHES) > 0
 
 
+# the writer of the format storage.load_measure reads; no module writes a
+# measure, but the reader's format is defined by the pair
+UNREAD_EXPORTS = {"storage": ["save_measure"]}
+
+
 def test_every_export_is_read_in_the_package(monkeypatch):
-    # a public name that no module reads and the tracer does not wrap serves
-    # only tests: it belongs in the test oracles
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    for name in ("traced", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    import traced
+    # a public module-level name (def, class or assignment) that no module
+    # reads and the tracer does not wrap serves only tests: it belongs in
+    # the test oracles
+    traced = perfbench_module(monkeypatch, "traced")
 
-    import flocklab
-
-    read = set().union(
-        *(names_read(parse(name)) for name in MODULES if name != "__init__")
-    )
+    read = set().union(*(names_read(parse(name)) for name in MODULES))
     traced_names = {attr for _, attr, _ in traced.PATCHES}
     unread = {
-        mod: sorted(set(names) - read - traced_names)
-        for mod, names in flocklab._EXPORTS.items()
+        name: sorted(public_definitions(parse(name)) - read - traced_names)
+        for name in MODULES
     }
-    assert {mod: names for mod, names in unread.items() if names} == {}
+    assert {name: names for name, names in unread.items() if names} == (
+        UNREAD_EXPORTS
+    )
+
+
+@pytest.mark.parametrize("workload", ["stream-2d", "refine-1d"])
+def test_benchmark_setup_probe_runs_on_the_package(workload, tmp_path, monkeypatch):
+    # the benchmark's set-up probe imports the layer modules through the
+    # package and resolves the workload's config in a fresh interpreter
+    run = perfbench_module(monkeypatch, "run")
+    spec = run.WORKLOADS[workload]
+    spec.build(0, tmp_path)
+    code, _, log = run.setup_probe(spec, tmp_path)
+    assert code == 0, log
+    assert Path(log.splitlines()[-1]) == PACKAGE / "cli.py"
 
 
 def test_benchmark_tracer_reads_an_integrate_result(monkeypatch):
     # the tracer records counts read off the result of integrate; a change
     # to Trajectory that breaks those reads would break the traced pass
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    for name in ("traced", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    import traced
+    traced = perfbench_module(monkeypatch, "traced")
 
     from flocklab.dynamics import ModelParams, ParticleState, integrate
 
@@ -513,9 +533,8 @@ def test_only_snapshot_stats_reads_the_instruments():
     assert found == allowed
 
 
-def private_definitions(tree: ast.Module) -> set:
-    """Names with one leading underscore that a module binds at module
-    level by assignment, def or class."""
+def module_definitions(tree: ast.Module) -> set:
+    """Names a module binds at module level by assignment, def or class."""
     out = set()
     todo = list(tree.body)
     while todo:
@@ -526,7 +545,20 @@ def private_definitions(tree: ast.Module) -> set:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             out.add(node.id)
         todo.extend(ast.iter_child_nodes(node))
-    return {n for n in out if n.startswith("_") and not n.startswith("__")}
+    return out
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """module_definitions with one leading underscore."""
+    return {
+        n for n in module_definitions(tree)
+        if n.startswith("_") and not n.startswith("__")
+    }
+
+
+def public_definitions(tree: ast.Module) -> set:
+    """module_definitions without a leading underscore."""
+    return {n for n in module_definitions(tree) if not n.startswith("_")}
 
 
 def names_read(tree: ast.Module) -> set:
@@ -551,8 +583,19 @@ def test_private_definitions_and_reads_find_every_form():
         "    return _A + mod._g\n"
         "class _K:\n"
         "    _attr = 5\n"
+        "A, (B, _D) = 6, (7, 8)\n"
+        "try:\n"
+        "    C: float = 9.0\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    local = 10\n"
+        "class K:\n"
+        "    attr = 11\n"
+        "from .pairs import kernel\n"
     )
-    assert private_definitions(tree) == {"_A", "_B", "_C", "_f", "_K"}
+    assert private_definitions(tree) == {"_A", "_B", "_C", "_D", "_f", "_K"}
+    assert public_definitions(tree) == {"A", "B", "C", "f", "K"}
     assert {"_A", "_g"} <= names_read(tree)
     assert not {"_B", "_C", "_local"} & names_read(tree)
 

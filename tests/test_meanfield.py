@@ -754,6 +754,9 @@ def test_study_probe_rows_equal_the_diagnostics_report(monkeypatch):
         assert report.h_ladder == rep.h_ladder
         idx = [int(np.argmin(np.abs(traj.times - t))) for t in rep.probe_times]
         assert np.array_equal(row.energy, report.energy[idx])
+        assert np.array_equal(row.enstrophy, report.enstrophy[idx])
+        assert np.array_equal(row.dalpha, report.dalpha[idx])
+        assert np.array_equal(row.min_distance, report.min_distance[idx])
         assert np.array_equal(row.mk, report.mkvar[idx])
         assert np.array_equal(row.max_cell_mass, report.max_cell_mass[idx])
 
@@ -785,6 +788,7 @@ def test_refinement_study_survives_single_failure(monkeypatch):
     good, bad = rep.rows
     assert good.error is None
     assert bad.error is not None and bad.energy is None
+    assert bad.enstrophy is bad.dalpha is bad.min_distance is None
     assert rep.dbl_cauchy == (None,)
     assert rep.dbl_errors == (None,)
     assert rep.energy_cauchy == (None,)

@@ -204,23 +204,19 @@ def test_snapshot_series_equals_per_measure_functionals(s, n, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_snapshot_series_on_colocated_atoms(d):
-    # with eta > 0 co-located pairs count and the bits are the per-measure
-    # ones; at eta = 0 they add zero terms, which may move a sum by an ulp
+    # co-located pairs add zero terms, which may move a sum by an ulp
     xs, vs, w = random_snapshots(6, 12, d, seed=70 + d)
     xs[1, 3] = xs[1, 0]
     xs[4, 5] = xs[4, 6] = xs[4, 11]
     vs[4, 6] = vs[4, 5]  # a co-located pair in lockstep
     for alpha in (1.0, 2.0):
-        dd, _, md = pairs.snapshot_series(xs, vs, w, alpha)
-        da = pairs.snapshot_series(xs, vs, w, alpha, eta=0.3)[1]
+        dd, da, md = pairs.snapshot_series(xs, vs, w, alpha)
         for k in range(6):
             mu = EmpiricalMeasure(np.hstack([xs[k], vs[k]]), w)
-            assert da[k] == grid_dalpha(mu, d, alpha, 0.3)
+            assert da[k] == pytest.approx(grid_dalpha(mu, d, alpha, 0.0), rel=1e-14)
             assert dd[k] == pytest.approx(grid_enstrophy(mu, d, alpha), rel=1e-14)
             assert md[k] == grid_min_distance(mu, d)
         assert md[1] == md[4] == 0.0
-    with pytest.raises(ValueError):
-        pairs.snapshot_series(xs, vs, w, 1.5, eta=-0.1)
 
 
 def test_one_dimensional_distances_are_absolute_differences():
@@ -253,9 +249,9 @@ def test_lean_pair_pass_equals_sqrt_pass(d, n, alpha, squeeze):
     work = pairs.Workspace(n)
     got = dynamics.alignment_rhs(x, v, alpha, work=work)
     assert np.array_equal(got, want)
-    cap = sqrt_step_cap(x, v, 0.2)
-    assert dynamics._step_cap(x, v, 0.2) == cap
-    assert dynamics._step_cap(x, v, 0.2, dist=work.dist, work=work) == cap
+    cap = sqrt_step_cap(x, v, dynamics.GEOMETRY_SAFETY)
+    assert dynamics._step_cap(x, v) == cap
+    assert dynamics._step_cap(x, v, dist=work.dist, work=work) == cap
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -300,8 +296,8 @@ def test_alignment_rhs_within_ulps_in_higher_dimensions(n, d, squeeze):
 def test_step_cap_matches_upper_triangle_formulation(n, d, squeeze):
     x, v = cloud(n, d, seed=n + d)
     x = squeezed(x, squeeze)
-    cap, dmin = dynamics._step_cap(x, v, 0.2)
-    want_cap, want_dmin = tensor_step_cap(x, v, 0.2)
+    cap, dmin = dynamics._step_cap(x, v)
+    want_cap, want_dmin = tensor_step_cap(x, v, dynamics.GEOMETRY_SAFETY)
     if d == 1:
         assert (cap, dmin) == (want_cap, want_dmin)
     else:
@@ -316,14 +312,14 @@ def test_step_cap_from_force_distances_equals_fresh_cap(n, d, squeeze):
     x = squeezed(x, squeeze)
     work = pairs.Workspace(n)
     dynamics.alignment_rhs(x, v, 1.5, work=work)
-    reused = dynamics._step_cap(x, v, 0.2, dist=work.dist, work=work)
-    assert reused == dynamics._step_cap(x, v, 0.2)
+    reused = dynamics._step_cap(x, v, dist=work.dist, work=work)
+    assert reused == dynamics._step_cap(x, v)
 
 
 def test_step_cap_ignores_pairs_in_lockstep():
     x = np.array([[0.0], [1e-3], [5.0]])
     v = np.array([[1.0], [1.0], [1.0]])
-    assert dynamics._step_cap(x, v, 0.2) == (np.inf, 1e-3)
+    assert dynamics._step_cap(x, v) == (np.inf, 1e-3)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -331,7 +327,7 @@ def test_step_cap_of_a_colocated_pair_in_lockstep_is_inf(d):
     # its closing time is 0 / 0 in the one division; the reduction skips it
     x = np.zeros((2, d))
     v = np.ones((2, d))
-    assert dynamics._step_cap(x, v, 0.2) == (np.inf, 0.0)
+    assert dynamics._step_cap(x, v) == (np.inf, 0.0)
     closing = pairs.closing_times(pairs.separations(x), v)
     assert np.isnan(closing[0, 1]) and closing[0, 0] == np.inf
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flocklab
 from flocklab import schemas
 from flocklab.schemas import SCHEMAS
 
@@ -287,65 +286,11 @@ def test_non_finite_numbers_are_rejected_by_name(doc, path):
 
 # ---- import hygiene ----
 
-# the package namespace before it became lazy (63 re-exports plus the 8
-# submodules the eager imports bound), less AmbiguousGrouping, LocalField,
-# disintegrate, momentum_marginal and pushforward_free, which were deleted
-# with their code, less SupportTooLarge, deleted with the flat distance's
-# support cap, and less the twelve instruments no command ran, which
-# moved to the test oracles: beta_eta, DivergentNormalization,
-# energy_balance_residual, energy_series, from_particles, marginal_x,
-# mk_index, momentum, mp_margin, phi_weighted_marginal, sf_modulus and
-# UnsupportedDimension, and less continuity_residuals and
-# momentum_residuals, deleted when FieldBattery became the one way into
-# the field pass
-PUBLIC = [
-    "CollisionalState", "CounterRNG",
-    "DiagnosticsReport", "EmpiricalMeasure",
-    "FieldGrid", "FlockLabError", "GridMismatch", "InitialSpec",
-    "MacroTestFunction", "ModelParams", "NonFiniteState",
-    "PairStudy", "ParticleState", "PivotBudgetExceeded", "RejectionOverflow",
-    "SnapshotMissing", "StepBudgetExceeded", "StepCollapse", "StudyReport",
-    "TestFunction", "Trajectory",
-    "VectorTestFunction", "alignment_rhs", "build_report",
-    "continuity_residual", "dalpha", "dbl",
-    "dbl_with_potential", "diagnostics",
-    "dissipation_margin", "dynamics",
-    "enstrophy", "errors", "eta_monokineticity",
-    "integrate", "kinetic_battery", "kinetic_energy",
-    "kinetic_weak_residual", "kinetic_weak_residuals", "local_fields",
-    "macro_battery", "meanfield", "measures",
-    "momentum_residual", "pair_alignment_study", "pairs",
-    "refinement_study", "rng",
-    "sample_initial", "vector_battery", "weakform",
-]
-
-
-def test_public_namespace_unchanged():
-    assert len(PUBLIC) == 51
-    assert flocklab.__all__ == PUBLIC
-    assert set(PUBLIC) <= set(dir(flocklab))
-    for name in PUBLIC:
-        value = getattr(flocklab, name)
-        if name in flocklab._SUBMODULES:
-            assert value is sys.modules[f"flocklab.{name}"]
-        else:
-            home = sys.modules[value.__module__]
-            assert getattr(home, name) is value
-    with pytest.raises(AttributeError):
-        flocklab.no_such_name  # noqa: B018
-
-
-def test_star_import_binds_every_public_name():
-    scope = {}
-    exec("from flocklab import *", scope)
-    assert set(PUBLIC) <= set(scope)
-    assert scope["integrate"] is flocklab.dynamics.integrate
-
-
 # Runs the command line as ``python -m flocklab.cli`` does, then reports the
-# exit status and every module the process holds.  sys.modules is read
-# directly: ``-X importtime`` does not see modules that importlib.import_module
-# loads, which is how the lazy namespace imports them.
+# exit status and every module the process holds, read from sys.modules.
+# The package's __init__ binds only __version__, so a bare ``import
+# flocklab`` must load no submodule, and a subcommand only the modules its
+# deferred imports name.
 _DRIVER = """\
 import json, runpy, sys
 code = 0

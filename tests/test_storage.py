@@ -38,6 +38,9 @@ def study_report():
     # n = 16 failed, so the (8, 16) pair is None; the (4, 8) flat distance
     # failed with a record while its energies compare
     ok = dict(
+        enstrophy=(0.75, NAN),
+        dalpha=(0.5, 0.25),
+        min_distance=(0.125, INF),
         mk=((0.1, 0.05, 0.0), (0.2, 0.1, INF)),
         max_cell_mass=((0.5, 0.25, 0.25), (0.5, 0.5, 0.25)),
         continuity=1e-3,
@@ -45,7 +48,8 @@ def study_report():
         error=None,
     )
     failed = dict(
-        energy=None, mk=None, max_cell_mass=None, continuity=None,
+        energy=None, enstrophy=None, dalpha=None, min_distance=None,
+        mk=None, max_cell_mass=None, continuity=None,
         momentum=None, margins=None, error=COLLAPSE,
     )
     rows = (

@@ -11,6 +11,14 @@ alone, so they are equal, and the momentum negates.  The binned columns
 are left out: the cells are anchored at the origin, and the reflection
 maps a cell [kh, (k+1)h) onto (-(k+1)h, -kh], a different cell of the
 grid.
+
+In d = 2 swapping the two coordinates and reflecting one axis are exact
+too: a squared distance is a sum of two squares, which commutes, and each
+coordinate's arithmetic is its own.  Both runs take the same steps and
+give the mapped trajectory bit for bit, the pair instruments are equal,
+the momentum maps like a velocity, and so does the flat distance between
+the spatial marginals at t = 0 and t = T, whose cost |p - q| the map
+keeps.
 """
 
 import numpy as np
@@ -18,6 +26,7 @@ import pytest
 
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.meanfield import InitialSpec, sample_initial, snapshot_stats
+from flocklab.measures import EmpiricalMeasure, dbl
 
 # crossing streams: a uniform box of halfwidth and seed per dimension, one
 # half of it moving at +0.5 e1 and the other at -0.5 e1
@@ -38,11 +47,14 @@ def crossing_streams(d: int, n: int):
     return sample_initial(spec, n, bound=2.0)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_reflection_negates_the_run_and_keeps_the_pair_instruments(d):
-    n, alpha, horizon = 100, 1.5, 0.05
+def assert_run_maps(d: int, g):
+    """Integrates crossing streams and their image under the linear
+    isometry g (acting on the last axis) and gates the image: the same
+    steps, the mapped trajectory bit for bit, equal energy, D, D_alpha and
+    r_min, and the mapped momentum.  Returns both trajectories."""
+    n, horizon = 100, 0.05
     x0, v0 = crossing_streams(d, n)
-    params = ModelParams(d=d, alpha=alpha, N=n, T=horizon, M=2.0)
+    params = ModelParams(d=d, alpha=1.5, N=n, T=horizon, M=2.0)
 
     def run(x, v):
         return integrate(
@@ -52,15 +64,39 @@ def test_reflection_negates_the_run_and_keeps_the_pair_instruments(d):
             snapshot_times=np.linspace(0.0, horizon, 6),
         )
 
-    traj, mirror = run(x0, v0), run(-x0, -v0)
-    assert np.array_equal(mirror.step_t, traj.step_t)
-    assert np.array_equal(mirror.times, traj.times)
-    assert np.array_equal(mirror.x, -traj.x)
-    assert np.array_equal(mirror.v, -traj.v)
+    traj, image = run(x0, v0), run(g(x0), g(v0))
+    assert np.array_equal(image.step_t, traj.step_t)
+    assert np.array_equal(image.times, traj.times)
+    assert np.array_equal(image.x, g(traj.x))
+    assert np.array_equal(image.v, g(traj.v))
 
-    stats, back = (snapshot_stats(t, slice(None), ()) for t in (traj, mirror))
+    stats, mapped = (snapshot_stats(t, slice(None), ()) for t in (traj, image))
     for name in ("energy", "enstrophy", "dalpha", "min_distance"):
-        assert np.array_equal(getattr(back, name), getattr(stats, name)), name
-    assert np.array_equal(back.momentum, -stats.momentum)
+        assert np.array_equal(getattr(mapped, name), getattr(stats, name)), name
+    assert np.array_equal(mapped.momentum, g(stats.momentum))
     # the streams cross: the run is not a trivial drift
     assert stats.enstrophy.max() > 0.0 and len(traj.step_t) > 5
+    return traj, image
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_reflection_negates_the_run_and_keeps_the_pair_instruments(d):
+    assert_run_maps(d, np.negative)
+
+
+# linear isometries of the plane, on the last axis of (..., 2) arrays
+PLANE_MAPS = {
+    "coordinate-swap": lambda a: a[..., ::-1],
+    "axis-reflection": lambda a: a * np.array([-1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_MAPS))
+def test_plane_isometry_maps_the_run_and_keeps_the_instruments(name):
+    traj, image = assert_run_maps(2, PLANE_MAPS[name])
+    w = np.full(traj.params.N, 1.0 / traj.params.N)
+
+    def drift(t):
+        return dbl(EmpiricalMeasure(t.x[0], w), EmpiricalMeasure(t.x[-1], w))
+
+    assert drift(image) == drift(traj) > 0.0
