@@ -7,11 +7,10 @@ report can be reproduced from itself.  The --seed, --tol and --threads
 overrides are merged into that document before it is validated, so they
 pass the same schema check.  A subcommand takes an override only when its
 schema has that key: simulate and mfstudy take --seed and --tol, pairstudy
-takes --tol, diagnose and residual take neither, and only mfstudy takes
---threads, which changes nothing: the study runs its sizes one after
-another, and no report echoes it.  dbl's --cap is accepted for old
-command lines and changes nothing, since the flat distance takes any
-support size; it must still be at least 1 and is echoed in dbl.json.
+takes --tol, diagnose and residual take neither.  Only mfstudy takes
+--threads, and it changes nothing: the study runs its sizes one after
+another, and no report echoes it; it stays for the command lines that
+pass it.  dbl takes no config, only the two measure files.
 Outputs land in --out (default current directory).  Identical config and
 seed give byte-identical reports apart from the generated_at line, on any
 BLAS build, as no module hands a product to the BLAS, but not yet across
@@ -116,7 +115,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_dbl(args) -> int:
     from .measures import dbl_with_potential
 
-    schemas.check_cap(args.cap)
     mu = storage.load_measure(args.a)
     nu = storage.load_measure(args.b)
     value, points, phi = dbl_with_potential(mu, nu)
@@ -126,7 +124,7 @@ def _cmd_dbl(args) -> int:
     if args.out is not None:
         out = _outdir(args)
         payload = {
-            "config": {"a": str(args.a), "b": str(args.b), "cap": args.cap},
+            "config": {"a": str(args.a), "b": str(args.b)},
             "distance": float(value),
             "points": points,
             "potential": phi,
@@ -271,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dbl", help="flat distance between two measure files")
     p.add_argument("a", help="first measure CSV")
     p.add_argument("b", help="second measure CSV")
-    p.add_argument("--cap", type=int, default=2000,
-                   help="accepted for old command lines; changes nothing")
     p.add_argument("--out", default=None, help="also write dbl.json here")
     p.set_defaults(func=_cmd_dbl)
 

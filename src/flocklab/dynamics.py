@@ -159,10 +159,6 @@ class ParticleState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
 
-    @property
-    def n_particles(self) -> int:
-        return self.x.shape[0]
-
 
 def alignment_rhs(
     x: np.ndarray,
@@ -492,8 +488,7 @@ class Trajectory:
     (0 on plain Dormand-Prince steps; kept in memory only).
     Steps are free steps, sized by the error controller and the geometric
     cap alone, so the log does not follow the snapshot grid.  ``tol`` is
-    None only on a trajectory file that an earlier version wrote in its
-    fixed-step mode.
+    the tolerance the run was integrated at.
     """
 
     params: ModelParams
@@ -504,7 +499,7 @@ class Trajectory:
     step_h: np.ndarray
     step_err: np.ndarray
     step_min_dist: np.ndarray
-    tol: float | None = None
+    tol: float
     step_stiff: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __post_init__(self):

@@ -61,15 +61,8 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
 
     @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def point_dim(self) -> int:
         return self.points.shape[1]
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 def phase_split(mu: EmpiricalMeasure, d: int):

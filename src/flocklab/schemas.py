@@ -19,15 +19,12 @@ long it is.  So a finiteness rule runs beside the schema: a conforming
 config holding a NaN, an infinity or an integer beyond the float range
 anywhere is rejected with a ValidationError that names where it sits.
 
-``kernel_floor`` and ``fixed_step`` name integrator modes that no longer
-exist, and ``eta_ladder`` a diagnostics series that is no longer reported.
-They are accepted at their defaults only (0, null and the default ladder),
-so every report written with them still reproduces from itself, byte for
-byte.  Two keys of an mfstudy config change nothing.  ``threads`` named
-the worker threads of a study that now runs its sizes one after another;
-any positive count is accepted and is not echoed into reports.
-``dbl_cap`` bounded the union support of a flat distance, which now takes
-any size; any positive value is accepted and echoed, as before.
+Every key a config accepts changes the run or its report, with one
+exception: an mfstudy config's ``threads`` named the worker threads of a
+study that now runs its sizes one after another.  Any positive count is
+accepted for the command lines that still pass it, and it is not echoed
+into reports.  A key a schema does not list is rejected with a
+ValidationError that names it.
 """
 
 from __future__ import annotations
@@ -57,10 +54,6 @@ _NONNEG = {"type": "number", "minimum": 0}
 # the collision-avoidance regime the particle model is defined for
 _ALPHA = {"type": "number", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
-# the unregularized kernel and the adaptive integrator, the only modes
-_NO_FLOOR = {"enum": [0]}
-_NO_FIXED_STEP = {"enum": [None]}
-_ETA_LADDER = [1.0, 0.3, 0.1, 0.03, 0.01]
 
 SCHEMAS = {
     "simulate": {
@@ -76,9 +69,6 @@ SCHEMAS = {
             "seed": _SEED,
             "tol": _POSITIVE,
             "snapshots": {"type": "integer", "minimum": 2},
-            "kernel_floor": _NO_FLOOR,
-            "fixed_step": _NO_FIXED_STEP,
-            "eta_ladder": {"enum": [_ETA_LADDER]},
             "bin_fractions": {"type": "array", "items": _POSITIVE, "minItems": 1},
         },
         "additionalProperties": False,
@@ -88,7 +78,6 @@ SCHEMAS = {
         "required": ["input"],
         "properties": {
             "input": {"type": "string"},
-            "eta_ladder": {"enum": [_ETA_LADDER]},
             "bin_fractions": {"type": "array", "items": _POSITIVE, "minItems": 1},
         },
         "additionalProperties": False,
@@ -128,8 +117,6 @@ SCHEMAS = {
             "quad_points": {"type": "integer", "minimum": 2},
             "battery_size": {"type": "integer", "minimum": 1},
             "battery_seed": _SEED,
-            "kernel_floor": _NO_FLOOR,
-            "dbl_cap": {"type": "integer", "minimum": 1},
             "threads": {"type": "integer", "minimum": 1},
         },
         "additionalProperties": False,
@@ -158,7 +145,7 @@ SCHEMAS = {
             "N": {"type": "integer"},
             "T": {"type": "number"},
             "M": {"type": "number"},
-            "tol": {"type": ["number", "null"]},
+            "tol": {"type": "number"},
             "snapshot_count": {"type": "integer"},
         },
     },
@@ -168,13 +155,9 @@ DEFAULTS = {
     "simulate": {
         "tol": 1e-8,
         "snapshots": 33,
-        "kernel_floor": 0.0,
-        "fixed_step": None,
-        "eta_ladder": _ETA_LADDER,
         "bin_fractions": [1 / 8, 1 / 16, 1 / 32],
     },
     "diagnose": {
-        "eta_ladder": _ETA_LADDER,
         "bin_fractions": [1 / 8, 1 / 16, 1 / 32],
     },
     "residual": {"battery_size": 24, "battery_seed": 0, "h": None},
@@ -184,8 +167,6 @@ DEFAULTS = {
         "quad_points": 33,
         "battery_size": 24,
         "battery_seed": 0,
-        "kernel_floor": 0.0,
-        "dbl_cap": 2000,
     },
     "pairstudy": {"horizon": 8.0, "grid_points": 4096, "tol": 1e-10},
 }
@@ -311,12 +292,6 @@ def _validate(doc, schema) -> None:
         raise ValidationError(message, path, functools.reduce(
             operator.getitem, path, doc
         ))
-
-
-def check_cap(cap) -> None:
-    """Reject a ``dbl --cap`` below 1 with a ValidationError, by the rule
-    of mfstudy's ``dbl_cap``; neither bounds anything any more."""
-    _validate(cap, SCHEMAS["mfstudy"]["properties"]["dbl_cap"])
 
 
 def resolve(kind: str, doc: dict) -> dict:

@@ -155,9 +155,8 @@ def load_trajectory(stem) -> Trajectory:
     2 + 2d fields, every snapshot exactly the rows i = 0..N-1, the file
     snapshot_count snapshots and at least one, and the snapshots finite
     positions and velocities at strictly increasing times (Trajectory
-    checks the last three), or ValueError is raised.  A "tol" of null (a
-    fixed-step run of an earlier version) loads as None; keys this version
-    no longer writes are ignored.
+    checks the last three), or ValueError is raised.  Keys this version no
+    longer writes are ignored.
     """
     stem = Path(stem)
     meta = schemas.resolve("trajectory", read_report(stem.with_suffix(".json")))
@@ -201,7 +200,7 @@ def load_trajectory(stem) -> Trajectory:
         step_h=empty,
         step_err=empty,
         step_min_dist=empty,
-        tol=None if meta["tol"] is None else float(meta["tol"]),
+        tol=float(meta["tol"]),
     )
 
 

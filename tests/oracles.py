@@ -425,7 +425,7 @@ def beta_quadrature(eta: float, alpha: float, d: int) -> float:
 def from_particles(state: ParticleState) -> EmpiricalMeasure:
     """Uniform-weight phase-space measure of a particle state."""
     pts = np.hstack([state.x, state.v])
-    n = state.n_particles
+    n = state.x.shape[0]
     return EmpiricalMeasure(pts, np.full(n, 1.0 / n))
 
 
@@ -454,7 +454,7 @@ def phi_weighted_marginal(
     """
     x, v, _ = phase_split(mu, d)
     vals = np.asarray(phi(v), dtype=np.float64).ravel()
-    if vals.shape[0] != mu.n_atoms:
+    if vals.shape[0] != mu.points.shape[0]:
         raise ValueError("phi must return one value per atom")
     if vals.size and (vals.min() < -1e-15 or vals.max() > 1.0 + 1e-12):
         raise ValueError("phi must take values in [0, 1]")

@@ -230,19 +230,26 @@ def test_residual_of_one_snapshot_is_rejected(tmp_path, capsys):
     assert not (out / "residuals.json").exists()
 
 
-def test_fixed_step_trajectory_file_still_loads(tmp_path):
-    # earlier versions had a fixed-step mode, which wrote a null tol and
-    # two keys this version no longer writes
+def test_fixed_step_trajectory_file_is_rejected(tmp_path, capsys):
+    # earlier versions had a fixed-step mode, which wrote a null tol; every
+    # trajectory now carries the tolerance it was integrated at
     _, json_path = saved_trajectory(tmp_path)
     doc = json.loads(json_path.read_text())
     doc.update(tol=None, fixed_step=0.05, kernel_floor=0.0)
     json_path.write_text(json.dumps(doc))
-    assert storage.load_trajectory(tmp_path / "run").tol is None
+    with pytest.raises(schemas.ValidationError, match="None is not of type"):
+        storage.load_trajectory(tmp_path / "run")
     for command, extra in (("diagnose", {}), ("residual", {"battery_size": 2})):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps({"input": str(tmp_path / "run"), **extra}))
         out = tmp_path / command
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].startswith(
+            "None is not of type 'number'\n\nOn instance['tol']"
+        )
+        assert json.loads((out / "error.json").read_text()) == err
 
 
 # a 401-digit JSON integer: exact in Python, beyond the float range
@@ -477,57 +484,57 @@ def test_dbl_rejects_measures_without_coordinates(tmp_path, capsys, rows):
 
 def test_dbl_past_the_old_cap_is_w1(tmp_path, capsys):
     # two 3200-atom measures on [-1, 1] of equal mass: K = 6400, and the
-    # flat distance is W1; --cap is accepted and changes nothing
+    # flat distance is W1; dbl.json echoes the two files and nothing else
     rng = np.random.default_rng(64)
     p1, p2 = rng.uniform(-1.0, 1.0, (2, 3200))
     w = np.full(3200, 1 / 3200)
     for name, p in (("a.csv", p1), ("b.csv", p2)):
         storage.save_measure(EmpiricalMeasure(p[:, None], w), tmp_path / name)
-    printed = []
-    for cap in ([], ["--cap", "1"]):
-        argv = ["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
-        assert cli.main([*argv, *cap, "--out", str(tmp_path / f"o{len(cap)}")]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1]
-    lines = printed[0].splitlines()
+    argv = ["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 6400
     want = w1_line(p1, w, p2, w)
     assert float(lines[0]) == pytest.approx(want, abs=1e-12)
-    for out, cap in (("o0", 2000), ("o2", 1)):
-        doc = json.loads((tmp_path / out / "dbl.json").read_text())
-        assert doc["config"]["cap"] == cap
+    doc = json.loads((tmp_path / "o" / "dbl.json").read_text())
+    assert doc["config"] == {"a": argv[1], "b": argv[2]}
 
 
-def test_mfstudy_dbl_cap_is_echoed_and_changes_nothing(tmp_path):
-    # dbl_cap stays accepted for old configs, and is only echoed
-    for name in ("default", "one"):
-        (tmp_path / name).mkdir()
-    runs = {"default": mf_config(tmp_path / "default"),
-            "one": mf_config(tmp_path / "one", dbl_cap=1)}
-    docs = {}
-    for name, cfg in runs.items():
-        out = tmp_path / name / "o"
-        assert cli.main(["mfstudy", "--config", str(cfg), "--out", str(out)]) == 0
-        docs[name] = json.loads(stripped(out / "study.json"))
-        for f in sorted((tmp_path / "default" / "o" / "tables").glob("*.csv")):
-            assert f.read_bytes() == (out / "tables" / f.name).read_bytes()
-    assert docs["default"]["study"] == docs["one"]["study"]
-    assert docs["default"]["config"]["dbl_cap"] == 2000
-    assert docs["one"]["config"] == dict(docs["default"]["config"], dbl_cap=1)
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_dbl_cap_below_one_is_rejected_before_reading(tmp_path, capsys, cap):
-    # mfstudy's dbl_cap rule; the missing files show nothing was read
+@pytest.mark.parametrize("kind, key, value", [
+    ("mfstudy", "dbl_cap", 2000),
+    ("mfstudy", "kernel_floor", 0.0),
+    ("diagnose", "eta_ladder", [1.0, 0.3, 0.1, 0.03, 0.01]),
+])
+def test_retired_mfstudy_and_diagnose_keys_are_rejected(tmp_path, capsys,
+                                                        kind, key, value):
+    # keys an earlier version accepted and ignored, at their old defaults:
+    # the schema error names the key, and nothing is read or written
     out = tmp_path / "o"
-    rc = cli.main(["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
-                   "--cap", cap, "--out", str(out)])
-    assert rc == 2
+    if kind == "mfstudy":
+        cfg = mf_config(tmp_path, **{key: value})
+    else:
+        cfg = tmp_path / "diag.json"
+        cfg.write_text(json.dumps({"input": str(tmp_path / "run"), key: value}))
+    assert cli.main([kind, "--config", str(cfg), "--out", str(out)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "ValidationError"
-    message = f"{cap} is less than the minimum of 1\n"
-    assert doc["error"]["message"].startswith(message)
+    assert doc["error"]["message"].startswith(
+        f"Additional properties are not allowed ({key!r} was unexpected)"
+    )
     assert json.loads((out / "error.json").read_text()) == doc
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "5"])
+def test_dbl_cap_below_one_is_rejected_before_reading(tmp_path, capsys, cap):
+    # dbl has no --cap: argparse rejects it at any value before a file is
+    # read, and the missing files show nothing was
+    with pytest.raises(SystemExit) as info:
+        cli.main(["dbl", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                  "--cap", cap, "--out", str(tmp_path / "o")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_canonical_json_is_deterministic_and_plain():
@@ -808,27 +815,33 @@ def test_missing_recipe_parameter_is_named(tmp_path, capsys, params, key):
 
 @pytest.mark.parametrize("key, value", [("fixed_step", 0.01),
                                         ("kernel_floor", 0.5),
-                                        ("eta_ladder", [0.5, 0.1])])
+                                        ("eta_ladder", [0.5, 0.1]),
+                                        ("fixed_step", None),
+                                        ("kernel_floor", 0),
+                                        ("eta_ladder",
+                                         [1.0, 0.3, 0.1, 0.03, 0.01])])
 def test_removed_integrator_modes_are_schema_errors(tmp_path, capsys, key,
                                                     value):
-    # the keys of removed modes and of the removed eta ladder stay valid at
-    # their defaults only, so old reports reproduce
+    # the keys of removed modes and of the removed eta ladder are rejected
+    # at any value, their old defaults included, and the error names them
     out = tmp_path / "o"
     rc = cli.main(["simulate", "--config",
                    str(sim_config(tmp_path, **{key: value})), "--out", str(out)])
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "ValidationError"
-    assert f"[{key!r}]" in doc["error"]["message"]
+    assert doc["error"]["message"].startswith(
+        f"Additional properties are not allowed ({key!r} was unexpected)"
+    )
     assert not (out / "report.json").exists()
 
 
 def test_report_with_the_removed_keys_at_defaults_reproduces(saved_run,
                                                              tmp_path):
+    # a report carries none of the removed keys, and reproduces from itself
     report = saved_run / "report.json"
     config = json.loads(report.read_text())["config"]
-    assert config["fixed_step"] is None and config["kernel_floor"] == 0.0
-    assert config["eta_ladder"] == [1.0, 0.3, 0.1, 0.03, 0.01]
+    assert not {"fixed_step", "kernel_floor", "eta_ladder"} & config.keys()
     out = tmp_path / "again"
     assert cli.main(["simulate", "--config", str(report), "--out", str(out)]) == 0
     assert stripped(out / "report.json") == stripped(report)

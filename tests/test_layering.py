@@ -3,10 +3,12 @@ no third-party import but numpy, no unused imports, benchmark tracer
 targets and reads that still work, a benchmark set-up probe that runs on
 the package, no public module-level name (def, class or assignment) that
 no module reads and the tracer does not wrap (storage.save_measure aside),
-snapshots read as arrays, no BLAS product in any module (and no einsum in
-the integrator), self-pairs set and the kernel psi = r^(-alpha) evaluated
-in pairs alone, and the per-snapshot instruments read in
-meanfield.snapshot_stats alone.
+no public method or property that no module and not the tracer reads
+(Trajectory.state_at aside), no config key that cli and storage never
+read (mfstudy's threads aside), snapshots read as arrays, no BLAS product
+in any module (and no einsum in the integrator), self-pairs set and the
+kernel psi = r^(-alpha) evaluated in pairs alone, and the per-snapshot
+instruments read in meanfield.snapshot_stats alone.
 
 The package's __init__ binds only __version__: every name is read from
 the module that defines it, so the guards read the modules, not a table
@@ -254,6 +256,123 @@ def test_every_export_is_read_in_the_package(monkeypatch):
     assert {name: names for name, names in unread.items() if names} == (
         UNREAD_EXPORTS
     )
+
+
+def public_methods(tree: ast.Module) -> set:
+    """Class.method of every public method or property of every public
+    module-level class."""
+    return {
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def attributes_read(tree: ast.Module) -> set:
+    """Every name a module reads as an attribute, obj.name."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_public_methods_and_attributes_read_find_every_form():
+    tree = ast.parse(
+        "class K:\n"
+        "    attr = 1\n"
+        "    def __init__(self): pass\n"
+        "    def _helper(self): pass\n"
+        "    def method(self): return self._helper()\n"
+        "    @property\n"
+        "    def size(self): return len(self.items)\n"
+        "class _Private:\n"
+        "    def hidden(self): pass\n"
+        "def f(k):\n"
+        "    class Local:\n"
+        "        def inner(self): pass\n"
+        "    return k.method, size\n"
+    )
+    assert public_methods(tree) == {"K.method", "K.size"}
+    assert attributes_read(tree) == {"_helper", "items", "method"}
+
+
+# the snapshot lookup of the tests and the oracles, kept beside the
+# positional one the package reads
+UNREAD_METHODS = {"dynamics": ["Trajectory.state_at"]}
+
+
+def test_every_public_method_is_read():
+    # a public method or property that no module and not the benchmark
+    # tracer reads as an attribute serves only tests: they read the
+    # arrays it would wrap instead
+    read = set().union(
+        *(attributes_read(parse(name)) for name in MODULES),
+        attributes_read(ast.parse(
+            (ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8")
+        )),
+    )
+    unread = {
+        name: sorted(m for m in public_methods(parse(name))
+                     if m.split(".")[1] not in read)
+        for name in MODULES
+    }
+    assert {name: names for name, names in unread.items() if names} == (
+        UNREAD_METHODS
+    )
+
+
+def schema_properties(schema: dict) -> set:
+    """Every property name a schema lists, those of nested objects too."""
+    out = set()
+    for name, sub in schema.get("properties", {}).items():
+        out |= {name} | schema_properties(sub)
+    return out
+
+
+def constant_keys_read(tree: ast.Module) -> set:
+    """Every constant string a module reads as a subscript, doc["key"]."""
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    }
+
+
+def test_schema_properties_and_constant_keys_find_every_form():
+    schema = {"type": "object", "properties": {
+        "a": {"type": "number"},
+        "inner": {"type": "object", "properties": {"b": {}, "c": {}}},
+        "items": {"type": "array", "items": {"type": "number"}},
+    }}
+    assert schema_properties(schema) == {"a", "inner", "b", "c", "items"}
+    tree = ast.parse(
+        "x = cfg['a'] + cfg[0] + cfg[key]\n"
+        "cfg['stored'] = 1\n"
+        "del cfg['gone']\n"
+        "y = meta['inner']['b']\n"
+        "z = {'literal': 1}\n"
+    )
+    assert constant_keys_read(tree) == {"a", "inner", "b"}
+
+
+# mfstudy's threads named the worker threads of a pool that is gone; the
+# benchmark still passes --threads, so it is accepted and changes nothing
+INERT_KEYS = {"mfstudy": ["threads"]}
+
+
+def test_every_config_key_is_read():
+    # a key a schema accepts and the command line and storage never read
+    # is a setting that changes nothing
+    from flocklab import schemas
+
+    read = constant_keys_read(parse("cli")) | constant_keys_read(parse("storage"))
+    unread = {
+        kind: sorted(schema_properties(schema) - read)
+        for kind, schema in schemas.SCHEMAS.items()
+    }
+    assert {kind: keys for kind, keys in unread.items() if keys} == INERT_KEYS
 
 
 @pytest.mark.parametrize("workload", ["stream-2d", "refine-1d"])

@@ -28,7 +28,7 @@ from oracles import (
 
 
 def is_probability(mu: EmpiricalMeasure, tol: float = 1e-12) -> bool:
-    return abs(mu.total_mass() - 1.0) <= tol
+    return abs(mu.weights.sum() - 1.0) <= tol
 
 
 def test_measure_validation():
@@ -45,15 +45,15 @@ def test_from_particles_and_marginal():
         0.0, np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.1, 0.2], [0.3, 0.4]])
     )
     mu = from_particles(s)
-    assert mu.n_atoms == 2 and mu.point_dim == 4
-    assert mu.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert mu.points.shape[0] == 2 and mu.point_dim == 4
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-15)
     rho = marginal_x(mu, 2)
     assert rho.points.shape == (2, 2)
     assert np.array_equal(rho.points, s.x)
     # unmerged even when positions repeat
     s2 = ParticleState(0.0, np.zeros((3, 1)) + 0.5, np.array([[0.0], [1.0], [2.0]]))
     rho2 = marginal_x(from_particles(s2), 1)
-    assert rho2.n_atoms == 3
+    assert rho2.points.shape[0] == 3
 
 
 # ---- transforms ----
@@ -63,7 +63,7 @@ def test_phi_weighted_marginal_mass_and_bounds():
     pts = np.array([[0.0, 1.0], [1.0, -1.0]])
     mu = EmpiricalMeasure(pts, [0.5, 0.5])
     nu = phi_weighted_marginal(mu, 1, 0.0, 0.5, lambda v: np.full(len(v), 0.5))
-    assert nu.total_mass() == pytest.approx(0.5)
+    assert nu.weights.sum() == pytest.approx(0.5)
     assert np.allclose(nu.points[:, 0], pts[:, 0] - 0.5 * pts[:, 1])
     with pytest.raises(ValueError):
         phi_weighted_marginal(mu, 1, 0.0, 0.0, lambda v: -np.ones(len(v)))

@@ -178,7 +178,7 @@ MF = {
     ("simulate", dict(SIM, seed=-1), False),
     ("simulate", dict(SIM, seed=2**64 - 1), True),
     ("simulate", dict(SIM, seed=2**64), False),
-    ("simulate", dict(SIM, fixed_step=None), True),
+    ("simulate", dict(SIM, fixed_step=None), False),
     ("simulate", dict(SIM, fixed_step=0.0), False),
     ("simulate", dict(SIM, tol=None), False),
     ("simulate", dict(SIM, eta_ladder=[]), False),
@@ -197,20 +197,26 @@ MF = {
     ("residual", {"input": None}, False),
     ("pairstudy", {"alpha": 1, "eps_list": [0.5], "v1": [0], "v2": [0]},
      True),
-    # integrator modes that no longer exist, valid at their defaults only
+    # keys of integrator modes that no longer exist, rejected at any value,
+    # their old defaults included
     ("simulate", dict(SIM, fixed_step=0.01), False),
-    ("simulate", dict(SIM, kernel_floor=0), True),
-    ("simulate", dict(SIM, kernel_floor=0.0), True),
+    ("simulate", dict(SIM, kernel_floor=0), False),
+    ("simulate", dict(SIM, kernel_floor=0.0), False),
     ("simulate", dict(SIM, kernel_floor=0.5), False),
     ("simulate", dict(SIM, kernel_floor=False), False),
-    ("mfstudy", dict(MF, kernel_floor=0.0), True),
+    ("mfstudy", dict(MF, kernel_floor=0.0), False),
     ("mfstudy", dict(MF, kernel_floor=0.3), False),
-    # a diagnostics ladder that is no longer reported, default only
-    ("simulate", dict(SIM, eta_ladder=[1.0, 0.3, 0.1, 0.03, 0.01]), True),
-    ("simulate", dict(SIM, eta_ladder=[1, 0.3, 0.1, 0.03, 0.01]), True),
+    # the key of a diagnostics ladder that is no longer reported, rejected
+    # at any value, its old default included
+    ("simulate", dict(SIM, eta_ladder=[1.0, 0.3, 0.1, 0.03, 0.01]), False),
+    ("simulate", dict(SIM, eta_ladder=[1, 0.3, 0.1, 0.03, 0.01]), False),
     ("simulate", dict(SIM, eta_ladder=[True, 0.3, 0.1, 0.03, 0.01]), False),
     ("simulate", dict(SIM, eta_ladder=[1.0, 0.3]), False),
     ("diagnose", {"input": "run", "eta_ladder": [0.5]}, False),
+    # the retired support cap, and the ladder at its old default
+    ("mfstudy", dict(MF, dbl_cap=2000), False),
+    ("diagnose", {"input": "run", "eta_ladder": [1.0, 0.3, 0.1, 0.03, 0.01]},
+     False),
 ])
 def test_conforms_on_hand_cases(kind, doc, ok):
     assert _agree(doc, kind) == ok

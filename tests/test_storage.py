@@ -140,6 +140,7 @@ def test_trajectory_rejects_non_finite_snapshots(field, bad):
             step_h=np.zeros(0),
             step_err=np.zeros(0),
             step_min_dist=np.zeros(0),
+            tol=1e-6,
             **arrays,
         )
 

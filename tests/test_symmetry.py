@@ -19,6 +19,11 @@ give the mapped trajectory bit for bit, the pair instruments are equal,
 the momentum maps like a velocity, and so does the flat distance between
 the spatial marginals at t = 0 and t = T, whose cost |p - q| the map
 keeps.
+
+The kinetic weak residuals keep their bits under the reflection when the
+battery is reflected with the run: each test function's centres negate,
+its bumps and velocity plateau are even, and its linear factor v_k is
+odd, which flips the sign of the defect but not of its magnitude.
 """
 
 import numpy as np
@@ -27,6 +32,7 @@ import pytest
 from flocklab.dynamics import ModelParams, ParticleState, integrate
 from flocklab.meanfield import InitialSpec, sample_initial, snapshot_stats
 from flocklab.measures import EmpiricalMeasure, dbl
+from flocklab.weakform import TestFunction, kinetic_battery, kinetic_weak_residuals
 
 # crossing streams: a uniform box of halfwidth and seed per dimension, one
 # half of it moving at +0.5 e1 and the other at -0.5 e1
@@ -82,6 +88,28 @@ def assert_run_maps(d: int, g):
 @pytest.mark.parametrize("d", [1, 2])
 def test_reflection_negates_the_run_and_keeps_the_pair_instruments(d):
     assert_run_maps(d, np.negative)
+
+
+def reflected(phi: TestFunction) -> TestFunction:
+    """The test function (x, v) -> phi(-x, -v) up to its sign: the same
+    function with both centres negated."""
+    return TestFunction(
+        phi.d, phi.t_end, -phi.x_center, phi.x_radius, phi.v_kind,
+        v_plateau=phi.v_plateau, v_component=phi.v_component,
+        v_center=-phi.v_center, v_radius=phi.v_radius,
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_reflection_keeps_the_kinetic_residuals(d):
+    traj, image = assert_run_maps(d, np.negative)
+    battery = kinetic_battery(d, traj.params.T, 2.0, size=24, seed=3)
+    kinds = {phi.v_kind for phi in battery}
+    assert kinds == {"const", "linear", "energy", "bump"}
+    want = kinetic_weak_residuals(traj, battery)
+    got = kinetic_weak_residuals(image, [reflected(phi) for phi in battery])
+    assert got == want
+    assert max(want) > 0.0
 
 
 # linear isometries of the plane, on the last axis of (..., 2) arrays
